@@ -12,6 +12,7 @@ from .errors import (
     BlockNotInvertible,
     DivisorMismatch,
     DuplicateFrequency,
+    ExponentOverflow,
     GaudualError,
     IndexOutOfRange,
     InhomogeneousInput,

@@ -500,10 +500,10 @@ def verify_cyclotomic_duality(inst: CycloInstance) -> dict:
         report["common_polynomial"] = repr(det_l)
     else:
         diff = det_l - det_r
-        exps = next(iter(sorted(diff.terms)))
+        mono = min(diff.terms)
         report["witness"] = {
-            "monomial": {v: e for v, e in zip(diff.vars, exps) if e},
-            "difference": str(diff.terms[exps]),
+            "monomial": {v: e for v, e in zip(diff.vars, diff.unpack(mono)) if e},
+            "difference": str(diff.terms[mono]),
         }
     return report
 

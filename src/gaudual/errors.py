@@ -66,6 +66,10 @@ class InhomogeneousInput(GaudualError):
     """Graded bracket called on an element of mixed parity."""
 
 
+class ExponentOverflow(GaudualError):
+    """A monomial exponent outgrew its packed field."""
+
+
 class GuardExceeded(GaudualError):
     """A term-count or size ceiling was exceeded."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisorMismatch, IndexOutOfRange, RequiresRegularDivisor
+from .errors import DivisorMismatch, IndexOutOfRange, RequiresRegularDivisor, ResidualPole
 from .grassmann import GrassmannAlgebra, GrassmannElement
 from .linalg import solve_linear
 from .matrices import RingMatrix, cdet, manin_check
@@ -383,10 +383,10 @@ def verify_classical_bosonic_duality(inst: DualityInstance, sample_seed=None) ->
         report["common_polynomial"] = repr(lhs)
     else:
         diff = lhs - rhs
-        exps = next(iter(sorted(diff.terms)))
+        mono = min(diff.terms)
         report["witness"] = {
-            "monomial": {v: e for v, e in zip(diff.vars, exps) if e},
-            "difference": str(diff.terms[exps]),
+            "monomial": {v: e for v, e in zip(diff.vars, diff.unpack(mono)) if e},
+            "difference": str(diff.terms[mono]),
         }
     return report
 
@@ -489,7 +489,7 @@ def verify_quantum_duality(inst: DualityInstance) -> dict:
     try:
         lhs = left.to_polynomial()
         rhs = right.to_polynomial()
-    except Exception as err:  # ResidualPole signals failure
+    except ResidualPole as err:
         return {"status": "fail", "witness": {"residual": str(err)}}
     equal = lhs == rhs
     manin_ok, manin_witness = manin_check(quantum_block_matrix(inst))

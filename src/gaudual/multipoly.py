@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over exact rationals, with packed monomials.
 
 Variables are referred to by name.  Canonical variable names follow the
 conventions used throughout the package:
@@ -8,21 +8,45 @@ conventions used throughout the package:
 * ``z``, ``lam``, ``mu``, ``w`` -- spectral parameters and the cyclotomic
   parameter.
 
-Every polynomial keeps its variable table sorted by a fixed global order
-(x's, then p's, then z, lam, mu, w, then anything else alphabetically), so
-equal polynomials have identical internal representations and equality is a
-dictionary comparison.
+A polynomial is a variable table ``vars`` and a dict ``terms`` from packed
+monomials to nonzero coefficients.  The table is sorted by a fixed global
+order (x's, then p's, then z, lam, mu, w, then anything else
+alphabetically; see ``var_key``), so equal polynomials over equal tables
+have equal dicts and equality is a dictionary comparison.
+
+Packed monomials.  A monomial over a table of n variables is one Python
+``int`` with one 16-bit field per variable.  The first variable of the table
+takes the most significant field, so comparing two monomials of one table as
+ints is the lexicographic comparison of their exponent tuples: ``repr`` and
+every sorted witness list terms in that order.  Multiplying monomials is
+adding their ints.  The top bit of each field is a guard bit: exponents are
+kept below 2**15, so a sum of two monomials never carries into the
+neighbouring field, and a product whose result has a guard bit set raises
+``ExponentOverflow`` instead of wrapping.
+
+Coefficients are ``int`` when integral and ``Fraction`` otherwise; ``str``,
+``==`` and ``hash`` agree between the two, so printed polynomials do not
+depend on which one a coefficient happens to be.  Nothing is ever a float.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache, reduce
+from operator import or_
+
+from .errors import ExponentOverflow
 
 _PAIR_RE = re.compile(r"^([xp])(\d+)_(\d+)$")
 _SPECIAL = {"z": 2, "lam": 3, "mu": 4, "w": 5}
 
+BITS = 16  # width of one exponent field, guard bit included
+FIELD = (1 << BITS) - 1
+MAX_EXP = (1 << (BITS - 1)) - 1  # largest exponent a field may hold
 
+
+@cache
 def var_key(name: str) -> tuple:
     """Global sort key: x's first, then p's, then spectral parameters."""
     m = _PAIR_RE.match(name)
@@ -34,16 +58,91 @@ def var_key(name: str) -> tuple:
     return (9, 0, 0, name)
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+@cache
+def _guard_mask(n: int) -> int:
+    """The guard bits of every field of an n-variable monomial."""
+    return sum(1 << (BITS * k + BITS - 1) for k in range(n))
+
+
+def _coerce(value):
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"cannot use {value!r} as a polynomial coefficient")
 
 
+def _has_fraction(terms: dict) -> bool:
+    return Fraction in set(map(type, terms.values()))
+
+
+def _nonzero(terms: dict, fractions: bool) -> dict:
+    """Drop zero coefficients; with `fractions`, also store integral
+    Fractions as ints."""
+    if fractions:
+        return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items() if c}
+    return {e: c for e, c in terms.items() if c}
+
+
+def _checked(terms: dict, nvars: int) -> dict:
+    """`terms` of a product, once no exponent has reached a guard bit.  A
+    sum of two in-range fields stays below 2**16, so an overflowed monomial
+    is still exact: it cancels only against itself, and a surviving one
+    sets its guard bit in the OR of all the monomials."""
+    if reduce(or_, terms, 0) & _guard_mask(nvars):
+        raise ExponentOverflow(f"an exponent exceeds {MAX_EXP}")
+    return terms
+
+
+def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    names = set(a)
+    if names.issuperset(b):
+        return a
+    names.update(b)
+    if len(names) == len(b):
+        return b
+    return tuple(sorted(names, key=var_key))
+
+
+def _moves(src: tuple[str, ...], dst: tuple[str, ...]) -> list[tuple[int, int]]:
+    """How the fields of the names common to both tables move when a
+    monomial over `src` is rewritten over `dst`: (mask over src, shift)
+    pairs, one per run of fields that move together, shift > 0 meaning
+    leftwards.  Fields of names not in `dst` are dropped."""
+    ns, nd = len(src), len(dst)
+    moves: list[tuple[int, int]] = []
+    for k, v in enumerate(src):
+        if v not in dst:
+            continue
+        at = BITS * (ns - 1 - k)
+        shift = BITS * (nd - 1 - dst.index(v)) - at
+        if moves and moves[-1][1] == shift:
+            moves[-1] = (moves[-1][0] | FIELD << at, shift)
+        else:
+            moves.append((FIELD << at, shift))
+    return moves
+
+
+def _repack(terms: dict, moves: list[tuple[int, int]]) -> dict:
+    if len(moves) == 1:
+        (mask, shift), = moves
+        if shift >= 0:
+            return {(e & mask) << shift: c for e, c in terms.items()}
+        return {(e & mask) >> -shift: c for e, c in terms.items()}
+    out = {}
+    for e, c in terms.items():
+        m = 0
+        for mask, shift in moves:
+            m |= (e & mask) << shift if shift >= 0 else (e & mask) >> -shift
+        out[m] = c
+    return out
+
+
 class MultiPoly:
-    """Immutable sparse polynomial: map from exponent vectors to Fractions."""
+    """Immutable sparse polynomial: map from packed monomials to nonzero
+    int or Fraction coefficients over the variable table ``vars``."""
 
     __slots__ = ("vars", "terms")
 
@@ -56,7 +155,7 @@ class MultiPoly:
     @staticmethod
     def const(c) -> MultiPoly:
         c = _coerce(c)
-        return MultiPoly((), {(): c} if c else {})
+        return MultiPoly((), {0: c} if c else {})
 
     @staticmethod
     def var(name: str, power: int = 1, coeff=1) -> MultiPoly:
@@ -65,11 +164,25 @@ class MultiPoly:
             return MultiPoly((), {})
         if power == 0:
             return MultiPoly.const(c)
-        return MultiPoly((name,), {(power,): c})
+        if power < 0:
+            raise ValueError(f"negative exponent {power} of {name}")
+        if power > MAX_EXP:
+            raise ExponentOverflow(f"exponent {power} of {name} exceeds {MAX_EXP}")
+        return MultiPoly((name,), {power: c})
 
     @staticmethod
     def zero() -> MultiPoly:
         return MultiPoly((), {})
+
+    # -- packed monomials -------------------------------------------------
+
+    def _shift(self, name: str) -> int:
+        return BITS * (len(self.vars) - 1 - self.vars.index(name))
+
+    def unpack(self, mono: int) -> tuple[int, ...]:
+        """Exponent tuple of a packed monomial of this polynomial, one entry
+        per name of ``vars``."""
+        return tuple((mono >> s) & FIELD for s in range(BITS * (len(self.vars) - 1), -1, -BITS))
 
     # -- table alignment ----------------------------------------------
 
@@ -77,50 +190,55 @@ class MultiPoly:
         """Re-express over a larger variable table (must contain self.vars)."""
         if vars == self.vars:
             return self
-        pos = {v: k for k, v in enumerate(vars)}
-        idx = [pos[v] for v in self.vars]
-        n = len(vars)
-        terms = {}
-        for exps, c in self.terms.items():
-            row = [0] * n
-            for j, e in zip(idx, exps):
-                row[j] = e
-            terms[tuple(row)] = c
-        return MultiPoly(vars, terms)
+        if not set(vars).issuperset(self.vars):
+            raise ValueError(f"table {vars} lacks some of {self.vars}")
+        return MultiPoly(vars, _repack(self.terms, _moves(self.vars, vars)))
 
     def _aligned(self, other: MultiPoly):
         if self.vars == other.vars:
             return self, other
-        merged = tuple(sorted(set(self.vars) | set(other.vars), key=var_key))
+        merged = _merge(self.vars, other.vars)
         return self.lift_to(merged), other.lift_to(merged)
 
     def compact(self) -> MultiPoly:
         """Drop variables that no term actually uses."""
         if not self.terms:
             return MultiPoly((), {})
-        used = [any(e[k] for e in self.terms) for k in range(len(self.vars))]
-        if all(used):
+        used = reduce(or_, self.terms, 0)
+        n = len(self.vars)
+        keep = tuple(v for k, v in enumerate(self.vars) if (used >> (BITS * (n - 1 - k))) & FIELD)
+        if len(keep) == n:
             return self
-        keep = [k for k, u in enumerate(used) if u]
-        vars = tuple(self.vars[k] for k in keep)
-        terms = {tuple(e[k] for k in keep): c for e, c in self.terms.items()}
-        return MultiPoly(vars, terms)
+        return MultiPoly(keep, _repack(self.terms, _moves(self.vars, keep)))
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = MultiPoly.const(other)
-        elif not isinstance(other, MultiPoly):
-            return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         a, b = self._aligned(other)
+        if len(a.terms) < len(b.terms):
+            a, b = b, a
         terms = dict(a.terms)
+        get = terms.get
         for e, c in b.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
+            s = get(e)
+            if s is None:
+                terms[e] = c
+                continue
+            s += c
+            if not s:
+                del terms[e]
+            elif type(s) is Fraction and s.denominator == 1:
+                terms[e] = s.numerator
             else:
-                terms.pop(e, None)
+                terms[e] = s
         return MultiPoly(a.vars, terms)
 
     __radd__ = __add__
@@ -139,24 +257,38 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = _coerce(other)
             if not c:
                 return MultiPoly((), {})
-            return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
+            terms = {e: k * c for e, k in self.terms.items()}
+            if _has_fraction(terms):
+                terms = _nonzero(terms, True)
+            return MultiPoly(self.vars, terms)
+        if not self.terms or not other.terms:
+            return MultiPoly((), {})
         a, b = self._aligned(other)
-        terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return MultiPoly(a.vars, terms)
+        if len(a.terms) < len(b.terms):
+            a, b = b, a
+        fractions = _has_fraction(a.terms) or _has_fraction(b.terms)
+        if len(b.terms) == 1:
+            # one monomial: the products are distinct and nonzero
+            (e2, c2), = b.terms.items()
+            terms = {e1 + e2: c1 * c2 for e1, c1 in a.terms.items()}
+            if fractions:
+                terms = _nonzero(terms, True)
+        else:
+            terms = {}
+            get = terms.get
+            right = list(b.terms.items())
+            for e1, c1 in a.terms.items():
+                for e2, c2 in right:
+                    e = e1 + e2
+                    terms[e] = get(e, 0) + c1 * c2
+            terms = _nonzero(terms, fractions)
+        return MultiPoly(a.vars, _checked(terms, len(a.vars)))
 
     __rmul__ = __mul__
 
@@ -192,23 +324,21 @@ class MultiPoly:
     # -- structure ------------------------------------------------------
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
+    def constant_value(self):
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return self.terms.get(0, 0)
 
     def degree(self, name: str) -> int:
         if name not in self.vars or not self.terms:
             return 0
-        k = self.vars.index(name)
-        return max(e[k] for e in self.terms)
+        s = self._shift(name)
+        return max((e >> s) & FIELD for e in self.terms)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(self.unpack(e)) for e in self.terms), default=0)
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -216,79 +346,74 @@ class MultiPoly:
     def derivative(self, name: str) -> MultiPoly:
         if name not in self.vars:
             return MultiPoly((), {})
-        k = self.vars.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[k] == 0:
-                continue
-            e2 = e[:k] + (e[k] - 1,) + e[k + 1:]
-            terms[e2] = terms.get(e2, 0) + c * e[k]
-        return MultiPoly(self.vars, {e: c for e, c in terms.items() if c})
+        s = self._shift(name)
+        one = 1 << s
+        # distinct monomials stay distinct after lowering one exponent
+        terms = {e - one: c * k for e, c in self.terms.items() if (k := (e >> s) & FIELD)}
+        if _has_fraction(terms):
+            terms = _nonzero(terms, True)
+        return MultiPoly(self.vars, terms)
 
     def substitute(self, assignment: dict) -> MultiPoly:
         """Substitute Fractions or polynomials for some variables."""
-        if not any(v in assignment for v in self.vars):
+        names = tuple(v for v in self.vars if v in assignment)
+        if not names:
             return self
-        values = {}
-        for v in self.vars:
-            if v in assignment:
-                val = assignment[v]
-                values[v] = val if isinstance(val, MultiPoly) else MultiPoly.const(val)
-        out = MultiPoly((), {})
-        powers: dict[tuple, MultiPoly] = {}
-        for e, c in self.terms.items():
-            term = MultiPoly.const(c)
-            for v, k in zip(self.vars, e):
-                if k == 0:
-                    continue
-                if v in values:
-                    key = (v, k)
-                    if key not in powers:
-                        powers[key] = values[v] ** k
-                    term = term * powers[key]
-                else:
-                    term = term * MultiPoly.var(v, k)
+        powers: dict[tuple[str, int], MultiPoly] = {}
+        out = MultiPoly.zero()
+        for exps, rest in self.split_by(names).items():
+            term = rest
+            for name, e in zip(names, exps):
+                if e:
+                    if (name, e) not in powers:
+                        powers[name, e] = assignment[name] ** e
+                    term = term * powers[name, e]
             out = out + term
         return out.compact()
 
     def split_by(self, names: tuple[str, ...]) -> dict[tuple, MultiPoly]:
-        """Group terms by the exponents of `names`; values are polynomials
-        in the remaining variables."""
-        idx = [self.vars.index(n) if n in self.vars else None for n in names]
-        rest = [k for k, v in enumerate(self.vars) if v not in names]
-        rest_vars = tuple(self.vars[k] for k in rest)
+        """Group terms by the exponents of `names`, in increasing order of
+        those exponents; values are polynomials in the remaining variables."""
+        shifts = [self._shift(n) if n in self.vars else None for n in names]
+        rest_vars = tuple(v for v in self.vars if v not in names)
+        moves = _moves(self.vars, rest_vars)
         out: dict[tuple, dict] = {}
         for e, c in self.terms.items():
-            key = tuple(0 if k is None else e[k] for k in idx)
-            sub = tuple(e[k] for k in rest)
-            out.setdefault(key, {})[sub] = c
-        return {k: MultiPoly(rest_vars, t).compact() for k, t in out.items()}
+            key = tuple(0 if s is None else (e >> s) & FIELD for s in shifts)
+            out.setdefault(key, {})[e] = c
+        return {k: MultiPoly(rest_vars, _repack(out[k], moves)).compact() for k in sorted(out)}
 
     def coefficient(self, names: tuple[str, ...], exps: tuple[int, ...]) -> MultiPoly:
         return self.split_by(names).get(exps, MultiPoly.zero())
 
-    def divide_linear(self, name: str, root: Fraction) -> MultiPoly:
+    def divide_linear(self, name: str, root) -> MultiPoly:
         """Exact division by (name - root); raises if the remainder is nonzero."""
-        by_deg: dict[int, MultiPoly] = {}
-        for e, coeff in self.split_by((name,)).items():
-            by_deg[e[0]] = coeff
-        if not by_deg:
+        if not self.terms:
             return MultiPoly.zero()
-        deg = max(by_deg)
-        quot: dict[int, MultiPoly] = {}
-        carry = MultiPoly.zero()
-        for k in range(deg, 0, -1):
-            q = by_deg.get(k, MultiPoly.zero()) + carry
-            quot[k - 1] = q
-            carry = q * root
-        rem = by_deg.get(0, MultiPoly.zero()) + carry
-        if rem:
+        if name not in self.vars:
             raise ValueError(f"{name} - {root} does not divide exactly")
-        out = MultiPoly.zero()
-        for k, q in quot.items():
-            if q:
-                out = out + q * MultiPoly.var(name, k) if k else out + q
-        return out.compact()
+        root = _coerce(root)
+        s = self._shift(name)
+        # synthetic division on the coefficients of name^k, each a dict
+        # keyed by the monomial with its `name` field cleared
+        by_deg: dict[int, dict] = {}
+        for e, c in self.terms.items():
+            k = (e >> s) & FIELD
+            by_deg.setdefault(k, {})[e - (k << s)] = c
+        quot: dict[int, int] = {}
+        carry: dict = {}
+        for k in range(max(by_deg), 0, -1):
+            row = by_deg.get(k, {})
+            for e, c in carry.items():
+                row[e] = row.get(e, 0) + c
+            quot.update((e + ((k - 1) << s), c) for e, c in row.items())
+            carry = {e: c * root for e, c in row.items()}
+        rem = by_deg.get(0, {})
+        for e, c in carry.items():
+            rem[e] = rem.get(e, 0) + c
+        if any(rem.values()):
+            raise ValueError(f"{name} - {root} does not divide exactly")
+        return MultiPoly(self.vars, _nonzero(quot, True)).compact()
 
     # -- display ----------------------------------------------------------
 
@@ -299,19 +424,8 @@ class MultiPoly:
         for e, c in sorted(self.terms.items()):
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.vars, e)
+                for v, k in zip(self.vars, self.unpack(e))
                 if k
             )
             bits.append(f"{c}" if not mono else (f"{c}*{mono}" if c != 1 else mono))
         return " + ".join(bits)
-
-
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Named arithmetic entry point: op in {"add", "mul", "sub"}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "sub":
-        return a - b
-    raise ValueError(f"unknown op {op!r}")

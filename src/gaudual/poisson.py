@@ -13,27 +13,44 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 
 from .multipoly import MultiPoly
 
 _P_RE = re.compile(r"^p(\d+)_(\d+)$")
 
 
+@cache
+def _position_of(name: str) -> str | None:
+    """x{a}_{i} for the momentum p{a}_{i}; None for any other name."""
+    m = _P_RE.match(name)
+    return f"x{m.group(1)}_{m.group(2)}" if m else None
+
+
 def conjugate_pairs(f: MultiPoly, g: MultiPoly) -> list[tuple[str, str]]:
     names = set(f.vars) | set(g.vars)
-    pairs = []
-    for name in names:
-        m = _P_RE.match(name)
-        if m:
-            pairs.append((f"x{m.group(1)}_{m.group(2)}", name))
-    return sorted(pairs)
+    return sorted((xv, pv) for pv in names if (xv := _position_of(pv)))
 
 
 def poisson_bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    out = MultiPoly.zero()
+    # a derivative by a name outside a polynomial's own table is zero
+    fv, gv = set(f.vars), set(g.vars)
+    # one shared table: the derivative products below never re-align
+    f, g = f._aligned(g)
+    out = MultiPoly(f.vars, {})
     for xv, pv in conjugate_pairs(f, g):
-        out = out + f.derivative(pv) * g.derivative(xv)
-        out = out - f.derivative(xv) * g.derivative(pv)
+        if pv in fv and xv in gv:
+            out = out + f.derivative(pv) * g.derivative(xv)
+        if xv in fv and pv in gv:
+            out = out - f.derivative(xv) * g.derivative(pv)
+    return out
+
+
+def _monomial(vars, exps) -> MultiPoly:
+    out = MultiPoly.const(1)
+    for v, e in zip(vars, exps):
+        if e:
+            out = out * MultiPoly.var(v, e)
     return out
 
 
@@ -58,7 +75,7 @@ def poisson_bracket_leibniz(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         u = vars_f[first]
         rest = list(ef)
         rest[first] -= 1
-        rest_mono = MultiPoly(vars_f, {tuple(rest): Fraction(1)}).compact()
+        rest_mono = _monomial(vars_f, rest)
         u_poly = MultiPoly.var(u)
         # {u*rest, G} = u*{rest, G} + {u, G}*rest
         out = u_poly * mono_bracket(vars_f, tuple(rest), vars_g, eg)
@@ -72,7 +89,7 @@ def poisson_bracket_leibniz(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         v = vars_g[first]
         rest = list(eg)
         rest[first] -= 1
-        rest_mono = MultiPoly(vars_g, {tuple(rest): Fraction(1)}).compact()
+        rest_mono = _monomial(vars_g, rest)
         out = MultiPoly.var(v) * single_bracket(u, vars_g, tuple(rest))
         c = _generator_bracket(u, v)
         if c:
@@ -82,5 +99,5 @@ def poisson_bracket_leibniz(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     out = MultiPoly.zero()
     for ef, cf in f.terms.items():
         for eg, cg in g.terms.items():
-            out = out + mono_bracket(f.vars, ef, g.vars, eg) * (cf * cg)
+            out = out + mono_bracket(f.vars, f.unpack(ef), g.vars, g.unpack(eg)) * (cf * cg)
     return out

@@ -48,6 +48,19 @@ KINDS = {
 
 SAMPLE_SEED = 8093  # fixed: sampled runs stay deterministic
 
+LAX_FAMILIES = {"cyclotomic-glM", "sp2N"}
+COMMUTATIVITY_FLAVORS = {"classical", "quantum", "cyclotomic"}
+GAUDIN_FLAVORS = {
+    "classical-bosonic": "classical",
+    "classical-fermionic": "fermionic",
+    "quantum-bosonic": "quantum",
+}
+# the mutations each realization map understands
+MUTATIONS = {
+    **{realization: {"flip-sign", "range-up"} for realization in GAUDIN_FLAVORS},
+    "cyclotomic": {"flip-sign", "y-sign"},
+}
+
 
 def _points(raw) -> list[tuple[Fraction, int]]:
     return [(rat(p), int(t)) for p, t in raw]
@@ -59,6 +72,7 @@ def validate_instance(spec: dict) -> None:
     if kind not in KINDS:
         raise SpecValidationError(f"unknown kind {kind!r}")
     try:
+        _check_choices(kind, spec)
         if kind == "neumann":
             omegas = [rat(w) for w in spec["omega"]]
             if len(omegas) != int(spec["M"]):
@@ -99,6 +113,36 @@ def validate_instance(spec: dict) -> None:
         raise SpecValidationError(str(err)) from err
 
 
+def _check_choices(kind: str, spec: dict) -> None:
+    """Reject the names dispatch would fail on or silently ignore."""
+    if kind == "lax-algebra" and spec.get("which") not in LAX_FAMILIES:
+        raise SpecValidationError(
+            f"unknown Lax algebra family {spec.get('which')!r}; "
+            f"expected one of {sorted(LAX_FAMILIES)}"
+        )
+    if kind == "commutativity" and spec.get("flavor", "classical") not in COMMUTATIVITY_FLAVORS:
+        raise SpecValidationError(
+            f"unknown commutativity flavor {spec.get('flavor')!r}; "
+            f"expected one of {sorted(COMMUTATIVITY_FLAVORS)}"
+        )
+    allowed = set()
+    if kind == "homomorphism":
+        realization = spec.get("realization", "classical-bosonic")
+        if realization not in MUTATIONS:
+            raise SpecValidationError(
+                f"unknown realization {realization!r}; expected one of {sorted(MUTATIONS)}"
+            )
+        allowed = MUTATIONS[realization]
+    options = spec.get("options", {})
+    if not isinstance(options, dict):
+        raise SpecValidationError(f"options must be an object, not {options!r}")
+    mutation = options.get("mutation")
+    if mutation is not None and mutation not in allowed:
+        raise SpecValidationError(
+            f"unknown mutation {mutation!r} for {kind}; expected one of {sorted(allowed)}"
+        )
+
+
 def _size_guard(spec: dict, max_terms: int) -> None:
     M = int(spec.get("M", 1))
     N = int(spec.get("N", 1))
@@ -135,12 +179,12 @@ def _build_cyclo(spec: dict) -> CycloInstance:
 
 def run_instance(spec: dict, mode: str | None = None, max_terms: int = 10**7) -> dict:
     """Dispatch one instance; returns the deterministic report body."""
+    validate_instance(spec)
     opts = dict(spec.get("options", {}))
     if mode:
         opts["mode"] = mode
     expect = opts.get("expect", "pass")
     try:
-        validate_instance(spec)
         _size_guard(spec, max_terms)
         report = _dispatch(spec, opts)
     except SpecValidationError:
@@ -178,12 +222,7 @@ def _dispatch(spec: dict, opts: dict) -> dict:
         realization = spec.get("realization", "classical-bosonic")
         if realization == "cyclotomic":
             return verify_cyclotomic_homomorphisms(_build_cyclo(spec), mutation)
-        flavor = {
-            "classical-bosonic": "classical",
-            "classical-fermionic": "fermionic",
-            "quantum-bosonic": "quantum",
-        }[realization]
-        return verify_homomorphism(_build_duality(spec), flavor, mutation)
+        return verify_homomorphism(_build_duality(spec), GAUDIN_FLAVORS[realization], mutation)
     if kind == "commutativity":
         flavor = spec.get("flavor", "classical")
         if flavor == "cyclotomic":

@@ -256,9 +256,9 @@ def weyl_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
 def from_multipoly(p: MultiPoly) -> WeylElement:
     """Embed a commutative polynomial in x/p variables, p{a}_{i} -> d{a}_{i}."""
     out = WeylElement.zero()
-    for exps, c in p.terms.items():
+    for mono, c in p.terms.items():
         acc: dict[str, list[int]] = {}
-        for name, e in zip(p.vars, exps):
+        for name, e in zip(p.vars, p.unpack(mono)):
             if not e:
                 continue
             if name == "z":

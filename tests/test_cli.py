@@ -189,3 +189,39 @@ def test_guard_rejects_oversized_instance():
     report = run_instance(spec, max_terms=10)
     assert report["status"] == "error"
     assert "guard" in report["witness"]
+
+
+_GAUDIN = {"M": 1, "N": 1, "divisor": [["1", 1]], "dual_divisor": [["5", 1]]}
+_CYCLO = {"M": 2, "N": 2, "tau0": 2, "divisor": [], "lambda_points": ["5", "7"], "mu": "-1"}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dict(_CYCLO, kind="lax-algebra", which="glN"),
+        dict(_CYCLO, kind="lax-algebra"),
+        dict(_GAUDIN, kind="commutativity", flavor="fermionic"),
+        dict(_GAUDIN, kind="homomorphism", realization="quantum-fermionic"),
+        dict(_GAUDIN, kind="homomorphism", options={"mutation": "y-sign"}),
+        dict(_CYCLO, kind="homomorphism", realization="cyclotomic",
+             options={"mutation": "range-up"}),
+        dict(_GAUDIN, kind="classical-bosonic", options={"mutation": "flip-sign"}),
+        dict(_GAUDIN, kind="classical-bosonic", options=None),
+    ],
+    ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
+         "gaudin-mutation", "cyclotomic-mutation", "mutation-on-duality", "options-not-object"],
+)
+def test_validation_rejects_names_dispatch_cannot_run(spec):
+    with pytest.raises(SpecValidationError):
+        validate_instance(spec)
+    with pytest.raises(SpecValidationError):
+        run_instance(spec)
+
+
+def test_cli_exit_2_on_unknown_lax_family(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"instances": [dict(_CYCLO, kind="lax-algebra", which="glN")]}))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert "unknown Lax algebra family 'glN'" in proc.stderr
+

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from gaudual.errors import DivisorMismatch
+from gaudual import gaudin
+from gaudual.errors import DivisorMismatch, ResidualPole
 from gaudual.gaudin import (
     Divisor,
     DualityInstance,
@@ -129,3 +130,28 @@ def test_quantum_block_matrix_is_manin():
 )
 def test_classical_limit_reproduces_classical_polynomial(M, N, dz, dl):
     assert quantum_classical_limits_agree(make(M, N, dz, dl))
+
+
+class _Sides:
+    """Stands in for a quantum operator side whose normal ordering raises."""
+
+    def __init__(self, err: Exception):
+        self.err = err
+
+    def to_polynomial(self):
+        raise self.err
+
+
+def test_quantum_duality_reports_residual_pole_as_fail(monkeypatch):
+    side = _Sides(ResidualPole(Q(1), 2))
+    monkeypatch.setattr(gaudin, "quantum_operator_sides", lambda inst: (side, side))
+    report = verify_quantum_duality(make(1, 1, [(2, 1)], [(5, 1)]))
+    assert report["status"] == "fail"
+    assert "residual pole of order 2" in report["witness"]["residual"]
+
+
+def test_quantum_duality_lets_other_errors_propagate(monkeypatch):
+    side = _Sides(KeyError("bug"))
+    monkeypatch.setattr(gaudin, "quantum_operator_sides", lambda inst: (side, side))
+    with pytest.raises(KeyError):
+        verify_quantum_duality(make(1, 1, [(2, 1)], [(5, 1)]))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaudual.multipoly import MultiPoly, poly_arith, var_key
+from gaudual.multipoly import MultiPoly, var_key
 from helpers import rng, random_poly
 
 x = MultiPoly.var("x")
@@ -23,14 +23,6 @@ def test_square_of_sum_expansion():
     expected = x * x + x * y + y * x + y * y
     assert (x + y) ** 2 == expected
     assert (x + y) ** 2 == x**2 + 2 * x * y + y**2
-
-
-def test_poly_arith_dispatch():
-    assert poly_arith(x, y, "add") == x + y
-    assert poly_arith(x, y, "sub") == x - y
-    assert poly_arith(x, y, "mul") == x * y
-    with pytest.raises(ValueError):
-        poly_arith(x, y, "div")
 
 
 def test_ring_axioms_random_triples():

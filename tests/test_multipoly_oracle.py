@@ -1,0 +1,152 @@
+"""MultiPoly against sympy on random polynomials, plus the packed-monomial
+invariants: term order, exponent overflow and integer coefficients."""
+
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from gaudual.errors import ExponentOverflow  # noqa: E402
+from gaudual.multipoly import MAX_EXP, MultiPoly  # noqa: E402
+from gaudual.poisson import poisson_bracket  # noqa: E402
+
+NAMES = ["x1_1", "x2_1", "p1_1", "p2_1", "z", "lam"]
+SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
+PAIRS = [("x1_1", "p1_1"), ("x2_1", "p2_1")]
+
+coeffs = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+monomials = st.dictionaries(st.sampled_from(NAMES), st.integers(1, 3), max_size=3)
+polys = st.lists(st.tuples(coeffs, monomials), max_size=5)
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def build(terms) -> MultiPoly:
+    out = MultiPoly.zero()
+    for c, mono in terms:
+        term = MultiPoly.const(c)
+        for name, e in mono.items():
+            term = term * MultiPoly.var(name, e)
+        out = out + term
+    return out
+
+
+def to_sympy(p: MultiPoly):
+    out = sympy.Integer(0)
+    for mono, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for name, e in zip(p.vars, p.unpack(mono)):
+            term *= SYMBOLS[name] ** e
+        out += term
+    return out
+
+
+def same(p: MultiPoly, expr) -> bool:
+    return sympy.expand(to_sympy(p) - expr) == 0
+
+
+@SETTINGS
+@given(polys, polys, st.integers(0, 3))
+def test_ring_operations_match_sympy(ta, tb, n):
+    a, b = build(ta), build(tb)
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert same(a + b, sa + sb)
+    assert same(a - b, sa - sb)
+    assert same(a * b, sa * sb)
+    assert same(a ** n, sa ** n)
+    assert same(-a + 3, 3 - sa)
+
+
+@SETTINGS
+@given(polys, st.sampled_from(NAMES))
+def test_derivative_matches_sympy(ta, name):
+    a = build(ta)
+    assert same(a.derivative(name), sympy.diff(to_sympy(a), SYMBOLS[name]))
+
+
+@SETTINGS
+@given(polys, coeffs)
+def test_divide_linear_matches_sympy(ta, root):
+    p = build(ta)
+    product = (MultiPoly.var("z") - root) * p
+    quotient = product.divide_linear("z", root)
+    z = SYMBOLS["z"]
+    want, rem = sympy.div(to_sympy(product), z - sympy.Rational(root.numerator, root.denominator), z)
+    assert rem == 0
+    assert quotient == p
+    assert same(quotient, want)
+    if p:
+        with pytest.raises(ValueError):
+            (product + 1).divide_linear("z", root)
+
+
+@SETTINGS
+@given(polys, polys, coeffs)
+def test_substitute_matches_sympy(ta, tb, value):
+    a, b = build(ta), build(tb)
+    got = a.substitute({"x1_1": value, "p2_1": b})
+    want = to_sympy(a).subs(
+        {SYMBOLS["x1_1"]: sympy.Rational(value.numerator, value.denominator),
+         SYMBOLS["p2_1"]: to_sympy(b)},
+        simultaneous=True,
+    )
+    assert same(got, want)
+
+
+@SETTINGS
+@given(polys, polys)
+def test_poisson_bracket_matches_sympy(ta, tb):
+    f, g = build(ta), build(tb)
+    sf, sg = to_sympy(f), to_sympy(g)
+    want = sum(
+        sympy.diff(sf, SYMBOLS[p]) * sympy.diff(sg, SYMBOLS[x])
+        - sympy.diff(sf, SYMBOLS[x]) * sympy.diff(sg, SYMBOLS[p])
+        for x, p in PAIRS
+    )
+    assert same(poisson_bracket(f, g), want)
+
+
+@SETTINGS
+@given(polys)
+def test_repr_lists_terms_in_exponent_tuple_order(ta):
+    p = build(ta)
+    by_tuple = sorted(p.terms.items(), key=lambda item: p.unpack(item[0]))
+    assert by_tuple == sorted(p.terms.items())
+    bits = []
+    for mono, c in by_tuple:
+        names = "*".join(f"{v}^{e}" if e > 1 else v
+                         for v, e in zip(p.vars, p.unpack(mono)) if e)
+        bits.append(str(c) if not names else (names if c == 1 else f"{c}*{names}"))
+    assert repr(p) == (" + ".join(bits) or "0")
+
+
+def test_exponent_overflow_raises_instead_of_wrapping():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    top = MultiPoly.var("x", MAX_EXP) * y
+    assert top.degree("x") == MAX_EXP and top.degree("y") == 1
+    with pytest.raises(ExponentOverflow):
+        top * x
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.var("x", 2 ** 14) ** 2
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.var("y", MAX_EXP + 1)
+    # cancellation does not hide an overflow in a surviving term
+    with pytest.raises(ExponentOverflow):
+        (top + 1) * (x + y)
+
+
+def test_integral_coefficients_are_ints():
+    x = MultiPoly.var("x")
+    half = x * Fraction(1, 2)
+    assert type(half.terms[1]) is Fraction
+    for p in [half * 2, half + half, (x ** 2 * Fraction(1, 2)).derivative("x"),
+              MultiPoly.const(Fraction(6, 3)), (half * half) * 4,
+              ((x - Fraction(1, 2)) * (x + 2)).divide_linear("x", Fraction(1, 2))]:
+        assert all(type(c) is int for c in p.terms.values()), p
+    assert str(MultiPoly.const(Fraction(6, 3))) == str(MultiPoly.const(2)) == "2"
+    assert MultiPoly.const(Fraction(6, 3)) == MultiPoly.const(2)
