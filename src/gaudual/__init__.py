@@ -28,7 +28,7 @@ from .errors import (
 )
 from .multipoly import MultiPoly
 from .ratfunc import RatFunc, partial_fractions, ratfunc_invert
-from .weyl import OrderedDiffOp, WeylElement, weyl_commutator, weyl_mul
+from .weyl import OrderedDiffOp, WeylElement, weyl_commutator
 from .grassmann import GrassmannAlgebra, GrassmannElement, grassmann_mul
 from .poisson import poisson_bracket
 from .matrices import (

@@ -450,7 +450,8 @@ def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = 
             got = poisson_bracket(images[g1], images[g2])
             want = MultiPoly.zero()
             for coeff, g3 in inst.glMC_bracket(g1, g2):
-                want = want + images.get(g3, inst.realize_glMC(g3, mutation)) * coeff
+                image = images[g3] if g3 in images else inst.realize_glMC(g3, mutation)
+                want = want + image * coeff
             if got != want:
                 return {
                     "status": "fail",

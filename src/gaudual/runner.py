@@ -60,6 +60,10 @@ MUTATIONS = {
     **{realization: {"flip-sign", "range-up"} for realization in GAUDIN_FLAVORS},
     "cyclotomic": {"flip-sign", "y-sign"},
 }
+# the keys `options` may carry besides `mutation`, with their values
+OPTION_CHOICES = {"expect": {"pass", "fail"}, "mode": {"symbolic", "sampled"}}
+BOOLEAN_OPTIONS = ("symbolic_mu", "quantum_candidate")
+OPTION_KEYS = {"mutation", *OPTION_CHOICES, *BOOLEAN_OPTIONS}
 
 
 def _points(raw) -> list[tuple[Fraction, int]]:
@@ -136,6 +140,19 @@ def _check_choices(kind: str, spec: dict) -> None:
     options = spec.get("options", {})
     if not isinstance(options, dict):
         raise SpecValidationError(f"options must be an object, not {options!r}")
+    unknown = sorted(set(options) - OPTION_KEYS)
+    if unknown:
+        raise SpecValidationError(
+            f"unknown option {unknown[0]!r}; expected keys among {sorted(OPTION_KEYS)}"
+        )
+    for key, choices in OPTION_CHOICES.items():
+        if key in options and options[key] not in choices:
+            raise SpecValidationError(
+                f"unknown {key} {options[key]!r}; expected one of {sorted(choices)}"
+            )
+    for key in BOOLEAN_OPTIONS:
+        if key in options and not isinstance(options[key], bool):
+            raise SpecValidationError(f"option {key} must be true or false, not {options[key]!r}")
     mutation = options.get("mutation")
     if mutation is not None and mutation not in allowed:
         raise SpecValidationError(

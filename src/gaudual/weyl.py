@@ -6,12 +6,24 @@ position generator ``x{a}_{i}`` and the derivative ``d{a}_{i}`` with
 spectral pair (z, Dz) with ``[Dz, z] = 1``.  Distinct pairs commute.
 
 Elements are stored normal ordered: within every pair all x's stand to the
-left of all derivatives (z to the left of Dz).  Products are re-normal
-ordered with the closed form
+left of all derivatives (z to the left of Dz).  A monomial is a tuple of
+``(pair, x_exp, d_exp)`` entries sorted by ``pair_sort_key``, with no
+``(pair, 0, 0)`` entry; coefficients are ``int`` when integral and
+``Fraction`` otherwise, the convention ``MultiPoly`` uses, and ``repr``
+does not depend on which one a coefficient is.
+
+Product of two monomials (``_mono_mul``).  A pair contracts when the left
+factor holds a derivative and the right factor a position of it.  With no
+contracting pair the product is the single merged monomial with weight 1.
+Otherwise each contracting pair is re-normal ordered with the closed form
 
     d^m x^n = sum_k k! C(m,k) C(n,k) x^(n-k) d^(m-k),
 
-applied pair by pair, which avoids quadratic rewriting chains.
+with ``int`` weights, which avoids quadratic rewriting chains.
+
+Commutator (``weyl_commutator``).  ``[a, b]`` is summed term pair by term
+pair; two monomials on disjoint sets of pairs commute exactly, so such a
+pair contributes nothing and is skipped.
 
 ``OrderedDiffOp`` represents elements of U(z)[Dz] (side "z": rational in z,
 ordered powers of Dz on the right) and of U(Dz)[z] (side "dz": rational in
@@ -24,7 +36,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial
+from functools import cache
+from itertools import product
+from math import comb, perm
 
 from .errors import ResidualPole
 from .multipoly import MultiPoly
@@ -35,6 +49,7 @@ Z_PAIR = "z"
 _PAIR_RE = re.compile(r"^(\d+)_(\d+)$")
 
 
+@cache
 def pair_sort_key(pair: str):
     m = _PAIR_RE.match(pair)
     if m:
@@ -44,37 +59,48 @@ def pair_sort_key(pair: str):
     return (2, 0, 0, pair)
 
 
-# monomial key: tuple of (pair, x_exp, d_exp), sorted by pair, no (0, 0)
+def _key(acc: dict) -> tuple:
+    """Monomial key of a {pair: (x_exp, d_exp)} dict, (0, 0) entries dropped."""
+    return tuple((p, *acc[p]) for p in sorted(acc, key=pair_sort_key) if acc[p] != (0, 0))
 
 
-def _mono_mul(m1: tuple, m2: tuple) -> list[tuple[tuple, Fraction]]:
-    """All normal-ordered contributions of the product of two monomials."""
-    d1 = {p: (x, d) for p, x, d in m1}
-    d2 = {p: (x, d) for p, x, d in m2}
-    results = [({}, Fraction(1))]
-    for pair in set(d1) | set(d2):
-        x1, e1 = d1.get(pair, (0, 0))
-        x2, e2 = d2.get(pair, (0, 0))
-        choices = []
-        for k in range(min(e1, x2) + 1):
-            c = Fraction(factorial(k) * comb(e1, k) * comb(x2, k))
-            choices.append((x1 + x2 - k, e1 + e2 - k, c))
-        nxt = []
-        for acc, coef in results:
-            for xx, dd, c in choices:
-                step = dict(acc)
-                step[pair] = (xx, dd)
-                nxt.append((step, coef * c))
-        results = nxt
+def _mono_mul(m1: tuple, m2: tuple) -> list[tuple[tuple, int]]:
+    """All normal-ordered terms of the product m1 * m2, with int weights."""
+    acc = {p: (x, d) for p, x, d in m1}
+    contracting = []
+    for p, x2, e2 in m2:
+        if p in acc:
+            x1, e1 = acc[p]
+            acc[p] = (x1 + x2, e1 + e2)
+            if e1 and x2:
+                contracting.append((p, e1, x2))
+        else:
+            acc[p] = (x2, e2)
+    if not contracting:
+        return [(_key(acc), 1)]
+    # each contracting pair loses k x's and k derivatives, weight k! C(e1,k) C(x2,k)
+    choices = [
+        [(p, k, perm(e1, k) * comb(x2, k)) for k in range(min(e1, x2) + 1)]
+        for p, e1, x2 in contracting
+    ]
     out = []
-    for acc, coef in results:
-        key = tuple(
-            (p, x, d)
-            for p, (x, d) in sorted(acc.items(), key=lambda kv: pair_sort_key(kv[0]))
-            if x or d
-        )
-        out.append((key, coef))
+    for combo in product(*choices):
+        step = dict(acc)
+        weight = 1
+        for p, k, c in combo:
+            x, d = step[p]
+            step[p] = (x - k, d - k)
+            weight *= c
+        out.append((_key(step), weight))
     return out
+
+
+def _normalized(terms: dict) -> dict:
+    """Drop zero coefficients and store integral Fractions as ints."""
+    values = terms.values()
+    if Fraction in set(map(type, values)):
+        return {k: c.numerator if c.denominator == 1 else c for k, c in terms.items() if c}
+    return dict(terms) if all(values) else {k: c for k, c in terms.items() if c}
 
 
 class WeylElement:
@@ -83,14 +109,13 @@ class WeylElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = {k: c for k, c in terms.items() if c}
+        self.terms = _normalized(terms)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def const(c) -> WeylElement:
-        c = Fraction(c) if isinstance(c, int) else c
-        return WeylElement({(): c} if c else {})
+        return WeylElement({(): c})
 
     @staticmethod
     def zero() -> WeylElement:
@@ -98,22 +123,22 @@ class WeylElement:
 
     @staticmethod
     def x(a: int, i: int, power: int = 1) -> WeylElement:
-        return WeylElement({((f"{a}_{i}", power, 0),): Fraction(1)})
+        return WeylElement({((f"{a}_{i}", power, 0),): 1})
 
     @staticmethod
     def d(a: int, i: int, power: int = 1) -> WeylElement:
-        return WeylElement({((f"{a}_{i}", 0, power),): Fraction(1)})
+        return WeylElement({((f"{a}_{i}", 0, power),): 1})
 
     @staticmethod
     def z(power: int = 1) -> WeylElement:
-        return WeylElement({((Z_PAIR, power, 0),): Fraction(1)})
+        return WeylElement({((Z_PAIR, power, 0),): 1})
 
     @staticmethod
     def dz(power: int = 1) -> WeylElement:
-        return WeylElement({((Z_PAIR, 0, power),): Fraction(1)})
+        return WeylElement({((Z_PAIR, 0, power),): 1})
 
     @staticmethod
-    def monomial(key: tuple, coeff=Fraction(1)) -> WeylElement:
+    def monomial(key: tuple, coeff=1) -> WeylElement:
         return WeylElement({key: coeff})
 
     # -- arithmetic -----------------------------------------------------
@@ -124,12 +149,9 @@ class WeylElement:
         elif not isinstance(other, WeylElement):
             return NotImplemented
         terms = dict(self.terms)
+        get = terms.get
         for k, c in other.terms.items():
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
+            terms[k] = get(k, 0) + c
         return WeylElement(terms)
 
     __radd__ = __add__
@@ -149,19 +171,17 @@ class WeylElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other) if isinstance(other, int) else other
-            return WeylElement({k: v * c for k, v in self.terms.items()})
+            return WeylElement({k: v * other for k, v in self.terms.items()})
         if not isinstance(other, WeylElement):
             return NotImplemented
         terms: dict = {}
+        get = terms.get
+        right = other.terms.items()
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+            for k2, c2 in right:
+                c = c1 * c2
                 for key, w in _mono_mul(k1, k2):
-                    s = terms.get(key, 0) + c1 * c2 * w
-                    if s:
-                        terms[key] = s
-                    else:
-                        terms.pop(key, None)
+                    terms[key] = get(key, 0) + c * w
         return WeylElement(terms)
 
     def __rmul__(self, other):
@@ -245,12 +265,23 @@ class WeylElement:
         return " + ".join(bits)
 
 
-def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    return a * b
-
-
 def weyl_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    return a * b - b * a
+    """[a, b] = a*b - b*a, summed term pair by term pair; monomials on
+    disjoint sets of pairs commute, so such a pair is skipped."""
+    terms: dict = {}
+    get = terms.get
+    right = [(k2, c2, {p for p, _, _ in k2}) for k2, c2 in b.terms.items()]
+    for k1, c1 in a.terms.items():
+        pairs1 = {p for p, _, _ in k1}
+        for k2, c2, pairs2 in right:
+            if pairs1.isdisjoint(pairs2):
+                continue
+            c = c1 * c2
+            for key, w in _mono_mul(k1, k2):
+                terms[key] = get(key, 0) + c * w
+            for key, w in _mono_mul(k2, k1):
+                terms[key] = get(key, 0) - c * w
+    return WeylElement(terms)
 
 
 def from_multipoly(p: MultiPoly) -> WeylElement:
@@ -382,7 +413,7 @@ class OrderedDiffOp:
                 else:
                     # w Dz^j z^k -> normal order (z before Dz)
                     for t in range(min(j, k) + 1):
-                        c = Fraction(factorial(t) * comb(j, t) * comb(k, t))
+                        c = perm(j, t) * comb(k, t)
                         out = out + (
                             w * WeylElement.z(k - t) * WeylElement.dz(j - t) * c
                         )
@@ -391,14 +422,6 @@ class OrderedDiffOp:
     def __repr__(self):
         op = "Dz" if self.side == "z" else "z"
         return " + ".join(f"[{f!r}]*{op}^{k}" for k, f in sorted(self.terms.items())) or "0"
-
-
-def ordered_op_mul(a: OrderedDiffOp, b: OrderedDiffOp) -> OrderedDiffOp:
-    return a * b
-
-
-def to_polynomial(a: OrderedDiffOp) -> WeylElement:
-    return a.to_polynomial()
 
 
 def weyl_to_ordered(w: WeylElement, side: str, var: str) -> OrderedDiffOp:
@@ -416,6 +439,6 @@ def weyl_to_ordered(w: WeylElement, side: str, var: str) -> OrderedDiffOp:
             # W z^j Dz^k with every z moved right:
             # z^j Dz^k = sum_t (-1)^t t! C(j,t) C(k,t) Dz^(k-t) z^(j-t)
             for t in range(min(zx, zd) + 1):
-                c = Fraction((-1) ** t * factorial(t) * comb(zx, t) * comb(zd, t))
+                c = (-1) ** t * perm(zx, t) * comb(zd, t)
                 put(zx - t, zd - t, coeff * c)
     return OrderedDiffOp(side, terms)

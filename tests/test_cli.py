@@ -166,6 +166,12 @@ def test_every_paper_core_instance_validates():
         validate_instance(spec)
 
 
+@pytest.mark.parametrize("name", sorted(set(PRESETS) - {"paper-core"}))
+def test_every_preset_instance_validates(name):
+    for spec in PRESETS[name]():
+        validate_instance(spec)
+
+
 def test_sampled_mode_runs():
     spec = {
         "kind": "classical-bosonic",
@@ -207,9 +213,16 @@ _CYCLO = {"M": 2, "N": 2, "tau0": 2, "divisor": [], "lambda_points": ["5", "7"],
              options={"mutation": "range-up"}),
         dict(_GAUDIN, kind="classical-bosonic", options={"mutation": "flip-sign"}),
         dict(_GAUDIN, kind="classical-bosonic", options=None),
+        dict(_GAUDIN, kind="classical-bosonic", options={"mutaton": "flip-sign"}),
+        dict(_GAUDIN, kind="homomorphism", options={"mutation": "flip-sign", "expect": "fial"}),
+        dict(_GAUDIN, kind="classical-bosonic", options={"mode": "sampeld"}),
+        dict(_CYCLO, kind="cyclotomic", options={"symbolic_mu": "yes"}),
+        dict(_CYCLO, kind="cyclotomic", options={"quantum_candidate": 1}),
     ],
     ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
-         "gaudin-mutation", "cyclotomic-mutation", "mutation-on-duality", "options-not-object"],
+         "gaudin-mutation", "cyclotomic-mutation", "mutation-on-duality", "options-not-object",
+         "option-key", "expect-fial", "mode-sampeld", "symbolic-mu-string",
+         "quantum-candidate-int"],
 )
 def test_validation_rejects_names_dispatch_cannot_run(spec):
     with pytest.raises(SpecValidationError):
@@ -225,3 +238,19 @@ def test_cli_exit_2_on_unknown_lax_family(tmp_path):
     assert proc.returncode == 2
     assert "unknown Lax algebra family 'glN'" in proc.stderr
 
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"mutation": "flip-sign", "expect": "fial"}, "unknown expect 'fial'"),
+        ({"mode": "sampeld"}, "unknown mode 'sampeld'"),
+    ],
+    ids=["expect-fial", "mode-sampeld"],
+)
+def test_cli_exit_2_on_bad_option_value(tmp_path, options, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"instances": [dict(_GAUDIN, kind="homomorphism", options=options)]}))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert message in proc.stderr

@@ -233,6 +233,23 @@ def test_cyclotomic_homomorphisms(M, tau0, pts, mu):
     assert verify_cyclotomic_homomorphisms(inst)["status"] == "pass"
 
 
+def test_cyclotomic_homomorphisms_realize_each_generator_once(monkeypatch):
+    inst = inst_of(2, 2, [], ["5", "7"], Q(-1))
+    calls = []
+    realize = CycloInstance.realize_glMC
+
+    def counted(self, g, mutation=None):
+        calls.append(g)
+        return realize(self, g, mutation)
+
+    monkeypatch.setattr(CycloInstance, "realize_glMC", counted)
+    assert verify_cyclotomic_homomorphisms(inst)["status"] == "pass"
+    gens = inst.glMC_generators()
+    absent = [g3 for g1 in gens for g2 in gens
+              for _, g3 in inst.glMC_bracket(g1, g2) if g3 not in gens]
+    assert len(calls) <= len(gens) + len(absent)
+
+
 def test_cyclotomic_homomorphism_mutation_fails():
     inst = inst_of(2, 2, [], ["5", "7"], Q(-1))
     report = verify_cyclotomic_homomorphisms(inst, mutation="y-sign")

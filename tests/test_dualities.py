@@ -155,3 +155,31 @@ def test_quantum_duality_lets_other_errors_propagate(monkeypatch):
     monkeypatch.setattr(gaudin, "quantum_operator_sides", lambda inst: (side, side))
     with pytest.raises(KeyError):
         verify_quantum_duality(make(1, 1, [(2, 1)], [(5, 1)]))
+
+
+def _transposed_infinity(monkeypatch):
+    """Realize E_ab at infinity with the transposed Jordan orientation."""
+    realize = DualityInstance.realize_glM
+
+    def mutated(self, g, flavor, mutation=None):
+        if g.point is gaudin.INF:
+            return gaudin._const(flavor, -self._jordan_lam[g.row - 1][g.col - 1], self._galg)
+        return realize(self, g, flavor, mutation)
+
+    monkeypatch.setattr(DualityInstance, "realize_glM", mutated)
+
+
+@pytest.mark.parametrize(
+    "M,N,dz,dl",
+    [
+        (2, 1, [(0, 1)], [(1, 2)]),
+        (2, 2, [(0, 2)], [(3, 2)]),
+    ],
+)
+@pytest.mark.parametrize("verify", [verify_quantum_duality, verify_classical_bosonic_duality])
+def test_duality_fails_with_transposed_jordan_orientation(monkeypatch, verify, M, N, dz, dl):
+    assert verify(make(M, N, dz, dl))["status"] == "pass"
+    _transposed_infinity(monkeypatch)
+    report = verify(make(M, N, dz, dl))
+    assert report["status"] == "fail"
+    assert report["witness"]
