@@ -27,9 +27,9 @@ from .errors import (
     ZeroInverse,
 )
 from .multipoly import MultiPoly
-from .ratfunc import RatFunc, partial_fractions, ratfunc_invert
+from .ratfunc import RatFunc, partial_fractions
 from .weyl import OrderedDiffOp, WeylElement, weyl_commutator
-from .grassmann import GrassmannAlgebra, GrassmannElement, grassmann_mul
+from .grassmann import GrassmannAlgebra, GrassmannElement
 from .poisson import poisson_bracket
 from .matrices import (
     RingMatrix,

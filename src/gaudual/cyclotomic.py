@@ -27,6 +27,7 @@ from .errors import (
     DuplicateFrequency,
     IndexOutOfRange,
 )
+from .gaudin import polynomial_equality_report
 from .linalg import in_span
 from .matrices import RingMatrix, _perm_expansion
 from .multipoly import MultiPoly
@@ -238,6 +239,22 @@ class CycloInstance:
                 )
         return -total if mutation == "flip-sign" else total
 
+    def glMC_lax_terms(self, a: int, b: int) -> list[tuple[MultiPoly, Fraction, int]]:
+        """The coefficient of E_ba in the realized gl_M^C Lax matrix as nonzero
+        (numerator, pole, order) terms; order 0 is the constant at infinity."""
+        terms = [(self.realize_glMC(("inf", min(a, b), max(a, b))), Q(0), 0)]
+        for s in range(2 * self.C.tau0):
+            img = MultiPoly.zero()
+            for k, gen in reduce_origin(s, a, b):
+                img = img + self.realize_glMC(gen) * k
+            terms.append((img, Q(0), s + 1))
+        for i, (loc, tau) in enumerate(self.C.points):
+            for r in range(tau):
+                terms.append((self.realize_glMC(("pt", i, r, a, b)), loc, r + 1))
+                sgn = Q(1) if (r + 1) % 2 == 0 else Q(-1)
+                terms.append((sgn * self.realize_glMC(("pt", i, r, b, a)), -loc, r + 1))
+        return [term for term in terms if term[0]]
+
     def lax_glMC_cleared(self) -> tuple[RingMatrix, MultiPoly]:
         """(lam D_C(z) 1 - D_C(z) tL~^C(z), D_C(z)) with polynomial entries."""
         z = MultiPoly.var("z")
@@ -249,22 +266,9 @@ class CycloInstance:
         for a in range(1, self.M + 1):
             row = []
             for b in range(1, self.M + 1):
-                acc = self.realize_glMC(("inf", min(a, b), max(a, b))) * dc
-                for s in range(2 * self.C.tau0):
-                    img = MultiPoly.zero()
-                    for k, gen in reduce_origin(s, a, b):
-                        img = img + self.realize_glMC(gen) * k
-                    if img:
-                        acc = acc + img * _poly_div_power(dc, "z", Q(0), s + 1)
-                for i, (loc, tau) in enumerate(self.C.points):
-                    for r in range(tau):
-                        img = self.realize_glMC(("pt", i, r, a, b))
-                        if img:
-                            acc = acc + img * _poly_div_power(dc, "z", loc, r + 1)
-                        img_t = self.realize_glMC(("pt", i, r, b, a))
-                        if img_t:
-                            sgn = Q(1) if (r + 1) % 2 == 0 else Q(-1)
-                            acc = acc + sgn * img_t * _poly_div_power(dc, "z", -loc, r + 1)
+                acc = MultiPoly.zero()
+                for img, root, order in self.glMC_lax_terms(a, b):
+                    acc = acc + img * _poly_div_power(dc, "z", root, order)
                 row.append((lam * dc if a == b else MultiPoly.zero()) - acc)
             entries.append(row)
         return RingMatrix(entries, "commutative"), dc
@@ -393,6 +397,13 @@ class CycloInstance:
                 comm[r][c] = acc
         return [(coeff, ("lam", g1[1], I, J)) for (I, J), coeff in self.sp_expand(comm).items()]
 
+    def sp_lax_terms(self, I: int, J: int) -> list[tuple[MultiPoly, Fraction, int]]:
+        """The coefficient of Ebar^IJ in the realized sp_2N Lax matrix as nonzero
+        (numerator, pole, order) terms; order 0 is the constant at infinity."""
+        terms = [(self.realize_sp("inf", 0, I, J), Q(0), 0)]
+        terms += [(self.realize_sp("lam", a, I, J), la, 1) for a, la in enumerate(self.lam, 1)]
+        return [term for term in terms if term[0]]
+
     def lax_sp2N_cleared(self) -> tuple[RingMatrix, MultiPoly]:
         """(z Dbar(lam) 1 - Dbar(lam) L^Dbar(lam), Dbar) with polynomial
         entries, Dbar = prod (lam - lambda_a)."""
@@ -404,19 +415,11 @@ class CycloInstance:
         n = 2 * self.N
         acc = [[MultiPoly.zero() for _ in range(n)] for _ in range(n)]
         for I, J in self.I2():
-            coeff_inf = self.realize_sp("inf", 0, I, J)
-            pieces = []
-            if coeff_inf:
-                pieces.append(coeff_inf * dbar)
-            for a in range(1, self.M + 1):
-                img = self.realize_sp("lam", a, I, J)
-                if img:
-                    pieces.append(img * _poly_div_power(dbar, "lam", self.lam[a - 1], 1))
-            if not pieces:
+            total = MultiPoly.zero()
+            for img, root, order in self.sp_lax_terms(I, J):
+                total = total + img * _poly_div_power(dbar, "lam", root, order)
+            if not total:
                 continue
-            total = pieces[0]
-            for p in pieces[1:]:
-                total = total + p
             mat = self.ebar_dual(I, J)
             for r in range(n):
                 for c in range(n):
@@ -478,47 +481,27 @@ def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = 
 
 def verify_cyclotomic_duality(inst: CycloInstance) -> dict:
     """Exact equality of the two spectral polynomials in P_b[z, lam]."""
-    lhs_m, dc = inst.lax_glMC_cleared()
-    det_l = _perm_expansion(lhs_m)
-    for _ in range(2 * inst.C.tau0 * (inst.M - 1)):
-        det_l = det_l.divide_linear("z", Q(0))
-    for loc, tau in inst.C.points:
-        for _ in range(tau * (inst.M - 1)):
-            det_l = det_l.divide_linear("z", loc)
-            det_l = det_l.divide_linear("z", -loc)
-    rhs_m, dbar = inst.lax_sp2N_cleared()
+    det_l = _glMC_spectral_poly(inst)
+    rhs_m, _ = inst.lax_sp2N_cleared()
     det_r = _perm_expansion(rhs_m)
     for la in inst.lam:
-        for _ in range(2 * inst.N - 1):
-            det_r = det_r.divide_linear("lam", la)
-    equal = det_l == det_r
-    report = {
-        "status": "pass" if equal else "fail",
-        "sizes": {"lhs_terms": det_l.num_terms(), "rhs_terms": det_r.num_terms()},
-    }
-    if equal:
-        report["common_polynomial_terms"] = det_l.num_terms()
-        report["common_polynomial"] = repr(det_l)
-    else:
-        diff = det_l - det_r
-        mono = min(diff.terms)
-        report["witness"] = {
-            "monomial": {v: e for v, e in zip(diff.vars, diff.unpack(mono)) if e},
-            "difference": str(diff.terms[mono]),
-        }
-    return report
+        det_r = _poly_div_power(det_r, "lam", la, 2 * inst.N - 1)
+    return polynomial_equality_report(det_l, det_r)
+
+
+def _glMC_spectral_poly(inst: CycloInstance) -> MultiPoly:
+    """det(lam D_C 1 - D_C tL~^C) with D_C^(M-1) divided out."""
+    lhs_m, _ = inst.lax_glMC_cleared()
+    copies = inst.M - 1
+    det_l = _poly_div_power(_perm_expansion(lhs_m), "z", Q(0), 2 * inst.C.tau0 * copies)
+    for loc, tau in inst.C.points:
+        det_l = _poly_div_power(det_l, "z", loc, tau * copies)
+        det_l = _poly_div_power(det_l, "z", -loc, tau * copies)
+    return det_l
 
 
 def extract_cyclotomic_generators(inst: CycloInstance) -> list[MultiPoly]:
-    lhs_m, _ = inst.lax_glMC_cleared()
-    det_l = _perm_expansion(lhs_m)
-    for _ in range(2 * inst.C.tau0 * (inst.M - 1)):
-        det_l = det_l.divide_linear("z", Q(0))
-    for loc, tau in inst.C.points:
-        for _ in range(tau * (inst.M - 1)):
-            det_l = det_l.divide_linear("z", loc)
-            det_l = det_l.divide_linear("z", -loc)
-    groups = det_l.split_by(("z", "lam"))
+    groups = _glMC_spectral_poly(inst).split_by(("z", "lam"))
     return [groups[k] for k in sorted(groups)]
 
 
@@ -645,22 +628,9 @@ def _cyclo_lax_fractions(inst: CycloInstance, var: str):
     entries = [[_Frac2.zero() for _ in range(M)] for _ in range(M)]
     for a in range(1, M + 1):
         for b in range(1, M + 1):
-            total = _Frac2(inst.realize_glMC(("inf", min(a, b), max(a, b))))
-            for s in range(2 * inst.C.tau0):
-                img = MultiPoly.zero()
-                for k, gen in reduce_origin(s, a, b):
-                    img = img + inst.realize_glMC(gen) * k
-                if img:
-                    total = total + _Frac2(img, zv ** (s + 1))
-            for i, (loc, tau) in enumerate(inst.C.points):
-                for r in range(tau):
-                    img = inst.realize_glMC(("pt", i, r, a, b))
-                    if img:
-                        total = total + _Frac2(img, (zv - loc) ** (r + 1))
-                    img_t = inst.realize_glMC(("pt", i, r, b, a))
-                    if img_t:
-                        sgn = Q(1) if (r + 1) % 2 == 0 else Q(-1)
-                        total = total + _Frac2(sgn * img_t, (zv + loc) ** (r + 1))
+            total = _Frac2.zero()
+            for img, root, order in inst.glMC_lax_terms(a, b):
+                total = total + _Frac2(img, (zv - root) ** order)
             entries[b - 1][a - 1] = total  # E_ba carries the (ab) coefficient
     return entries
 
@@ -670,11 +640,9 @@ def _sp_lax_fractions(inst: CycloInstance, var: str):
     lamv = MultiPoly.var(var)
     entries = [[_Frac2.zero() for _ in range(n)] for _ in range(n)]
     for I, J in inst.I2():
-        total = _Frac2(inst.realize_sp("inf", 0, I, J))
-        for a in range(1, inst.M + 1):
-            img = inst.realize_sp("lam", a, I, J)
-            if img:
-                total = total + _Frac2(img, lamv - inst.lam[a - 1])
+        total = _Frac2.zero()
+        for img, root, order in inst.sp_lax_terms(I, J):
+            total = total + _Frac2(img, (lamv - root) ** order)
         mat = inst.ebar_dual(I, J)
         for r in range(n):
             for c in range(n):

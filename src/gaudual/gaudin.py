@@ -24,10 +24,10 @@ from fractions import Fraction
 from .errors import DivisorMismatch, IndexOutOfRange, RequiresRegularDivisor, ResidualPole
 from .grassmann import GrassmannAlgebra, GrassmannElement
 from .linalg import solve_linear
-from .matrices import RingMatrix, cdet, manin_check
+from .matrices import RingMatrix, _perm_expansion, cdet, manin_check
 from .multipoly import MultiPoly
 from .poisson import poisson_bracket
-from .ratfunc import RatFunc, partial_fractions
+from .ratfunc import RatFunc, expand_factors, partial_fractions
 from .weyl import OrderedDiffOp, WeylElement, weyl_commutator
 
 Q = Fraction
@@ -69,6 +69,13 @@ class Divisor:
 
     def is_regular(self) -> bool:
         return all(t == 1 for _, t in self.points)
+
+    def clearing_poly(self, var: str) -> MultiPoly:
+        """prod (var - location)^tau over the finite points."""
+        out = MultiPoly.const(1)
+        for loc, tau in self.points:
+            out = out * (MultiPoly.var(var) - loc) ** tau
+        return out
 
 
 @dataclass(frozen=True, order=True)
@@ -229,46 +236,31 @@ class DualityInstance:
     def lax_glM(self, flavor: str, var: str = "z") -> RingMatrix:
         """Realized transposed Lax matrix: entry (a, b) is the full rational
         coefficient attached to E_ab."""
-        entries = []
-        for a in range(1, self.M + 1):
-            row = []
-            for b in range(1, self.M + 1):
-                f = RatFunc.const(var, self.realize_glM(TakiffGen(INF, 1, a, b), flavor))
-                for i, (loc, tau) in enumerate(self.div_z.points):
-                    for r in range(tau):
-                        img = self.realize_glM(TakiffGen(i, r, a, b), flavor)
-                        if img:
-                            f = f + RatFunc(var, {0: img}, {loc: r + 1})
-                row.append(f)
-            entries.append(row)
-        return RingMatrix(entries, "commutative" if flavor != "quantum" else "weyl")
+        return _realized_lax(self.realize_glM, self.div_z, self.M, flavor, var, transpose=False)
 
     def lax_glN(self, flavor: str, var: str = "lam") -> RingMatrix:
-        entries = []
-        for i in range(1, self.N + 1):
-            row = []
-            for j in range(1, self.N + 1):
-                f = RatFunc.const(var, self.realize_glN(TakiffGen(INF, 1, j, i), flavor))
-                for a, (loc, tau) in enumerate(self.div_lam.points):
-                    for s in range(tau):
-                        img = self.realize_glN(TakiffGen(a, s, j, i), flavor)
-                        if img:
-                            f = f + RatFunc(var, {0: img}, {loc: s + 1})
-                row.append(f)
-            entries.append(row)
-        return RingMatrix(entries, "commutative" if flavor != "quantum" else "weyl")
+        """Realized Lax matrix: entry (i, j) is the coefficient attached to E_ji."""
+        return _realized_lax(self.realize_glN, self.div_lam, self.N, flavor, var, transpose=True)
 
-    def clearing_poly_z(self, var: str = "z") -> MultiPoly:
-        out = MultiPoly.const(1)
-        for loc, tau in self.div_z.points:
-            out = out * (MultiPoly.var(var) - loc) ** tau
-        return out
 
-    def clearing_poly_lam(self, var: str = "lam") -> MultiPoly:
-        out = MultiPoly.const(1)
-        for loc, tau in self.div_lam.points:
-            out = out * (MultiPoly.var(var) - loc) ** tau
-        return out
+def _realized_lax(realize, divisor: Divisor, size: int, flavor: str, var: str,
+                  transpose: bool) -> RingMatrix:
+    """Entry (r, c) sums the images of E_rc (E_cr if transpose) at infinity
+    and at every pole of the divisor, as a rational function of var."""
+    entries = []
+    for r in range(1, size + 1):
+        row = []
+        for c in range(1, size + 1):
+            a, b = (c, r) if transpose else (r, c)
+            f = RatFunc.const(var, realize(TakiffGen(INF, 1, a, b), flavor))
+            for i, (loc, tau) in enumerate(divisor.points):
+                for depth in range(tau):
+                    img = realize(TakiffGen(i, depth, a, b), flavor)
+                    if img:
+                        f = f + RatFunc(var, {0: img}, {loc: depth + 1})
+            row.append(f)
+        entries.append(row)
+    return RingMatrix(entries, "commutative" if flavor != "quantum" else "weyl")
 
 
 def _const(flavor: str, value: Fraction, galg: GrassmannAlgebra):
@@ -279,32 +271,6 @@ def _const(flavor: str, value: Fraction, galg: GrassmannAlgebra):
     if flavor == "fermionic":
         return GrassmannElement.const(value)
     raise ValueError(f"unknown flavor {flavor!r}")
-
-
-def _ratfunc_cleared_poly(f: RatFunc, divisor: Divisor, spec_var: str):
-    """Multiply a realized Lax entry by the divisor's clearing polynomial and
-    assemble the result as one element (coefficient ring times spec_var)."""
-    cleared = f
-    for loc, tau in divisor.points:
-        cleared = cleared * RatFunc(spec_var, expand_shifted(loc, tau))
-    num = cleared.to_poly()
-    out = None
-    for k, c in num.items():
-        term = c * MultiPoly.var(spec_var, k) if k else c
-        out = term if out is None else out + term
-    return out
-
-
-def expand_shifted(loc: Fraction, tau: int) -> dict:
-    """(X - loc)^tau as a plain coefficient map."""
-    coeffs = {0: Q(1)}
-    for _ in range(tau):
-        nxt = {}
-        for k, c in coeffs.items():
-            nxt[k + 1] = nxt.get(k + 1, Q(0)) + c
-            nxt[k] = nxt.get(k, Q(0)) - c * loc
-        coeffs = {k: c for k, c in nxt.items() if c}
-    return coeffs
 
 
 def _sample_map(inst: DualityInstance, seed: int) -> dict:
@@ -326,38 +292,39 @@ def _spectral_dets(inst: DualityInstance, flavor: str, sample_seed=None):
     det_z_side = det(lam D(z) 1 - D(z) L^D(z))  (an exact polynomial), etc.
     """
     assert flavor in ("classical", "fermionic")
-    dz = inst.clearing_poly_z()
-    dlam = inst.clearing_poly_lam()
     subs = _sample_map(inst, sample_seed) if sample_seed is not None else None
+    return (
+        _cleared_det(inst.lax_glM(flavor, "z"), inst.div_z, "z", "lam", flavor, subs),
+        _cleared_det(inst.lax_glN(flavor, "lam"), inst.div_lam, "lam", "z", flavor, subs),
+        inst.div_z.clearing_poly("z"),
+        inst.div_lam.clearing_poly("lam"),
+    )
 
-    def assemble(matrix, divisor, spec_var, eigen_var):
-        n = matrix.rows
-        eig = MultiPoly.var(eigen_var)
-        clear = inst.clearing_poly_z(spec_var) if divisor is inst.div_z \
-            else inst.clearing_poly_lam(spec_var)
-        entries = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                p = _ratfunc_cleared_poly(matrix.entries[r][c], divisor, spec_var)
-                if flavor == "fermionic":
-                    diag = GrassmannElement({0: eig * clear}) if r == c else GrassmannElement.zero()
-                    row.append(diag if p is None else diag - p)
-                else:
-                    if p is None:
-                        p = MultiPoly.zero()
-                    elif subs:
-                        p = p.substitute(subs)
-                    row.append((eig * clear if r == c else MultiPoly.zero()) - p)
-            entries.append(row)
-        ring = "grassmann-even" if flavor == "fermionic" else "commutative"
-        return RingMatrix(entries, ring)
 
-    from .matrices import _perm_expansion
-
-    lhs_matrix = assemble(inst.lax_glM(flavor, "z"), inst.div_z, "z", "lam")
-    rhs_matrix = assemble(inst.lax_glN(flavor, "lam"), inst.div_lam, "lam", "z")
-    return _perm_expansion(lhs_matrix), _perm_expansion(rhs_matrix), dz, dlam
+def _cleared_det(lax: RingMatrix, divisor: Divisor, spec_var: str, eigen_var: str,
+                 flavor: str, subs=None):
+    """det(eigen_var D 1 - D L) for one side, D = divisor.clearing_poly(spec_var):
+    every entry of L is multiplied by D and assembled as one element of the
+    coefficient ring times powers of spec_var."""
+    factors = [RatFunc(spec_var, expand_factors({loc: tau})) for loc, tau in divisor.points]
+    diag, zero = MultiPoly.var(eigen_var) * divisor.clearing_poly(spec_var), MultiPoly.zero()
+    if flavor == "fermionic":
+        diag, zero = GrassmannElement({0: diag}), GrassmannElement.zero()
+    entries = []
+    for r, lax_row in enumerate(lax.entries):
+        row = []
+        for c, f in enumerate(lax_row):
+            for factor in factors:
+                f = f * factor
+            p = zero
+            for k, coeff in f.to_poly().items():
+                p = p + (coeff * MultiPoly.var(spec_var, k) if k else coeff)
+            if subs and p:
+                p = p.substitute(subs)
+            row.append((diag if r == c else zero) - p)
+        entries.append(row)
+    ring = "grassmann-even" if flavor == "fermionic" else "commutative"
+    return _perm_expansion(RingMatrix(entries, ring))
 
 
 def _divide_out(poly: MultiPoly, divisor: Divisor, spec_var: str, copies: int) -> MultiPoly:
@@ -370,9 +337,15 @@ def _divide_out(poly: MultiPoly, divisor: Divisor, spec_var: str, copies: int) -
 def verify_classical_bosonic_duality(inst: DualityInstance, sample_seed=None) -> dict:
     """Both sides of the classical bosonic duality as exact polynomials in
     P_b[z, lam]; cross-multiplied denominators are divided out exactly."""
-    det_l, det_r, dz, dlam = _spectral_dets(inst, "classical", sample_seed)
+    det_l, det_r, _, _ = _spectral_dets(inst, "classical", sample_seed)
     lhs = _divide_out(det_l, inst.div_z, "z", inst.M - 1)
     rhs = _divide_out(det_r, inst.div_lam, "lam", inst.N - 1)
+    return polynomial_equality_report(lhs, rhs)
+
+
+def polynomial_equality_report(lhs: MultiPoly, rhs: MultiPoly) -> dict:
+    """Report of a duality between two exact polynomials: the common
+    polynomial, or the first monomial on which the sides differ."""
     equal = lhs == rhs
     report = {
         "status": "pass" if equal else "fail",
@@ -417,41 +390,30 @@ def quantum_operator_sides(inst: DualityInstance):
     (left: in U(z)[Dz]; right: in U(Dz)[z]) after multiplying the stated
     prefactors."""
     # left: prod (z - z_i)^tau_i cdet(Dz 1 - tL^D(z))
-    lax = inst.lax_glM("quantum", "z")
-    entries = []
-    for a in range(inst.M):
-        row = []
-        for b in range(inst.M):
-            terms = {0: -lax.entries[a][b]}
-            if a == b:
-                terms[1] = RatFunc.const("z", WeylElement.const(1))
-            row.append(OrderedDiffOp("z", terms))
-        entries.append(row)
-    op = cdet(RingMatrix(entries, "ordered-diffop"))
-    prefactor = RatFunc("z", {0: WeylElement.const(1)})
-    for loc, tau in inst.div_z.points:
-        for _ in range(tau):
-            prefactor = prefactor * RatFunc.linear("z", loc)
-    left = op.scale_left(prefactor)
-
+    left = _cdet_side(_negated(inst.lax_glM("quantum", "z")), inst.div_z, "z")
     # right: prod (Dz - lam_a)^tau~_a cdet(z 1 - L^D~(Dz))
-    lax_n = inst.lax_glN("quantum", "dz")
-    entries = []
-    for i in range(inst.N):
-        row = []
-        for j in range(inst.N):
-            terms = {0: -lax_n.entries[i][j]}
-            if i == j:
-                terms[1] = RatFunc.const("dz", WeylElement.const(1))
-            row.append(OrderedDiffOp("dz", terms))
-        entries.append(row)
-    op = cdet(RingMatrix(entries, "ordered-diffop"))
-    prefactor = RatFunc("dz", {0: WeylElement.const(1)})
-    for loc, tau in inst.div_lam.points:
-        for _ in range(tau):
-            prefactor = prefactor * RatFunc.linear("dz", loc)
-    right = op.scale_left(prefactor)
+    right = _cdet_side(_negated(inst.lax_glN("quantum", "dz")), inst.div_lam, "dz")
     return left, right
+
+
+def _negated(lax: RingMatrix) -> list[list[RatFunc]]:
+    return [[-f for f in row] for row in lax.entries]
+
+
+def _cdet_side(entries: list[list[RatFunc]], divisor: Divisor, var: str) -> OrderedDiffOp:
+    """prod (var - location)^tau cdet(d_var 1 + entries), ordered with the
+    functions of var to the left."""
+    one = RatFunc.const(var, WeylElement.const(1))
+    rows = [
+        [OrderedDiffOp(var, {0: f, 1: one} if r == c else {0: f}) for c, f in enumerate(row)]
+        for r, row in enumerate(entries)
+    ]
+    op = cdet(RingMatrix(rows, "ordered-diffop"))
+    prefactor = RatFunc(var, {0: WeylElement.const(1)})
+    for loc, tau in divisor.points:
+        for _ in range(tau):
+            prefactor = prefactor * RatFunc.linear(var, loc)
+    return op.scale_left(prefactor)
 
 
 def quantum_block_matrix(inst: DualityInstance) -> RingMatrix:
@@ -512,11 +474,16 @@ def quantum_classical_limits_agree(inst: DualityInstance) -> bool:
     """The naive classical limit (derivatives to momenta, ordering dropped)
     of each quantum side reproduces the classical bosonic polynomial."""
     left, right = quantum_operator_sides(inst)
-    det_l, det_r, _, _ = _spectral_dets(inst, "classical")
-    lhs_cl = _divide_out(det_l, inst.div_z, "z", inst.M - 1)
+    lhs_cl = _classical_spectral_poly(inst)
     return left.to_polynomial().classical_limit() == lhs_cl and (
         right.to_polynomial().classical_limit() == lhs_cl
     )
+
+
+def _classical_spectral_poly(inst: DualityInstance) -> MultiPoly:
+    """The common classical polynomial, built from the z side alone."""
+    det_z = _cleared_det(inst.lax_glM("classical", "z"), inst.div_z, "z", "lam", "classical")
+    return _divide_out(det_z, inst.div_z, "z", inst.M - 1)
 
 
 # -- Gaudin algebra extraction and commutativity ------------------------------
@@ -530,27 +497,25 @@ def extract_gaudin_generators(inst: DualityInstance, flavor: str) -> list:
     S_k(z) in the z-left normal form.
     """
     if flavor == "classical":
-        det_l, _, _, _ = _spectral_dets(inst, "classical")
-        lhs = _divide_out(det_l, inst.div_z, "z", inst.M - 1)
-        groups = lhs.split_by(("z", "lam"))
+        groups = _classical_spectral_poly(inst).split_by(("z", "lam"))
         return [groups[k] for k in sorted(groups)]
     if flavor == "quantum":
-        left, _ = quantum_operator_sides(inst)
-        out = []
-        for k in sorted(left.terms):
-            poly_part, pieces = partial_fractions(
-                left.terms[k], [(loc, 99) for loc, _ in inst.div_z.points]
-            )
-            for deg in sorted(poly_part):
-                out.append(_as_weyl(poly_part[deg]))
-            for key in sorted(pieces):
-                out.append(_as_weyl(pieces[key]))
-        return out
+        left = _cdet_side(_negated(inst.lax_glM("quantum", "z")), inst.div_z, "z")
+        return _partial_fraction_generators(left, inst.div_z)
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def _as_weyl(c) -> WeylElement:
-    return c if isinstance(c, WeylElement) else WeylElement.const(c)
+def _partial_fraction_generators(op: OrderedDiffOp, divisor: Divisor) -> list[WeylElement]:
+    """Every polynomial-part and partial-fraction coefficient of every
+    power of the derivative in op."""
+    poles = [(loc, 99) for loc, _ in divisor.points]
+    out = []
+    for k in sorted(op.terms):
+        poly_part, pieces = partial_fractions(op.terms[k], poles)
+        coeffs = [poly_part[deg] for deg in sorted(poly_part)]
+        coeffs += [pieces[key] for key in sorted(pieces)]
+        out += [c if isinstance(c, WeylElement) else WeylElement.const(c) for c in coeffs]
+    return out
 
 
 def check_commutativity(generators: list, flavor: str) -> dict:
@@ -687,41 +652,14 @@ def hamiltonians_in_commutant(inst: DualityInstance) -> dict:
 
 def glN_convention_generators(inst: DualityInstance):
     """Generators of the realized gl_N Gaudin algebra in the two cdet
-    conventions (with +L and with -tL), for the span-equality check."""
+    conventions, cdet(Dz 1 - L) and cdet(Dz 1 + tL), for the span-equality
+    check."""
     lax = inst.lax_glN("quantum", "dz")
-
-    def build(sign_transpose: bool):
-        entries = []
-        for i in range(inst.N):
-            row = []
-            for j in range(inst.N):
-                f = lax.entries[i][j] if not sign_transpose else lax.entries[j][i]
-                terms = {0: f if sign_transpose else -f}
-                # sign_transpose: cdet(Dz' + L) pattern via relabeled pair
-                if i == j:
-                    terms[1] = RatFunc.const("dz", WeylElement.const(1))
-                row.append(OrderedDiffOp("dz", terms))
-            entries.append(row)
-        op = cdet(RingMatrix(entries, "ordered-diffop"))
-        prefactor = RatFunc("dz", {0: WeylElement.const(1)})
-        for loc, tau in inst.div_lam.points:
-            for _ in range(tau):
-                prefactor = prefactor * RatFunc.linear("dz", loc)
-        return op.scale_left(prefactor)
-
-    def gens_of(op):
-        out = []
-        for k in sorted(op.terms):
-            poly_part, pieces = partial_fractions(
-                op.terms[k], [(loc, 99) for loc, _ in inst.div_lam.points]
-            )
-            for deg in sorted(poly_part):
-                out.append(_as_weyl(poly_part[deg]))
-            for key in sorted(pieces):
-                out.append(_as_weyl(pieces[key]))
-        return out
-
-    return gens_of(build(False)), gens_of(build(True))
+    transposed = [list(col) for col in zip(*lax.entries)]
+    return tuple(
+        _partial_fraction_generators(_cdet_side(entries, inst.div_lam, "dz"), inst.div_lam)
+        for entries in (_negated(lax), transposed)
+    )
 
 
 def weyl_same_span(a: list[WeylElement], b: list[WeylElement]) -> bool:

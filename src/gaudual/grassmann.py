@@ -209,7 +209,3 @@ class GrassmannAlgebra:
             for v, cv in b.terms.items():
                 out = out + self._bracket_mono(u, v) * (cu * cv)
         return out
-
-
-def grassmann_mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    return a * b

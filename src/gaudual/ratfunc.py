@@ -306,10 +306,6 @@ class RatFunc:
         return f"({self.num})" + (f"/{den}" if den else "")
 
 
-def ratfunc_invert(f: RatFunc) -> RatFunc:
-    return f.invert()
-
-
 def partial_fractions(f: RatFunc, poles: list[tuple[Fraction, int]]):
     """Decompose f into a polynomial part plus sum of coeff/(X-point)^order.
 

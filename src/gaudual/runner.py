@@ -64,6 +64,9 @@ MUTATIONS = {
 OPTION_CHOICES = {"expect": {"pass", "fail"}, "mode": {"symbolic", "sampled"}}
 BOOLEAN_OPTIONS = ("symbolic_mu", "quantum_candidate")
 OPTION_KEYS = {"mutation", *OPTION_CHOICES, *BOOLEAN_OPTIONS}
+# the top-level fields of the README schema
+SPEC_KEYS = {"kind", "M", "N", "divisor", "dual_divisor", "flavor", "realization", "which",
+             "tau0", "lambda_points", "mu", "omega", "options"}
 
 
 def _points(raw) -> list[tuple[Fraction, int]]:
@@ -119,6 +122,11 @@ def validate_instance(spec: dict) -> None:
 
 def _check_choices(kind: str, spec: dict) -> None:
     """Reject the names dispatch would fail on or silently ignore."""
+    unknown = sorted(set(spec) - SPEC_KEYS)
+    if unknown:
+        raise SpecValidationError(
+            f"unknown field {unknown[0]!r}; expected fields among {sorted(SPEC_KEYS)}"
+        )
     if kind == "lax-algebra" and spec.get("which") not in LAX_FAMILIES:
         raise SpecValidationError(
             f"unknown Lax algebra family {spec.get('which')!r}; "

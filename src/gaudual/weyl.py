@@ -122,20 +122,25 @@ class WeylElement:
         return WeylElement({})
 
     @staticmethod
+    def _generator(pair: str, x_power: int, d_power: int) -> WeylElement:
+        """x_pair^x_power d_pair^d_power; power 0 gives the canonical 1."""
+        return WeylElement({((pair, x_power, d_power),) if x_power or d_power else (): 1})
+
+    @staticmethod
     def x(a: int, i: int, power: int = 1) -> WeylElement:
-        return WeylElement({((f"{a}_{i}", power, 0),): 1})
+        return WeylElement._generator(f"{a}_{i}", power, 0)
 
     @staticmethod
     def d(a: int, i: int, power: int = 1) -> WeylElement:
-        return WeylElement({((f"{a}_{i}", 0, power),): 1})
+        return WeylElement._generator(f"{a}_{i}", 0, power)
 
     @staticmethod
     def z(power: int = 1) -> WeylElement:
-        return WeylElement({((Z_PAIR, power, 0),): 1})
+        return WeylElement._generator(Z_PAIR, power, 0)
 
     @staticmethod
     def dz(power: int = 1) -> WeylElement:
-        return WeylElement({((Z_PAIR, 0, power),): 1})
+        return WeylElement._generator(Z_PAIR, 0, power)
 
     @staticmethod
     def monomial(key: tuple, coeff=1) -> WeylElement:

@@ -218,11 +218,12 @@ _CYCLO = {"M": 2, "N": 2, "tau0": 2, "divisor": [], "lambda_points": ["5", "7"],
         dict(_GAUDIN, kind="classical-bosonic", options={"mode": "sampeld"}),
         dict(_CYCLO, kind="cyclotomic", options={"symbolic_mu": "yes"}),
         dict(_CYCLO, kind="cyclotomic", options={"quantum_candidate": 1}),
+        dict(_GAUDIN, kind="commutativity", flavour="quantum"),
     ],
     ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
          "gaudin-mutation", "cyclotomic-mutation", "mutation-on-duality", "options-not-object",
          "option-key", "expect-fial", "mode-sampeld", "symbolic-mu-string",
-         "quantum-candidate-int"],
+         "quantum-candidate-int", "field-flavour"],
 )
 def test_validation_rejects_names_dispatch_cannot_run(spec):
     with pytest.raises(SpecValidationError):
@@ -238,6 +239,15 @@ def test_cli_exit_2_on_unknown_lax_family(tmp_path):
     assert proc.returncode == 2
     assert "unknown Lax algebra family 'glN'" in proc.stderr
 
+
+
+def test_cli_exit_2_on_unknown_field(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"instances": [dict(_GAUDIN, kind="commutativity",
+                                                   flavour="quantum")]}))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert "unknown field 'flavour'" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -376,3 +376,34 @@ def test_neumann_mxm_lax_entries():
     assert lax[1][1] == _Frac2(4 * z * z - V("x2_1") ** 2, z * z)  # lam_2 = 4
     # the dual 2 x 2 Lax is returned alongside
     assert len(report["lax_sp2"]) == 2
+
+
+def _paper_core_cyclotomic():
+    from gaudual.presets import paper_core
+    from gaudual.runner import _build_cyclo
+
+    specs = [spec for spec in paper_core() if spec["kind"] == "cyclotomic"
+             and not spec.get("options", {}).get("quantum_candidate")]
+    return [pytest.param(_build_cyclo(spec), spec, id=_spec_id(spec)) for spec in specs]
+
+
+def _spec_id(spec):
+    mu = "mu" if spec.get("options", {}).get("symbolic_mu") else spec["mu"]
+    return f"M{spec['M']}-tau0_{spec['tau0']}-points{len(spec['divisor'])}-mu={mu}"
+
+
+@pytest.mark.parametrize("inst, spec", _paper_core_cyclotomic())
+def test_cyclotomic_duality_fails_with_flipped_mu_sign(monkeypatch, inst, spec):
+    assert verify_cyclotomic_duality(inst)["status"] == "pass"
+    sp_inf_matrix = CycloInstance.sp_inf_matrix
+
+    def flipped(self):
+        rows = sp_inf_matrix(self)
+        r, c = self.pos(1), self.pos(-1)
+        assert rows[r][c] == self.mu  # the mu entry sits on a zero of the Jordan data
+        rows[r][c] = -self.mu
+        return rows
+
+    monkeypatch.setattr(CycloInstance, "sp_inf_matrix", flipped)
+    mu_is_zero = not spec.get("options", {}).get("symbolic_mu") and Q(spec["mu"]) == 0
+    assert verify_cyclotomic_duality(inst)["status"] == ("pass" if mu_is_zero else "fail")

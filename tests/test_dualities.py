@@ -183,3 +183,17 @@ def test_duality_fails_with_transposed_jordan_orientation(monkeypatch, verify, M
     report = verify(make(M, N, dz, dl))
     assert report["status"] == "fail"
     assert report["witness"]
+
+
+def test_classical_duality_fails_with_one_divide_out_copy_dropped(monkeypatch):
+    inst = make(2, 2, [(1, 2)], [(5, 1), (7, 1)])
+    assert verify_classical_bosonic_duality(inst)["status"] == "pass"
+    divide_out = gaudin._divide_out
+
+    def one_short(poly, divisor, spec_var, copies):
+        return divide_out(poly, divisor, spec_var, copies - 1 if spec_var == "z" else copies)
+
+    monkeypatch.setattr(gaudin, "_divide_out", one_short)
+    report = verify_classical_bosonic_duality(inst)
+    assert report["status"] == "fail"
+    assert report["witness"] == {"monomial": {"z": 1}, "difference": "-70"}

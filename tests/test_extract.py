@@ -129,3 +129,16 @@ def test_cdet_conventions_span_equality(M, N, dz, dl):
     gens_plus, gens_minus = glN_convention_generators(make(M, N, dz, dl))
     one = WeylElement.const(1)
     assert weyl_same_span(gens_plus + [one], gens_minus + [one])
+
+
+@pytest.mark.parametrize("flavor", ["classical", "quantum"])
+def test_extraction_builds_only_the_z_side(monkeypatch, flavor):
+    inst = make(2, 2, [(1, 2)], [(5, 1), (7, 1)])
+    expected = extract_gaudin_generators(inst, flavor)
+
+    def refuse(self, *args):
+        raise AssertionError("the lambda-side Lax matrix was built")
+
+    monkeypatch.setattr(DualityInstance, "lax_glN", refuse)
+    gens = extract_gaudin_generators(inst, flavor)
+    assert gens and gens == expected

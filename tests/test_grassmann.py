@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gaudual.errors import InhomogeneousInput
-from gaudual.grassmann import GrassmannAlgebra, GrassmannElement, grassmann_mul
+from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 from gaudual.multipoly import MultiPoly
 from helpers import rng, random_grassmann
 
@@ -17,7 +17,7 @@ def alg22():
 def test_anticommutation():
     a = alg22()
     psi, pi = a.psi(1, 1), a.pi(1, 1)
-    assert grassmann_mul(psi, pi) == -(pi * psi)
+    assert psi * pi == -(pi * psi)
 
 
 def test_nilpotency():

@@ -35,6 +35,18 @@ def test_d2_x2_reordering():
     assert lhs == expected
 
 
+@pytest.mark.parametrize(
+    "generator",
+    [X(1, 1, 0), D(1, 1, 0), WeylElement.z(0), WeylElement.dz(0)],
+    ids=["x", "d", "z", "dz"],
+)
+def test_power_zero_generator_is_one(generator):
+    one = WeylElement.const(1)
+    assert generator == one
+    assert generator * 1 == one
+    assert generator.terms == {(): 1}
+
+
 def test_commutator_examples():
     assert weyl_commutator(D(1, 1), X(1, 1)) == WeylElement.const(1)
     assert weyl_commutator(X(1, 1), X(2, 1)) == 0
