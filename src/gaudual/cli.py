@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 
 from .errors import SpecValidationError
 from .presets import PRESETS, neumann_instances
@@ -80,8 +81,8 @@ def cmd_verify(args) -> int:
         except (OSError, json.JSONDecodeError) as err:
             print(f"cannot read spec: {err}", file=sys.stderr)
             return 2
-        instances = doc.get("instances", doc if isinstance(doc, list) else None)
-        if instances is None:
+        instances = doc.get("instances") if isinstance(doc, dict) else doc
+        if not isinstance(instances, list):
             print("spec must be {\"instances\": [...]} or a JSON list", file=sys.stderr)
             return 2
     else:
@@ -98,27 +99,24 @@ def cmd_verify(args) -> int:
 
     mode = "sampled" if args.sampled else ("symbolic" if args.symbolic else None)
     work = [(spec, mode, args.max_terms) for spec in instances]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_worker, work))
-    else:
-        results = [_worker(w) for w in work]
-
-    out = open(args.out, "w") if args.out else None
     counts = {"pass": 0, "fail": 0, "error": 0}
     total_ms = 0
-    for (report, elapsed), spec in zip(results, instances):
-        counts[report["status"]] = counts.get(report["status"], 0) + 1
-        total_ms += elapsed
-        line = _render(report, elapsed)
-        if out:
-            out.write(line + "\n")
+    with ExitStack() as stack:
+        # both maps are lazy and yield in input order: each report is written
+        # as soon as it and every report before it are finished
+        if args.jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            finished = pool.map(_worker, work)
         else:
-            print(line)
-        print(f"[{report['status']:>5}] {_summary_line(spec)} ({elapsed} ms)",
-              file=sys.stderr)
-    if out:
-        out.close()
+            finished = map(_worker, work)
+        out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        for (report, elapsed), spec in zip(finished, instances):
+            counts[report["status"]] = counts.get(report["status"], 0) + 1
+            total_ms += elapsed
+            out.write(_render(report, elapsed) + "\n")
+            out.flush()
+            print(f"[{report['status']:>5}] {_summary_line(spec)} ({elapsed} ms)",
+                  file=sys.stderr, flush=True)
     print(
         f"gaudual: {len(instances)} instances, {counts['pass']} pass, "
         f"{counts['fail']} fail, {counts.get('error', 0)} error ({total_ms} ms)",
@@ -134,7 +132,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     v = sub.add_parser("verify", help="run verification instances")
-    v.add_argument("spec", nargs="?", help="JSON spec file with {\"instances\": [...]}")
+    v.add_argument("spec", nargs="?",
+                   help="JSON spec file: {\"instances\": [...]} or a JSON list of instances")
     v.add_argument("--preset", help="built-in instance grid (e.g. paper-core)")
     v.add_argument("--M", type=int, help="size override for the neumann preset")
     v.add_argument("--jobs", type=int, default=1, help="parallel worker processes")

@@ -27,9 +27,10 @@ from .errors import (
     DuplicateFrequency,
     IndexOutOfRange,
 )
-from .gaudin import polynomial_equality_report
+from .gaudin import (Divisor, _divide_out, check_generator_pairs, jordan_sum,
+                     polynomial_equality_report)
 from .linalg import in_span
-from .matrices import RingMatrix, _perm_expansion
+from .matrices import RingMatrix, _perm_expansion, block2x2, block_diag, jordan_block
 from .multipoly import MultiPoly
 from .poisson import poisson_bracket
 from .weyl import WeylElement
@@ -110,6 +111,19 @@ class CycloDivisor:
             acc += t
         return tuple(offsets)
 
+    def as_divisor(self) -> Divisor:
+        """The finite part as a Divisor: 0 with degree 2 tau_0, +-z_i with tau_i."""
+        return Divisor(((Q(0), 2 * self.tau0),)
+                       + tuple((sign * loc, tau) for loc, tau in self.points for sign in (1, -1)))
+
+    def jordan_data(self, x, ring: str = "commutative") -> RingMatrix:
+        """blkdiag(-J(-x-z_i) in reverse order, -J_tau0(-x), J_tau0(x), J(x-z_i)):
+        the Jordan data of the sp_2N side at infinity, shifted by x."""
+        half = ((Q(0), self.tau0),) + self.points
+        blocks = [jordan_block(tau, x + loc, Q(-1)) for loc, tau in reversed(half)]
+        blocks += [jordan_block(tau, x - loc) for loc, tau in half]
+        return block_diag(blocks, ring)
+
 
 # generator encodings:
 #   ("pt", i, r, a, b)   E^(z_i)_(ab, r)
@@ -143,6 +157,8 @@ class CycloInstance:
         if len(set(self.lam)) != M:
             raise BadPoints("lambda_a must be pairwise distinct")
         self.mu = mu if isinstance(mu, MultiPoly) else MultiPoly.const(Q(mu))
+        self.div_z = C.as_divisor()
+        self.div_lam = Divisor.of((la, 1) for la in self.lam)
 
     # -- gl_M^C side ------------------------------------------------------
 
@@ -255,13 +271,11 @@ class CycloInstance:
                 terms.append((sgn * self.realize_glMC(("pt", i, r, b, a)), -loc, r + 1))
         return [term for term in terms if term[0]]
 
-    def lax_glMC_cleared(self) -> tuple[RingMatrix, MultiPoly]:
-        """(lam D_C(z) 1 - D_C(z) tL~^C(z), D_C(z)) with polynomial entries."""
-        z = MultiPoly.var("z")
+    def lax_glMC_cleared(self) -> RingMatrix:
+        """lam D_C(z) 1 - D_C(z) tL~^C(z) with polynomial entries,
+        D_C = z^(2 tau_0) prod (z - z_i)^tau_i (z + z_i)^tau_i."""
         lam = MultiPoly.var("lam")
-        dc = MultiPoly.var("z", 2 * self.C.tau0)
-        for loc, tau in self.C.points:
-            dc = dc * (z - loc) ** tau * (z + loc) ** tau
+        dc = self.div_z.clearing_poly("z")
         entries = []
         for a in range(1, self.M + 1):
             row = []
@@ -271,7 +285,7 @@ class CycloInstance:
                     acc = acc + img * _poly_div_power(dc, "z", root, order)
                 row.append((lam * dc if a == b else MultiPoly.zero()) - acc)
             entries.append(row)
-        return RingMatrix(entries, "commutative"), dc
+        return RingMatrix(entries, "commutative")
 
     # -- sp_2N side --------------------------------------------------------
 
@@ -336,22 +350,7 @@ class CycloInstance:
     def sp_inf_matrix(self) -> list[list]:
         """The matrix whose -(J I) entries realize the sp generators at
         infinity: Jordan data of the cyclotomic divisor plus the mu term."""
-        n = 2 * self.N
-        rows: list[list] = [[Q(0)] * n for _ in range(n)]
-        blocks = []
-        for loc, tau in reversed(self.C.points):
-            blocks.append((Q(-1), -loc, tau))  # -J_tau(-z_i)
-        blocks.append((Q(-1), Q(0), self.C.tau0))  # -J_tau0(0)
-        blocks.append((Q(1), Q(0), self.C.tau0))  # +J_tau0(0)
-        for loc, tau in self.C.points:
-            blocks.append((Q(1), -loc, tau))  # +J_tau(-z_i)
-        base = 0
-        for sign, diag, tau in blocks:
-            for k in range(tau):
-                rows[base + k][base + k] = sign * diag
-                if k + 1 < tau:
-                    rows[base + k + 1][base + k] = sign * Q(-1)
-            base += tau
+        rows = self.C.jordan_data(Q(0)).entries
         mu_row, mu_col = self.pos(1), self.pos(-1)
         rows[mu_row][mu_col] = rows[mu_row][mu_col] + self.mu
         return rows
@@ -404,14 +403,11 @@ class CycloInstance:
         terms += [(self.realize_sp("lam", a, I, J), la, 1) for a, la in enumerate(self.lam, 1)]
         return [term for term in terms if term[0]]
 
-    def lax_sp2N_cleared(self) -> tuple[RingMatrix, MultiPoly]:
-        """(z Dbar(lam) 1 - Dbar(lam) L^Dbar(lam), Dbar) with polynomial
-        entries, Dbar = prod (lam - lambda_a)."""
-        lam = MultiPoly.var("lam")
+    def lax_sp2N_cleared(self) -> RingMatrix:
+        """z Dbar(lam) 1 - Dbar(lam) L^Dbar(lam) with polynomial entries,
+        Dbar = prod (lam - lambda_a)."""
         z = MultiPoly.var("z")
-        dbar = MultiPoly.const(1)
-        for la in self.lam:
-            dbar = dbar * (lam - la)
+        dbar = self.div_lam.clearing_poly("lam")
         n = 2 * self.N
         acc = [[MultiPoly.zero() for _ in range(n)] for _ in range(n)]
         for I, J in self.I2():
@@ -429,7 +425,7 @@ class CycloInstance:
             [(z * dbar if r == c else MultiPoly.zero()) - acc[r][c] for c in range(n)]
             for r in range(n)
         ]
-        return RingMatrix(entries, "commutative"), dbar
+        return RingMatrix(entries, "commutative")
 
 
 def _poly_div_power(poly: MultiPoly, var: str, root: Fraction, power: int) -> MultiPoly:
@@ -443,61 +439,39 @@ def _poly_div_power(poly: MultiPoly, var: str, root: Fraction, power: int) -> Mu
 
 
 def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = None) -> dict:
-    """Exhaustive generator-pair checks for both realization maps."""
+    """Exhaustive generator-pair checks for both realization maps; a bracket
+    term outside the generator list is realized when it is needed."""
     checked = 0
-    gens = inst.glMC_generators()
-    images = {g: inst.realize_glMC(g, mutation) for g in gens}
-    for g1 in gens:
-        for g2 in gens:
-            checked += 1
-            got = poisson_bracket(images[g1], images[g2])
-            want = MultiPoly.zero()
-            for coeff, g3 in inst.glMC_bracket(g1, g2):
-                image = images[g3] if g3 in images else inst.realize_glMC(g3, mutation)
-                want = want + image * coeff
-            if got != want:
-                return {
-                    "status": "fail",
-                    "pairs_checked": checked,
-                    "witness": {"side": "glM-cyclotomic", "pair": (str(g1), str(g2))},
-                }
-    sp_gens = inst.sp_generators()
-    sp_images = {g: inst.realize_sp(g[0], g[1], g[2], g[3], mutation) for g in sp_gens}
-    for g1 in sp_gens:
-        for g2 in sp_gens:
-            checked += 1
-            got = poisson_bracket(sp_images[g1], sp_images[g2])
-            want = MultiPoly.zero()
-            for coeff, g3 in inst.sp_bracket(g1, g2):
-                want = want + sp_images[g3] * coeff
-            if got != want:
-                return {
-                    "status": "fail",
-                    "pairs_checked": checked,
-                    "witness": {"side": "sp2N", "pair": (str(g1), str(g2))},
-                }
+    for side, gens, realize, structure in (
+        ("glM-cyclotomic", inst.glMC_generators(), inst.realize_glMC, inst.glMC_bracket),
+        ("sp2N", inst.sp_generators(), lambda g, m: inst.realize_sp(*g, m), inst.sp_bracket),
+    ):
+        images = {g: realize(g, mutation) for g in gens}
+        count, failure = check_generator_pairs(
+            gens, lambda g: images[g] if g in images else realize(g, mutation),
+            poisson_bracket, structure, MultiPoly.zero(),
+        )
+        checked += count
+        if failure:
+            return {
+                "status": "fail",
+                "pairs_checked": checked,
+                "witness": {"side": side, "pair": (str(failure[0]), str(failure[1]))},
+            }
     return {"status": "pass", "pairs_checked": checked}
 
 
 def verify_cyclotomic_duality(inst: CycloInstance) -> dict:
     """Exact equality of the two spectral polynomials in P_b[z, lam]."""
     det_l = _glMC_spectral_poly(inst)
-    rhs_m, _ = inst.lax_sp2N_cleared()
-    det_r = _perm_expansion(rhs_m)
-    for la in inst.lam:
-        det_r = _poly_div_power(det_r, "lam", la, 2 * inst.N - 1)
+    det_r = _divide_out(_perm_expansion(inst.lax_sp2N_cleared()), inst.div_lam, "lam",
+                        2 * inst.N - 1)
     return polynomial_equality_report(det_l, det_r)
 
 
 def _glMC_spectral_poly(inst: CycloInstance) -> MultiPoly:
     """det(lam D_C 1 - D_C tL~^C) with D_C^(M-1) divided out."""
-    lhs_m, _ = inst.lax_glMC_cleared()
-    copies = inst.M - 1
-    det_l = _poly_div_power(_perm_expansion(lhs_m), "z", Q(0), 2 * inst.C.tau0 * copies)
-    for loc, tau in inst.C.points:
-        det_l = _poly_div_power(det_l, "z", loc, tau * copies)
-        det_l = _poly_div_power(det_l, "z", -loc, tau * copies)
-    return det_l
+    return _divide_out(_perm_expansion(inst.lax_glMC_cleared()), inst.div_z, "z", inst.M - 1)
 
 
 def extract_cyclotomic_generators(inst: CycloInstance) -> list[MultiPoly]:
@@ -791,46 +765,20 @@ def quantum_cyclotomic_candidate(inst: CycloInstance) -> RingMatrix:
     M, N = inst.M, inst.N
     lam_c = WeylElement({(("sp_lam", 1, 0),): Q(1)})
     z_c = WeylElement({(("sp_z", 1, 0),): Q(1)})
-    zero = WeylElement.zero()
-    top = []
-    for a in range(1, M + 1):
-        row = [zero] * (a - 1) + [lam_c - WeylElement.const(inst.lam[a - 1])] + [zero] * (M - a)
-        xrow = [WeylElement.d(a, i) for i in range(N, 0, -1)]
-        xrow += [WeylElement.x(a, i) for i in range(1, N + 1)]
-        top.append(row + xrow)
-    bottom = []
-    z_block = _cyclo_z_matrix(inst, z_c)
-    for idx, I in enumerate(inst.index_set()):
-        if I < 0:
-            col = [-WeylElement.x(a, -I) for a in range(1, M + 1)]
-        else:
-            col = [WeylElement.d(a, I) for a in range(1, M + 1)]
-        bottom.append(col + z_block[idx])
-    return RingMatrix(top + bottom, "weyl")
+    x_block = [[WeylElement.d(a, i) for i in range(N, 0, -1)]
+               + [WeylElement.x(a, i) for i in range(1, N + 1)] for a in range(1, M + 1)]
+    d_block = [[-WeylElement.x(a, -I) if I < 0 else WeylElement.d(a, I) for a in range(1, M + 1)]
+               for I in inst.index_set()]
+    return block2x2(jordan_sum(inst.div_lam, lam_c, ring="weyl"), RingMatrix(x_block, "weyl"),
+                    RingMatrix(d_block, "weyl"), RingMatrix(_cyclo_z_matrix(inst, z_c), "weyl"))
 
 
 def _cyclo_z_matrix(inst: CycloInstance, z_c: WeylElement):
     """blkdiag(-J(-z-z_i), -J_tau0(-z), J_tau0(z), J(z-z_i)) + mu E~_(1,-1)."""
-    n = 2 * inst.N
-    zero = WeylElement.zero()
-    rows = [[zero for _ in range(n)] for _ in range(n)]
-    blocks = []
-    for loc, tau in reversed(inst.C.points):
-        blocks.append((Q(1), loc, Q(1), tau))  # z + z_i diag, +1 below
-    blocks.append((Q(1), Q(0), Q(1), inst.C.tau0))  # z diag, +1 below
-    blocks.append((Q(1), Q(0), Q(-1), inst.C.tau0))  # z diag, -1 below
-    for loc, tau in inst.C.points:
-        blocks.append((Q(1), -loc, Q(-1), tau))  # z - z_i diag, -1 below
-    base = 0
-    for zscale, shift, below, tau in blocks:
-        for k in range(tau):
-            rows[base + k][base + k] = z_c * zscale + WeylElement.const(shift)
-            if k + 1 < tau:
-                rows[base + k + 1][base + k] = WeylElement.const(below)
-        base += tau
     mu = inst.mu
     mu_val = mu.constant_value() if mu.is_constant() else None
     if mu_val is None:
         raise ValueError("quantum candidate needs a rational mu")
+    rows = inst.C.jordan_data(z_c, ring="weyl").entries
     rows[inst.pos(1)][inst.pos(-1)] = rows[inst.pos(1)][inst.pos(-1)] + WeylElement.const(mu_val)
     return rows

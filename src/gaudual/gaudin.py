@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import DivisorMismatch, IndexOutOfRange, RequiresRegularDivisor, ResidualPole
 from .grassmann import GrassmannAlgebra, GrassmannElement
 from .linalg import solve_linear
-from .matrices import RingMatrix, _perm_expansion, cdet, manin_check
+from .matrices import (RingMatrix, _perm_expansion, block2x2, block_diag, cdet, jordan_block,
+                       manin_check)
 from .multipoly import MultiPoly
 from .poisson import poisson_bracket
 from .ratfunc import RatFunc, expand_factors, partial_fractions
@@ -125,18 +127,15 @@ def takiff_bracket(g1: TakiffGen, g2: TakiffGen, divisor: Divisor) -> list[tuple
     return out
 
 
+def jordan_sum(divisor: Divisor, x, ring: str = "commutative") -> RingMatrix:
+    """(+)_c J_(tau_c)(x - location_c): x - location_c along the diagonal and
+    -1 just below it."""
+    return block_diag([jordan_block(tau, x - loc) for loc, tau in divisor.points], ring)
+
+
 def jordan_sum_matrix(divisor: Divisor) -> list[list[Fraction]]:
     """(+)_c J_(tau_c)(-location_c) as plain rational rows."""
-    n = divisor.total_degree()
-    rows = [[Q(0)] * n for _ in range(n)]
-    base = 0
-    for loc, tau in divisor.points:
-        for k in range(tau):
-            rows[base + k][base + k] = -loc
-            if k + 1 < tau:
-                rows[base + k + 1][base + k] = Q(-1)
-        base += tau
-    return rows
+    return jordan_sum(divisor, Q(0)).entries if divisor.points else []
 
 
 class DualityInstance:
@@ -420,28 +419,11 @@ def quantum_block_matrix(inst: DualityInstance) -> RingMatrix:
     """The (M+N) x (M+N) block matrix [[Lam, X], [tD, Z]] behind the duality,
     over the Weyl algebra extended by the spectral pair."""
     M, N = inst.M, inst.N
-    zero = WeylElement.zero()
-    lam_block = [[zero for _ in range(M)] for _ in range(M)]
-    base = 0
-    for loc, tau in inst.div_lam.points:
-        for k in range(tau):
-            lam_block[base + k][base + k] = WeylElement.dz() - WeylElement.const(loc)
-            if k + 1 < tau:
-                lam_block[base + k][base + k + 1] = WeylElement.const(-1)
-        base += tau
-    z_block = [[zero for _ in range(N)] for _ in range(N)]
-    base = 0
-    for loc, tau in inst.div_z.points:
-        for k in range(tau):
-            z_block[base + k][base + k] = WeylElement.z() - WeylElement.const(loc)
-            if k + 1 < tau:
-                z_block[base + k + 1][base + k] = WeylElement.const(-1)
-        base += tau
+    lam_block = jordan_sum(inst.div_lam, WeylElement.dz(), ring="weyl").transpose()
     x_block = [[WeylElement.x(a, i) for i in range(1, N + 1)] for a in range(1, M + 1)]
     d_block = [[WeylElement.d(a, i) for a in range(1, M + 1)] for i in range(1, N + 1)]
-    entries = [lam_block[a] + x_block[a] for a in range(M)]
-    entries += [d_block[i] + z_block[i] for i in range(N)]
-    return RingMatrix(entries, "weyl")
+    z_block = jordan_sum(inst.div_z, WeylElement.z(), ring="weyl")
+    return block2x2(lam_block, RingMatrix(x_block, "weyl"), RingMatrix(d_block, "weyl"), z_block)
 
 
 def verify_quantum_duality(inst: DualityInstance) -> dict:
@@ -550,39 +532,50 @@ def _bracket_for(flavor: str, inst: DualityInstance):
     raise ValueError(flavor)
 
 
+def check_generator_pairs(gens: list, image, bracket, structure, zero):
+    """Exhaustive check that bracket(image(g1), image(g2)) equals the image of
+    structure(g1, g2), a list of (coefficient, generator) terms, over every
+    ordered pair.  Returns (pairs checked, None) or, at the first failing pair,
+    (pairs checked, (g1, g2, got, want))."""
+    checked = 0
+    for g1 in gens:
+        for g2 in gens:
+            checked += 1
+            got = bracket(image(g1), image(g2))
+            want = zero
+            for coeff, g3 in structure(g1, g2):
+                want = want + image(g3) * coeff
+            if got != want:
+                return checked, (g1, g2, got, want)
+    return checked, None
+
+
 def verify_homomorphism(inst: DualityInstance, flavor: str, mutation: str | None = None) -> dict:
     """Exhaustive generator-pair check that bracket-of-images equals
     image-of-bracket on both realization maps."""
     bracket = _bracket_for(flavor, inst)
+    zero = _const(flavor, Q(0), inst._galg)
     checked = 0
-    for side in ("glM", "glN"):
-        if side == "glM":
-            gens = takiff_generators(inst.div_z, inst.M)
-            realize = lambda g: inst.realize_glM(g, flavor, mutation)  # noqa: E731
-            divisor = inst.div_z
-        else:
-            gens = takiff_generators(inst.div_lam, inst.N)
-            realize = lambda g: inst.realize_glN(g, flavor, mutation)  # noqa: E731
-            divisor = inst.div_lam
-        images = {g: realize(g) for g in gens}
-        for g1 in gens:
-            for g2 in gens:
-                checked += 1
-                got = bracket(images[g1], images[g2])
-                want = _const(flavor, Q(0), inst._galg)
-                for coeff, g3 in takiff_bracket(g1, g2, divisor):
-                    want = want + images[g3] * coeff
-                if got != want:
-                    return {
-                        "status": "fail",
-                        "pairs_checked": checked,
-                        "witness": {
-                            "side": side,
-                            "pair": (g1.label(), g2.label()),
-                            "got": repr(got),
-                            "want": repr(want),
-                        },
-                    }
+    for side, divisor, size, realize in (("glM", inst.div_z, inst.M, inst.realize_glM),
+                                         ("glN", inst.div_lam, inst.N, inst.realize_glN)):
+        gens = takiff_generators(divisor, size)
+        images = {g: realize(g, flavor, mutation) for g in gens}
+        count, failure = check_generator_pairs(
+            gens, images.__getitem__, bracket, partial(takiff_bracket, divisor=divisor), zero
+        )
+        checked += count
+        if failure:
+            g1, g2, got, want = failure
+            return {
+                "status": "fail",
+                "pairs_checked": checked,
+                "witness": {
+                    "side": side,
+                    "pair": (g1.label(), g2.label()),
+                    "got": repr(got),
+                    "want": repr(want),
+                },
+            }
     return {"status": "pass", "pairs_checked": checked}
 
 

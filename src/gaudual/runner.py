@@ -75,6 +75,8 @@ def _points(raw) -> list[tuple[Fraction, int]]:
 
 def validate_instance(spec: dict) -> None:
     """Cheap divisor-constraint validation; raises SpecValidationError."""
+    if not isinstance(spec, dict):
+        raise SpecValidationError(f"an instance must be a JSON object, not {spec!r}")
     kind = spec.get("kind")
     if kind not in KINDS:
         raise SpecValidationError(f"unknown kind {kind!r}")

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from gaudual import cli
 from gaudual.errors import SpecValidationError
 from gaudual.presets import PRESETS, paper_core
 from gaudual.runner import run_instance, validate_instance
@@ -219,11 +220,15 @@ _CYCLO = {"M": 2, "N": 2, "tau0": 2, "divisor": [], "lambda_points": ["5", "7"],
         dict(_CYCLO, kind="cyclotomic", options={"symbolic_mu": "yes"}),
         dict(_CYCLO, kind="cyclotomic", options={"quantum_candidate": 1}),
         dict(_GAUDIN, kind="commutativity", flavour="quantum"),
+        ["kind"],
+        "neumann",
+        3,
     ],
     ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
          "gaudin-mutation", "cyclotomic-mutation", "mutation-on-duality", "options-not-object",
          "option-key", "expect-fial", "mode-sampeld", "symbolic-mu-string",
-         "quantum-candidate-int", "field-flavour"],
+         "quantum-candidate-int", "field-flavour", "instance-list", "instance-string",
+         "instance-number"],
 )
 def test_validation_rejects_names_dispatch_cannot_run(spec):
     with pytest.raises(SpecValidationError):
@@ -264,3 +269,54 @@ def test_cli_exit_2_on_bad_option_value(tmp_path, options, message):
     proc = run_cli("verify", str(path))
     assert proc.returncode == 2
     assert message in proc.stderr
+
+
+_NEUMANN = {"kind": "neumann", "M": 2, "omega": ["1", "2"]}
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_accepts_a_top_level_list(tmp_path, capsys):
+    assert cli.main(["verify", _write(tmp_path, [_NEUMANN])]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["instance"] == _NEUMANN
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"instances": _NEUMANN}, {"kind": "neumann"}, "neumann", 3, None],
+    ids=["instances-not-list", "no-instances", "string", "number", "null"],
+)
+def test_cli_exit_2_on_spec_neither_object_nor_list(tmp_path, capsys, doc):
+    assert cli.main(["verify", _write(tmp_path, doc)]) == 2
+    assert "spec must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [[["kind"]], {"instances": ["neumann"]}], ids=["list", "object"])
+def test_cli_exit_2_on_non_object_instance(tmp_path, capsys, doc):
+    assert cli.main(["verify", _write(tmp_path, doc)]) == 2
+    assert "instance 0 invalid: an instance must be a JSON object" in capsys.readouterr().err
+
+
+def test_reports_stream_as_each_instance_finishes(tmp_path, capsys, monkeypatch):
+    # each run sees every earlier report already in --out and its line on stderr
+    instances = [dict(_NEUMANN, omega=[str(k), str(k + 1)]) for k in (1, 2, 3)]
+    out = tmp_path / "r.jsonl"
+    seen = []
+
+    def fake_run_instance(spec, mode=None, max_terms=None):
+        done = out.read_text().splitlines()
+        seen.append(([json.loads(line)["instance"] for line in done],
+                     capsys.readouterr().err.count("[ pass]")))
+        return {"status": "pass", "instance": spec}
+
+    monkeypatch.setattr(cli, "run_instance", fake_run_instance)
+    spec = _write(tmp_path, {"instances": instances})
+    assert cli.main(["verify", spec, "--out", str(out)]) == 0
+    assert seen == [([], 0), (instances[:1], 1), (instances[:2], 1)]
+    assert len(out.read_text().splitlines()) == 3

@@ -5,6 +5,7 @@ import pytest
 from gaudual.cyclotomic import (
     CycloDivisor,
     CycloInstance,
+    _cyclo_z_matrix,
     diagram_automorphism,
     extract_cyclotomic_generators,
     gl_bracket,
@@ -23,6 +24,7 @@ from gaudual.gaudin import check_commutativity
 from gaudual.matrices import manin_check
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
+from gaudual.weyl import WeylElement
 from helpers import rng, random_fraction
 
 Q = Fraction
@@ -342,6 +344,24 @@ def test_neumann_hamiltonian_brackets():
 
 
 # -- negative quantum result -------------------------------------------------------
+
+
+def test_cyclo_z_matrix_layout():
+    # tau0 = 2, one point z_1 = 3; rows and columns run over I = -3..-1, 1..3:
+    # blocks z + z_1, the origin pair (+1 below, then -1 below), z - z_1,
+    # and mu at (I, J) = (1, -1)
+    inst = inst_of(1, 2, [(3, 1)], ["5"], Q(2))
+    z = WeylElement({(("sp_z", 1, 0),): Q(1)})
+    one, zero = WeylElement.const(1), WeylElement.zero()
+    expected = [
+        [z + 3, zero, zero, zero, zero, zero],
+        [zero, z, zero, zero, zero, zero],
+        [zero, one, z, zero, zero, zero],
+        [zero, zero, WeylElement.const(2), z, zero, zero],
+        [zero, zero, zero, -one, z, zero],
+        [zero, zero, zero, zero, zero, z - 3],
+    ]
+    assert _cyclo_z_matrix(inst, z) == expected
 
 
 def test_quantum_cyclotomic_candidate_not_manin():

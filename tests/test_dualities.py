@@ -121,6 +121,21 @@ def test_quantum_block_matrix_is_manin():
     assert ok and witness is None
 
 
+def test_quantum_block_matrix_layout_at_tau_2():
+    # [[Lam, X], [tD, Z]]: the lambda block carries its -1 above the
+    # diagonal, the z block below it
+    m = quantum_block_matrix(make(2, 2, [(1, 2)], [(5, 2)]))
+    dz, z, zero = W.dz(), W.z(), W.zero()
+    expected = [
+        [dz - 5, W.const(-1), W.x(1, 1), W.x(1, 2)],
+        [zero, dz - 5, W.x(2, 1), W.x(2, 2)],
+        [W.d(1, 1), W.d(2, 1), z - 1, zero],
+        [W.d(1, 2), W.d(2, 2), W.const(-1), z - 1],
+    ]
+    assert m.ring == "weyl"
+    assert m.entries == expected
+
+
 @pytest.mark.parametrize(
     "M,N,dz,dl",
     [

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from gaudual.cyclotomic import CycloDivisor, CycloInstance, verify_cyclotomic_homomorphisms
 from gaudual.gaudin import Divisor, DualityInstance, verify_homomorphism
 
 
@@ -51,3 +54,39 @@ def test_mutation_on_abelian_instance_cannot_fail():
     # gl_1 Takiff algebras are abelian: documented boundary of the mutation test
     inst = make(1, 1, [(2, 1)], [(5, 1)])
     assert verify_homomorphism(inst, "classical", mutation="flip-sign")["status"] == "pass"
+
+
+def _negated(method, only_kind=None):
+    """method with its image negated (for the sp_2N map: only for kind only_kind)."""
+    def mutated(self, *args, **kwargs):
+        img = method(self, *args, **kwargs)
+        return -img if only_kind in (None, args[0]) else img
+    return mutated
+
+
+def _gaudin_check():
+    return verify_homomorphism(make(2, 2, [(1, 1), (2, 1)], [(5, 1), (7, 1)]), "classical")
+
+
+def _cyclotomic_check():
+    inst = CycloInstance(2, CycloDivisor.of(1, [(1, 1)]), [Fraction(5), Fraction(7)], Fraction(-1))
+    return verify_cyclotomic_homomorphisms(inst)
+
+
+@pytest.mark.parametrize(
+    "side, check, owner, method, only_kind",
+    [
+        ("glM", _gaudin_check, DualityInstance, "realize_glM", None),
+        ("glN", _gaudin_check, DualityInstance, "realize_glN", None),
+        ("glM-cyclotomic", _cyclotomic_check, CycloInstance, "realize_glMC", None),
+        ("sp2N", _cyclotomic_check, CycloInstance, "realize_sp", "lam"),
+    ],
+    ids=["glM", "glN", "glM-cyclotomic", "sp2N"],
+)
+def test_each_realization_side_fails_alone(monkeypatch, side, check, owner, method, only_kind):
+    assert check()["status"] == "pass"
+    monkeypatch.setattr(owner, method, _negated(getattr(owner, method), only_kind))
+    report = check()
+    assert report["status"] == "fail"
+    assert report["witness"]["side"] == side
+    assert report["witness"]["pair"]
