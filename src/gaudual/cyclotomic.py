@@ -303,13 +303,18 @@ class CycloInstance:
         pairs += [(-i, j) for i in range(1, N + 1) for j in range(i, N + 1)]
         return pairs
 
+    def ebar_entries(self, I: int, J: int) -> list[tuple[int, int, int]]:
+        """(row, column, value) entries of Ebar_IJ = E~_IJ - sigma_I sigma_J
+        E~_(-J,-I); the two share a position when J = -I."""
+        sigma = 1 if (I > 0) == (J > 0) else -1
+        return [(self.pos(I), self.pos(J), 1), (self.pos(-J), self.pos(-I), -sigma)]
+
     def ebar(self, I: int, J: int) -> list[list[Fraction]]:
-        """Defining matrix of Ebar_IJ = E~_IJ - sigma_I sigma_J E~_(-J,-I)."""
+        """Defining matrix of Ebar_IJ."""
         n = 2 * self.N
         m = [[Q(0)] * n for _ in range(n)]
-        m[self.pos(I)][self.pos(J)] += Q(1)
-        sigma = Q(1) if (I > 0) == (J > 0) else Q(-1)
-        m[self.pos(-J)][self.pos(-I)] -= sigma
+        for r, c, value in self.ebar_entries(I, J):
+            m[r][c] += value
         return m
 
     def ebar_dual(self, I: int, J: int) -> list[list[Fraction]]:
@@ -324,7 +329,7 @@ class CycloInstance:
         m[self.pos(-I)][self.pos(-J)] -= sigma
         return m
 
-    def sp_expand(self, x: list[list]) -> dict[tuple[int, int], Fraction]:
+    def sp_expand(self, x: list[list]) -> dict[tuple[int, int], int | Fraction]:
         """Coefficients of an sp_2N matrix on the basis {Ebar_IJ}, (I,J) in I2."""
         out = {}
         N = self.N
@@ -337,12 +342,12 @@ class CycloInstance:
             for j in range(i, N + 1):
                 c = x[self.pos(i)][self.pos(-j)]
                 if i == j:
-                    c = c / 2
+                    c = Q(c, 2)
                 if c:
                     out[(i, -j)] = c
                 c = x[self.pos(-i)][self.pos(j)]
                 if i == j:
-                    c = c / 2
+                    c = Q(c, 2)
                 if c:
                     out[(-i, j)] = c
         return out
@@ -380,20 +385,21 @@ class CycloInstance:
         return gens
 
     def sp_bracket(self, g1, g2) -> list:
-        """[Ebar^(la)_IJ, Ebar^(lb)_KL] via matrix commutators, expanded on
-        the I2 basis; infinity is central."""
+        """[Ebar^(la)_IJ, Ebar^(lb)_KL] as the commutator of the two sparse
+        matrices, expanded on the I2 basis; infinity is central."""
         if g1[0] == "inf" or g2[0] == "inf" or g1[1] != g2[1]:
             return []
-        m1 = self.ebar(g1[2], g1[3])
-        m2 = self.ebar(g2[2], g2[3])
+        e1, e2 = self.ebar_entries(g1[2], g1[3]), self.ebar_entries(g2[2], g2[3])
         n = 2 * self.N
-        comm = [[Q(0)] * n for _ in range(n)]
-        for r in range(n):
-            for c in range(n):
-                acc = Q(0)
-                for k in range(n):
-                    acc += m1[r][k] * m2[k][c] - m2[r][k] * m1[k][c]
-                comm[r][c] = acc
+        comm = [[0] * n for _ in range(n)]
+        for r, k, x in e1:
+            for k2, c, y in e2:
+                if k == k2:
+                    comm[r][c] += x * y
+        for r, k, y in e2:
+            for k2, c, x in e1:
+                if k == k2:
+                    comm[r][c] -= y * x
         return [(coeff, ("lam", g1[1], I, J)) for (I, J), coeff in self.sp_expand(comm).items()]
 
     def sp_lax_terms(self, I: int, J: int) -> list[tuple[MultiPoly, Fraction, int]]:

@@ -108,7 +108,7 @@ def takiff_generators(divisor: Divisor, size: int) -> list[TakiffGen]:
     return gens
 
 
-def takiff_bracket(g1: TakiffGen, g2: TakiffGen, divisor: Divisor) -> list[tuple[Fraction, TakiffGen]]:
+def takiff_bracket(g1: TakiffGen, g2: TakiffGen, divisor: Divisor) -> list[tuple[int, TakiffGen]]:
     """[E_(ab r), E_(cd s)] = delta_bc E_(ad r+s) - delta_ad E_(cb r+s) at a
     shared finite point, truncated at the Takiff degree; infinity is central.
     """
@@ -121,9 +121,9 @@ def takiff_bracket(g1: TakiffGen, g2: TakiffGen, divisor: Divisor) -> list[tuple
     out = []
     a, b, c, d = g1.row, g1.col, g2.row, g2.col
     if b == c:
-        out.append((Q(1), TakiffGen(g1.point, depth, a, d)))
+        out.append((1, TakiffGen(g1.point, depth, a, d)))
     if a == d:
-        out.append((Q(-1), TakiffGen(g1.point, depth, c, b)))
+        out.append((-1, TakiffGen(g1.point, depth, c, b)))
     return out
 
 

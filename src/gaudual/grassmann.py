@@ -5,9 +5,17 @@ global order: all psi's first (lexicographic in (a, i)), then all pi's.
 A monomial is a bitmask over the 2MN generators, stored strictly
 increasing; products track the permutation sign.
 
-Coefficients are any commutative scalars (Fraction or MultiPoly), so even
-elements with rational-function data in spectral parameters can share the
-same container.
+Coefficients are commutative scalars: `int` when integral and `Fraction`
+otherwise (the `MultiPoly` convention; `repr` does not depend on which), or
+`MultiPoly`, so even elements with polynomial data in spectral parameters
+can share the same container.
+
+The graded bracket of two monomials has a direct formula.  For each
+generator g of u, the i-th of its k generators, whose partner h is the
+j-th generator of v, move g to the right end of u and h to the left end
+of v, and contract them with {g, h} = 1:
+
+    [u, v] = sum (-1)^(k - i + j - 1) (u / g) ^ (v / h).
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InhomogeneousInput
+from .scalars import normalized
 
 
 def wedge_masks(m1: int, m2: int):
@@ -35,15 +44,14 @@ class GrassmannElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = normalized(terms)
 
     @staticmethod
     def const(c) -> GrassmannElement:
-        c = Fraction(c) if isinstance(c, int) else c
-        return GrassmannElement({0: c} if c else {})
+        return GrassmannElement({0: c})
 
     @staticmethod
-    def generator(index: int, coeff=Fraction(1)) -> GrassmannElement:
+    def generator(index: int, coeff=1) -> GrassmannElement:
         return GrassmannElement({1 << index: coeff})
 
     @staticmethod
@@ -57,11 +65,7 @@ class GrassmannElement:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
+            terms[m] = terms.get(m, 0) + c
         return GrassmannElement(terms)
 
     __radd__ = __add__
@@ -85,11 +89,7 @@ class GrassmannElement:
                     if sm is None:
                         continue
                     sign, m = sm
-                    s = terms.get(m, 0) + c1 * c2 * sign
-                    if s:
-                        terms[m] = s
-                    else:
-                        terms.pop(m, None)
+                    terms[m] = terms.get(m, 0) + c1 * c2 * sign
             return GrassmannElement(terms)
         # commutative scalar
         if not other:
@@ -108,7 +108,8 @@ class GrassmannElement:
             other = GrassmannElement.const(other)
         elif not isinstance(other, GrassmannElement):
             return NotImplemented
-        return not (self - other).terms
+        # both dicts are normalized: no zeros, integral Fractions as ints
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -151,7 +152,6 @@ class GrassmannAlgebra:
     def __init__(self, M: int, N: int):
         self.M = M
         self.N = N
-        self._memo: dict[tuple[int, int], GrassmannElement] = {}
 
     def _index(self, a: int, i: int) -> int:
         if not (1 <= a <= self.M and 1 <= i <= self.N):
@@ -164,48 +164,32 @@ class GrassmannAlgebra:
     def pi(self, a: int, i: int) -> GrassmannElement:
         return GrassmannElement.generator(self.M * self.N + self._index(a, i))
 
-    def _pair_value(self, g: int, h: int) -> Fraction:
-        """{gen_g, gen_h}_+ on single generators."""
+    def _bracket_mono(self, u: int, v: int) -> list[tuple[int, int]]:
+        """[u, v] of two monomial masks by the direct formula, as (sign, mask)
+        terms; two terms may share a mask."""
         mn = self.M * self.N
-        if g < mn <= h and h - mn == g:
-            return Fraction(1)
-        if h < mn <= g and g - mn == h:
-            return Fraction(1)
-        return Fraction(0)
-
-    def _bracket_mono(self, u: int, v: int) -> GrassmannElement:
-        """Bracket of monomial masks by recursive graded Leibniz expansion."""
-        key = (u, v)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        nu, nv = u.bit_count(), v.bit_count()
-        if nu == 0 or nv == 0:
-            result = GrassmannElement.zero()
-        elif nv == 1 and nu == 1:
-            result = GrassmannElement.const(
-                self._pair_value(u.bit_length() - 1, v.bit_length() - 1)
-            )
-        elif nv > 1:
-            # v = g * v' with g the lowest generator of v
-            g = v & -v
-            rest = v ^ g
-            left = self._bracket_mono(u, g) * GrassmannElement({rest: Fraction(1)})
-            sign = -1 if (nu & 1) else 1  # (-1)^{|u||g|}, |g| = 1
-            right = GrassmannElement({g: Fraction(1)}) * self._bracket_mono(u, rest)
-            result = left + right * sign
-        else:
-            # v is a single generator, u is composite: graded skew-symmetry
-            sign = -1 if (nu & 1) == 1 else 1  # -(-1)^{|u||v|}
-            result = self._bracket_mono(v, u) * (-sign)
-        self._memo[key] = result
-        return result
+        k = u.bit_count()
+        out = []
+        i, rest = 0, u
+        while rest:
+            g = rest & -rest
+            rest ^= g
+            i += 1
+            h = g << mn if g.bit_length() <= mn else g >> mn
+            if v & h:
+                sm = wedge_masks(u ^ g, v ^ h)
+                if sm is not None:
+                    sign, mask = sm
+                    j = (v & (h - 1)).bit_count() + 1
+                    out.append((-sign if (k - i + j - 1) & 1 else sign, mask))
+        return out
 
     def graded_bracket(self, a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
         a.parity()
         b.parity()
-        out = GrassmannElement.zero()
+        terms: dict = {}
         for u, cu in a.terms.items():
             for v, cv in b.terms.items():
-                out = out + self._bracket_mono(u, v) * (cu * cv)
-        return out
+                for sign, m in self._bracket_mono(u, v):
+                    terms[m] = terms.get(m, 0) + cu * cv * sign
+        return GrassmannElement(terms)

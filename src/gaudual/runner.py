@@ -163,6 +163,8 @@ def _check_choices(kind: str, spec: dict) -> None:
     for key in BOOLEAN_OPTIONS:
         if key in options and not isinstance(options[key], bool):
             raise SpecValidationError(f"option {key} must be true or false, not {options[key]!r}")
+    if options.get("symbolic_mu") and options.get("quantum_candidate"):
+        raise SpecValidationError("the quantum candidate needs a rational mu, not symbolic_mu")
     mutation = options.get("mutation")
     if mutation is not None and mutation not in allowed:
         raise SpecValidationError(

@@ -2,6 +2,8 @@
 
 All ground constants (marked points, frequencies, the parameter mu) are
 `fractions.Fraction` values; nothing in the package touches floats.
+Coefficient dicts keep a coefficient as `int` when integral and as
+`Fraction` otherwise (`normalized`).
 """
 
 from __future__ import annotations
@@ -27,3 +29,13 @@ def rat_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def normalized(terms: dict) -> dict:
+    """Drop zero coefficients and store integral Fractions as ints; other
+    coefficients (ints, MultiPolys) are kept as they are."""
+    values = terms.values()
+    if Fraction in set(map(type, values)):
+        return {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                for k, c in terms.items() if c}
+    return dict(terms) if all(values) else {k: c for k, c in terms.items() if c}

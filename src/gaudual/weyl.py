@@ -43,6 +43,7 @@ from math import comb, perm
 from .errors import ResidualPole
 from .multipoly import MultiPoly
 from .ratfunc import RatFunc
+from .scalars import normalized
 
 Z_PAIR = "z"
 
@@ -95,21 +96,13 @@ def _mono_mul(m1: tuple, m2: tuple) -> list[tuple[tuple, int]]:
     return out
 
 
-def _normalized(terms: dict) -> dict:
-    """Drop zero coefficients and store integral Fractions as ints."""
-    values = terms.values()
-    if Fraction in set(map(type, values)):
-        return {k: c.numerator if c.denominator == 1 else c for k, c in terms.items() if c}
-    return dict(terms) if all(values) else {k: c for k, c in terms.items() if c}
-
-
 class WeylElement:
     """Normal-ordered noncommutative polynomial over the rationals."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = _normalized(terms)
+        self.terms = normalized(terms)
 
     # -- constructors ---------------------------------------------------
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from gaudual.multipoly import MultiPoly
 from gaudual.weyl import WeylElement
@@ -59,3 +60,25 @@ def random_grassmann(r: random.Random, alg: GrassmannAlgebra, parity: int,
         if mono:
             out = out + mono
     return out
+
+
+@cache
+def leibniz_bracket(mn: int, u: int, v: int) -> GrassmannElement:
+    """Bracket of two monomial masks over mn canonical pairs by recursive
+    graded Leibniz expansion: the oracle for ``GrassmannAlgebra``.  The
+    generators g and g + mn are partners, with {g, g + mn} = {g + mn, g} = 1."""
+    nu, nv = u.bit_count(), v.bit_count()
+    if nu == 0 or nv == 0:
+        return GrassmannElement.zero()
+    if nu == 1 and nv == 1:
+        g, h = u.bit_length() - 1, v.bit_length() - 1
+        return GrassmannElement.const(1 if abs(g - h) == mn else 0)
+    if nv > 1:
+        # v = g * v' with g the lowest generator of v
+        g = v & -v
+        rest = v ^ g
+        left = leibniz_bracket(mn, u, g) * GrassmannElement({rest: 1})
+        right = GrassmannElement({g: 1}) * leibniz_bracket(mn, u, rest)
+        return left + right * (-1 if nu & 1 else 1)  # (-1)^{|u||g|}, |g| = 1
+    # v is a single generator, u is composite: graded skew-symmetry
+    return leibniz_bracket(mn, v, u) * (1 if nu & 1 else -1)  # -(-1)^{|u||v|}

@@ -219,6 +219,7 @@ _CYCLO = {"M": 2, "N": 2, "tau0": 2, "divisor": [], "lambda_points": ["5", "7"],
         dict(_GAUDIN, kind="classical-bosonic", options={"mode": "sampeld"}),
         dict(_CYCLO, kind="cyclotomic", options={"symbolic_mu": "yes"}),
         dict(_CYCLO, kind="cyclotomic", options={"quantum_candidate": 1}),
+        dict(_CYCLO, kind="cyclotomic", options={"symbolic_mu": True, "quantum_candidate": True}),
         dict(_GAUDIN, kind="commutativity", flavour="quantum"),
         ["kind"],
         "neumann",
@@ -227,7 +228,7 @@ _CYCLO = {"M": 2, "N": 2, "tau0": 2, "divisor": [], "lambda_points": ["5", "7"],
     ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
          "gaudin-mutation", "cyclotomic-mutation", "mutation-on-duality", "options-not-object",
          "option-key", "expect-fial", "mode-sampeld", "symbolic-mu-string",
-         "quantum-candidate-int", "field-flavour", "instance-list", "instance-string",
+         "quantum-candidate-int", "symbolic-mu-quantum-candidate", "field-flavour", "instance-list", "instance-string",
          "instance-number"],
 )
 def test_validation_rejects_names_dispatch_cannot_run(spec):
@@ -269,6 +270,17 @@ def test_cli_exit_2_on_bad_option_value(tmp_path, options, message):
     proc = run_cli("verify", str(path))
     assert proc.returncode == 2
     assert message in proc.stderr
+
+
+def test_cli_exit_2_on_quantum_candidate_with_symbolic_mu(tmp_path):
+    spec = {"kind": "cyclotomic", "M": 1, "N": 1, "tau0": 1, "lambda_points": ["5"], "mu": "0",
+            "options": {"symbolic_mu": True, "quantum_candidate": True}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"instances": [spec]}))
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert "the quantum candidate needs a rational mu" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 _NEUMANN = {"kind": "neumann", "M": 2, "omega": ["1", "2"]}

@@ -172,6 +172,30 @@ def test_sp_expand_round_trip():
         assert got == {k: c for k, c in coeffs.items() if c}
 
 
+@pytest.mark.parametrize("tau0, pts", [(1, []), (2, []), (1, [(1, 1), (2, 1)])],
+                         ids=["N=1", "N=2", "N=3"])
+def test_sp_bracket_matches_dense_commutator(tau0, pts):
+    # every ordered generator pair, at two points lambda_a and at infinity:
+    # the dense commutator of the two ebar matrices, expanded on I2
+    inst = inst_of(2, tau0, pts, ["5", "7"], Q(-1))
+    n = 2 * inst.N
+    nonzero = 0
+    for g1 in inst.sp_generators():
+        for g2 in inst.sp_generators():
+            got = inst.sp_bracket(g1, g2)
+            if g1[0] == "inf" or g2[0] == "inf" or g1[1] != g2[1]:
+                assert got == [], (g1, g2)
+                continue
+            m1, m2 = inst.ebar(g1[2], g1[3]), inst.ebar(g2[2], g2[3])
+            comm = [[sum(m1[r][k] * m2[k][c] - m2[r][k] * m1[k][c] for k in range(n))
+                     for c in range(n)] for r in range(n)]
+            want = {("lam", g1[1], I, J): c for (I, J), c in inst.sp_expand(comm).items()}
+            assert len(got) == len(want), (g1, g2)
+            assert {g: c for c, g in got} == want, (g1, g2)
+            nonzero += bool(want)
+    assert nonzero > 0
+
+
 def test_sp_infinity_matrix_matches_paper_display():
     # n = 2, tau0 = 2, tau = (1, 2): z 1 - Lconst reproduces the displayed
     # 10 x 10 matrix with blocks z + z_2, z + z_1, the mu-coupled origin
