@@ -33,13 +33,10 @@ from .grassmann import GrassmannAlgebra, GrassmannElement
 from .poisson import poisson_bracket
 from .matrices import (
     RingMatrix,
-    berezinian_identity_check,
     cdet,
     det,
     jordan_block,
-    jordan_block_inverse,
     manin_check,
-    schur_cdet_factor,
 )
 from .gaudin import (
     Divisor,

@@ -65,12 +65,17 @@ def _summary_line(spec: dict) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.M is not None:
+        sizes = [spec["M"] for spec in neumann_instances()]
+        if args.preset != "neumann" or args.M not in sizes:
+            print(f"--M needs --preset neumann and one of the sizes {sizes}", file=sys.stderr)
+            return 2
     if args.preset:
         if args.preset not in PRESETS:
             print(f"unknown preset {args.preset!r}; known: {', '.join(sorted(PRESETS))}",
                   file=sys.stderr)
             return 2
-        if args.preset == "neumann" and args.M:
+        if args.M is not None:
             instances = neumann_instances(args.M)
         else:
             instances = PRESETS[args.preset]()

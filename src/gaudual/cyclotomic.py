@@ -38,38 +38,6 @@ from .weyl import WeylElement
 Q = Fraction
 
 
-# -- diagram automorphism on gl_M --------------------------------------------
-# elements are maps (a, b) -> coefficient
-
-
-def diagram_automorphism(x: dict) -> dict:
-    """sigma(E_ab) = -E_ba, extended linearly."""
-    out: dict = {}
-    for (a, b), c in x.items():
-        out[(b, a)] = out.get((b, a), 0) - c
-    return {k: c for k, c in out.items() if c}
-
-
-def projector(r: int, a: int, b: int) -> dict:
-    """Pi_(r) E_ab = E_ab - (-1)^r E_ba."""
-    sign = Q(-1) if r % 2 == 0 else Q(1)
-    out = {(a, b): Q(1)}
-    out[(b, a)] = out.get((b, a), Q(0)) + sign
-    return {k: c for k, c in out.items() if c}
-
-
-def gl_bracket(x: dict, y: dict) -> dict:
-    """[E_ab, E_cd] = delta_bc E_ad - delta_ad E_cb, extended bilinearly."""
-    out: dict = {}
-    for (a, b), c1 in x.items():
-        for (c, d), c2 in y.items():
-            if b == c:
-                out[(a, d)] = out.get((a, d), 0) + c1 * c2
-            if a == d:
-                out[(c, b)] = out.get((c, b), 0) - c1 * c2
-    return {k: c for k, c in out.items() if c}
-
-
 # -- divisors and generators ---------------------------------------------------
 
 
@@ -507,9 +475,6 @@ class _Frac2:
     def __mul__(self, other):
         return _Frac2(self.num * other.num, self.den * other.den)
 
-    def __neg__(self):
-        return _Frac2(-self.num, self.den)
-
     def __bool__(self):
         return bool(self.num)
 
@@ -683,18 +648,6 @@ def _swap_legs(r, size: int):
                 for l in range(size):
                     out[i * size + k][j * size + l] = r[k * size + i][l * size + j]
     return out
-
-
-def sp_r_matrix_skew_symmetric(inst: CycloInstance) -> bool:
-    """rbar12(u,v) = -rbar21(v,u)."""
-    r12 = _sp_r_matrix(inst, "lam", "w")
-    r21_swapped = _swap_legs(_sp_r_matrix(inst, "w", "lam"), 2 * inst.N)
-    n2 = (2 * inst.N) ** 2
-    for i in range(n2):
-        for j in range(n2):
-            if not r12[i][j] == -r21_swapped[i][j]:
-                return False
-    return True
 
 
 # -- Neumann model ---------------------------------------------------------------

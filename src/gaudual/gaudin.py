@@ -24,7 +24,7 @@ from functools import partial
 
 from .errors import DivisorMismatch, IndexOutOfRange, RequiresRegularDivisor, ResidualPole
 from .grassmann import GrassmannAlgebra, GrassmannElement
-from .linalg import solve_linear
+from .linalg import solve_linear  # noqa: F401 (unused; bench/test_bench.py traces this binding)
 from .matrices import (RingMatrix, _perm_expansion, block2x2, block_diag, cdet, jordan_block,
                        manin_check)
 from .multipoly import MultiPoly
@@ -452,16 +452,6 @@ def verify_quantum_duality(inst: DualityInstance) -> dict:
     return report
 
 
-def quantum_classical_limits_agree(inst: DualityInstance) -> bool:
-    """The naive classical limit (derivatives to momenta, ordering dropped)
-    of each quantum side reproduces the classical bosonic polynomial."""
-    left, right = quantum_operator_sides(inst)
-    lhs_cl = _classical_spectral_poly(inst)
-    return left.to_polynomial().classical_limit() == lhs_cl and (
-        right.to_polynomial().classical_limit() == lhs_cl
-    )
-
-
 def _classical_spectral_poly(inst: DualityInstance) -> MultiPoly:
     """The common classical polynomial, built from the z side alone."""
     det_z = _cleared_det(inst.lax_glM("classical", "z"), inst.div_z, "z", "lam", "classical")
@@ -639,31 +629,3 @@ def hamiltonians_in_commutant(inst: DualityInstance) -> dict:
         return {"status": "fail", "witness": {"sum_rule": "sum H_i != lambda term"}}
     return {"status": "pass", "pairs_checked": checked, "hamiltonians": len(hams)}
 
-
-# -- cdet convention comparison -------------------------------------------------
-
-
-def glN_convention_generators(inst: DualityInstance):
-    """Generators of the realized gl_N Gaudin algebra in the two cdet
-    conventions, cdet(Dz 1 - L) and cdet(Dz 1 + tL), for the span-equality
-    check."""
-    lax = inst.lax_glN("quantum", "dz")
-    transposed = [list(col) for col in zip(*lax.entries)]
-    return tuple(
-        _partial_fraction_generators(_cdet_side(entries, inst.div_lam, "dz"), inst.div_lam)
-        for entries in (_negated(lax), transposed)
-    )
-
-
-def weyl_same_span(a: list[WeylElement], b: list[WeylElement]) -> bool:
-    keys = sorted({k for w in a + b for k in w.terms})
-    if not keys:
-        return True
-
-    def vec(w):
-        return [w.terms.get(k, Q(0)) for k in keys]
-
-    def contains(family, w):
-        return solve_linear([vec(f) for f in family], vec(w)) is not None
-
-    return all(contains(b, w) for w in a) and all(contains(a, w) for w in b)

@@ -122,9 +122,6 @@ class GrassmannElement:
             raise InhomogeneousInput("element mixes even and odd parts")
         return parities.pop()
 
-    def is_even(self) -> bool:
-        return all(m.bit_count() % 2 == 0 for m in self.terms)
-
     def num_terms(self) -> int:
         return len(self.terms)
 

@@ -60,9 +60,3 @@ def in_span(candidate: MultiPoly, generators: list[MultiPoly]):
     vectors = poly_vectors(list(generators) + [candidate])
     return solve_linear(vectors[:-1], vectors[-1])
 
-
-def same_span(a: list[MultiPoly], b: list[MultiPoly]) -> bool:
-    """Mutual inclusion of rational spans of two polynomial families."""
-    return all(in_span(p, b) is not None for p in a) and all(
-        in_span(p, a) is not None for p in b
-    )

@@ -1,10 +1,12 @@
-"""Matrices over pluggable coefficient rings.
+"""Matrices over pluggable coefficient rings: det, cdet, the Manin check,
+Jordan blocks and block assembly.
 
 Entries are duck-typed ring elements (MultiPoly, WeylElement, even
 GrassmannElement, OrderedDiffOp, Fraction); the `ring` tag records which
 operations are legitimate.  Determinants are computed by straight
 permutation expansion: every matrix in the verification pipeline is small
-(at most 8 x 8), and expansion is exact with no division.
+(at most 8 x 8), and expansion is exact with no division.  The verifiers
+need no inverse of a matrix, so none is computed here.
 """
 
 from __future__ import annotations
@@ -12,16 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import (
-    BlockNotInvertible,
-    NonSquare,
-    NoncommutativeRing,
-    NotInvertible,
-    SingularBlock,
-)
-from .grassmann import GrassmannElement
-from .ratfunc import RatFunc, rational_roots
-from .weyl import OrderedDiffOp
+from .errors import NonSquare, NoncommutativeRing
 
 COMMUTATIVE_TAGS = {"commutative", "grassmann-even"}
 
@@ -56,16 +49,6 @@ class RingMatrix:
     def transpose(self) -> RingMatrix:
         return RingMatrix(
             [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)],
-            self.ring,
-        )
-
-    def tilde_transpose(self) -> RingMatrix:
-        """Transpose along the minor (anti-) diagonal."""
-        if not self.is_square():
-            raise NonSquare("minor-diagonal transpose needs a square matrix")
-        n = self.rows
-        return RingMatrix(
-            [[self.entries[n - 1 - c][n - 1 - r] for c in range(n)] for r in range(n)],
             self.ring,
         )
 
@@ -104,22 +87,6 @@ class RingMatrix:
                 row.append(acc)
             out.append(row)
         return RingMatrix(out, self.ring)
-
-    def swap_columns(self, c1: int, c2: int) -> RingMatrix:
-        out = [list(row) for row in self.entries]
-        for row in out:
-            row[c1], row[c2] = row[c2], row[c1]
-        return RingMatrix(out, self.ring)
-
-    def swap_rows(self, r1: int, r2: int) -> RingMatrix:
-        out = [list(row) for row in self.entries]
-        out[r1], out[r2] = out[r2], out[r1]
-        return RingMatrix(out, self.ring)
-
-    def submatrix(self, row_idx, col_idx) -> RingMatrix:
-        return RingMatrix(
-            [[self.entries[r][c] for c in col_idx] for r in row_idx], self.ring
-        )
 
 
 def block2x2(A: RingMatrix, B: RingMatrix, C: RingMatrix, D: RingMatrix) -> RingMatrix:
@@ -193,15 +160,6 @@ def manin_check(m: RingMatrix):
     return True, None
 
 
-def cdet_column_exchange_test(m: RingMatrix, c1: int, c2: int) -> bool:
-    """True iff cdet changes only by a sign under exchanging two columns."""
-    return cdet(m.swap_columns(c1, c2)) == cdet(m) * Fraction(-1)
-
-
-def cdet_row_exchange_test(m: RingMatrix, r1: int, r2: int) -> bool:
-    return cdet(m.swap_rows(r1, r2)) == cdet(m) * Fraction(-1)
-
-
 def jordan_block(k: int, x, one=Fraction(1)) -> RingMatrix:
     """k x k matrix with x along the diagonal and -1 just below it."""
     if k < 1:
@@ -212,23 +170,6 @@ def jordan_block(k: int, x, one=Fraction(1)) -> RingMatrix:
         entries[i][i] = x
         if i + 1 < k:
             entries[i + 1][i] = zero - one
-    return RingMatrix(entries, "commutative")
-
-
-def jordan_block_inverse(k: int, x: RatFunc) -> RingMatrix:
-    """Inverse of J_k(x): entry (i, j) is x^-(i-j+1) for i >= j, 0 above."""
-    if k < 1:
-        raise ValueError("Jordan block size must be positive")
-    if not x:
-        raise NotInvertible("Jordan block with x = 0 has no inverse")
-    xinv = x.invert()
-    powers = [None, xinv]
-    for _ in range(k - 1):
-        powers.append(powers[-1] * xinv)
-    zero = RatFunc.const(x.var, 0)
-    entries = [
-        [powers[i - j + 1] if i >= j else zero for j in range(k)] for i in range(k)
-    ]
     return RingMatrix(entries, "commutative")
 
 
@@ -247,121 +188,3 @@ def block_diag(blocks: list[RingMatrix], ring: str = "commutative") -> RingMatri
         r0 += b.rows
         c0 += b.cols
     return RingMatrix(entries, ring)
-
-
-def adjugate(m: RingMatrix) -> RingMatrix:
-    """Adjugate over a commutative ring: adj(m) * m = det(m) * 1."""
-    n = m.rows
-    if n == 1:
-        e = m.entries[0][0]
-        one = e - e + Fraction(1)
-        return RingMatrix([[one]], m.ring)
-    idx = list(range(n))
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = m.submatrix([r for r in idx if r != j], [c for c in idx if c != i])
-            cof = _perm_expansion(minor)
-            if (i + j) & 1:
-                cof = cof * Fraction(-1)
-            out[i][j] = cof
-    return RingMatrix(out, m.ring)
-
-
-def invert_scalar_poly_matrix(m: RingMatrix, var: str) -> RingMatrix:
-    """Inverse of a matrix of scalar polynomials (RatFunc values in `var`)
-    whose determinant splits over rational roots.
-
-    Returns a RingMatrix of RatFunc entries; raises BlockNotInvertible when
-    the determinant vanishes or has a non-rational root.
-    """
-    d = _perm_expansion(m)
-    if not d:
-        raise BlockNotInvertible("zero determinant")
-    if not d.is_polynomial():
-        raise BlockNotInvertible("determinant is not polynomial")
-    frac_num = {}
-    for k, c in d.num.items():
-        if isinstance(c, (int, Fraction)):
-            frac_num[k] = Fraction(c)
-        elif hasattr(c, "is_scalar") and c.is_scalar():
-            frac_num[k] = c.terms.get((), Fraction(0))
-        else:
-            raise BlockNotInvertible("determinant has non-scalar coefficients")
-    roots, rest = rational_roots(frac_num)
-    if {k for k, v in rest.items() if v and k > 0}:
-        raise BlockNotInvertible("determinant does not split over rational roots")
-    lead = rest.get(0, Fraction(1))
-    dinv = RatFunc(var, {0: Fraction(1) / lead}, roots)
-    adj = adjugate(m)
-    return adj.map(lambda e: e * dinv)
-
-
-def schur_cdet_factor(A: RingMatrix, B: RingMatrix, C: RingMatrix, D: RingMatrix,
-                      which: str):
-    """cdet factorization of the Manin block matrix [[A, B], [C, D]].
-
-    which = "top-left":      (cdet A, cdet(D - C A^-1 B))
-    which = "bottom-right":  (cdet D, cdet(A - B D^-1 C))
-
-    Blocks must carry OrderedDiffOp entries of a common side; the designated
-    block must be scalar (pure spectral) so its inverse can be taken by
-    adjugate over rational functions.
-    """
-    if which == "top-left":
-        block, P, Q, rest = A, C, B, D
-    elif which == "bottom-right":
-        block, P, Q, rest = D, B, C, A
-    else:
-        raise ValueError("which must be 'top-left' or 'bottom-right'")
-    sides = {e.side for blk in (A, B, C, D) for row in blk.entries for e in row}
-    if len(sides) != 1:
-        raise ValueError("blocks must share an ordering side")
-    side = sides.pop()
-    var = "dz" if side == "dz" else "z"
-
-    scalar_entries = []
-    for row in block.entries:
-        out_row = []
-        for e in row:
-            f = None
-            for power, rf in e.terms.items():
-                if power != 0:
-                    raise BlockNotInvertible("designated block is not scalar")
-                f = rf
-            out_row.append(f if f is not None else RatFunc.const(var, 0))
-        scalar_entries.append(out_row)
-    inv = invert_scalar_poly_matrix(RingMatrix(scalar_entries, "commutative"), var)
-    inv_ops = inv.map(lambda f: OrderedDiffOp(side, {0: f}))
-    schur = rest - P * inv_ops * Q
-    return cdet(block), cdet(schur)
-
-
-def berezinian_identity_check(Lam: RingMatrix, Pi: RingMatrix, Psi: RingMatrix,
-                              Z: RingMatrix) -> bool:
-    """Check det(Lam - Pi Z^-1 Psi) det(Z - Psi Lam^-1 Pi) = det Z det Lam.
-
-    Lam (M x M) and Z (N x N) are commutative-scalar blocks; Pi (M x N) and
-    Psi (N x M) carry odd Grassmann entries.  Denominators are cleared with
-    adjugates so the whole check runs on polynomial data:
-
-        det(Lam detZ - Pi adj(Z) Psi) det(Z detLam - Psi adj(Lam) Pi)
-            = (det Z)^(M+1) (det Lam)^(N+1).
-    """
-    det_z = _perm_expansion(Z)
-    det_l = _perm_expansion(Lam)
-    if not det_z or not det_l:
-        raise SingularBlock("Lam and Z must both be invertible")
-
-    def lift(e):
-        return e if isinstance(e, GrassmannElement) else GrassmannElement({0: e})
-
-    adj_z = adjugate(Z).map(lift)
-    adj_l = adjugate(Lam).map(lift)
-    lam_g = Lam.map(lambda e: lift(e * det_z))
-    z_g = Z.map(lambda e: lift(e * det_l))
-    M, N = Lam.rows, Z.rows
-    left = _perm_expansion(lam_g - Pi * adj_z * Psi)
-    right = _perm_expansion(z_g - Psi * adj_l * Pi)
-    expected = GrassmannElement({0: det_z ** (M + 1) * det_l ** (N + 1)})
-    return left * right == expected

@@ -337,9 +337,6 @@ class MultiPoly:
         s = self._shift(name)
         return max((e >> s) & FIELD for e in self.terms)
 
-    def total_degree(self) -> int:
-        return max((sum(self.unpack(e)) for e in self.terms), default=0)
-
     def num_terms(self) -> int:
         return len(self.terms)
 
@@ -382,9 +379,6 @@ class MultiPoly:
             key = tuple(0 if s is None else (e >> s) & FIELD for s in shifts)
             out.setdefault(key, {})[e] = c
         return {k: MultiPoly(rest_vars, _repack(out[k], moves)).compact() for k in sorted(out)}
-
-    def coefficient(self, names: tuple[str, ...], exps: tuple[int, ...]) -> MultiPoly:
-        return self.split_by(names).get(exps, MultiPoly.zero())
 
     def divide_linear(self, name: str, root) -> MultiPoly:
         """Exact division by (name - root); raises if the remainder is nonzero."""

@@ -12,6 +12,7 @@ usable for ordered differential-operator coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotInvertible, ResidualPole, UnlistedPole, ZeroInverse
 
@@ -106,9 +107,7 @@ def rational_roots(a: Poly) -> tuple[dict[Fraction, int], Poly]:
             a = {k - 1: c for k, c in a.items()}
             roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
             continue
-        scale = 1
-        for c in a.values():
-            scale = scale * c.denominator // _gcd(scale, c.denominator)
+        scale = lcm(*(c.denominator for c in a.values()))
         ints = {k: int(c * scale) for k, c in a.items()}
         lead, tail = ints[max(ints)], ints[min(ints)]
         found = None
@@ -127,12 +126,6 @@ def rational_roots(a: Poly) -> tuple[dict[Fraction, int], Poly]:
         a = poly_divide_linear(a, found)
         roots[found] = roots.get(found, 0) + 1
     return roots, a
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int):
@@ -281,16 +274,6 @@ class RatFunc:
         num = poly_scale(expand_factors(self.den), Fraction(1) / lead)
         return RatFunc(self.var, num, roots)
 
-    def evaluate(self, point: Fraction):
-        for r, m in self.den.items():
-            if r == point and m > 0:
-                raise ZeroDivisionError(f"evaluation at the pole {point}")
-        value = poly_eval(self.num, point)
-        scale = Fraction(1)
-        for r, m in self.den.items():
-            scale /= (point - r) ** m
-        return value * scale
-
     def to_poly(self) -> Poly:
         """Numerator as a plain polynomial; raises ResidualPole otherwise."""
         if self.den:
@@ -340,9 +323,3 @@ def partial_fractions(f: RatFunc, poles: list[tuple[Fraction, int]]):
             den[root] = m - 1
     return num, pieces
 
-
-def reassemble(var: str, poly_part: Poly, pieces: dict) -> RatFunc:
-    out = RatFunc(var, poly_part)
-    for (point, order), coeff in pieces.items():
-        out = out + RatFunc(var, {0: coeff}, {point: order})
-    return out

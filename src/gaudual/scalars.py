@@ -24,13 +24,6 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def rat_str(value: Fraction) -> str:
-    """Serialize a Fraction as ``"p"`` or ``"p/q"`` (exactness survives)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def normalized(terms: dict) -> dict:
     """Drop zero coefficients and store integral Fractions as ints; other
     coefficients (ints, MultiPolys) are kept as they are."""

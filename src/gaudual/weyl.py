@@ -41,7 +41,6 @@ from itertools import product
 from math import comb, perm
 
 from .errors import ResidualPole
-from .multipoly import MultiPoly
 from .ratfunc import RatFunc
 from .scalars import normalized
 
@@ -208,44 +207,6 @@ class WeylElement:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def is_scalar(self) -> bool:
-        return all(k == () for k in self.terms)
-
-    # -- views ------------------------------------------------------------
-
-    def split_z(self) -> dict[tuple[int, int], WeylElement]:
-        """Group terms by (z-exponent, Dz-exponent)."""
-        out: dict[tuple[int, int], dict] = {}
-        for key, c in self.terms.items():
-            zx = zd = 0
-            rest = []
-            for p, x, d in key:
-                if p == Z_PAIR:
-                    zx, zd = x, d
-                else:
-                    rest.append((p, x, d))
-            out.setdefault((zx, zd), {})[tuple(rest)] = c
-        return {k: WeylElement(t) for k, t in out.items()}
-
-    def classical_limit(self, z_name: str = "z", dz_name: str = "lam") -> MultiPoly:
-        """Forget ordering: x^a_i -> x, d^a_i -> p, z -> z, Dz -> dz_name."""
-        out = MultiPoly.zero()
-        for key, c in self.terms.items():
-            term = MultiPoly.const(c)
-            for p, x, d in key:
-                if p == Z_PAIR:
-                    if x:
-                        term = term * MultiPoly.var(z_name, x)
-                    if d:
-                        term = term * MultiPoly.var(dz_name, d)
-                else:
-                    if x:
-                        term = term * MultiPoly.var(f"x{p}", x)
-                    if d:
-                        term = term * MultiPoly.var(f"p{p}", d)
-            out = out + term
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -282,30 +243,6 @@ def weyl_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(terms)
 
 
-def from_multipoly(p: MultiPoly) -> WeylElement:
-    """Embed a commutative polynomial in x/p variables, p{a}_{i} -> d{a}_{i}."""
-    out = WeylElement.zero()
-    for mono, c in p.terms.items():
-        acc: dict[str, list[int]] = {}
-        for name, e in zip(p.vars, p.unpack(mono)):
-            if not e:
-                continue
-            if name == "z":
-                acc.setdefault(Z_PAIR, [0, 0])[0] += e
-            elif name == "lam":
-                acc.setdefault(Z_PAIR, [0, 0])[1] += e
-            else:
-                fam, pair = name[0], name[1:]
-                slot = 0 if fam == "x" else 1
-                acc.setdefault(pair, [0, 0])[slot] += e
-        key = tuple(
-            (p_, x, d)
-            for p_, (x, d) in sorted(acc.items(), key=lambda kv: pair_sort_key(kv[0]))
-        )
-        out = out + WeylElement.monomial(key, c)
-    return out
-
-
 class OrderedDiffOp:
     """One-sidedly ordered differential operator in the spectral pair.
 
@@ -323,10 +260,6 @@ class OrderedDiffOp:
             raise ValueError("side must be 'z' or 'dz'")
         self.side = side
         self.terms = {k: f for k, f in terms.items() if f}
-
-    @staticmethod
-    def from_ratfunc(side: str, f: RatFunc, power: int = 0) -> OrderedDiffOp:
-        return OrderedDiffOp(side, {power: f})
 
     @staticmethod
     def zero(side: str) -> OrderedDiffOp:
@@ -421,22 +354,3 @@ class OrderedDiffOp:
         op = "Dz" if self.side == "z" else "z"
         return " + ".join(f"[{f!r}]*{op}^{k}" for k, f in sorted(self.terms.items())) or "0"
 
-
-def weyl_to_ordered(w: WeylElement, side: str, var: str) -> OrderedDiffOp:
-    """View a polynomial WeylElement as a one-sidedly ordered operator."""
-    terms: dict[int, RatFunc] = {}
-
-    def put(power: int, degree: int, coeff: WeylElement):
-        f = terms.get(power, RatFunc.const(var, 0))
-        terms[power] = f + RatFunc(var, {degree: coeff})
-
-    for (zx, zd), coeff in w.split_z().items():
-        if side == "z":
-            put(zd, zx, coeff)
-        else:
-            # W z^j Dz^k with every z moved right:
-            # z^j Dz^k = sum_t (-1)^t t! C(j,t) C(k,t) Dz^(k-t) z^(j-t)
-            for t in range(min(zx, zd) + 1):
-                c = (-1) ** t * perm(zx, t) * comb(zd, t)
-                put(zx - t, zd - t, coeff * c)
-    return OrderedDiffOp(side, terms)

@@ -1,13 +1,18 @@
-"""Seeded random generators shared by the property tests."""
+"""Seeded random generators shared by the property tests, and the
+oracles and conversions that more than one test module uses."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from functools import cache
+from math import comb, perm
 
+from gaudual.errors import NotInvertible
+from gaudual.matrices import RingMatrix
 from gaudual.multipoly import MultiPoly
-from gaudual.weyl import WeylElement
+from gaudual.ratfunc import Poly, RatFunc
+from gaudual.weyl import Z_PAIR, OrderedDiffOp, WeylElement
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 
 
@@ -82,3 +87,84 @@ def leibniz_bracket(mn: int, u: int, v: int) -> GrassmannElement:
         return left + right * (-1 if nu & 1 else 1)  # (-1)^{|u||g|}, |g| = 1
     # v is a single generator, u is composite: graded skew-symmetry
     return leibniz_bracket(mn, v, u) * (1 if nu & 1 else -1)  # -(-1)^{|u||v|}
+
+
+def jordan_block_inverse(k: int, x: RatFunc) -> RingMatrix:
+    """Inverse of J_k(x): entry (i, j) is x^-(i-j+1) for i >= j, 0 above."""
+    if k < 1:
+        raise ValueError("Jordan block size must be positive")
+    if not x:
+        raise NotInvertible("Jordan block with x = 0 has no inverse")
+    xinv = x.invert()
+    powers = [None, xinv]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * xinv)
+    zero = RatFunc.const(x.var, 0)
+    entries = [
+        [powers[i - j + 1] if i >= j else zero for j in range(k)] for i in range(k)
+    ]
+    return RingMatrix(entries, "commutative")
+
+
+def reassemble(var: str, poly_part: Poly, pieces: dict) -> RatFunc:
+    """Inverse of ``partial_fractions``: the polynomial part plus every
+    coeff/(X-point)^order piece."""
+    out = RatFunc(var, poly_part)
+    for (point, order), coeff in pieces.items():
+        out = out + RatFunc(var, {0: coeff}, {point: order})
+    return out
+
+
+def split_z(w: WeylElement) -> dict[tuple[int, int], WeylElement]:
+    """Group the terms of w by (z-exponent, Dz-exponent)."""
+    out: dict[tuple[int, int], dict] = {}
+    for key, c in w.terms.items():
+        zx = zd = 0
+        rest = []
+        for p, x, d in key:
+            if p == Z_PAIR:
+                zx, zd = x, d
+            else:
+                rest.append((p, x, d))
+        out.setdefault((zx, zd), {})[tuple(rest)] = c
+    return {k: WeylElement(t) for k, t in out.items()}
+
+
+def weyl_to_ordered(w: WeylElement, side: str, var: str) -> OrderedDiffOp:
+    """View a polynomial WeylElement as a one-sidedly ordered operator."""
+    terms: dict[int, RatFunc] = {}
+
+    def put(power: int, degree: int, coeff: WeylElement):
+        f = terms.get(power, RatFunc.const(var, 0))
+        terms[power] = f + RatFunc(var, {degree: coeff})
+
+    for (zx, zd), coeff in split_z(w).items():
+        if side == "z":
+            put(zd, zx, coeff)
+        else:
+            # W z^j Dz^k with every z moved right:
+            # z^j Dz^k = sum_t (-1)^t t! C(j,t) C(k,t) Dz^(k-t) z^(j-t)
+            for t in range(min(zx, zd) + 1):
+                c = (-1) ** t * perm(zx, t) * comb(zd, t)
+                put(zx - t, zd - t, coeff * c)
+    return OrderedDiffOp(side, terms)
+
+
+def classical_limit(w: WeylElement, z_name: str = "z", dz_name: str = "lam") -> MultiPoly:
+    """Forget ordering: x^a_i -> x, d^a_i -> p, z -> z, Dz -> dz_name."""
+    out = MultiPoly.zero()
+    for key, c in w.terms.items():
+        term = MultiPoly.const(c)
+        for p, x, d in key:
+            if p == Z_PAIR:
+                if x:
+                    term = term * MultiPoly.var(z_name, x)
+                if d:
+                    term = term * MultiPoly.var(dz_name, d)
+            else:
+                if x:
+                    term = term * MultiPoly.var(f"x{p}", x)
+                if d:
+                    term = term * MultiPoly.var(f"p{p}", d)
+        out = out + term
+    return out

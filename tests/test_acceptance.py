@@ -8,7 +8,7 @@ the per-criterion lines.
 import time
 from fractions import Fraction
 
-from gaudual.matrices import cdet, det, jordan_block, jordan_block_inverse, manin_check
+from gaudual.matrices import cdet, det, jordan_block, manin_check
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
 from gaudual.presets import (
@@ -23,11 +23,12 @@ from gaudual.presets import (
     neumann_instances,
     quantum_grid,
 )
-from gaudual.ratfunc import RatFunc, partial_fractions, reassemble
+from gaudual.ratfunc import RatFunc, partial_fractions
 from gaudual.runner import run_instance
 from gaudual.grassmann import GrassmannAlgebra
 from gaudual.weyl import WeylElement, weyl_commutator
-from helpers import rng, random_fraction, random_grassmann, random_poly, random_weyl
+from helpers import (jordan_block_inverse, reassemble, rng, random_fraction, random_grassmann,
+                     random_poly, random_weyl)
 from test_matrices import frac_matrix, random_manin
 from gaudual.matrices import RingMatrix
 

@@ -162,6 +162,21 @@ def test_preset_neumann_with_size_override():
     assert report["duality"]["common_polynomial_terms"] > 0
 
 
+@pytest.mark.parametrize("args", [
+    ["--preset", "neumann", "--M", "4"],
+    ["--preset", "neumann", "--M", "-1"],
+    ["--preset", "neumann", "--M", "0"],
+    ["--preset", "lax-algebra", "--M", "2"],
+    ["SPEC", "--M", "2"],
+], ids=["neumann-4", "neumann-minus-1", "neumann-0", "other-preset", "spec-file"])
+def test_cli_exit_2_on_m_without_a_neumann_size(tmp_path, capsys, args):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"kind": "neumann", "M": 2, "omega": ["1", "2"]}]))
+    argv = ["verify", *(str(spec) if a == "SPEC" else a for a in args)]
+    assert cli.main(argv) == 2
+    assert "--M needs --preset neumann and one of the sizes [2, 3]" in capsys.readouterr().err
+
+
 def test_every_paper_core_instance_validates():
     for spec in paper_core():
         validate_instance(spec)

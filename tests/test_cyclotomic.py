@@ -6,15 +6,13 @@ from gaudual.cyclotomic import (
     CycloDivisor,
     CycloInstance,
     _cyclo_z_matrix,
-    diagram_automorphism,
+    _sp_r_matrix,
+    _swap_legs,
     extract_cyclotomic_generators,
-    gl_bracket,
     lax_algebra_check,
     neumann_artifacts,
-    projector,
     quantum_cyclotomic_candidate,
     reduce_origin,
-    sp_r_matrix_skew_symmetric,
     sphere_constraint_is_angular_invariant,
     verify_cyclotomic_duality,
     verify_cyclotomic_homomorphisms,
@@ -36,6 +34,35 @@ def inst_of(M, tau0, pts, lams, mu):
 
 
 # -- diagram automorphism -----------------------------------------------------
+# elements of gl_M are maps (a, b) -> coefficient
+
+
+def diagram_automorphism(x: dict) -> dict:
+    """sigma(E_ab) = -E_ba, extended linearly."""
+    out: dict = {}
+    for (a, b), c in x.items():
+        out[(b, a)] = out.get((b, a), 0) - c
+    return {k: c for k, c in out.items() if c}
+
+
+def projector(r: int, a: int, b: int) -> dict:
+    """Pi_(r) E_ab = E_ab - (-1)^r E_ba."""
+    sign = Q(-1) if r % 2 == 0 else Q(1)
+    out = {(a, b): Q(1)}
+    out[(b, a)] = out.get((b, a), Q(0)) + sign
+    return {k: c for k, c in out.items() if c}
+
+
+def gl_bracket(x: dict, y: dict) -> dict:
+    """[E_ab, E_cd] = delta_bc E_ad - delta_ad E_cb, extended bilinearly."""
+    out: dict = {}
+    for (a, b), c1 in x.items():
+        for (c, d), c2 in y.items():
+            if b == c:
+                out[(a, d)] = out.get((a, d), 0) + c1 * c2
+            if a == d:
+                out[(c, b)] = out.get((c, b), 0) - c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 def test_sigma_definition_and_involution():
@@ -326,6 +353,18 @@ def test_lax_algebra_cyclotomic():
 def test_lax_algebra_sp2n():
     inst = inst_of(1, 1, [], ["5"], Q(-1))
     assert lax_algebra_check(inst, "sp2N")["status"] == "pass"
+
+
+def sp_r_matrix_skew_symmetric(inst: CycloInstance) -> bool:
+    """rbar12(u,v) = -rbar21(v,u)."""
+    r12 = _sp_r_matrix(inst, "lam", "w")
+    r21_swapped = _swap_legs(_sp_r_matrix(inst, "w", "lam"), 2 * inst.N)
+    n2 = (2 * inst.N) ** 2
+    for i in range(n2):
+        for j in range(n2):
+            if r12[i][j] + r21_swapped[i][j]:
+                return False
+    return True
 
 
 def test_sp_r_matrix_skew():

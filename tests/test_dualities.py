@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from gaudual import gaudin
+from gaudual import gaudin, presets
 from gaudual.errors import DivisorMismatch, ResidualPole
 from gaudual.gaudin import (
     Divisor,
     DualityInstance,
+    _classical_spectral_poly,
     _divide_out,
     _spectral_dets,
     quantum_block_matrix,
-    quantum_classical_limits_agree,
     quantum_operator_sides,
     verify_classical_bosonic_duality,
     verify_classical_fermionic_duality,
@@ -19,6 +19,7 @@ from gaudual.gaudin import (
 from gaudual.matrices import manin_check
 from gaudual.multipoly import MultiPoly
 from gaudual.weyl import WeylElement
+from helpers import classical_limit
 
 Q = Fraction
 V = MultiPoly.var
@@ -136,6 +137,16 @@ def test_quantum_block_matrix_layout_at_tau_2():
     assert m.entries == expected
 
 
+def quantum_classical_limits_agree(inst: DualityInstance) -> bool:
+    """The naive classical limit (derivatives to momenta, ordering dropped)
+    of each quantum side reproduces the classical bosonic polynomial."""
+    left, right = quantum_operator_sides(inst)
+    lhs_cl = _classical_spectral_poly(inst)
+    return classical_limit(left.to_polynomial()) == lhs_cl and (
+        classical_limit(right.to_polynomial()) == lhs_cl
+    )
+
+
 @pytest.mark.parametrize(
     "M,N,dz,dl",
     [
@@ -212,3 +223,54 @@ def test_classical_duality_fails_with_one_divide_out_copy_dropped(monkeypatch):
     report = verify_classical_bosonic_duality(inst)
     assert report["status"] == "fail"
     assert report["witness"] == {"monomial": {"z": 1}, "difference": "-70"}
+
+
+def _dz_side_mutated(monkeypatch, mutate):
+    """Build the dz side of the quantum duality from mutate(entries, divisor)."""
+    cdet_side = gaudin._cdet_side
+
+    def mutated(entries, divisor, var):
+        if var == "dz":
+            entries, divisor = mutate(entries, divisor)
+        return cdet_side(entries, divisor, var)
+
+    monkeypatch.setattr(gaudin, "_cdet_side", mutated)
+
+
+def _one_prefactor_dropped(entries, divisor):
+    """prod (Dz - lam_a)^tau~_a with one copy of the first factor left out."""
+    (loc, tau), *rest = divisor.points
+    return entries, Divisor((((loc, tau - 1),) if tau > 1 else ()) + tuple(rest))
+
+
+def _entries_transposed(entries, divisor):
+    """cdet(z 1 - L) in place of cdet(z 1 - tL)."""
+    return [list(col) for col in zip(*entries)], divisor
+
+
+def _quantum_cases(sizes=None):
+    return [pytest.param(spec, id=f"M{spec['M']}N{spec['N']}-{k}")
+            for k, spec in enumerate(presets.quantum_grid())
+            if sizes is None or (spec["M"], spec["N"]) in sizes]
+
+
+@pytest.mark.parametrize("spec", _quantum_cases())
+def test_quantum_duality_fails_with_one_prefactor_dropped(monkeypatch, spec):
+    inst = make(spec["M"], spec["N"], spec["divisor"], spec["dual_divisor"])
+    assert verify_quantum_duality(inst)["status"] == "pass"
+    _dz_side_mutated(monkeypatch, _one_prefactor_dropped)
+    report = verify_quantum_duality(inst)
+    assert report["status"] == "fail"
+    assert report["witness"]
+
+
+# only where N = 2: at N = 1 the dz-side matrix is 1 x 1 and the transpose
+# changes nothing
+@pytest.mark.parametrize("spec", _quantum_cases({(1, 2), (2, 2)}))
+def test_quantum_duality_fails_with_dz_side_entries_transposed(monkeypatch, spec):
+    inst = make(spec["M"], spec["N"], spec["divisor"], spec["dual_divisor"])
+    assert verify_quantum_duality(inst)["status"] == "pass"
+    _dz_side_mutated(monkeypatch, _entries_transposed)
+    report = verify_quantum_duality(inst)
+    assert report["status"] == "fail"
+    assert report["witness"]

@@ -6,13 +6,15 @@ from gaudual.errors import RequiresRegularDivisor
 from gaudual.gaudin import (
     Divisor,
     DualityInstance,
+    _cdet_side,
+    _negated,
+    _partial_fraction_generators,
     build_quadratic_hamiltonians,
     check_commutativity,
     extract_gaudin_generators,
-    glN_convention_generators,
     hamiltonians_in_commutant,
-    weyl_same_span,
 )
+from gaudual.linalg import solve_linear
 from gaudual.multipoly import MultiPoly
 from gaudual.weyl import WeylElement, weyl_commutator
 
@@ -114,6 +116,33 @@ def test_hamiltonians_need_regular_divisor():
 
 
 # -- the two cdet conventions generate the same algebra ------------------------
+
+
+def glN_convention_generators(inst: DualityInstance):
+    """Generators of the realized gl_N Gaudin algebra in the two cdet
+    conventions, cdet(Dz 1 - L) and cdet(Dz 1 + tL), for the span-equality
+    check."""
+    lax = inst.lax_glN("quantum", "dz")
+    transposed = [list(col) for col in zip(*lax.entries)]
+    return tuple(
+        _partial_fraction_generators(_cdet_side(entries, inst.div_lam, "dz"), inst.div_lam)
+        for entries in (_negated(lax), transposed)
+    )
+
+
+def weyl_same_span(a: list[WeylElement], b: list[WeylElement]) -> bool:
+    """Mutual inclusion of the rational spans of two Weyl families."""
+    keys = sorted({k for w in a + b for k in w.terms})
+    if not keys:
+        return True
+
+    def vec(w):
+        return [w.terms.get(k, Q(0)) for k in keys]
+
+    def contains(family, w):
+        return solve_linear([vec(f) for f in family], vec(w)) is not None
+
+    return all(contains(b, w) for w in a) and all(contains(a, w) for w in b)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,47 @@
+"""Every top-level function of the package is reached from the package
+itself: a function that only tests call belongs in the tests."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gaudual"
+
+NOT_REACHED = {
+    # proves the README claim that the quadratic Hamiltonians lie in the
+    # commutant; no spec reaches it yet (ROADMAP item 4)
+    "hamiltonians_in_commutant",
+    # public entry point, and bench/tracer.py wraps matrices.det by name
+    "det",
+}
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is used in tree, as a name or an attribute."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def unreferenced_functions() -> list[str]:
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            # a recursive call inside the function's own body does not count
+            outside = used[node.name] - _references(node)[node.name]
+            if not outside and node.name not in NOT_REACHED:
+                unused.append(f"{name}:{node.name}")
+    return unused
+
+
+def test_every_top_level_function_is_referenced_in_the_package():
+    assert unreferenced_functions() == []

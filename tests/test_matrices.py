@@ -2,26 +2,28 @@ from fractions import Fraction
 
 import pytest
 
-from gaudual.errors import NonSquare, NoncommutativeRing, NotInvertible
+from gaudual.errors import (
+    BlockNotInvertible,
+    NonSquare,
+    NoncommutativeRing,
+    NotInvertible,
+    SingularBlock,
+)
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 from gaudual.matrices import (
     RingMatrix,
-    berezinian_identity_check,
+    _perm_expansion,
     block2x2,
     block_diag,
     cdet,
-    cdet_column_exchange_test,
-    cdet_row_exchange_test,
     det,
     jordan_block,
-    jordan_block_inverse,
     manin_check,
-    schur_cdet_factor,
 )
 from gaudual.multipoly import MultiPoly
-from gaudual.ratfunc import RatFunc
-from gaudual.weyl import OrderedDiffOp, WeylElement, weyl_to_ordered
-from helpers import rng, random_fraction
+from gaudual.ratfunc import RatFunc, rational_roots
+from gaudual.weyl import OrderedDiffOp, WeylElement
+from helpers import jordan_block_inverse, rng, random_fraction, weyl_to_ordered
 
 Q = Fraction
 X = WeylElement.x
@@ -125,7 +127,7 @@ def random_manin(r, max_size=4):
     k = min(max_size, r.randint(2, n))
     ridx = sorted(r.sample(range(n), k))
     cidx = sorted(r.sample(range(n), k))
-    return m.submatrix(ridx, cidx)
+    return RingMatrix([[m.entries[i][j] for j in cidx] for i in ridx], m.ring)
 
 
 def test_duality_block_is_manin():
@@ -154,14 +156,17 @@ def test_row_exchange_always_flips_sign():
     r = rng(43)
     for _ in range(10):
         m = random_manin(r)
-        assert cdet_row_exchange_test(m, 0, m.rows - 1)
+        rows = m.entries
+        swapped = RingMatrix([rows[-1], *rows[1:-1], rows[0]], m.ring)
+        assert cdet(swapped) == cdet(m) * Fraction(-1)
 
 
 def test_column_exchange_flips_sign_for_manin():
     r = rng(44)
     for _ in range(10):
         m = random_manin(r)
-        assert cdet_column_exchange_test(m, 0, m.cols - 1)
+        swapped = RingMatrix([[row[-1], *row[1:-1], row[0]] for row in m.entries], m.ring)
+        assert cdet(swapped) == cdet(m) * Fraction(-1)
 
 
 def test_column_exchange_can_fail_off_manin():
@@ -171,12 +176,12 @@ def test_column_exchange_can_fail_off_manin():
         [[D(1, 1), WeylElement.zero()], [WeylElement.zero(), X(1, 1)]], "weyl"
     )
     assert not manin_check(m)[0]
-    assert not cdet_column_exchange_test(m, 0, 1)
+    assert cdet(RingMatrix([row[::-1] for row in m.entries], "weyl")) != cdet(m) * Fraction(-1)
     # the spec's [[d, x], [x, d]] example is non-Manin but happens to keep
     # the sign symmetry; record both outcomes
     m2 = RingMatrix([[D(1, 1), X(1, 1)], [X(1, 1), D(1, 1)]], "weyl")
     assert not manin_check(m2)[0]
-    assert cdet_column_exchange_test(m2, 0, 1)
+    assert cdet(RingMatrix([row[::-1] for row in m2.entries], "weyl")) == cdet(m2) * Fraction(-1)
 
 
 def test_x_block_proposition_random():
@@ -233,16 +238,98 @@ def test_jordan_inverse_rejects_zero():
         jordan_block_inverse(2, RatFunc.const("x", 0))
 
 
-def test_tilde_transpose():
-    m = frac_matrix([[1, 2], [3, 4]])
-    t = m.tilde_transpose()
-    # transpose along the minor diagonal: entry (i,j) <- (n-1-j, n-1-i)
-    assert t.entries == [[Q(4), Q(2)], [Q(3), Q(1)]]
-    # involution
-    assert t.tilde_transpose().entries == m.entries
-
-
 # -- Schur complement factorizations ----------------------------------------
+
+
+def adjugate(m: RingMatrix) -> RingMatrix:
+    """Adjugate over a commutative ring: adj(m) * m = det(m) * 1."""
+    n = m.rows
+    if n == 1:
+        e = m.entries[0][0]
+        one = e - e + Fraction(1)
+        return RingMatrix([[one]], m.ring)
+    idx = list(range(n))
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = RingMatrix(
+                [[m.entries[r][c] for c in idx if c != i] for r in idx if r != j], m.ring
+            )
+            cof = _perm_expansion(minor)
+            if (i + j) & 1:
+                cof = cof * Fraction(-1)
+            out[i][j] = cof
+    return RingMatrix(out, m.ring)
+
+
+def invert_scalar_poly_matrix(m: RingMatrix, var: str) -> RingMatrix:
+    """Inverse of a matrix of scalar polynomials (RatFunc values in `var`)
+    whose determinant splits over rational roots.
+
+    Returns a RingMatrix of RatFunc entries; raises BlockNotInvertible when
+    the determinant vanishes or has a non-rational root.
+    """
+    d = _perm_expansion(m)
+    if not d:
+        raise BlockNotInvertible("zero determinant")
+    if not d.is_polynomial():
+        raise BlockNotInvertible("determinant is not polynomial")
+    frac_num = {}
+    for k, c in d.num.items():
+        if isinstance(c, (int, Fraction)):
+            frac_num[k] = Fraction(c)
+        elif isinstance(c, WeylElement) and all(key == () for key in c.terms):
+            frac_num[k] = c.terms.get((), Fraction(0))
+        else:
+            raise BlockNotInvertible("determinant has non-scalar coefficients")
+    roots, rest = rational_roots(frac_num)
+    if {k for k, v in rest.items() if v and k > 0}:
+        raise BlockNotInvertible("determinant does not split over rational roots")
+    lead = rest.get(0, Fraction(1))
+    dinv = RatFunc(var, {0: Fraction(1) / lead}, roots)
+    adj = adjugate(m)
+    return adj.map(lambda e: e * dinv)
+
+
+def schur_cdet_factor(A: RingMatrix, B: RingMatrix, C: RingMatrix, D: RingMatrix,
+                      which: str):
+    """cdet factorization of the Manin block matrix [[A, B], [C, D]].
+
+    which = "top-left":      (cdet A, cdet(D - C A^-1 B))
+    which = "bottom-right":  (cdet D, cdet(A - B D^-1 C))
+
+    Blocks must carry OrderedDiffOp entries of a common side; the designated
+    block must be scalar (pure spectral) so its inverse can be taken by
+    adjugate over rational functions.
+    """
+    if which == "top-left":
+        block, P, Q, rest = A, C, B, D
+    elif which == "bottom-right":
+        block, P, Q, rest = D, B, C, A
+    else:
+        raise ValueError("which must be 'top-left' or 'bottom-right'")
+    sides = {e.side for blk in (A, B, C, D) for row in blk.entries for e in row}
+    if len(sides) != 1:
+        raise ValueError("blocks must share an ordering side")
+    side = sides.pop()
+    var = "dz" if side == "dz" else "z"
+
+    scalar_entries = []
+    for row in block.entries:
+        out_row = []
+        for e in row:
+            f = None
+            for power, rf in e.terms.items():
+                if power != 0:
+                    raise BlockNotInvertible("designated block is not scalar")
+                f = rf
+            out_row.append(f if f is not None else RatFunc.const(var, 0))
+        scalar_entries.append(out_row)
+    inv = invert_scalar_poly_matrix(RingMatrix(scalar_entries, "commutative"), var)
+    inv_ops = inv.map(lambda f: OrderedDiffOp(side, {0: f}))
+    schur = rest - P * inv_ops * Q
+    return cdet(block), cdet(schur)
+
 
 
 def lift_block(m, side, var):
@@ -305,6 +392,37 @@ def test_corrected_two_by_two_remark():
 # -- Berezinian -------------------------------------------------------------
 
 
+def berezinian_identity_check(Lam: RingMatrix, Pi: RingMatrix, Psi: RingMatrix,
+                              Z: RingMatrix) -> bool:
+    """Check det(Lam - Pi Z^-1 Psi) det(Z - Psi Lam^-1 Pi) = det Z det Lam.
+
+    Lam (M x M) and Z (N x N) are commutative-scalar blocks; Pi (M x N) and
+    Psi (N x M) carry odd Grassmann entries.  Denominators are cleared with
+    adjugates so the whole check runs on polynomial data:
+
+        det(Lam detZ - Pi adj(Z) Psi) det(Z detLam - Psi adj(Lam) Pi)
+            = (det Z)^(M+1) (det Lam)^(N+1).
+    """
+    det_z = _perm_expansion(Z)
+    det_l = _perm_expansion(Lam)
+    if not det_z or not det_l:
+        raise SingularBlock("Lam and Z must both be invertible")
+
+    def lift(e):
+        return e if isinstance(e, GrassmannElement) else GrassmannElement({0: e})
+
+    adj_z = adjugate(Z).map(lift)
+    adj_l = adjugate(Lam).map(lift)
+    lam_g = Lam.map(lambda e: lift(e * det_z))
+    z_g = Z.map(lambda e: lift(e * det_l))
+    M, N = Lam.rows, Z.rows
+    left = _perm_expansion(lam_g - Pi * adj_z * Psi)
+    right = _perm_expansion(z_g - Psi * adj_l * Pi)
+    expected = GrassmannElement({0: det_z ** (M + 1) * det_l ** (N + 1)})
+    return left * right == expected
+
+
+
 def test_berezinian_trivial_without_fermions():
     lam = MultiPoly.var("lam")
     z = MultiPoly.var("z")
@@ -353,8 +471,6 @@ def test_cdet_non_square_raises():
 
 
 def test_berezinian_singular_block_raises():
-    from gaudual.errors import SingularBlock
-
     zero_block = RingMatrix([[MultiPoly.zero()]], "commutative")
     z = RingMatrix([[MultiPoly.var("z")]], "commutative")
     pi = RingMatrix([[GrassmannElement.zero()]], "grassmann-even")
@@ -363,8 +479,6 @@ def test_berezinian_singular_block_raises():
 
 
 def test_schur_block_not_invertible():
-    from gaudual.errors import BlockNotInvertible
-
     # designated block contains a Weyl generator: not a scalar polynomial
     bad = RingMatrix([[weyl_to_ordered(X(1, 1), "z", "z")]], "ordered-diffop")
     zed = RingMatrix([[weyl_to_ordered(WeylElement.z(), "z", "z")]], "ordered-diffop")

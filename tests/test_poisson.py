@@ -1,6 +1,11 @@
+import re
+from fractions import Fraction
+
 from gaudual.multipoly import MultiPoly
-from gaudual.poisson import poisson_bracket, poisson_bracket_leibniz
+from gaudual.poisson import poisson_bracket
 from helpers import rng, random_poly
+
+_P_RE = re.compile(r"^p(\d+)_(\d+)$")
 
 x11 = MultiPoly.var("x1_1")
 p11 = MultiPoly.var("p1_1")
@@ -41,6 +46,63 @@ def test_jacobi_random():
             + poisson_bracket(c, poisson_bracket(a, b))
         )
         assert jac == 0
+
+
+def _monomial(vars, exps) -> MultiPoly:
+    out = MultiPoly.const(1)
+    for v, e in zip(vars, exps):
+        if e:
+            out = out * MultiPoly.var(v, e)
+    return out
+
+
+def _generator_bracket(u: str, v: str) -> Fraction:
+    mu, mv = _P_RE.match(u), _P_RE.match(v)
+    if mu and v == f"x{mu.group(1)}_{mu.group(2)}":
+        return Fraction(1)
+    if mv and u == f"x{mv.group(1)}_{mv.group(2)}":
+        return Fraction(-1)
+    return Fraction(0)
+
+
+def poisson_bracket_leibniz(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Independent oracle: bilinear + Leibniz recursion from the generator
+    bracket, never touching derivatives."""
+
+    def mono_bracket(vars_f, ef, vars_g, eg) -> MultiPoly:
+        # peel one variable off the first monomial
+        first = next((k for k, e in enumerate(ef) if e), None)
+        if first is None:
+            return MultiPoly.zero()
+        u = vars_f[first]
+        rest = list(ef)
+        rest[first] -= 1
+        rest_mono = _monomial(vars_f, rest)
+        u_poly = MultiPoly.var(u)
+        # {u*rest, G} = u*{rest, G} + {u, G}*rest
+        out = u_poly * mono_bracket(vars_f, tuple(rest), vars_g, eg)
+        out = out + single_bracket(u, vars_g, eg) * rest_mono
+        return out
+
+    def single_bracket(u: str, vars_g, eg) -> MultiPoly:
+        first = next((k for k, e in enumerate(eg) if e), None)
+        if first is None:
+            return MultiPoly.zero()
+        v = vars_g[first]
+        rest = list(eg)
+        rest[first] -= 1
+        rest_mono = _monomial(vars_g, rest)
+        out = MultiPoly.var(v) * single_bracket(u, vars_g, tuple(rest))
+        c = _generator_bracket(u, v)
+        if c:
+            out = out + rest_mono * c
+        return out
+
+    out = MultiPoly.zero()
+    for ef, cf in f.terms.items():
+        for eg, cg in g.terms.items():
+            out = out + mono_bracket(f.vars, f.unpack(ef), g.vars, g.unpack(eg)) * (cf * cg)
+    return out
 
 
 def test_agrees_with_leibniz_oracle():

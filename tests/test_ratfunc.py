@@ -9,9 +9,8 @@ from gaudual.ratfunc import (
     partial_fractions,
     poly_mul,
     rational_roots,
-    reassemble,
 )
-from helpers import rng, random_fraction
+from helpers import reassemble, rng, random_fraction
 
 Q = Fraction
 

@@ -5,14 +5,8 @@ import pytest
 from gaudual.errors import ResidualPole
 from gaudual.multipoly import MultiPoly
 from gaudual.ratfunc import RatFunc
-from gaudual.weyl import (
-    OrderedDiffOp,
-    WeylElement,
-    from_multipoly,
-    weyl_commutator,
-    weyl_to_ordered,
-)
-from helpers import rng, random_weyl
+from gaudual.weyl import Z_PAIR, OrderedDiffOp, WeylElement, pair_sort_key, weyl_commutator
+from helpers import classical_limit, rng, random_weyl, weyl_to_ordered
 
 Q = Fraction
 X = WeylElement.x
@@ -85,6 +79,30 @@ def test_jacobi_random():
         assert jac == 0
 
 
+def from_multipoly(p: MultiPoly) -> WeylElement:
+    """Embed a commutative polynomial in x/p variables, p{a}_{i} -> d{a}_{i}."""
+    out = WeylElement.zero()
+    for mono, c in p.terms.items():
+        acc: dict[str, list[int]] = {}
+        for name, e in zip(p.vars, p.unpack(mono)):
+            if not e:
+                continue
+            if name == "z":
+                acc.setdefault(Z_PAIR, [0, 0])[0] += e
+            elif name == "lam":
+                acc.setdefault(Z_PAIR, [0, 0])[1] += e
+            else:
+                fam, pair = name[0], name[1:]
+                slot = 0 if fam == "x" else 1
+                acc.setdefault(pair, [0, 0])[slot] += e
+        key = tuple(
+            (p_, x, d)
+            for p_, (x, d) in sorted(acc.items(), key=lambda kv: pair_sort_key(kv[0]))
+        )
+        out = out + WeylElement.monomial(key, c)
+    return out
+
+
 def test_commuting_subfamilies_match_multipoly():
     r = rng(33)
     for _ in range(20):
@@ -100,7 +118,7 @@ def test_commuting_subfamilies_match_multipoly():
 
 def test_classical_limit_drops_ordering():
     w = D(1, 1) * X(1, 1)  # = x d + 1
-    assert w.classical_limit() == (
+    assert classical_limit(w) == (
         MultiPoly.var("x1_1") * MultiPoly.var("p1_1") + 1
     )
 
@@ -112,7 +130,7 @@ def _op_z(terms):
 def test_ordered_mul_leibniz_simple_pole():
     # Dz * 1/(z - z1) = 1/(z - z1) Dz - 1/(z - z1)^2, with z1 = 4
     dz = _op_z({1: RatFunc.const("z", Q(1))})
-    f = OrderedDiffOp.from_ratfunc("z", RatFunc.pole("z", Q(4), 1))
+    f = OrderedDiffOp("z", {0: RatFunc.pole("z", Q(4), 1)})
     prod = dz * f
     expected = OrderedDiffOp(
         "z",
@@ -122,17 +140,15 @@ def test_ordered_mul_leibniz_simple_pole():
 
 
 def test_ordered_mul_z_times_z():
-    zop = OrderedDiffOp.from_ratfunc("z", RatFunc.variable("z"))
-    assert zop * zop == OrderedDiffOp.from_ratfunc(
-        "z", RatFunc("z", {2: Q(1)})
-    )
+    zop = OrderedDiffOp("z", {0: RatFunc.variable("z")})
+    assert zop * zop == OrderedDiffOp("z", {0: RatFunc("z", {2: Q(1)})})
 
 
 def test_ordered_mul_single_commutation():
     # (Dz - lam1)(z - z1) = (z - z1) Dz - lam1 (z - z1) + 1 in z-left form
     lam1, z1 = Q(5), Q(2)
     a = OrderedDiffOp("z", {1: RatFunc.const("z", Q(1)), 0: RatFunc.const("z", -lam1)})
-    b = OrderedDiffOp.from_ratfunc("z", RatFunc.linear("z", z1))
+    b = OrderedDiffOp("z", {0: RatFunc.linear("z", z1)})
     prod = a * b
     expected = OrderedDiffOp(
         "z",
@@ -147,12 +163,12 @@ def test_ordered_mul_single_commutation():
 def test_to_polynomial_cancellation():
     # ((z-1) x)/(z-1) -> x
     num = {1: X(1, 1), 0: X(1, 1) * Q(-1)}
-    op = OrderedDiffOp.from_ratfunc("z", RatFunc("z", num, {Q(1): 1}))
+    op = OrderedDiffOp("z", {0: RatFunc("z", num, {Q(1): 1})})
     assert op.to_polynomial() == X(1, 1)
 
 
 def test_to_polynomial_residual_pole():
-    op = OrderedDiffOp.from_ratfunc("z", RatFunc.pole("z", Q(1), 1))
+    op = OrderedDiffOp("z", {0: RatFunc.pole("z", Q(1), 1)})
     with pytest.raises(ResidualPole) as err:
         op.to_polynomial()
     assert err.value.point == Q(1)
@@ -176,7 +192,7 @@ def test_round_trip_z_dz_z():
 
 def test_dz_side_product_matches_weyl():
     # multiply (Dz)(z) on the dz side: z g(Dz) ordering exercised
-    dz = OrderedDiffOp.from_ratfunc("dz", RatFunc.variable("dz"))
+    dz = OrderedDiffOp("dz", {0: RatFunc.variable("dz")})
     zop = OrderedDiffOp("dz", {1: RatFunc.const("dz", Q(1))})
     prod = dz * zop  # Dz * z stays ordered on this side
     assert prod.to_polynomial() == WeylElement.z() * WeylElement.dz() + 1
