@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import (
     BadPoints,
@@ -239,21 +240,14 @@ class CycloInstance:
                 terms.append((sgn * self.realize_glMC(("pt", i, r, b, a)), -loc, r + 1))
         return [term for term in terms if term[0]]
 
-    def lax_glMC_cleared(self) -> RingMatrix:
-        """lam D_C(z) 1 - D_C(z) tL~^C(z) with polynomial entries,
-        D_C = z^(2 tau_0) prod (z - z_i)^tau_i (z + z_i)^tau_i."""
-        lam = MultiPoly.var("lam")
-        dc = self.div_z.clearing_poly("z")
-        entries = []
-        for a in range(1, self.M + 1):
-            row = []
-            for b in range(1, self.M + 1):
-                acc = MultiPoly.zero()
-                for img, root, order in self.glMC_lax_terms(a, b):
-                    acc = acc + img * _poly_div_power(dc, "z", root, order)
-                row.append((lam * dc if a == b else MultiPoly.zero()) - acc)
-            entries.append(row)
-        return RingMatrix(entries, "commutative")
+    def lax_glMC_cleared(self, var: str) -> RingMatrix:
+        """D_C(var) L^C(var) with polynomial entries, D_C = var^(2 tau_0)
+        prod (var - z_i)^tau_i (var + z_i)^tau_i; entry (b, a) carries the
+        coefficient of E_ba."""
+        dc = self.div_z.clearing_poly(var)
+        M = self.M
+        return RingMatrix([[_cleared(self.glMC_lax_terms(a, b), dc, var) for a in range(1, M + 1)]
+                           for b in range(1, M + 1)])
 
     # -- sp_2N side --------------------------------------------------------
 
@@ -276,14 +270,6 @@ class CycloInstance:
         E~_(-J,-I); the two share a position when J = -I."""
         sigma = 1 if (I > 0) == (J > 0) else -1
         return [(self.pos(I), self.pos(J), 1), (self.pos(-J), self.pos(-I), -sigma)]
-
-    def ebar(self, I: int, J: int) -> list[list[Fraction]]:
-        """Defining matrix of Ebar_IJ."""
-        n = 2 * self.N
-        m = [[Q(0)] * n for _ in range(n)]
-        for r, c, value in self.ebar_entries(I, J):
-            m[r][c] += value
-        return m
 
     def ebar_dual(self, I: int, J: int) -> list[list[Fraction]]:
         """Dual basis matrices for half the fundamental trace form."""
@@ -377,17 +363,13 @@ class CycloInstance:
         terms += [(self.realize_sp("lam", a, I, J), la, 1) for a, la in enumerate(self.lam, 1)]
         return [term for term in terms if term[0]]
 
-    def lax_sp2N_cleared(self) -> RingMatrix:
-        """z Dbar(lam) 1 - Dbar(lam) L^Dbar(lam) with polynomial entries,
-        Dbar = prod (lam - lambda_a)."""
-        z = MultiPoly.var("z")
-        dbar = self.div_lam.clearing_poly("lam")
+    def lax_sp2N_cleared(self, var: str) -> RingMatrix:
+        """Dbar(var) L^Dbar(var) with polynomial entries, Dbar = prod (var - lambda_a)."""
+        dbar = self.div_lam.clearing_poly(var)
         n = 2 * self.N
         acc = [[MultiPoly.zero() for _ in range(n)] for _ in range(n)]
         for I, J in self.I2():
-            total = MultiPoly.zero()
-            for img, root, order in self.sp_lax_terms(I, J):
-                total = total + img * _poly_div_power(dbar, "lam", root, order)
+            total = _cleared(self.sp_lax_terms(I, J), dbar, var)
             if not total:
                 continue
             mat = self.ebar_dual(I, J)
@@ -395,11 +377,16 @@ class CycloInstance:
                 for c in range(n):
                     if mat[r][c]:
                         acc[r][c] = acc[r][c] + total * mat[r][c]
-        entries = [
-            [(z * dbar if r == c else MultiPoly.zero()) - acc[r][c] for c in range(n)]
-            for r in range(n)
-        ]
-        return RingMatrix(entries, "commutative")
+        return RingMatrix(acc)
+
+
+def _cleared(terms, clearing: MultiPoly, var: str) -> MultiPoly:
+    """clearing * sum numerator / (var - pole)^order over (numerator, pole,
+    order) terms, each clearing factor divided out exactly."""
+    total = MultiPoly.zero()
+    for img, root, order in terms:
+        total = total + img * _poly_div_power(clearing, var, root, order)
+    return total
 
 
 def _poly_div_power(poly: MultiPoly, var: str, root: Fraction, power: int) -> MultiPoly:
@@ -437,15 +424,25 @@ def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = 
 
 def verify_cyclotomic_duality(inst: CycloInstance) -> dict:
     """Exact equality of the two spectral polynomials in P_b[z, lam]."""
-    det_l = _glMC_spectral_poly(inst)
-    det_r = _divide_out(_perm_expansion(inst.lax_sp2N_cleared()), inst.div_lam, "lam",
-                        2 * inst.N - 1)
-    return polynomial_equality_report(det_l, det_r)
+    det_r = _spectral_poly(inst.lax_sp2N_cleared("lam"), inst.div_lam, "lam", "z",
+                           2 * inst.N - 1)
+    return polynomial_equality_report(_glMC_spectral_poly(inst), det_r)
 
 
 def _glMC_spectral_poly(inst: CycloInstance) -> MultiPoly:
-    """det(lam D_C 1 - D_C tL~^C) with D_C^(M-1) divided out."""
-    return _divide_out(_perm_expansion(inst.lax_glMC_cleared()), inst.div_z, "z", inst.M - 1)
+    """det(lam D_C 1 - D_C L^C) with D_C^(M-1) divided out."""
+    return _spectral_poly(inst.lax_glMC_cleared("z"), inst.div_z, "z", "lam", inst.M - 1)
+
+
+def _spectral_poly(cleared: RingMatrix, divisor: Divisor, var: str, eigen: str,
+                   copies: int) -> MultiPoly:
+    """det(eigen D 1 - D L) with D^copies divided out, for the cleared Lax
+    matrix D L in var and D = divisor.clearing_poly(var)."""
+    shift = MultiPoly.var(eigen) * divisor.clearing_poly(var)
+    n = cleared.rows
+    shifted = RingMatrix([[(shift if r == c else MultiPoly.zero()) - cleared[r, c]
+                           for c in range(n)] for r in range(n)])
+    return _divide_out(_perm_expansion(shifted), divisor, var, copies)
 
 
 def extract_cyclotomic_generators(inst: CycloInstance) -> list[MultiPoly]:
@@ -456,198 +453,96 @@ def extract_cyclotomic_generators(inst: CycloInstance) -> list[MultiPoly]:
 # -- Lax algebra (classical r-matrix) checks -----------------------------------
 
 
-class _Frac2:
-    """Unreduced fraction of commutative polynomials for two-spectral-variable
-    identities; equality by cross-multiplication."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        self.num = num
-        self.den = den if den is not None else MultiPoly.const(1)
-
-    def __add__(self, other):
-        return _Frac2(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return _Frac2(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        return _Frac2(self.num * other.num, self.den * other.den)
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    @staticmethod
-    def zero():
-        return _Frac2(MultiPoly.zero())
-
-
-def _bracket_frac2(f: _Frac2, g: _Frac2) -> _Frac2:
-    """Poisson bracket; denominators are spectral-only, hence central."""
-    return _Frac2(poisson_bracket(f.num, g.num), f.den * g.den)
-
-
-def _mat_mul_frac2(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    out = [[_Frac2.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = _Frac2.zero()
-            for t in range(k):
-                if a[i][t] and b[t][j]:
-                    acc = acc + a[i][t] * b[t][j]
-            out[i][j] = acc
-    return out
-
-
-def _mat_sub_frac2(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def lax_algebra_check(inst: CycloInstance, which: str) -> dict:
-    """Entrywise check of the classical Lax algebra as rational identities
-    in two spectral parameters.
+    """Entrywise check of the classical Lax algebra, multiplied through by
+    every denominator so both sides are polynomial in the two spectral
+    parameters; A = D L is the cleared Lax matrix.
 
-    which = "cyclotomic-glM": {L1(z), L2(w)} = [r12(z,w), L1] - [r21(w,z), L2]
-    which = "sp2N":           {L1(lam), L2(w)} = [rbar12, L1 + L2]
+    which = "cyclotomic-glM": {L1(z), L2(w)} = [r12(z,w), L1] - [r21(w,z), L2],
+        checked as (w^2 - z^2){A1(z), A2(w)} = D_C(w)[P12(z,w), A1]
+        + D_C(z)[swap P(w,z), A2] with P(u,v) = (v - u)(v + u) r12(u,v)
+    which = "sp2N": {L1(lam), L2(w)} = [rbar12, L1 + L2], checked as
+        (w - lam){A1(lam), A2(w)} = [R, Dbar(w) A1 + Dbar(lam) A2]
+        with R = sum Ebar^IJ x Ebar_IJ = (w - lam) rbar12
     """
     if which == "cyclotomic-glM":
-        size, lax_z = inst.M, _cyclo_lax_fractions(inst, "z")
-        lax_w = _cyclo_lax_fractions(inst, "w")
-        r12 = _cyclo_r_matrix(inst.M, "z", "w")
-        r21 = _swap_legs(_cyclo_r_matrix(inst.M, "w", "z"), inst.M)
-        lhs_pairs = None
+        lax_u, lax_w = inst.lax_glMC_cleared("z"), inst.lax_glMC_cleared("w")
+        d_u, d_w = inst.div_z.clearing_poly("z"), inst.div_z.clearing_poly("w")
+        z, w = MultiPoly.var("z"), MultiPoly.var("w")
+        factor = w * w - z * z
+        rhs = (_commutator(_cyclo_r_matrix(inst.M, "z", "w"), _first_leg(lax_u, d_w))
+               + _commutator(_swap_legs(_cyclo_r_matrix(inst.M, "w", "z")),
+                             _swap_legs(_first_leg(lax_w, d_u))))
     elif which == "sp2N":
-        size, lax_z = 2 * inst.N, _sp_lax_fractions(inst, "lam")
-        lax_w = _sp_lax_fractions(inst, "w")
-        r12 = _sp_r_matrix(inst, "lam", "w")
-        r21 = None
+        lax_u, lax_w = inst.lax_sp2N_cleared("lam"), inst.lax_sp2N_cleared("w")
+        d_u, d_w = inst.div_lam.clearing_poly("lam"), inst.div_lam.clearing_poly("w")
+        factor = MultiPoly.var("w") - MultiPoly.var("lam")
+        rhs = _commutator(_sp_r_matrix(inst),
+                          _first_leg(lax_u, d_w) + _swap_legs(_first_leg(lax_w, d_u)))
     else:
         raise ValueError(f"unknown Lax algebra family {which!r}")
 
+    size = lax_u.rows
     n2 = size * size
-    L1 = [[_Frac2.zero() for _ in range(n2)] for _ in range(n2)]
-    L2 = [[_Frac2.zero() for _ in range(n2)] for _ in range(n2)]
-    for i in range(size):
-        for j in range(size):
-            for k in range(size):
-                L1[i * size + k][j * size + k] = lax_z[i][j]
-                L2[k * size + i][k * size + j] = lax_w[i][j]
-
-    lhs = [[_Frac2.zero() for _ in range(n2)] for _ in range(n2)]
-    for i in range(size):
-        for j in range(size):
-            for k in range(size):
-                for l in range(size):
-                    lhs[i * size + k][j * size + l] = _bracket_frac2(
-                        lax_z[i][j], lax_w[k][l]
-                    )
-
-    def comm(A, B):
-        return _mat_sub_frac2(_mat_mul_frac2(A, B), _mat_mul_frac2(B, A))
-
-    if which == "cyclotomic-glM":
-        rhs = _mat_sub_frac2(comm(r12, L1), comm(r21, L2))
-    else:
-        total = [[L1[i][j] + L2[i][j] for j in range(n2)] for i in range(n2)]
-        rhs = comm(r12, total)
-
-    for i in range(n2):
-        for j in range(n2):
-            if not lhs[i][j] == rhs[i][j]:
-                return {"status": "fail", "witness": {"entry": (i, j)}}
+    for row in range(n2):
+        i, k = divmod(row, size)
+        for col in range(n2):
+            j, l = divmod(col, size)
+            lhs = factor * poisson_bracket(lax_u[i, j], lax_w[k, l])
+            if lhs != rhs[row, col]:
+                return {"status": "fail", "witness": {"entry": (row, col)}}
     return {"status": "pass", "entries_checked": n2 * n2}
 
 
-def _cyclo_lax_fractions(inst: CycloInstance, var: str):
-    """Realized cyclotomic Lax matrix (honest, untransposed layout) with
-    _Frac2 entries in the spectral variable `var`."""
-    M = inst.M
-    zv = MultiPoly.var(var)
-    entries = [[_Frac2.zero() for _ in range(M)] for _ in range(M)]
-    for a in range(1, M + 1):
-        for b in range(1, M + 1):
-            total = _Frac2.zero()
-            for img, root, order in inst.glMC_lax_terms(a, b):
-                total = total + _Frac2(img, (zv - root) ** order)
-            entries[b - 1][a - 1] = total  # E_ba carries the (ab) coefficient
-    return entries
+def _commutator(x: RingMatrix, y: RingMatrix) -> RingMatrix:
+    return x * y - y * x
 
 
-def _sp_lax_fractions(inst: CycloInstance, var: str):
-    n = 2 * inst.N
-    lamv = MultiPoly.var(var)
-    entries = [[_Frac2.zero() for _ in range(n)] for _ in range(n)]
-    for I, J in inst.I2():
-        total = _Frac2.zero()
-        for img, root, order in inst.sp_lax_terms(I, J):
-            total = total + _Frac2(img, (lamv - root) ** order)
-        mat = inst.ebar_dual(I, J)
-        for r in range(n):
-            for c in range(n):
-                if mat[r][c]:
-                    entries[r][c] = entries[r][c] + total * _Frac2(MultiPoly.const(mat[r][c]))
-    return entries
+def _first_leg(lax: RingMatrix, scale: MultiPoly) -> RingMatrix:
+    """scale (lax x 1); entry (i size + k, j size + l) of a two-leg matrix is
+    its E_ij x E_kl part, and _swap_legs of this is scale (1 x lax)."""
+    size = lax.rows
+    out = [[MultiPoly.zero() for _ in range(size * size)] for _ in range(size * size)]
+    for i in range(size):
+        for j in range(size):
+            entry = scale * lax[i, j]
+            for k in range(size):
+                out[i * size + k][j * size + k] = entry
+    return RingMatrix(out)
 
 
-def _cyclo_r_matrix(M: int, u: str, v: str):
-    """r12(u,v) = sum_ab (E_ba x E_ab / (v-u) - E_ba x E_ba / (v+u))."""
+def _cyclo_r_matrix(M: int, u: str, v: str) -> RingMatrix:
+    """P(u,v) = (v - u)(v + u) r12(u,v) = sum_ab ((v + u) E_ba x E_ab
+    - (v - u) E_ba x E_ba)."""
     uu, vv = MultiPoly.var(u), MultiPoly.var(v)
-    n2 = M * M
-    out = [[_Frac2.zero() for _ in range(n2)] for _ in range(n2)]
-    for a in range(1, M + 1):
-        for b in range(1, M + 1):
-            # E_ba x E_ab: rows (b,a) block indexing (i k), cols (a, b)
-            i, j = b - 1, a - 1
-            k, l = a - 1, b - 1
-            out[i * M + k][j * M + l] = out[i * M + k][j * M + l] + _Frac2(
-                MultiPoly.const(1), vv - uu
-            )
-            k, l = b - 1, a - 1
-            out[i * M + k][j * M + l] = out[i * M + k][j * M + l] - _Frac2(
-                MultiPoly.const(1), vv + uu
-            )
-    return out
+    out = [[MultiPoly.zero() for _ in range(M * M)] for _ in range(M * M)]
+    for a in range(M):
+        for b in range(M):
+            out[b * M + a][a * M + b] = out[b * M + a][a * M + b] + (vv + uu)
+            out[b * M + b][a * M + a] = out[b * M + b][a * M + a] - (vv - uu)
+    return RingMatrix(out)
 
 
-def _sp_r_matrix(inst: CycloInstance, u: str, v: str):
-    """rbar12(u,v) = sum_(I,J) Ebar^IJ x Ebar_IJ / (v - u)."""
+def _sp_r_matrix(inst: CycloInstance) -> RingMatrix:
+    """R = sum_(I,J) Ebar^IJ x Ebar_IJ, the numerator of rbar12(u,v) = R / (v - u)."""
     n = 2 * inst.N
-    n2 = n * n
-    uu, vv = MultiPoly.var(u), MultiPoly.var(v)
-    out = [[_Frac2.zero() for _ in range(n2)] for _ in range(n2)]
-    pole = _Frac2(MultiPoly.const(1), vv - uu)
+    out = [[MultiPoly.zero() for _ in range(n * n)] for _ in range(n * n)]
     for I, J in inst.I2():
         d = inst.ebar_dual(I, J)
-        e = inst.ebar(I, J)
         for i in range(n):
             for j in range(n):
                 if not d[i][j]:
                     continue
-                for k in range(n):
-                    for l in range(n):
-                        if e[k][l]:
-                            out[i * n + k][j * n + l] = out[i * n + k][j * n + l] + (
-                                pole * _Frac2(MultiPoly.const(d[i][j] * e[k][l]))
-                            )
-    return out
+                for k, l, value in inst.ebar_entries(I, J):
+                    out[i * n + k][j * n + l] = out[i * n + k][j * n + l] + d[i][j] * value
+    return RingMatrix(out)
 
 
-def _swap_legs(r, size: int):
-    n2 = size * size
-    out = [[_Frac2.zero() for _ in range(n2)] for _ in range(n2)]
-    for i in range(size):
-        for k in range(size):
-            for j in range(size):
-                for l in range(size):
-                    out[i * size + k][j * size + l] = r[k * size + i][l * size + j]
-    return out
+def _swap_legs(r: RingMatrix) -> RingMatrix:
+    """The two-leg matrix with its tensor factors exchanged."""
+    size = isqrt(r.rows)
+    return RingMatrix([[r[(row % size) * size + row // size, (col % size) * size + col // size]
+                        for col in range(r.cols)] for row in range(r.rows)])
 
 
 # -- Neumann model ---------------------------------------------------------------
@@ -657,11 +552,10 @@ def neumann_artifacts(M: int, omegas) -> dict:
     """The Neumann instance: N = 1, mu = -1, frequencies omega_a with
     lambda_a = omega_a^2.
 
-    Returns the M x M and 2 x 2 realized Lax matrices (as fraction-valued
-    entry grids; the invariant content is their spectral relation), the
-    Hamiltonian, and the verification results: the determinant relation,
-    Poisson commutativity of H with every spectral coefficient, and the
-    exact expression of H as a rational combination of those coefficients.
+    Returns the report body: the determinant relation, Poisson commutativity
+    of the Hamiltonian H with every spectral coefficient, the exact
+    expression of H as a rational combination of those coefficients, and the
+    angular invariance of the sphere constraint.
     """
     omegas = [Q(w) for w in omegas]
     lams = [w * w for w in omegas]
@@ -686,17 +580,15 @@ def neumann_artifacts(M: int, omegas) -> dict:
 
     commute = all(not poisson_bracket(H, c) for c in coeffs)
     combo = in_span(H, coeffs)
-    status = "pass" if (duality["status"] == "pass" and commute and combo is not None) else "fail"
+    sphere = sphere_constraint_is_angular_invariant(M)
+    ok = duality["status"] == "pass" and commute and combo is not None and sphere
     return {
-        "status": status,
+        "status": "pass" if ok else "fail",
         "duality": duality,
         "hamiltonian_commutes": commute,
         "hamiltonian_combination": None if combo is None else [str(c) for c in combo],
         "spectral_coefficients": len(coeffs),
-        "instance": inst,
-        "hamiltonian": H,
-        "lax_glM": _cyclo_lax_fractions(inst, "z"),
-        "lax_sp2": _sp_lax_fractions(inst, "lam"),
+        "sphere_constraint_invariant": sphere,
     }
 
 

@@ -52,9 +52,6 @@ class RingMatrix:
             self.ring,
         )
 
-    def map(self, fn) -> RingMatrix:
-        return RingMatrix([[fn(e) for e in row] for row in self.entries], self.ring)
-
     def __add__(self, other: RingMatrix) -> RingMatrix:
         return RingMatrix(
             [

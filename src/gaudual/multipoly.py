@@ -331,12 +331,6 @@ class MultiPoly:
             raise ValueError("polynomial is not constant")
         return self.terms.get(0, 0)
 
-    def degree(self, name: str) -> int:
-        if name not in self.vars or not self.terms:
-            return 0
-        s = self._shift(name)
-        return max((e >> s) & FIELD for e in self.terms)
-
     def num_terms(self) -> int:
         return len(self.terms)
 

@@ -160,18 +160,9 @@ class RatFunc:
         return RatFunc(var, {0: c} if c else {})
 
     @staticmethod
-    def variable(var: str) -> RatFunc:
-        return RatFunc(var, {1: Fraction(1)})
-
-    @staticmethod
     def linear(var: str, shift: Fraction) -> RatFunc:
         """X - shift."""
         return RatFunc(var, {1: Fraction(1), 0: -shift} if shift else {1: Fraction(1)})
-
-    @staticmethod
-    def pole(var: str, root: Fraction, order: int, coeff=Fraction(1)) -> RatFunc:
-        """coeff / (X - root)^order."""
-        return RatFunc(var, {0: coeff}, {root: order})
 
     # -- normalization ----------------------------------------------------
 
@@ -280,9 +271,6 @@ class RatFunc:
             root = next(iter(sorted(self.den)))
             raise ResidualPole(root, self.den[root])
         return dict(self.num)
-
-    def is_polynomial(self) -> bool:
-        return not self.den
 
     def __repr__(self):
         den = "*".join(f"({self.var}-{r})^{m}" for r, m in sorted(self.den.items()))

@@ -7,6 +7,8 @@ Reports are deterministic dicts: no timestamps, sizes and witnesses only.
 
 from __future__ import annotations
 
+import os
+import traceback
 from fractions import Fraction
 
 from .cyclotomic import (
@@ -16,7 +18,6 @@ from .cyclotomic import (
     lax_algebra_check,
     neumann_artifacts,
     quantum_cyclotomic_candidate,
-    sphere_constraint_is_angular_invariant,
     verify_cyclotomic_duality,
     verify_cyclotomic_homomorphisms,
 )
@@ -226,6 +227,14 @@ def run_instance(spec: dict, mode: str | None = None, max_terms: int = 10**7) ->
             "status": "error",
             "witness": {"error": type(err).__name__, "detail": str(err)},
         }
+    except Exception as err:  # a crash ends this instance, not the batch
+        frame = traceback.extract_tb(err.__traceback__)[-1]
+        return {
+            "instance": spec,
+            "status": "error",
+            "witness": {"error": type(err).__name__, "detail": str(err),
+                        "where": f"{os.path.basename(frame.filename)}:{frame.lineno}"},
+        }
     if expect == "fail":
         inner = report.get("status")
         report["status"] = "pass" if inner == "fail" else "fail"
@@ -274,17 +283,7 @@ def _dispatch(spec: dict, opts: dict) -> dict:
             }
         return verify_cyclotomic_duality(inst)
     if kind == "neumann":
-        rep = neumann_artifacts(int(spec["M"]), [rat(w) for w in spec["omega"]])
-        rep.pop("hamiltonian")
-        rep.pop("instance")
-        rep.pop("lax_glM")
-        rep.pop("lax_sp2")
-        rep["sphere_constraint_invariant"] = sphere_constraint_is_angular_invariant(
-            int(spec["M"])
-        )
-        if not rep["sphere_constraint_invariant"]:
-            rep["status"] = "fail"
-        return rep
+        return neumann_artifacts(int(spec["M"]), [rat(w) for w in spec["omega"]])
     if kind == "lax-algebra":
         return lax_algebra_check(_build_cyclo(spec), spec["which"])
     raise SpecValidationError(f"unknown kind {kind!r}")

@@ -134,10 +134,6 @@ class WeylElement:
     def dz(power: int = 1) -> WeylElement:
         return WeylElement._generator(Z_PAIR, 0, power)
 
-    @staticmethod
-    def monomial(key: tuple, coeff=1) -> WeylElement:
-        return WeylElement({key: coeff})
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):

@@ -157,7 +157,7 @@ def test_criterion_9_infrastructure():
         m = frac_matrix([[random_fraction(r) for _ in range(n)] for _ in range(n)])
         assert cdet(m) == det(m)
     # Jordan inverse is two-sided symbolically for k <= 5
-    xv = RatFunc.variable("x")
+    xv = RatFunc.linear("x", 0)
     for k in range(1, 6):
         j = jordan_block(k, xv)
         inv = jordan_block_inverse(k, xv)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gaudual import cli
+from gaudual import cli, runner
 from gaudual.errors import SpecValidationError
 from gaudual.presets import PRESETS, paper_core
 from gaudual.runner import run_instance, validate_instance
@@ -347,3 +347,40 @@ def test_reports_stream_as_each_instance_finishes(tmp_path, capsys, monkeypatch)
     assert cli.main(["verify", spec, "--out", str(out)]) == 0
     assert seen == [([], 0), (instances[:1], 1), (instances[:2], 1)]
     assert len(out.read_text().splitlines()) == 3
+
+
+_LAX = {"kind": "lax-algebra", "which": "sp2N", "M": 1, "N": 1, "tau0": 1, "divisor": [],
+        "lambda_points": ["5"], "mu": "-1"}
+
+
+def _crashing_check(inst, which):
+    raise KeyError("missing entry")
+
+
+def test_crash_in_one_instance_is_an_error_report(monkeypatch):
+    monkeypatch.setattr(runner, "lax_algebra_check", _crashing_check)
+    for options in ({}, {"expect": "fail"}):
+        report = run_instance(dict(_LAX, options=options))
+        assert report["status"] == "error"
+        assert "expected" not in report
+        witness = report["witness"]
+        assert witness["error"] == "KeyError"
+        assert witness["detail"] == "'missing entry'"
+        line = _crashing_check.__code__.co_firstlineno + 1
+        assert witness["where"] == f"test_cli.py:{line}"
+
+
+def test_crash_still_raises_on_an_invalid_spec(monkeypatch):
+    monkeypatch.setattr(runner, "lax_algebra_check", _crashing_check)
+    with pytest.raises(SpecValidationError):
+        run_instance(dict(_LAX, which="gl2"))
+
+
+def test_cli_runs_on_after_a_crash_and_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(runner, "lax_algebra_check", _crashing_check)
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["verify", _write(tmp_path, [_LAX, _NEUMANN]), "--out", str(out)]) == 1
+    reports = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["status"] for r in reports] == ["error", "pass"]
+    assert reports[0]["witness"]["error"] == "KeyError"
+    assert "1 pass, 0 fail, 1 error" in capsys.readouterr().err

@@ -146,6 +146,15 @@ def test_point_image_uses_cyclotomic_offsets():
 # -- sp_2N structure ------------------------------------------------------------
 
 
+def ebar(inst: CycloInstance, I: int, J: int) -> list[list[Fraction]]:
+    """Defining matrix of Ebar_IJ."""
+    n = 2 * inst.N
+    m = [[Q(0)] * n for _ in range(n)]
+    for r, c, value in inst.ebar_entries(I, J):
+        m[r][c] += value
+    return m
+
+
 def test_sp_pairing_duality():
     # half the fundamental trace pairs Ebar_IJ with Ebar^IJ itself:
     # (1/2) tr(Ebar_IJ Ebar^KL) = delta_IK delta_JL on I2 x I2
@@ -154,7 +163,7 @@ def test_sp_pairing_duality():
     assert len(pairs) == inst.N * (2 * inst.N + 1)
     for I, J in pairs:
         for K, L in pairs:
-            e = inst.ebar(I, J)
+            e = ebar(inst, I, J)
             d = inst.ebar_dual(K, L)
             n = 2 * inst.N
             tr = sum(
@@ -168,8 +177,8 @@ def test_ebar_minus_relation_in_matrices():
     inst = inst_of(1, 2, [], ["5"], Q(0))
     for I, J in inst.I2():
         sigma = Q(1) if (I > 0) == (J > 0) else Q(-1)
-        lhs = inst.ebar(-J, -I)
-        rhs = [[-sigma * c for c in row] for row in inst.ebar(I, J)]
+        lhs = ebar(inst, -J, -I)
+        rhs = [[-sigma * c for c in row] for row in ebar(inst, I, J)]
         assert lhs == rhs
 
 
@@ -191,7 +200,7 @@ def test_sp_expand_round_trip():
         coeffs = {(I, J): random_fraction(r) for I, J in inst.I2()}
         total = [[Q(0)] * n for _ in range(n)]
         for (I, J), c in coeffs.items():
-            e = inst.ebar(I, J)
+            e = ebar(inst, I, J)
             for i in range(n):
                 for j in range(n):
                     total[i][j] += c * e[i][j]
@@ -213,7 +222,7 @@ def test_sp_bracket_matches_dense_commutator(tau0, pts):
             if g1[0] == "inf" or g2[0] == "inf" or g1[1] != g2[1]:
                 assert got == [], (g1, g2)
                 continue
-            m1, m2 = inst.ebar(g1[2], g1[3]), inst.ebar(g2[2], g2[3])
+            m1, m2 = ebar(inst, g1[2], g1[3]), ebar(inst, g2[2], g2[3])
             comm = [[sum(m1[r][k] * m2[k][c] - m2[r][k] * m1[k][c] for k in range(n))
                      for c in range(n)] for r in range(n)]
             want = {("lam", g1[1], I, J): c for (I, J), c in inst.sp_expand(comm).items()}
@@ -355,21 +364,33 @@ def test_lax_algebra_sp2n():
     assert lax_algebra_check(inst, "sp2N")["status"] == "pass"
 
 
-def sp_r_matrix_skew_symmetric(inst: CycloInstance) -> bool:
-    """rbar12(u,v) = -rbar21(v,u)."""
-    r12 = _sp_r_matrix(inst, "lam", "w")
-    r21_swapped = _swap_legs(_sp_r_matrix(inst, "w", "lam"), 2 * inst.N)
-    n2 = (2 * inst.N) ** 2
-    for i in range(n2):
-        for j in range(n2):
-            if r12[i][j] + r21_swapped[i][j]:
-                return False
-    return True
+def test_lax_algebra_cyclotomic_fails_with_y_sign_mutation(monkeypatch):
+    inst = inst_of(2, 1, [(1, 1)], ["5", "7"], Q(3, 2))
+    realize = CycloInstance.realize_glMC
+    monkeypatch.setattr(CycloInstance, "realize_glMC",
+                        lambda self, g, mutation=None: realize(self, g, "y-sign"))
+    report = lax_algebra_check(inst, "cyclotomic-glM")
+    assert report["status"] == "fail"
+    assert report["witness"] == {"entry": (0, 1)}
+
+
+def test_lax_algebra_sp2n_fails_with_flip_sign_mutation(monkeypatch):
+    inst = inst_of(1, 1, [], ["5"], Q(-1))
+    realize = CycloInstance.realize_sp
+    monkeypatch.setattr(CycloInstance, "realize_sp",
+                        lambda self, kind, a, I, J, mutation=None:
+                        realize(self, kind, a, I, J, "flip-sign"))
+    assert lax_algebra_check(inst, "sp2N")["status"] == "fail"
 
 
 def test_sp_r_matrix_skew():
+    # rbar12(u,v) = R / (v - u) = -rbar21(v,u) holds exactly when the
+    # numerator R is symmetric under exchange of its two legs
     inst = inst_of(1, 1, [], ["5"], Q(0))
-    assert sp_r_matrix_skew_symmetric(inst)
+    R = _sp_r_matrix(inst)
+    swapped = _swap_legs(R)
+    assert R.entries == swapped.entries
+    assert any(any(row) for row in R.entries)
 
 
 # -- Neumann model ----------------------------------------------------------------
@@ -399,9 +420,11 @@ def test_sphere_constraint_invariance():
 
 
 def test_neumann_hamiltonian_brackets():
-    report = neumann_artifacts(2, [1, 2])
-    inst = report["instance"]
-    H = report["hamiltonian"]
+    # H = 1/2 (x_1 p_2 - x_2 p_1)^2 + 1/2 (omega_1^2 x_1^2 + omega_2^2 x_2^2)
+    # for omega = (1, 2)
+    inst = inst_of(2, 1, [], [1, 4], Q(-1))
+    k12 = V("x1_1") * V("p2_1") - V("x2_1") * V("p1_1")
+    H = (k12 * k12 + V("x1_1") ** 2 + 4 * V("x2_1") ** 2) * Q(1, 2)
     for coeff in extract_cyclotomic_generators(inst):
         assert not poisson_bracket(H, coeff)
 
@@ -445,20 +468,18 @@ def test_quantum_cyclotomic_candidate_not_manin():
 
 def test_neumann_mxm_lax_entries():
     # the M x M Lax entry (b, a) is lam_a delta_ab + (x_a p_b - x_b p_a)/z
-    # - x_a x_b / z^2 for the frequencies omega = (1, 2); entries compare
-    # as fractions (cross-multiplied)
-    from gaudual.cyclotomic import _Frac2
-
-    report = neumann_artifacts(2, [1, 2])
-    lax = report["lax_glM"]
+    # - x_a x_b / z^2 for the frequencies omega = (1, 2); the cleared matrix
+    # holds the numerators over D_C = z^2
+    inst = inst_of(2, 1, [], [1, 4], Q(-1))
+    lax = inst.lax_glMC_cleared("z")
     z = V("z")
     k12 = V("x1_1") * V("p2_1") - V("x2_1") * V("p1_1")
-    assert lax[0][0] == _Frac2(z * z - V("x1_1") ** 2, z * z)  # lam_1 = 1
-    assert lax[1][0] == _Frac2(k12 * z - V("x1_1") * V("x2_1"), z * z)
-    assert lax[0][1] == _Frac2(-k12 * z - V("x1_1") * V("x2_1"), z * z)
-    assert lax[1][1] == _Frac2(4 * z * z - V("x2_1") ** 2, z * z)  # lam_2 = 4
-    # the dual 2 x 2 Lax is returned alongside
-    assert len(report["lax_sp2"]) == 2
+    assert lax[0, 0] == z * z - V("x1_1") ** 2  # lam_1 = 1
+    assert lax[1, 0] == k12 * z - V("x1_1") * V("x2_1")
+    assert lax[0, 1] == -k12 * z - V("x1_1") * V("x2_1")
+    assert lax[1, 1] == 4 * z * z - V("x2_1") ** 2  # lam_2 = 4
+    # the dual Lax matrix is 2 x 2
+    assert inst.lax_sp2N_cleared("lam").rows == 2
 
 
 def _paper_core_cyclotomic():

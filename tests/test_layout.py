@@ -1,5 +1,6 @@
-"""Every top-level function of the package is reached from the package
-itself: a function that only tests call belongs in the tests."""
+"""Every top-level function and every non-dunder method of the package is
+reached from the package itself: code that only tests call belongs in the
+tests."""
 
 import ast
 from collections import Counter
@@ -15,6 +16,11 @@ NOT_REACHED = {
     "det",
 }
 
+METHODS_NOT_REACHED = {
+    # bench/tracer.py wraps RatFunc.invert by name
+    "RatFunc.invert",
+}
+
 
 def _references(tree: ast.AST) -> Counter:
     """How often each name is used in tree, as a name or an attribute."""
@@ -27,9 +33,18 @@ def _references(tree: ast.AST) -> Counter:
     return out
 
 
+def _attributes(tree: ast.AST) -> Counter:
+    """How often each name is used in tree as an attribute."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _package_trees() -> dict:
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
 def unreferenced_functions() -> list[str]:
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    trees = _package_trees()
     used = sum((_references(tree) for tree in trees.values()), Counter())
     unused = []
     for name, tree in trees.items():
@@ -43,5 +58,28 @@ def unreferenced_functions() -> list[str]:
     return unused
 
 
+def unreferenced_methods() -> list[str]:
+    trees = _package_trees()
+    used = sum((_attributes(tree) for tree in trees.values()), Counter())
+    unused = []
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or node.name.startswith("__") and node.name.endswith("__")):
+                    continue
+                # a recursive call inside the method's own body does not count
+                outside = used[node.name] - _attributes(node)[node.name]
+                if not outside and f"{cls.name}.{node.name}" not in METHODS_NOT_REACHED:
+                    unused.append(f"{name}:{cls.name}.{node.name}")
+    return unused
+
+
 def test_every_top_level_function_is_referenced_in_the_package():
     assert unreferenced_functions() == []
+
+
+def test_every_method_is_referenced_in_the_package():
+    assert unreferenced_methods() == []

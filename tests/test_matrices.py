@@ -34,6 +34,10 @@ def frac_matrix(rows):
     return RingMatrix([[Q(e) for e in row] for row in rows], "commutative")
 
 
+def map_entries(m: RingMatrix, fn) -> RingMatrix:
+    return RingMatrix([[fn(e) for e in row] for row in m.entries], m.ring)
+
+
 def eye(n, one=Q(1), ring="commutative"):
     zero = one - one
     return RingMatrix(
@@ -204,13 +208,13 @@ def test_x_block_proposition_random():
 
 
 def test_jordan_inverse_smallest():
-    xv = RatFunc.variable("x")
+    xv = RatFunc.linear("x", 0)
     inv = jordan_block_inverse(1, xv)
     assert inv.entries[0][0] == xv.invert()
 
 
 def test_jordan_inverse_2x2_entries():
-    xv = RatFunc.variable("x")
+    xv = RatFunc.linear("x", 0)
     inv = jordan_block_inverse(2, xv)
     xinv = xv.invert()
     assert inv.entries[0][0] == xinv
@@ -220,7 +224,7 @@ def test_jordan_inverse_2x2_entries():
 
 
 def test_jordan_inverse_two_sided_symbolic():
-    xv = RatFunc.variable("x")
+    xv = RatFunc.linear("x", 0)
     for k in range(1, 6):
         j = jordan_block(k, xv)
         inv = jordan_block_inverse(k, xv)
@@ -272,7 +276,7 @@ def invert_scalar_poly_matrix(m: RingMatrix, var: str) -> RingMatrix:
     d = _perm_expansion(m)
     if not d:
         raise BlockNotInvertible("zero determinant")
-    if not d.is_polynomial():
+    if d.den:
         raise BlockNotInvertible("determinant is not polynomial")
     frac_num = {}
     for k, c in d.num.items():
@@ -288,7 +292,7 @@ def invert_scalar_poly_matrix(m: RingMatrix, var: str) -> RingMatrix:
     lead = rest.get(0, Fraction(1))
     dinv = RatFunc(var, {0: Fraction(1) / lead}, roots)
     adj = adjugate(m)
-    return adj.map(lambda e: e * dinv)
+    return map_entries(adj, lambda e: e * dinv)
 
 
 def schur_cdet_factor(A: RingMatrix, B: RingMatrix, C: RingMatrix, D: RingMatrix,
@@ -326,14 +330,14 @@ def schur_cdet_factor(A: RingMatrix, B: RingMatrix, C: RingMatrix, D: RingMatrix
             out_row.append(f if f is not None else RatFunc.const(var, 0))
         scalar_entries.append(out_row)
     inv = invert_scalar_poly_matrix(RingMatrix(scalar_entries, "commutative"), var)
-    inv_ops = inv.map(lambda f: OrderedDiffOp(side, {0: f}))
+    inv_ops = map_entries(inv, lambda f: OrderedDiffOp(side, {0: f}))
     schur = rest - P * inv_ops * Q
     return cdet(block), cdet(schur)
 
 
 
 def lift_block(m, side, var):
-    return m.map(lambda w: weyl_to_ordered(w, side, var))
+    return map_entries(m, lambda w: weyl_to_ordered(w, side, var))
 
 
 def test_schur_block_diagonal():
@@ -379,7 +383,7 @@ def test_corrected_two_by_two_remark():
     b = weyl_to_ordered(X(1, 1), "z", "z")
     c = weyl_to_ordered(D(1, 1), "z", "z")
     d = weyl_to_ordered(WeylElement.z() - 2, "z", "z")
-    dinv = OrderedDiffOp("z", {0: RatFunc.pole("z", Q(2), 1)})
+    dinv = OrderedDiffOp("z", {0: RatFunc("z", {0: Q(1)}, {Q(2): 1})})
     reference = cdet(
         RingMatrix([[WeylElement.dz() - 5, X(1, 1)], [D(1, 1), WeylElement.z() - 2]], "weyl")
     )
@@ -411,10 +415,10 @@ def berezinian_identity_check(Lam: RingMatrix, Pi: RingMatrix, Psi: RingMatrix,
     def lift(e):
         return e if isinstance(e, GrassmannElement) else GrassmannElement({0: e})
 
-    adj_z = adjugate(Z).map(lift)
-    adj_l = adjugate(Lam).map(lift)
-    lam_g = Lam.map(lambda e: lift(e * det_z))
-    z_g = Z.map(lambda e: lift(e * det_l))
+    adj_z = map_entries(adjugate(Z), lift)
+    adj_l = map_entries(adjugate(Lam), lift)
+    lam_g = map_entries(Lam, lambda e: lift(e * det_z))
+    z_g = map_entries(Z, lambda e: lift(e * det_l))
     M, N = Lam.rows, Z.rows
     left = _perm_expansion(lam_g - Pi * adj_z * Psi)
     right = _perm_expansion(z_g - Psi * adj_l * Pi)
