@@ -1,6 +1,9 @@
 import re
 from fractions import Fraction
 
+import pytest
+
+from gaudual.errors import ExponentOverflow
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
 from helpers import rng, random_poly
@@ -125,3 +128,10 @@ def test_antisymmetry_and_leibniz_property():
         assert poisson_bracket(a, b * c) == (
             poisson_bracket(a, b) * c + b * poisson_bracket(a, c)
         )
+
+
+def test_bracket_exponent_overflow_raises():
+    # the only product, x1_1^20000 * 20000 x1_1^19999, overflows its field
+    big = MultiPoly.var("x1_1", 20000)
+    with pytest.raises(ExponentOverflow):
+        poisson_bracket(big * p11, big)
