@@ -29,10 +29,10 @@ from .errors import (
     IndexOutOfRange,
 )
 from .gaudin import (Divisor, _divide_out, check_generator_pairs, jordan_sum,
-                     polynomial_equality_report)
+                     polynomial_equality_report, spectral_coefficients)
 from .linalg import in_span
 from .matrices import RingMatrix, _perm_expansion, block2x2, block_diag, jordan_block
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, VariableTable
 from .poisson import poisson_bracket
 from .weyl import WeylElement
 
@@ -125,9 +125,13 @@ class CycloInstance:
             raise DivisorMismatch(f"need M = {M} points lambda_a, got {len(self.lam)}")
         if len(set(self.lam)) != M:
             raise BadPoints("lambda_a must be pairwise distinct")
-        self.mu = mu if isinstance(mu, MultiPoly) else MultiPoly.const(Q(mu))
         self.div_z = C.as_divisor()
         self.div_lam = Divisor.of((la, 1) for la in self.lam)
+        # the images are built over one table of all the variables
+        self.var = VariableTable([f"{q}{a}_{i}" for q in "xp" for a in range(1, M + 1)
+                                  for i in range(1, self.N + 1)] + ["z", "lam", "mu", "w"])
+        mu = mu if isinstance(mu, MultiPoly) else MultiPoly.const(Q(mu))
+        self.mu = mu.lift_to(self.var.names)
 
     # -- gl_M^C side ------------------------------------------------------
 
@@ -202,7 +206,7 @@ class CycloInstance:
             tau = self.C.points[i][1]
             total = MultiPoly.zero()
             for u in range(nu + 1, nu + tau - r + 1):
-                total = total + MultiPoly.var(f"x{a}_{u + r}") * MultiPoly.var(f"p{b}_{u}")
+                total = total + self.var[f"x{a}_{u + r}"] * self.var[f"p{b}_{u}"]
             return -total if mutation == "flip-sign" else total
         _, s, a, b = g
         tau0 = self.C.tau0
@@ -210,18 +214,14 @@ class CycloInstance:
         ysign = Q(-1) if (s % 2 == 0) == (mutation != "y-sign") else Q(1)
         # y part: sum_u x^a_(u+s) p^b_u - (-1)^s x^b_(u+s) p^a_u
         for u in range(1, tau0 - s + 1):
-            total = total + MultiPoly.var(f"x{a}_{u + s}") * MultiPoly.var(f"p{b}_{u}")
-            total = total + ysign * (
-                MultiPoly.var(f"x{b}_{u + s}") * MultiPoly.var(f"p{a}_{u}")
-            )
+            total = total + self.var[f"x{a}_{u + s}"] * self.var[f"p{b}_{u}"]
+            total = total + ysign * (self.var[f"x{b}_{u + s}"] * self.var[f"p{a}_{u}"])
         # mu part: -mu sum_(u+v=s+1) (-1)^v x^a_u x^b_v
         for u in range(1, tau0 + 1):
             v = s + 1 - u
             if 1 <= v <= tau0:
                 sgn = Q(-1) if v % 2 else Q(1)
-                total = total - self.mu * sgn * (
-                    MultiPoly.var(f"x{a}_{u}") * MultiPoly.var(f"x{b}_{v}")
-                )
+                total = total - self.mu * sgn * (self.var[f"x{a}_{u}"] * self.var[f"x{b}_{v}"])
         return -total if mutation == "flip-sign" else total
 
     def glMC_lax_terms(self, a: int, b: int) -> list[tuple[MultiPoly, Fraction, int]]:
@@ -326,7 +326,7 @@ class CycloInstance:
         sigma_j = 1 if J > 0 else -1
 
         def q(K: int) -> MultiPoly:
-            return MultiPoly.var(f"x{a}_{K}" if K > 0 else f"p{a}_{-K}")
+            return self.var[f"x{a}_{K}" if K > 0 else f"p{a}_{-K}"]
 
         img = q(I) * q(-J) * Q(sigma_j)
         if mutation == "flip-sign":
@@ -422,11 +422,14 @@ def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = 
     return {"status": "pass", "pairs_checked": checked}
 
 
-def verify_cyclotomic_duality(inst: CycloInstance) -> dict:
-    """Exact equality of the two spectral polynomials in P_b[z, lam]."""
+def verify_cyclotomic_duality(inst: CycloInstance, glMC_poly: MultiPoly | None = None) -> dict:
+    """Exact equality of the two spectral polynomials in P_b[z, lam];
+    `glMC_poly` is the gl_M^C side when the caller has already built it."""
     det_r = _spectral_poly(inst.lax_sp2N_cleared("lam"), inst.div_lam, "lam", "z",
                            2 * inst.N - 1)
-    return polynomial_equality_report(_glMC_spectral_poly(inst), det_r)
+    if glMC_poly is None:
+        glMC_poly = _glMC_spectral_poly(inst)
+    return polynomial_equality_report(glMC_poly, det_r)
 
 
 def _glMC_spectral_poly(inst: CycloInstance) -> MultiPoly:
@@ -446,8 +449,7 @@ def _spectral_poly(cleared: RingMatrix, divisor: Divisor, var: str, eigen: str,
 
 
 def extract_cyclotomic_generators(inst: CycloInstance) -> list[MultiPoly]:
-    groups = _glMC_spectral_poly(inst).split_by(("z", "lam"))
-    return [groups[k] for k in sorted(groups)]
+    return spectral_coefficients(_glMC_spectral_poly(inst))
 
 
 # -- Lax algebra (classical r-matrix) checks -----------------------------------
@@ -562,9 +564,10 @@ def neumann_artifacts(M: int, omegas) -> dict:
     if len(set(lams)) != len(lams):
         raise DuplicateFrequency("need pairwise distinct omega_a^2")
     inst = CycloInstance(M, CycloDivisor.of(1, []), lams, Q(-1))
-    duality = verify_cyclotomic_duality(inst)
+    spectral = _glMC_spectral_poly(inst)
+    duality = verify_cyclotomic_duality(inst, spectral)
 
-    coeffs = extract_cyclotomic_generators(inst)
+    coeffs = spectral_coefficients(spectral)
     # H = 1/4 sum_(a != b) (x_a p_b - x_b p_a)^2 + 1/2 sum omega_a^2 x_a^2
     H = MultiPoly.zero()
     for a in range(1, M + 1):

@@ -27,7 +27,7 @@ from .grassmann import GrassmannAlgebra, GrassmannElement
 from .linalg import solve_linear  # noqa: F401 (unused; bench/test_bench.py traces this binding)
 from .matrices import (RingMatrix, _perm_expansion, block2x2, block_diag, cdet, jordan_block,
                        manin_check)
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, VariableTable
 from .poisson import poisson_bracket
 from .ratfunc import RatFunc, expand_factors, partial_fractions
 from .weyl import OrderedDiffOp, WeylElement, weyl_commutator
@@ -162,6 +162,9 @@ class DualityInstance:
         self._jordan_lam = jordan_sum_matrix(div_lam)
         self._jordan_z = jordan_sum_matrix(div_z)
         self._galg = GrassmannAlgebra(M, N)
+        # the classical images are built over one table of all the variables
+        self.var = VariableTable([f"{q}{a}_{i}" for q in "xp" for a in range(1, M + 1)
+                                  for i in range(1, N + 1)] + ["z", "lam"])
 
     # -- realization homomorphisms ---------------------------------------
 
@@ -186,7 +189,7 @@ class DualityInstance:
         total = _const(flavor, Q(0), self._galg)
         for u in range(lo, hi + 1):
             if flavor == "classical":
-                term = MultiPoly.var(f"x{a}_{u + r}") * MultiPoly.var(f"p{b}_{u}")
+                term = self.var[f"x{a}_{u + r}"] * self.var[f"p{b}_{u}"]
             elif flavor == "quantum":
                 term = WeylElement.x(a, u + r) * WeylElement.d(b, u)
             elif flavor == "fermionic":
@@ -218,7 +221,7 @@ class DualityInstance:
         total = _const(flavor, Q(0), self._galg)
         for u in range(lo, hi + 1):
             if flavor == "classical":
-                term = MultiPoly.var(f"p{u}_{j}") * MultiPoly.var(f"x{u + s}_{i}")
+                term = self.var[f"p{u}_{j}"] * self.var[f"x{u + s}_{i}"]
             elif flavor == "quantum":
                 term = WeylElement.d(u, j) * WeylElement.x(u + s, i)
             elif flavor == "fermionic":
@@ -469,12 +472,16 @@ def extract_gaudin_generators(inst: DualityInstance, flavor: str) -> list:
     S_k(z) in the z-left normal form.
     """
     if flavor == "classical":
-        groups = _classical_spectral_poly(inst).split_by(("z", "lam"))
-        return [groups[k] for k in sorted(groups)]
+        return spectral_coefficients(_classical_spectral_poly(inst))
     if flavor == "quantum":
         left = _cdet_side(_negated(inst.lax_glM("quantum", "z")), inst.div_z, "z")
         return _partial_fraction_generators(left, inst.div_z)
     raise ValueError(f"unknown flavor {flavor!r}")
+
+
+def spectral_coefficients(poly: MultiPoly) -> list[MultiPoly]:
+    """The coefficient of every z^i lam^j in poly, in increasing (i, j)."""
+    return list(poly.split_by(("z", "lam")).values())
 
 
 def _partial_fraction_generators(op: OrderedDiffOp, divisor: Divisor) -> list[WeylElement]:

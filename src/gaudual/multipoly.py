@@ -140,6 +140,23 @@ def _repack(terms: dict, moves: list[tuple[int, int]]) -> dict:
     return out
 
 
+class VariableTable(dict):
+    """The generator MultiPoly of each of `names`, all over one table sorted
+    by var_key (kept as ``names``): polynomials built from them share it, so
+    their sums, products and brackets never re-align.  A name outside the
+    table gives its own one-name generator."""
+
+    def __init__(self, names):
+        table = tuple(sorted(set(names), key=var_key))
+        n = len(table)
+        super().__init__((v, MultiPoly(table, {1 << BITS * (n - 1 - k): 1}))
+                         for k, v in enumerate(table))
+        self.names = table
+
+    def __missing__(self, name: str) -> MultiPoly:
+        return MultiPoly.var(name)
+
+
 class MultiPoly:
     """Immutable sparse polynomial: map from packed monomials to nonzero
     int or Fraction coefficients over the variable table ``vars``."""
@@ -190,6 +207,9 @@ class MultiPoly:
         """Re-express over a larger variable table (must contain self.vars)."""
         if vars == self.vars:
             return self
+        if not self.vars:
+            # a constant: the monomial 0 is the same over every table
+            return MultiPoly(vars, self.terms)
         if not set(vars).issuperset(self.vars):
             raise ValueError(f"table {vars} lacks some of {self.vars}")
         return MultiPoly(vars, _repack(self.terms, _moves(self.vars, vars)))
@@ -197,6 +217,10 @@ class MultiPoly:
     def _aligned(self, other: MultiPoly):
         if self.vars == other.vars:
             return self, other
+        if not other.vars:
+            return self, MultiPoly(self.vars, other.terms)
+        if not self.vars:
+            return MultiPoly(other.vars, self.terms), other
         merged = _merge(self.vars, other.vars)
         return self.lift_to(merged), other.lift_to(merged)
 
@@ -364,7 +388,8 @@ class MultiPoly:
 
     def split_by(self, names: tuple[str, ...]) -> dict[tuple, MultiPoly]:
         """Group terms by the exponents of `names`, in increasing order of
-        those exponents; values are polynomials in the remaining variables."""
+        those exponents; values are polynomials in the remaining variables,
+        all over one table, even where a group leaves some of it unused."""
         shifts = [self._shift(n) if n in self.vars else None for n in names]
         rest_vars = tuple(v for v in self.vars if v not in names)
         moves = _moves(self.vars, rest_vars)
@@ -372,7 +397,7 @@ class MultiPoly:
         for e, c in self.terms.items():
             key = tuple(0 if s is None else (e >> s) & FIELD for s in shifts)
             out.setdefault(key, {})[e] = c
-        return {k: MultiPoly(rest_vars, _repack(out[k], moves)).compact() for k in sorted(out)}
+        return {k: MultiPoly(rest_vars, _repack(out[k], moves)) for k in sorted(out)}
 
     def divide_linear(self, name: str, root) -> MultiPoly:
         """Exact division by (name - root); raises if the remainder is nonzero."""

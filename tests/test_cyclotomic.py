@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gaudual import cyclotomic
 from gaudual.cyclotomic import (
     CycloDivisor,
     CycloInstance,
@@ -408,6 +409,19 @@ def test_neumann_m2_combination_is_half_c00_plus_lambda_sum():
     # H = 1/2 C_(z^0 lam^0) + (lam_1 + lam_2)/2 C_(z^0 lam^1) for omega=(1,2)
     report = neumann_artifacts(2, [1, 2])
     assert report["hamiltonian_combination"][:2] == ["1/2", "5/2"]
+
+
+def test_neumann_builds_the_glMC_determinant_once(monkeypatch):
+    calls = []
+    spectral = cyclotomic._glMC_spectral_poly
+
+    def counted(inst):
+        calls.append(inst)
+        return spectral(inst)
+
+    monkeypatch.setattr(cyclotomic, "_glMC_spectral_poly", counted)
+    assert neumann_artifacts(3, [1, 2, 3])["status"] == "pass"
+    assert len(calls) == 1
 
 
 def test_neumann_duplicate_frequency():

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from gaudual.cyclotomic import CycloDivisor, CycloInstance, verify_cyclotomic_homomorphisms
-from gaudual.gaudin import Divisor, DualityInstance, verify_homomorphism
+from gaudual.gaudin import (Divisor, DualityInstance, extract_gaudin_generators,
+                           takiff_generators, verify_homomorphism)
+from gaudual.multipoly import MultiPoly
 
 
 def make(M, N, dz, dl):
@@ -90,3 +92,20 @@ def test_each_realization_side_fails_alone(monkeypatch, side, check, owner, meth
     assert report["status"] == "fail"
     assert report["witness"]["side"] == side
     assert report["witness"]["pair"]
+
+
+def test_classical_images_share_one_table():
+    """Every classical image with a variable, and every extracted spectral
+    coefficient, is over one table per instance; constants need none."""
+    inst = make(2, 3, [(1, 2), (2, 1)], [(5, 1), (7, 1)])
+    images = [inst.realize_glM(g, "classical") for g in takiff_generators(inst.div_z, 2)]
+    images += [inst.realize_glN(g, "classical") for g in takiff_generators(inst.div_lam, 3)]
+    assert {img.vars for img in images if not img.is_constant()} == {inst.var.names}
+    coeffs = extract_gaudin_generators(inst, "classical")
+    assert len({c.vars for c in coeffs}) == 1
+
+    cyclo = CycloInstance(2, CycloDivisor.of(2, [(3, 1)]), [5, 7], MultiPoly.var("mu"))
+    images = [cyclo.realize_glMC(g) for g in cyclo.glMC_generators()]
+    images += [cyclo.realize_sp(*g) for g in cyclo.sp_generators()]
+    assert {img.vars for img in images if not img.is_constant()} == {cyclo.var.names}
+

@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gaudual.errors import ExponentOverflow  # noqa: E402
-from gaudual.multipoly import MAX_EXP, MultiPoly  # noqa: E402
+from gaudual.multipoly import MAX_EXP, MultiPoly, var_key  # noqa: E402
 from gaudual.poisson import poisson_bracket  # noqa: E402
 
 NAMES = ["x1_1", "x2_1", "p1_1", "p2_1", "z", "lam"]
@@ -109,6 +109,20 @@ def test_poisson_bracket_matches_sympy(ta, tb):
         for x, p in PAIRS
     )
     assert same(poisson_bracket(f, g), want)
+
+
+# the names of NAMES (z among them) and unused x/p names around them
+WIDE = tuple(sorted({*NAMES, "x1_2", "p1_2", "x3_1", "p3_1", "x2_2"}, key=var_key))
+
+
+@SETTINGS
+@given(polys, polys)
+def test_poisson_bracket_is_independent_of_the_table(ta, tb):
+    f, g = build(ta), build(tb)
+    narrow = poisson_bracket(f, g)
+    wide = poisson_bracket(f.lift_to(WIDE), g.lift_to(WIDE))
+    assert wide.vars == WIDE
+    assert wide == narrow and repr(wide) == repr(narrow)
 
 
 @SETTINGS
