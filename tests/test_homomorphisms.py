@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gaudual import gaudin
 from gaudual.cyclotomic import CycloDivisor, CycloInstance, verify_cyclotomic_homomorphisms
 from gaudual.gaudin import (Divisor, DualityInstance, extract_gaudin_generators,
                            takiff_generators, verify_homomorphism)
@@ -109,3 +110,35 @@ def test_classical_images_share_one_table():
     images += [cyclo.realize_sp(*g) for g in cyclo.sp_generators()]
     assert {img.vars for img in images if not img.is_constant()} == {cyclo.var.names}
 
+
+
+@pytest.mark.parametrize("flavor", ["classical", "quantum", "fermionic"])
+def test_reversed_pairs_are_checked(monkeypatch, flavor):
+    """A structure map wrong only on reversed pairs (g1 after g2 in
+    takiff_generators order) must fail, and the witness must carry the
+    bracket of that reversed pair as a fresh computation gives it."""
+    inst = make(2, 2, [(1, 2)], [(5, 1), (7, 1)])
+    assert verify_homomorphism(inst, flavor)["status"] == "pass"
+    sides = {"glM": (inst.div_z, inst.M, inst.realize_glM),
+             "glN": (inst.div_lam, inst.N, inst.realize_glN)}
+    gens = {side: takiff_generators(div, size) for side, (div, size, _) in sides.items()}
+    index = {(div, g): n for side, (div, _, _) in sides.items()
+             for n, g in enumerate(gens[side])}
+    original = gaudin.takiff_bracket
+
+    def reversed_negated(g1, g2, divisor):
+        terms = original(g1, g2, divisor)
+        if index[divisor, g1] > index[divisor, g2]:
+            return [(-c, g) for c, g in terms]
+        return terms
+
+    monkeypatch.setattr(gaudin, "takiff_bracket", reversed_negated)
+    report = verify_homomorphism(inst, flavor)
+    assert report["status"] == "fail"
+    witness = report["witness"]
+    div, _, realize = sides[witness["side"]]
+    by_label = {g.label(): g for g in gens[witness["side"]]}
+    g1, g2 = (by_label[label] for label in witness["pair"])
+    assert index[div, g1] > index[div, g2]
+    bracket = gaudin._bracket_for(flavor, inst)
+    assert witness["got"] == repr(bracket(realize(g1, flavor), realize(g2, flavor)))
