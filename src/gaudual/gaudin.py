@@ -72,11 +72,13 @@ class Divisor:
     def is_regular(self) -> bool:
         return all(t == 1 for _, t in self.points)
 
-    def clearing_poly(self, var: str) -> MultiPoly:
-        """prod (var - location)^tau over the finite points."""
+    def clearing_poly(self, var: str | MultiPoly) -> MultiPoly:
+        """prod (var - location)^tau over the finite points; var is a name or
+        its generator, such as one from an instance's variable table."""
+        x = MultiPoly.var(var) if isinstance(var, str) else var
         out = MultiPoly.const(1)
         for loc, tau in self.points:
-            out = out * (MultiPoly.var(var) - loc) ** tau
+            out = out * (x - loc) ** tau
         return out
 
 
@@ -296,20 +298,23 @@ def _spectral_dets(inst: DualityInstance, flavor: str, sample_seed=None):
     assert flavor in ("classical", "fermionic")
     subs = _sample_map(inst, sample_seed) if sample_seed is not None else None
     return (
-        _cleared_det(inst.lax_glM(flavor, "z"), inst.div_z, "z", "lam", flavor, subs),
-        _cleared_det(inst.lax_glN(flavor, "lam"), inst.div_lam, "lam", "z", flavor, subs),
-        inst.div_z.clearing_poly("z"),
-        inst.div_lam.clearing_poly("lam"),
+        _cleared_det(inst.lax_glM(flavor, "z"), inst.div_z, inst.var, "z", "lam", flavor, subs),
+        _cleared_det(inst.lax_glN(flavor, "lam"), inst.div_lam, inst.var, "lam", "z", flavor,
+                     subs),
+        inst.div_z.clearing_poly(inst.var["z"]),
+        inst.div_lam.clearing_poly(inst.var["lam"]),
     )
 
 
-def _cleared_det(lax: RingMatrix, divisor: Divisor, spec_var: str, eigen_var: str,
-                 flavor: str, subs=None):
+def _cleared_det(lax: RingMatrix, divisor: Divisor, var: VariableTable, spec_var: str,
+                 eigen_var: str, flavor: str, subs=None):
     """det(eigen_var D 1 - D L) for one side, D = divisor.clearing_poly(spec_var):
     every entry of L is multiplied by D and assembled as one element of the
-    coefficient ring times powers of spec_var."""
+    coefficient ring times powers of spec_var, both variables taken from the
+    instance's table `var`."""
     factors = [RatFunc(spec_var, expand_factors({loc: tau})) for loc, tau in divisor.points]
-    diag, zero = MultiPoly.var(eigen_var) * divisor.clearing_poly(spec_var), MultiPoly.zero()
+    spec = var[spec_var]
+    diag, zero = var[eigen_var] * divisor.clearing_poly(spec), MultiPoly.zero()
     if flavor == "fermionic":
         diag, zero = GrassmannElement({0: diag}), GrassmannElement.zero()
     entries = []
@@ -320,7 +325,7 @@ def _cleared_det(lax: RingMatrix, divisor: Divisor, spec_var: str, eigen_var: st
                 f = f * factor
             p = zero
             for k, coeff in f.to_poly().items():
-                p = p + (coeff * MultiPoly.var(spec_var, k) if k else coeff)
+                p = p + (coeff * spec ** k if k else coeff)
             if subs and p:
                 p = p.substitute(subs)
             row.append((diag if r == c else zero) - p)
@@ -457,7 +462,8 @@ def verify_quantum_duality(inst: DualityInstance) -> dict:
 
 def _classical_spectral_poly(inst: DualityInstance) -> MultiPoly:
     """The common classical polynomial, built from the z side alone."""
-    det_z = _cleared_det(inst.lax_glM("classical", "z"), inst.div_z, "z", "lam", "classical")
+    det_z = _cleared_det(inst.lax_glM("classical", "z"), inst.div_z, inst.var, "z", "lam",
+                         "classical")
     return _divide_out(det_z, inst.div_z, "z", inst.M - 1)
 
 
@@ -533,12 +539,24 @@ def check_generator_pairs(gens: list, image, bracket, structure, zero):
     """Exhaustive check that bracket(image(g1), image(g2)) equals the image of
     structure(g1, g2), a list of (coefficient, generator) terms, over every
     ordered pair.  Returns (pairs checked, None) or, at the first failing pair,
-    (pairs checked, (g1, g2, got, want))."""
+    (pairs checked, (g1, g2, got, want)).
+
+    bracket must be antisymmetric on the images.  The Poisson bracket and the
+    Weyl commutator always are; the graded bracket is on even elements, and
+    every fermionic image is even (pi*psi or a constant).  So each unordered
+    pair is bracketed once: the bracket of (g_i, g_j), j > i, is kept until
+    (g_j, g_i) comes up, where its negative is compared instead."""
     checked = 0
-    for g1 in gens:
-        for g2 in gens:
+    later = {}
+    for i, g1 in enumerate(gens):
+        for j, g2 in enumerate(gens):
             checked += 1
-            got = bracket(image(g1), image(g2))
+            if j < i:
+                got = -later.pop((j, i))
+            else:
+                got = bracket(image(g1), image(g2))
+                if j > i:
+                    later[i, j] = got
             want = zero
             for coeff, g3 in structure(g1, g2):
                 want = want + image(g3) * coeff

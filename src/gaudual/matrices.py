@@ -138,20 +138,32 @@ def manin_check(m: RingMatrix):
     if not m.is_square():
         raise NonSquare("Manin check needs a square matrix")
 
-    def comm(a, b):
-        return a * b - b * a
+    # [M_p, M_q] by entry positions p, q, each computed once: the loops ask
+    # for it again under i <-> k and j <-> l, and [M_q, M_p] = -[M_p, M_q]
+    known = {}
+
+    def comm(p, q):
+        c = known.get((p, q))
+        if c is None:
+            if (q, p) in known:
+                c = -known[q, p]
+            else:
+                a, b = m.entries[p[0]][p[1]], m.entries[q[0]][q[1]]
+                c = a * b - b * a
+            known[p, q] = c
+        return c
 
     for j in range(n):
         for i in range(n):
             for k in range(i + 1, n):
-                if comm(m.entries[i][j], m.entries[k][j]):
+                if comm((i, j), (k, j)):
                     return False, (i, j, k, j)
     for i in range(n):
         for k in range(n):
             for j in range(n):
                 for l in range(n):
-                    lhs = comm(m.entries[i][j], m.entries[k][l])
-                    rhs = comm(m.entries[k][j], m.entries[i][l])
+                    lhs = comm((i, j), (k, l))
+                    rhs = comm((k, j), (i, l))
                     if lhs != rhs:
                         return False, (i, j, k, l)
     return True, None

@@ -64,8 +64,10 @@ def _key(acc: dict) -> tuple:
     return tuple((p, *acc[p]) for p in sorted(acc, key=pair_sort_key) if acc[p] != (0, 0))
 
 
-def _mono_mul(m1: tuple, m2: tuple) -> list[tuple[tuple, int]]:
-    """All normal-ordered terms of the product m1 * m2, with int weights."""
+@cache
+def _mono_mul(m1: tuple, m2: tuple) -> tuple[tuple[tuple, int], ...]:
+    """All normal-ordered terms of the product m1 * m2, with int weights;
+    memoized, since verifiers multiply the same few monomials many times."""
     acc = {p: (x, d) for p, x, d in m1}
     contracting = []
     for p, x2, e2 in m2:
@@ -77,7 +79,7 @@ def _mono_mul(m1: tuple, m2: tuple) -> list[tuple[tuple, int]]:
         else:
             acc[p] = (x2, e2)
     if not contracting:
-        return [(_key(acc), 1)]
+        return ((_key(acc), 1),)
     # each contracting pair loses k x's and k derivatives, weight k! C(e1,k) C(x2,k)
     choices = [
         [(p, k, perm(e1, k) * comb(x2, k)) for k in range(min(e1, x2) + 1)]
@@ -92,7 +94,7 @@ def _mono_mul(m1: tuple, m2: tuple) -> list[tuple[tuple, int]]:
             step[p] = (x - k, d - k)
             weight *= c
         out.append((_key(step), weight))
-    return out
+    return tuple(out)
 
 
 class WeylElement:

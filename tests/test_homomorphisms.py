@@ -7,6 +7,7 @@ from gaudual.cyclotomic import CycloDivisor, CycloInstance, verify_cyclotomic_ho
 from gaudual.gaudin import (Divisor, DualityInstance, extract_gaudin_generators,
                            takiff_generators, verify_homomorphism)
 from gaudual.multipoly import MultiPoly
+from gaudual.poisson import poisson_bracket
 
 
 def make(M, N, dz, dl):
@@ -142,3 +143,28 @@ def test_reversed_pairs_are_checked(monkeypatch, flavor):
     assert index[div, g1] > index[div, g2]
     bracket = gaudin._bracket_for(flavor, inst)
     assert witness["got"] == repr(bracket(realize(g1, flavor), realize(g2, flavor)))
+
+
+def _antisymmetric(images, bracket):
+    return all(bracket(b, a) == -bracket(a, b) for a in images for b in images)
+
+
+@pytest.mark.parametrize("flavor", ["classical", "quantum", "fermionic"])
+def test_brackets_of_images_are_antisymmetric(flavor):
+    """The generator-pair check reuses -[a, b] for [b, a]; this holds on
+    every pair of realized images (the fermionic ones are all even)."""
+    inst = make(2, 2, [(1, 2)], [(5, 1), (7, 1)])
+    bracket = gaudin._bracket_for(flavor, inst)
+    for div, size, realize in ((inst.div_z, inst.M, inst.realize_glM),
+                               (inst.div_lam, inst.N, inst.realize_glN)):
+        images = [realize(g, flavor) for g in takiff_generators(div, size)]
+        assert _antisymmetric(images, bracket)
+
+
+def test_cyclotomic_brackets_of_images_are_antisymmetric():
+    inst = CycloInstance(2, CycloDivisor.of(1, [(1, 1)]), [Fraction(5), Fraction(7)],
+                         Fraction(-1))
+    assert _antisymmetric([inst.realize_glMC(g) for g in inst.glMC_generators()],
+                          poisson_bracket)
+    assert _antisymmetric([inst.realize_sp(*g) for g in inst.sp_generators()],
+                          poisson_bracket)

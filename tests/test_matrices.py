@@ -1,7 +1,10 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
+from gaudual.cyclotomic import quantum_cyclotomic_candidate
 from gaudual.errors import (
     BlockNotInvertible,
     NonSquare,
@@ -9,6 +12,7 @@ from gaudual.errors import (
     NotInvertible,
     SingularBlock,
 )
+from gaudual.gaudin import quantum_block_matrix
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 from gaudual.matrices import (
     RingMatrix,
@@ -21,7 +25,9 @@ from gaudual.matrices import (
     manin_check,
 )
 from gaudual.multipoly import MultiPoly
+from gaudual.presets import paper_core, quantum_grid
 from gaudual.ratfunc import RatFunc, rational_roots
+from gaudual.runner import _build_cyclo, _build_duality
 from gaudual.weyl import OrderedDiffOp, WeylElement
 from helpers import jordan_block_inverse, rng, random_fraction, weyl_to_ordered
 
@@ -154,6 +160,65 @@ def test_manin_failure_gives_witness():
     a, b = m.entries[i][j], m.entries[k][l]
     c, d = m.entries[k][j], m.entries[i][l]
     assert a * b - b * a != c * d - d * c or (j == l and a * b - b * a != 0)
+
+
+def manin_reference(m: RingMatrix):
+    """manin_check without the commutator memo: every commutator is
+    recomputed as a*b - b*a, in the same quadruple order."""
+    n = m.rows
+
+    def comm(a, b):
+        return a * b - b * a
+
+    for j in range(n):
+        for i in range(n):
+            for k in range(i + 1, n):
+                if comm(m.entries[i][j], m.entries[k][j]):
+                    return False, (i, j, k, j)
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                for l in range(n):
+                    lhs = comm(m.entries[i][j], m.entries[k][l])
+                    rhs = comm(m.entries[k][j], m.entries[i][l])
+                    if lhs != rhs:
+                        return False, (i, j, k, l)
+    return True, None
+
+
+def test_manin_check_matches_reference_on_quantum_grid():
+    for spec in quantum_grid():
+        m = quantum_block_matrix(_build_duality(spec))
+        assert manin_check(m) == manin_reference(m) == (True, None)
+
+
+def test_manin_check_matches_reference_on_cyclotomic_candidates():
+    specs = [s for s in paper_core() if s.get("options", {}).get("quantum_candidate")]
+    assert specs
+    for spec in specs:
+        m = quantum_cyclotomic_candidate(_build_cyclo(spec))
+        ok, witness = manin_check(m)
+        assert not ok and witness is not None
+        assert (ok, witness) == manin_reference(m)
+
+
+def test_manin_check_matches_reference_on_random_weyl_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    letters = st.tuples(st.sampled_from([X, D]), st.sampled_from([(1, 1), (2, 1)]))
+    monomials = st.lists(letters, max_size=2).map(
+        lambda word: reduce(mul, [f(*at) for f, at in word], WeylElement.const(1)))
+    elements = st.lists(st.tuples(st.integers(-2, 2), monomials), max_size=2).map(
+        lambda terms: sum((mono * c for c, mono in terms), WeylElement.zero()))
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def check(rows):
+        m = RingMatrix(rows, "weyl")
+        assert manin_check(m) == manin_reference(m)
+
+    check()
 
 
 def test_row_exchange_always_flips_sign():
