@@ -9,7 +9,6 @@ commutativity of the extracted conserved quantities).
 
 from .errors import (
     BadPoints,
-    BlockNotInvertible,
     DivisorMismatch,
     DuplicateFrequency,
     ExponentOverflow,
@@ -19,9 +18,7 @@ from .errors import (
     NonSquare,
     NoncommutativeRing,
     NotInvertible,
-    RequiresRegularDivisor,
     ResidualPole,
-    SingularBlock,
     SpecValidationError,
     UnlistedPole,
     ZeroInverse,
@@ -41,7 +38,6 @@ from .matrices import (
 from .gaudin import (
     Divisor,
     DualityInstance,
-    build_quadratic_hamiltonians,
     check_commutativity,
     extract_gaudin_generators,
     verify_classical_bosonic_duality,

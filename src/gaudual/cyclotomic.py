@@ -29,7 +29,7 @@ from .errors import (
     IndexOutOfRange,
 )
 from .gaudin import (Divisor, _divide_out, check_generator_pairs, jordan_sum,
-                     polynomial_equality_report, spectral_coefficients)
+                     polynomial_equality_report, spectral_coefficients, takiff_block_sum)
 from .linalg import in_span
 from .matrices import RingMatrix, _perm_expansion, block2x2, block_diag, jordan_block
 from .multipoly import MultiPoly, VariableTable
@@ -202,12 +202,9 @@ class CycloInstance:
             _, i, r, a, b = g
             if not (1 <= a <= M and 1 <= b <= M):
                 raise IndexOutOfRange(f"{a},{b} exceed M={M}")
-            nu = self.C.block_offsets()[i + 1]
-            tau = self.C.points[i][1]
-            total = MultiPoly.zero()
-            for u in range(nu + 1, nu + tau - r + 1):
-                total = total + self.var[f"x{a}_{u + r}"] * self.var[f"p{b}_{u}"]
-            return -total if mutation == "flip-sign" else total
+            return takiff_block_sum(self.C.block_offsets()[i + 1], self.C.points[i][1], r,
+                                    lambda u, v: self.var[f"x{a}_{v}"] * self.var[f"p{b}_{u}"],
+                                    MultiPoly.zero(), mutation)
         _, s, a, b = g
         tau0 = self.C.tau0
         total = MultiPoly.zero()

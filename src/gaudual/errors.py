@@ -34,14 +34,6 @@ class NoncommutativeRing(GaudualError):
     """Ordinary determinant requested over a noncommutative ring."""
 
 
-class BlockNotInvertible(GaudualError):
-    pass
-
-
-class SingularBlock(GaudualError):
-    pass
-
-
 class IndexOutOfRange(GaudualError):
     pass
 
@@ -52,10 +44,6 @@ class DivisorMismatch(GaudualError):
 
 class BadPoints(GaudualError):
     """Point configuration violates distinctness constraints."""
-
-
-class RequiresRegularDivisor(GaudualError):
-    pass
 
 
 class DuplicateFrequency(GaudualError):

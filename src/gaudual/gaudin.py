@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import DivisorMismatch, IndexOutOfRange, RequiresRegularDivisor, ResidualPole
+from .errors import DivisorMismatch, IndexOutOfRange, ResidualPole
 from .grassmann import GrassmannAlgebra, GrassmannElement
 from .linalg import solve_linear  # noqa: F401 (unused; bench/test_bench.py traces this binding)
 from .matrices import (RingMatrix, _perm_expansion, block2x2, block_diag, cdet, jordan_block,
@@ -68,9 +68,6 @@ class Divisor:
             offsets.append(acc)
             acc += t
         return tuple(offsets)
-
-    def is_regular(self) -> bool:
-        return all(t == 1 for _, t in self.points)
 
     def clearing_poly(self, var: str | MultiPoly) -> MultiPoly:
         """prod (var - location)^tau over the finite points; var is a name or
@@ -129,6 +126,16 @@ def takiff_bracket(g1: TakiffGen, g2: TakiffGen, divisor: Divisor) -> list[tuple
     return out
 
 
+def takiff_block_sum(nu: int, tau: int, depth: int, term, zero, mutation: str | None = None):
+    """zero + sum of term(u, u + depth) over u = nu+1 .. nu+tau-depth, the
+    Takiff block of a point of degree tau at offset nu; mutation "range-up"
+    runs u one step further, "flip-sign" negates the sum."""
+    total = zero
+    for u in range(nu + 1, nu + tau - depth + 1 + (mutation == "range-up")):
+        total = total + term(u, u + depth)
+    return -total if mutation == "flip-sign" else total
+
+
 def jordan_sum(divisor: Divisor, x, ring: str = "commutative") -> RingMatrix:
     """(+)_c J_(tau_c)(x - location_c): x - location_c along the diagonal and
     -1 just below it."""
@@ -172,9 +179,8 @@ class DualityInstance:
 
     def realize_glM(self, g: TakiffGen, flavor: str, mutation: str | None = None):
         """Image of a gl_M^D basis element in P_b, P_f or U_b."""
-        M, N = self.M, self.N
-        if not (1 <= g.row <= M and 1 <= g.col <= M):
-            raise IndexOutOfRange(f"generator indices {g.row},{g.col} exceed M={M}")
+        if not (1 <= g.row <= self.M and 1 <= g.col <= self.M):
+            raise IndexOutOfRange(f"generator indices {g.row},{g.col} exceed M={self.M}")
         a, b = g.row, g.col
         if g.point is INF:
             # (b, a) entry for every flavor: the determinant factorization pins
@@ -182,58 +188,37 @@ class DualityInstance:
             # finite-point images, and it is the same on the bosonic and
             # fermionic sides (exact counterexample otherwise at tau~ = 2)
             return _const(flavor, -self._jordan_lam[b - 1][a - 1], self._galg)
-        nu = self.div_z.block_offsets()[g.point]
-        tau = self.div_z.points[g.point][1]
-        r = g.depth
-        lo, hi = nu + 1, nu + tau - r
-        if mutation == "range-up":
-            hi += 1
-        total = _const(flavor, Q(0), self._galg)
-        for u in range(lo, hi + 1):
-            if flavor == "classical":
-                term = self.var[f"x{a}_{u + r}"] * self.var[f"p{b}_{u}"]
-            elif flavor == "quantum":
-                term = WeylElement.x(a, u + r) * WeylElement.d(b, u)
-            elif flavor == "fermionic":
-                term = self._galg.pi(a, u + r) * self._galg.psi(b, u)
-            else:
-                raise ValueError(f"unknown flavor {flavor!r}")
-            total = total + term
-        if mutation == "flip-sign":
-            total = -total
-        return total
+        if flavor == "classical":
+            term = lambda u, v: self.var[f"x{a}_{v}"] * self.var[f"p{b}_{u}"]
+        elif flavor == "quantum":
+            term = lambda u, v: WeylElement.x(a, v) * WeylElement.d(b, u)
+        elif flavor == "fermionic":
+            term = lambda u, v: self._galg.pi(a, v) * self._galg.psi(b, u)
+        else:
+            raise ValueError(f"unknown flavor {flavor!r}")
+        return takiff_block_sum(self.div_z.block_offsets()[g.point], self.div_z.points[g.point][1],
+                                g.depth, term, _const(flavor, Q(0), self._galg), mutation)
 
     def realize_glN(self, g: TakiffGen, flavor: str, mutation: str | None = None):
         """Image of a gl_N^D~ basis element; note the derivative-first order
         of the quantum map."""
-        M, N = self.M, self.N
-        if not (1 <= g.row <= N and 1 <= g.col <= N):
-            raise IndexOutOfRange(f"generator indices {g.row},{g.col} exceed N={N}")
+        if not (1 <= g.row <= self.N and 1 <= g.col <= self.N):
+            raise IndexOutOfRange(f"generator indices {g.row},{g.col} exceed N={self.N}")
         i, j = g.row, g.col
         if g.point is INF:
-            entry = -self._jordan_z[i - 1][j - 1] if flavor == "fermionic" \
-                else -self._jordan_z[j - 1][i - 1]
-            return _const(flavor, entry, self._galg)
-        nu = self.div_lam.block_offsets()[g.point]
-        tau = self.div_lam.points[g.point][1]
-        s = g.depth
-        lo, hi = nu + 1, nu + tau - s
-        if mutation == "range-up":
-            hi += 1
-        total = _const(flavor, Q(0), self._galg)
-        for u in range(lo, hi + 1):
-            if flavor == "classical":
-                term = self.var[f"p{u}_{j}"] * self.var[f"x{u + s}_{i}"]
-            elif flavor == "quantum":
-                term = WeylElement.d(u, j) * WeylElement.x(u + s, i)
-            elif flavor == "fermionic":
-                term = self._galg.psi(u, i) * self._galg.pi(u + s, j)
-            else:
-                raise ValueError(f"unknown flavor {flavor!r}")
-            total = total + term
-        if mutation == "flip-sign":
-            total = -total
-        return total
+            r, c = (i, j) if flavor == "fermionic" else (j, i)
+            return _const(flavor, -self._jordan_z[r - 1][c - 1], self._galg)
+        if flavor == "classical":
+            term = lambda u, v: self.var[f"p{u}_{j}"] * self.var[f"x{v}_{i}"]
+        elif flavor == "quantum":
+            term = lambda u, v: WeylElement.d(u, j) * WeylElement.x(v, i)
+        elif flavor == "fermionic":
+            term = lambda u, v: self._galg.psi(u, i) * self._galg.pi(v, j)
+        else:
+            raise ValueError(f"unknown flavor {flavor!r}")
+        return takiff_block_sum(self.div_lam.block_offsets()[g.point],
+                                self.div_lam.points[g.point][1], g.depth, term,
+                                _const(flavor, Q(0), self._galg), mutation)
 
     # -- realized Lax matrices --------------------------------------------
 
@@ -397,22 +382,18 @@ def quantum_operator_sides(inst: DualityInstance):
     (left: in U(z)[Dz]; right: in U(Dz)[z]) after multiplying the stated
     prefactors."""
     # left: prod (z - z_i)^tau_i cdet(Dz 1 - tL^D(z))
-    left = _cdet_side(_negated(inst.lax_glM("quantum", "z")), inst.div_z, "z")
+    left = _cdet_side(inst.lax_glM("quantum", "z").entries, inst.div_z, "z")
     # right: prod (Dz - lam_a)^tau~_a cdet(z 1 - L^D~(Dz))
-    right = _cdet_side(_negated(inst.lax_glN("quantum", "dz")), inst.div_lam, "dz")
+    right = _cdet_side(inst.lax_glN("quantum", "dz").entries, inst.div_lam, "dz")
     return left, right
 
 
-def _negated(lax: RingMatrix) -> list[list[RatFunc]]:
-    return [[-f for f in row] for row in lax.entries]
-
-
 def _cdet_side(entries: list[list[RatFunc]], divisor: Divisor, var: str) -> OrderedDiffOp:
-    """prod (var - location)^tau cdet(d_var 1 + entries), ordered with the
+    """prod (var - location)^tau cdet(d_var 1 - entries), ordered with the
     functions of var to the left."""
     one = RatFunc.const(var, WeylElement.const(1))
     rows = [
-        [OrderedDiffOp(var, {0: f, 1: one} if r == c else {0: f}) for c, f in enumerate(row)]
+        [OrderedDiffOp(var, {0: -f, 1: one} if r == c else {0: -f}) for c, f in enumerate(row)]
         for r, row in enumerate(entries)
     ]
     op = cdet(RingMatrix(rows, "ordered-diffop"))
@@ -480,7 +461,7 @@ def extract_gaudin_generators(inst: DualityInstance, flavor: str) -> list:
     if flavor == "classical":
         return spectral_coefficients(_classical_spectral_poly(inst))
     if flavor == "quantum":
-        left = _cdet_side(_negated(inst.lax_glM("quantum", "z")), inst.div_z, "z")
+        left = _cdet_side(inst.lax_glM("quantum", "z").entries, inst.div_z, "z")
         return _partial_fraction_generators(left, inst.div_z)
     raise ValueError(f"unknown flavor {flavor!r}")
 
@@ -592,65 +573,3 @@ def verify_homomorphism(inst: DualityInstance, flavor: str, mutation: str | None
                 },
             }
     return {"status": "pass", "pairs_checked": checked}
-
-
-# -- quadratic Hamiltonians ----------------------------------------------------
-
-
-def build_quadratic_hamiltonians(z_points: list[Fraction], lam_values: list[Fraction]) -> list[WeylElement]:
-    """Realized quadratic Gaudin Hamiltonians for a regular divisor and a
-    diagonal matrix at infinity."""
-    N, M = len(z_points), len(lam_values)
-    if len(set(z_points)) != N:
-        raise RequiresRegularDivisor("marked points must be distinct")
-    out = []
-    for i in range(1, N + 1):
-        h = WeylElement.zero()
-        for j in range(1, N + 1):
-            if j == i:
-                continue
-            weight = Q(1) / (z_points[i - 1] - z_points[j - 1])
-            for a in range(1, M + 1):
-                for b in range(1, M + 1):
-                    term = (WeylElement.x(a, i) * WeylElement.d(b, i)) * (
-                        WeylElement.x(b, j) * WeylElement.d(a, j)
-                    )
-                    h = h + term * weight
-        for a in range(1, M + 1):
-            h = h + (WeylElement.x(a, i) * WeylElement.d(a, i)) * lam_values[a - 1]
-        out.append(h)
-    return out
-
-
-def hamiltonians_in_commutant(inst: DualityInstance) -> dict:
-    """Every quadratic Hamiltonian commutes with every extracted generator,
-    and their sum is exactly the realized lambda-term."""
-    if not inst.div_z.is_regular() or not inst.div_lam.is_regular():
-        raise RequiresRegularDivisor("quadratic Hamiltonians need all tau = 1")
-    z_points = [loc for loc, _ in inst.div_z.points]
-    lam_values = [loc for loc, _ in inst.div_lam.points]
-    hams = build_quadratic_hamiltonians(z_points, lam_values)
-    gens = extract_gaudin_generators(inst, "quantum")
-    checked = 0
-    for hi, h in enumerate(hams):
-        for gi, g in enumerate(gens):
-            checked += 1
-            if weyl_commutator(h, g):
-                return {
-                    "status": "fail",
-                    "pairs_checked": checked,
-                    "witness": {"hamiltonian": hi, "generator": gi},
-                }
-    total = WeylElement.zero()
-    for h in hams:
-        total = total + h
-    lam_term = WeylElement.zero()
-    for i in range(1, inst.N + 1):
-        for a in range(1, inst.M + 1):
-            lam_term = lam_term + (
-                WeylElement.x(a, i) * WeylElement.d(a, i)
-            ) * lam_values[a - 1]
-    if total != lam_term:
-        return {"status": "fail", "witness": {"sum_rule": "sum H_i != lambda term"}}
-    return {"status": "pass", "pairs_checked": checked, "hamiltonians": len(hams)}
-

@@ -137,34 +137,25 @@ def manin_check(m: RingMatrix):
     n = m.rows
     if not m.is_square():
         raise NonSquare("Manin check needs a square matrix")
+    e = m.entries
 
-    # [M_p, M_q] by entry positions p, q, each computed once: the loops ask
-    # for it again under i <-> k and j <-> l, and [M_q, M_p] = -[M_p, M_q]
-    known = {}
-
-    def comm(p, q):
-        c = known.get((p, q))
-        if c is None:
-            if (q, p) in known:
-                c = -known[q, p]
-            else:
-                a, b = m.entries[p[0]][p[1]], m.entries[q[0]][q[1]]
-                c = a * b - b * a
-            known[p, q] = c
-        return c
+    def comm(a, b):
+        return a * b - b * a
 
     for j in range(n):
         for i in range(n):
             for k in range(i + 1, n):
-                if comm((i, j), (k, j)):
+                if comm(e[i][j], e[k][j]):
                     return False, (i, j, k, j)
+    # the cross condition [M_ij, M_kl] = [M_kj, M_il] is unchanged up to sign
+    # under i <-> k or j <-> l, holds at i = k, and at j = l is twice a column
+    # condition: checking i < k, j < l needs each commutator once and finds
+    # the violation the full (i, k, j, l) loop would find first
     for i in range(n):
-        for k in range(n):
+        for k in range(i + 1, n):
             for j in range(n):
-                for l in range(n):
-                    lhs = comm((i, j), (k, l))
-                    rhs = comm((k, j), (i, l))
-                    if lhs != rhs:
+                for l in range(j + 1, n):
+                    if comm(e[i][j], e[k][l]) != comm(e[k][j], e[i][l]):
                         return False, (i, j, k, l)
     return True, None
 

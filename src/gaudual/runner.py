@@ -74,8 +74,22 @@ def _points(raw) -> list[tuple[Fraction, int]]:
     return [(rat(p), int(t)) for p, t in raw]
 
 
+def _model(spec: dict) -> str:
+    """The model dispatch builds an instance on: "neumann", "cyclotomic"
+    (CycloInstance) or "gaudin" (DualityInstance)."""
+    kind = spec["kind"]
+    if kind == "neumann":
+        return "neumann"
+    if (kind in ("cyclotomic", "lax-algebra")
+            or kind == "homomorphism" and spec.get("realization") == "cyclotomic"
+            or kind == "commutativity" and spec.get("flavor") == "cyclotomic"):
+        return "cyclotomic"
+    return "gaudin"
+
+
 def validate_instance(spec: dict) -> None:
-    """Cheap divisor-constraint validation; raises SpecValidationError."""
+    """Cheap validation of every field the instance's builder reads; raises
+    SpecValidationError."""
     if not isinstance(spec, dict):
         raise SpecValidationError(f"an instance must be a JSON object, not {spec!r}")
     kind = spec.get("kind")
@@ -83,16 +97,21 @@ def validate_instance(spec: dict) -> None:
         raise SpecValidationError(f"unknown kind {kind!r}")
     try:
         _check_choices(kind, spec)
-        if kind == "neumann":
+        model = _model(spec)
+        M = int(spec["M"])
+        if M < 1:
+            raise SpecValidationError(f"need M >= 1, got {M}")
+        if model == "neumann":
             omegas = [rat(w) for w in spec["omega"]]
-            if len(omegas) != int(spec["M"]):
+            if len(omegas) != M:
                 raise SpecValidationError("need M frequencies")
             if len({w * w for w in omegas}) != len(omegas):
                 raise SpecValidationError("frequencies must have distinct squares")
             return
-        M, N = int(spec["M"]), int(spec["N"])
-        cyclo = "tau0" in spec
-        if cyclo:
+        N = int(spec["N"])
+        if N < 1:
+            raise SpecValidationError(f"need N >= 1, got {N}")
+        if model == "cyclotomic":
             tau0 = int(spec["tau0"])
             pts = _points(spec.get("divisor", []))
             total = tau0 + sum(t for _, t in pts)
@@ -103,6 +122,8 @@ def validate_instance(spec: dict) -> None:
             lams = [rat(p) for p in spec["lambda_points"]]
             if len(lams) != M or len(set(lams)) != M:
                 raise SpecValidationError("need M distinct lambda points")
+            if not spec.get("options", {}).get("symbolic_mu"):
+                rat(spec["mu"])
             CycloDivisor.of(tau0, pts)  # distinctness of +-z_i
         else:
             dz = _points(spec["divisor"])
@@ -119,7 +140,9 @@ def validate_instance(spec: dict) -> None:
             Divisor.of(dl)
     except SpecValidationError:
         raise
-    except (KeyError, ValueError, TypeError, GaudualError) as err:
+    except KeyError as err:
+        raise SpecValidationError(f"missing field {err} for a {kind} instance") from err
+    except (ValueError, TypeError, GaudualError) as err:
         raise SpecValidationError(str(err)) from err
 
 
@@ -161,6 +184,8 @@ def _check_choices(kind: str, spec: dict) -> None:
             raise SpecValidationError(
                 f"unknown {key} {options[key]!r}; expected one of {sorted(choices)}"
             )
+    if options.get("mode") == "sampled" and kind != "classical-bosonic":
+        raise SpecValidationError(f"mode 'sampled' applies to classical-bosonic only, not {kind}")
     for key in BOOLEAN_OPTIONS:
         if key in options and not isinstance(options[key], bool):
             raise SpecValidationError(f"option {key} must be true or false, not {options[key]!r}")
@@ -246,34 +271,19 @@ def run_instance(spec: dict, mode: str | None = None, max_terms: int = 10**7) ->
 
 
 def _dispatch(spec: dict, opts: dict) -> dict:
-    kind = spec["kind"]
-    if kind == "classical-bosonic":
-        inst = _build_duality(spec)
-        seed = SAMPLE_SEED if opts.get("mode") == "sampled" else None
-        return verify_classical_bosonic_duality(inst, sample_seed=seed)
-    if kind == "classical-fermionic":
-        return verify_classical_fermionic_duality(_build_duality(spec))
-    if kind == "quantum-bosonic":
-        return verify_quantum_duality(_build_duality(spec))
-    if kind == "homomorphism":
-        mutation = opts.get("mutation")
-        realization = spec.get("realization", "classical-bosonic")
-        if realization == "cyclotomic":
-            return verify_cyclotomic_homomorphisms(_build_cyclo(spec), mutation)
-        return verify_homomorphism(_build_duality(spec), GAUDIN_FLAVORS[realization], mutation)
-    if kind == "commutativity":
-        flavor = spec.get("flavor", "classical")
-        if flavor == "cyclotomic":
-            gens = extract_cyclotomic_generators(_build_cyclo(spec))
-            report = check_commutativity(gens, "classical")
-        else:
-            inst = _build_duality(spec)
-            gens = extract_gaudin_generators(inst, flavor)
-            report = check_commutativity(gens, flavor)
-        report["generators"] = len(gens)
-        return report
-    if kind == "cyclotomic":
+    kind, model = spec["kind"], _model(spec)
+    mutation = opts.get("mutation")
+    if model == "neumann":
+        return neumann_artifacts(int(spec["M"]), [rat(w) for w in spec["omega"]])
+    if model == "cyclotomic":
         inst = _build_cyclo(spec)
+        if kind == "homomorphism":
+            return verify_cyclotomic_homomorphisms(inst, mutation)
+        if kind == "commutativity":
+            gens = extract_cyclotomic_generators(inst)
+            return dict(check_commutativity(gens, "classical"), generators=len(gens))
+        if kind == "lax-algebra":
+            return lax_algebra_check(inst, spec["which"])
         if opts.get("quantum_candidate"):
             ok, witness = manin_check(quantum_cyclotomic_candidate(inst))
             return {
@@ -282,8 +292,17 @@ def _dispatch(spec: dict, opts: dict) -> dict:
                 "witness": None if ok else {"manin_quadruple": list(witness)},
             }
         return verify_cyclotomic_duality(inst)
-    if kind == "neumann":
-        return neumann_artifacts(int(spec["M"]), [rat(w) for w in spec["omega"]])
-    if kind == "lax-algebra":
-        return lax_algebra_check(_build_cyclo(spec), spec["which"])
-    raise SpecValidationError(f"unknown kind {kind!r}")
+    inst = _build_duality(spec)
+    if kind == "homomorphism":
+        realization = spec.get("realization", "classical-bosonic")
+        return verify_homomorphism(inst, GAUDIN_FLAVORS[realization], mutation)
+    if kind == "commutativity":
+        flavor = spec.get("flavor", "classical")
+        gens = extract_gaudin_generators(inst, flavor)
+        return dict(check_commutativity(gens, flavor), generators=len(gens))
+    if kind == "classical-bosonic":
+        seed = SAMPLE_SEED if opts.get("mode") == "sampled" else None
+        return verify_classical_bosonic_duality(inst, sample_seed=seed)
+    if kind == "classical-fermionic":
+        return verify_classical_fermionic_duality(inst)
+    return verify_quantum_duality(inst)

@@ -40,7 +40,6 @@ from functools import cache
 from itertools import product
 from math import comb, perm
 
-from .errors import ResidualPole
 from .ratfunc import RatFunc
 from .scalars import normalized
 

@@ -215,6 +215,9 @@ def test_guard_rejects_oversized_instance():
 
 _GAUDIN = {"M": 1, "N": 1, "divisor": [["1", 1]], "dual_divisor": [["5", 1]]}
 _CYCLO = {"M": 2, "N": 2, "tau0": 2, "divisor": [], "lambda_points": ["5", "7"], "mu": "-1"}
+_CYCLO_NO_MU = {key: value for key, value in _CYCLO.items() if key != "mu"}
+# gaudin fields with the cyclotomic ones but no tau0
+_CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
 
 
 @pytest.mark.parametrize(
@@ -239,12 +242,22 @@ _CYCLO = {"M": 2, "N": 2, "tau0": 2, "divisor": [], "lambda_points": ["5", "7"],
         ["kind"],
         "neumann",
         3,
+        dict(_CYCLO_NO_MU, kind="cyclotomic"),
+        dict(_CYCLO_NO_MU, kind="lax-algebra", which="sp2N"),
+        dict(_CYCLO_NO_TAU0, kind="cyclotomic"),
+        dict(_CYCLO_NO_TAU0, kind="homomorphism", realization="cyclotomic"),
+        dict(_CYCLO_NO_TAU0, kind="commutativity", flavor="cyclotomic"),
+        dict(_CYCLO, kind="classical-bosonic"),
+        dict(_GAUDIN, kind="classical-bosonic", M=0, dual_divisor=[]),
+        dict(_GAUDIN, kind="quantum-bosonic", options={"mode": "sampled"}),
     ],
     ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
          "gaudin-mutation", "cyclotomic-mutation", "mutation-on-duality", "options-not-object",
          "option-key", "expect-fial", "mode-sampeld", "symbolic-mu-string",
          "quantum-candidate-int", "symbolic-mu-quantum-candidate", "field-flavour", "instance-list", "instance-string",
-         "instance-number"],
+         "instance-number", "cyclotomic-no-mu", "lax-no-mu", "cyclotomic-no-tau0",
+         "cyclotomic-homomorphism-no-tau0", "cyclotomic-commutativity-no-tau0",
+         "gaudin-kind-with-tau0", "m-zero", "sampled-mode-on-quantum"],
 )
 def test_validation_rejects_names_dispatch_cannot_run(spec):
     with pytest.raises(SpecValidationError):

@@ -2,17 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from gaudual.errors import RequiresRegularDivisor
+from gaudual.errors import GaudualError
 from gaudual.gaudin import (
     Divisor,
     DualityInstance,
     _cdet_side,
-    _negated,
     _partial_fraction_generators,
-    build_quadratic_hamiltonians,
     check_commutativity,
     extract_gaudin_generators,
-    hamiltonians_in_commutant,
 )
 from gaudual.linalg import solve_linear
 from gaudual.multipoly import MultiPoly
@@ -76,6 +73,69 @@ def test_commutativity_failure_witness():
 # -- quadratic Hamiltonians --------------------------------------------------
 
 
+class RequiresRegularDivisor(GaudualError):
+    pass
+
+
+def build_quadratic_hamiltonians(z_points: list[Fraction],
+                                lam_values: list[Fraction]) -> list[WeylElement]:
+    """Realized quadratic Gaudin Hamiltonians for a regular divisor and a
+    diagonal matrix at infinity."""
+    N, M = len(z_points), len(lam_values)
+    if len(set(z_points)) != N:
+        raise RequiresRegularDivisor("marked points must be distinct")
+    out = []
+    for i in range(1, N + 1):
+        h = WeylElement.zero()
+        for j in range(1, N + 1):
+            if j == i:
+                continue
+            weight = Q(1) / (z_points[i - 1] - z_points[j - 1])
+            for a in range(1, M + 1):
+                for b in range(1, M + 1):
+                    term = (WeylElement.x(a, i) * WeylElement.d(b, i)) * (
+                        WeylElement.x(b, j) * WeylElement.d(a, j)
+                    )
+                    h = h + term * weight
+        for a in range(1, M + 1):
+            h = h + (WeylElement.x(a, i) * WeylElement.d(a, i)) * lam_values[a - 1]
+        out.append(h)
+    return out
+
+
+def hamiltonians_in_commutant(inst: DualityInstance) -> dict:
+    """Every quadratic Hamiltonian commutes with every extracted generator,
+    and their sum is exactly the realized lambda-term."""
+    if any(tau != 1 for _, tau in inst.div_z.points + inst.div_lam.points):
+        raise RequiresRegularDivisor("quadratic Hamiltonians need all tau = 1")
+    z_points = [loc for loc, _ in inst.div_z.points]
+    lam_values = [loc for loc, _ in inst.div_lam.points]
+    hams = build_quadratic_hamiltonians(z_points, lam_values)
+    gens = extract_gaudin_generators(inst, "quantum")
+    checked = 0
+    for hi, h in enumerate(hams):
+        for gi, g in enumerate(gens):
+            checked += 1
+            if weyl_commutator(h, g):
+                return {
+                    "status": "fail",
+                    "pairs_checked": checked,
+                    "witness": {"hamiltonian": hi, "generator": gi},
+                }
+    total = WeylElement.zero()
+    for h in hams:
+        total = total + h
+    lam_term = WeylElement.zero()
+    for i in range(1, inst.N + 1):
+        for a in range(1, inst.M + 1):
+            lam_term = lam_term + (
+                WeylElement.x(a, i) * WeylElement.d(a, i)
+            ) * lam_values[a - 1]
+    if total != lam_term:
+        return {"status": "fail", "witness": {"sum_rule": "sum H_i != lambda term"}}
+    return {"status": "pass", "pairs_checked": checked, "hamiltonians": len(hams)}
+
+
 def test_hamiltonian_shape_n1():
     # N = 1: no pairwise term, H_1 = sum_a lam_a x^a d^a
     hams = build_quadratic_hamiltonians([Q(1)], [Q(5), Q(7)])
@@ -123,10 +183,10 @@ def glN_convention_generators(inst: DualityInstance):
     conventions, cdet(Dz 1 - L) and cdet(Dz 1 + tL), for the span-equality
     check."""
     lax = inst.lax_glN("quantum", "dz")
-    transposed = [list(col) for col in zip(*lax.entries)]
+    negated_transpose = [[-f for f in col] for col in zip(*lax.entries)]
     return tuple(
         _partial_fraction_generators(_cdet_side(entries, inst.div_lam, "dz"), inst.div_lam)
-        for entries in (_negated(lax), transposed)
+        for entries in (lax.entries, negated_transpose)
     )
 
 

@@ -9,11 +9,13 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gaudual"
 
 NOT_REACHED = {
-    # proves the README claim that the quadratic Hamiltonians lie in the
-    # commutant; no spec reaches it yet (ROADMAP item 4)
-    "hamiltonians_in_commutant",
     # public entry point, and bench/tracer.py wraps matrices.det by name
     "det",
+}
+
+IMPORTS_NOT_USED = {
+    # bench/test_bench.py checks that the tracer wraps this binding
+    "gaudin.py:solve_linear",
 }
 
 METHODS_NOT_REACHED = {
@@ -77,9 +79,30 @@ def unreferenced_methods() -> list[str]:
     return unused
 
 
+def unused_imports() -> list[str]:
+    """Top-level imports of a package module that the module never uses;
+    __init__.py imports to re-export and is not parsed."""
+    unused = []
+    for name, tree in _package_trees().items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used and f"{name}:{bound}" not in IMPORTS_NOT_USED:
+                    unused.append(f"{name}:{bound}")
+    return unused
+
+
 def test_every_top_level_function_is_referenced_in_the_package():
     assert unreferenced_functions() == []
 
 
 def test_every_method_is_referenced_in_the_package():
     assert unreferenced_methods() == []
+
+
+def test_every_top_level_import_is_used():
+    assert unused_imports() == []

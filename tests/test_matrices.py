@@ -5,13 +5,7 @@ from operator import mul
 import pytest
 
 from gaudual.cyclotomic import quantum_cyclotomic_candidate
-from gaudual.errors import (
-    BlockNotInvertible,
-    NonSquare,
-    NoncommutativeRing,
-    NotInvertible,
-    SingularBlock,
-)
+from gaudual.errors import GaudualError, NonSquare, NoncommutativeRing, NotInvertible
 from gaudual.gaudin import quantum_block_matrix
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 from gaudual.matrices import (
@@ -163,8 +157,9 @@ def test_manin_failure_gives_witness():
 
 
 def manin_reference(m: RingMatrix):
-    """manin_check without the commutator memo: every commutator is
-    recomputed as a*b - b*a, in the same quadruple order."""
+    """manin_check over every quadruple: all i != k column pairs and the
+    cross condition for all (i, k, j, l), each commutator recomputed as
+    a*b - b*a."""
     n = m.rows
 
     def comm(a, b):
@@ -200,6 +195,23 @@ def test_manin_check_matches_reference_on_cyclotomic_candidates():
         ok, witness = manin_check(m)
         assert not ok and witness is not None
         assert (ok, witness) == manin_reference(m)
+
+
+@pytest.mark.parametrize(
+    "rows, witness",
+    [
+        ([[X(1, 1), 0], [0, D(1, 1)]], (0, 0, 1, 1)),
+        ([[0, X(1, 1)], [D(1, 1), 0]], (0, 0, 1, 1)),
+        ([[1, 0, 0], [0, X(1, 1), 0], [0, 0, D(1, 1)]], (1, 1, 2, 2)),
+        ([[X(1, 1), 0, 0], [0, 0, X(2, 1)], [0, D(2, 1), 0]], (1, 1, 2, 2)),
+    ],
+    ids=["diagonal", "anti-diagonal", "diagonal-3", "corner-3"],
+)
+def test_manin_check_finds_a_cross_condition_violation(rows, witness):
+    # every column condition holds; one cross condition fails
+    m = RingMatrix([[e if isinstance(e, WeylElement) else WeylElement.const(e) for e in row]
+                    for row in rows], "weyl")
+    assert manin_check(m) == manin_reference(m) == (False, witness)
 
 
 def test_manin_check_matches_reference_on_random_weyl_matrices():
@@ -308,6 +320,14 @@ def test_jordan_inverse_rejects_zero():
 
 
 # -- Schur complement factorizations ----------------------------------------
+
+
+class BlockNotInvertible(GaudualError):
+    pass
+
+
+class SingularBlock(GaudualError):
+    pass
 
 
 def adjugate(m: RingMatrix) -> RingMatrix:
