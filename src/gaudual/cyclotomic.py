@@ -382,15 +382,8 @@ def _cleared(terms, clearing: MultiPoly, var: str) -> MultiPoly:
     order) terms, each clearing factor divided out exactly."""
     total = MultiPoly.zero()
     for img, root, order in terms:
-        total = total + img * _poly_div_power(clearing, var, root, order)
+        total = total + img * clearing.divide_linear(var, root, order)
     return total
-
-
-def _poly_div_power(poly: MultiPoly, var: str, root: Fraction, power: int) -> MultiPoly:
-    out = poly
-    for _ in range(power):
-        out = out.divide_linear(var, root)
-    return out
 
 
 # -- verifiers -----------------------------------------------------------------

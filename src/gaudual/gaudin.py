@@ -321,8 +321,7 @@ def _cleared_det(lax: RingMatrix, divisor: Divisor, var: VariableTable, spec_var
 
 def _divide_out(poly: MultiPoly, divisor: Divisor, spec_var: str, copies: int) -> MultiPoly:
     for loc, tau in divisor.points:
-        for _ in range(tau * copies):
-            poly = poly.divide_linear(spec_var, loc)
+        poly = poly.divide_linear(spec_var, loc, tau * copies)
     return poly
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache, reduce
+from math import comb
 from operator import or_
 
 from .errors import ExponentOverflow
@@ -399,33 +400,40 @@ class MultiPoly:
             out.setdefault(key, {})[e] = c
         return {k: MultiPoly(rest_vars, _repack(out[k], moves)) for k in sorted(out)}
 
-    def divide_linear(self, name: str, root) -> MultiPoly:
-        """Exact division by (name - root); raises if the remainder is nonzero."""
+    def divide_linear(self, name: str, root, power: int = 1) -> MultiPoly:
+        """Exact division by (name - root)^power; raises if the remainder is
+        nonzero, so a quotient is a proof of divisibility."""
         if not self.terms:
             return MultiPoly.zero()
+        if not power:
+            return self
+        divisor = f"({name} - {root})^{power}"
         if name not in self.vars:
-            raise ValueError(f"{name} - {root} does not divide exactly")
+            raise ValueError(f"{divisor} does not divide exactly")
         root = _coerce(root)
         s = self._shift(name)
-        # synthetic division on the coefficients of name^k, each a dict
-        # keyed by the monomial with its `name` field cleared
-        by_deg: dict[int, dict] = {}
+        # long division on the coefficients of name^k, each a dict keyed by
+        # the monomial with its `name` field cleared, by the monic divisor
+        # name^power + sum_j C(power, j) (-root)^(power - j) name^j, j < power
+        rows: dict[int, dict] = {}
         for e, c in self.terms.items():
             k = (e >> s) & FIELD
-            by_deg.setdefault(k, {})[e - (k << s)] = c
+            rows.setdefault(k, {})[e - (k << s)] = c
+        lower = [(j, comb(power, j) * (-root) ** (power - j)) for j in range(power)] if root else []
         quot: dict[int, int] = {}
-        carry: dict = {}
-        for k in range(max(by_deg), 0, -1):
-            row = by_deg.get(k, {})
-            for e, c in carry.items():
-                row[e] = row.get(e, 0) + c
-            quot.update((e + ((k - 1) << s), c) for e, c in row.items())
-            carry = {e: c * root for e, c in row.items()}
-        rem = by_deg.get(0, {})
-        for e, c in carry.items():
-            rem[e] = rem.get(e, 0) + c
-        if any(rem.values()):
-            raise ValueError(f"{name} - {root} does not divide exactly")
+        for k in range(max(rows), power - 1, -1):
+            row = [(e, c) for e, c in rows.pop(k, {}).items() if c]
+            if not row:
+                continue
+            at = (k - power) << s
+            quot.update((e + at, c) for e, c in row)
+            for j, a in lower:
+                target = rows.setdefault(k - power + j, {})
+                get = target.get
+                for e, c in row:
+                    target[e] = get(e, 0) - a * c
+        if any(any(rem.values()) for rem in rows.values()):
+            raise ValueError(f"{divisor} does not divide exactly")
         return MultiPoly(self.vars, _nonzero(quot, True)).compact()
 
     # -- display ----------------------------------------------------------

@@ -65,9 +65,16 @@ MUTATIONS = {
 OPTION_CHOICES = {"expect": {"pass", "fail"}, "mode": {"symbolic", "sampled"}}
 BOOLEAN_OPTIONS = ("symbolic_mu", "quantum_candidate")
 OPTION_KEYS = {"mutation", *OPTION_CHOICES, *BOOLEAN_OPTIONS}
+# the top-level fields each model reads, and the ones only one kind reads
+MODEL_KEYS = {
+    "neumann": {"kind", "M", "omega", "options"},
+    "cyclotomic": {"kind", "M", "N", "tau0", "divisor", "lambda_points", "mu", "options"},
+    "gaudin": {"kind", "M", "N", "divisor", "dual_divisor", "options"},
+}
+KIND_KEYS = {"homomorphism": {"realization"}, "commutativity": {"flavor"},
+             "lax-algebra": {"which"}}
 # the top-level fields of the README schema
-SPEC_KEYS = {"kind", "M", "N", "divisor", "dual_divisor", "flavor", "realization", "which",
-             "tau0", "lambda_points", "mu", "omega", "options"}
+SPEC_KEYS = set().union(*MODEL_KEYS.values(), *KIND_KEYS.values())
 
 
 def _points(raw) -> list[tuple[Fraction, int]]:
@@ -88,8 +95,8 @@ def _model(spec: dict) -> str:
 
 
 def validate_instance(spec: dict) -> None:
-    """Cheap validation of every field the instance's builder reads; raises
-    SpecValidationError."""
+    """Cheap validation of every field the instance's builder reads, and
+    refusal of every field it does not; raises SpecValidationError."""
     if not isinstance(spec, dict):
         raise SpecValidationError(f"an instance must be a JSON object, not {spec!r}")
     kind = spec.get("kind")
@@ -98,6 +105,13 @@ def validate_instance(spec: dict) -> None:
     try:
         _check_choices(kind, spec)
         model = _model(spec)
+        allowed = MODEL_KEYS[model] | KIND_KEYS.get(kind, set())
+        unread = sorted(set(spec) - allowed)
+        if unread:
+            raise SpecValidationError(
+                f"field {unread[0]!r} is not read by a {kind} instance ({model} model); "
+                f"expected fields among {sorted(allowed)}"
+            )
         M = int(spec["M"])
         if M < 1:
             raise SpecValidationError(f"need M >= 1, got {M}")

@@ -266,6 +266,38 @@ def test_validation_rejects_names_dispatch_cannot_run(spec):
         run_instance(spec)
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (dict(_GAUDIN, kind="classical-bosonic", tau0=3), "tau0"),
+        (dict(_GAUDIN, kind="classical-bosonic", which="sp2N"), "which"),
+        (dict(_GAUDIN, kind="classical-bosonic", omega=["1"]), "omega"),
+        (dict(_GAUDIN, kind="homomorphism", flavor="quantum"), "flavor"),
+        (dict(_GAUDIN, kind="commutativity", realization="quantum-bosonic"), "realization"),
+        (dict(_CYCLO, kind="cyclotomic", dual_divisor=[["5", 1]]), "dual_divisor"),
+        (dict(_CYCLO, kind="lax-algebra", which="sp2N", flavor="cyclotomic"), "flavor"),
+        ({"kind": "neumann", "M": 2, "omega": ["1", "2"], "N": 2}, "N"),
+    ],
+    ids=["bosonic-tau0", "bosonic-which", "bosonic-omega", "homomorphism-flavor",
+         "commutativity-realization", "cyclotomic-dual-divisor", "lax-flavor", "neumann-N"],
+)
+def test_validation_refuses_a_field_the_model_never_reads(spec, field):
+    with pytest.raises(SpecValidationError, match=f"field '{field}' is not read by a {spec['kind']}"):
+        run_instance(spec)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"kind": "cyclotomic"}, {"kind": "homomorphism", "realization": "cyclotomic"},
+     {"kind": "commutativity", "flavor": "cyclotomic"}],
+    ids=["cyclotomic", "homomorphism", "commutativity"],
+)
+def test_validation_of_a_cyclotomic_model_spec_without_tau0_names_it(extra):
+    spec = {key: value for key, value in _CYCLO.items() if key != "tau0"}
+    with pytest.raises(SpecValidationError, match="missing field 'tau0'"):
+        validate_instance(dict(spec, **extra))
+
+
 def test_cli_exit_2_on_unknown_lax_family(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"instances": [dict(_CYCLO, kind="lax-algebra", which="glN")]}))

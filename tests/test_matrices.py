@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 from operator import mul
 
 import pytest
@@ -23,7 +24,7 @@ from gaudual.presets import paper_core, quantum_grid
 from gaudual.ratfunc import RatFunc, rational_roots
 from gaudual.runner import _build_cyclo, _build_duality
 from gaudual.weyl import OrderedDiffOp, WeylElement
-from helpers import jordan_block_inverse, rng, random_fraction, weyl_to_ordered
+from helpers import jordan_block_inverse, random_fraction, random_grassmann, rng, weyl_to_ordered
 
 Q = Fraction
 X = WeylElement.x
@@ -87,6 +88,98 @@ def test_cdet_equals_det_on_random_commutative():
         n = r.randint(1, 4)
         m = frac_matrix([[random_fraction(r) for _ in range(n)] for _ in range(n)])
         assert cdet(m) == det(m)
+
+
+# -- the subset recursion against the permutation definition ----------------
+
+
+def perm_definition(m: RingMatrix):
+    """sum over permutations s of sign(s) m[s(0)][0] m[s(1)][1] ... m[s(n-1)][n-1],
+    factors in column order: the definition of det and cdet, as an oracle for
+    the memoized expansion of `_perm_expansion`."""
+    n = m.rows
+    total = None
+    for perm in permutations(range(n)):
+        prod = reduce(mul, (m.entries[perm[c]][c] for c in range(n)))
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        if inversions & 1:
+            prod = -prod
+        total = prod if total is None else total + prod
+    return total
+
+
+def _square_matrices(entries, max_size=4):
+    st = pytest.importorskip("hypothesis").strategies
+    return st.integers(1, max_size).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _check_against_definition(entries, ring, max_examples=60):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=max_examples, deadline=None)
+    @hypothesis.given(_square_matrices(entries))
+    def check(rows):
+        m = RingMatrix(rows, ring)
+        assert _perm_expansion(m) == perm_definition(m)
+
+    check()
+
+
+def test_expansion_matches_definition_on_fraction_matrices():
+    st = pytest.importorskip("hypothesis").strategies
+    # small integers make zero entries, zero minors and cancellations common
+    entries = st.one_of(st.integers(-2, 2).map(Q),
+                        st.builds(Q, st.integers(-6, 6), st.integers(1, 4)))
+    _check_against_definition(entries, "commutative", max_examples=120)
+
+
+def test_expansion_matches_definition_on_polynomial_matrices():
+    st = pytest.importorskip("hypothesis").strategies
+    monomials = st.lists(st.sampled_from(["x", "y", "z"]), max_size=2).map(
+        lambda names: reduce(mul, [MultiPoly.var(v) for v in names], MultiPoly.const(1)))
+    entries = st.lists(st.tuples(st.integers(-2, 2), monomials), max_size=3).map(
+        lambda terms: sum((mono * c for c, mono in terms), MultiPoly.zero()))
+    _check_against_definition(entries, "commutative")
+
+
+def _weyl_elements():
+    """Short sums of words of at most two x/d letters on two pairs: entries
+    that mostly do not commute."""
+    st = pytest.importorskip("hypothesis").strategies
+    letters = st.tuples(st.sampled_from([X, D]), st.sampled_from([(1, 1), (2, 1)]))
+    monomials = st.lists(letters, max_size=2).map(
+        lambda word: reduce(mul, [f(*at) for f, at in word], WeylElement.const(1)))
+    return st.lists(st.tuples(st.integers(-2, 2), monomials), max_size=2).map(
+        lambda terms: sum((mono * c for c, mono in terms), WeylElement.zero()))
+
+
+def test_expansion_matches_definition_on_weyl_matrices():
+    _check_against_definition(_weyl_elements(), "weyl")
+
+
+def test_expansion_matches_definition_on_a_grassmann_even_matrix():
+    r = rng(47)
+    alg = GrassmannAlgebra(2, 2)
+    z = MultiPoly.var("z")
+    rows = [[random_grassmann(r, alg, 0) + GrassmannElement({0: z - i - j})
+             for j in range(3)] for i in range(3)]
+    m = RingMatrix(rows, "grassmann-even")
+    assert det(m) == perm_definition(m)
+    assert det(m) != GrassmannElement({0: perm_definition(map_entries(
+        m, lambda e: e.terms.get(0, MultiPoly.zero())))})
+
+
+def test_expansion_is_column_ordered():
+    # swapping rows 1 and 2 (from 0) contributes -X1 D2 X2 in column order
+    # and -X1 X2 D2 in row order, so the two expansions differ by -X1
+    zero, one = WeylElement.zero(), WeylElement.const(1)
+    m = RingMatrix([[X(1, 1), D(1, 1), zero],
+                    [D(1, 1), X(1, 1), X(2, 1)],
+                    [zero, D(2, 1), one]], "weyl")
+    got = cdet(m)
+    assert got == perm_definition(m)
+    assert got - perm_definition(m.transpose()) == -X(1, 1)
 
 
 # -- Manin checks -----------------------------------------------------------
@@ -217,11 +310,7 @@ def test_manin_check_finds_a_cross_condition_violation(rows, witness):
 def test_manin_check_matches_reference_on_random_weyl_matrices():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    letters = st.tuples(st.sampled_from([X, D]), st.sampled_from([(1, 1), (2, 1)]))
-    monomials = st.lists(letters, max_size=2).map(
-        lambda word: reduce(mul, [f(*at) for f, at in word], WeylElement.const(1)))
-    elements = st.lists(st.tuples(st.integers(-2, 2), monomials), max_size=2).map(
-        lambda terms: sum((mono * c for c, mono in terms), WeylElement.zero()))
+    elements = _weyl_elements()
 
     @hypothesis.settings(max_examples=80, deadline=None)
     @hypothesis.given(st.integers(2, 3).flatmap(

@@ -70,19 +70,33 @@ def test_derivative_matches_sympy(ta, name):
 
 
 @SETTINGS
-@given(polys, coeffs)
-def test_divide_linear_matches_sympy(ta, root):
+@given(polys, coeffs, st.integers(1, 4))
+def test_divide_linear_matches_sympy(ta, root, power):
     p = build(ta)
-    product = (MultiPoly.var("z") - root) * p
-    quotient = product.divide_linear("z", root)
+    product = (MultiPoly.var("z") - root) ** power * p
+    quotient = product.divide_linear("z", root, power)
     z = SYMBOLS["z"]
-    want, rem = sympy.div(to_sympy(product), z - sympy.Rational(root.numerator, root.denominator), z)
+    divisor = (z - sympy.Rational(root.numerator, root.denominator)) ** power
+    want, rem = sympy.div(to_sympy(product), divisor, z)
     assert rem == 0
     assert quotient == p
     assert same(quotient, want)
     if p:
         with pytest.raises(ValueError):
-            (product + 1).divide_linear("z", root)
+            (product + 1).divide_linear("z", root, power)
+
+
+@SETTINGS
+@given(polys, polys, coeffs, st.integers(1, 4))
+def test_divide_linear_refuses_one_power_too_many(ta, tb, root, power):
+    # g = (z - root) p + h with h = b(z = root) nonzero, so g(root) = h != 0
+    h = build(tb).substitute({"z": root})
+    hypothesis.assume(h)
+    g = (MultiPoly.var("z") - root) * build(ta) + h
+    product = (MultiPoly.var("z") - root) ** (power - 1) * g
+    assert product.divide_linear("z", root, power - 1) == g
+    with pytest.raises(ValueError):
+        product.divide_linear("z", root, power)
 
 
 @SETTINGS
