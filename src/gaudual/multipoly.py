@@ -160,13 +160,16 @@ class VariableTable(dict):
 
 class MultiPoly:
     """Immutable sparse polynomial: map from packed monomials to nonzero
-    int or Fraction coefficients over the variable table ``vars``."""
+    int or Fraction coefficients over the variable table ``vars``.  The
+    memo of ``partials`` is filled as it is used and never invalidated, so
+    ``terms`` must not change after construction."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_partials")
 
     def __init__(self, vars: tuple[str, ...], terms: dict):
         self.vars = vars
         self.terms = terms
+        self._partials = None
 
     # -- constructors --------------------------------------------------
 
@@ -369,6 +372,30 @@ class MultiPoly:
         if _has_fraction(terms):
             terms = _nonzero(terms, True)
         return MultiPoly(self.vars, terms)
+
+    def partials(self) -> dict[int, dict | None]:
+        """The memo of ``partial``: the field shift of each variable some
+        term uses, in table order, to the terms of the derivative by that
+        variable, or None until ``partial`` first computes them."""
+        memo = self._partials
+        if memo is None:
+            used = reduce(or_, self.terms, 0)
+            memo = self._partials = {}
+            while used:
+                s = (used.bit_length() - 1) // BITS * BITS  # the first used field
+                memo[s] = None
+                used &= ~(FIELD << s)
+        return memo
+
+    def partial(self, shift: int) -> dict:
+        """The terms of the derivative by the variable at field `shift`, a
+        key of ``partials``; computed on the first call and kept."""
+        memo = self.partials()
+        terms = memo[shift]
+        if terms is None:
+            name = self.vars[len(self.vars) - 1 - shift // BITS]
+            terms = memo[shift] = self.derivative(name).terms
+        return terms
 
     def substitute(self, assignment: dict) -> MultiPoly:
         """Substitute Fractions or polynomials for some variables."""

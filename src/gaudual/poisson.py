@@ -5,41 +5,46 @@ The bracket is computed from formal partial derivatives,
     {f, g} = sum_(a,i) df/dp{a}_{i} dg/dx{a}_{i} - df/dx{a}_{i} dg/dp{a}_{i},
 
 which reproduces {p^a_i, x^b_j} = delta_ij delta_ab on generators; all
-other variables (z, lam, mu, w) are central spectators.  Every product of
+other variables (z, lam, mu, w) are central spectators.  A polynomial
+keeps each partial derivative it is asked for (``MultiPoly.partial``), so
+a polynomial bracketed against many others is differentiated by each
+variable at most once.  The bracket walks the fields f uses, pairs each
+with its conjugate's field through a map cached per variable table, and
+differentiates only where g uses that conjugate; every product of
 derivatives is summed into one dict over the shared table of f and g.
 """
 
 from __future__ import annotations
 
-import re
-from functools import cache, reduce
-from operator import or_
+from functools import cache
 
-from .multipoly import BITS, FIELD, MultiPoly, _checked, _has_fraction, _nonzero
-
-_P_RE = re.compile(r"^p(\d+)_(\d+)$")
+from .multipoly import _PAIR_RE, BITS, MultiPoly, _checked, _has_fraction, _nonzero
 
 
 @cache
-def _conjugate_fields(table: tuple[str, ...]) -> tuple[tuple[str, str, int, int], ...]:
-    """(x name, p name, x field shift, p field shift) of every conjugate
-    pair with both names in table, in name order."""
+def _conjugates(table: tuple[str, ...]) -> dict[int, tuple[int, int]]:
+    """Field shift of each x or p name of table whose conjugate is in table
+    too -> (the conjugate's field shift, sign of its term in the bracket):
+    +1 for a p (df/dp dg/dx), -1 for an x."""
     n = len(table)
     at = {v: BITS * (n - 1 - k) for k, v in enumerate(table)}
-    out = []
-    for pv in table:
-        m = _P_RE.match(pv)
-        xv = m and f"x{m.group(1)}_{m.group(2)}"
-        if xv in at:
-            out.append((xv, pv, at[xv], at[pv]))
-    return tuple(sorted(out))
+    out = {}
+    for v, s in at.items():
+        m = _PAIR_RE.match(v)
+        if m:
+            letter, a, i = m.groups()
+            conjugate = f"{'x' if letter == 'p' else 'p'}{a}_{i}"
+            if conjugate in at:
+                out[s] = (at[conjugate], 1 if letter == "p" else -1)
+    return out
 
 
-def _add_product(terms: dict, f: MultiPoly, g: MultiPoly, sign: int):
-    """Add sign * f * g into terms, zero coefficients kept."""
+def _add_product(terms: dict, left: dict, right: dict, sign: int):
+    """Add sign * left * right, two term dicts, into terms, zero
+    coefficients kept."""
     get = terms.get
-    right = list(g.terms.items())
-    for e1, c1 in f.terms.items():
+    right = list(right.items())
+    for e1, c1 in left.items():
         c1 = c1 * sign
         for e2, c2 in right:
             e = e1 + e2
@@ -49,14 +54,14 @@ def _add_product(terms: dict, f: MultiPoly, g: MultiPoly, sign: int):
 def poisson_bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     # one shared table: the derivatives below share it too
     f, g = f._aligned(g)
-    # the fields some monomial of each side uses: a pair contributes only
-    # if one side has its p and the other its x
-    fo, go = reduce(or_, f.terms, 0), reduce(or_, g.terms, 0)
+    conjugates = _conjugates(f.vars)
+    g_uses = g.partials()
     terms: dict = {}
-    for xv, pv, xs, ps in _conjugate_fields(f.vars):
-        if fo >> ps & FIELD and go >> xs & FIELD:
-            _add_product(terms, f.derivative(pv), g.derivative(xv), 1)
-        if fo >> xs & FIELD and go >> ps & FIELD:
-            _add_product(terms, f.derivative(xv), g.derivative(pv), -1)
+    # a field contributes only if f uses it and g uses its conjugate
+    for s in f.partials():
+        if s in conjugates:
+            t, sign = conjugates[s]
+            if t in g_uses:
+                _add_product(terms, f.partial(s), g.partial(t), sign)
     fractions = _has_fraction(f.terms) or _has_fraction(g.terms)
     return MultiPoly(f.vars, _checked(_nonzero(terms, fractions), len(f.vars)))

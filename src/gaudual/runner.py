@@ -247,44 +247,46 @@ def _build_cyclo(spec: dict) -> CycloInstance:
 
 
 def run_instance(spec: dict, mode: str | None = None, max_terms: int = 10**7) -> dict:
-    """Dispatch one instance; returns the deterministic report body."""
+    """Dispatch one instance; returns the deterministic report body, whose
+    ``mode`` says whether a sample seed was used ("sampled") or not
+    ("symbolic")."""
     validate_instance(spec)
     opts = dict(spec.get("options", {}))
     if mode:
         opts["mode"] = mode
     expect = opts.get("expect", "pass")
+    # only the classical-bosonic duality has a sampled check
+    sampled = opts.get("mode") == "sampled" and spec["kind"] == "classical-bosonic"
+    seed = SAMPLE_SEED if sampled else None
     try:
         _size_guard(spec, max_terms)
-        report = _dispatch(spec, opts)
+        report = _dispatch(spec, opts, seed)
     except SpecValidationError:
         raise
     except GuardExceeded as err:
-        return {"instance": spec, "status": "error", "witness": {"guard": str(err)}}
+        report = {"status": "error", "witness": {"guard": str(err)}}
     except GaudualError as err:
-        return {
-            "instance": spec,
-            "status": "error",
-            "witness": {"error": type(err).__name__, "detail": str(err)},
-        }
+        report = {"status": "error", "witness": {"error": type(err).__name__, "detail": str(err)}}
     except Exception as err:  # a crash ends this instance, not the batch
         frame = traceback.extract_tb(err.__traceback__)[-1]
-        return {
-            "instance": spec,
+        report = {
             "status": "error",
             "witness": {"error": type(err).__name__, "detail": str(err),
                         "where": f"{os.path.basename(frame.filename)}:{frame.lineno}"},
         }
-    if expect == "fail":
-        inner = report.get("status")
-        report["status"] = "pass" if inner == "fail" else "fail"
-        report["expected"] = "fail"
-        if report["status"] == "pass" and "witness" not in report:
-            report["witness"] = {"note": "inner check failed as expected"}
+    else:
+        if expect == "fail":
+            inner = report.get("status")
+            report["status"] = "pass" if inner == "fail" else "fail"
+            report["expected"] = "fail"
+            if report["status"] == "pass" and "witness" not in report:
+                report["witness"] = {"note": "inner check failed as expected"}
     report["instance"] = spec
+    report["mode"] = "sampled" if sampled else "symbolic"
     return report
 
 
-def _dispatch(spec: dict, opts: dict) -> dict:
+def _dispatch(spec: dict, opts: dict, sample_seed: int | None) -> dict:
     kind, model = spec["kind"], _model(spec)
     mutation = opts.get("mutation")
     if model == "neumann":
@@ -315,8 +317,7 @@ def _dispatch(spec: dict, opts: dict) -> dict:
         gens = extract_gaudin_generators(inst, flavor)
         return dict(check_commutativity(gens, flavor), generators=len(gens))
     if kind == "classical-bosonic":
-        seed = SAMPLE_SEED if opts.get("mode") == "sampled" else None
-        return verify_classical_bosonic_duality(inst, sample_seed=seed)
+        return verify_classical_bosonic_duality(inst, sample_seed=sample_seed)
     if kind == "classical-fermionic":
         return verify_classical_fermionic_duality(inst)
     return verify_quantum_duality(inst)

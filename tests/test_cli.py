@@ -198,6 +198,31 @@ def test_sampled_mode_runs():
     }
     report = run_instance(spec, mode="sampled")
     assert report["status"] == "pass"
+    assert report["mode"] == "sampled"
+
+
+@pytest.mark.parametrize("flags,modes", [
+    ([], ["symbolic", "symbolic", "sampled", "symbolic"]),
+    (["--symbolic"], ["symbolic"] * 4),
+    (["--sampled"], ["sampled", "symbolic", "sampled", "symbolic"]),
+], ids=["spec-options", "symbolic", "sampled"])
+def test_reports_say_whether_a_sample_seed_was_used(tmp_path, capsys, flags, modes):
+    # only the classical-bosonic duality takes a sample seed; --sampled and
+    # --symbolic override a spec's own mode option
+    instances = [dict(_GAUDIN, kind="classical-bosonic"), dict(_GAUDIN, kind="quantum-bosonic"),
+                 dict(_GAUDIN, kind="classical-bosonic", options={"mode": "sampled"}), _NEUMANN]
+    assert cli.main(["verify", _write(tmp_path, instances), *flags]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["mode"] for r in reports] == modes
+    assert [r["status"] for r in reports] == ["pass"] * 4
+
+
+def test_an_error_report_says_its_mode():
+    spec = dict(_GAUDIN, kind="classical-bosonic")
+    for mode in ("symbolic", "sampled"):
+        report = run_instance(spec, mode=mode, max_terms=10)
+        assert report["status"] == "error" and "guard" in report["witness"]
+        assert report["mode"] == mode
 
 
 def test_guard_rejects_oversized_instance():

@@ -350,6 +350,23 @@ def test_cyclotomic_generators_poisson_commute():
     assert report["pairs_checked"] >= 10
 
 
+def test_cyclotomic_commutativity_fails_on_one_added_element():
+    # {p1_1, g} = dg/dx1_1: the generators free of x1_1 go first, so the
+    # first nonzero bracket is p1_1 against the first generator using x1_1
+    inst = inst_of(2, 1, [(1, 1)], ["5", "7"], Q(-1))
+    gens = extract_cyclotomic_generators(inst)
+    free = [g for g in gens if not g.derivative("x1_1")]
+    used = [g for g in gens if g.derivative("x1_1")]
+    assert free and used
+    k, n = len(free), len(gens) + 1
+    report = check_commutativity(free + [V("p1_1")] + used, "classical")
+    assert report == {
+        "status": "fail",
+        "pairs_checked": sum(n - r for r in range(k)) + 2,
+        "witness": {"pair": (k, k + 1), "bracket": repr(used[0].derivative("x1_1"))},
+    }
+
+
 # -- Lax algebra -----------------------------------------------------------------
 
 

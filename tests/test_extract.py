@@ -70,6 +70,25 @@ def test_commutativity_failure_witness():
     assert report["witness"]["pair"] == (0, 1)
 
 
+def test_classical_commutativity_fails_on_one_added_element():
+    # {x1_1, g} = -dg/dp1_1: with the generators free of p1_1 first, x1_1
+    # next and the rest after it, the first nonzero bracket is x1_1 against
+    # the first generator that uses p1_1
+    inst = make(2, 2, [(1, 2)], [(5, 1), (7, 1)])
+    gens = extract_gaudin_generators(inst, "classical")
+    free = [g for g in gens if not g.derivative("p1_1")]
+    used = [g for g in gens if g.derivative("p1_1")]
+    assert free and used
+    assert check_commutativity(free + used, "classical")["status"] == "pass"
+    k, n = len(free), len(gens) + 1
+    report = check_commutativity(free + [inst.var["x1_1"]] + used, "classical")
+    assert report == {
+        "status": "fail",
+        "pairs_checked": sum(n - r for r in range(k)) + 2,
+        "witness": {"pair": (k, k + 1), "bracket": repr(-used[0].derivative("p1_1"))},
+    }
+
+
 # -- quadratic Hamiltonians --------------------------------------------------
 
 

@@ -41,7 +41,8 @@ def to_sympy(p: MultiPoly):
     for mono, c in p.terms.items():
         term = sympy.Rational(c.numerator, c.denominator)
         for name, e in zip(p.vars, p.unpack(mono)):
-            term *= SYMBOLS[name] ** e
+            if e:
+                term *= SYMBOLS[name] ** e
         out += term
     return out
 
@@ -112,21 +113,45 @@ def test_substitute_matches_sympy(ta, tb, value):
     assert same(got, want)
 
 
-@SETTINGS
-@given(polys, polys)
-def test_poisson_bracket_matches_sympy(ta, tb):
-    f, g = build(ta), build(tb)
-    sf, sg = to_sympy(f), to_sympy(g)
-    want = sum(
+def sympy_bracket(sf, sg):
+    return sum(
         sympy.diff(sf, SYMBOLS[p]) * sympy.diff(sg, SYMBOLS[x])
         - sympy.diff(sf, SYMBOLS[x]) * sympy.diff(sg, SYMBOLS[p])
         for x, p in PAIRS
     )
-    assert same(poisson_bracket(f, g), want)
+
+
+@SETTINGS
+@given(polys, polys)
+def test_poisson_bracket_matches_sympy(ta, tb):
+    f, g = build(ta), build(tb)
+    assert same(poisson_bracket(f, g), sympy_bracket(to_sympy(f), to_sympy(g)))
 
 
 # the names of NAMES (z among them) and unused x/p names around them
 WIDE = tuple(sorted({*NAMES, "x1_2", "p1_2", "x3_1", "p3_1", "x2_2"}, key=var_key))
+TABLE = tuple(sorted(NAMES, key=var_key))
+fraction_polys = st.lists(
+    st.tuples(st.builds(Fraction, st.integers(-6, 6), st.integers(2, 4)), monomials),
+    min_size=1, max_size=5)
+
+
+@SETTINGS
+@given(fraction_polys, st.lists(polys, min_size=1, max_size=3))
+def test_poisson_bracket_partials_are_kept_per_polynomial(ta, tbs):
+    # one f against several g and itself, in both orders, over the tables
+    # the polynomials were built on, over one shared table and over a wider
+    # one: the partials each polynomial keeps must give the sympy bracket
+    # every time
+    f, gs = build(ta), [build(tb) for tb in tbs]
+    sf = to_sympy(f)
+    wants = [sympy_bracket(sf, to_sympy(g)) for g in gs] + [0]
+    for table in (None, TABLE, WIDE):
+        lf = f.lift_to(table) if table else f
+        lgs = [g.lift_to(table) if table else g for g in gs] + [lf]
+        for lg, want in zip(lgs, wants):
+            assert same(poisson_bracket(lf, lg), want)
+            assert same(poisson_bracket(lg, lf), -want)
 
 
 @SETTINGS

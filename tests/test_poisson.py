@@ -135,3 +135,21 @@ def test_bracket_exponent_overflow_raises():
     big = MultiPoly.var("x1_1", 20000)
     with pytest.raises(ExponentOverflow):
         poisson_bracket(big * p11, big)
+
+
+def test_each_polynomial_is_differentiated_once_per_variable(monkeypatch):
+    # f against several g, twice over: every (polynomial, variable) pair is
+    # differentiated at most once, and only where the other side uses the
+    # conjugate variable
+    table = ("x1_1", "x2_1", "p1_1", "p2_1", "z")
+    f = (x11 * p21 + x21 * p11 * MultiPoly.var("z")).lift_to(table)
+    gs = [p.lift_to(table) for p in (x11, p11 * p21, x21 * x21, MultiPoly.var("z"))]
+    calls = []
+    derivative = MultiPoly.derivative
+    monkeypatch.setattr(MultiPoly, "derivative",
+                        lambda self, name: calls.append((id(self), name)) or derivative(self, name))
+    want = [poisson_bracket(f, g) for g in gs]
+    assert [poisson_bracket(f, g) for g in gs] == want
+    assert len(calls) == len(set(calls))
+    # f uses x1_1, x2_1, p1_1, p2_1; the g's ask for all four but nothing of z
+    assert sorted(name for key, name in calls if key == id(f)) == ["p1_1", "p2_1", "x1_1", "x2_1"]
