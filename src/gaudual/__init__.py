@@ -18,6 +18,7 @@ from .errors import (
     NonSquare,
     NoncommutativeRing,
     NotInvertible,
+    OddImage,
     ResidualPole,
     SpecValidationError,
     UnlistedPole,

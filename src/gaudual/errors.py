@@ -54,6 +54,10 @@ class InhomogeneousInput(GaudualError):
     """Graded bracket called on an element of mixed parity."""
 
 
+class OddImage(GaudualError):
+    """A fermionic realization image is odd; the pair check needs even ones."""
+
+
 class ExponentOverflow(GaudualError):
     """A monomial exponent outgrew its packed field."""
 

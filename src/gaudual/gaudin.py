@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import DivisorMismatch, IndexOutOfRange, ResidualPole
+from .errors import DivisorMismatch, IndexOutOfRange, OddImage, ResidualPole
 from .grassmann import GrassmannAlgebra, GrassmannElement
 from .linalg import solve_linear  # noqa: F401 (unused; bench/test_bench.py traces this binding)
 from .matrices import (RingMatrix, _perm_expansion, block2x2, block_diag, cdet, jordan_block,
@@ -518,31 +518,48 @@ def _bracket_for(flavor: str, inst: DualityInstance):
 def check_generator_pairs(gens: list, image, bracket, structure, zero):
     """Exhaustive check that bracket(image(g1), image(g2)) equals the image of
     structure(g1, g2), a list of (coefficient, generator) terms, over every
-    ordered pair.  Returns (pairs checked, None) or, at the first failing pair,
-    (pairs checked, (g1, g2, got, want)).
+    ordered pair, row by row.  Returns (pairs checked, None) or, at the first
+    failing pair, (pairs checked, (g1, g2, got, want)).
 
     bracket must be antisymmetric on the images.  The Poisson bracket and the
-    Weyl commutator always are; the graded bracket is on even elements, and
-    every fermionic image is even (pi*psi or a constant).  So each unordered
-    pair is bracketed once: the bracket of (g_i, g_j), j > i, is kept until
-    (g_j, g_i) comes up, where its negative is compared instead."""
+    Weyl commutator always are; the graded bracket is on even elements, so
+    verify_homomorphism refuses an odd fermionic image.  Each unordered pair
+    is bracketed once: the bracket of (g_i, g_j), j > i, is kept until
+    (g_j, g_i) comes up, where it is compared with the sum of
+    image(g3) * (-coeff) instead of being negated.  A pair whose structure is
+    empty passes exactly when its bracket is zero; no zero sum is built.  got
+    and want are built, as bracket and image sum, only for a failing pair."""
     checked = 0
     later = {}
     for i, g1 in enumerate(gens):
+        img1 = image(g1)
         for j, g2 in enumerate(gens):
             checked += 1
-            if j < i:
-                got = -later.pop((j, i))
+            terms = structure(g1, g2)
+            mirrored = j < i
+            if mirrored:
+                kept = later.pop((j, i))
             else:
-                got = bracket(image(g1), image(g2))
+                kept = bracket(img1, image(g2))
                 if j > i:
-                    later[i, j] = got
-            want = zero
-            for coeff, g3 in structure(g1, g2):
-                want = want + image(g3) * coeff
-            if got != want:
-                return checked, (g1, g2, got, want)
+                    later[i, j] = kept
+            if not terms:
+                if not kept:
+                    continue
+            elif kept == _image_sum(terms, image, zero, mirrored):
+                continue
+            got = -kept if mirrored else kept
+            return checked, (g1, g2, got, _image_sum(terms, image, zero, False))
     return checked, None
+
+
+def _image_sum(terms, image, zero, negate: bool):
+    """zero + the sum of image(g3) * coeff, or * -coeff when negate, over the
+    (coeff, g3) terms."""
+    total = zero
+    for coeff, g3 in terms:
+        total = total + image(g3) * (-coeff if negate else coeff)
+    return total
 
 
 def verify_homomorphism(inst: DualityInstance, flavor: str, mutation: str | None = None) -> dict:
@@ -555,6 +572,11 @@ def verify_homomorphism(inst: DualityInstance, flavor: str, mutation: str | None
                                          ("glN", inst.div_lam, inst.N, inst.realize_glN)):
         gens = takiff_generators(divisor, size)
         images = {g: realize(g, flavor, mutation) for g in gens}
+        if flavor == "fermionic":
+            for g, img in images.items():
+                if img.parity():
+                    raise OddImage(f"{side} image of {g.label()} is odd, so the graded "
+                                   "bracket is not antisymmetric on it")
         count, failure = check_generator_pairs(
             gens, images.__getitem__, bracket, partial(takiff_bracket, divisor=divisor), zero
         )

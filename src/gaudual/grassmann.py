@@ -41,10 +41,15 @@ def wedge_masks(m1: int, m2: int):
 
 
 class GrassmannElement:
-    __slots__ = ("terms",)
+    """Element of the exterior algebra, a map from monomial masks to nonzero
+    coefficients.  The parity is kept once first asked for and never
+    invalidated, so ``terms`` must not change after construction."""
+
+    __slots__ = ("terms", "_parity")
 
     def __init__(self, terms: dict):
         self.terms = normalized(terms)
+        self._parity = None
 
     @staticmethod
     def const(c) -> GrassmannElement:
@@ -114,13 +119,15 @@ class GrassmannElement:
     __hash__ = None
 
     def parity(self) -> int:
-        """0 for even, 1 for odd; raises InhomogeneousInput when mixed."""
-        if not self.terms:
-            return 0
-        parities = {m.bit_count() & 1 for m in self.terms}
-        if len(parities) > 1:
-            raise InhomogeneousInput("element mixes even and odd parts")
-        return parities.pop()
+        """0 for even, 1 for odd, kept after the first call; raises
+        InhomogeneousInput when mixed, on every call, since no parity is kept."""
+        parity = self._parity
+        if parity is None:
+            parities = {m.bit_count() & 1 for m in self.terms} or {0}
+            if len(parities) > 1:
+                raise InhomogeneousInput("element mixes even and odd parts")
+            parity = self._parity = parities.pop()
+        return parity
 
     def num_terms(self) -> int:
         return len(self.terms)

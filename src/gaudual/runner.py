@@ -56,9 +56,12 @@ GAUDIN_FLAVORS = {
     "classical-fermionic": "fermionic",
     "quantum-bosonic": "quantum",
 }
-# the mutations each realization map understands
+# the mutations each realization map understands; "range-up" reads a psi or
+# pi past the last index, which the fermionic map has no generator for
 MUTATIONS = {
-    **{realization: {"flip-sign", "range-up"} for realization in GAUDIN_FLAVORS},
+    "classical-bosonic": {"flip-sign", "range-up"},
+    "classical-fermionic": {"flip-sign"},
+    "quantum-bosonic": {"flip-sign", "range-up"},
     "cyclotomic": {"flip-sign", "y-sign"},
 }
 # the keys `options` may carry besides `mutation`, with their values

@@ -97,12 +97,15 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple[tuple[tuple, int], ...]:
 
 
 class WeylElement:
-    """Normal-ordered noncommutative polynomial over the rationals."""
+    """Normal-ordered noncommutative polynomial over the rationals.  The memo
+    of ``supports`` is filled on first use and never invalidated, so
+    ``terms`` must not change after construction."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_supports")
 
     def __init__(self, terms: dict):
         self.terms = normalized(terms)
+        self._supports = None
 
     # -- constructors ---------------------------------------------------
 
@@ -204,6 +207,14 @@ class WeylElement:
     def num_terms(self) -> int:
         return len(self.terms)
 
+    def supports(self) -> list[tuple[tuple, object, set]]:
+        """(monomial, coefficient, set of its pair names) per term; computed
+        on the first call and kept."""
+        memo = self._supports
+        if memo is None:
+            memo = self._supports = [(k, c, {p for p, _, _ in k}) for k, c in self.terms.items()]
+        return memo
+
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -223,12 +234,12 @@ class WeylElement:
 
 def weyl_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """[a, b] = a*b - b*a, summed term pair by term pair; monomials on
-    disjoint sets of pairs commute, so such a pair is skipped."""
+    disjoint sets of pairs commute, so such a pair is skipped.  The pair-name
+    sets are the ones each element keeps (``supports``)."""
     terms: dict = {}
     get = terms.get
-    right = [(k2, c2, {p for p, _, _ in k2}) for k2, c2 in b.terms.items()]
-    for k1, c1 in a.terms.items():
-        pairs1 = {p for p, _, _ in k1}
+    right = b.supports()
+    for k1, c1, pairs1 in a.supports():
         for k2, c2, pairs2 in right:
             if pairs1.isdisjoint(pairs2):
                 continue

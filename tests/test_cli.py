@@ -255,6 +255,8 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
         dict(_GAUDIN, kind="homomorphism", options={"mutation": "y-sign"}),
         dict(_CYCLO, kind="homomorphism", realization="cyclotomic",
              options={"mutation": "range-up"}),
+        dict(_GAUDIN, kind="homomorphism", realization="classical-fermionic",
+             options={"mutation": "range-up"}),
         dict(_GAUDIN, kind="classical-bosonic", options={"mutation": "flip-sign"}),
         dict(_GAUDIN, kind="classical-bosonic", options=None),
         dict(_GAUDIN, kind="classical-bosonic", options={"mutaton": "flip-sign"}),
@@ -277,7 +279,7 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
         dict(_GAUDIN, kind="quantum-bosonic", options={"mode": "sampled"}),
     ],
     ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
-         "gaudin-mutation", "cyclotomic-mutation", "mutation-on-duality", "options-not-object",
+         "gaudin-mutation", "cyclotomic-mutation", "fermionic-range-up", "mutation-on-duality", "options-not-object",
          "option-key", "expect-fial", "mode-sampeld", "symbolic-mu-string",
          "quantum-candidate-int", "symbolic-mu-quantum-candidate", "field-flavour", "instance-list", "instance-string",
          "instance-number", "cyclotomic-no-mu", "lax-no-mu", "cyclotomic-no-tau0",

@@ -54,6 +54,33 @@ def test_bracket_rejects_mixed_parity():
         a.graded_bracket(mixed, a.psi(1, 1))
 
 
+def test_a_mixed_element_is_rejected_on_every_call():
+    """The kept parity never stands in for a mixed element."""
+    a = alg22()
+    mixed = a.psi(1, 1) + a.psi(1, 1) * a.pi(1, 1)
+    for left, right in ((mixed, a.psi(1, 1)), (a.pi(1, 1), mixed), (mixed, mixed)):
+        with pytest.raises(InhomogeneousInput):
+            a.graded_bracket(left, right)
+    with pytest.raises(InhomogeneousInput):
+        mixed.parity()
+
+
+def test_kept_parities():
+    a = alg22()
+    psi, even = a.psi(1, 1), a.pi(1, 1) * a.psi(2, 1)
+    assert GrassmannElement.zero().parity() == 0
+    assert (psi * 0).parity() == 0
+    assert (psi * psi).parity() == 0
+    assert GrassmannElement.const(3).parity() == 0
+    for _ in range(2):
+        assert psi.parity() == 1
+        assert even.parity() == 0
+    # arithmetic results work out their own parity
+    assert (psi * even).parity() == 1
+    assert (even * psi * a.pi(2, 2)).parity() == 0
+    assert (-psi).parity() == 1
+
+
 def test_graded_skew_symmetry_random():
     r = rng(55)
     a = alg22()

@@ -1,13 +1,17 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from gaudual import gaudin
+from gaudual import cyclotomic, gaudin
 from gaudual.cyclotomic import CycloDivisor, CycloInstance, verify_cyclotomic_homomorphisms
-from gaudual.gaudin import (Divisor, DualityInstance, extract_gaudin_generators,
-                           takiff_generators, verify_homomorphism)
+from gaudual.gaudin import (Divisor, DualityInstance, TakiffGen, check_generator_pairs,
+                           extract_gaudin_generators, takiff_generators, verify_homomorphism)
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
+from gaudual.presets import homomorphism_grid
+from gaudual.runner import MUTATIONS, run_instance
+from gaudual.weyl import WeylElement, weyl_commutator
 
 
 def make(M, N, dz, dl):
@@ -168,3 +172,142 @@ def test_cyclotomic_brackets_of_images_are_antisymmetric():
                           poisson_bracket)
     assert _antisymmetric([inst.realize_sp(*g) for g in inst.sp_generators()],
                           poisson_bracket)
+
+
+# -- the lean pair loop against the full one ------------------------------------
+
+
+def check_generator_pairs_reference(gens, image, bracket, structure, zero):
+    """The direct form of gaudin.check_generator_pairs, kept as its oracle:
+    every want is summed and compared, every mirrored bracket negated."""
+    checked = 0
+    later = {}
+    for i, g1 in enumerate(gens):
+        for j, g2 in enumerate(gens):
+            checked += 1
+            if j < i:
+                got = -later.pop((j, i))
+            else:
+                got = bracket(image(g1), image(g2))
+                if j > i:
+                    later[i, j] = got
+            want = zero
+            for coeff, g3 in structure(g1, g2):
+                want = want + image(g3) * coeff
+            if got != want:
+                return checked, (g1, g2, got, want)
+    return checked, None
+
+
+def _outcome(result):
+    checked, failure = result
+    if failure is None:
+        return checked, None
+    g1, g2, got, want = failure
+    return checked, repr(got), repr(want), (g1, g2)
+
+
+def _both_loops(*args):
+    lean = check_generator_pairs(*args)
+    assert _outcome(lean) == _outcome(check_generator_pairs_reference(*args))
+    return lean
+
+
+# every grid instance with M, N <= 2, unmutated and under each mutation its
+# realization map admits
+SMALL_GRID = [(n, spec, mutation)
+              for n, spec in enumerate(homomorphism_grid()) if spec["M"] <= 2 and spec["N"] <= 2
+              for mutation in (None, *sorted(MUTATIONS[spec["realization"]]))]
+
+
+@pytest.mark.parametrize("spec, mutation", [case[1:] for case in SMALL_GRID],
+                         ids=[f"{n}-{s['realization']}-{m or 'unmutated'}"
+                              for n, s, m in SMALL_GRID])
+def test_lean_pair_loop_matches_the_reference(monkeypatch, spec, mutation):
+    """Both loops on every realization map of the small grid: the same
+    count, got, want and pair."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _both_loops(*args)
+
+    monkeypatch.setattr(gaudin, "check_generator_pairs", spy)
+    monkeypatch.setattr(cyclotomic, "check_generator_pairs", spy)
+    options = {"mutation": mutation} if mutation else {}
+    report = run_instance(dict(spec, options=options))
+    assert report["status"] in ("pass", "fail")
+    assert calls
+
+
+def _quantum_glM():
+    """The generators, images, bracket and structure of one gl_M side."""
+    inst = make(2, 2, [(1, 2)], [(5, 1), (7, 1)])
+    gens = takiff_generators(inst.div_z, inst.M)
+    images = {g: inst.realize_glM(g, "quantum") for g in gens}
+    return gens, images, partial(gaudin.takiff_bracket, divisor=inst.div_z)
+
+
+def test_structure_wrong_only_at_one_mirrored_pair():
+    gens, images, structure = _quantum_glM()
+    i, j = next((i, j) for i in range(len(gens)) for j in range(i)
+                if structure(gens[i], gens[j]))
+
+    def wrong(g1, g2):
+        terms = structure(g1, g2)
+        return [(-c, g) for c, g in terms] if (g1, g2) == (gens[i], gens[j]) else terms
+
+    checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, wrong,
+                                   WeylElement.zero())
+    assert checked == i * len(gens) + j + 1
+    g1, g2, got, want = failure
+    assert (g1, g2) == (gens[i], gens[j]) and got == -want
+
+
+def test_bracket_nonzero_on_one_empty_structure_pair():
+    gens, images, structure = _quantum_glM()
+    i, j = next((i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
+                if not structure(gens[i], gens[j]))
+    extra = WeylElement.x(1, 1)
+
+    def faulty(a, b):
+        bracket = weyl_commutator(a, b)
+        return bracket + extra if (a, b) == (images[gens[i]], images[gens[j]]) else bracket
+
+    checked, failure = _both_loops(gens, images.__getitem__, faulty, structure,
+                                   WeylElement.zero())
+    assert checked == i * len(gens) + j + 1
+    assert failure[:2] == (gens[i], gens[j]) and failure[2] == extra and not failure[3]
+
+
+def test_fault_on_a_diagonal_pair():
+    gens, images, structure = _quantum_glM()
+    k = 2
+
+    def faulty(g1, g2):
+        terms = structure(g1, g2)
+        return terms + [(1, gens[0])] if g1 == g2 == gens[k] else terms
+
+    checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, faulty,
+                                   WeylElement.zero())
+    assert checked == k * len(gens) + k + 1
+    assert failure[:2] == (gens[k], gens[k]) and failure[3] == images[gens[0]]
+
+
+def test_an_odd_fermionic_image_is_refused(monkeypatch):
+    """The pair loop reuses -[a, b] for [b, a], which the graded bracket
+    gives only on even elements; an odd image is an error, not a verdict."""
+    spec = {"kind": "homomorphism", "realization": "classical-fermionic", "M": 2, "N": 2,
+            "divisor": [["1", 1], ["2", 1]], "dual_divisor": [["5", 1], ["7", 1]]}
+    assert run_instance(spec)["status"] == "pass"
+    odd = TakiffGen(1, 0, 2, 1)
+    realize = DualityInstance.realize_glN
+
+    def with_one_odd(self, g, flavor, mutation=None):
+        return self._galg.psi(1, 1) if g == odd else realize(self, g, flavor, mutation)
+
+    monkeypatch.setattr(DualityInstance, "realize_glN", with_one_odd)
+    report = run_instance(spec)
+    assert report["status"] == "error"
+    assert report["witness"]["error"] == "OddImage"
+    assert odd.label() in report["witness"]["detail"]

@@ -147,6 +147,33 @@ def test_commutator_is_ab_minus_ba(support, data):
         assert not bracket
 
 
+def _supports(w: WeylElement) -> list:
+    return [(k, c, {p for p, _, _ in k}) for k, c in w.terms.items()]
+
+
+@SETTINGS
+@given(random_element(PAIRS), st.lists(random_element(PAIRS), min_size=1, max_size=4))
+def test_kept_supports_serve_every_bracket(a, others):
+    """One element bracketed in both positions against several others and
+    against itself, its kept pair-name sets reused each time."""
+    for b in others + [a]:
+        assert weyl_commutator(a, b) == a * b - b * a
+        assert weyl_commutator(b, a) == b * a - a * b
+    assert a.supports() is a.supports()
+    assert a.supports() == _supports(a)
+
+
+@SETTINGS
+@given(random_element(PAIRS), random_element(PAIRS))
+def test_arithmetic_results_keep_their_own_supports(a, b):
+    weyl_commutator(a, b)
+    kept = (a.supports(), b.supports())
+    for result in (a + b, a - b, -a, a * b, a * 2, 3 * a, a + 0, 1 - a, a ** 1,
+                   weyl_commutator(a, b)):
+        assert all(result.supports() is not memo for memo in kept)
+        assert result.supports() == _supports(result)
+
+
 def test_commutator_of_partly_overlapping_monomials():
     x11, d11, x21 = WeylElement.x(1, 1), WeylElement.d(1, 1), WeylElement.x(2, 1)
     assert weyl_commutator(x11 * x21, d11) == -x21
