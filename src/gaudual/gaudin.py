@@ -396,11 +396,8 @@ def _cdet_side(entries: list[list[RatFunc]], divisor: Divisor, var: str) -> Orde
         for r, row in enumerate(entries)
     ]
     op = cdet(RingMatrix(rows, "ordered-diffop"))
-    prefactor = RatFunc(var, {0: WeylElement.const(1)})
-    for loc, tau in divisor.points:
-        for _ in range(tau):
-            prefactor = prefactor * RatFunc.linear(var, loc)
-    return op.scale_left(prefactor)
+    # a rational prefactor, so that each product cancels against it alone
+    return op.scale_left(RatFunc(var, expand_factors(dict(divisor.points))))
 
 
 def quantum_block_matrix(inst: DualityInstance) -> RingMatrix:

@@ -398,21 +398,27 @@ class MultiPoly:
         return terms
 
     def substitute(self, assignment: dict) -> MultiPoly:
-        """Substitute Fractions or polynomials for some variables."""
-        names = tuple(v for v in self.vars if v in assignment)
-        if not names:
+        """Substitute rationals for some variables, in one pass over the
+        terms: the result keeps this table, with the substituted fields
+        cleared.  Any other value raises TypeError."""
+        values = {name: _coerce(value) for name, value in assignment.items()}
+        subs = [(self._shift(v), values[v], {}) for v in self.vars if v in values]
+        if not subs:
             return self
-        powers: dict[tuple[str, int], MultiPoly] = {}
-        out = MultiPoly.zero()
-        for exps, rest in self.split_by(names).items():
-            term = rest
-            for name, e in zip(names, exps):
-                if e:
-                    if (name, e) not in powers:
-                        powers[name, e] = assignment[name] ** e
-                    term = term * powers[name, e]
-            out = out + term
-        return out.compact()
+        clear = ~sum(FIELD << s for s, _, _ in subs)
+        terms: dict = {}
+        get = terms.get
+        for e, c in self.terms.items():
+            for s, value, powers in subs:
+                k = (e >> s) & FIELD
+                if k:
+                    power = powers.get(k)
+                    if power is None:
+                        power = powers[k] = value**k
+                    c = c * power
+            key = e & clear
+            terms[key] = get(key, 0) + c
+        return MultiPoly(self.vars, _nonzero(terms, True))
 
     def split_by(self, names: tuple[str, ...]) -> dict[tuple, MultiPoly]:
         """Group terms by the exponents of `names`, in increasing order of

@@ -65,22 +65,43 @@ def poly_derivative(a: Poly) -> Poly:
     return {k - 1: c * k for k, c in a.items() if k}
 
 
-def poly_divide_linear(a: Poly, root: Fraction) -> Poly:
-    """Exact division by (X - root); raises ValueError on nonzero remainder."""
+def _divmod_linear(a: Poly, root: Fraction):
+    """Quotient and remainder of a by (X - root), from one Horner pass."""
+    if not root:
+        return {k - 1: c for k, c in a.items() if k}, a.get(0, 0)
     if not a:
-        return {}
-    deg = max(a)
+        return {}, 0
     quot: Poly = {}
     carry = 0
-    for k in range(deg, 0, -1):
+    for k in range(max(a), 0, -1):
         q = a.get(k, 0) + carry
         if q:
             quot[k - 1] = q
         carry = q * root
-    rem = a.get(0, 0) + carry
+    return quot, a.get(0, 0) + carry
+
+
+def poly_divide_linear(a: Poly, root: Fraction) -> Poly:
+    """Exact division by (X - root); raises ValueError on nonzero remainder."""
+    quot, rem = _divmod_linear(a, root)
     if rem:
         raise ValueError("linear factor does not divide exactly")
     return quot
+
+
+def _divide_out(a: Poly, root: Fraction, m: int):
+    """Divide a by (X - root) while it vanishes at root, at most m times;
+    returns the quotient and how many of the m factors are left."""
+    while m:
+        quot, rem = _divmod_linear(a, root)
+        if rem:
+            break
+        a, m = quot, m - 1
+    return a, m
+
+
+def _is_scalar(a: Poly) -> bool:
+    return all(isinstance(c, (int, Fraction)) for c in a.values())
 
 
 def expand_factors(factors: dict[Fraction, int]) -> Poly:
@@ -143,7 +164,28 @@ def _divisors(n: int):
 
 
 class RatFunc:
-    """num / prod (X - root)^mult in the variable `var`."""
+    """num / prod (X - root)^mult in the variable `var`.
+
+    Every value is fully reduced: its numerator is nonzero at each root of
+    its denominator, so the form of a value is unique and ``to_poly`` sees a
+    pole exactly when one is there.  ``__init__`` tests every root.  The
+    arithmetic tests only the roots where a factor can cancel and proves the
+    rest from its reduced operands, as numerator coefficients live in an
+    algebra over the rationals, where a nonzero element times a nonzero
+    rational is nonzero:
+
+    * ``-f``, ``f * c`` for a nonzero int or Fraction c, and ``derivative``
+      test no root (at a root r of order m the derivative's numerator is
+      -m N(r) prod_{q != r} (r - q));
+    * ``f + g`` tests the roots where f and g have the same order; at any
+      other root the side of higher order survives;
+    * ``f * g`` where one side has only int or Fraction coefficients first
+      divides that side's numerator by (X - r) wherever it vanishes at a
+      root r of the other side's denominator, then tests only the roots of
+      its own denominator that the other side lacks;
+    * every other product, and a product with a bare ring element, tests
+      every root: two ring elements can multiply to zero (Grassmann).
+    """
 
     __slots__ = ("var", "num", "den")
 
@@ -151,7 +193,21 @@ class RatFunc:
         self.var = var
         self.num = _trim(num)
         self.den = {r: m for r, m in (den or {}).items() if m}
-        self._cancel()
+        self._cancel(list(self.den))
+
+    @classmethod
+    def _from_parts(cls, var: str, num: Poly, den: dict[Fraction, int], test) -> RatFunc:
+        """The value num / den from a numerator without zero coefficients
+        and a denominator without zero orders that is reduced at every root
+        outside `test`; the roots of `test` are tested.  A nonempty `test`
+        may change `den`, so the caller hands over a dict of its own."""
+        self = cls.__new__(cls)
+        self.var = var
+        self.num = num
+        self.den = den
+        if test or not num:
+            self._cancel(test)
+        return self
 
     # -- constructors ---------------------------------------------------
 
@@ -159,25 +215,22 @@ class RatFunc:
     def const(var: str, c) -> RatFunc:
         return RatFunc(var, {0: c} if c else {})
 
-    @staticmethod
-    def linear(var: str, shift: Fraction) -> RatFunc:
-        """X - shift."""
-        return RatFunc(var, {1: Fraction(1), 0: -shift} if shift else {1: Fraction(1)})
-
     # -- normalization ----------------------------------------------------
 
-    def _cancel(self):
-        if not self.num:
+    def _cancel(self, roots):
+        """Divide out (X - r) while the numerator vanishes at r, for each
+        denominator root r of `roots`."""
+        num, den = self.num, self.den
+        if not num:
             self.den = {}
             return
-        for root in list(self.den):
-            while self.den.get(root, 0) > 0:
-                if poly_eval(self.num, root) != 0:
-                    break
-                self.num = poly_divide_linear(self.num, root)
-                self.den[root] -= 1
-            if self.den.get(root) == 0:
-                del self.den[root]
+        for root in roots:
+            num, m = _divide_out(num, root, den[root])
+            if m:
+                den[root] = m
+            else:
+                del den[root]
+        self.num = num
 
     # -- arithmetic ------------------------------------------------------
 
@@ -191,17 +244,32 @@ class RatFunc:
         elif not isinstance(other, RatFunc):
             return NotImplemented
         self._check(other)
-        roots = set(self.den) | set(other.den)
-        den = {r: max(self.den.get(r, 0), other.den.get(r, 0)) for r in roots}
-        lift_a = expand_factors({r: den[r] - self.den.get(r, 0) for r in roots})
-        lift_b = expand_factors({r: den[r] - other.den.get(r, 0) for r in roots})
-        num = poly_add(poly_mul(self.num, lift_a), poly_mul(other.num, lift_b))
-        return RatFunc(self.var, num, den)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        den = dict(self.den)
+        lift_a, lift_b, ties = {}, {}, []
+        for r, m in other.den.items():
+            k = den.get(r, 0)
+            if k < m:
+                den[r] = m
+                lift_a[r] = m - k
+            elif k > m:
+                lift_b[r] = k - m
+            else:
+                ties.append(r)
+        for r, k in self.den.items():
+            if r not in other.den:
+                lift_b[r] = k
+        num_a = poly_mul(self.num, expand_factors(lift_a)) if lift_a else self.num
+        num_b = poly_mul(other.num, expand_factors(lift_b)) if lift_b else other.num
+        return RatFunc._from_parts(self.var, poly_add(num_a, num_b), den, ties)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(self.var, {k: -c for k, c in self.num.items()}, self.den)
+        return RatFunc._from_parts(self.var, {k: -c for k, c in self.num.items()}, self.den, ())
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -210,15 +278,35 @@ class RatFunc:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RatFunc(self.var, poly_scale(self.num, Fraction(other) if isinstance(other, int) else other), self.den)
+            c = Fraction(other) if isinstance(other, int) else other
+            return RatFunc._from_parts(self.var, poly_scale(self.num, c), self.den, ())
         if not isinstance(other, RatFunc):
             # scalar from the coefficient ring, applied on the right
             return RatFunc(self.var, poly_scale(self.num, other), self.den)
         self._check(other)
-        den = dict(self.den)
-        for r, m in other.den.items():
-            den[r] = den.get(r, 0) + m
-        return RatFunc(self.var, poly_mul(self.num, other.num), den)
+        if not self.num or not other.num:
+            return RatFunc.const(self.var, 0)
+        if _is_scalar(other.num):
+            ring, scalar = self, other
+        elif _is_scalar(self.num):
+            ring, scalar = other, self
+        else:
+            den = dict(self.den)
+            for r, m in other.den.items():
+                den[r] = den.get(r, 0) + m
+            return RatFunc._from_parts(self.var, poly_mul(self.num, other.num), den, list(den))
+        # cross-cancel: divide the scalar numerator by each (X - r) of the
+        # ring side's denominator it vanishes at; at the orders left there,
+        # a nonzero ring element meets a nonzero rational
+        snum, den = scalar.num, dict(scalar.den)
+        for r, m in ring.den.items():
+            if r not in den:
+                snum, m = _divide_out(snum, r, m)
+            if m:
+                den[r] = den.get(r, 0) + m
+        test = [r for r in scalar.den if r not in ring.den]
+        num = poly_mul(self.num, snum) if scalar is other else poly_mul(snum, other.num)
+        return RatFunc._from_parts(self.var, num, den, test)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -241,7 +329,7 @@ class RatFunc:
 
     def derivative(self) -> RatFunc:
         if not self.den:
-            return RatFunc(self.var, poly_derivative(self.num))
+            return RatFunc._from_parts(self.var, poly_derivative(self.num), {}, ())
         # d/dX [N / prod (X-r)^m] with the denominator kept factored
         den = {r: m + 1 for r, m in self.den.items()}
         all_lin = expand_factors({r: 1 for r in self.den})
@@ -249,7 +337,7 @@ class RatFunc:
         for r, m in self.den.items():
             others = expand_factors({q: 1 for q in self.den if q != r})
             num = poly_add(num, poly_scale(poly_mul(self.num, others), Fraction(-m)))
-        return RatFunc(self.var, num, den)
+        return RatFunc._from_parts(self.var, num, den, ())
 
     def invert(self) -> RatFunc:
         """Exact reciprocal; numerator must factor over rational roots."""

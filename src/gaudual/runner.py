@@ -225,7 +225,7 @@ def _size_guard(spec: dict, max_terms: int) -> None:
     estimate = math.factorial(M + N) * 4 ** (M + N)
     if estimate > max_terms:
         raise GuardExceeded(
-            f"instance estimate {estimate} exceeds --max-terms {max_terms}"
+            f"{spec['kind']} instance estimate {estimate} exceeds --max-terms {max_terms}"
         )
 
 

@@ -106,6 +106,11 @@ def jordan_block_inverse(k: int, x: RatFunc) -> RingMatrix:
     return RingMatrix(entries, "commutative")
 
 
+def linear(var: str, shift: Fraction) -> RatFunc:
+    """X - shift."""
+    return RatFunc(var, {1: Fraction(1), 0: -shift} if shift else {1: Fraction(1)})
+
+
 def reassemble(var: str, poly_part: Poly, pieces: dict) -> RatFunc:
     """Inverse of ``partial_fractions``: the polynomial part plus every
     coeff/(X-point)^order piece."""

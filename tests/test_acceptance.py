@@ -27,8 +27,8 @@ from gaudual.ratfunc import RatFunc, partial_fractions
 from gaudual.runner import run_instance
 from gaudual.grassmann import GrassmannAlgebra
 from gaudual.weyl import WeylElement, weyl_commutator
-from helpers import (jordan_block_inverse, reassemble, rng, random_fraction, random_grassmann,
-                     random_poly, random_weyl)
+from helpers import (jordan_block_inverse, linear, reassemble, rng, random_fraction,
+                     random_grassmann, random_poly, random_weyl)
 from test_matrices import frac_matrix, random_manin
 from gaudual.matrices import RingMatrix
 
@@ -157,7 +157,7 @@ def test_criterion_9_infrastructure():
         m = frac_matrix([[random_fraction(r) for _ in range(n)] for _ in range(n)])
         assert cdet(m) == det(m)
     # Jordan inverse is two-sided symbolically for k <= 5
-    xv = RatFunc.linear("x", 0)
+    xv = linear("x", 0)
     for k in range(1, 6):
         j = jordan_block(k, xv)
         inv = jordan_block_inverse(k, xv)

@@ -235,7 +235,8 @@ def test_guard_rejects_oversized_instance():
     }
     report = run_instance(spec, max_terms=10)
     assert report["status"] == "error"
-    assert "guard" in report["witness"]
+    assert report["witness"]["guard"] == (
+        "classical-bosonic instance estimate 6144 exceeds --max-terms 10")
 
 
 _GAUDIN = {"M": 1, "N": 1, "divisor": [["1", 1]], "dual_divisor": [["5", 1]]}

@@ -24,7 +24,8 @@ from gaudual.presets import paper_core, quantum_grid
 from gaudual.ratfunc import RatFunc, rational_roots
 from gaudual.runner import _build_cyclo, _build_duality
 from gaudual.weyl import OrderedDiffOp, WeylElement
-from helpers import jordan_block_inverse, random_fraction, random_grassmann, rng, weyl_to_ordered
+from helpers import (jordan_block_inverse, linear, random_fraction, random_grassmann, rng,
+                     weyl_to_ordered)
 
 Q = Fraction
 X = WeylElement.x
@@ -374,13 +375,13 @@ def test_x_block_proposition_random():
 
 
 def test_jordan_inverse_smallest():
-    xv = RatFunc.linear("x", 0)
+    xv = linear("x", 0)
     inv = jordan_block_inverse(1, xv)
     assert inv.entries[0][0] == xv.invert()
 
 
 def test_jordan_inverse_2x2_entries():
-    xv = RatFunc.linear("x", 0)
+    xv = linear("x", 0)
     inv = jordan_block_inverse(2, xv)
     xinv = xv.invert()
     assert inv.entries[0][0] == xinv
@@ -390,7 +391,7 @@ def test_jordan_inverse_2x2_entries():
 
 
 def test_jordan_inverse_two_sided_symbolic():
-    xv = RatFunc.linear("x", 0)
+    xv = linear("x", 0)
     for k in range(1, 6):
         j = jordan_block(k, xv)
         inv = jordan_block_inverse(k, xv)

@@ -61,7 +61,11 @@ def test_derivative_and_substitute():
     p = x**3 + 2 * x * y
     assert p.derivative("x") == 3 * x**2 + 2 * y
     assert p.substitute({"x": Fraction(2)}) == 8 + 4 * y
-    assert p.substitute({"x": y}) == y**3 + 2 * y * y
+    assert p.substitute({"x": Fraction(1, 2), "y": -1}) == Fraction(-7, 8)
+    # the table is kept, with the substituted field cleared
+    assert p.substitute({"x": Fraction(2)}).vars == p.vars
+    with pytest.raises(TypeError):
+        p.substitute({"x": y})
 
 
 def test_divide_linear_exact():

@@ -101,16 +101,17 @@ def test_divide_linear_refuses_one_power_too_many(ta, tb, root, power):
 
 
 @SETTINGS
-@given(polys, polys, coeffs)
-def test_substitute_matches_sympy(ta, tb, value):
-    a, b = build(ta), build(tb)
-    got = a.substitute({"x1_1": value, "p2_1": b})
+@given(polys, coeffs, coeffs)
+def test_substitute_matches_sympy(ta, value, other):
+    a = build(ta)
+    got = a.substitute({"x1_1": value, "p2_1": other})
     want = to_sympy(a).subs(
-        {SYMBOLS["x1_1"]: sympy.Rational(value.numerator, value.denominator),
-         SYMBOLS["p2_1"]: to_sympy(b)},
+        {SYMBOLS[name]: sympy.Rational(v.numerator, v.denominator)
+         for name, v in (("x1_1", value), ("p2_1", other))},
         simultaneous=True,
     )
     assert same(got, want)
+    assert got.vars == a.vars
 
 
 def sympy_bracket(sf, sg):

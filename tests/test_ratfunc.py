@@ -10,13 +10,13 @@ from gaudual.ratfunc import (
     poly_mul,
     rational_roots,
 )
-from helpers import reassemble, rng, random_fraction
+from helpers import linear, reassemble, rng, random_fraction
 
 Q = Fraction
 
 
 def test_invert_linear():
-    f = RatFunc.linear("z", Q(2))  # z - 2
+    f = linear("z", Q(2))  # z - 2
     g = f.invert()
     assert g.num == {0: Q(1)}
     assert g.den == {Q(2): 1}
@@ -101,7 +101,7 @@ def test_ratfunc_matches_multipoly_after_clearing():
         cleared = total * RatFunc("z", {0: Q(1)})  # copy
         for root, mult in den.items():
             for _ in range(mult):
-                cleared = cleared * RatFunc.linear("z", root)
+                cleared = cleared * linear("z", root)
         assert not cleared.den
 
         def lift(num, den_shift):

@@ -14,6 +14,7 @@ from gaudual.gaudin import (
 )
 from gaudual.multipoly import MultiPoly
 from gaudual.weyl import WeylElement
+from helpers import linear
 
 Q = Fraction
 V = MultiPoly.var
@@ -168,11 +169,9 @@ def test_lax_pole_orders_match_takiff_degrees():
 
 def test_quantum_lax_1x1_entry():
     # gl_N side at M = 1: entry = z_1 + (x d + 1)/(lam - lam_1)
-    from gaudual.ratfunc import RatFunc
-
     inst = DualityInstance(1, 1, Divisor.of([(2, 1)]), Divisor.of([(5, 1)]))
     entry = inst.lax_glN("quantum", "dz").entries[0][0]
-    num = entry * RatFunc.linear("dz", Q(5))
+    num = entry * linear("dz", Q(5))
     assert not num.den
     poly = num.to_poly()
     xd1 = WeylElement.x(1, 1) * WeylElement.d(1, 1) + 1

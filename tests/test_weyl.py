@@ -6,7 +6,7 @@ from gaudual.errors import ResidualPole
 from gaudual.multipoly import MultiPoly
 from gaudual.ratfunc import RatFunc
 from gaudual.weyl import Z_PAIR, OrderedDiffOp, WeylElement, pair_sort_key, weyl_commutator
-from helpers import classical_limit, rng, random_weyl, weyl_to_ordered
+from helpers import classical_limit, linear, rng, random_weyl, weyl_to_ordered
 
 Q = Fraction
 X = WeylElement.x
@@ -140,7 +140,7 @@ def test_ordered_mul_leibniz_simple_pole():
 
 
 def test_ordered_mul_z_times_z():
-    zop = OrderedDiffOp("z", {0: RatFunc.linear("z", 0)})
+    zop = OrderedDiffOp("z", {0: linear("z", 0)})
     assert zop * zop == OrderedDiffOp("z", {0: RatFunc("z", {2: Q(1)})})
 
 
@@ -148,13 +148,13 @@ def test_ordered_mul_single_commutation():
     # (Dz - lam1)(z - z1) = (z - z1) Dz - lam1 (z - z1) + 1 in z-left form
     lam1, z1 = Q(5), Q(2)
     a = OrderedDiffOp("z", {1: RatFunc.const("z", Q(1)), 0: RatFunc.const("z", -lam1)})
-    b = OrderedDiffOp("z", {0: RatFunc.linear("z", z1)})
+    b = OrderedDiffOp("z", {0: linear("z", z1)})
     prod = a * b
     expected = OrderedDiffOp(
         "z",
         {
-            1: RatFunc.linear("z", z1),
-            0: RatFunc.linear("z", z1) * (-lam1) + RatFunc.const("z", Q(1)),
+            1: linear("z", z1),
+            0: linear("z", z1) * (-lam1) + RatFunc.const("z", Q(1)),
         },
     )
     assert prod == expected
@@ -192,7 +192,7 @@ def test_round_trip_z_dz_z():
 
 def test_dz_side_product_matches_weyl():
     # multiply (Dz)(z) on the dz side: z g(Dz) ordering exercised
-    dz = OrderedDiffOp("dz", {0: RatFunc.linear("dz", 0)})
+    dz = OrderedDiffOp("dz", {0: linear("dz", 0)})
     zop = OrderedDiffOp("dz", {1: RatFunc.const("dz", Q(1))})
     prod = dz * zop  # Dz * z stays ordered on this side
     assert prod.to_polynomial() == WeylElement.z() * WeylElement.dz() + 1
