@@ -33,7 +33,7 @@ from .gaudin import (Divisor, _divide_out, check_generator_pairs, jordan_sum,
 from .linalg import in_span
 from .matrices import RingMatrix, _perm_expansion, block2x2, block_diag, jordan_block
 from .multipoly import MultiPoly, VariableTable
-from .poisson import poisson_bracket
+from .poisson import poisson_bracket, poisson_support
 from .weyl import WeylElement
 
 Q = Fraction
@@ -400,7 +400,7 @@ def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = 
         images = {g: realize(g, mutation) for g in gens}
         count, failure = check_generator_pairs(
             gens, lambda g: images[g] if g in images else realize(g, mutation),
-            poisson_bracket, structure, MultiPoly.zero(),
+            poisson_bracket, poisson_support, structure, MultiPoly.zero(),
         )
         checked += count
         if failure:

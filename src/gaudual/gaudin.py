@@ -28,9 +28,9 @@ from .linalg import solve_linear  # noqa: F401 (unused; bench/test_bench.py trac
 from .matrices import (RingMatrix, _perm_expansion, block2x2, block_diag, cdet, jordan_block,
                        manin_check)
 from .multipoly import MultiPoly, VariableTable
-from .poisson import poisson_bracket
+from .poisson import poisson_bracket, poisson_support
 from .ratfunc import RatFunc, expand_factors, partial_fractions
-from .weyl import OrderedDiffOp, WeylElement, weyl_commutator
+from .weyl import OrderedDiffOp, WeylElement, weyl_commutator, weyl_support
 
 Q = Fraction
 
@@ -503,50 +503,79 @@ def check_commutativity(generators: list, flavor: str) -> dict:
 
 
 def _bracket_for(flavor: str, inst: DualityInstance):
+    """The bracket of a flavor's images and its support function: a
+    biderivation that pairs only conjugate generators, so it is zero on two
+    elements whose supports are disjoint."""
     if flavor == "classical":
-        return poisson_bracket
+        return poisson_bracket, poisson_support
     if flavor == "quantum":
-        return weyl_commutator
+        return weyl_commutator, weyl_support
     if flavor == "fermionic":
-        return inst._galg.graded_bracket
+        return inst._galg.graded_bracket, inst._galg.support
     raise ValueError(flavor)
 
 
-def check_generator_pairs(gens: list, image, bracket, structure, zero):
+def check_generator_pairs(gens: list, image, bracket, support, structure, zero):
     """Exhaustive check that bracket(image(g1), image(g2)) equals the image of
     structure(g1, g2), a list of (coefficient, generator) terms, over every
     ordered pair, row by row.  Returns (pairs checked, None) or, at the first
     failing pair, (pairs checked, (g1, g2, got, want)).
 
+    image(g) is taken once per generator, into a list indexed by position,
+    and again only for a generator inside an image sum.  The support lemma:
+    bracket is a biderivation that pairs only conjugate generators, so it is
+    zero on two images whose supports (support(img), a set of canonical
+    pairs) are disjoint.  Such a pair is not bracketed; it passes exactly
+    when the image sum of its structure is zero.  structure is still asked
+    for every pair, and the supports are those of the images as given, so a
+    fault in either is seen.
+
     bracket must be antisymmetric on the images.  The Poisson bracket and the
     Weyl commutator always are; the graded bracket is on even elements, so
     verify_homomorphism refuses an odd fermionic image.  Each unordered pair
-    is bracketed once: the bracket of (g_i, g_j), j > i, is kept until
-    (g_j, g_i) comes up, where it is compared with the sum of
+    is bracketed at most once: the bracket of (g_i, g_j), j > i, is kept
+    until (g_j, g_i) comes up, where it is compared with the sum of
     image(g3) * (-coeff) instead of being negated.  A pair whose structure is
-    empty passes exactly when its bracket is zero; no zero sum is built.  got
-    and want are built, as bracket and image sum, only for a failing pair."""
+    empty passes exactly when its bracket is zero; no zero sum is built.
+    Each image sum is built once per check.  got and want are built, as
+    bracket (zero at disjoint supports) and image sum, only for a failing
+    pair."""
+    images = [image(g) for g in gens]
+    supports = [support(img) for img in images]
+    sums = {}
+
+    def want(terms, negate: bool):
+        key = (tuple(terms), negate)
+        total = sums.get(key)
+        if total is None:
+            total = sums[key] = _image_sum(terms, image, zero, negate)
+        return total
+
     checked = 0
     later = {}
     for i, g1 in enumerate(gens):
-        img1 = image(g1)
+        img1, sup1 = images[i], supports[i]
         for j, g2 in enumerate(gens):
             checked += 1
             terms = structure(g1, g2)
+            if sup1.isdisjoint(supports[j]):
+                if terms and want(terms, False):
+                    return checked, (g1, g2, zero, want(terms, False))
+                continue
             mirrored = j < i
             if mirrored:
                 kept = later.pop((j, i))
             else:
-                kept = bracket(img1, image(g2))
+                kept = bracket(img1, images[j])
                 if j > i:
                     later[i, j] = kept
             if not terms:
                 if not kept:
                     continue
-            elif kept == _image_sum(terms, image, zero, mirrored):
+            elif kept == want(terms, mirrored):
                 continue
             got = -kept if mirrored else kept
-            return checked, (g1, g2, got, _image_sum(terms, image, zero, False))
+            return checked, (g1, g2, got, want(terms, False))
     return checked, None
 
 
@@ -562,7 +591,7 @@ def _image_sum(terms, image, zero, negate: bool):
 def verify_homomorphism(inst: DualityInstance, flavor: str, mutation: str | None = None) -> dict:
     """Exhaustive generator-pair check that bracket-of-images equals
     image-of-bracket on both realization maps."""
-    bracket = _bracket_for(flavor, inst)
+    bracket, support = _bracket_for(flavor, inst)
     zero = _const(flavor, Q(0), inst._galg)
     checked = 0
     for side, divisor, size, realize in (("glM", inst.div_z, inst.M, inst.realize_glM),
@@ -575,7 +604,8 @@ def verify_homomorphism(inst: DualityInstance, flavor: str, mutation: str | None
                     raise OddImage(f"{side} image of {g.label()} is odd, so the graded "
                                    "bracket is not antisymmetric on it")
         count, failure = check_generator_pairs(
-            gens, images.__getitem__, bracket, partial(takiff_bracket, divisor=divisor), zero
+            gens, images.__getitem__, bracket, support, partial(takiff_bracket, divisor=divisor),
+            zero,
         )
         checked += count
         if failure:

@@ -16,14 +16,25 @@ j-th generator of v, move g to the right end of u and h to the left end
 of v, and contract them with {g, h} = 1:
 
     [u, v] = sum (-1)^(k - i + j - 1) (u / g) ^ (v / h).
+
+Every term contracts a generator of u with its partner in v, so
+``[a, b] = 0`` when the supports of a and b (``GrassmannAlgebra.support``:
+the generator indices they use, psi^a_i and pi^a_i folded onto one index
+mod MN) are disjoint.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .errors import InhomogeneousInput
+from .multipoly import MultiPoly
 from .scalars import normalized
+
+# the commutative scalars an element may be multiplied by
+_SCALARS = (int, Fraction, MultiPoly)
 
 
 def wedge_masks(m1: int, m2: int):
@@ -96,13 +107,16 @@ class GrassmannElement:
                     sign, m = sm
                     terms[m] = terms.get(m, 0) + c1 * c2 * sign
             return GrassmannElement(terms)
-        # commutative scalar
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         if not other:
             return GrassmannElement({})
         return GrassmannElement({m: c * other for m, c in self.terms.items()})
 
     def __rmul__(self, other):
         # scalars commute with everything; reuse __mul__
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return self.__mul__(other)
 
     def __bool__(self):
@@ -187,6 +201,13 @@ class GrassmannAlgebra:
                     j = (v & (h - 1)).bit_count() + 1
                     out.append((-sign if (k - i + j - 1) & 1 else sign, mask))
         return out
+
+    def support(self, a: GrassmannElement) -> frozenset[int]:
+        """The indices mod MN of the generators some term of a uses."""
+        mn = self.M * self.N
+        used = reduce(or_, a.terms, 0)
+        used = (used | used >> mn) & ((1 << mn) - 1)
+        return frozenset(k for k in range(mn) if used >> k & 1)
 
     def graded_bracket(self, a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
         a.parity()

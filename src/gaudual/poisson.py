@@ -12,6 +12,10 @@ variable at most once.  The bracket walks the fields f uses, pairs each
 with its conjugate's field through a map cached per variable table, and
 differentiates only where g uses that conjugate; every product of
 derivatives is summed into one dict over the shared table of f and g.
+
+The bracket is a biderivation that pairs only conjugate variables, so it is
+zero on two polynomials whose supports (``poisson_support``: the canonical
+pairs ``{a}_{i}`` of the x's and p's a polynomial uses) are disjoint.
 """
 
 from __future__ import annotations
@@ -37,6 +41,14 @@ def _conjugates(table: tuple[str, ...]) -> dict[int, tuple[int, int]]:
             if conjugate in at:
                 out[s] = (at[conjugate], 1 if letter == "p" else -1)
     return out
+
+
+def poisson_support(f: MultiPoly) -> frozenset[str]:
+    """The canonical pairs of the x's and p's some term of f uses; the
+    spectators z, lam, mu and w are left out."""
+    n = len(f.vars)
+    used = (f.vars[n - 1 - s // BITS] for s in f.partials())
+    return frozenset(v[1:] for v in used if _PAIR_RE.match(v))
 
 
 def _add_product(terms: dict, left: dict, right: dict, sign: int):

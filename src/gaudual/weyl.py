@@ -23,7 +23,9 @@ with ``int`` weights, which avoids quadratic rewriting chains.
 
 Commutator (``weyl_commutator``).  ``[a, b]`` is summed term pair by term
 pair; two monomials on disjoint sets of pairs commute exactly, so such a
-pair contributes nothing and is skipped.
+pair contributes nothing and is skipped.  Hence ``[a, b] = 0`` when the
+supports of a and b (``weyl_support``: every pair name they use) are
+disjoint.
 
 ``OrderedDiffOp`` represents elements of U(z)[Dz] (side "z": rational in z,
 ordered powers of Dz on the right) and of U(Dz)[z] (side "dz": rational in
@@ -249,6 +251,11 @@ def weyl_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
             for key, w in _mono_mul(k2, k1):
                 terms[key] = get(key, 0) - c * w
     return WeylElement(terms)
+
+
+def weyl_support(a: WeylElement) -> frozenset[str]:
+    """Every pair name some term of a uses."""
+    return frozenset().union(*(pairs for _, _, pairs in a.supports()))
 
 
 class OrderedDiffOp:

@@ -5,6 +5,7 @@ import pytest
 from gaudual.errors import InhomogeneousInput
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 from gaudual.multipoly import MultiPoly
+from gaudual.ratfunc import RatFunc
 from helpers import rng, random_grassmann
 
 Q = Fraction
@@ -45,6 +46,13 @@ def test_bracket_of_disjoint_pairs_vanishes():
     u = a.pi(1, 1) * a.psi(1, 1)
     v = a.pi(2, 2) * a.psi(2, 2)
     assert a.graded_bracket(u, v) == 0
+
+
+def test_support_folds_each_pair_onto_one_index():
+    a = alg22()
+    assert a.support(a.pi(1, 2) * a.psi(1, 2)) == {1}
+    assert a.support(a.pi(2, 1) * a.psi(1, 1) + GrassmannElement.const(3)) == {0, 2}
+    assert a.support(GrassmannElement.const(5)) == frozenset()
 
 
 def test_bracket_rejects_mixed_parity():
@@ -125,3 +133,17 @@ def test_polynomial_coefficients_supported():
     # psi*pi z^2 + pi z^3
     expected = a.psi(1, 1) * a.pi(1, 1) * (z * z) + a.pi(1, 1) * (z**3)
     assert prod == expected
+
+
+def test_unknown_operands_reach_the_other_side():
+    """Multiplying by anything but a scalar or an element returns
+    NotImplemented, so the other operand's reflected method runs."""
+    f = RatFunc("z", {1: 1}, {1: 1})
+    psi = GrassmannElement.generator(0)
+    for prod in (psi * f, f * psi):
+        assert isinstance(prod, RatFunc)
+        assert prod == RatFunc("z", {1: psi}, {1: 1})
+    with pytest.raises(TypeError):
+        psi * "2"
+    with pytest.raises(TypeError):
+        2.5 * psi

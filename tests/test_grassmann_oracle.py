@@ -64,6 +64,21 @@ def test_bracket_is_graded_skew_symmetric(x, y):
 
 
 @SETTINGS
+@given(homogeneous(), homogeneous())
+def test_disjoint_supports_give_a_zero_bracket(x, y):
+    """b keeps only the monomials that use neither member of any pair a
+    uses: the supports are then disjoint and the bracket is zero both ways."""
+    (a, _), (b, _) = x, y
+    mn = ALG.M * ALG.N
+    support = ALG.support(a)
+    assert support == {k % mn for m in a.terms for k in range(NGEN) if m >> k & 1}
+    forbidden = sum(1 << k for k in range(NGEN) if k % mn in support)
+    b = GrassmannElement({m: c for m, c in b.terms.items() if not m & forbidden})
+    assert support.isdisjoint(ALG.support(b))
+    assert not ALG.graded_bracket(a, b) and not ALG.graded_bracket(b, a)
+
+
+@SETTINGS
 @given(homogeneous(), homogeneous(), homogeneous())
 def test_bracket_obeys_graded_leibniz(x, y, w):
     (a, p), (b, q), (c, _) = x, y, w

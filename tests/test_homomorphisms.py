@@ -11,7 +11,7 @@ from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
 from gaudual.presets import homomorphism_grid
 from gaudual.runner import MUTATIONS, run_instance
-from gaudual.weyl import WeylElement, weyl_commutator
+from gaudual.weyl import WeylElement, weyl_commutator, weyl_support
 
 
 def make(M, N, dz, dl):
@@ -145,7 +145,7 @@ def test_reversed_pairs_are_checked(monkeypatch, flavor):
     by_label = {g.label(): g for g in gens[witness["side"]]}
     g1, g2 = (by_label[label] for label in witness["pair"])
     assert index[div, g1] > index[div, g2]
-    bracket = gaudin._bracket_for(flavor, inst)
+    bracket, _ = gaudin._bracket_for(flavor, inst)
     assert witness["got"] == repr(bracket(realize(g1, flavor), realize(g2, flavor)))
 
 
@@ -158,7 +158,7 @@ def test_brackets_of_images_are_antisymmetric(flavor):
     """The generator-pair check reuses -[a, b] for [b, a]; this holds on
     every pair of realized images (the fermionic ones are all even)."""
     inst = make(2, 2, [(1, 2)], [(5, 1), (7, 1)])
-    bracket = gaudin._bracket_for(flavor, inst)
+    bracket, _ = gaudin._bracket_for(flavor, inst)
     for div, size, realize in ((inst.div_z, inst.M, inst.realize_glM),
                                (inst.div_lam, inst.N, inst.realize_glN)):
         images = [realize(g, flavor) for g in takiff_generators(div, size)]
@@ -179,7 +179,8 @@ def test_cyclotomic_brackets_of_images_are_antisymmetric():
 
 def check_generator_pairs_reference(gens, image, bracket, structure, zero):
     """The direct form of gaudin.check_generator_pairs, kept as its oracle:
-    every want is summed and compared, every mirrored bracket negated."""
+    every pair is bracketed, whatever its supports, every want is summed and
+    compared, every mirrored bracket negated."""
     checked = 0
     later = {}
     for i, g1 in enumerate(gens):
@@ -207,9 +208,12 @@ def _outcome(result):
     return checked, repr(got), repr(want), (g1, g2)
 
 
-def _both_loops(*args):
-    lean = check_generator_pairs(*args)
-    assert _outcome(lean) == _outcome(check_generator_pairs_reference(*args))
+def _both_loops(gens, image, bracket, support, structure, zero):
+    """The lean loop, given the real support function, and the reference,
+    which needs none."""
+    lean = check_generator_pairs(gens, image, bracket, support, structure, zero)
+    reference = check_generator_pairs_reference(gens, image, bracket, structure, zero)
+    assert _outcome(lean) == _outcome(reference)
     return lean
 
 
@@ -248,6 +252,10 @@ def _quantum_glM():
     return gens, images, partial(gaudin.takiff_bracket, divisor=inst.div_z)
 
 
+def _meet(images, g1, g2):
+    return not weyl_support(images[g1]).isdisjoint(weyl_support(images[g2]))
+
+
 def test_structure_wrong_only_at_one_mirrored_pair():
     gens, images, structure = _quantum_glM()
     i, j = next((i, j) for i in range(len(gens)) for j in range(i)
@@ -257,27 +265,52 @@ def test_structure_wrong_only_at_one_mirrored_pair():
         terms = structure(g1, g2)
         return [(-c, g) for c, g in terms] if (g1, g2) == (gens[i], gens[j]) else terms
 
-    checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, wrong,
-                                   WeylElement.zero())
+    checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, weyl_support,
+                                   wrong, WeylElement.zero())
     assert checked == i * len(gens) + j + 1
     g1, g2, got, want = failure
     assert (g1, g2) == (gens[i], gens[j]) and got == -want
 
 
 def test_bracket_nonzero_on_one_empty_structure_pair():
+    """The fault is injected at a pair whose supports meet, the only kind the
+    lean loop brackets."""
     gens, images, structure = _quantum_glM()
     i, j = next((i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
-                if not structure(gens[i], gens[j]))
+                if not structure(gens[i], gens[j]) and _meet(images, gens[i], gens[j]))
     extra = WeylElement.x(1, 1)
 
     def faulty(a, b):
         bracket = weyl_commutator(a, b)
         return bracket + extra if (a, b) == (images[gens[i]], images[gens[j]]) else bracket
 
-    checked, failure = _both_loops(gens, images.__getitem__, faulty, structure,
+    checked, failure = _both_loops(gens, images.__getitem__, faulty, weyl_support, structure,
                                    WeylElement.zero())
     assert checked == i * len(gens) + j + 1
     assert failure[:2] == (gens[i], gens[j]) and failure[2] == extra and not failure[3]
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["forward", "mirrored"])
+def test_structure_wrong_at_one_support_disjoint_pair(mirrored):
+    """A nonzero structure term on a pair of a finite-point generator and an
+    infinity generator, whose image is a constant: the pair is not
+    bracketed, yet it fails there, with got zero and want the image of the
+    term."""
+    gens, images, structure = _quantum_glM()
+    i, j = next((i, j) for i in range(len(gens)) for j in range(len(gens))
+                if (j < i) == mirrored and (gens[i].point is None) != (gens[j].point is None))
+    assert not _meet(images, gens[i], gens[j])
+
+    def wrong(g1, g2):
+        terms = structure(g1, g2)
+        return terms + [(1, gens[0])] if (g1, g2) == (gens[i], gens[j]) else terms
+
+    checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, weyl_support,
+                                   wrong, WeylElement.zero())
+    assert checked == i * len(gens) + j + 1
+    g1, g2, got, want = failure
+    assert (g1, g2) == (gens[i], gens[j])
+    assert got == 0 and repr(got) == "0" and want == images[gens[0]]
 
 
 def test_fault_on_a_diagonal_pair():
@@ -288,10 +321,40 @@ def test_fault_on_a_diagonal_pair():
         terms = structure(g1, g2)
         return terms + [(1, gens[0])] if g1 == g2 == gens[k] else terms
 
-    checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, faulty,
-                                   WeylElement.zero())
+    checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, weyl_support,
+                                   faulty, WeylElement.zero())
     assert checked == k * len(gens) + k + 1
     assert failure[:2] == (gens[k], gens[k]) and failure[3] == images[gens[0]]
+
+
+@pytest.mark.parametrize("spec, mutation", [case[1:] for case in SMALL_GRID],
+                         ids=[f"{n}-{s['realization']}-{m or 'unmutated'}"
+                              for n, s, m in SMALL_GRID])
+def test_disjoint_supports_give_a_zero_bracket(monkeypatch, spec, mutation):
+    """The support lemma the lean loop rests on, on every pair of realized
+    images (mutated ones included) of the small grid: where the supports are
+    disjoint, the bracket is zero."""
+    disjoint = []
+
+    def spy(gens, image, bracket, support, structure, zero):
+        images = [image(g) for g in gens]
+        supports = [support(img) for img in images]
+        for a, sa in zip(images, supports):
+            for b, sb in zip(images, supports):
+                if sa.isdisjoint(sb):
+                    disjoint.append(bracket.__name__)
+                    assert not bracket(a, b)
+        return original(gens, image, bracket, support, structure, zero)
+
+    original = gaudin.check_generator_pairs
+    monkeypatch.setattr(gaudin, "check_generator_pairs", spy)
+    monkeypatch.setattr(cyclotomic, "check_generator_pairs", spy)
+    options = {"mutation": mutation} if mutation else {}
+    report = run_instance(dict(spec, options=options))
+    assert report["status"] in ("pass", "fail")
+    expected = {"classical-bosonic": "poisson_bracket", "cyclotomic": "poisson_bracket",
+                "quantum-bosonic": "weyl_commutator", "classical-fermionic": "graded_bracket"}
+    assert set(disjoint) == {expected[spec["realization"]]}
 
 
 def test_an_odd_fermionic_image_is_refused(monkeypatch):

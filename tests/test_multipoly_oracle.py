@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gaudual.errors import ExponentOverflow  # noqa: E402
 from gaudual.multipoly import MAX_EXP, MultiPoly, var_key  # noqa: E402
-from gaudual.poisson import poisson_bracket  # noqa: E402
+from gaudual.poisson import poisson_bracket, poisson_support  # noqa: E402
 
 NAMES = ["x1_1", "x2_1", "p1_1", "p2_1", "z", "lam"]
 SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
@@ -127,6 +127,27 @@ def sympy_bracket(sf, sg):
 def test_poisson_bracket_matches_sympy(ta, tb):
     f, g = build(ta), build(tb)
     assert same(poisson_bracket(f, g), sympy_bracket(to_sympy(f), to_sympy(g)))
+
+
+def _pair(name: str) -> str | None:
+    """The canonical pair of an x or p name; None for a spectator."""
+    return name[1:] if name[0] in "xp" else None
+
+
+@SETTINGS
+@given(polys, polys)
+def test_disjoint_supports_give_a_zero_poisson_bracket(ta, tb):
+    """g keeps only the terms that use none of f's canonical pairs: the
+    supports are then disjoint and the bracket is zero both ways.  The
+    support is the set of pairs f's terms use, over any table."""
+    f = build(ta)
+    support = poisson_support(f)
+    used = {_pair(v) for e in f.terms for v, k in zip(f.vars, f.unpack(e)) if k}
+    assert support == used - {None}
+    assert poisson_support(f.lift_to(WIDE)) == support
+    g = build([(c, mono) for c, mono in tb if not {_pair(v) for v in mono} & support])
+    assert support.isdisjoint(poisson_support(g))
+    assert not poisson_bracket(f, g) and not poisson_bracket(g, f)
 
 
 # the names of NAMES (z among them) and unused x/p names around them

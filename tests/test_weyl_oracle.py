@@ -10,7 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from gaudual.weyl import WeylElement, weyl_commutator  # noqa: E402
+from gaudual.weyl import WeylElement, weyl_commutator, weyl_support  # noqa: E402
 
 # two ordinary pairs and the spectral pair; their names sort the same way
 # as strings and under the package's pair order
@@ -172,6 +172,20 @@ def test_arithmetic_results_keep_their_own_supports(a, b):
                    weyl_commutator(a, b)):
         assert all(result.supports() is not memo for memo in kept)
         assert result.supports() == _supports(result)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_disjoint_supports_give_a_zero_commutator(data):
+    """b is drawn over the pairs a does not use: the supports are disjoint
+    and the commutator is zero both ways."""
+    a = data.draw(random_element(PAIRS))
+    support = weyl_support(a)
+    assert support == {p for key in a.terms for p, _, _ in key}
+    rest = [p for p in PAIRS if p not in support]
+    b = data.draw(random_element(rest)) if rest else WeylElement.const(data.draw(coeffs))
+    assert support.isdisjoint(weyl_support(b))
+    assert not weyl_commutator(a, b) and not weyl_commutator(b, a)
 
 
 def test_commutator_of_partly_overlapping_monomials():
