@@ -94,6 +94,33 @@ def test_projector_formula():
     assert diagram_automorphism(p1) == {k: -c for k, c in p1.items()}
 
 
+@pytest.mark.parametrize("tau0", [1, 2, 3])
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_origin_bracket_matches_gl_commutator(M, tau0):
+    # every ordered pair of origin generators: the terms of glMC_bracket are
+    # distinct canonical generators of depth r + s, and their projectors sum
+    # to the gl_M commutator of the two projectors; the canonical Pi_(t) E_xy
+    # are independent, so this pins every coefficient
+    inst = inst_of(M, tau0, [], [5, 7, 11][:M], Q(0))
+    canonical = set(inst.glMC_generators())
+    origin = [g for g in inst.glMC_generators() if g[0] == "or"]
+    for g1 in origin:
+        for g2 in origin:
+            (_, r, a, b), (_, s, c, d) = g1, g2
+            got = inst.glMC_bracket(g1, g2)
+            if r + s >= 2 * tau0:
+                assert got == [], (g1, g2)
+                continue
+            assert len({g for _, g in got}) == len(got), (g1, g2)
+            total: dict = {}
+            for k, g in got:
+                assert k and g in canonical and g[1] == r + s, (g1, g2, g)
+                for xy, v in projector(*g[1:]).items():
+                    total[xy] = total.get(xy, 0) + k * v
+            want = gl_bracket(projector(r, a, b), projector(s, c, d))
+            assert {xy: v for xy, v in total.items() if v} == want, (g1, g2)
+
+
 def test_reduce_origin_identification():
     assert reduce_origin(0, 2, 1) == [(Q(-1), ("or", 0, 1, 2))]
     assert reduce_origin(1, 2, 1) == [(Q(1), ("or", 1, 1, 2))]
