@@ -132,6 +132,8 @@ class CycloInstance:
                                   for i in range(1, self.N + 1)] + ["z", "lam", "mu", "w"])
         mu = mu if isinstance(mu, MultiPoly) else MultiPoly.const(Q(mu))
         self.mu = mu.lift_to(self.var.names)
+        # the entry that names each sp_2N basis matrix Ebar_IJ, (I, J) in I2
+        self._basis_at = {(self.pos(I), self.pos(J)): (I, J) for I, J in self.I2()}
 
     # -- gl_M^C side ------------------------------------------------------
 
@@ -174,22 +176,11 @@ class CycloInstance:
             _, s, c, d = g2
             if r + s >= 2 * self.C.tau0:
                 return []
-            out = []
-            if b == c:
-                out += [(k, g) for k, g in reduce_origin(r + s, a, d)]
-            if a == c:
-                sgn = Q(-1) if s % 2 else Q(1)
-                out += [(sgn * k, g) for k, g in reduce_origin(r + s, d, b)]
-            if b == d:
-                sgn = Q(-1) if r % 2 else Q(1)
-                out += [(sgn * k, g) for k, g in reduce_origin(r + s, c, a)]
-            if a == d:
-                sgn = Q(-1) if (r + s) % 2 else Q(1)
-                out += [(sgn * k, g) for k, g in reduce_origin(r + s, b, c)]
-            merged: dict = {}
-            for k, g in out:
-                merged[g] = merged.get(g, Q(0)) + k
-            return [(k, g) for g, k in merged.items() if k]
+            # the commutator lies in the image of Pi_(r+s), where entry (x, y),
+            # x <= y, is the coefficient of Pi_(r+s) E_xy (Pi_(t) E_xx = 2 E_xx)
+            comm = _sparse_commutator(_origin_entries(r, a, b), _origin_entries(s, c, d))
+            return [(Q(v, 2) if x == y else v, ("or", r + s, x, y))
+                    for (x, y), v in comm.items() if x <= y]
         return []  # pt against origin: disjoint points
 
     def realize_glMC(self, g, mutation: str | None = None) -> MultiPoly:
@@ -268,39 +259,23 @@ class CycloInstance:
         sigma = 1 if (I > 0) == (J > 0) else -1
         return [(self.pos(I), self.pos(J), 1), (self.pos(-J), self.pos(-I), -sigma)]
 
-    def ebar_dual(self, I: int, J: int) -> list[list[Fraction]]:
-        """Dual basis matrices for half the fundamental trace form."""
-        n = 2 * self.N
-        m = [[Q(0)] * n for _ in range(n)]
+    def ebar_dual(self, I: int, J: int) -> list[tuple[int, int, int]]:
+        """(row, column, value) entries of the dual basis matrix Ebar^IJ for
+        half the fundamental trace form."""
         if J == -I:
-            m[self.pos(-I)][self.pos(I)] += Q(1)
-            return m
-        m[self.pos(J)][self.pos(I)] += Q(1)
-        sigma = Q(1) if (I > 0) == (J > 0) else Q(-1)
-        m[self.pos(-I)][self.pos(-J)] -= sigma
-        return m
+            return [(self.pos(-I), self.pos(I), 1)]
+        sigma = 1 if (I > 0) == (J > 0) else -1
+        return [(self.pos(J), self.pos(I), 1), (self.pos(-I), self.pos(-J), -sigma)]
 
-    def sp_expand(self, x: list[list]) -> dict[tuple[int, int], int | Fraction]:
-        """Coefficients of an sp_2N matrix on the basis {Ebar_IJ}, (I,J) in I2."""
+    def sp_expand(self, x: dict) -> dict[tuple[int, int], int | Fraction]:
+        """Coefficients on the basis {Ebar_IJ}, (I,J) in I2, of an sp_2N matrix
+        given by its nonzero {(row, column): value} entries: Ebar_IJ is the one
+        basis matrix with an entry at (pos(I), pos(J)), 1 there, or 2 when J = -I."""
         out = {}
-        N = self.N
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                c = x[self.pos(i)][self.pos(j)]
-                if c:
-                    out[(i, j)] = c
-        for i in range(1, N + 1):
-            for j in range(i, N + 1):
-                c = x[self.pos(i)][self.pos(-j)]
-                if i == j:
-                    c = Q(c, 2)
-                if c:
-                    out[(i, -j)] = c
-                c = x[self.pos(-i)][self.pos(j)]
-                if i == j:
-                    c = Q(c, 2)
-                if c:
-                    out[(-i, j)] = c
+        for rc, c in x.items():
+            basis = self._basis_at.get(rc)
+            if basis:
+                out[basis] = Q(c, 2) if basis[1] == -basis[0] else c
         return out
 
     def sp_inf_matrix(self) -> list[list]:
@@ -336,21 +311,12 @@ class CycloInstance:
         return gens
 
     def sp_bracket(self, g1, g2) -> list:
-        """[Ebar^(la)_IJ, Ebar^(lb)_KL] as the commutator of the two sparse
-        matrices, expanded on the I2 basis; infinity is central."""
+        """[Ebar^(la)_IJ, Ebar^(lb)_KL] as the sparse commutator of the two
+        basis matrices, expanded on the I2 basis; infinity is central."""
         if g1[0] == "inf" or g2[0] == "inf" or g1[1] != g2[1]:
             return []
-        e1, e2 = self.ebar_entries(g1[2], g1[3]), self.ebar_entries(g2[2], g2[3])
-        n = 2 * self.N
-        comm = [[0] * n for _ in range(n)]
-        for r, k, x in e1:
-            for k2, c, y in e2:
-                if k == k2:
-                    comm[r][c] += x * y
-        for r, k, y in e2:
-            for k2, c, x in e1:
-                if k == k2:
-                    comm[r][c] -= y * x
+        comm = _sparse_commutator(self.ebar_entries(g1[2], g1[3]),
+                                  self.ebar_entries(g2[2], g2[3]))
         return [(coeff, ("lam", g1[1], I, J)) for (I, J), coeff in self.sp_expand(comm).items()]
 
     def sp_lax_terms(self, I: int, J: int) -> list[tuple[MultiPoly, Fraction, int]]:
@@ -367,14 +333,27 @@ class CycloInstance:
         acc = [[MultiPoly.zero() for _ in range(n)] for _ in range(n)]
         for I, J in self.I2():
             total = _cleared(self.sp_lax_terms(I, J), dbar, var)
-            if not total:
-                continue
-            mat = self.ebar_dual(I, J)
-            for r in range(n):
-                for c in range(n):
-                    if mat[r][c]:
-                        acc[r][c] = acc[r][c] + total * mat[r][c]
+            if total:
+                for r, c, value in self.ebar_dual(I, J):
+                    acc[r][c] = acc[r][c] + total * value
         return RingMatrix(acc)
+
+
+def _sparse_commutator(e1, e2) -> dict[tuple[int, int], int]:
+    """Nonzero entries {(row, column): value} of the commutator [A, B] of two
+    matrices given as (row, column, value) entry lists."""
+    out: dict = {}
+    for sign, left, right in ((1, e1, e2), (-1, e2, e1)):
+        for r, k, x in left:
+            for k2, c, y in right:
+                if k == k2:
+                    out[(r, c)] = out.get((r, c), 0) + sign * x * y
+    return {rc: v for rc, v in out.items() if v}
+
+
+def _origin_entries(r: int, a: int, b: int) -> list[tuple[int, int, int]]:
+    """(row, column, value) entries of Pi_(r) E_ab = E_ab - (-1)^r E_ba."""
+    return [(a, b, 1), (b, a, -1 if r % 2 == 0 else 1)]
 
 
 def _cleared(terms, clearing: MultiPoly, var: str) -> MultiPoly:
@@ -390,8 +369,8 @@ def _cleared(terms, clearing: MultiPoly, var: str) -> MultiPoly:
 
 
 def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = None) -> dict:
-    """Exhaustive generator-pair checks for both realization maps; a bracket
-    term outside the generator list is realized when it is needed."""
+    """Exhaustive generator-pair checks for both realization maps; every
+    bracket term is a canonical generator, so each generator is realized once."""
     checked = 0
     for side, gens, realize, structure in (
         ("glM-cyclotomic", inst.glMC_generators(), inst.realize_glMC, inst.glMC_bracket),
@@ -399,8 +378,8 @@ def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = 
     ):
         images = {g: realize(g, mutation) for g in gens}
         count, failure = check_generator_pairs(
-            gens, lambda g: images[g] if g in images else realize(g, mutation),
-            poisson_bracket, poisson_support, structure, MultiPoly.zero(),
+            gens, images.__getitem__, poisson_bracket, poisson_support, structure,
+            MultiPoly.zero(),
         )
         checked += count
         if failure:
@@ -520,13 +499,9 @@ def _sp_r_matrix(inst: CycloInstance) -> RingMatrix:
     n = 2 * inst.N
     out = [[MultiPoly.zero() for _ in range(n * n)] for _ in range(n * n)]
     for I, J in inst.I2():
-        d = inst.ebar_dual(I, J)
-        for i in range(n):
-            for j in range(n):
-                if not d[i][j]:
-                    continue
-                for k, l, value in inst.ebar_entries(I, J):
-                    out[i * n + k][j * n + l] = out[i * n + k][j * n + l] + d[i][j] * value
+        for i, j, dual in inst.ebar_dual(I, J):
+            for k, l, value in inst.ebar_entries(I, J):
+                out[i * n + k][j * n + l] = out[i * n + k][j * n + l] + dual * value
     return RingMatrix(out)
 
 

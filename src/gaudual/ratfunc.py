@@ -71,6 +71,8 @@ def _divmod_linear(a: Poly, root: Fraction):
         return {k - 1: c for k, c in a.items() if k}, a.get(0, 0)
     if not a:
         return {}, 0
+    if root.denominator == 1:
+        root = int(root)  # each coefficient is then multiplied by an int
     quot: Poly = {}
     carry = 0
     for k in range(max(a), 0, -1):

@@ -174,13 +174,23 @@ def test_point_image_uses_cyclotomic_offsets():
 # -- sp_2N structure ------------------------------------------------------------
 
 
-def ebar(inst: CycloInstance, I: int, J: int) -> list[list[Fraction]]:
-    """Defining matrix of Ebar_IJ."""
+def dense(inst: CycloInstance, entries) -> list[list[Fraction]]:
+    """The 2N x 2N matrix with the given (row, column, value) entries."""
     n = 2 * inst.N
     m = [[Q(0)] * n for _ in range(n)]
-    for r, c, value in inst.ebar_entries(I, J):
+    for r, c, value in entries:
         m[r][c] += value
     return m
+
+
+def sparse(m: list[list]) -> dict:
+    """The nonzero {(row, column): value} entries of a dense matrix."""
+    return {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
+
+
+def ebar(inst: CycloInstance, I: int, J: int) -> list[list[Fraction]]:
+    """Defining matrix of Ebar_IJ."""
+    return dense(inst, inst.ebar_entries(I, J))
 
 
 def test_sp_pairing_duality():
@@ -192,7 +202,7 @@ def test_sp_pairing_duality():
     for I, J in pairs:
         for K, L in pairs:
             e = ebar(inst, I, J)
-            d = inst.ebar_dual(K, L)
+            d = dense(inst, inst.ebar_dual(K, L))
             n = 2 * inst.N
             tr = sum(
                 e[r][k] * d[k][r] for r in range(n) for k in range(n)
@@ -232,7 +242,7 @@ def test_sp_expand_round_trip():
             for i in range(n):
                 for j in range(n):
                     total[i][j] += c * e[i][j]
-        got = inst.sp_expand(total)
+        got = inst.sp_expand(sparse(total))
         assert got == {k: c for k, c in coeffs.items() if c}
 
 
@@ -240,9 +250,13 @@ def test_sp_expand_round_trip():
                          ids=["N=1", "N=2", "N=3"])
 def test_sp_bracket_matches_dense_commutator(tau0, pts):
     # every ordered generator pair, at two points lambda_a and at infinity:
-    # the dense commutator of the two ebar matrices, expanded on I2
+    # the terms of sp_bracket are distinct basis generators at the pair's
+    # point, and their ebar matrices sum to the dense commutator of the two
+    # ebar matrices; the Ebar_IJ, (I, J) in I2, are independent, so this pins
+    # every coefficient
     inst = inst_of(2, tau0, pts, ["5", "7"], Q(-1))
     n = 2 * inst.N
+    canonical = set(inst.I2())
     nonzero = 0
     for g1 in inst.sp_generators():
         for g2 in inst.sp_generators():
@@ -250,13 +264,17 @@ def test_sp_bracket_matches_dense_commutator(tau0, pts):
             if g1[0] == "inf" or g2[0] == "inf" or g1[1] != g2[1]:
                 assert got == [], (g1, g2)
                 continue
+            assert len({g for _, g in got}) == len(got), (g1, g2)
+            total = [[Q(0)] * n for _ in range(n)]
+            for coeff, (kind, a, I, J) in got:
+                assert coeff and (kind, a) == ("lam", g1[1]) and (I, J) in canonical, (g1, g2)
+                for r, c, value in inst.ebar_entries(I, J):
+                    total[r][c] += coeff * value
             m1, m2 = ebar(inst, g1[2], g1[3]), ebar(inst, g2[2], g2[3])
             comm = [[sum(m1[r][k] * m2[k][c] - m2[r][k] * m1[k][c] for k in range(n))
                      for c in range(n)] for r in range(n)]
-            want = {("lam", g1[1], I, J): c for (I, J), c in inst.sp_expand(comm).items()}
-            assert len(got) == len(want), (g1, g2)
-            assert {g: c for c, g in got} == want, (g1, g2)
-            nonzero += bool(want)
+            assert total == comm, (g1, g2)
+            nonzero += bool(got)
     assert nonzero > 0
 
 
@@ -276,11 +294,8 @@ def test_sp_infinity_matrix_matches_paper_display():
         img = inst.realize_sp("inf", 0, I, J)
         if not img:
             continue
-        d = inst.ebar_dual(I, J)
-        for r in range(n):
-            for c in range(n):
-                if d[r][c]:
-                    lconst[r][c] = lconst[r][c] + img * d[r][c]
+        for r, c, value in inst.ebar_dual(I, J):
+            lconst[r][c] = lconst[r][c] + img * value
     z = MultiPoly.var("z")
     got = [
         [(z if r == c else MultiPoly.zero()) - lconst[r][c] for c in range(n)]
@@ -324,6 +339,8 @@ def test_cyclotomic_homomorphisms(M, tau0, pts, mu):
 
 
 def test_cyclotomic_homomorphisms_realize_each_generator_once(monkeypatch):
+    """Every structure term is a canonical generator, so the gl_M^C side
+    realizes each generator exactly once, in generator order."""
     inst = inst_of(2, 2, [], ["5", "7"], Q(-1))
     calls = []
     realize = CycloInstance.realize_glMC
@@ -334,10 +351,35 @@ def test_cyclotomic_homomorphisms_realize_each_generator_once(monkeypatch):
 
     monkeypatch.setattr(CycloInstance, "realize_glMC", counted)
     assert verify_cyclotomic_homomorphisms(inst)["status"] == "pass"
-    gens = inst.glMC_generators()
-    absent = [g3 for g1 in gens for g2 in gens
-              for _, g3 in inst.glMC_bracket(g1, g2) if g3 not in gens]
-    assert len(calls) <= len(gens) + len(absent)
+    assert calls == inst.glMC_generators()
+
+
+@pytest.mark.parametrize("side, method, kind", [("glM-cyclotomic", "glMC_bracket", "or"),
+                                                ("sp2N", "sp_bracket", "lam")],
+                         ids=["origin", "sp2N"])
+def test_cyclotomic_homomorphisms_fail_on_one_wrong_structure_constant(monkeypatch, side,
+                                                                        method, kind):
+    """The terms of the first pair of two origin generators (two sp_2N
+    generators at one point lambda_a) with a nonzero structure are negated:
+    the check fails at that pair, after every earlier pair in the check
+    order, the gl_M^C side first."""
+    inst = inst_of(2, 2, [(1, 1)], ["5", "7"], Q(-1))
+    gl_gens, sp_gens = inst.glMC_generators(), inst.sp_generators()
+    gens, before = (gl_gens, 0) if side == "glM-cyclotomic" else (sp_gens, len(gl_gens) ** 2)
+    bracket = getattr(CycloInstance, method)
+    i, j = next((i, j) for i, g1 in enumerate(gens) for j, g2 in enumerate(gens)
+                if g1[0] == g2[0] == kind and bracket(inst, g1, g2))
+
+    def wrong(self, g1, g2):
+        terms = bracket(self, g1, g2)
+        return [(-k, g) for k, g in terms] if (g1, g2) == (gens[i], gens[j]) else terms
+
+    monkeypatch.setattr(CycloInstance, method, wrong)
+    assert verify_cyclotomic_homomorphisms(inst) == {
+        "status": "fail",
+        "pairs_checked": before + i * len(gens) + j + 1,
+        "witness": {"side": side, "pair": (str(gens[i]), str(gens[j]))},
+    }
 
 
 def test_cyclotomic_homomorphism_mutation_fails():

@@ -292,10 +292,9 @@ def test_bracket_nonzero_on_one_empty_structure_pair():
 
 @pytest.mark.parametrize("mirrored", [False, True], ids=["forward", "mirrored"])
 def test_structure_wrong_at_one_support_disjoint_pair(mirrored):
-    """A nonzero structure term on a pair of a finite-point generator and an
-    infinity generator, whose image is a constant: the pair is not
-    bracketed, yet it fails there, with got zero and want the image of the
-    term."""
+    """A nonzero structure term on a pair of a finite-point generator and an infinity
+    generator, whose image is a constant: the pair is not bracketed, yet it fails there,
+    with got zero and want the image of the term."""
     gens, images, structure = _quantum_glM()
     i, j = next((i, j) for i in range(len(gens)) for j in range(len(gens))
                 if (j < i) == mirrored and (gens[i].point is None) != (gens[j].point is None))

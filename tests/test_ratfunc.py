@@ -7,6 +7,7 @@ from gaudual.multipoly import MultiPoly
 from gaudual.ratfunc import (
     RatFunc,
     partial_fractions,
+    poly_divide_linear,
     poly_mul,
     rational_roots,
 )
@@ -127,6 +128,16 @@ def test_cancellation_on_construction():
     f = RatFunc("z", {1: Q(1), 0: Q(-1)}, {Q(1): 1})
     assert not f.den
     assert f.num == {0: Q(1)}
+
+
+@pytest.mark.parametrize("root", [Q(3), Q(-2), Q(0)])
+def test_division_by_an_integral_root_keeps_integer_coefficients(root):
+    # the Horner pass multiplies by the root as an int, so an integer
+    # numerator has an integer quotient
+    factor = {2: 2, 1: -1, 0: 4}
+    quot = poly_divide_linear(poly_mul({1: 1, 0: -int(root)}, factor), root)
+    assert quot == factor
+    assert all(type(c) is int for c in quot.values())
 
 
 def test_rational_roots_factoring():
