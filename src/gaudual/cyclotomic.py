@@ -85,13 +85,13 @@ class CycloDivisor:
         return Divisor(((Q(0), 2 * self.tau0),)
                        + tuple((sign * loc, tau) for loc, tau in self.points for sign in (1, -1)))
 
-    def jordan_data(self, x, ring: str = "commutative") -> RingMatrix:
+    def jordan_data(self, x) -> RingMatrix:
         """blkdiag(-J(-x-z_i) in reverse order, -J_tau0(-x), J_tau0(x), J(x-z_i)):
         the Jordan data of the sp_2N side at infinity, shifted by x."""
         half = ((Q(0), self.tau0),) + self.points
         blocks = [jordan_block(tau, x + loc, Q(-1)) for loc, tau in reversed(half)]
         blocks += [jordan_block(tau, x - loc) for loc, tau in half]
-        return block_diag(blocks, ring)
+        return block_diag(blocks)
 
 
 # generator encodings:
@@ -99,17 +99,6 @@ class CycloDivisor:
 #   ("or", s, a, b)      (Pi_(s) E_ab)^(0)_s, canonical: a < b (s even),
 #                        a <= b (s odd)
 #   ("inf", a, b)        E^+(inf)_(ab, 1), canonical a <= b
-
-
-def reduce_origin(s: int, a: int, b: int):
-    """Rewrite (Pi_(s) E_ab) on the canonical basis: Pi_(s)E_ba =
-    -(-1)^s Pi_(s)E_ab and Pi_(s)E_aa = 0 for even s."""
-    if a < b:
-        return [(Q(1), ("or", s, a, b))]
-    if a == b:
-        return [] if s % 2 == 0 else [(Q(1), ("or", s, a, a))]
-    sign = Q(-1) if s % 2 == 0 else Q(1)
-    return [(sign, ("or", s, b, a))]
 
 
 class CycloInstance:
@@ -176,11 +165,9 @@ class CycloInstance:
             _, s, c, d = g2
             if r + s >= 2 * self.C.tau0:
                 return []
-            # the commutator lies in the image of Pi_(r+s), where entry (x, y),
-            # x <= y, is the coefficient of Pi_(r+s) E_xy (Pi_(t) E_xx = 2 E_xx)
+            # the commutator lies in the image of Pi_(r+s)
             comm = _sparse_commutator(_origin_entries(r, a, b), _origin_entries(s, c, d))
-            return [(Q(v, 2) if x == y else v, ("or", r + s, x, y))
-                    for (x, y), v in comm.items() if x <= y]
+            return _origin_terms(r + s, comm)
         return []  # pt against origin: disjoint points
 
     def realize_glMC(self, g, mutation: str | None = None) -> MultiPoly:
@@ -217,8 +204,11 @@ class CycloInstance:
         (numerator, pole, order) terms; order 0 is the constant at infinity."""
         terms = [(self.realize_glMC(("inf", min(a, b), max(a, b))), Q(0), 0)]
         for s in range(2 * self.C.tau0):
+            entries: dict = {}
+            for x, y, v in _origin_entries(s, a, b):
+                entries[(x, y)] = entries.get((x, y), 0) + v
             img = MultiPoly.zero()
-            for k, gen in reduce_origin(s, a, b):
+            for k, gen in _origin_terms(s, entries):
                 img = img + self.realize_glMC(gen) * k
             terms.append((img, Q(0), s + 1))
         for i, (loc, tau) in enumerate(self.C.points):
@@ -354,6 +344,14 @@ def _sparse_commutator(e1, e2) -> dict[tuple[int, int], int]:
 def _origin_entries(r: int, a: int, b: int) -> list[tuple[int, int, int]]:
     """(row, column, value) entries of Pi_(r) E_ab = E_ab - (-1)^r E_ba."""
     return [(a, b, 1), (b, a, -1 if r % 2 == 0 else 1)]
+
+
+def _origin_terms(t: int, entries: dict) -> list:
+    """An element of the image of Pi_(t), given by its {(row, column): value}
+    entries, on the canonical generators: entry (x, y), x <= y, is the
+    coefficient of Pi_(t) E_xy, halved where x = y (Pi_(t) E_xx = 2 E_xx)."""
+    return [(Q(v, 2) if x == y else v, ("or", t, x, y))
+            for (x, y), v in entries.items() if x <= y and v]
 
 
 def _cleared(terms, clearing: MultiPoly, var: str) -> MultiPoly:
@@ -588,8 +586,8 @@ def quantum_cyclotomic_candidate(inst: CycloInstance) -> RingMatrix:
                + [WeylElement.x(a, i) for i in range(1, N + 1)] for a in range(1, M + 1)]
     d_block = [[-WeylElement.x(a, -I) if I < 0 else WeylElement.d(a, I) for a in range(1, M + 1)]
                for I in inst.index_set()]
-    return block2x2(jordan_sum(inst.div_lam, lam_c, ring="weyl"), RingMatrix(x_block, "weyl"),
-                    RingMatrix(d_block, "weyl"), RingMatrix(_cyclo_z_matrix(inst, z_c), "weyl"))
+    return block2x2(jordan_sum(inst.div_lam, lam_c), RingMatrix(x_block),
+                    RingMatrix(d_block), RingMatrix(_cyclo_z_matrix(inst, z_c)))
 
 
 def _cyclo_z_matrix(inst: CycloInstance, z_c: WeylElement):
@@ -598,6 +596,6 @@ def _cyclo_z_matrix(inst: CycloInstance, z_c: WeylElement):
     mu_val = mu.constant_value() if mu.is_constant() else None
     if mu_val is None:
         raise ValueError("quantum candidate needs a rational mu")
-    rows = inst.C.jordan_data(z_c, ring="weyl").entries
+    rows = inst.C.jordan_data(z_c).entries
     rows[inst.pos(1)][inst.pos(-1)] = rows[inst.pos(1)][inst.pos(-1)] + WeylElement.const(mu_val)
     return rows

@@ -136,10 +136,10 @@ def takiff_block_sum(nu: int, tau: int, depth: int, term, zero, mutation: str | 
     return -total if mutation == "flip-sign" else total
 
 
-def jordan_sum(divisor: Divisor, x, ring: str = "commutative") -> RingMatrix:
+def jordan_sum(divisor: Divisor, x) -> RingMatrix:
     """(+)_c J_(tau_c)(x - location_c): x - location_c along the diagonal and
     -1 just below it."""
-    return block_diag([jordan_block(tau, x - loc) for loc, tau in divisor.points], ring)
+    return block_diag([jordan_block(tau, x - loc) for loc, tau in divisor.points])
 
 
 def jordan_sum_matrix(divisor: Divisor) -> list[list[Fraction]]:
@@ -249,7 +249,7 @@ def _realized_lax(realize, divisor: Divisor, size: int, flavor: str, var: str,
                         f = f + RatFunc(var, {0: img}, {loc: depth + 1})
             row.append(f)
         entries.append(row)
-    return RingMatrix(entries, "commutative" if flavor != "quantum" else "weyl")
+    return RingMatrix(entries)
 
 
 def _const(flavor: str, value: Fraction, galg: GrassmannAlgebra):
@@ -315,8 +315,7 @@ def _cleared_det(lax: RingMatrix, divisor: Divisor, var: VariableTable, spec_var
                 p = p.substitute(subs)
             row.append((diag if r == c else zero) - p)
         entries.append(row)
-    ring = "grassmann-even" if flavor == "fermionic" else "commutative"
-    return _perm_expansion(RingMatrix(entries, ring))
+    return _perm_expansion(RingMatrix(entries))
 
 
 def _divide_out(poly: MultiPoly, divisor: Divisor, spec_var: str, copies: int) -> MultiPoly:
@@ -395,7 +394,7 @@ def _cdet_side(entries: list[list[RatFunc]], divisor: Divisor, var: str) -> Orde
         [OrderedDiffOp(var, {0: -f, 1: one} if r == c else {0: -f}) for c, f in enumerate(row)]
         for r, row in enumerate(entries)
     ]
-    op = cdet(RingMatrix(rows, "ordered-diffop"))
+    op = cdet(RingMatrix(rows))
     # a rational prefactor, so that each product cancels against it alone
     return op.scale_left(RatFunc(var, expand_factors(dict(divisor.points))))
 
@@ -404,11 +403,11 @@ def quantum_block_matrix(inst: DualityInstance) -> RingMatrix:
     """The (M+N) x (M+N) block matrix [[Lam, X], [tD, Z]] behind the duality,
     over the Weyl algebra extended by the spectral pair."""
     M, N = inst.M, inst.N
-    lam_block = jordan_sum(inst.div_lam, WeylElement.dz(), ring="weyl").transpose()
+    lam_block = jordan_sum(inst.div_lam, WeylElement.dz()).transpose()
     x_block = [[WeylElement.x(a, i) for i in range(1, N + 1)] for a in range(1, M + 1)]
     d_block = [[WeylElement.d(a, i) for a in range(1, M + 1)] for i in range(1, N + 1)]
-    z_block = jordan_sum(inst.div_z, WeylElement.z(), ring="weyl")
-    return block2x2(lam_block, RingMatrix(x_block, "weyl"), RingMatrix(d_block, "weyl"), z_block)
+    z_block = jordan_sum(inst.div_z, WeylElement.z())
+    return block2x2(lam_block, RingMatrix(x_block), RingMatrix(d_block), z_block)
 
 
 def verify_quantum_duality(inst: DualityInstance) -> dict:

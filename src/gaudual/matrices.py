@@ -1,9 +1,10 @@
-"""Matrices over pluggable coefficient rings: det, cdet, the Manin check,
-Jordan blocks and block assembly.
+"""Matrices of ring elements: det, cdet, the Manin check, Jordan blocks and
+block assembly.
 
 Entries are duck-typed ring elements (MultiPoly, WeylElement, even
-GrassmannElement, OrderedDiffOp, Fraction); the `ring` tag records which
-operations are legitimate.  One determinant routine serves det and cdet:
+GrassmannElement, OrderedDiffOp, RatFunc, Fraction); det refuses a matrix
+with an entry that need not commute, and cdet takes any of them.  One
+determinant routine serves det and cdet:
 a column-ordered Laplace expansion memoized by row subset, n 2^(n-1) ring
 products for an n x n matrix, exact and with no division.  The verifiers
 need no inverse of a matrix, so none is computed here.
@@ -14,20 +15,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NonSquare, NoncommutativeRing
-
-COMMUTATIVE_TAGS = {"commutative", "grassmann-even"}
+from .grassmann import GrassmannElement
+from .multipoly import MultiPoly
+from .ratfunc import RatFunc
 
 
 class RingMatrix:
-    __slots__ = ("rows", "cols", "entries", "ring")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries, ring: str = "commutative"):
+    def __init__(self, entries):
         self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.rows else 0
         if any(len(row) != self.cols for row in self.entries):
             raise ValueError("ragged rows")
-        self.ring = ring
 
     def __getitem__(self, rc):
         return self.entries[rc[0]][rc[1]]
@@ -36,28 +37,16 @@ class RingMatrix:
         return self.rows == self.cols
 
     def transpose(self) -> RingMatrix:
-        return RingMatrix(
-            [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)],
-            self.ring,
-        )
+        return RingMatrix([[self.entries[r][c] for r in range(self.rows)]
+                           for c in range(self.cols)])
 
     def __add__(self, other: RingMatrix) -> RingMatrix:
-        return RingMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            self.ring,
-        )
+        return RingMatrix([[a + b for a, b in zip(ra, rb)]
+                           for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other: RingMatrix) -> RingMatrix:
-        return RingMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            self.ring,
-        )
+        return RingMatrix([[a - b for a, b in zip(ra, rb)]
+                           for ra, rb in zip(self.entries, other.entries)])
 
     def __mul__(self, other: RingMatrix) -> RingMatrix:
         if self.cols != other.rows:
@@ -72,7 +61,7 @@ class RingMatrix:
                     acc = term if acc is None else acc + term
                 row.append(acc)
             out.append(row)
-        return RingMatrix(out, self.ring)
+        return RingMatrix(out)
 
 
 def block2x2(A: RingMatrix, B: RingMatrix, C: RingMatrix, D: RingMatrix) -> RingMatrix:
@@ -81,19 +70,25 @@ def block2x2(A: RingMatrix, B: RingMatrix, C: RingMatrix, D: RingMatrix) -> Ring
         raise ValueError("incompatible block dimensions")
     entries = [ra + rb for ra, rb in zip(A.entries, B.entries)]
     entries += [rc + rd for rc, rd in zip(C.entries, D.entries)]
-    ring = A.ring
-    for blk in (B, C, D):
-        if blk.ring != ring:
-            ring = "weyl" if "weyl" in (blk.ring, ring) else blk.ring
-    return RingMatrix(entries, ring)
+    return RingMatrix(entries)
+
+
+def _commutes(x) -> bool:
+    """x is a rational, a MultiPoly, an even GrassmannElement, or a RatFunc
+    whose numerator coefficients are: entries that commute with each other."""
+    if isinstance(x, RatFunc):
+        return all(_commutes(c) for c in x.num.values())
+    if isinstance(x, GrassmannElement):
+        return not any(mask.bit_count() & 1 for mask in x.terms)
+    return isinstance(x, (int, Fraction, MultiPoly))
 
 
 def det(m: RingMatrix):
-    """Determinant over a commutative(-enough) ring, by the subset recursion
-    of `_perm_expansion`."""
+    """Determinant over a commutative ring, by the subset recursion of
+    `_perm_expansion`; refuses an entry that need not commute."""
     if not m.is_square():
         raise NonSquare("determinant of a non-square matrix")
-    if m.ring not in COMMUTATIVE_TAGS:
+    if not all(_commutes(x) for row in m.entries for x in row):
         raise NoncommutativeRing("use cdet for noncommutative entries")
     return _perm_expansion(m)
 
@@ -181,10 +176,10 @@ def jordan_block(k: int, x, one=Fraction(1)) -> RingMatrix:
         entries[i][i] = x
         if i + 1 < k:
             entries[i + 1][i] = zero - one
-    return RingMatrix(entries, "commutative")
+    return RingMatrix(entries)
 
 
-def block_diag(blocks: list[RingMatrix], ring: str = "commutative") -> RingMatrix:
+def block_diag(blocks: list[RingMatrix]) -> RingMatrix:
     sizes = [(b.rows, b.cols) for b in blocks]
     rows = sum(r for r, _ in sizes)
     cols = sum(c for _, c in sizes)
@@ -198,4 +193,4 @@ def block_diag(blocks: list[RingMatrix], ring: str = "commutative") -> RingMatri
                 entries[r0 + r][c0 + c] = b.entries[r][c]
         r0 += b.rows
         c0 += b.cols
-    return RingMatrix(entries, ring)
+    return RingMatrix(entries)

@@ -80,8 +80,22 @@ KIND_KEYS = {"homomorphism": {"realization"}, "commutativity": {"flavor"},
 SPEC_KEYS = set().union(*MODEL_KEYS.values(), *KIND_KEYS.values())
 
 
-def _points(raw) -> list[tuple[Fraction, int]]:
-    return [(rat(p), int(t)) for p, t in raw]
+def _integer(value, name: str) -> int:
+    """A JSON integer field: a float, a bool or a string is refused, not
+    truncated."""
+    if type(value) is not int:
+        raise SpecValidationError(f"{name} must be a JSON integer, not {value!r}")
+    return value
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise SpecValidationError(f"{name} must be a JSON list, not {value!r}")
+    return value
+
+
+def _points(raw, name: str) -> list[tuple[Fraction, int]]:
+    return [(rat(p), _integer(t, "a Takiff degree")) for p, t in _list(raw, name)]
 
 
 def _model(spec: dict) -> str:
@@ -115,36 +129,36 @@ def validate_instance(spec: dict) -> None:
                 f"field {unread[0]!r} is not read by a {kind} instance ({model} model); "
                 f"expected fields among {sorted(allowed)}"
             )
-        M = int(spec["M"])
+        M = _integer(spec["M"], "M")
         if M < 1:
             raise SpecValidationError(f"need M >= 1, got {M}")
         if model == "neumann":
-            omegas = [rat(w) for w in spec["omega"]]
+            omegas = [rat(w) for w in _list(spec["omega"], "omega")]
             if len(omegas) != M:
                 raise SpecValidationError("need M frequencies")
             if len({w * w for w in omegas}) != len(omegas):
                 raise SpecValidationError("frequencies must have distinct squares")
             return
-        N = int(spec["N"])
+        N = _integer(spec["N"], "N")
         if N < 1:
             raise SpecValidationError(f"need N >= 1, got {N}")
         if model == "cyclotomic":
-            tau0 = int(spec["tau0"])
-            pts = _points(spec.get("divisor", []))
+            tau0 = _integer(spec["tau0"], "tau0")
+            pts = _points(spec.get("divisor", []), "divisor")
             total = tau0 + sum(t for _, t in pts)
             if total != N:
                 raise SpecValidationError(
                     f"cyclotomic divisor violates τ_0 + Σ τ_i = N: {total} != {N}"
                 )
-            lams = [rat(p) for p in spec["lambda_points"]]
+            lams = [rat(p) for p in _list(spec["lambda_points"], "lambda_points")]
             if len(lams) != M or len(set(lams)) != M:
                 raise SpecValidationError("need M distinct lambda points")
             if not spec.get("options", {}).get("symbolic_mu"):
                 rat(spec["mu"])
             CycloDivisor.of(tau0, pts)  # distinctness of +-z_i
         else:
-            dz = _points(spec["divisor"])
-            dl = _points(spec["dual_divisor"])
+            dz = _points(spec["divisor"], "divisor")
+            dl = _points(spec["dual_divisor"], "dual_divisor")
             if sum(t for _, t in dz) != N:
                 raise SpecValidationError(
                     f"divisor violates Σ τ_i = N: {sum(t for _, t in dz)} != {N}"
@@ -231,10 +245,10 @@ def _size_guard(spec: dict, max_terms: int) -> None:
 
 def _build_duality(spec: dict) -> DualityInstance:
     return DualityInstance(
-        int(spec["M"]),
-        int(spec["N"]),
-        Divisor.of(_points(spec["divisor"])),
-        Divisor.of(_points(spec["dual_divisor"])),
+        _integer(spec["M"], "M"),
+        _integer(spec["N"], "N"),
+        Divisor.of(_points(spec["divisor"], "divisor")),
+        Divisor.of(_points(spec["dual_divisor"], "dual_divisor")),
     )
 
 
@@ -242,9 +256,10 @@ def _build_cyclo(spec: dict) -> CycloInstance:
     opts = spec.get("options", {})
     mu = MultiPoly.var("mu") if opts.get("symbolic_mu") else rat(spec["mu"])
     return CycloInstance(
-        int(spec["M"]),
-        CycloDivisor.of(int(spec["tau0"]), _points(spec.get("divisor", []))),
-        [rat(p) for p in spec["lambda_points"]],
+        _integer(spec["M"], "M"),
+        CycloDivisor.of(_integer(spec["tau0"], "tau0"),
+                        _points(spec.get("divisor", []), "divisor")),
+        [rat(p) for p in _list(spec["lambda_points"], "lambda_points")],
         mu,
     )
 
@@ -293,7 +308,8 @@ def _dispatch(spec: dict, opts: dict, sample_seed: int | None) -> dict:
     kind, model = spec["kind"], _model(spec)
     mutation = opts.get("mutation")
     if model == "neumann":
-        return neumann_artifacts(int(spec["M"]), [rat(w) for w in spec["omega"]])
+        return neumann_artifacts(_integer(spec["M"], "M"),
+                                 [rat(w) for w in _list(spec["omega"], "omega")])
     if model == "cyclotomic":
         inst = _build_cyclo(spec)
         if kind == "homomorphism":

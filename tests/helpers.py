@@ -103,7 +103,7 @@ def jordan_block_inverse(k: int, x: RatFunc) -> RingMatrix:
     entries = [
         [powers[i - j + 1] if i >= j else zero for j in range(k)] for i in range(k)
     ]
-    return RingMatrix(entries, "commutative")
+    return RingMatrix(entries)
 
 
 def linear(var: str, shift: Fraction) -> RatFunc:

@@ -176,7 +176,7 @@ def test_criterion_9_infrastructure():
         for i in range(k):
             for c in range(k, n):
                 unit[i][c] = WeylElement.const(random_fraction(r)) * WeylElement.x(1, 1)
-        assert cdet(m * RingMatrix(unit, "weyl")) == cdet(m)
+        assert cdet(m * RingMatrix(unit)) == cdet(m)
         assert manin_check(m)[0]
     # partial fraction round trips
     pole_pool = [Q(0), Q(1), Q(-2), Q(1, 2)]

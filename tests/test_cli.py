@@ -1,6 +1,9 @@
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +281,15 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
         dict(_CYCLO, kind="classical-bosonic"),
         dict(_GAUDIN, kind="classical-bosonic", M=0, dual_divisor=[]),
         dict(_GAUDIN, kind="quantum-bosonic", options={"mode": "sampled"}),
+        dict(_GAUDIN, kind="classical-bosonic", divisor=[["1", 1.5]]),
+        {"kind": "neumann", "M": 2.9, "omega": ["1", "2"]},
+        dict(_GAUDIN, kind="classical-bosonic", M=True),
+        dict(_GAUDIN, kind="classical-bosonic", N="1"),
+        dict(_CYCLO, kind="cyclotomic", N=2.5),
+        dict(_CYCLO, kind="cyclotomic", tau0=2.7),
+        dict(_CYCLO, kind="cyclotomic", lambda_points="57"),
+        dict(_GAUDIN, kind="classical-bosonic", dual_divisor={"51": 1}),
+        {"kind": "neumann", "M": 2, "omega": "12"},
     ],
     ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
          "gaudin-mutation", "cyclotomic-mutation", "fermionic-range-up", "mutation-on-duality", "options-not-object",
@@ -285,7 +297,9 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
          "quantum-candidate-int", "symbolic-mu-quantum-candidate", "field-flavour", "instance-list", "instance-string",
          "instance-number", "cyclotomic-no-mu", "lax-no-mu", "cyclotomic-no-tau0",
          "cyclotomic-homomorphism-no-tau0", "cyclotomic-commutativity-no-tau0",
-         "gaudin-kind-with-tau0", "m-zero", "sampled-mode-on-quantum"],
+         "gaudin-kind-with-tau0", "m-zero", "sampled-mode-on-quantum", "takiff-degree-float",
+         "neumann-m-float", "m-bool", "n-string", "cyclotomic-n-float", "tau0-float",
+         "lambda-points-string", "dual-divisor-object", "omega-string"],
 )
 def test_validation_rejects_names_dispatch_cannot_run(spec):
     with pytest.raises(SpecValidationError):
@@ -457,3 +471,14 @@ def test_cli_runs_on_after_a_crash_and_exits_1(tmp_path, capsys, monkeypatch):
     assert [r["status"] for r in reports] == ["error", "pass"]
     assert reports[0]["witness"]["error"] == "KeyError"
     assert "1 pass, 0 fail, 1 error" in capsys.readouterr().err
+
+
+def test_readme_python_example_prints_a_passing_report():
+    """README.md's one python block, run as a script on the source tree."""
+    root = Path(__file__).resolve().parent.parent
+    blocks = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert "'status': 'pass'" in proc.stdout

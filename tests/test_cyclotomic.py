@@ -7,13 +7,13 @@ from gaudual.cyclotomic import (
     CycloDivisor,
     CycloInstance,
     _cyclo_z_matrix,
+    _origin_terms,
     _sp_r_matrix,
     _swap_legs,
     extract_cyclotomic_generators,
     lax_algebra_check,
     neumann_artifacts,
     quantum_cyclotomic_candidate,
-    reduce_origin,
     sphere_constraint_is_angular_invariant,
     verify_cyclotomic_duality,
     verify_cyclotomic_homomorphisms,
@@ -121,11 +121,13 @@ def test_origin_bracket_matches_gl_commutator(M, tau0):
             assert {xy: v for xy, v in total.items() if v} == want, (g1, g2)
 
 
-def test_reduce_origin_identification():
-    assert reduce_origin(0, 2, 1) == [(Q(-1), ("or", 0, 1, 2))]
-    assert reduce_origin(1, 2, 1) == [(Q(1), ("or", 1, 1, 2))]
-    assert reduce_origin(0, 1, 1) == []
-    assert reduce_origin(1, 1, 1) == [(Q(1), ("or", 1, 1, 1))]
+def test_origin_terms_identification():
+    # the summed entries of Pi_(s) E_ab = E_ab - (-1)^s E_ba on the canonical
+    # basis: Pi_(s) E_ba = -(-1)^s Pi_(s) E_ab, and Pi_(s) E_aa = 0 for even s
+    assert _origin_terms(0, {(2, 1): 1, (1, 2): -1}) == [(Q(-1), ("or", 0, 1, 2))]
+    assert _origin_terms(1, {(2, 1): 1, (1, 2): 1}) == [(Q(1), ("or", 1, 1, 2))]
+    assert _origin_terms(0, {(1, 1): 0}) == []
+    assert _origin_terms(1, {(1, 1): 2}) == [(Q(1), ("or", 1, 1, 1))]
 
 
 # -- divisor validation --------------------------------------------------------

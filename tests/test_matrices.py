@@ -33,18 +33,16 @@ D = WeylElement.d
 
 
 def frac_matrix(rows):
-    return RingMatrix([[Q(e) for e in row] for row in rows], "commutative")
+    return RingMatrix([[Q(e) for e in row] for row in rows])
 
 
 def map_entries(m: RingMatrix, fn) -> RingMatrix:
-    return RingMatrix([[fn(e) for e in row] for row in m.entries], m.ring)
+    return RingMatrix([[fn(e) for e in row] for row in m.entries])
 
 
-def eye(n, one=Q(1), ring="commutative"):
+def eye(n, one=Q(1)):
     zero = one - one
-    return RingMatrix(
-        [[one if i == j else zero for j in range(n)] for i in range(n)], ring
-    )
+    return RingMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
 
 # -- det / cdet -------------------------------------------------------------
@@ -56,7 +54,7 @@ def test_det_identity():
 
 def test_det_2x2_commutative():
     a, b, c, d = (MultiPoly.var(v) for v in ["a", "b", "c", "d"])
-    m = RingMatrix([[a, b], [c, d]], "commutative")
+    m = RingMatrix([[a, b], [c, d]])
     assert det(m) == a * d - b * c
 
 
@@ -67,20 +65,64 @@ def test_det_jordan_block_lower_triangular():
 
 
 def test_det_refuses_noncommutative():
-    m = RingMatrix([[D(1, 1), X(1, 1)], [X(1, 1), D(1, 1)]], "weyl")
+    m = RingMatrix([[D(1, 1), X(1, 1)], [X(1, 1), D(1, 1)]])
     with pytest.raises(NoncommutativeRing):
         det(m)
     with pytest.raises(NonSquare):
-        det(RingMatrix([[Q(1), Q(2)]], "commutative"))
+        det(RingMatrix([[Q(1), Q(2)]]))
+
+
+_LAX_SPEC = {"kind": "quantum-bosonic", "M": 2, "N": 2, "divisor": [["1", 1], ["2", 1]],
+             "dual_divisor": [["5", 2]]}
+
+
+def _refused_by_det():
+    alg = GrassmannAlgebra(1, 2)
+    psi, pi = alg.psi(1, 1), alg.pi(1, 2)
+    return {
+        "weyl": RingMatrix([[D(1, 1), X(1, 1)], [X(1, 1), D(1, 1)]]),
+        "odd-grassmann": RingMatrix([[psi, pi], [pi, psi]]),
+        "mixed-grassmann": RingMatrix([[psi + 1]]),
+        "ordered-diffop": RingMatrix([[weyl_to_ordered(X(1, 1), "z", "z")]]),
+        "weyl-ratfunc": _build_duality(_LAX_SPEC).lax_glM("quantum"),
+    }
+
+
+def _accepted_by_det():
+    r = rng(48)
+    alg = GrassmannAlgebra(2, 2)
+    z = MultiPoly.var("z")
+    inst = _build_duality(_LAX_SPEC)
+    even = [[random_grassmann(r, alg, 0) + GrassmannElement({0: z - i - j}) for j in range(2)]
+            for i in range(2)]
+    return {
+        "fraction": frac_matrix([[1, 2], [3, 4]]),
+        "multipoly": RingMatrix([[z, z - 1], [MultiPoly.const(2), z * z]]),
+        "even-grassmann": RingMatrix(even),
+        "classical-ratfunc": inst.lax_glM("classical"),
+        "fermionic-ratfunc": inst.lax_glM("fermionic"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_refused_by_det()))
+def test_det_refuses_an_entry_that_need_not_commute(case):
+    with pytest.raises(NoncommutativeRing):
+        det(_refused_by_det()[case])
+
+
+@pytest.mark.parametrize("case", list(_accepted_by_det()))
+def test_det_accepts_commuting_entries(case):
+    m = _accepted_by_det()[case]
+    assert det(m) == perm_definition(m)
 
 
 def test_cdet_column_order():
     # cdet [[a,b],[c,d]] = ad - cb, factors ordered by column
     a, b = WeylElement.dz(), X(1, 1)
     c, d = D(1, 1), WeylElement.z()
-    m = RingMatrix([[a, b], [c, d]], "weyl")
+    m = RingMatrix([[a, b], [c, d]])
     assert cdet(m) == a * d - c * b
-    assert cdet(eye(2, WeylElement.const(1), "weyl")) == 1
+    assert cdet(eye(2, WeylElement.const(1))) == 1
 
 
 def test_cdet_equals_det_on_random_commutative():
@@ -115,13 +157,13 @@ def _square_matrices(entries, max_size=4):
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
 
 
-def _check_against_definition(entries, ring, max_examples=60):
+def _check_against_definition(entries, max_examples=60):
     hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=max_examples, deadline=None)
     @hypothesis.given(_square_matrices(entries))
     def check(rows):
-        m = RingMatrix(rows, ring)
+        m = RingMatrix(rows)
         assert _perm_expansion(m) == perm_definition(m)
 
     check()
@@ -132,7 +174,7 @@ def test_expansion_matches_definition_on_fraction_matrices():
     # small integers make zero entries, zero minors and cancellations common
     entries = st.one_of(st.integers(-2, 2).map(Q),
                         st.builds(Q, st.integers(-6, 6), st.integers(1, 4)))
-    _check_against_definition(entries, "commutative", max_examples=120)
+    _check_against_definition(entries, max_examples=120)
 
 
 def test_expansion_matches_definition_on_polynomial_matrices():
@@ -141,7 +183,7 @@ def test_expansion_matches_definition_on_polynomial_matrices():
         lambda names: reduce(mul, [MultiPoly.var(v) for v in names], MultiPoly.const(1)))
     entries = st.lists(st.tuples(st.integers(-2, 2), monomials), max_size=3).map(
         lambda terms: sum((mono * c for c, mono in terms), MultiPoly.zero()))
-    _check_against_definition(entries, "commutative")
+    _check_against_definition(entries)
 
 
 def _weyl_elements():
@@ -156,7 +198,7 @@ def _weyl_elements():
 
 
 def test_expansion_matches_definition_on_weyl_matrices():
-    _check_against_definition(_weyl_elements(), "weyl")
+    _check_against_definition(_weyl_elements())
 
 
 def test_expansion_matches_definition_on_a_grassmann_even_matrix():
@@ -165,7 +207,7 @@ def test_expansion_matches_definition_on_a_grassmann_even_matrix():
     z = MultiPoly.var("z")
     rows = [[random_grassmann(r, alg, 0) + GrassmannElement({0: z - i - j})
              for j in range(3)] for i in range(3)]
-    m = RingMatrix(rows, "grassmann-even")
+    m = RingMatrix(rows)
     assert det(m) == perm_definition(m)
     assert det(m) != GrassmannElement({0: perm_definition(map_entries(
         m, lambda e: e.terms.get(0, MultiPoly.zero())))})
@@ -177,7 +219,7 @@ def test_expansion_is_column_ordered():
     zero, one = WeylElement.zero(), WeylElement.const(1)
     m = RingMatrix([[X(1, 1), D(1, 1), zero],
                     [D(1, 1), X(1, 1), X(2, 1)],
-                    [zero, D(2, 1), one]], "weyl")
+                    [zero, D(2, 1), one]])
     got = cdet(m)
     assert got == perm_definition(m)
     assert got - perm_definition(m.transpose()) == -X(1, 1)
@@ -199,10 +241,10 @@ def duality_block_matrix(M, N, z_points, lam_points):
     for i in range(N):
         z_block[i][i] = WeylElement.z() - WeylElement.const(z_points[i])
     return block2x2(
-        RingMatrix(lam_block, "weyl"),
-        RingMatrix(x_block, "weyl"),
-        RingMatrix(d_block, "weyl"),
-        RingMatrix(z_block, "weyl"),
+        RingMatrix(lam_block),
+        RingMatrix(x_block),
+        RingMatrix(d_block),
+        RingMatrix(z_block),
     )
 
 
@@ -219,13 +261,13 @@ def random_manin(r, max_size=4):
     n = m.rows
     rows = list(range(n))
     r.shuffle(rows)
-    m = RingMatrix([m.entries[i] for i in rows], "weyl")
+    m = RingMatrix([m.entries[i] for i in rows])
     scal = [[WeylElement.const(random_fraction(r)) for _ in range(n)] for _ in range(n)]
-    m = m * RingMatrix(scal, "weyl")
+    m = m * RingMatrix(scal)
     k = min(max_size, r.randint(2, n))
     ridx = sorted(r.sample(range(n), k))
     cidx = sorted(r.sample(range(n), k))
-    return RingMatrix([[m.entries[i][j] for j in cidx] for i in ridx], m.ring)
+    return RingMatrix([[m.entries[i][j] for j in cidx] for i in ridx])
 
 
 def test_duality_block_is_manin():
@@ -241,7 +283,7 @@ def test_commutative_matrix_is_manin():
 
 
 def test_manin_failure_gives_witness():
-    m = RingMatrix([[D(1, 1), X(1, 1)], [X(1, 1), D(1, 1)]], "weyl")
+    m = RingMatrix([[D(1, 1), X(1, 1)], [X(1, 1), D(1, 1)]])
     ok, witness = manin_check(m)
     assert not ok
     i, j, k, l = witness
@@ -304,7 +346,7 @@ def test_manin_check_matches_reference_on_cyclotomic_candidates():
 def test_manin_check_finds_a_cross_condition_violation(rows, witness):
     # every column condition holds; one cross condition fails
     m = RingMatrix([[e if isinstance(e, WeylElement) else WeylElement.const(e) for e in row]
-                    for row in rows], "weyl")
+                    for row in rows])
     assert manin_check(m) == manin_reference(m) == (False, witness)
 
 
@@ -317,7 +359,7 @@ def test_manin_check_matches_reference_on_random_weyl_matrices():
     @hypothesis.given(st.integers(2, 3).flatmap(
         lambda n: st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n)))
     def check(rows):
-        m = RingMatrix(rows, "weyl")
+        m = RingMatrix(rows)
         assert manin_check(m) == manin_reference(m)
 
     check()
@@ -328,7 +370,7 @@ def test_row_exchange_always_flips_sign():
     for _ in range(10):
         m = random_manin(r)
         rows = m.entries
-        swapped = RingMatrix([rows[-1], *rows[1:-1], rows[0]], m.ring)
+        swapped = RingMatrix([rows[-1], *rows[1:-1], rows[0]])
         assert cdet(swapped) == cdet(m) * Fraction(-1)
 
 
@@ -336,23 +378,21 @@ def test_column_exchange_flips_sign_for_manin():
     r = rng(44)
     for _ in range(10):
         m = random_manin(r)
-        swapped = RingMatrix([[row[-1], *row[1:-1], row[0]] for row in m.entries], m.ring)
+        swapped = RingMatrix([[row[-1], *row[1:-1], row[0]] for row in m.entries])
         assert cdet(swapped) == cdet(m) * Fraction(-1)
 
 
 def test_column_exchange_can_fail_off_manin():
     # counterexample artifact: cdet(swap) + cdet = [a,d] + [b,c], which is
     # nonzero for diag(d, x) since [d, x] = 1
-    m = RingMatrix(
-        [[D(1, 1), WeylElement.zero()], [WeylElement.zero(), X(1, 1)]], "weyl"
-    )
+    m = RingMatrix([[D(1, 1), WeylElement.zero()], [WeylElement.zero(), X(1, 1)]])
     assert not manin_check(m)[0]
-    assert cdet(RingMatrix([row[::-1] for row in m.entries], "weyl")) != cdet(m) * Fraction(-1)
+    assert cdet(RingMatrix([row[::-1] for row in m.entries])) != cdet(m) * Fraction(-1)
     # the spec's [[d, x], [x, d]] example is non-Manin but happens to keep
     # the sign symmetry; record both outcomes
-    m2 = RingMatrix([[D(1, 1), X(1, 1)], [X(1, 1), D(1, 1)]], "weyl")
+    m2 = RingMatrix([[D(1, 1), X(1, 1)], [X(1, 1), D(1, 1)]])
     assert not manin_check(m2)[0]
-    assert cdet(RingMatrix([row[::-1] for row in m2.entries], "weyl")) == cdet(m2) * Fraction(-1)
+    assert cdet(RingMatrix([row[::-1] for row in m2.entries])) == cdet(m2) * Fraction(-1)
 
 
 def test_x_block_proposition_random():
@@ -368,7 +408,7 @@ def test_x_block_proposition_random():
                 unit[i][j] = WeylElement.const(random_fraction(r)) * X(1, 1) + (
                     WeylElement.const(random_fraction(r)) * D(2, 1)
                 )
-        assert cdet(m * RingMatrix(unit, "weyl")) == cdet(m)
+        assert cdet(m * RingMatrix(unit)) == cdet(m)
 
 
 # -- Jordan blocks ----------------------------------------------------------
@@ -426,19 +466,17 @@ def adjugate(m: RingMatrix) -> RingMatrix:
     if n == 1:
         e = m.entries[0][0]
         one = e - e + Fraction(1)
-        return RingMatrix([[one]], m.ring)
+        return RingMatrix([[one]])
     idx = list(range(n))
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = RingMatrix(
-                [[m.entries[r][c] for c in idx if c != i] for r in idx if r != j], m.ring
-            )
+            minor = RingMatrix([[m.entries[r][c] for c in idx if c != i] for r in idx if r != j])
             cof = _perm_expansion(minor)
             if (i + j) & 1:
                 cof = cof * Fraction(-1)
             out[i][j] = cof
-    return RingMatrix(out, m.ring)
+    return RingMatrix(out)
 
 
 def invert_scalar_poly_matrix(m: RingMatrix, var: str) -> RingMatrix:
@@ -504,7 +542,7 @@ def schur_cdet_factor(A: RingMatrix, B: RingMatrix, C: RingMatrix, D: RingMatrix
                 f = rf
             out_row.append(f if f is not None else RatFunc.const(var, 0))
         scalar_entries.append(out_row)
-    inv = invert_scalar_poly_matrix(RingMatrix(scalar_entries, "commutative"), var)
+    inv = invert_scalar_poly_matrix(RingMatrix(scalar_entries), var)
     inv_ops = map_entries(inv, lambda f: OrderedDiffOp(side, {0: f}))
     schur = rest - P * inv_ops * Q
     return cdet(block), cdet(schur)
@@ -516,9 +554,9 @@ def lift_block(m, side, var):
 
 
 def test_schur_block_diagonal():
-    A = RingMatrix([[WeylElement.dz() - 5]], "weyl")
-    Dm = RingMatrix([[WeylElement.z() - 2]], "weyl")
-    zeroM = RingMatrix([[WeylElement.zero()]], "weyl")
+    A = RingMatrix([[WeylElement.dz() - 5]])
+    Dm = RingMatrix([[WeylElement.z() - 2]])
+    zeroM = RingMatrix([[WeylElement.zero()]])
     f1, f2 = schur_cdet_factor(
         lift_block(A, "dz", "dz"),
         lift_block(zeroM, "dz", "dz"),
@@ -533,10 +571,10 @@ def test_schur_both_factorizations_match_cdet():
     # the duality block matrix at M = N = 1
     full = duality_block_matrix(1, 1, [Q(2)], [Q(5)])
     reference = cdet(full)
-    A = RingMatrix([[full.entries[0][0]]], "weyl")
-    B = RingMatrix([[full.entries[0][1]]], "weyl")
-    C = RingMatrix([[full.entries[1][0]]], "weyl")
-    Dm = RingMatrix([[full.entries[1][1]]], "weyl")
+    A = RingMatrix([[full.entries[0][0]]])
+    B = RingMatrix([[full.entries[0][1]]])
+    C = RingMatrix([[full.entries[1][0]]])
+    Dm = RingMatrix([[full.entries[1][1]]])
 
     f1, f2 = schur_cdet_factor(
         lift_block(A, "dz", "dz"), lift_block(B, "dz", "dz"),
@@ -560,7 +598,7 @@ def test_corrected_two_by_two_remark():
     d = weyl_to_ordered(WeylElement.z() - 2, "z", "z")
     dinv = OrderedDiffOp("z", {0: RatFunc("z", {0: Q(1)}, {Q(2): 1})})
     reference = cdet(
-        RingMatrix([[WeylElement.dz() - 5, X(1, 1)], [D(1, 1), WeylElement.z() - 2]], "weyl")
+        RingMatrix([[WeylElement.dz() - 5, X(1, 1)], [D(1, 1), WeylElement.z() - 2]])
     )
     corrected = ((a - c * b * dinv) * d).to_polynomial()
     assert corrected == reference
@@ -605,11 +643,11 @@ def berezinian_identity_check(Lam: RingMatrix, Pi: RingMatrix, Psi: RingMatrix,
 def test_berezinian_trivial_without_fermions():
     lam = MultiPoly.var("lam")
     z = MultiPoly.var("z")
-    Lam = RingMatrix([[lam - 5]], "commutative")
-    Z = RingMatrix([[z - 1]], "commutative")
+    Lam = RingMatrix([[lam - 5]])
+    Z = RingMatrix([[z - 1]])
     zero = GrassmannElement.zero()
-    Pi = RingMatrix([[zero]], "grassmann-even")
-    Psi = RingMatrix([[zero]], "grassmann-even")
+    Pi = RingMatrix([[zero]])
+    Psi = RingMatrix([[zero]])
     assert berezinian_identity_check(Lam, Pi, Psi, Z)
 
 
@@ -617,10 +655,10 @@ def test_berezinian_one_one_instance():
     alg = GrassmannAlgebra(1, 1)
     lam = MultiPoly.var("lam")
     z = MultiPoly.var("z")
-    Lam = RingMatrix([[lam - 5]], "commutative")
-    Z = RingMatrix([[z - 1]], "commutative")
-    Pi = RingMatrix([[alg.pi(1, 1)]], "grassmann-even")
-    Psi = RingMatrix([[alg.psi(1, 1)]], "grassmann-even")
+    Lam = RingMatrix([[lam - 5]])
+    Z = RingMatrix([[z - 1]])
+    Pi = RingMatrix([[alg.pi(1, 1)]])
+    Psi = RingMatrix([[alg.psi(1, 1)]])
     assert berezinian_identity_check(Lam, Pi, Psi, Z)
 
 
@@ -628,14 +666,10 @@ def test_berezinian_two_two_random_points():
     alg = GrassmannAlgebra(2, 2)
     lam = MultiPoly.var("lam")
     z = MultiPoly.var("z")
-    Lam = RingMatrix(
-        [[lam - 5, MultiPoly.const(-1)], [MultiPoly.zero(), lam - 5]], "commutative"
-    )
-    Z = RingMatrix(
-        [[z - 1, MultiPoly.zero()], [MultiPoly.const(-1), z - 1]], "commutative"
-    )
-    Pi = RingMatrix([[alg.pi(a, i) for i in (1, 2)] for a in (1, 2)], "grassmann-even")
-    Psi = RingMatrix([[alg.psi(a, i) for a in (1, 2)] for i in (1, 2)], "grassmann-even")
+    Lam = RingMatrix([[lam - 5, MultiPoly.const(-1)], [MultiPoly.zero(), lam - 5]])
+    Z = RingMatrix([[z - 1, MultiPoly.zero()], [MultiPoly.const(-1), z - 1]])
+    Pi = RingMatrix([[alg.pi(a, i) for i in (1, 2)] for a in (1, 2)])
+    Psi = RingMatrix([[alg.psi(a, i) for a in (1, 2)] for i in (1, 2)])
     assert berezinian_identity_check(Lam, Pi, Psi, Z)
 
 
@@ -646,20 +680,20 @@ def test_block_diag_helper():
 
 def test_cdet_non_square_raises():
     with pytest.raises(NonSquare):
-        cdet(RingMatrix([[Q(1), Q(2)]], "commutative"))
+        cdet(RingMatrix([[Q(1), Q(2)]]))
 
 
 def test_berezinian_singular_block_raises():
-    zero_block = RingMatrix([[MultiPoly.zero()]], "commutative")
-    z = RingMatrix([[MultiPoly.var("z")]], "commutative")
-    pi = RingMatrix([[GrassmannElement.zero()]], "grassmann-even")
+    zero_block = RingMatrix([[MultiPoly.zero()]])
+    z = RingMatrix([[MultiPoly.var("z")]])
+    pi = RingMatrix([[GrassmannElement.zero()]])
     with pytest.raises(SingularBlock):
         berezinian_identity_check(zero_block, pi, pi, z)
 
 
 def test_schur_block_not_invertible():
     # designated block contains a Weyl generator: not a scalar polynomial
-    bad = RingMatrix([[weyl_to_ordered(X(1, 1), "z", "z")]], "ordered-diffop")
-    zed = RingMatrix([[weyl_to_ordered(WeylElement.z(), "z", "z")]], "ordered-diffop")
+    bad = RingMatrix([[weyl_to_ordered(X(1, 1), "z", "z")]])
+    zed = RingMatrix([[weyl_to_ordered(WeylElement.z(), "z", "z")]])
     with pytest.raises(BlockNotInvertible):
         schur_cdet_factor(zed, zed, zed, bad, "bottom-right")
