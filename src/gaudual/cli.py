@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 
 from .errors import SpecValidationError
@@ -110,6 +109,10 @@ def cmd_verify(args) -> int:
         # both maps are lazy and yield in input order: each report is written
         # as soon as it and every report before it are finished
         if args.jobs > 1:
+            # imported here: the pool loads multiprocessing, which a serial
+            # run never needs
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
             finished = pool.map(_worker, work)
         else:

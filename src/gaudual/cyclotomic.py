@@ -28,12 +28,13 @@ from .errors import (
     DuplicateFrequency,
     IndexOutOfRange,
 )
-from .gaudin import (Divisor, _divide_out, check_generator_pairs, jordan_sum,
+from .gaudin import (Divisor, _divide_out, check_generator_pairs, exact_int, jordan_sum,
                      polynomial_equality_report, spectral_coefficients, takiff_block_sum)
 from .linalg import in_span
 from .matrices import RingMatrix, _perm_expansion, block2x2, block_diag, jordan_block
 from .multipoly import MultiPoly, VariableTable
 from .poisson import poisson_bracket, poisson_support
+from .scalars import rat
 from .weyl import WeylElement
 
 Q = Fraction
@@ -65,7 +66,8 @@ class CycloDivisor:
 
     @staticmethod
     def of(tau0: int, points) -> CycloDivisor:
-        return CycloDivisor(int(tau0), tuple((Q(p), int(t)) for p, t in points))
+        return CycloDivisor(exact_int(tau0, "tau0"),
+                            tuple((rat(p), exact_int(t, "a Takiff degree")) for p, t in points))
 
     def total_degree(self) -> int:
         """tau_0 + sum tau_i (half the finite degree, the N of the dual)."""

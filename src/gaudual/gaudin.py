@@ -30,11 +30,20 @@ from .matrices import (RingMatrix, _perm_expansion, block2x2, block_diag, cdet, 
 from .multipoly import MultiPoly, VariableTable
 from .poisson import poisson_bracket, poisson_support
 from .ratfunc import RatFunc, expand_factors, partial_fractions
+from .scalars import rat
 from .weyl import OrderedDiffOp, WeylElement, weyl_commutator, weyl_support
 
 Q = Fraction
 
 INF = None  # point tag for the double point at infinity
+
+
+def exact_int(value, name: str) -> int:
+    """value itself if it is an int: a float, a bool or a string is refused,
+    not truncated."""
+    if type(value) is not int:
+        raise DivisorMismatch(f"{name} must be an int, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,7 @@ class Divisor:
 
     @staticmethod
     def of(points) -> Divisor:
-        return Divisor(tuple((Q(p), int(t)) for p, t in points))
+        return Divisor(tuple((rat(p), exact_int(t, "a Takiff degree")) for p, t in points))
 
     def total_degree(self) -> int:
         return sum(t for _, t in self.points)
@@ -480,15 +489,21 @@ def _partial_fraction_generators(op: OrderedDiffOp, divisor: Divisor) -> list[We
 
 
 def check_commutativity(generators: list, flavor: str) -> dict:
-    """All pairwise (Poisson) commutators, self-pairs included."""
+    """All pairwise (Poisson) commutators, self-pairs counted, zero by
+    antisymmetry, not bracketed: every pair i < j is bracketed, in order, and
+    pairs_checked counts the pairs i <= j up to the first failing one."""
+    if flavor == "classical":
+        bracket = poisson_bracket
+    elif flavor == "quantum":
+        bracket = weyl_commutator
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
     pairs = 0
-    for i in range(len(generators)):
-        for j in range(i, len(generators)):
+    for i, g in enumerate(generators):
+        pairs += 1
+        for j in range(i + 1, len(generators)):
             pairs += 1
-            if flavor == "quantum":
-                bad = weyl_commutator(generators[i], generators[j])
-            else:
-                bad = poisson_bracket(generators[i], generators[j])
+            bad = bracket(g, generators[j])
             if bad:
                 return {
                     "status": "fail",

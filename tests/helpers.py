@@ -11,8 +11,9 @@ from math import comb, perm
 from gaudual.errors import NotInvertible
 from gaudual.matrices import RingMatrix
 from gaudual.multipoly import MultiPoly
+from gaudual.poisson import poisson_bracket
 from gaudual.ratfunc import Poly, RatFunc
-from gaudual.weyl import Z_PAIR, OrderedDiffOp, WeylElement
+from gaudual.weyl import Z_PAIR, OrderedDiffOp, WeylElement, weyl_commutator
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 
 
@@ -173,3 +174,21 @@ def classical_limit(w: WeylElement, z_name: str = "z", dz_name: str = "lam") -> 
                     term = term * MultiPoly.var(f"p{p}", d)
         out = out + term
     return out
+
+
+def check_commutativity_reference(generators: list, flavor: str) -> dict:
+    """The direct form of gaudin.check_commutativity, kept as its oracle:
+    every pair i <= j is bracketed, self-pairs included."""
+    bracket = weyl_commutator if flavor == "quantum" else poisson_bracket
+    pairs = 0
+    for i in range(len(generators)):
+        for j in range(i, len(generators)):
+            pairs += 1
+            bad = bracket(generators[i], generators[j])
+            if bad:
+                return {
+                    "status": "fail",
+                    "pairs_checked": pairs,
+                    "witness": {"pair": (i, j), "bracket": repr(bad)},
+                }
+    return {"status": "pass", "pairs_checked": pairs}

@@ -149,6 +149,17 @@ def test_parallel_jobs_preserve_order(tmp_path):
     assert strip(seq) == strip(par)
 
 
+def test_serial_import_loads_no_process_pool():
+    """The process pool is imported only for --jobs > 1."""
+    root = Path(__file__).resolve().parent.parent
+    probe = ("import sys, gaudual.cli; "
+             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_presets_listing():
     proc = run_cli("presets")
     assert proc.returncode == 0

@@ -18,13 +18,13 @@ from gaudual.cyclotomic import (
     verify_cyclotomic_duality,
     verify_cyclotomic_homomorphisms,
 )
-from gaudual.errors import BadPoints, DuplicateFrequency
+from gaudual.errors import BadPoints, DivisorMismatch, DuplicateFrequency
 from gaudual.gaudin import check_commutativity
 from gaudual.matrices import manin_check
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
 from gaudual.weyl import WeylElement
-from helpers import rng, random_fraction
+from helpers import check_commutativity_reference, rng, random_fraction
 
 Q = Fraction
 V = MultiPoly.var
@@ -140,6 +140,26 @@ def test_cyclo_divisor_rejects_bad_points():
         CycloDivisor.of(1, [(1, 1), (-1, 1)])
     with pytest.raises(BadPoints):
         inst_of(2, 1, [(1, 1)], ["5", "5"], Q(0))
+
+
+def test_cyclo_divisor_refuses_a_float_tau0():
+    with pytest.raises(DivisorMismatch):
+        CycloDivisor.of(2.7, [(1, 1)])
+
+
+def test_cyclo_divisor_refuses_a_bool_tau0():
+    with pytest.raises(DivisorMismatch):
+        CycloDivisor.of(True, [(1, 1)])
+
+
+def test_cyclo_divisor_refuses_a_bool_degree():
+    with pytest.raises(DivisorMismatch):
+        CycloDivisor.of(2, [(1, True)])
+
+
+def test_cyclo_divisor_refuses_a_float_point():
+    with pytest.raises(TypeError):
+        CycloDivisor.of(1, [(0.5, 1)])
 
 
 # -- realized images (spec's hand-expanded cases) -------------------------------
@@ -436,6 +456,7 @@ def test_cyclotomic_commutativity_fails_on_one_added_element():
         "pairs_checked": sum(n - r for r in range(k)) + 2,
         "witness": {"pair": (k, k + 1), "bracket": repr(used[0].derivative("x1_1"))},
     }
+    assert report == check_commutativity_reference(free + [V("p1_1")] + used, "classical")
 
 
 # -- Lax algebra -----------------------------------------------------------------

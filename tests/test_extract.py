@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gaudual import gaudin
 from gaudual.errors import GaudualError
 from gaudual.gaudin import (
     Divisor,
@@ -13,7 +14,9 @@ from gaudual.gaudin import (
 )
 from gaudual.linalg import solve_linear
 from gaudual.multipoly import MultiPoly
+from gaudual.presets import commutativity_grid
 from gaudual.weyl import WeylElement, weyl_commutator
+from helpers import check_commutativity_reference
 
 Q = Fraction
 W = WeylElement
@@ -87,6 +90,51 @@ def test_classical_commutativity_fails_on_one_added_element():
         "pairs_checked": sum(n - r for r in range(k)) + 2,
         "witness": {"pair": (k, k + 1), "bracket": repr(-used[0].derivative("p1_1"))},
     }
+    assert report == check_commutativity_reference(free + [inst.var["x1_1"]] + used, "classical")
+
+
+def test_unknown_flavor_is_refused():
+    with pytest.raises(ValueError):
+        check_commutativity([W.x(1, 1)], "fermionic")
+
+
+@pytest.mark.parametrize("flavor", ["classical", "quantum"])
+def test_self_pairs_are_counted_but_not_bracketed(monkeypatch, flavor):
+    """Each pair i < j is bracketed once, in order, and no generator with
+    itself; pairs_checked still counts the n self-pairs."""
+    gens = extract_gaudin_generators(make(2, 2, [(1, 1), (2, 1)], [(5, 1), (7, 1)]), flavor)
+    n = len(gens)
+    name = "weyl_commutator" if flavor == "quantum" else "poisson_bracket"
+    bracket, calls = getattr(gaudin, name), []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return bracket(a, b)
+
+    monkeypatch.setattr(gaudin, name, spy)
+    report = check_commutativity(gens, flavor)
+    assert report == {"status": "pass", "pairs_checked": n * (n + 1) // 2}
+    assert len(calls) == n * (n - 1) // 2
+    assert all(a is not b for a, b in calls)
+    index = {id(g): k for k, g in enumerate(gens)}
+    assert [(index[id(a)], index[id(b)]) for a, b in calls] == [
+        (i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+SMALL_COMMUTATIVITY = [spec for spec in commutativity_grid() if spec["M"] <= 2 and spec["N"] <= 2]
+
+
+@pytest.mark.parametrize("spec", SMALL_COMMUTATIVITY,
+                         ids=[f"{s['flavor']}-{s['M']}x{s['N']}-{k}"
+                              for k, s in enumerate(SMALL_COMMUTATIVITY)])
+def test_commutativity_matches_the_reference(spec):
+    """The loop that skips self-pairs and the direct one give the same
+    report on every grid instance with M, N <= 2."""
+    inst = make(spec["M"], spec["N"], spec["divisor"], spec["dual_divisor"])
+    gens = extract_gaudin_generators(inst, spec["flavor"])
+    report = check_commutativity(gens, spec["flavor"])
+    assert report["status"] == "pass"
+    assert report == check_commutativity_reference(gens, spec["flavor"])
 
 
 # -- quadratic Hamiltonians --------------------------------------------------

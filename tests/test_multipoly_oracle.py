@@ -129,6 +129,16 @@ def test_poisson_bracket_matches_sympy(ta, tb):
     assert same(poisson_bracket(f, g), sympy_bracket(to_sympy(f), to_sympy(g)))
 
 
+@SETTINGS
+@given(polys)
+def test_poisson_self_bracket_is_zero(ta):
+    """{f, f} = 0: check_commutativity counts its self-pairs without
+    bracketing them."""
+    f = build(ta)
+    assert not poisson_bracket(f, f)
+    assert same(poisson_bracket(f, f), sympy_bracket(to_sympy(f), to_sympy(f)))
+
+
 def _pair(name: str) -> str | None:
     """The canonical pair of an x or p name; None for a spectator."""
     return name[1:] if name[0] in "xp" else None

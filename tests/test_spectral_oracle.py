@@ -11,7 +11,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from gaudual.gaudin import Divisor, DualityInstance, _classical_spectral_poly  # noqa: E402
+from gaudual.gaudin import (Divisor, DualityInstance, _classical_spectral_poly,  # noqa: E402
+                           extract_gaudin_generators)
 
 z, lam = sympy.symbols("z lam")
 
@@ -69,3 +70,28 @@ def test_irregular_divisor_z_side():
     div_z, div_lam = [(1, 2)], [(5, 1), (7, 1)]
     got = ours(2, 2, div_z, div_lam)
     assert sympy.expand(got - z_side(2, div_z, [5, 7])) == 0
+
+
+def sympy_bracket(f, g, M, N):
+    """The canonical Poisson bracket sum df/dp dg/dx - df/dx dg/dp over the
+    pairs (x^a_i, p^a_i), built with sympy.diff alone."""
+    return sympy.expand(sum(
+        sympy.diff(f, p(a, i)) * sympy.diff(g, x(a, i))
+        - sympy.diff(f, x(a, i)) * sympy.diff(g, p(a, i))
+        for a in range(1, M + 1) for i in range(1, N + 1)))
+
+
+def test_extracted_generators_poisson_commute():
+    """Every pair i < j of the extracted classical generators has a zero
+    bracket, computed without poisson_bracket; the generators are the
+    coefficients of the z-side polynomial built here, and the bracket is
+    nonzero on a generator and a coordinate, so it can fail."""
+    M, N, div_z, div_lam = 2, 2, [(1, 2)], [(5, 1), (7, 1)]
+    inst = DualityInstance(M, N, Divisor.of(div_z), Divisor.of(div_lam))
+    gens = [sympy.sympify(repr(g)) for g in extract_gaudin_generators(inst, "classical")]
+    want = sympy.Poly(z_side(M, div_z, [5, 7]), z, lam).coeffs()
+    assert len(gens) == len(want) and set(map(sympy.expand, gens)) == set(map(sympy.expand, want))
+    assert any(sympy_bracket(g, x(1, 1), M, N) != 0 for g in gens)
+    for i, f in enumerate(gens):
+        for g in gens[i + 1:]:
+            assert sympy_bracket(f, g, M, N) == 0

@@ -33,6 +33,26 @@ def test_divisor_offsets_and_degree():
         Divisor.of([(1, 1), (1, 2)])  # repeated point
 
 
+def test_divisor_refuses_a_float_degree():
+    with pytest.raises(DivisorMismatch):
+        Divisor.of([(1, 1.5)])
+
+
+def test_divisor_refuses_a_bool_degree():
+    with pytest.raises(DivisorMismatch):
+        Divisor.of([(1, True)])
+
+
+def test_divisor_refuses_a_float_point():
+    with pytest.raises(TypeError):
+        Divisor.of([(0.1, 1)])
+
+
+def test_divisor_reads_exact_points():
+    assert Divisor.of([("-3/2", 1), (Q(1, 3), 2), (4, 1)]).points == (
+        (Q(-3, 2), 1), (Q(1, 3), 2), (Q(4), 1))
+
+
 def test_degree_constraints_enforced():
     with pytest.raises(DivisorMismatch):
         DualityInstance(1, 2, Divisor.of([(1, 1)]), Divisor.of([(5, 1)]))

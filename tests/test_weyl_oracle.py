@@ -147,6 +147,21 @@ def test_commutator_is_ab_minus_ba(support, data):
         assert not bracket
 
 
+@SETTINGS
+@given(st.lists(st.tuples(coeffs, words), min_size=1, max_size=3))
+def test_self_commutator_is_zero(terms):
+    """[a, a] = 0, with a * a itself checked against the swap orderer:
+    check_commutativity counts its self-pairs without bracketing them."""
+    a = sum((element(w, c) for c, w in terms), WeylElement.zero())
+    square: dict = {}
+    for c1, w1 in terms:
+        for c2, w2 in terms:
+            for key, c in normal_order(w1 + w2, c1 * c2).items():
+                square[key] = square.get(key, 0) + c
+    assert (a * a).terms == {k: c for k, c in square.items() if c}
+    assert not weyl_commutator(a, a)
+
+
 def _supports(w: WeylElement) -> list:
     return [(k, c, {p for p, _, _ in k}) for k, c in w.terms.items()]
 
