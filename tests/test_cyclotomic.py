@@ -619,9 +619,8 @@ def _spec_id(spec):
     return f"M{spec['M']}-tau0_{spec['tau0']}-points{len(spec['divisor'])}-mu={mu}"
 
 
-@pytest.mark.parametrize("inst, spec", _paper_core_cyclotomic())
-def test_cyclotomic_duality_fails_with_flipped_mu_sign(monkeypatch, inst, spec):
-    assert verify_cyclotomic_duality(inst)["status"] == "pass"
+def _flipped_mu(monkeypatch):
+    """Put -mu in place of mu in the sp_2N matrix at infinity."""
     sp_inf_matrix = CycloInstance.sp_inf_matrix
 
     def flipped(self):
@@ -632,5 +631,23 @@ def test_cyclotomic_duality_fails_with_flipped_mu_sign(monkeypatch, inst, spec):
         return rows
 
     monkeypatch.setattr(CycloInstance, "sp_inf_matrix", flipped)
+
+
+@pytest.mark.parametrize("inst, spec", _paper_core_cyclotomic())
+def test_cyclotomic_duality_fails_with_flipped_mu_sign(monkeypatch, inst, spec):
+    assert verify_cyclotomic_duality(inst)["status"] == "pass"
+    _flipped_mu(monkeypatch)
     mu_is_zero = not spec.get("options", {}).get("symbolic_mu") and Q(spec["mu"]) == 0
     assert verify_cyclotomic_duality(inst)["status"] == ("pass" if mu_is_zero else "fail")
+
+
+def test_neumann_fails_with_flipped_mu_sign(monkeypatch):
+    # only the duality part sees the patch: the Hamiltonian still commutes
+    # with the gl_M^C coefficients and is still their combination
+    assert neumann_artifacts(2, [1, 2])["status"] == "pass"
+    _flipped_mu(monkeypatch)
+    report = neumann_artifacts(2, [1, 2])
+    assert report["status"] == "fail"
+    assert report["duality"]["witness"] == {"monomial": {"x2_1": 2}, "difference": "-2"}
+    assert report["hamiltonian_commutes"]
+    assert report["hamiltonian_combination"] is not None

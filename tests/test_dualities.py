@@ -195,6 +195,54 @@ def _transposed_infinity(monkeypatch):
     monkeypatch.setattr(DualityInstance, "realize_glM", mutated)
 
 
+def _transposed_infinity_glN(monkeypatch):
+    """Realize E_ij at infinity with each flavor's Jordan entry transposed:
+    (i, j) for the bosonic maps, (j, i) for the fermionic one."""
+    realize = DualityInstance.realize_glN
+
+    def mutated(self, g, flavor, mutation=None):
+        if g.point is gaudin.INF:
+            r, c = (g.col, g.row) if flavor == "fermionic" else (g.row, g.col)
+            return gaudin._const(flavor, -self._jordan_z[r - 1][c - 1], self._galg)
+        return realize(self, g, flavor, mutation)
+
+    monkeypatch.setattr(DualityInstance, "realize_glN", mutated)
+
+
+# the first differing term under each transposed orientation, by (side, verifier, M, N)
+_TRANSPOSED_WITNESSES = {
+    ("glM", "verify_quantum_duality", 2, 1):
+        {"weyl_monomial": "(('1_1', 0, 1), ('2_1', 1, 0))", "difference": "1"},
+    ("glM", "verify_classical_bosonic_duality", 2, 1):
+        {"monomial": {"x2_1": 1, "p1_1": 1}, "difference": "1"},
+    ("glM", "verify_classical_fermionic_duality", 2, 1):
+        {"grassmann_mask": 6, "coefficient": "z^2 + -2*z^2*lam + z^2*lam^2"},
+    ("glM", "verify_quantum_duality", 2, 2):
+        {"weyl_monomial": "(('1_1', 0, 1), ('2_1', 1, 0), ('z', 1, 0))", "difference": "1"},
+    ("glM", "verify_classical_bosonic_duality", 2, 2):
+        {"monomial": {"x2_2": 1, "p1_2": 1, "z": 1}, "difference": "1"},
+    ("glM", "verify_classical_fermionic_duality", 2, 2):
+        {"grassmann_mask": 20,
+         "coefficient": "81*z^5 + -108*z^5*lam + 54*z^5*lam^2 + -12*z^5*lam^3 + z^5*lam^4"},
+    ("glN", "verify_quantum_duality", 1, 2):
+        {"weyl_monomial": "(('1_1', 0, 1), ('1_2', 1, 0))", "difference": "-1"},
+    ("glN", "verify_classical_bosonic_duality", 1, 2):
+        {"monomial": {"x1_2": 1, "p1_1": 1}, "difference": "-1"},
+    ("glN", "verify_classical_fermionic_duality", 1, 2):
+        {"grassmann_mask": 6, "coefficient": "-1*lam^2 + 2*z*lam^2 + -1*z^2*lam^2"},
+    ("glN", "verify_quantum_duality", 2, 2):
+        {"weyl_monomial": "(('1_1', 0, 1), ('1_2', 1, 0), ('z', 0, 1))", "difference": "-1"},
+    ("glN", "verify_classical_bosonic_duality", 2, 2):
+        {"monomial": {"x2_2": 1, "p2_1": 1, "lam": 1}, "difference": "-1"},
+    ("glN", "verify_classical_fermionic_duality", 2, 2):
+        {"grassmann_mask": 18, "coefficient":
+         "-81*lam^5 + 108*z*lam^5 + -54*z^2*lam^5 + 12*z^3*lam^5 + -1*z^4*lam^5"},
+}
+
+_ALL_DUALITIES = [verify_quantum_duality, verify_classical_bosonic_duality,
+                  verify_classical_fermionic_duality]
+
+
 @pytest.mark.parametrize(
     "M,N,dz,dl",
     [
@@ -202,13 +250,29 @@ def _transposed_infinity(monkeypatch):
         (2, 2, [(0, 2)], [(3, 2)]),
     ],
 )
-@pytest.mark.parametrize("verify", [verify_quantum_duality, verify_classical_bosonic_duality])
+@pytest.mark.parametrize("verify", _ALL_DUALITIES)
 def test_duality_fails_with_transposed_jordan_orientation(monkeypatch, verify, M, N, dz, dl):
     assert verify(make(M, N, dz, dl))["status"] == "pass"
     _transposed_infinity(monkeypatch)
     report = verify(make(M, N, dz, dl))
     assert report["status"] == "fail"
-    assert report["witness"]
+    assert report["witness"] == _TRANSPOSED_WITNESSES["glM", verify.__name__, M, N]
+
+
+@pytest.mark.parametrize(
+    "M,N,dz,dl",
+    [
+        (1, 2, [(1, 2)], [(0, 1)]),
+        (2, 2, [(3, 2)], [(0, 2)]),
+    ],
+)
+@pytest.mark.parametrize("verify", _ALL_DUALITIES)
+def test_duality_fails_with_transposed_glN_jordan_orientation(monkeypatch, verify, M, N, dz, dl):
+    assert verify(make(M, N, dz, dl))["status"] == "pass"
+    _transposed_infinity_glN(monkeypatch)
+    report = verify(make(M, N, dz, dl))
+    assert report["status"] == "fail"
+    assert report["witness"] == _TRANSPOSED_WITNESSES["glN", verify.__name__, M, N]
 
 
 def test_classical_duality_fails_with_one_divide_out_copy_dropped(monkeypatch):
