@@ -3,6 +3,10 @@
 The acceptance grids instantiate marked points from the fixed rational
 pools {1, 2, 3} (z side) and {5, 7, 11} (lambda side); divisor shapes are
 partitions of the degree with bounded parts, one instance per shape pair.
+
+Every grid comes from one of two builders: the Gaudin grids relabel the
+specs of classical_bosonic_grid, and every cyclotomic-model spec is built
+by _cyclotomic, which derives N and the lambda points from the rest.
 """
 
 from __future__ import annotations
@@ -23,10 +27,8 @@ def partitions(n: int, max_part: int) -> list[list[int]]:
 
 
 def divisor_shapes(degree: int, max_degree: int, pool: list[str]) -> list[list]:
-    shapes = []
-    for parts in partitions(degree, max_degree):
-        shapes.append([[pool[k], parts[k]] for k in range(len(parts))])
-    return shapes
+    return [[[pool[k], tau] for k, tau in enumerate(parts)]
+            for parts in partitions(degree, max_degree)]
 
 
 def classical_bosonic_grid(max_mn: int = 3, max_degree: int = 3) -> list[dict]:
@@ -48,59 +50,25 @@ def classical_bosonic_grid(max_mn: int = 3, max_degree: int = 3) -> list[dict]:
 
 
 def fermionic_grid() -> list[dict]:
-    out = []
-    for spec in classical_bosonic_grid(max_mn=2, max_degree=3):
-        out.append(dict(spec, kind="classical-fermionic"))
-    return out
+    return [dict(spec, kind="classical-fermionic") for spec in classical_bosonic_grid(2, 3)]
 
 
 def quantum_grid() -> list[dict]:
-    out = []
-    for M in (1, 2):
-        for N in (1, 2):
-            for dz in divisor_shapes(N, 2, Z_POOL):
-                for dl in divisor_shapes(M, 2, LAM_POOL):
-                    out.append(
-                        {
-                            "kind": "quantum-bosonic",
-                            "M": M,
-                            "N": N,
-                            "divisor": dz,
-                            "dual_divisor": dl,
-                        }
-                    )
-    return out
+    return [dict(spec, kind="quantum-bosonic") for spec in classical_bosonic_grid(2, 2)]
 
 
 def homomorphism_grid() -> list[dict]:
     """Every realization flavor over the full M, N <= 3, degree <= 3 grid,
     plus the cyclotomic maps over the cyclotomic grid."""
-    out = []
-    for flavor in ("classical-bosonic", "classical-fermionic", "quantum-bosonic"):
-        for spec in classical_bosonic_grid():
-            out.append(
-                {
-                    "kind": "homomorphism",
-                    "realization": flavor,
-                    "M": spec["M"],
-                    "N": spec["N"],
-                    "divisor": spec["divisor"],
-                    "dual_divisor": spec["dual_divisor"],
-                }
-            )
+    out = [dict(spec, kind="homomorphism", realization=flavor)
+           for flavor in ("classical-bosonic", "classical-fermionic", "quantum-bosonic")
+           for spec in classical_bosonic_grid()]
+    # the symbolic-mu spec without its options is the M = N = 2, mu = 0 one,
+    # so this part holds that spec twice
     for spec in cyclotomic_grid():
-        out.append(
-            {
-                "kind": "homomorphism",
-                "realization": "cyclotomic",
-                "M": spec["M"],
-                "N": spec["N"],
-                "tau0": spec["tau0"],
-                "divisor": spec["divisor"],
-                "lambda_points": spec["lambda_points"],
-                "mu": spec["mu"],
-            }
-        )
+        spec = dict(spec, kind="homomorphism", realization="cyclotomic")
+        spec.pop("options", None)
+        out.append(spec)
     return out
 
 
@@ -112,100 +80,53 @@ def mutation_instances() -> list[dict]:
         "divisor": [["1", 1], ["2", 1]],
         "dual_divisor": [["5", 1], ["7", 1]],
     }
-    out = []
-    for realization, mutation in [
-        ("classical-bosonic", "flip-sign"),
-        ("classical-bosonic", "range-up"),
-        ("classical-fermionic", "flip-sign"),
-        ("quantum-bosonic", "flip-sign"),
-        ("quantum-bosonic", "range-up"),
-    ]:
-        out.append(
-            dict(
-                base,
-                kind="homomorphism",
-                realization=realization,
-                options={"mutation": mutation, "expect": "fail"},
-            )
-        )
-    out.append(
-        {
-            "kind": "homomorphism",
-            "realization": "cyclotomic",
-            "M": 2,
-            "N": 2,
-            "tau0": 2,
-            "divisor": [],
-            "lambda_points": ["5", "7"],
-            "mu": "-1",
-            "options": {"mutation": "y-sign", "expect": "fail"},
-        }
-    )
+    out = [dict(base, kind="homomorphism", realization=realization,
+                options={"mutation": mutation, "expect": "fail"})
+           for realization, mutation in [
+               ("classical-bosonic", "flip-sign"),
+               ("classical-bosonic", "range-up"),
+               ("classical-fermionic", "flip-sign"),
+               ("quantum-bosonic", "flip-sign"),
+               ("quantum-bosonic", "range-up"),
+           ]]
+    out.append(_cyclotomic(2, 2, [], "-1", kind="homomorphism", realization="cyclotomic",
+                           options={"mutation": "y-sign", "expect": "fail"}))
     return out
 
 
 def commutativity_grid() -> list[dict]:
-    out = []
-    for spec in classical_bosonic_grid():
-        out.append(
-            {
-                "kind": "commutativity",
-                "flavor": "classical",
-                "M": spec["M"],
-                "N": spec["N"],
-                "divisor": spec["divisor"],
-                "dual_divisor": spec["dual_divisor"],
-            }
-        )
-    for spec in quantum_grid():
-        out.append(
-            {
-                "kind": "commutativity",
-                "flavor": "quantum",
-                "M": spec["M"],
-                "N": spec["N"],
-                "divisor": spec["divisor"],
-                "dual_divisor": spec["dual_divisor"],
-            }
-        )
-    return out
+    return ([dict(spec, kind="commutativity", flavor="classical")
+             for spec in classical_bosonic_grid()]
+            + [dict(spec, kind="commutativity", flavor="quantum") for spec in quantum_grid()])
+
+
+def _cyclotomic(M: int, tau0: int, divisor: list, mu: str, **fields) -> dict:
+    """A cyclotomic-model spec: N = tau0 + sum tau_i, and the lambda points
+    are the first M of LAM_POOL; fields add to or override the rest."""
+    return {
+        "kind": "cyclotomic",
+        "M": M,
+        "N": tau0 + sum(tau for _, tau in divisor),
+        "tau0": tau0,
+        "divisor": divisor,
+        "lambda_points": LAM_POOL[:M],
+        "mu": mu,
+        **fields,
+    }
+
+
+# one point z_1 = 1 of Takiff degree 1
+_ONE_POINT = [[Z_POOL[0], 1]]
 
 
 def cyclotomic_grid() -> list[dict]:
     """(M, N) in {1,2}^2, tau0 in {1,2} where the degree constraint allows,
-    mu in {0, -1, 3/2}."""
-    out = []
-    shapes = {
-        1: [(1, [])],
-        2: [(1, [["1", 1]]), (2, [])],
-    }
-    for M in (1, 2):
-        for N in (1, 2):
-            for tau0, pts in shapes[N]:
-                for mu in ("0", "-1", "3/2"):
-                    out.append(
-                        {
-                            "kind": "cyclotomic",
-                            "M": M,
-                            "N": N,
-                            "tau0": tau0,
-                            "divisor": pts,
-                            "lambda_points": LAM_POOL[:M],
-                            "mu": mu,
-                        }
-                    )
-    out.append(
-        {
-            "kind": "cyclotomic",
-            "M": 2,
-            "N": 2,
-            "tau0": 1,
-            "divisor": [["1", 1]],
-            "lambda_points": ["5", "7"],
-            "mu": "0",
-            "options": {"symbolic_mu": True},
-        }
-    )
+    mu in {0, -1, 3/2}, then M = N = 2 with symbolic mu."""
+    out = [_cyclotomic(M, tau0, pts, mu)
+           for M in (1, 2)
+           for tau0, pts in ((1, []), (1, _ONE_POINT), (2, []))  # N = 1, 2, 2
+           for mu in ("0", "-1", "3/2")]
+    out.append(_cyclotomic(2, 1, _ONE_POINT, "0", options={"symbolic_mu": True}))
     return out
 
 
@@ -216,41 +137,14 @@ def neumann_instances(M: int | None = None) -> list[dict]:
 
 
 def negative_manin_instance() -> dict:
-    return {
-        "kind": "cyclotomic",
-        "M": 2,
-        "N": 2,
-        "tau0": 1,
-        "divisor": [["1", 1]],
-        "lambda_points": ["5", "7"],
-        "mu": "-1",
-        "options": {"quantum_candidate": True, "expect": "fail"},
-    }
+    return _cyclotomic(2, 1, _ONE_POINT, "-1",
+                       options={"quantum_candidate": True, "expect": "fail"})
 
 
 def lax_algebra_instances() -> list[dict]:
-    base = {
-        "M": 1,
-        "N": 1,
-        "tau0": 1,
-        "divisor": [],
-        "lambda_points": ["5"],
-        "mu": "-1",
-    }
-    return [
-        dict(base, kind="lax-algebra", which="cyclotomic-glM"),
-        dict(base, kind="lax-algebra", which="sp2N"),
-        {
-            "kind": "lax-algebra",
-            "which": "cyclotomic-glM",
-            "M": 2,
-            "N": 2,
-            "tau0": 1,
-            "divisor": [["1", 1]],
-            "lambda_points": ["5", "7"],
-            "mu": "3/2",
-        },
-    ]
+    return [_cyclotomic(M, 1, pts, mu, kind="lax-algebra", which=which)
+            for M, pts, mu, which in ((1, [], "-1", "cyclotomic-glM"), (1, [], "-1", "sp2N"),
+                                      (2, _ONE_POINT, "3/2", "cyclotomic-glM"))]
 
 
 PRESETS = {
