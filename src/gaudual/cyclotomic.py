@@ -270,19 +270,20 @@ class CycloInstance:
                 out[basis] = Q(c, 2) if basis[1] == -basis[0] else c
         return out
 
-    def sp_inf_matrix(self) -> list[list]:
-        """The matrix whose -(J I) entries realize the sp generators at
-        infinity: Jordan data of the cyclotomic divisor plus the mu term."""
-        rows = self.C.jordan_data(Q(0)).entries
+    def sp_inf_matrix(self, x, mu) -> list[list]:
+        """blkdiag(-J(-x-z_i), -J_tau0(-x), J_tau0(x), J(x-z_i)) + mu E~_(1,-1):
+        at x = 0 and mu = self.mu the matrix whose -(J I) entries realize the
+        sp generators at infinity."""
+        rows = self.C.jordan_data(x).entries
         mu_row, mu_col = self.pos(1), self.pos(-1)
-        rows[mu_row][mu_col] = rows[mu_row][mu_col] + self.mu
+        rows[mu_row][mu_col] = rows[mu_row][mu_col] + mu
         return rows
 
     def realize_sp(self, kind: str, a: int, I: int, J: int,
                    mutation: str | None = None) -> MultiPoly:
         """pibar_b on Ebar^(lambda_a)_IJ (kind "lam") / Ebar^(inf)_IJ."""
         if kind == "inf":
-            entry = self.sp_inf_matrix()[self.pos(J)][self.pos(I)]
+            entry = self.sp_inf_matrix(Q(0), self.mu)[self.pos(J)][self.pos(I)]
             entry = entry if isinstance(entry, MultiPoly) else MultiPoly.const(entry)
             return -entry
         if not (1 <= a <= self.M):
@@ -582,22 +583,14 @@ def quantum_cyclotomic_candidate(inst: CycloInstance) -> RingMatrix:
     """The (M + 2N) x (M + 2N) block matrix behind the classical cyclotomic
     duality with momenta replaced by derivatives; it fails the Manin check."""
     M, N = inst.M, inst.N
+    if not inst.mu.is_constant():
+        raise ValueError("quantum candidate needs a rational mu")
     lam_c = WeylElement({(("sp_lam", 1, 0),): Q(1)})
     z_c = WeylElement({(("sp_z", 1, 0),): Q(1)})
     x_block = [[WeylElement.d(a, i) for i in range(N, 0, -1)]
                + [WeylElement.x(a, i) for i in range(1, N + 1)] for a in range(1, M + 1)]
     d_block = [[-WeylElement.x(a, -I) if I < 0 else WeylElement.d(a, I) for a in range(1, M + 1)]
                for I in inst.index_set()]
+    z_block = inst.sp_inf_matrix(z_c, WeylElement.const(inst.mu.constant_value()))
     return block2x2(jordan_sum(inst.div_lam, lam_c), RingMatrix(x_block),
-                    RingMatrix(d_block), RingMatrix(_cyclo_z_matrix(inst, z_c)))
-
-
-def _cyclo_z_matrix(inst: CycloInstance, z_c: WeylElement):
-    """blkdiag(-J(-z-z_i), -J_tau0(-z), J_tau0(z), J(z-z_i)) + mu E~_(1,-1)."""
-    mu = inst.mu
-    mu_val = mu.constant_value() if mu.is_constant() else None
-    if mu_val is None:
-        raise ValueError("quantum candidate needs a rational mu")
-    rows = inst.C.jordan_data(z_c).entries
-    rows[inst.pos(1)][inst.pos(-1)] = rows[inst.pos(1)][inst.pos(-1)] + WeylElement.const(mu_val)
-    return rows
+                    RingMatrix(d_block), RingMatrix(z_block))

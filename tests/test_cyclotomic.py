@@ -6,7 +6,6 @@ from gaudual import cyclotomic
 from gaudual.cyclotomic import (
     CycloDivisor,
     CycloInstance,
-    _cyclo_z_matrix,
     _origin_terms,
     _sp_r_matrix,
     _swap_legs,
@@ -309,7 +308,7 @@ def test_sp_infinity_matrix_matches_paper_display():
     inst = CycloInstance(1, CycloDivisor.of(2, [(z1, 1), (z2, 2)]), [Q(5)], mu)
     assert inst.N == 5
     n = 10
-    a_mat = inst.sp_inf_matrix()
+    a_mat = inst.sp_inf_matrix(Q(0), inst.mu)
     # reconstruct Lconst from the realized infinity generators
     lconst = [[MultiPoly.zero()] * n for _ in range(n)]
     for I, J in inst.I2():
@@ -570,7 +569,7 @@ def test_cyclo_z_matrix_layout():
         [zero, zero, zero, -one, z, zero],
         [zero, zero, zero, zero, zero, z - 3],
     ]
-    assert _cyclo_z_matrix(inst, z) == expected
+    assert inst.sp_inf_matrix(z, WeylElement.const(2)) == expected
 
 
 def test_quantum_cyclotomic_candidate_not_manin():
@@ -623,11 +622,11 @@ def _flipped_mu(monkeypatch):
     """Put -mu in place of mu in the sp_2N matrix at infinity."""
     sp_inf_matrix = CycloInstance.sp_inf_matrix
 
-    def flipped(self):
-        rows = sp_inf_matrix(self)
+    def flipped(self, x, mu):
+        rows = sp_inf_matrix(self, x, mu)
         r, c = self.pos(1), self.pos(-1)
-        assert rows[r][c] == self.mu  # the mu entry sits on a zero of the Jordan data
-        rows[r][c] = -self.mu
+        assert rows[r][c] == mu  # the mu entry sits on a zero of the Jordan data
+        rows[r][c] = -mu
         return rows
 
     monkeypatch.setattr(CycloInstance, "sp_inf_matrix", flipped)
