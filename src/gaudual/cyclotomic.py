@@ -224,7 +224,7 @@ class CycloInstance:
         """D_C(var) L^C(var) with polynomial entries, D_C = var^(2 tau_0)
         prod (var - z_i)^tau_i (var + z_i)^tau_i; entry (b, a) carries the
         coefficient of E_ba."""
-        dc = self.div_z.clearing_poly(var)
+        dc = self.div_z.clearing_poly(self.var[var])
         M = self.M
         return RingMatrix([[_cleared(self.glMC_lax_terms(a, b), dc, var) for a in range(1, M + 1)]
                            for b in range(1, M + 1)])
@@ -321,7 +321,7 @@ class CycloInstance:
 
     def lax_sp2N_cleared(self, var: str) -> RingMatrix:
         """Dbar(var) L^Dbar(var) with polynomial entries, Dbar = prod (var - lambda_a)."""
-        dbar = self.div_lam.clearing_poly(var)
+        dbar = self.div_lam.clearing_poly(self.var[var])
         n = 2 * self.N
         acc = [[MultiPoly.zero() for _ in range(n)] for _ in range(n)]
         for I, J in self.I2():
@@ -395,7 +395,7 @@ def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = 
 def verify_cyclotomic_duality(inst: CycloInstance, glMC_poly: MultiPoly | None = None) -> dict:
     """Exact equality of the two spectral polynomials in P_b[z, lam];
     `glMC_poly` is the gl_M^C side when the caller has already built it."""
-    det_r = _spectral_poly(inst.lax_sp2N_cleared("lam"), inst.div_lam, "lam", "z",
+    det_r = _spectral_poly(inst, inst.lax_sp2N_cleared("lam"), inst.div_lam, "lam", "z",
                            2 * inst.N - 1)
     if glMC_poly is None:
         glMC_poly = _glMC_spectral_poly(inst)
@@ -404,14 +404,15 @@ def verify_cyclotomic_duality(inst: CycloInstance, glMC_poly: MultiPoly | None =
 
 def _glMC_spectral_poly(inst: CycloInstance) -> MultiPoly:
     """det(lam D_C 1 - D_C L^C) with D_C^(M-1) divided out."""
-    return _spectral_poly(inst.lax_glMC_cleared("z"), inst.div_z, "z", "lam", inst.M - 1)
+    return _spectral_poly(inst, inst.lax_glMC_cleared("z"), inst.div_z, "z", "lam", inst.M - 1)
 
 
-def _spectral_poly(cleared: RingMatrix, divisor: Divisor, var: str, eigen: str,
-                   copies: int) -> MultiPoly:
+def _spectral_poly(inst: CycloInstance, cleared: RingMatrix, divisor: Divisor, var: str,
+                   eigen: str, copies: int) -> MultiPoly:
     """det(eigen D 1 - D L) with D^copies divided out, for the cleared Lax
-    matrix D L in var and D = divisor.clearing_poly(var)."""
-    shift = MultiPoly.var(eigen) * divisor.clearing_poly(var)
+    matrix D L in var and D = prod (var - location)^tau, both variables
+    taken from the instance's table."""
+    shift = inst.var[eigen] * divisor.clearing_poly(inst.var[var])
     n = cleared.rows
     shifted = RingMatrix([[(shift if r == c else MultiPoly.zero()) - cleared[r, c]
                            for c in range(n)] for r in range(n)])
@@ -437,18 +438,18 @@ def lax_algebra_check(inst: CycloInstance, which: str) -> dict:
         (w - lam){A1(lam), A2(w)} = [R, Dbar(w) A1 + Dbar(lam) A2]
         with R = sum Ebar^IJ x Ebar_IJ = (w - lam) rbar12
     """
+    z, lam, w = inst.var["z"], inst.var["lam"], inst.var["w"]
     if which == "cyclotomic-glM":
         lax_u, lax_w = inst.lax_glMC_cleared("z"), inst.lax_glMC_cleared("w")
-        d_u, d_w = inst.div_z.clearing_poly("z"), inst.div_z.clearing_poly("w")
-        z, w = MultiPoly.var("z"), MultiPoly.var("w")
+        d_u, d_w = inst.div_z.clearing_poly(z), inst.div_z.clearing_poly(w)
         factor = w * w - z * z
-        rhs = (_commutator(_cyclo_r_matrix(inst.M, "z", "w"), _first_leg(lax_u, d_w))
-               + _commutator(_swap_legs(_cyclo_r_matrix(inst.M, "w", "z")),
+        rhs = (_commutator(_cyclo_r_matrix(inst.M, z, w), _first_leg(lax_u, d_w))
+               + _commutator(_swap_legs(_cyclo_r_matrix(inst.M, w, z)),
                              _swap_legs(_first_leg(lax_w, d_u))))
     elif which == "sp2N":
         lax_u, lax_w = inst.lax_sp2N_cleared("lam"), inst.lax_sp2N_cleared("w")
-        d_u, d_w = inst.div_lam.clearing_poly("lam"), inst.div_lam.clearing_poly("w")
-        factor = MultiPoly.var("w") - MultiPoly.var("lam")
+        d_u, d_w = inst.div_lam.clearing_poly(lam), inst.div_lam.clearing_poly(w)
+        factor = w - lam
         rhs = _commutator(_sp_r_matrix(inst),
                           _first_leg(lax_u, d_w) + _swap_legs(_first_leg(lax_w, d_u)))
     else:
@@ -483,10 +484,9 @@ def _first_leg(lax: RingMatrix, scale: MultiPoly) -> RingMatrix:
     return RingMatrix(out)
 
 
-def _cyclo_r_matrix(M: int, u: str, v: str) -> RingMatrix:
+def _cyclo_r_matrix(M: int, uu: MultiPoly, vv: MultiPoly) -> RingMatrix:
     """P(u,v) = (v - u)(v + u) r12(u,v) = sum_ab ((v + u) E_ba x E_ab
-    - (v - u) E_ba x E_ba)."""
-    uu, vv = MultiPoly.var(u), MultiPoly.var(v)
+    - (v - u) E_ba x E_ba), for the generators uu and vv of u and v."""
     out = [[MultiPoly.zero() for _ in range(M * M)] for _ in range(M * M)]
     for a in range(M):
         for b in range(M):

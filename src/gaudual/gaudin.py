@@ -78,10 +78,9 @@ class Divisor:
             acc += t
         return tuple(offsets)
 
-    def clearing_poly(self, var: str | MultiPoly) -> MultiPoly:
-        """prod (var - location)^tau over the finite points; var is a name or
-        its generator, such as one from an instance's variable table."""
-        x = MultiPoly.var(var) if isinstance(var, str) else var
+    def clearing_poly(self, x: MultiPoly) -> MultiPoly:
+        """prod (x - location)^tau over the finite points, for a generator x
+        of an instance's variable table."""
         out = MultiPoly.const(1)
         for loc, tau in self.points:
             out = out * (x - loc) ** tau
@@ -302,11 +301,11 @@ def _spectral_dets(inst: DualityInstance, flavor: str, sample_seed=None):
 
 def _cleared_det(lax: RingMatrix, divisor: Divisor, var: VariableTable, spec_var: str,
                  eigen_var: str, flavor: str, subs=None):
-    """det(eigen_var D 1 - D L) for one side, D = divisor.clearing_poly(spec_var):
-    every entry of L is multiplied by D and assembled as one element of the
-    coefficient ring times powers of spec_var, both variables taken from the
-    instance's table `var`."""
-    factors = [RatFunc(spec_var, expand_factors({loc: tau})) for loc, tau in divisor.points]
+    """det(eigen_var D 1 - D L) for one side, D = prod (spec_var - location)^tau:
+    every entry of L is multiplied by D, as one rational function, and
+    assembled as one element of the coefficient ring times powers of
+    spec_var, both variables taken from the instance's table `var`."""
+    clearing = _clearing_ratfunc(divisor, spec_var)
     spec = var[spec_var]
     diag, zero = var[eigen_var] * divisor.clearing_poly(spec), MultiPoly.zero()
     if flavor == "fermionic":
@@ -315,16 +314,20 @@ def _cleared_det(lax: RingMatrix, divisor: Divisor, var: VariableTable, spec_var
     for r, lax_row in enumerate(lax.entries):
         row = []
         for c, f in enumerate(lax_row):
-            for factor in factors:
-                f = f * factor
             p = zero
-            for k, coeff in f.to_poly().items():
+            for k, coeff in (f * clearing).to_poly().items():
                 p = p + (coeff * spec ** k if k else coeff)
             if subs and p:
                 p = p.substitute(subs)
             row.append((diag if r == c else zero) - p)
         entries.append(row)
     return _perm_expansion(RingMatrix(entries))
+
+
+def _clearing_ratfunc(divisor: Divisor, var: str) -> RatFunc:
+    """prod (var - location)^tau over the finite points, as a rational
+    function of var with rational coefficients."""
+    return RatFunc(var, expand_factors(dict(divisor.points)))
 
 
 def _divide_out(poly: MultiPoly, divisor: Divisor, spec_var: str, copies: int) -> MultiPoly:
@@ -405,7 +408,7 @@ def _cdet_side(entries: list[list[RatFunc]], divisor: Divisor, var: str) -> Orde
     ]
     op = cdet(RingMatrix(rows))
     # a rational prefactor, so that each product cancels against it alone
-    return op.scale_left(RatFunc(var, expand_factors(dict(divisor.points))))
+    return op.scale_left(_clearing_ratfunc(divisor, var))
 
 
 def quantum_block_matrix(inst: DualityInstance) -> RingMatrix:
