@@ -19,19 +19,19 @@ points = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 @st.composite
 def takiff_degrees(draw, degree: int) -> list[int]:
-    """A random split of degree into positive parts, in drawn order."""
+    """A random split of degree into positive parts (none for degree 0)."""
     cuts = sorted(draw(st.sets(st.integers(1, degree - 1)))) if degree > 1 else []
     bounds = [0, *cuts, degree]
-    return [b - a for a, b in zip(bounds, bounds[1:])]
+    return [b - a for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 @st.composite
-def divisors(draw, degree: int, locations=points, unique_by=None) -> list:
-    """[location, Takiff degree] pairs at distinct drawn locations, degrees
-    summing to degree."""
-    taus = draw(takiff_degrees(degree)) if degree else []
+def divisors(draw, degree: int, locations=points, unique_by=lambda loc: loc) -> list:
+    """[location, Takiff degree] pairs at locations distinct under unique_by,
+    degrees summing to degree."""
+    taus = draw(takiff_degrees(degree))
     locs = draw(st.lists(locations, min_size=len(taus), max_size=len(taus),
-                         unique_by=unique_by or (lambda x: x)))
+                         unique_by=unique_by))
     return [[str(loc), tau] for loc, tau in zip(locs, taus)]
 
 
