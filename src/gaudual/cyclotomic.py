@@ -27,9 +27,11 @@ from .errors import (
     DivisorMismatch,
     DuplicateFrequency,
     IndexOutOfRange,
+    RefusedMinor,
 )
 from .gaudin import (Divisor, _divide_out, check_generator_pairs, exact_int, jordan_sum,
-                     polynomial_equality_report, spectral_coefficients, takiff_block_sum)
+                     polynomial_equality_report, refused_minor_report, spectral_coefficients,
+                     takiff_block_sum)
 from .linalg import in_span
 from .matrices import RingMatrix, _perm_expansion, block2x2, block_diag, jordan_block
 from .multipoly import MultiPoly, VariableTable
@@ -394,29 +396,37 @@ def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = 
 
 def verify_cyclotomic_duality(inst: CycloInstance, glMC_poly: MultiPoly | None = None) -> dict:
     """Exact equality of the two spectral polynomials in P_b[z, lam];
-    `glMC_poly` is the gl_M^C side when the caller has already built it."""
-    det_r = _spectral_poly(inst, inst.lax_sp2N_cleared("lam"), inst.div_lam, "lam", "z",
-                           2 * inst.N - 1)
-    if glMC_poly is None:
-        glMC_poly = _glMC_spectral_poly(inst)
+    `glMC_poly` is the gl_M^C side when the caller has already built it.  A
+    minor that its per-step division refuses is a fail naming the side."""
+    try:
+        det_r = _spectral_poly(inst, inst.lax_sp2N_cleared("lam"), inst.div_lam, "lam", "z")
+        if glMC_poly is None:
+            glMC_poly = _glMC_spectral_poly(inst)
+    except RefusedMinor as err:
+        return refused_minor_report(err, {"z": "glM", "lam": "sp2N"})
     return polynomial_equality_report(glMC_poly, det_r)
 
 
 def _glMC_spectral_poly(inst: CycloInstance) -> MultiPoly:
     """det(lam D_C 1 - D_C L^C) with D_C^(M-1) divided out."""
-    return _spectral_poly(inst, inst.lax_glMC_cleared("z"), inst.div_z, "z", "lam", inst.M - 1)
+    return _spectral_poly(inst, inst.lax_glMC_cleared("z"), inst.div_z, "z", "lam")
 
 
 def _spectral_poly(inst: CycloInstance, cleared: RingMatrix, divisor: Divisor, var: str,
-                   eigen: str, copies: int) -> MultiPoly:
-    """det(eigen D 1 - D L) with D^copies divided out, for the cleared Lax
-    matrix D L in var and D = prod (var - location)^tau, both variables
-    taken from the instance's table."""
+                   eigen: str) -> MultiPoly:
+    """det(eigen D 1 - D L) / D^(n-1) for the n x n cleared Lax matrix D L in
+    var and D = prod (var - location)^tau, both variables taken from the
+    instance's table.  As on the Gaudin sides (gaudin._cleared_det), every
+    minor of eigen - L has a denominator dividing D, so every k x k minor of
+    the shifted matrix is divisible by D^(k-1): _perm_expansion divides each
+    new minor by D once, n - 1 times in all, which is M - 1 copies of D_C on
+    the gl_M^C side and 2N - 1 copies of Dbar on the sp_2N side.  Only the
+    result drops the variables it does not use."""
     shift = inst.var[eigen] * divisor.clearing_poly(inst.var[var])
     n = cleared.rows
     shifted = RingMatrix([[(shift if r == c else MultiPoly.zero()) - cleared[r, c]
                            for c in range(n)] for r in range(n)])
-    return _divide_out(_perm_expansion(shifted), divisor, var, copies)
+    return _perm_expansion(shifted, lambda p: _divide_out(p, divisor, var, 1)).compact()
 
 
 def extract_cyclotomic_generators(inst: CycloInstance) -> list[MultiPoly]:

@@ -26,6 +26,26 @@ class ResidualPole(GaudualError):
         self.order = order
 
 
+class InexactDivision(GaudualError, ValueError):
+    """A polynomial division by (var - root)^power left a remainder."""
+
+    def __init__(self, var, root, power):
+        super().__init__(f"({var} - {root})^{power} does not divide exactly")
+        self.var = var
+        self.root = root
+
+
+class RefusedMinor(GaudualError):
+    """A minor of the determinant recursion that its exact per-step divider
+    does not divide: `size` x `size`, refused at (var - root)."""
+
+    def __init__(self, size: int, refusal: InexactDivision):
+        super().__init__(f"{size} x {size} minor: {refusal}")
+        self.size = size
+        self.var = refusal.var
+        self.root = refusal.root
+
+
 class NonSquare(GaudualError):
     pass
 

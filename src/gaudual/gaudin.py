@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import DivisorMismatch, IndexOutOfRange, OddImage, ResidualPole
+from .errors import DivisorMismatch, IndexOutOfRange, OddImage, RefusedMinor, ResidualPole
 from .grassmann import GrassmannAlgebra, GrassmannElement
 from .linalg import solve_linear  # noqa: F401 (unused; bench/test_bench.py traces this binding)
 from .matrices import (RingMatrix, _perm_expansion, block2x2, block_diag, cdet, jordan_block,
@@ -286,7 +286,10 @@ def _spectral_dets(inst: DualityInstance, flavor: str, sample_seed=None):
     """Cleared determinants of both sides.
 
     Returns (det_z_side, det_lam_side, D_z, D_lam) where
-    det_z_side = det(lam D(z) 1 - D(z) L^D(z))  (an exact polynomial), etc.
+    det_z_side = det(lam D(z) 1 - D(z) L^D(z)) / D(z)^(M-1) and
+    det_lam_side = det(z D(lam) 1 - D(lam) L^D~(lam)) / D(lam)^(N-1) on the
+    classical side, exact polynomials divided inside the determinant by
+    _cleared_det; the fermionic determinants come back undivided.
     """
     assert flavor in ("classical", "fermionic")
     subs = _sample_map(inst, sample_seed) if sample_seed is not None else None
@@ -304,7 +307,19 @@ def _cleared_det(lax: RingMatrix, divisor: Divisor, var: VariableTable, spec_var
     """det(eigen_var D 1 - D L) for one side, D = prod (spec_var - location)^tau:
     every entry of L is multiplied by D, as one rational function, and
     assembled as one element of the coefficient ring times powers of
-    spec_var, both variables taken from the instance's table `var`."""
+    spec_var, both variables taken from the instance's table `var`.
+
+    The classical determinant comes back divided by D^(n-1), n = size of L:
+    by L = Lam + X (z - J)^-1 P, Cauchy-Binet and Jacobi's complementary-minor
+    identity, every minor of eigen_var - L has a denominator dividing D, so
+    every k x k minor of the cleared matrix is divisible by D^(k-1), and
+    _perm_expansion divides each new minor by D once (_divide_out, one
+    copy).  The minors stay on the instance's table, so no product of the
+    recursion re-aligns one; only the result drops the variables it does
+    not use.  The fermionic determinant is expanded undivided: with odd Pi
+    and Psi the lemma fails.  At M = N = 3 with z points 1 and 2 of Takiff
+    degrees 2 and 1, (z - 1)^2 does not divide a 2 x 2 minor of the cleared
+    gl_M-side matrix."""
     clearing = _clearing_ratfunc(divisor, spec_var)
     spec = var[spec_var]
     diag, zero = var[eigen_var] * divisor.clearing_poly(spec), MultiPoly.zero()
@@ -321,7 +336,10 @@ def _cleared_det(lax: RingMatrix, divisor: Divisor, var: VariableTable, spec_var
                 p = p.substitute(subs)
             row.append((diag if r == c else zero) - p)
         entries.append(row)
-    return _perm_expansion(RingMatrix(entries))
+    if flavor == "fermionic":
+        return _perm_expansion(RingMatrix(entries))
+    divided = _perm_expansion(RingMatrix(entries), lambda p: _divide_out(p, divisor, spec_var, 1))
+    return divided.compact()
 
 
 def _clearing_ratfunc(divisor: Divisor, var: str) -> RatFunc:
@@ -331,6 +349,8 @@ def _clearing_ratfunc(divisor: Divisor, var: str) -> RatFunc:
 
 
 def _divide_out(poly: MultiPoly, divisor: Divisor, spec_var: str, copies: int) -> MultiPoly:
+    """poly / D^copies, D = prod (spec_var - location)^tau, by one exact long
+    division per point; raises InexactDivision on a remainder."""
     for loc, tau in divisor.points:
         poly = poly.divide_linear(spec_var, loc, tau * copies)
     return poly
@@ -338,11 +358,21 @@ def _divide_out(poly: MultiPoly, divisor: Divisor, spec_var: str, copies: int) -
 
 def verify_classical_bosonic_duality(inst: DualityInstance, sample_seed=None) -> dict:
     """Both sides of the classical bosonic duality as exact polynomials in
-    P_b[z, lam]; cross-multiplied denominators are divided out exactly."""
-    det_l, det_r, _, _ = _spectral_dets(inst, "classical", sample_seed)
-    lhs = _divide_out(det_l, inst.div_z, "z", inst.M - 1)
-    rhs = _divide_out(det_r, inst.div_lam, "lam", inst.N - 1)
+    P_b[z, lam], each cleared determinant divided inside its expansion; a
+    minor that its division refuses is a fail naming the side."""
+    try:
+        lhs, rhs, _, _ = _spectral_dets(inst, "classical", sample_seed)
+    except RefusedMinor as err:
+        return refused_minor_report(err, {"z": "z", "lam": "lam"})
     return polynomial_equality_report(lhs, rhs)
+
+
+def refused_minor_report(err: RefusedMinor, sides: dict[str, str]) -> dict:
+    """The fail report of a cleared determinant whose per-step division was
+    refused: the side (named by sides[spectral variable]), the size of the
+    refused minor and the point at which it was refused."""
+    return {"status": "fail",
+            "witness": {"side": sides[err.var], "minor": err.size, "point": str(err.root)}}
 
 
 def polynomial_equality_report(lhs: MultiPoly, rhs: MultiPoly) -> dict:
@@ -450,9 +480,8 @@ def verify_quantum_duality(inst: DualityInstance) -> dict:
 
 def _classical_spectral_poly(inst: DualityInstance) -> MultiPoly:
     """The common classical polynomial, built from the z side alone."""
-    det_z = _cleared_det(inst.lax_glM("classical", "z"), inst.div_z, inst.var, "z", "lam",
-                         "classical")
-    return _divide_out(det_z, inst.div_z, "z", inst.M - 1)
+    return _cleared_det(inst.lax_glM("classical", "z"), inst.div_z, inst.var, "z", "lam",
+                        "classical")
 
 
 # -- Gaudin algebra extraction and commutativity ------------------------------

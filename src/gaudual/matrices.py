@@ -6,15 +6,16 @@ GrassmannElement, OrderedDiffOp, RatFunc, Fraction); det refuses a matrix
 with an entry that need not commute, and cdet takes any of them.  One
 determinant routine serves det and cdet:
 a column-ordered Laplace expansion memoized by row subset, n 2^(n-1) ring
-products for an n x n matrix, exact and with no division.  The verifiers
-need no inverse of a matrix, so none is computed here.
+products for an n x n matrix, exact; it divides only where its caller
+hands it an exact divider for every minor.  The verifiers need no inverse
+of a matrix, so none is computed here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonSquare, NoncommutativeRing
+from .errors import InexactDivision, NonSquare, NoncommutativeRing, RefusedMinor
 from .grassmann import GrassmannElement
 from .multipoly import MultiPoly
 from .ratfunc import RatFunc
@@ -100,7 +101,7 @@ def cdet(m: RingMatrix):
     return _perm_expansion(m)
 
 
-def _perm_expansion(m: RingMatrix):
+def _perm_expansion(m: RingMatrix, divide=None):
     """sum over permutations s of sign(s) e[s(0)][0] e[s(1)][1] ... e[s(n-1)][n-1]
     by Laplace expansion along the first column, memoized by row subset
     (the division-free subset recursion of Rote, "Division-free algorithms
@@ -110,7 +111,16 @@ def _perm_expansion(m: RingMatrix):
     minors[mask], signed by the parity of the rows of `mask` above r.  Every
     entry multiplies on the left in column order, so this is cdet, and det
     over a commutative ring, in n 2^(n-1) ring products; zero entries and
-    zero minors are skipped."""
+    zero minors are skipped.
+
+    divide, when given, is an exact divider by some d, applied once to every
+    minor the recursion grows, so the result is det / d^(n-1) and the
+    undivided determinant is never formed.  This is sound when every k x k
+    minor is divisible by d^(k-1), as in fraction-free elimination (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22, 1968): the minors grown from divided
+    minors are then the k x k minors over d^(k-2).  A divider that refuses,
+    raising InexactDivision, raises RefusedMinor with the minor's size."""
     n = m.rows
     e = m.entries
     minors = {1 << r: e[r][n - 1] for r in range(n)}
@@ -129,6 +139,11 @@ def _perm_expansion(m: RingMatrix):
                     grown[mask | bit] = -term if acc is None else acc - term
                 else:
                     grown[mask | bit] = term if acc is None else acc + term
+        if divide is not None:
+            try:
+                grown = {mask: divide(minor) for mask, minor in grown.items() if minor}
+            except InexactDivision as err:
+                raise RefusedMinor(n - c, err) from err
         minors = grown
     full = (1 << n) - 1
     return minors[full] if full in minors else e[0][0] - e[0][0]

@@ -37,7 +37,7 @@ from functools import cache, reduce
 from math import comb
 from operator import or_
 
-from .errors import ExponentOverflow
+from .errors import ExponentOverflow, InexactDivision
 
 _PAIR_RE = re.compile(r"^([xp])(\d+)_(\d+)$")
 _SPECIAL = {"z": 2, "lam": 3, "mu": 4, "w": 5}
@@ -434,15 +434,16 @@ class MultiPoly:
         return {k: MultiPoly(rest_vars, _repack(out[k], moves)) for k in sorted(out)}
 
     def divide_linear(self, name: str, root, power: int = 1) -> MultiPoly:
-        """Exact division by (name - root)^power; raises if the remainder is
-        nonzero, so a quotient is a proof of divisibility."""
+        """Exact division by (name - root)^power; raises InexactDivision if
+        the remainder is nonzero, so a quotient is a proof of divisibility.
+        The quotient keeps the dividend's table, so a product of it with a
+        polynomial on the same table needs no alignment."""
         if not self.terms:
             return MultiPoly.zero()
         if not power:
             return self
-        divisor = f"({name} - {root})^{power}"
         if name not in self.vars:
-            raise ValueError(f"{divisor} does not divide exactly")
+            raise InexactDivision(name, root, power)
         root = _coerce(root)
         s = self._shift(name)
         # long division on the coefficients of name^k, each a dict keyed by
@@ -466,8 +467,8 @@ class MultiPoly:
                 for e, c in row:
                     target[e] = get(e, 0) - a * c
         if any(any(rem.values()) for rem in rows.values()):
-            raise ValueError(f"{divisor} does not divide exactly")
-        return MultiPoly(self.vars, _nonzero(quot, True)).compact()
+            raise InexactDivision(name, root, power)
+        return MultiPoly(self.vars, _nonzero(quot, True))
 
     # -- display ----------------------------------------------------------
 

@@ -8,8 +8,11 @@ from fractions import Fraction
 from functools import cache
 from math import comb, perm
 
+import pytest
+
 from gaudual.errors import NotInvertible
-from gaudual.matrices import RingMatrix
+from gaudual.gaudin import _divide_out
+from gaudual.matrices import RingMatrix, _perm_expansion
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
 from gaudual.ratfunc import Poly, RatFunc
@@ -192,3 +195,45 @@ def check_commutativity_reference(generators: list, flavor: str) -> dict:
                     "witness": {"pair": (i, j), "bracket": repr(bad)},
                 }
     return {"status": "pass", "pairs_checked": pairs}
+
+
+def check_per_step_division(module, run, sides: list) -> None:
+    """run() with module._perm_expansion recording every call given a
+    per-step divider: each result must equal the undivided expansion of the
+    same n x n matrix with D^(n-1) divided out by _divide_out, sides giving
+    the (divisor, spectral variable) of D for each call in order."""
+    calls = []
+    original = module._perm_expansion
+
+    def recording(m, divide=None):
+        result = original(m, divide)
+        if divide is not None:
+            calls.append((m, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_perm_expansion", recording)
+        run()
+    assert len(calls) == len(sides)
+    for (m, result), (divisor, var) in zip(calls, sides):
+        assert result == _divide_out(_perm_expansion(m), divisor, var, m.rows - 1)
+
+
+def perturb_divided_expansion(monkeypatch, module, call: int) -> None:
+    """Add 1 to the off-diagonal entry (0, n - 1) of the matrix of the
+    call-th (from 0) per-step divided expansion module._perm_expansion makes:
+    the 2 x 2 minors on the last two columns, the first the recursion grows,
+    then need not be divisible by the clearing polynomial."""
+    original = module._perm_expansion
+    seen = []
+
+    def perturbed(m, divide=None):
+        if divide is not None:
+            seen.append(m)
+            if len(seen) == call + 1:
+                rows = [list(row) for row in m.entries]
+                rows[0][-1] = rows[0][-1] + 1
+                m = RingMatrix(rows)
+        return original(m, divide)
+
+    monkeypatch.setattr(module, "_perm_expansion", perturbed)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaudual import cyclotomic
+from gaudual import cyclotomic, presets
 from gaudual.cyclotomic import (
     CycloDivisor,
     CycloInstance,
@@ -23,7 +23,9 @@ from gaudual.matrices import manin_check
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
 from gaudual.weyl import WeylElement
-from helpers import check_commutativity_reference, rng, random_fraction
+from gaudual.runner import _build_cyclo, run_instance
+from helpers import (check_commutativity_reference, check_per_step_division,
+                     perturb_divided_expansion, rng, random_fraction)
 
 Q = Fraction
 V = MultiPoly.var
@@ -432,6 +434,39 @@ def test_cyclotomic_duality_symbolic_mu():
     assert verify_cyclotomic_homomorphisms(inst)["status"] == "pass"
 
 
+def test_cyclotomic_duality_fails_with_the_last_sp2N_division_skipped(monkeypatch):
+    # N = 2: the 4 x 4 sp_2N side divides by Dbar at three steps; a k x k
+    # minor is of degree at most k in z, and only the full one reaches 4
+    inst = inst_of(2, 1, [(1, 1)], ["5", "7"], Q(-1))
+    assert verify_cyclotomic_duality(inst)["status"] == "pass"
+    divide_out = cyclotomic._divide_out
+
+    def skipping(poly, divisor, spec_var, copies):
+        if spec_var == "lam" and max(k for k, in poly.split_by(("z",))) == 4:
+            return poly
+        return divide_out(poly, divisor, spec_var, copies)
+
+    monkeypatch.setattr(cyclotomic, "_divide_out", skipping)
+    report = verify_cyclotomic_duality(inst)
+    assert report["status"] == "fail"
+    assert report["witness"] == {"monomial": {"z": 2}, "difference": "1190"}
+
+
+@pytest.mark.parametrize("call, witness", [(0, {"side": "sp2N", "minor": 2, "point": "5"}),
+                                           (1, {"side": "glM", "minor": 2, "point": "0"})],
+                         ids=["sp2N", "glM"])
+def test_cyclotomic_duality_fails_on_a_refused_intermediate_minor(monkeypatch, call, witness):
+    # the sp_2N side is 4 x 4 and the gl_M^C side 3 x 3, so the refused
+    # 2 x 2 minors are intermediate; the refusal is a fail, not an error
+    spec = {"kind": "cyclotomic", "M": 3, "N": 2, "tau0": 1, "divisor": [["1", 1]],
+            "lambda_points": ["5", "7", "11"], "mu": "-1"}
+    assert run_instance(spec)["status"] == "pass"
+    perturb_divided_expansion(monkeypatch, cyclotomic, call)
+    report = run_instance(spec)
+    assert report["status"] == "fail"
+    assert report["witness"] == witness
+
+
 def test_cyclotomic_generators_poisson_commute():
     inst = inst_of(2, 1, [(1, 1)], ["5", "7"], Q(-1))
     gens = extract_cyclotomic_generators(inst)
@@ -650,3 +685,11 @@ def test_neumann_fails_with_flipped_mu_sign(monkeypatch):
     assert report["duality"]["witness"] == {"monomial": {"x2_1": 2}, "difference": "-2"}
     assert report["hamiltonian_commutes"]
     assert report["hamiltonian_combination"] is not None
+
+
+@pytest.mark.parametrize("spec", [pytest.param(spec, id=_spec_id(spec))
+                                  for spec in presets.cyclotomic_grid()])
+def test_per_step_division_equals_dividing_the_full_determinant(spec):
+    inst = _build_cyclo(spec)
+    check_per_step_division(cyclotomic, lambda: verify_cyclotomic_duality(inst),
+                            [(inst.div_lam, "lam"), (inst.div_z, "z")])

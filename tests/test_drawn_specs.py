@@ -1,7 +1,8 @@
 """Every duality holds on drawn specs whose points are rationals that are
 zero, negative or fractional, with each divisor degree split at random into
 Takiff degrees; the built-in grids use only the integer points {1, 2, 3} and
-{5, 7, 11}."""
+{5, 7, 11}.  On the same specs, every cleared determinant divided inside its
+expansion equals the full determinant with D^(n-1) divided out."""
 
 from fractions import Fraction
 
@@ -10,7 +11,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from gaudual.runner import run_instance  # noqa: E402
+from gaudual import cyclotomic, gaudin  # noqa: E402
+from gaudual.gaudin import _spectral_dets  # noqa: E402
+from gaudual.runner import _build_cyclo, _build_duality, run_instance  # noqa: E402
+from helpers import check_per_step_division  # noqa: E402
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -84,3 +88,19 @@ def test_drawn_quantum_duality(spec):
 @given(cyclotomic_specs())
 def test_drawn_cyclotomic_duality(spec):
     _passes(spec)
+
+
+@SETTINGS
+@given(gaudin_specs("classical-bosonic", 3))
+def test_drawn_classical_per_step_division(spec):
+    inst = _build_duality(spec)
+    check_per_step_division(gaudin, lambda: _spectral_dets(inst, "classical"),
+                            [(inst.div_z, "z"), (inst.div_lam, "lam")])
+
+
+@SETTINGS
+@given(cyclotomic_specs())
+def test_drawn_cyclotomic_per_step_division(spec):
+    inst = _build_cyclo(spec)
+    check_per_step_division(cyclotomic, lambda: cyclotomic.verify_cyclotomic_duality(inst),
+                            [(inst.div_lam, "lam"), (inst.div_z, "z")])

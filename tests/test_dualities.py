@@ -8,18 +8,19 @@ from gaudual.gaudin import (
     Divisor,
     DualityInstance,
     _classical_spectral_poly,
-    _divide_out,
     _spectral_dets,
+    jordan_sum,
     quantum_block_matrix,
     quantum_operator_sides,
     verify_classical_bosonic_duality,
     verify_classical_fermionic_duality,
     verify_quantum_duality,
 )
-from gaudual.matrices import manin_check
+from gaudual.matrices import RingMatrix, _perm_expansion, block2x2, manin_check
 from gaudual.multipoly import MultiPoly
+from gaudual.runner import SAMPLE_SEED, _build_duality, run_instance
 from gaudual.weyl import WeylElement
-from helpers import classical_limit
+from helpers import check_per_step_division, classical_limit, perturb_divided_expansion
 
 Q = Fraction
 V = MultiPoly.var
@@ -33,9 +34,7 @@ def make(M, N, dz, dl):
 def test_classical_one_one_hand_oracle():
     # both sides = (z - z1)(lam - lam1) - x p
     inst = make(1, 1, [(2, 1)], [(5, 1)])
-    det_l, det_r, _, _ = _spectral_dets(inst, "classical")
-    lhs = _divide_out(det_l, inst.div_z, "z", 0)
-    rhs = _divide_out(det_r, inst.div_lam, "lam", 0)
+    lhs, rhs, _, _ = _spectral_dets(inst, "classical")
     expected = (V("z") - 2) * (V("lam") - 5) - V("x1_1") * V("p1_1")
     assert lhs == expected
     assert rhs == expected
@@ -289,6 +288,69 @@ def test_classical_duality_fails_with_one_divide_out_copy_dropped(monkeypatch):
     assert report["witness"] == {"monomial": {"z": 1}, "difference": "-70"}
 
 
+@pytest.mark.parametrize("skipped", [2, 3])
+def test_classical_duality_fails_with_one_step_division_skipped(monkeypatch, skipped):
+    # at M = 3 the z side divides by D_z once at each of two steps, after the
+    # 2 x 2 and after the 3 x 3 minors; a k x k minor is of degree at most k
+    # in lam, and only the full one reaches 3
+    inst = make(3, 2, [(1, 1), (2, 1)], [(5, 2), (7, 1)])
+    assert verify_classical_bosonic_duality(inst)["status"] == "pass"
+    divide_out = gaudin._divide_out
+
+    def skipping(poly, divisor, spec_var, copies):
+        full = max(k for k, in poly.split_by(("lam",))) == 3
+        if spec_var == "z" and full == (skipped == 3):
+            return poly
+        return divide_out(poly, divisor, spec_var, copies)
+
+    monkeypatch.setattr(gaudin, "_divide_out", skipping)
+    report = verify_classical_bosonic_duality(inst)
+    assert report["status"] == "fail"
+    assert report["witness"] == {"monomial": {}, "difference": "-350"}
+
+
+@pytest.mark.parametrize("call, witness", [(0, {"side": "z", "minor": 2, "point": "1"}),
+                                           (1, {"side": "lam", "minor": 2, "point": "5"})],
+                         ids=["z", "lam"])
+def test_classical_duality_fails_on_a_refused_intermediate_minor(monkeypatch, call, witness):
+    # both sides are 3 x 3, so the refused 2 x 2 minors are intermediate;
+    # the refusal is a fail with a witness, not an error
+    spec = {"kind": "classical-bosonic", "M": 3, "N": 3, "divisor": [["1", 2], ["2", 1]],
+            "dual_divisor": [["5", 2], ["7", 1]]}
+    assert run_instance(spec)["status"] == "pass"
+    perturb_divided_expansion(monkeypatch, gaudin, call)
+    report = run_instance(spec)
+    assert report["status"] == "fail"
+    assert report["witness"] == witness
+
+
+def _grid_cases(specs, sizes=None):
+    return [pytest.param(spec, id=f"M{spec['M']}N{spec['N']}-{k}")
+            for k, spec in enumerate(specs) if sizes is None or (spec["M"], spec["N"]) in sizes]
+
+
+@pytest.mark.parametrize("seed", [None, SAMPLE_SEED], ids=["symbolic", "sampled"])
+@pytest.mark.parametrize("spec", _grid_cases(presets.classical_bosonic_grid()))
+def test_per_step_division_equals_dividing_the_full_determinant(spec, seed):
+    inst = _build_duality(spec)
+    check_per_step_division(gaudin, lambda: _spectral_dets(inst, "classical", seed),
+                            [(inst.div_z, "z"), (inst.div_lam, "lam")])
+
+
+def test_classical_4x4_common_polynomial_is_the_block_determinant():
+    # the determinant of [[J_lam(lam)^T, X], [P, J_z(z)]] is the common
+    # polynomial of both cleared sides
+    inst = make(4, 4, [(1, 2), (2, 1), (3, 1)], [(5, 2), (7, 1), (11, 1)])
+    report = verify_classical_bosonic_duality(inst)
+    assert report["status"] == "pass"
+    v = inst.var
+    x = RingMatrix([[v[f"x{a}_{i}"] for i in range(1, 5)] for a in range(1, 5)])
+    p = RingMatrix([[v[f"p{a}_{i}"] for a in range(1, 5)] for i in range(1, 5)])
+    block = block2x2(jordan_sum(inst.div_lam, v["lam"]).transpose(), x, p,
+                     jordan_sum(inst.div_z, v["z"]))
+    assert report["common_polynomial"] == repr(_perm_expansion(block))
+
+
 def _dz_side_mutated(monkeypatch, mutate):
     """Build the dz side of the quantum duality from mutate(entries, divisor)."""
     cdet_side = gaudin._cdet_side
@@ -312,13 +374,7 @@ def _entries_transposed(entries, divisor):
     return [list(col) for col in zip(*entries)], divisor
 
 
-def _quantum_cases(sizes=None):
-    return [pytest.param(spec, id=f"M{spec['M']}N{spec['N']}-{k}")
-            for k, spec in enumerate(presets.quantum_grid())
-            if sizes is None or (spec["M"], spec["N"]) in sizes]
-
-
-@pytest.mark.parametrize("spec", _quantum_cases())
+@pytest.mark.parametrize("spec", _grid_cases(presets.quantum_grid()))
 def test_quantum_duality_fails_with_one_prefactor_dropped(monkeypatch, spec):
     inst = make(spec["M"], spec["N"], spec["divisor"], spec["dual_divisor"])
     assert verify_quantum_duality(inst)["status"] == "pass"
@@ -330,7 +386,7 @@ def test_quantum_duality_fails_with_one_prefactor_dropped(monkeypatch, spec):
 
 # only where N = 2: at N = 1 the dz-side matrix is 1 x 1 and the transpose
 # changes nothing
-@pytest.mark.parametrize("spec", _quantum_cases({(1, 2), (2, 2)}))
+@pytest.mark.parametrize("spec", _grid_cases(presets.quantum_grid(), {(1, 2), (2, 2)}))
 def test_quantum_duality_fails_with_dz_side_entries_transposed(monkeypatch, spec):
     inst = make(spec["M"], spec["N"], spec["divisor"], spec["dual_divisor"])
     assert verify_quantum_duality(inst)["status"] == "pass"

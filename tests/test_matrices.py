@@ -6,7 +6,8 @@ from operator import mul
 import pytest
 
 from gaudual.cyclotomic import quantum_cyclotomic_candidate
-from gaudual.errors import GaudualError, NonSquare, NoncommutativeRing, NotInvertible
+from gaudual.errors import (GaudualError, NonSquare, NoncommutativeRing, NotInvertible,
+                            RefusedMinor)
 from gaudual.gaudin import quantum_block_matrix
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 from gaudual.matrices import (
@@ -24,8 +25,8 @@ from gaudual.presets import paper_core, quantum_grid
 from gaudual.ratfunc import RatFunc, rational_roots
 from gaudual.runner import _build_cyclo, _build_duality
 from gaudual.weyl import OrderedDiffOp, WeylElement
-from helpers import (jordan_block_inverse, linear, random_fraction, random_grassmann, rng,
-                     weyl_to_ordered)
+from helpers import (jordan_block_inverse, linear, random_fraction, random_grassmann,
+                     random_poly, rng, weyl_to_ordered)
 
 Q = Fraction
 X = WeylElement.x
@@ -223,6 +224,26 @@ def test_expansion_is_column_ordered():
     got = cdet(m)
     assert got == perm_definition(m)
     assert got - perm_definition(m.transpose()) == -X(1, 1)
+
+
+def test_per_step_division_by_a_common_factor():
+    # every k x k minor of d A is d^k times a minor of A, so dividing each new
+    # minor by d once leaves d^n det(A) / d^(n-1)
+    r = rng(21)
+    d = MultiPoly.var("z") - 2
+    for n in (1, 2, 3, 4):
+        a = RingMatrix([[random_poly(r, ["x", "z"], 2) for _ in range(n)] for _ in range(n)])
+        scaled = RingMatrix([[d * x for x in row] for row in a.entries])
+        assert _perm_expansion(scaled, lambda p: p.divide_linear("z", 2)) == d * det(a)
+
+
+def test_per_step_division_refusal_names_the_minor_size():
+    # the 2 x 2 minor of rows 0, 1 and the last two columns is -1
+    d, one, zero = MultiPoly.var("z") - 2, MultiPoly.const(1), MultiPoly.zero()
+    m = RingMatrix([[d, one, zero], [zero, d, one], [zero, zero, d]])
+    with pytest.raises(RefusedMinor) as refused:
+        _perm_expansion(m, lambda p: p.divide_linear("z", 2))
+    assert (refused.value.size, refused.value.var, refused.value.root) == (2, "z", 2)
 
 
 # -- Manin checks -----------------------------------------------------------
