@@ -364,7 +364,7 @@ def _cleared(terms, clearing: MultiPoly, var: str) -> MultiPoly:
     order) terms, each clearing factor divided out exactly."""
     total = MultiPoly.zero()
     for img, root, order in terms:
-        total = total + img * clearing.divide_linear(var, root, order)
+        total = total + img * clearing.divide_linear(var, [(root, order)])
     return total
 
 

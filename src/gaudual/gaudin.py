@@ -314,7 +314,8 @@ def _cleared_det(lax: RingMatrix, divisor: Divisor, var: VariableTable, spec_var
     identity, every minor of eigen_var - L has a denominator dividing D, so
     every k x k minor of the cleared matrix is divisible by D^(k-1), and
     _perm_expansion divides each new minor by D once (_divide_out, one
-    copy).  The minors stay on the instance's table, so no product of the
+    copy, one long division).  Each power of spec_var is built once per
+    side.  The minors stay on the instance's table, so no product of the
     recursion re-aligns one; only the result drops the variables it does
     not use.  The fermionic determinant is expanded undivided: with odd Pi
     and Psi the lemma fails.  At M = N = 3 with z points 1 and 2 of Takiff
@@ -325,13 +326,14 @@ def _cleared_det(lax: RingMatrix, divisor: Divisor, var: VariableTable, spec_var
     diag, zero = var[eigen_var] * divisor.clearing_poly(spec), MultiPoly.zero()
     if flavor == "fermionic":
         diag, zero = GrassmannElement({0: diag}), GrassmannElement.zero()
+    powers = [spec ** k for k in range(divisor.total_degree() + 1)]
     entries = []
     for r, lax_row in enumerate(lax.entries):
         row = []
         for c, f in enumerate(lax_row):
             p = zero
             for k, coeff in (f * clearing).to_poly().items():
-                p = p + (coeff * spec ** k if k else coeff)
+                p = p + (coeff * powers[k] if k else coeff)
             if subs and p:
                 p = p.substitute(subs)
             row.append((diag if r == c else zero) - p)
@@ -350,10 +352,9 @@ def _clearing_ratfunc(divisor: Divisor, var: str) -> RatFunc:
 
 def _divide_out(poly: MultiPoly, divisor: Divisor, spec_var: str, copies: int) -> MultiPoly:
     """poly / D^copies, D = prod (spec_var - location)^tau, by one exact long
-    division per point; raises InexactDivision on a remainder."""
-    for loc, tau in divisor.points:
-        poly = poly.divide_linear(spec_var, loc, tau * copies)
-    return poly
+    division by the expanded D^copies; raises InexactDivision naming the
+    first point, in the divisor's order, whose factor leaves a remainder."""
+    return poly.divide_linear(spec_var, [(loc, tau * copies) for loc, tau in divisor.points])
 
 
 def verify_classical_bosonic_duality(inst: DualityInstance, sample_seed=None) -> dict:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache, reduce
-from math import comb
 from operator import or_
 
 from .errors import ExponentOverflow, InexactDivision
@@ -95,6 +94,47 @@ def _checked(terms: dict, nvars: int) -> dict:
     if reduce(or_, terms, 0) & _guard_mask(nvars):
         raise ExponentOverflow(f"an exponent exceeds {MAX_EXP}")
     return terms
+
+
+@cache
+def _monic_product(factors: tuple) -> tuple[int, tuple]:
+    """Degree and lower coefficients of the monic prod (X - root)^power over
+    (root, power) pairs: (degree, ((j, a_j), ...)) for the nonzero a_j of
+    X^j, j < degree."""
+    coeffs = [1]  # of X^0, X^1, ...
+    for root, power in factors:
+        for _ in range(power):
+            coeffs = [(coeffs[j - 1] if j else 0) - (root * coeffs[j] if j < len(coeffs) else 0)
+                      for j in range(len(coeffs) + 1)]
+    degree = len(coeffs) - 1
+    return degree, tuple((j, _coerce(a)) for j, a in enumerate(coeffs[:degree]) if a)
+
+
+def _long_divide(terms: dict, s: int, divisor: tuple[int, tuple]) -> dict | None:
+    """The terms of the quotient by the monic divisor of `_monic_product` in
+    the variable at field `s`, or None on a nonzero remainder: long division
+    on the coefficients of X^k, each a dict keyed by the monomial with its
+    X field cleared."""
+    degree, lower = divisor
+    rows: dict[int, dict] = {}
+    for e, c in terms.items():
+        k = (e >> s) & FIELD
+        rows.setdefault(k, {})[e - (k << s)] = c
+    quot: dict[int, int] = {}
+    for k in range(max(rows), degree - 1, -1):
+        row = [(e, c) for e, c in rows.pop(k, {}).items() if c]
+        if not row:
+            continue
+        at = (k - degree) << s
+        quot.update((e + at, c) for e, c in row)
+        for j, a in lower:
+            target = rows.setdefault(k - degree + j, {})
+            get = target.get
+            for e, c in row:
+                target[e] = get(e, 0) - a * c
+    if any(any(rem.values()) for rem in rows.values()):
+        return None
+    return _nonzero(quot, True)
 
 
 def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
@@ -433,42 +473,33 @@ class MultiPoly:
             out.setdefault(key, {})[e] = c
         return {k: MultiPoly(rest_vars, _repack(out[k], moves)) for k in sorted(out)}
 
-    def divide_linear(self, name: str, root, power: int = 1) -> MultiPoly:
-        """Exact division by (name - root)^power; raises InexactDivision if
-        the remainder is nonzero, so a quotient is a proof of divisibility.
-        The quotient keeps the dividend's table, so a product of it with a
-        polynomial on the same table needs no alignment."""
+    def divide_linear(self, name: str, factors) -> MultiPoly:
+        """Exact division by prod (name - root)^power over a sequence of
+        (root, power) pairs, such as ``Divisor.points``: one long division by
+        the expanded monic product, on rows of the dividend built once.  A
+        remainder raises InexactDivision naming the first factor, in the
+        given order, that does not divide what the factors before it leave,
+        so a quotient is a proof of divisibility.  The quotient keeps the
+        dividend's table, so a product of it with a polynomial on the same
+        table needs no alignment."""
+        factors = tuple((_coerce(root), power) for root, power in factors if power)
         if not self.terms:
             return MultiPoly.zero()
-        if not power:
+        if not factors:
             return self
         if name not in self.vars:
-            raise InexactDivision(name, root, power)
-        root = _coerce(root)
+            raise InexactDivision(name, *factors[0])
         s = self._shift(name)
-        # long division on the coefficients of name^k, each a dict keyed by
-        # the monomial with its `name` field cleared, by the monic divisor
-        # name^power + sum_j C(power, j) (-root)^(power - j) name^j, j < power
-        rows: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            k = (e >> s) & FIELD
-            rows.setdefault(k, {})[e - (k << s)] = c
-        lower = [(j, comb(power, j) * (-root) ** (power - j)) for j in range(power)] if root else []
-        quot: dict[int, int] = {}
-        for k in range(max(rows), power - 1, -1):
-            row = [(e, c) for e, c in rows.pop(k, {}).items() if c]
-            if not row:
-                continue
-            at = (k - power) << s
-            quot.update((e + at, c) for e, c in row)
-            for j, a in lower:
-                target = rows.setdefault(k - power + j, {})
-                get = target.get
-                for e, c in row:
-                    target[e] = get(e, 0) - a * c
-        if any(any(rem.values()) for rem in rows.values()):
-            raise InexactDivision(name, root, power)
-        return MultiPoly(self.vars, _nonzero(quot, True))
+        quot = _long_divide(self.terms, s, _monic_product(factors))
+        if quot is None:
+            # the product divides exactly when each factor divides what the
+            # ones before it leave, so this loop raises
+            terms = self.terms
+            for root, power in factors:
+                terms = _long_divide(terms, s, _monic_product(((root, power),)))
+                if terms is None:
+                    raise InexactDivision(name, root, power)
+        return MultiPoly(self.vars, quot)
 
     # -- display ----------------------------------------------------------
 

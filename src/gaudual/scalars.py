@@ -14,13 +14,17 @@ Q = Fraction
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like ``"-3/2"``, or Fractions to a Fraction."""
+    """Coerce ints, strings like ``"-3/2"``, or Fractions to a Fraction; a
+    string with a zero denominator raises ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -219,8 +219,8 @@ def check_per_step_division(module, run, sides: list) -> None:
         assert result == _divide_out(_perm_expansion(m), divisor, var, m.rows - 1)
 
 
-def perturb_divided_expansion(monkeypatch, module, call: int) -> None:
-    """Add 1 to the off-diagonal entry (0, n - 1) of the matrix of the
+def perturb_divided_expansion(monkeypatch, module, call: int, by=1) -> None:
+    """Add `by` to the off-diagonal entry (0, n - 1) of the matrix of the
     call-th (from 0) per-step divided expansion module._perm_expansion makes:
     the 2 x 2 minors on the last two columns, the first the recursion grows,
     then need not be divisible by the clearing polynomial."""
@@ -232,7 +232,7 @@ def perturb_divided_expansion(monkeypatch, module, call: int) -> None:
             seen.append(m)
             if len(seen) == call + 1:
                 rows = [list(row) for row in m.entries]
-                rows[0][-1] = rows[0][-1] + 1
+                rows[0][-1] = rows[0][-1] + by
                 m = RingMatrix(rows)
         return original(m, divide)
 

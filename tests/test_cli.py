@@ -301,6 +301,10 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
         dict(_CYCLO, kind="cyclotomic", lambda_points="57"),
         dict(_GAUDIN, kind="classical-bosonic", dual_divisor={"51": 1}),
         {"kind": "neumann", "M": 2, "omega": "12"},
+        dict(_GAUDIN, kind="classical-bosonic", divisor=[["1/0", 1]]),
+        dict(_CYCLO, kind="cyclotomic", lambda_points=["5", "1/0"]),
+        dict(_CYCLO, kind="cyclotomic", mu="1/0"),
+        {"kind": "neumann", "M": 2, "omega": ["1", "1/0"]},
     ],
     ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
          "gaudin-mutation", "cyclotomic-mutation", "fermionic-range-up", "mutation-on-duality", "options-not-object",
@@ -310,7 +314,8 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
          "cyclotomic-homomorphism-no-tau0", "cyclotomic-commutativity-no-tau0",
          "gaudin-kind-with-tau0", "m-zero", "sampled-mode-on-quantum", "takiff-degree-float",
          "neumann-m-float", "m-bool", "n-string", "cyclotomic-n-float", "tau0-float",
-         "lambda-points-string", "dual-divisor-object", "omega-string"],
+         "lambda-points-string", "dual-divisor-object", "omega-string", "point-over-zero",
+         "lambda-point-over-zero", "mu-over-zero", "omega-over-zero"],
 )
 def test_validation_rejects_names_dispatch_cannot_run(spec):
     with pytest.raises(SpecValidationError):
@@ -420,6 +425,12 @@ def test_cli_accepts_a_top_level_list(tmp_path, capsys):
 def test_cli_exit_2_on_spec_neither_object_nor_list(tmp_path, capsys, doc):
     assert cli.main(["verify", _write(tmp_path, doc)]) == 2
     assert "spec must be" in capsys.readouterr().err
+
+
+def test_cli_exit_2_on_a_zero_denominator(tmp_path, capsys):
+    doc = [_NEUMANN, dict(_NEUMANN, omega=["1", "1/0"]), _NEUMANN]
+    assert cli.main(["verify", _write(tmp_path, doc)]) == 2
+    assert "instance 1 invalid: '1/0' has a zero denominator" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [[["kind"]], {"instances": ["neumann"]}], ids=["list", "object"])

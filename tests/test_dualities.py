@@ -309,16 +309,19 @@ def test_classical_duality_fails_with_one_step_division_skipped(monkeypatch, ski
     assert report["witness"] == {"monomial": {}, "difference": "-350"}
 
 
-@pytest.mark.parametrize("call, witness", [(0, {"side": "z", "minor": 2, "point": "1"}),
-                                           (1, {"side": "lam", "minor": 2, "point": "5"})],
-                         ids=["z", "lam"])
-def test_classical_duality_fails_on_a_refused_intermediate_minor(monkeypatch, call, witness):
+@pytest.mark.parametrize("call, by, witness", [
+    (0, 1, {"side": "z", "minor": 2, "point": "1"}),
+    (1, 1, {"side": "lam", "minor": 2, "point": "5"}),
+    # a multiple of (z - 1)^2 leaves the first point dividing: the second refuses
+    (0, (MultiPoly.var("z") - 1) ** 2, {"side": "z", "minor": 2, "point": "2"}),
+], ids=["z", "lam", "z-second-point"])
+def test_classical_duality_fails_on_a_refused_intermediate_minor(monkeypatch, call, by, witness):
     # both sides are 3 x 3, so the refused 2 x 2 minors are intermediate;
     # the refusal is a fail with a witness, not an error
     spec = {"kind": "classical-bosonic", "M": 3, "N": 3, "divisor": [["1", 2], ["2", 1]],
             "dual_divisor": [["5", 2], ["7", 1]]}
     assert run_instance(spec)["status"] == "pass"
-    perturb_divided_expansion(monkeypatch, gaudin, call)
+    perturb_divided_expansion(monkeypatch, gaudin, call, by)
     report = run_instance(spec)
     assert report["status"] == "fail"
     assert report["witness"] == witness

@@ -234,7 +234,7 @@ def test_per_step_division_by_a_common_factor():
     for n in (1, 2, 3, 4):
         a = RingMatrix([[random_poly(r, ["x", "z"], 2) for _ in range(n)] for _ in range(n)])
         scaled = RingMatrix([[d * x for x in row] for row in a.entries])
-        assert _perm_expansion(scaled, lambda p: p.divide_linear("z", 2)) == d * det(a)
+        assert _perm_expansion(scaled, lambda p: p.divide_linear("z", [(2, 1)])) == d * det(a)
 
 
 def test_per_step_division_refusal_names_the_minor_size():
@@ -242,7 +242,7 @@ def test_per_step_division_refusal_names_the_minor_size():
     d, one, zero = MultiPoly.var("z") - 2, MultiPoly.const(1), MultiPoly.zero()
     m = RingMatrix([[d, one, zero], [zero, d, one], [zero, zero, d]])
     with pytest.raises(RefusedMinor) as refused:
-        _perm_expansion(m, lambda p: p.divide_linear("z", 2))
+        _perm_expansion(m, lambda p: p.divide_linear("z", [(2, 1)]))
     assert (refused.value.size, refused.value.var, refused.value.root) == (2, "z", 2)
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gaudual.errors import InexactDivision
 from gaudual.multipoly import MultiPoly, var_key
 from helpers import rng, random_poly
 
@@ -70,9 +71,15 @@ def test_derivative_and_substitute():
 
 def test_divide_linear_exact():
     p = (x - 3) * (x**2 + y)
-    assert p.divide_linear("x", Fraction(3)) == x**2 + y
+    assert p.divide_linear("x", [(Fraction(3), 1)]) == x**2 + y
     with pytest.raises(ValueError):
-        (x + 1).divide_linear("x", Fraction(2))
+        (x + 1).divide_linear("x", [(Fraction(2), 1)])
+    # zero powers are skipped; a polynomial free of x refuses the first factor
+    assert p.divide_linear("x", [(Fraction(3), 1), (5, 0)]) == x**2 + y
+    assert p.divide_linear("x", []) == p
+    with pytest.raises(InexactDivision) as refused:
+        y.divide_linear("x", [(7, 0), (Fraction(2), 1), (3, 1)])
+    assert refused.value.root == 2
 
 
 def test_split_by_groups_exponents():

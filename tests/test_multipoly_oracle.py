@@ -9,7 +9,7 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from gaudual.errors import ExponentOverflow  # noqa: E402
+from gaudual.errors import ExponentOverflow, InexactDivision  # noqa: E402
 from gaudual.multipoly import MAX_EXP, MultiPoly, var_key  # noqa: E402
 from gaudual.poisson import poisson_bracket, poisson_support  # noqa: E402
 
@@ -23,6 +23,9 @@ coeffs = st.one_of(
 )
 monomials = st.dictionaries(st.sampled_from(NAMES), st.integers(1, 3), max_size=3)
 polys = st.lists(st.tuples(coeffs, monomials), max_size=5)
+# (root, power) pairs with distinct roots, zero, negative or fractional
+factor_lists = st.lists(st.tuples(coeffs, st.integers(1, 3)), min_size=1, max_size=3,
+                        unique_by=lambda factor: factor[0])
 SETTINGS = settings(max_examples=40, deadline=None)
 
 
@@ -70,34 +73,50 @@ def test_derivative_matches_sympy(ta, name):
     assert same(a.derivative(name), sympy.diff(to_sympy(a), SYMBOLS[name]))
 
 
+def sympy_factor(root, power):
+    return (SYMBOLS["z"] - sympy.Rational(root.numerator, root.denominator)) ** power
+
+
 @SETTINGS
-@given(polys, coeffs, st.integers(1, 4))
-def test_divide_linear_matches_sympy(ta, root, power):
+@given(polys, factor_lists)
+def test_divide_linear_matches_sympy(ta, factors):
     p = build(ta)
-    product = (MultiPoly.var("z") - root) ** power * p
-    quotient = product.divide_linear("z", root, power)
-    z = SYMBOLS["z"]
-    divisor = (z - sympy.Rational(root.numerator, root.denominator)) ** power
-    want, rem = sympy.div(to_sympy(product), divisor, z)
+    product, divisor = p, sympy.Integer(1)
+    for root, power in factors:
+        product = (MultiPoly.var("z") - root) ** power * product
+        divisor *= sympy_factor(root, power)
+    quotient = product.divide_linear("z", factors)
+    want, rem = sympy.div(to_sympy(product), divisor, SYMBOLS["z"])
     assert rem == 0
     assert quotient == p
     assert same(quotient, want)
     if p:
-        with pytest.raises(ValueError):
-            (product + 1).divide_linear("z", root, power)
+        # product + 1 is 1 at every root, so the first factor refuses
+        with pytest.raises(InexactDivision) as refused:
+            (product + 1).divide_linear("z", factors)
+        assert refused.value.root == factors[0][0]
 
 
 @SETTINGS
-@given(polys, polys, coeffs, st.integers(1, 4))
-def test_divide_linear_refuses_one_power_too_many(ta, tb, root, power):
-    # g = (z - root) p + h with h = b(z = root) nonzero, so g(root) = h != 0
+@given(polys, polys, factor_lists, st.data())
+def test_divide_linear_refuses_one_power_too_many(ta, tb, factors, data):
+    # the product holds every factor but one power short at factor `short`,
+    # times g = (z - root) a + h with h = b(z = root) nonzero, so g(root) = h
+    # != 0 and, the roots being distinct, the factor at `short` is the first
+    # that does not divide what the ones before it leave
+    short = data.draw(st.integers(0, len(factors) - 1))
+    root = factors[short][0]
     h = build(tb).substitute({"z": root})
     hypothesis.assume(h)
     g = (MultiPoly.var("z") - root) * build(ta) + h
-    product = (MultiPoly.var("z") - root) ** (power - 1) * g
-    assert product.divide_linear("z", root, power - 1) == g
-    with pytest.raises(ValueError):
-        product.divide_linear("z", root, power)
+    fewer = [(r, power - (k == short)) for k, (r, power) in enumerate(factors)]
+    product = g
+    for r, power in fewer:
+        product = (MultiPoly.var("z") - r) ** power * product
+    assert product.divide_linear("z", fewer) == g
+    with pytest.raises(InexactDivision) as refused:
+        product.divide_linear("z", factors)
+    assert (refused.value.var, refused.value.root) == ("z", root)
 
 
 @SETTINGS
@@ -231,7 +250,7 @@ def test_integral_coefficients_are_ints():
     assert type(half.terms[1]) is Fraction
     for p in [half * 2, half + half, (x ** 2 * Fraction(1, 2)).derivative("x"),
               MultiPoly.const(Fraction(6, 3)), (half * half) * 4,
-              ((x - Fraction(1, 2)) * (x + 2)).divide_linear("x", Fraction(1, 2))]:
+              ((x - Fraction(1, 2)) * (x + 2)).divide_linear("x", [(Fraction(1, 2), 1)])]:
         assert all(type(c) is int for c in p.terms.values()), p
     assert str(MultiPoly.const(Fraction(6, 3))) == str(MultiPoly.const(2)) == "2"
     assert MultiPoly.const(Fraction(6, 3)) == MultiPoly.const(2)

@@ -119,6 +119,30 @@ def naive_sum(f: RatFunc, g: RatFunc) -> RatFunc:
     return RatFunc("z", num, _sum_den(f, g))
 
 
+@SETTINGS
+@given(denominators, st.randoms(use_true_random=False))
+def test_expand_factors_ignores_the_order_of_its_factors(factors, random):
+    items = list(factors.items())
+    random.shuffle(items)
+    want = {0: Fraction(1)}
+    for root, mult in items:
+        for _ in range(mult):
+            want = poly_mul(want, {1: Fraction(1), 0: -root})
+    assert expand_factors(dict(items)) == expand_factors(factors) == want
+
+
+@SETTINGS
+@given(denominators, coeffs)
+def test_expand_factors_hands_out_a_dict_of_the_callers_own(factors, c):
+    want = dict(expand_factors(factors))
+    got = expand_factors(factors)
+    got[0] = c
+    got[7] = 1
+    assert expand_factors(factors) == want
+    got.clear()
+    assert expand_factors(factors) == want
+
+
 def naive_product(f: RatFunc, g: RatFunc) -> RatFunc:
     return RatFunc("z", poly_mul(f.num, g.num), _sum_den(f, g))
 
