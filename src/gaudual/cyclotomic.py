@@ -18,7 +18,7 @@ This non-reduction is documented here rather than asserted by any check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -45,17 +45,21 @@ Q = Fraction
 # -- divisors and generators ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycloDivisor:
-    """2*tau0 . 0 + sum tau_i . z_i + sum tau_i . (-z_i) + 2 . infinity."""
+class CycloDivisor(namedtuple("CycloDivisor", "tau0 points")):
+    """2*tau0 . 0 + sum tau_i . z_i + sum tau_i . (-z_i) + 2 . infinity, with
+    int tau0 and points = ((z_i, tau_i), ...) as in Divisor.
 
-    tau0: int
-    points: tuple[tuple[Fraction, int], ...]
+    A tuple: it hashes, orders and compares equal like the plain tuple of
+    its fields, and `_make` and `_replace` skip the checks of `__new__`
+    (nothing calls them).
+    """
 
-    def __post_init__(self):
-        if self.tau0 < 1:
+    __slots__ = ()
+
+    def __new__(cls, tau0: int, points: tuple[tuple[Fraction, int], ...]) -> CycloDivisor:
+        if tau0 < 1:
             raise DivisorMismatch("tau_0 must be positive")
-        locs = [loc for loc, _ in self.points]
+        locs = [loc for loc, _ in points]
         if any(loc == 0 for loc in locs):
             raise BadPoints("0 = z_i is not allowed")
         seen = set()
@@ -63,8 +67,9 @@ class CycloDivisor:
             if loc in seen or -loc in seen:
                 raise BadPoints("need 0 != z_i != +-z_j for i != j")
             seen.add(loc)
-        if any(t < 1 for _, t in self.points):
+        if any(t < 1 for _, t in points):
             raise DivisorMismatch("Takiff degrees must be positive")
+        return super().__new__(cls, tau0, points)
 
     @staticmethod
     def of(tau0: int, points) -> CycloDivisor:

@@ -18,7 +18,7 @@ wrongly):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -46,21 +46,25 @@ def exact_int(value, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Divisor:
-    """Finite part of an effective divisor: ((location, takiff degree), ...).
+class Divisor(namedtuple("Divisor", "points")):
+    """Finite part of an effective divisor: points = ((location, takiff
+    degree), ...) with Fraction locations and int degrees.
 
-    The double point at infinity is implicit and never listed.
+    The double point at infinity is implicit and never listed.  A Divisor
+    is a tuple: it hashes, orders and compares equal like the plain tuple
+    of its fields, and `_make` and `_replace` skip the checks of `__new__`
+    (nothing calls them).
     """
 
-    points: tuple[tuple[Fraction, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        locs = [p for p, _ in self.points]
+    def __new__(cls, points: tuple[tuple[Fraction, int], ...]) -> Divisor:
+        locs = [p for p, _ in points]
         if len(set(locs)) != len(locs):
             raise DivisorMismatch("divisor points must be pairwise distinct")
-        if any(t < 1 for _, t in self.points):
+        if any(t < 1 for _, t in points):
             raise DivisorMismatch("Takiff degrees must be positive")
+        return super().__new__(cls, points)
 
     @staticmethod
     def of(points) -> Divisor:
@@ -87,14 +91,15 @@ class Divisor:
         return out
 
 
-@dataclass(frozen=True, order=True)
-class TakiffGen:
-    """Basis element E^(point)_(row col, depth); point None means infinity."""
+class TakiffGen(namedtuple("TakiffGen", "point depth row col")):
+    """Basis element E^(point)_(row col, depth): int depth, row and col, and
+    point the int index of a divisor point or None for infinity.
 
-    point: int | None
-    depth: int
-    row: int
-    col: int
+    A tuple, so it hashes, orders and compares equal like the plain tuple
+    (point, depth, row, col).
+    """
+
+    __slots__ = ()
 
     def label(self) -> str:
         where = "inf" if self.point is None else f"pt{self.point}"

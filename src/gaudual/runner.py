@@ -8,7 +8,6 @@ Reports are deterministic dicts: no timestamps, sizes and witnesses only.
 from __future__ import annotations
 
 import os
-import traceback
 from fractions import Fraction
 
 from .cyclotomic import (
@@ -286,6 +285,10 @@ def run_instance(spec: dict, mode: str | None = None, max_terms: int = 10**7) ->
     except GaudualError as err:
         report = {"status": "error", "witness": {"error": type(err).__name__, "detail": str(err)}}
     except Exception as err:  # a crash ends this instance, not the batch
+        # imported here: traceback loads linecache and tokenize, which a run
+        # without a crash never needs
+        import traceback
+
         frame = traceback.extract_tb(err.__traceback__)[-1]
         report = {
             "status": "error",

@@ -15,10 +15,11 @@ Q = Fraction
 
 def rat(value) -> Fraction:
     """Coerce ints, strings like ``"-3/2"``, or Fractions to a Fraction; a
-    string with a zero denominator raises ValueError."""
+    string with a zero denominator raises ValueError, and a bool (an int to
+    Python, but a JSON true or false is no rational) raises TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

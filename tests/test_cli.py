@@ -305,6 +305,11 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
         dict(_CYCLO, kind="cyclotomic", lambda_points=["5", "1/0"]),
         dict(_CYCLO, kind="cyclotomic", mu="1/0"),
         {"kind": "neumann", "M": 2, "omega": ["1", "1/0"]},
+        dict(_GAUDIN, kind="classical-bosonic", divisor=[[True, 1]]),
+        dict(_GAUDIN, kind="classical-bosonic", dual_divisor=[[False, 1]]),
+        dict(_CYCLO, kind="cyclotomic", lambda_points=["5", True]),
+        dict(_CYCLO, kind="cyclotomic", mu=True),
+        {"kind": "neumann", "M": 2, "omega": [True, "2"]},
     ],
     ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
          "gaudin-mutation", "cyclotomic-mutation", "fermionic-range-up", "mutation-on-duality", "options-not-object",
@@ -315,7 +320,8 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
          "gaudin-kind-with-tau0", "m-zero", "sampled-mode-on-quantum", "takiff-degree-float",
          "neumann-m-float", "m-bool", "n-string", "cyclotomic-n-float", "tau0-float",
          "lambda-points-string", "dual-divisor-object", "omega-string", "point-over-zero",
-         "lambda-point-over-zero", "mu-over-zero", "omega-over-zero"],
+         "lambda-point-over-zero", "mu-over-zero", "omega-over-zero", "point-bool",
+         "dual-point-bool", "lambda-point-bool", "mu-bool", "omega-bool"],
 )
 def test_validation_rejects_names_dispatch_cannot_run(spec):
     with pytest.raises(SpecValidationError):
@@ -431,6 +437,14 @@ def test_cli_exit_2_on_a_zero_denominator(tmp_path, capsys):
     doc = [_NEUMANN, dict(_NEUMANN, omega=["1", "1/0"]), _NEUMANN]
     assert cli.main(["verify", _write(tmp_path, doc)]) == 2
     assert "instance 1 invalid: '1/0' has a zero denominator" in capsys.readouterr().err
+
+
+def test_cli_exit_2_on_a_bool_rational(tmp_path, capsys):
+    # JSON true is a Python int, but no rational
+    doc = [_NEUMANN, dict(_NEUMANN, omega=[True, "2"])]
+    assert cli.main(["verify", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "instance 1 invalid: cannot interpret True as an exact rational" in err
 
 
 @pytest.mark.parametrize("doc", [[["kind"]], {"instances": ["neumann"]}], ids=["list", "object"])

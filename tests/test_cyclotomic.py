@@ -143,6 +143,27 @@ def test_cyclo_divisor_rejects_bad_points():
         inst_of(2, 1, [(1, 1)], ["5", "5"], Q(0))
 
 
+@pytest.mark.parametrize(
+    "tau0, points, error",
+    [(0, [(1, 1)], DivisorMismatch), (1, [(0, 1)], BadPoints), (1, [(2, 1), (-2, 1)], BadPoints),
+     (1, [(2, 1), (2, 1)], BadPoints), (1, [(2, 0)], DivisorMismatch)],
+    ids=["tau0-zero", "point-at-zero", "plus-minus-pair", "repeated-point", "degree-zero"],
+)
+def test_cyclo_divisor_checks_hold_through_the_constructor_and_of(tau0, points, error):
+    with pytest.raises(error):
+        CycloDivisor.of(tau0, points)
+    with pytest.raises(error):
+        CycloDivisor(tau0, tuple((Q(p), t) for p, t in points))
+
+
+def test_cyclo_divisor_record_semantics():
+    c = CycloDivisor.of(2, [("1/2", 1)])
+    assert repr(c) == "CycloDivisor(tau0=2, points=((Fraction(1, 2), 1),))"
+    assert hash(c) == hash((c.tau0, c.points))
+    with pytest.raises(AttributeError):
+        c.tau0 = 1
+
+
 def test_cyclo_divisor_refuses_a_float_tau0():
     with pytest.raises(DivisorMismatch):
         CycloDivisor.of(2.7, [(1, 1)])

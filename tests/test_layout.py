@@ -1,8 +1,12 @@
 """Every top-level function and every non-dunder method of the package is
 reached from the package itself: code that only tests call belongs in the
-tests."""
+tests.  Importing the CLI loads no standard module a verify run does not
+use."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -113,3 +117,20 @@ def test_every_exemption_is_still_needed():
     assert {f.split(":")[1] for f in unreferenced_functions(exempt=())} == NOT_REACHED
     assert {m.split(":")[1] for m in unreferenced_methods(exempt=())} == METHODS_NOT_REACHED
     assert set(unused_imports(exempt=())) == IMPORTS_NOT_USED
+
+
+# dataclasses pulls in inspect, ast, dis and tokenize; traceback pulls in
+# linecache and tokenize; a run that does not crash needs none of them
+NOT_LOADED_AT_START = {"dataclasses", "inspect", "traceback"}
+
+
+def test_importing_the_cli_loads_no_module_a_verify_run_does_not_use():
+    # a fresh interpreter, since pytest itself has imported inspect; site may
+    # preload modules, so only what the import adds counts
+    probe = ("import sys; before = set(sys.modules); import gaudual.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    loaded = set(proc.stdout.split())
+    assert "gaudual.cli" in loaded
+    assert sorted(loaded & NOT_LOADED_AT_START) == []

@@ -97,6 +97,42 @@ def test_generator_enumeration_order():
     assert len(gens) == 12
 
 
+def test_generator_enumeration_is_the_sorted_order():
+    gens = takiff_generators(Divisor.of([(1, 2), (2, 1)]), 2)
+    # infinity comes last: None and an int point do not compare
+    finite = [g for g in gens if g.point is not INF]
+    assert gens == sorted(finite) + sorted(g for g in gens if g.point is INF)
+
+
+def test_record_reprs():
+    # report witnesses and the sorted(..., key=str) tests read these strings
+    assert repr(TakiffGen(INF, 1, 1, 2)) == "TakiffGen(point=None, depth=1, row=1, col=2)"
+    assert repr(TakiffGen(0, 0, 2, 1)) == "TakiffGen(point=0, depth=0, row=2, col=1)"
+    assert repr(Divisor.of([("1/2", 2), (3, 1)])) == (
+        "Divisor(points=((Fraction(1, 2), 2), (Fraction(3, 1), 1)))")
+
+
+def test_records_hash_as_the_tuple_of_their_fields_and_are_frozen():
+    g = TakiffGen(1, 0, 2, 1)
+    d = Divisor.of([(1, 2)])
+    # set and dict orders depend on these hashes
+    assert hash(g) == hash((g.point, g.depth, g.row, g.col))
+    assert hash(d) == hash((d.points,))
+    with pytest.raises(AttributeError):
+        g.row = 3
+    with pytest.raises(AttributeError):
+        d.points = ()
+
+
+@pytest.mark.parametrize("points", [[(1, 1), (1, 2)], [(1, 1), (2, 0)]],
+                         ids=["repeated-point", "degree-zero"])
+def test_divisor_checks_hold_through_the_constructor_and_of(points):
+    with pytest.raises(DivisorMismatch):
+        Divisor.of(points)
+    with pytest.raises(DivisorMismatch):
+        Divisor(tuple((Q(p), t) for p, t in points))
+
+
 def test_jordan_sum_matrix_layout():
     m = jordan_sum_matrix(Divisor.of([(5, 2), (7, 1)]))
     assert m[0][0] == -5 and m[1][1] == -5 and m[2][2] == -7
