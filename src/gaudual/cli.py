@@ -2,7 +2,8 @@
 JSON-lines reports plus a human-readable summary.
 
 Exit codes: 0 all instances pass, 1 any verification failure or error,
-2 specification validation error.
+2 specification validation error, a count option below 1 or an unwritable
+--out.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ def _summary_line(spec: dict) -> str:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--jobs", args.jobs), ("--max-terms", args.max_terms)):
+        if value < 1:
+            print(f"{flag} must be at least 1, not {value}", file=sys.stderr)
+            return 2
     if args.M is not None:
         sizes = [spec["M"] for spec in neumann_instances()]
         if args.preset != "neumann" or args.M not in sizes:
@@ -93,19 +98,25 @@ def cmd_verify(args) -> int:
         print("need a spec file or --preset", file=sys.stderr)
         return 2
 
-    # validate everything before any computation starts
-    for k, spec in enumerate(instances):
-        try:
-            validate_instance(spec)
-        except SpecValidationError as err:
-            print(f"instance {k} invalid: {err}", file=sys.stderr)
-            return 2
-
-    mode = "sampled" if args.sampled else ("symbolic" if args.symbolic else None)
-    work = [(spec, mode, args.max_terms) for spec in instances]
-    counts = {"pass": 0, "fail": 0, "error": 0}
-    total_ms = 0
     with ExitStack() as stack:
+        # opened first, so an unwritable path is refused before any work
+        try:
+            out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        except OSError as err:
+            print(f"cannot write --out: {err}", file=sys.stderr)
+            return 2
+        # validate everything before any computation starts
+        for k, spec in enumerate(instances):
+            try:
+                validate_instance(spec)
+            except SpecValidationError as err:
+                print(f"instance {k} invalid: {err}", file=sys.stderr)
+                return 2
+
+        mode = "sampled" if args.sampled else ("symbolic" if args.symbolic else None)
+        work = [(spec, mode, args.max_terms) for spec in instances]
+        counts = {"pass": 0, "fail": 0, "error": 0}
+        total_ms = 0
         # both maps are lazy and yield in input order: each report is written
         # as soon as it and every report before it are finished
         if args.jobs > 1:
@@ -117,7 +128,6 @@ def cmd_verify(args) -> int:
             finished = pool.map(_worker, work)
         else:
             finished = map(_worker, work)
-        out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
         for (report, elapsed), spec in zip(finished, instances):
             counts[report["status"]] = counts.get(report["status"], 0) + 1
             total_ms += elapsed

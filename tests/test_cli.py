@@ -472,6 +472,33 @@ def test_reports_stream_as_each_instance_finishes(tmp_path, capsys, monkeypatch)
     assert len(out.read_text().splitlines()) == 3
 
 
+def _no_validation(spec):
+    raise AssertionError("an instance was validated")
+
+
+def test_cli_exit_2_on_an_unwritable_out_before_any_work(tmp_path, capsys, monkeypatch):
+    # refused before validation, so before the pool starts or any instance runs
+    monkeypatch.setattr(cli, "validate_instance", _no_validation)
+    out = tmp_path / "missing" / "x.jsonl"
+    argv = ["verify", "--preset", "paper-core", "--jobs", "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write --out: ") and len(err.splitlines()) == 1
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--jobs", "-2"), ("--jobs", "0"),
+                                         ("--max-terms", "-1"), ("--max-terms", "0")],
+                         ids=["jobs-negative", "jobs-zero", "max-terms-negative", "max-terms-zero"])
+def test_cli_exit_2_on_a_count_below_one(tmp_path, capsys, monkeypatch, flag, value):
+    # --jobs -2 ran serially and --max-terms -1 made every instance an error
+    monkeypatch.setattr(cli, "validate_instance", _no_validation)
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["verify", "--preset", "neumann", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{flag} must be at least 1, not {value}\n"
+    assert not out.exists()
+
+
 _LAX = {"kind": "lax-algebra", "which": "sp2N", "M": 1, "N": 1, "tau0": 1, "divisor": [],
         "lambda_points": ["5"], "mu": "-1"}
 

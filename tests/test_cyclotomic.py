@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaudual import cyclotomic, presets
+from gaudual import cyclotomic, gaudin, presets
 from gaudual.cyclotomic import (
     CycloDivisor,
     CycloInstance,
@@ -24,7 +24,7 @@ from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
 from gaudual.weyl import WeylElement
 from gaudual.runner import _build_cyclo, run_instance
-from helpers import (check_commutativity_reference, check_per_step_division,
+from helpers import (check_commutativity_reference, check_per_step_division, order_one_clearing,
                      perturb_divided_expansion, rng, random_fraction)
 
 Q = Fraction
@@ -460,14 +460,14 @@ def test_cyclotomic_duality_fails_with_the_last_sp2N_division_skipped(monkeypatc
     # minor is of degree at most k in z, and only the full one reaches 4
     inst = inst_of(2, 1, [(1, 1)], ["5", "7"], Q(-1))
     assert verify_cyclotomic_duality(inst)["status"] == "pass"
-    divide_out = cyclotomic._divide_out
+    divide_out = gaudin._divide_out
 
     def skipping(poly, divisor, spec_var, copies):
         if spec_var == "lam" and max(k for k, in poly.split_by(("z",))) == 4:
             return poly
         return divide_out(poly, divisor, spec_var, copies)
 
-    monkeypatch.setattr(cyclotomic, "_divide_out", skipping)
+    monkeypatch.setattr(gaudin, "_divide_out", skipping)
     report = verify_cyclotomic_duality(inst)
     assert report["status"] == "fail"
     assert report["witness"] == {"monomial": {"z": 2}, "difference": "1190"}
@@ -482,7 +482,7 @@ def test_cyclotomic_duality_fails_on_a_refused_intermediate_minor(monkeypatch, c
     spec = {"kind": "cyclotomic", "M": 3, "N": 2, "tau0": 1, "divisor": [["1", 1]],
             "lambda_points": ["5", "7", "11"], "mu": "-1"}
     assert run_instance(spec)["status"] == "pass"
-    perturb_divided_expansion(monkeypatch, cyclotomic, call)
+    perturb_divided_expansion(monkeypatch, gaudin, call)
     report = run_instance(spec)
     assert report["status"] == "fail"
     assert report["witness"] == witness
@@ -712,5 +712,33 @@ def test_neumann_fails_with_flipped_mu_sign(monkeypatch):
                                   for spec in presets.cyclotomic_grid()])
 def test_per_step_division_equals_dividing_the_full_determinant(spec):
     inst = _build_cyclo(spec)
-    check_per_step_division(cyclotomic, lambda: verify_cyclotomic_duality(inst),
+    check_per_step_division(gaudin, lambda: verify_cyclotomic_duality(inst),
                             [(inst.div_lam, "lam"), (inst.div_z, "z")])
+
+
+def per_term_cleared(lax, clearing: MultiPoly, var: str) -> list[list[MultiPoly]]:
+    """gaudin._cleared without its memo: every term divides the clearing
+    polynomial by its own (var - pole)^order."""
+    return [[sum((img * clearing.divide_linear(var, [(pole, order)])
+                  for img, pole, order in terms), MultiPoly.zero()) for terms in row]
+            for row in lax]
+
+
+@pytest.mark.parametrize("spec", [pytest.param(spec, id=f"grid-{k}")
+                                  for k, spec in enumerate(presets.cyclotomic_grid())])
+def test_memoized_clearing_equals_per_term_division(monkeypatch, spec):
+    inst = _build_cyclo(spec)
+    memoized = [inst.lax_glMC_cleared("z"), inst.lax_sp2N_cleared("lam")]
+    monkeypatch.setattr(cyclotomic, "_cleared", per_term_cleared)
+    per_term = [inst.lax_glMC_cleared("z"), inst.lax_sp2N_cleared("lam")]
+    assert [m.entries for m in memoized] == [m.entries for m in per_term]
+
+
+@pytest.mark.parametrize("tau0, pts", [(1, []), (1, [(1, 1)]), (2, [])])
+def test_cyclotomic_duality_fails_with_the_order_one_quotient_at_every_pole(monkeypatch, tau0,
+                                                                            pts):
+    # the origin carries poles of orders 1 .. 2 tau0 on the gl_M^C side
+    inst = inst_of(2, tau0, pts, ["5", "7"], Q(-1))
+    assert verify_cyclotomic_duality(inst)["status"] == "pass"
+    order_one_clearing(monkeypatch, cyclotomic)
+    assert verify_cyclotomic_duality(inst)["status"] == "fail"

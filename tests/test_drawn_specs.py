@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from gaudual import cyclotomic, gaudin  # noqa: E402
 from gaudual.gaudin import _spectral_dets  # noqa: E402
 from gaudual.runner import _build_cyclo, _build_duality, run_instance  # noqa: E402
-from helpers import check_per_step_division  # noqa: E402
+from helpers import check_cleared_against_ratfunc, check_per_step_division  # noqa: E402
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -99,8 +99,14 @@ def test_drawn_classical_per_step_division(spec):
 
 
 @SETTINGS
+@given(gaudin_specs("classical-bosonic", 3))
+def test_drawn_cleared_entries_equal_the_cleared_ratfunc_lax(spec):
+    check_cleared_against_ratfunc(_build_duality(spec))
+
+
+@SETTINGS
 @given(cyclotomic_specs())
 def test_drawn_cyclotomic_per_step_division(spec):
     inst = _build_cyclo(spec)
-    check_per_step_division(cyclotomic, lambda: cyclotomic.verify_cyclotomic_duality(inst),
+    check_per_step_division(gaudin, lambda: cyclotomic.verify_cyclotomic_duality(inst),
                             [(inst.div_lam, "lam"), (inst.div_z, "z")])

@@ -11,6 +11,7 @@ from gaudual.gaudin import (
     _partial_fraction_generators,
     check_commutativity,
     extract_gaudin_generators,
+    ratfunc_lax,
 )
 from gaudual.linalg import solve_linear
 from gaudual.multipoly import MultiPoly
@@ -249,7 +250,7 @@ def glN_convention_generators(inst: DualityInstance):
     """Generators of the realized gl_N Gaudin algebra in the two cdet
     conventions, cdet(Dz 1 - L) and cdet(Dz 1 + tL), for the span-equality
     check."""
-    lax = inst.lax_glN("quantum", "dz")
+    lax = ratfunc_lax(inst.lax_glN("quantum"), "dz")
     negated_transpose = [[-f for f in col] for col in zip(*lax.entries)]
     return tuple(
         _partial_fraction_generators(_cdet_side(entries, inst.div_lam, "dz"), inst.div_lam)

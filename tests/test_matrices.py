@@ -8,7 +8,7 @@ import pytest
 from gaudual.cyclotomic import quantum_cyclotomic_candidate
 from gaudual.errors import (GaudualError, NonSquare, NoncommutativeRing, NotInvertible,
                             RefusedMinor)
-from gaudual.gaudin import quantum_block_matrix
+from gaudual.gaudin import quantum_block_matrix, ratfunc_lax
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 from gaudual.matrices import (
     RingMatrix,
@@ -85,7 +85,7 @@ def _refused_by_det():
         "odd-grassmann": RingMatrix([[psi, pi], [pi, psi]]),
         "mixed-grassmann": RingMatrix([[psi + 1]]),
         "ordered-diffop": RingMatrix([[weyl_to_ordered(X(1, 1), "z", "z")]]),
-        "weyl-ratfunc": _build_duality(_LAX_SPEC).lax_glM("quantum"),
+        "weyl-ratfunc": ratfunc_lax(_build_duality(_LAX_SPEC).lax_glM("quantum"), "z"),
     }
 
 
@@ -100,8 +100,8 @@ def _accepted_by_det():
         "fraction": frac_matrix([[1, 2], [3, 4]]),
         "multipoly": RingMatrix([[z, z - 1], [MultiPoly.const(2), z * z]]),
         "even-grassmann": RingMatrix(even),
-        "classical-ratfunc": inst.lax_glM("classical"),
-        "fermionic-ratfunc": inst.lax_glM("fermionic"),
+        "classical-ratfunc": ratfunc_lax(inst.lax_glM("classical"), "z"),
+        "fermionic-ratfunc": ratfunc_lax(inst.lax_glM("fermionic"), "z"),
     }
 
 

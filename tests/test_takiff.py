@@ -9,6 +9,7 @@ from gaudual.gaudin import (
     DualityInstance,
     TakiffGen,
     jordan_sum_matrix,
+    ratfunc_lax,
     takiff_bracket,
     takiff_generators,
 )
@@ -211,12 +212,12 @@ def test_realize_rejects_out_of_range():
 def test_lax_pole_orders_match_takiff_degrees():
     inst = inst_2x2_irregular()
     for flavor in ("classical", "quantum", "fermionic"):
-        lax = inst.lax_glM(flavor, "z")
+        lax = ratfunc_lax(inst.lax_glM(flavor), "z")
         for row in lax.entries:
             for entry in row:
                 assert set(entry.den) <= {Q(1)}
                 assert all(m <= 2 for m in entry.den.values())
-        lax_n = inst.lax_glN(flavor, "lam")
+        lax_n = ratfunc_lax(inst.lax_glN(flavor), "lam")
         for row in lax_n.entries:
             for entry in row:
                 assert set(entry.den) <= {Q(5), Q(7)}
@@ -226,7 +227,7 @@ def test_lax_pole_orders_match_takiff_degrees():
 def test_quantum_lax_1x1_entry():
     # gl_N side at M = 1: entry = z_1 + (x d + 1)/(lam - lam_1)
     inst = DualityInstance(1, 1, Divisor.of([(2, 1)]), Divisor.of([(5, 1)]))
-    entry = inst.lax_glN("quantum", "dz").entries[0][0]
+    entry = ratfunc_lax(inst.lax_glN("quantum"), "dz").entries[0][0]
     num = entry * linear("dz", Q(5))
     assert not num.den
     poly = num.to_poly()
