@@ -31,7 +31,7 @@ from .errors import (
 )
 from .gaudin import (Divisor, _cleared, _spectral_det, check_generator_pairs, exact_int,
                      jordan_sum, polynomial_equality_report, refused_minor_report,
-                     spectral_coefficients, takiff_block_sum)
+                     spectral_coefficients, structure_rows, takiff_block_sum)
 from .linalg import in_span
 from .matrices import _perm_expansion  # noqa: F401 (unused; bench/test_bench.py traces it)
 from .matrices import RingMatrix, block2x2, block_diag, jordan_block
@@ -286,13 +286,18 @@ class CycloInstance:
         rows[mu_row][mu_col] = rows[mu_row][mu_col] + mu
         return rows
 
+    def sp_inf_image(self, inf: list[list], I: int, J: int) -> MultiPoly:
+        """pibar_b on Ebar^(inf)_IJ: minus the (J, I) entry of
+        inf = sp_inf_matrix(0, mu), which a caller that realizes many
+        infinity generators builds once."""
+        entry = inf[self.pos(J)][self.pos(I)]
+        return -(entry if isinstance(entry, MultiPoly) else MultiPoly.const(entry))
+
     def realize_sp(self, kind: str, a: int, I: int, J: int,
                    mutation: str | None = None) -> MultiPoly:
         """pibar_b on Ebar^(lambda_a)_IJ (kind "lam") / Ebar^(inf)_IJ."""
         if kind == "inf":
-            entry = self.sp_inf_matrix(Q(0), self.mu)[self.pos(J)][self.pos(I)]
-            entry = entry if isinstance(entry, MultiPoly) else MultiPoly.const(entry)
-            return -entry
+            return self.sp_inf_image(self.sp_inf_matrix(Q(0), self.mu), I, J)
         if not (1 <= a <= self.M):
             raise IndexOutOfRange(f"point index {a} exceeds M={self.M}")
         sigma_j = 1 if J > 0 else -1
@@ -319,17 +324,20 @@ class CycloInstance:
                                   self.ebar_entries(g2[2], g2[3]))
         return [(coeff, ("lam", g1[1], I, J)) for (I, J), coeff in self.sp_expand(comm).items()]
 
-    def sp_lax_terms(self, I: int, J: int) -> list[tuple[MultiPoly, Fraction, int]]:
+    def sp_lax_terms(self, I: int, J: int,
+                     inf: list[list]) -> list[tuple[MultiPoly, Fraction, int]]:
         """The coefficient of Ebar^IJ in the realized sp_2N Lax matrix as nonzero
-        (numerator, pole, order) terms; order 0 is the constant at infinity."""
-        terms = [(self.realize_sp("inf", 0, I, J), Q(0), 0)]
+        (numerator, pole, order) terms; order 0 is the constant at infinity,
+        read from inf = sp_inf_matrix(0, mu)."""
+        terms = [(self.sp_inf_image(inf, I, J), Q(0), 0)]
         terms += [(self.realize_sp("lam", a, I, J), la, 1) for a, la in enumerate(self.lam, 1)]
         return [term for term in terms if term[0]]
 
     def lax_sp2N_cleared(self, var: str) -> RingMatrix:
         """Dbar(var) L^Dbar(var) with polynomial entries, Dbar = prod (var - lambda_a)."""
         pairs = self.I2()
-        [totals] = _cleared([[self.sp_lax_terms(I, J) for I, J in pairs]],
+        inf = self.sp_inf_matrix(Q(0), self.mu)
+        [totals] = _cleared([[self.sp_lax_terms(I, J, inf) for I, J in pairs]],
                             self.div_lam.clearing_poly(self.var[var]), var)
         n = 2 * self.N
         acc = [[MultiPoly.zero() for _ in range(n)] for _ in range(n)]
@@ -370,16 +378,22 @@ def _origin_terms(t: int, entries: dict) -> list:
 
 def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = None) -> dict:
     """Exhaustive generator-pair checks for both realization maps; every
-    bracket term is a canonical generator, so each generator is realized once."""
+    bracket term is a canonical generator, so each generator is realized once,
+    and the sp_2N matrix at infinity is built once."""
+    inf = inst.sp_inf_matrix(Q(0), inst.mu)
+
+    def realize_sp(g, mutation):
+        return inst.sp_inf_image(inf, *g[2:]) if g[0] == "inf" else inst.realize_sp(*g, mutation)
+
     checked = 0
     for side, gens, realize, structure in (
         ("glM-cyclotomic", inst.glMC_generators(), inst.realize_glMC, inst.glMC_bracket),
-        ("sp2N", inst.sp_generators(), lambda g, m: inst.realize_sp(*g, m), inst.sp_bracket),
+        ("sp2N", inst.sp_generators(), realize_sp, inst.sp_bracket),
     ):
         images = {g: realize(g, mutation) for g in gens}
         count, failure = check_generator_pairs(
-            gens, images.__getitem__, poisson_bracket, poisson_support, structure,
-            MultiPoly.zero(),
+            gens, images.__getitem__, poisson_bracket, poisson_support,
+            structure_rows(gens, structure), MultiPoly.zero(),
         )
         checked += count
         if failure:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 from .errors import DivisorMismatch, IndexOutOfRange, OddImage, RefusedMinor, ResidualPole
 from .grassmann import GrassmannAlgebra, GrassmannElement
@@ -120,23 +120,50 @@ def takiff_generators(divisor: Divisor, size: int) -> list[TakiffGen]:
     return gens
 
 
-def takiff_bracket(g1: TakiffGen, g2: TakiffGen, divisor: Divisor) -> list[tuple[int, TakiffGen]]:
-    """[E_(ab r), E_(cd s)] = delta_bc E_(ad r+s) - delta_ad E_(cb r+s) at a
-    shared finite point, truncated at the Takiff degree; infinity is central.
-    """
-    if g1.point is INF or g2.point is INF or g1.point != g2.point:
-        return []
-    tau = divisor.points[g1.point][1]
-    depth = g1.depth + g2.depth
-    if depth >= tau:
-        return []
-    out = []
-    a, b, c, d = g1.row, g1.col, g2.row, g2.col
-    if b == c:
-        out.append((1, TakiffGen(g1.point, depth, a, d)))
-    if a == d:
-        out.append((-1, TakiffGen(g1.point, depth, c, b)))
-    return out
+def takiff_rows(divisor: Divisor, size: int):
+    """The structure constants of the Takiff algebra as rows over the
+    generators g = takiff_generators(divisor, size): row(i) is {j: terms},
+    the nonzero [g_i, g_j] as lists of (coefficient, generator) terms,
+
+        [E_(ab r), E_(cd s)] = delta_bc E_(ad r+s) - delta_ad E_(cb r+s)
+
+    at a shared finite point, truncated at the Takiff degree; infinity is
+    central, so its rows are empty.  A row is listed straight from the
+    formula in O(tau size) steps, with no pass over the other generators."""
+    gens = takiff_generators(divisor, size)
+    starts = [0]
+    for _, tau in divisor.points:
+        starts.append(starts[-1] + tau * size * size)
+
+    def row(i: int) -> dict[int, list[tuple[int, TakiffGen]]]:
+        point, r, a, b = gens[i]
+        out: dict = {}
+        if point is INF:
+            return out
+        for s in range(divisor.points[point][1] - r):
+            # E_(cd s) sits at position block + (c - 1) size + d, E_(cd r+s)
+            # at summed + (c - 1) size + d
+            block = starts[point] + s * size * size - 1
+            summed = block + r * size * size
+            for d in range(1, size + 1):
+                out[block + (b - 1) * size + d] = [(1, gens[summed + (a - 1) * size + d])]
+            for c in range(1, size + 1):
+                out.setdefault(block + (c - 1) * size + a, []).append(
+                    (-1, gens[summed + (c - 1) * size + b]))
+        return out
+
+    return row
+
+
+def structure_rows(gens: list, structure):
+    """Rows for check_generator_pairs from a pairwise structure map:
+    row(i) = {j: structure(gens[i], gens[j])} over the nonempty ones, each
+    pair asked once."""
+    def row(i: int) -> dict:
+        g1 = gens[i]
+        return {j: terms for j, g2 in enumerate(gens) if (terms := structure(g1, g2))}
+
+    return row
 
 
 def takiff_block_sum(nu: int, tau: int, depth: int, term, zero, mutation: str | None = None):
@@ -589,76 +616,104 @@ def _bracket_for(flavor: str, inst: DualityInstance):
     raise ValueError(flavor)
 
 
-def check_generator_pairs(gens: list, image, bracket, support, structure, zero):
+def check_generator_pairs(gens: list, image, bracket, support, row, zero):
     """Exhaustive check that bracket(image(g1), image(g2)) equals the image of
-    structure(g1, g2), a list of (coefficient, generator) terms, over every
-    ordered pair, row by row.  Returns (pairs checked, None) or, at the first
-    failing pair, (pairs checked, (g1, g2, got, want)).
+    the structure [g1, g2] over every ordered pair of gens, in row-major
+    order.  row(i) is {j: terms}, the nonzero structure of gens[i] against
+    gens[j] as (coefficient, generator) terms; an absent j has an empty
+    structure.  Returns (n^2, None) or, at the first failing pair (i, j),
+    (i n + j + 1, (g1, g2, got, want)): pairs checked counts the pairs the
+    loop passes without a visit too.
 
-    image(g) is taken once per generator, into a list indexed by position,
-    and again only for a generator inside an image sum.  The support lemma:
-    bracket is a biderivation that pairs only conjugate generators, so it is
-    zero on two images whose supports (support(img), a set of canonical
-    pairs) are disjoint.  Such a pair is not bracketed; it passes exactly
-    when the image sum of its structure is zero.  structure is still asked
-    for every pair, and the supports are those of the images as given, so a
-    fault in either is seen.
+    The support lemma: bracket is a biderivation that pairs only conjugate
+    generators, so it is zero on two images whose supports (support(img), a
+    set of canonical pairs) are disjoint.  A pair with disjoint supports and
+    an empty structure therefore passes with no work.  Row i visits only the
+    other pairs: those whose supports meet, found through an index from each
+    canonical pair to the generators whose images use it, and those in
+    row(i).  The supports are those of the images as given and every row is
+    read whole, so a fault in either is seen.  Of the visited pairs (i, j):
+
+    * disjoint supports: not bracketed; passes exactly when the image sum
+      of its structure is zero;
+    * j == i: not bracketed, as antisymmetry makes the bracket zero; passes
+      exactly when the image sum is zero;
+    * j > i: bracketed; passes when the bracket is the image sum, or zero
+      for an empty structure;
+    * j < i: (g_j, g_i) has passed, so bracket(img_i, img_j) is minus its
+      image sum.  When the terms of (i, j), as a multiset, are its terms
+      negated, the pair passes with no bracket and no image sum; otherwise
+      (g_j, g_i) is bracketed again and compared with the negated image sum.
 
     bracket must be antisymmetric on the images.  The Poisson bracket and the
     Weyl commutator always are; the graded bracket is on even elements, so
-    verify_homomorphism refuses an odd fermionic image.  Each unordered pair
-    is bracketed at most once: the bracket of (g_i, g_j), j > i, is kept
-    until (g_j, g_i) comes up, where it is compared with the sum of
-    image(g3) * (-coeff) instead of being negated.  A pair whose structure is
-    empty passes exactly when its bracket is zero; no zero sum is built.
-    Each image sum is built once per check.  got and want are built, as
-    bracket (zero at disjoint supports) and image sum, only for a failing
-    pair."""
+    verify_homomorphism refuses an odd fermionic image.  Each image sum is
+    built once per check.  got and want are built only for a failing pair,
+    as the full loop builds them: got is the bracket (zero at disjoint
+    supports, the negated bracket of (g_j, g_i) when mirrored).  Rows are
+    built one at a time; the index and the terms kept for mirrored pairs go
+    with the check."""
+    n = len(gens)
     images = [image(g) for g in gens]
     supports = [support(img) for img in images]
+    users: dict = {}
+    for k, sup in enumerate(supports):
+        for pair in sup:
+            users.setdefault(pair, []).append(k)
     sums = {}
 
     def want(terms, negate: bool):
         key = (tuple(terms), negate)
         total = sums.get(key)
         if total is None:
-            total = sums[key] = _image_sum(terms, image, zero, negate)
+            total = sums[key] = _image_sum(terms, image, negate)
         return total
 
-    checked = 0
     later = {}
-    for i, g1 in enumerate(gens):
-        img1, sup1 = images[i], supports[i]
-        for j, g2 in enumerate(gens):
-            checked += 1
-            terms = structure(g1, g2)
-            if sup1.isdisjoint(supports[j]):
-                if terms and want(terms, False):
-                    return checked, (g1, g2, zero, want(terms, False))
-                continue
-            mirrored = j < i
-            if mirrored:
-                kept = later.pop((j, i))
-            else:
-                kept = bracket(img1, images[j])
-                if j > i:
-                    later[i, j] = kept
-            if not terms:
-                if not kept:
+    for i, img1 in enumerate(images):
+        structure = row(i)
+        meets = set().union(*(users[pair] for pair in supports[i]))
+        for j in sorted(meets.union(structure)):
+            terms = structure.get(j, [])
+            if j not in meets or j == i:
+                got = zero
+                if not terms or not want(terms, False):
                     continue
-            elif kept == want(terms, mirrored):
-                continue
-            got = -kept if mirrored else kept
-            return checked, (g1, g2, got, want(terms, False))
-    return checked, None
+            elif j < i:
+                if _negates(terms, later.pop((j, i))):
+                    continue
+                kept = bracket(images[j], img1)
+                if (kept == want(terms, True)) if terms else not kept:
+                    continue
+                got = -kept
+            else:
+                got = bracket(img1, images[j])
+                if (got == want(terms, False)) if terms else not got:
+                    later[i, j] = terms
+                    continue
+            return i * n + j + 1, (gens[i], gens[j], got, want(terms, False) if terms else zero)
+    return n * n, None
 
 
-def _image_sum(terms, image, zero, negate: bool):
-    """zero + the sum of image(g3) * coeff, or * -coeff when negate, over the
-    (coeff, g3) terms."""
-    total = zero
+def _negates(terms, mirror) -> bool:
+    """True when terms, taken as a multiset, are the terms of mirror with
+    every coefficient negated."""
+    negated = [(-coeff, g) for coeff, g in mirror]
+    if len(terms) != len(negated):
+        return False
+    return terms == negated[::-1] or all(terms.count(t) == negated.count(t) for t in terms)
+
+
+def _image_sum(terms, image, negate: bool):
+    """The sum of image(g3) * coeff, or * -coeff when negate, over the
+    (coeff, g3) terms, of which there is at least one; a coefficient of
+    +-1 costs no product."""
+    total = None
     for coeff, g3 in terms:
-        total = total + image(g3) * (-coeff if negate else coeff)
+        coeff = -coeff if negate else coeff
+        img = image(g3)
+        img = img if coeff == 1 else -img if coeff == -1 else img * coeff
+        total = img if total is None else total + img
     return total
 
 
@@ -678,9 +733,7 @@ def verify_homomorphism(inst: DualityInstance, flavor: str, mutation: str | None
                     raise OddImage(f"{side} image of {g.label()} is odd, so the graded "
                                    "bracket is not antisymmetric on it")
         count, failure = check_generator_pairs(
-            gens, images.__getitem__, bracket, support, partial(takiff_bracket, divisor=divisor),
-            zero,
-        )
+            gens, images.__getitem__, bracket, support, takiff_rows(divisor, size), zero)
         checked += count
         if failure:
             g1, g2, got, want = failure

@@ -94,7 +94,15 @@ def _list(value, name: str) -> list:
 
 
 def _points(raw, name: str) -> list[tuple[Fraction, int]]:
-    return [(rat(p), _integer(t, "a Takiff degree")) for p, t in _list(raw, name)]
+    """A divisor field: a list of [point, Takiff degree] lists."""
+    points = []
+    for k, entry in enumerate(_list(raw, name)):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise SpecValidationError(
+                f"{name} entry {k} must be a JSON list [point, Takiff degree], not {entry!r}")
+        p, t = entry
+        points.append((rat(p), _integer(t, f"the Takiff degree of {name} entry {k}")))
+    return points
 
 
 def _model(spec: dict) -> str:

@@ -545,3 +545,36 @@ def test_readme_python_example_prints_a_passing_report():
                           env=dict(os.environ, PYTHONPATH=str(root / "src")))
     assert proc.returncode == 0, proc.stderr
     assert "'status': 'pass'" in proc.stdout
+
+
+def _with_divisor_entry(model, field, bad):
+    """A spec of model whose field ends with the entry bad."""
+    if model == "cyclotomic":
+        return dict(_CYCLO, kind="cyclotomic", N=3, **{field: [["1", 1], bad]})
+    return dict(_GAUDIN, kind="classical-bosonic", **{field: [["1", 1], bad]})
+
+
+@pytest.mark.parametrize(
+    "model, field, bad",
+    [("gaudin", "divisor", ["1", 1, "x"]),
+     ("gaudin", "divisor", 5),
+     ("gaudin", "divisor", []),
+     ("gaudin", "dual_divisor", "ab"),
+     ("cyclotomic", "divisor", ["2"])],
+    ids=["three-fields", "number", "empty", "string", "cyclotomic-one-field"],
+)
+def test_cli_exit_2_on_a_malformed_divisor_entry(tmp_path, capsys, model, field, bad):
+    # these were refused with a bare unpacking error, and "ab" was read as a
+    # (point, degree) pair
+    doc = [_NEUMANN, _with_divisor_entry(model, field, bad)]
+    assert cli.main(["verify", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        f"instance 1 invalid: {field} entry 1 must be a JSON list [point, Takiff degree], "
+        f"not {bad!r}\n")
+
+
+def test_cli_exit_2_on_a_float_degree_names_the_entry(tmp_path, capsys):
+    doc = [_with_divisor_entry("gaudin", "dual_divisor", ["7", 1.5])]
+    assert cli.main(["verify", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == ("instance 0 invalid: the Takiff degree of dual_divisor "
+                                       "entry 1 must be a JSON integer, not 1.5\n")

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -119,32 +118,30 @@ def test_classical_images_share_one_table():
 
 @pytest.mark.parametrize("flavor", ["classical", "quantum", "fermionic"])
 def test_reversed_pairs_are_checked(monkeypatch, flavor):
-    """A structure map wrong only on reversed pairs (g1 after g2 in
+    """Takiff rows wrong only on reversed pairs (g1 after g2 in
     takiff_generators order) must fail, and the witness must carry the
     bracket of that reversed pair as a fresh computation gives it."""
     inst = make(2, 2, [(1, 2)], [(5, 1), (7, 1)])
     assert verify_homomorphism(inst, flavor)["status"] == "pass"
     sides = {"glM": (inst.div_z, inst.M, inst.realize_glM),
              "glN": (inst.div_lam, inst.N, inst.realize_glN)}
-    gens = {side: takiff_generators(div, size) for side, (div, size, _) in sides.items()}
-    index = {(div, g): n for side, (div, _, _) in sides.items()
-             for n, g in enumerate(gens[side])}
-    original = gaudin.takiff_bracket
+    original = gaudin.takiff_rows
 
-    def reversed_negated(g1, g2, divisor):
-        terms = original(g1, g2, divisor)
-        if index[divisor, g1] > index[divisor, g2]:
-            return [(-c, g) for c, g in terms]
-        return terms
+    def reversed_negated(divisor, size):
+        row = original(divisor, size)
+        return lambda i: {j: [(-c, g) for c, g in terms] if j < i else terms
+                          for j, terms in row(i).items()}
 
-    monkeypatch.setattr(gaudin, "takiff_bracket", reversed_negated)
+    monkeypatch.setattr(gaudin, "takiff_rows", reversed_negated)
     report = verify_homomorphism(inst, flavor)
     assert report["status"] == "fail"
     witness = report["witness"]
-    div, _, realize = sides[witness["side"]]
-    by_label = {g.label(): g for g in gens[witness["side"]]}
-    g1, g2 = (by_label[label] for label in witness["pair"])
-    assert index[div, g1] > index[div, g2]
+    div, size, realize = sides[witness["side"]]
+    gens = takiff_generators(div, size)
+    index = {g.label(): n for n, g in enumerate(gens)}
+    n1, n2 = (index[label] for label in witness["pair"])
+    assert n1 > n2
+    g1, g2 = gens[n1], gens[n2]
     bracket, _ = gaudin._bracket_for(flavor, inst)
     assert witness["got"] == repr(bracket(realize(g1, flavor), realize(g2, flavor)))
 
@@ -177,13 +174,15 @@ def test_cyclotomic_brackets_of_images_are_antisymmetric():
 # -- the lean pair loop against the full one ------------------------------------
 
 
-def check_generator_pairs_reference(gens, image, bracket, structure, zero):
+def check_generator_pairs_reference(gens, image, bracket, row, zero):
     """The direct form of gaudin.check_generator_pairs, kept as its oracle:
-    every pair is bracketed, whatever its supports, every want is summed and
-    compared, every mirrored bracket negated."""
+    every pair is visited and bracketed, whatever its supports and its row
+    entry, every want is summed and compared, every mirrored bracket
+    negated."""
     checked = 0
     later = {}
     for i, g1 in enumerate(gens):
+        structure = row(i)
         for j, g2 in enumerate(gens):
             checked += 1
             if j < i:
@@ -193,7 +192,7 @@ def check_generator_pairs_reference(gens, image, bracket, structure, zero):
                 if j > i:
                     later[i, j] = got
             want = zero
-            for coeff, g3 in structure(g1, g2):
+            for coeff, g3 in structure.get(j, []):
                 want = want + image(g3) * coeff
             if got != want:
                 return checked, (g1, g2, got, want)
@@ -208,11 +207,11 @@ def _outcome(result):
     return checked, repr(got), repr(want), (g1, g2)
 
 
-def _both_loops(gens, image, bracket, support, structure, zero):
+def _both_loops(gens, image, bracket, support, row, zero):
     """The lean loop, given the real support function, and the reference,
-    which needs none."""
-    lean = check_generator_pairs(gens, image, bracket, support, structure, zero)
-    reference = check_generator_pairs_reference(gens, image, bracket, structure, zero)
+    which needs none, on the same rows."""
+    lean = check_generator_pairs(gens, image, bracket, support, row, zero)
+    reference = check_generator_pairs_reference(gens, image, bracket, row, zero)
     assert _outcome(lean) == _outcome(reference)
     return lean
 
@@ -245,11 +244,25 @@ def test_lean_pair_loop_matches_the_reference(monkeypatch, spec, mutation):
 
 
 def _quantum_glM():
-    """The generators, images, bracket and structure of one gl_M side."""
+    """The generators, images and Takiff rows of one gl_M side."""
     inst = make(2, 2, [(1, 2)], [(5, 1), (7, 1)])
     gens = takiff_generators(inst.div_z, inst.M)
     images = {g: inst.realize_glM(g, "quantum") for g in gens}
-    return gens, images, partial(gaudin.takiff_bracket, divisor=inst.div_z)
+    return gens, images, gaudin.takiff_rows(inst.div_z, inst.M)
+
+
+def _with_entry(rows, i, j, change):
+    """rows with row i's entry at j, [] where absent, replaced by
+    change(entry); None drops it."""
+    def row(k):
+        out = rows(k)
+        if k == i:
+            entry = change(out.pop(j, []))
+            if entry is not None:
+                out[j] = entry
+        return out
+
+    return row
 
 
 def _meet(images, g1, g2):
@@ -257,14 +270,9 @@ def _meet(images, g1, g2):
 
 
 def test_structure_wrong_only_at_one_mirrored_pair():
-    gens, images, structure = _quantum_glM()
-    i, j = next((i, j) for i in range(len(gens)) for j in range(i)
-                if structure(gens[i], gens[j]))
-
-    def wrong(g1, g2):
-        terms = structure(g1, g2)
-        return [(-c, g) for c, g in terms] if (g1, g2) == (gens[i], gens[j]) else terms
-
+    gens, images, rows = _quantum_glM()
+    i, j = next((i, j) for i in range(len(gens)) for j in range(i) if j in rows(i))
+    wrong = _with_entry(rows, i, j, lambda terms: [(-c, g) for c, g in terms])
     checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, weyl_support,
                                    wrong, WeylElement.zero())
     assert checked == i * len(gens) + j + 1
@@ -275,16 +283,16 @@ def test_structure_wrong_only_at_one_mirrored_pair():
 def test_bracket_nonzero_on_one_empty_structure_pair():
     """The fault is injected at a pair whose supports meet, the only kind the
     lean loop brackets."""
-    gens, images, structure = _quantum_glM()
+    gens, images, rows = _quantum_glM()
     i, j = next((i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
-                if not structure(gens[i], gens[j]) and _meet(images, gens[i], gens[j]))
+                if j not in rows(i) and _meet(images, gens[i], gens[j]))
     extra = WeylElement.x(1, 1)
 
     def faulty(a, b):
         bracket = weyl_commutator(a, b)
         return bracket + extra if (a, b) == (images[gens[i]], images[gens[j]]) else bracket
 
-    checked, failure = _both_loops(gens, images.__getitem__, faulty, weyl_support, structure,
+    checked, failure = _both_loops(gens, images.__getitem__, faulty, weyl_support, rows,
                                    WeylElement.zero())
     assert checked == i * len(gens) + j + 1
     assert failure[:2] == (gens[i], gens[j]) and failure[2] == extra and not failure[3]
@@ -295,15 +303,11 @@ def test_structure_wrong_at_one_support_disjoint_pair(mirrored):
     """A nonzero structure term on a pair of a finite-point generator and an infinity
     generator, whose image is a constant: the pair is not bracketed, yet it fails there,
     with got zero and want the image of the term."""
-    gens, images, structure = _quantum_glM()
+    gens, images, rows = _quantum_glM()
     i, j = next((i, j) for i in range(len(gens)) for j in range(len(gens))
                 if (j < i) == mirrored and (gens[i].point is None) != (gens[j].point is None))
     assert not _meet(images, gens[i], gens[j])
-
-    def wrong(g1, g2):
-        terms = structure(g1, g2)
-        return terms + [(1, gens[0])] if (g1, g2) == (gens[i], gens[j]) else terms
-
+    wrong = _with_entry(rows, i, j, lambda terms: terms + [(1, gens[0])])
     checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, weyl_support,
                                    wrong, WeylElement.zero())
     assert checked == i * len(gens) + j + 1
@@ -313,17 +317,59 @@ def test_structure_wrong_at_one_support_disjoint_pair(mirrored):
 
 
 def test_fault_on_a_diagonal_pair():
-    gens, images, structure = _quantum_glM()
+    gens, images, rows = _quantum_glM()
     k = 2
-
-    def faulty(g1, g2):
-        terms = structure(g1, g2)
-        return terms + [(1, gens[0])] if g1 == g2 == gens[k] else terms
-
+    faulty = _with_entry(rows, k, k, lambda terms: terms + [(1, gens[0])])
     checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, weyl_support,
                                    faulty, WeylElement.zero())
     assert checked == k * len(gens) + k + 1
     assert failure[:2] == (gens[k], gens[k]) and failure[3] == images[gens[0]]
+
+
+def _faulty_takiff_rows(monkeypatch, choose, change):
+    """Patch gaudin.takiff_rows so that on the quantum gl_M side of
+    _quantum_glM the entry (i, j) = choose(gens, images, rows) is replaced
+    by change(entry); both loops and verify_homomorphism must fail at
+    (i, j), at its row-major index.  Returns the loop's failure."""
+    gens, images, rows = _quantum_glM()
+    i, j = choose(gens, images, rows)
+    glM = Divisor.of([(1, 2)])
+    original = gaudin.takiff_rows
+
+    def patched(divisor, size):
+        row = original(divisor, size)
+        return _with_entry(row, i, j, change) if divisor == glM else row
+
+    monkeypatch.setattr(gaudin, "takiff_rows", patched)
+    checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, weyl_support,
+                                   gaudin.takiff_rows(glM, 2), WeylElement.zero())
+    assert checked == i * len(gens) + j + 1 and failure[:2] == (gens[i], gens[j])
+    report = verify_homomorphism(make(2, 2, [(1, 2)], [(5, 1), (7, 1)]), "quantum")
+    assert report["status"] == "fail" and report["pairs_checked"] == checked
+    assert report["witness"]["pair"] == (gens[i].label(), gens[j].label())
+    return failure
+
+
+def test_a_row_missing_an_entry_where_supports_meet_fails_there(monkeypatch):
+    def choose(gens, images, rows):
+        return next((i, j) for i in range(len(gens)) for j, terms in rows(i).items()
+                    if _meet(images, gens[i], gens[j])
+                    and sum((images[g] * c for c, g in terms), WeylElement.zero()))
+
+    _, _, got, want = _faulty_takiff_rows(monkeypatch, choose, lambda terms: None)
+    assert got and not want
+
+
+def test_a_row_with_an_extra_entry_at_a_disjoint_pair_fails_there(monkeypatch):
+    """Both generators at the finite point, so neither image is a constant."""
+    def choose(gens, images, rows):
+        return next((i, j) for i in range(len(gens)) for j in range(len(gens))
+                    if gens[i].point == gens[j].point == 0 and j not in rows(i)
+                    and not _meet(images, gens[i], gens[j]))
+
+    _, _, got, want = _faulty_takiff_rows(monkeypatch, choose,
+                                          lambda terms: terms + [(1, TakiffGen(0, 0, 1, 1))])
+    assert repr(got) == "0" and want
 
 
 @pytest.mark.parametrize("spec, mutation", [case[1:] for case in SMALL_GRID],
@@ -335,7 +381,7 @@ def test_disjoint_supports_give_a_zero_bracket(monkeypatch, spec, mutation):
     disjoint, the bracket is zero."""
     disjoint = []
 
-    def spy(gens, image, bracket, support, structure, zero):
+    def spy(gens, image, bracket, support, row, zero):
         images = [image(g) for g in gens]
         supports = [support(img) for img in images]
         for a, sa in zip(images, supports):
@@ -343,7 +389,7 @@ def test_disjoint_supports_give_a_zero_bracket(monkeypatch, spec, mutation):
                 if sa.isdisjoint(sb):
                     disjoint.append(bracket.__name__)
                     assert not bracket(a, b)
-        return original(gens, image, bracket, support, structure, zero)
+        return original(gens, image, bracket, support, row, zero)
 
     original = gaudin.check_generator_pairs
     monkeypatch.setattr(gaudin, "check_generator_pairs", spy)
