@@ -9,8 +9,9 @@ wrongly):
 * Infinity images are built from the dual divisor's Jordan data.  On the
   gl_M side every flavor reads off the (b, a) entry of -(+)J_k(-lambda_c);
   on the gl_N side the bosonic maps read the (j, i) entry of
-  -(+)J_k(-z_k) and the fermionic map reads (i, j).  These orientations
-  are forced by the determinant factorizations and are unit-tested.
+  -(+)J_k(-z_k) and the fermionic map, which swaps i and j in its Takiff
+  sum too, reads (i, j).  These orientations are forced by the determinant
+  factorizations and are unit-tested.
 * The gl_M-side Lax matrix is stored transposed, entry (a, b) carrying the
   coefficient attached to E_ab; determinants do not care and the quantum
   cdet wants exactly this layout.
@@ -217,48 +218,49 @@ class DualityInstance:
 
     # -- realization homomorphisms ---------------------------------------
 
+    def ring(self, flavor: str):
+        """(x, p, zero, bracket, support) of a flavor's ring: x(a, i) and
+        p(a, i) give a canonical pair (x and d in U_b, pi and psi in P_f), and
+        bracket pairs only conjugates, so it is zero on disjoint supports."""
+        if flavor == "classical":
+            var = self.var
+            return (lambda a, i: var[f"x{a}_{i}"], lambda a, i: var[f"p{a}_{i}"],
+                    MultiPoly.const(Q(0)), poisson_bracket, poisson_support)
+        if flavor == "quantum":
+            zero = WeylElement.const(Q(0))
+            return WeylElement.x, WeylElement.d, zero, weyl_commutator, weyl_support
+        if flavor == "fermionic":
+            galg, zero = self._galg, GrassmannElement.const(Q(0))
+            return galg.pi, galg.psi, zero, galg.graded_bracket, galg.support
+        raise ValueError(f"unknown flavor {flavor!r}")
+
     def realize_glM(self, g: TakiffGen, flavor: str, mutation: str | None = None):
-        """Image of a gl_M^D basis element in P_b, P_f or U_b."""
+        """Image of a gl_M^D basis element: the Takiff sum of x^a_(u+depth) p^b_u."""
         if not (1 <= g.row <= self.M and 1 <= g.col <= self.M):
             raise IndexOutOfRange(f"generator indices {g.row},{g.col} exceed M={self.M}")
         a, b = g.row, g.col
+        x, p, zero, _, _ = self.ring(flavor)
         if g.point is INF:
             # (b, a) entry for every flavor: the determinant factorization pins
             # the relative orientation of the Jordan data against the
             # finite-point images, and it is the same on the bosonic and
             # fermionic sides (exact counterexample otherwise at tau~ = 2)
-            return _const(flavor, -self._jordan_lam[b - 1][a - 1], self._galg)
-        if flavor == "classical":
-            term = lambda u, v: self.var[f"x{a}_{v}"] * self.var[f"p{b}_{u}"]
-        elif flavor == "quantum":
-            term = lambda u, v: WeylElement.x(a, v) * WeylElement.d(b, u)
-        elif flavor == "fermionic":
-            term = lambda u, v: self._galg.pi(a, v) * self._galg.psi(b, u)
-        else:
-            raise ValueError(f"unknown flavor {flavor!r}")
+            return zero - self._jordan_lam[b - 1][a - 1]
         return takiff_block_sum(self.div_z.block_offsets()[g.point], self.div_z.points[g.point][1],
-                                g.depth, term, _const(flavor, Q(0), self._galg), mutation)
+                                g.depth, lambda u, v: x(a, v) * p(b, u), zero, mutation)
 
     def realize_glN(self, g: TakiffGen, flavor: str, mutation: str | None = None):
-        """Image of a gl_N^D~ basis element; note the derivative-first order
-        of the quantum map."""
+        """Image of a gl_N^D~ basis element: the Takiff sum of p^u_j x^(u+depth)_i,
+        (j, i) at infinity; the fermionic map swaps i and j in both."""
         if not (1 <= g.row <= self.N and 1 <= g.col <= self.N):
             raise IndexOutOfRange(f"generator indices {g.row},{g.col} exceed N={self.N}")
-        i, j = g.row, g.col
+        i, j = (g.col, g.row) if flavor == "fermionic" else (g.row, g.col)
+        x, p, zero, _, _ = self.ring(flavor)
         if g.point is INF:
-            r, c = (i, j) if flavor == "fermionic" else (j, i)
-            return _const(flavor, -self._jordan_z[r - 1][c - 1], self._galg)
-        if flavor == "classical":
-            term = lambda u, v: self.var[f"p{u}_{j}"] * self.var[f"x{v}_{i}"]
-        elif flavor == "quantum":
-            term = lambda u, v: WeylElement.d(u, j) * WeylElement.x(v, i)
-        elif flavor == "fermionic":
-            term = lambda u, v: self._galg.psi(u, i) * self._galg.pi(v, j)
-        else:
-            raise ValueError(f"unknown flavor {flavor!r}")
+            return zero - self._jordan_z[j - 1][i - 1]
         return takiff_block_sum(self.div_lam.block_offsets()[g.point],
-                                self.div_lam.points[g.point][1], g.depth, term,
-                                _const(flavor, Q(0), self._galg), mutation)
+                                self.div_lam.points[g.point][1], g.depth,
+                                lambda u, v: p(u, j) * x(v, i), zero, mutation)
 
     # -- realized Lax matrices --------------------------------------------
 
@@ -301,16 +303,6 @@ def ratfunc_lax(lax: list[list[list[tuple]]], var: str) -> RingMatrix:
     side can clear its terms by _cleared like the classical sides."""
     return RingMatrix([[sum((RatFunc(var, {0: img}, {pole: order}) for img, pole, order in terms),
                             RatFunc.const(var, 0)) for terms in row] for row in lax])
-
-
-def _const(flavor: str, value: Fraction, galg: GrassmannAlgebra):
-    if flavor == "classical":
-        return MultiPoly.const(value)
-    if flavor == "quantum":
-        return WeylElement.const(value)
-    if flavor == "fermionic":
-        return GrassmannElement.const(value)
-    raise ValueError(f"unknown flavor {flavor!r}")
 
 
 def _sample_map(inst: DualityInstance, seed: int) -> dict:
@@ -477,11 +469,15 @@ def quantum_operator_sides(inst: DualityInstance):
     """The two sides of the quantum duality as one-sidedly ordered operators
     (left: in U(z)[Dz]; right: in U(Dz)[z]) after multiplying the stated
     prefactors."""
-    # left: prod (z - z_i)^tau_i cdet(Dz 1 - tL^D(z))
-    left = _cdet_side(ratfunc_lax(inst.lax_glM("quantum"), "z").entries, inst.div_z, "z")
+    left = _quantum_z_side(inst)
     # right: prod (Dz - lam_a)^tau~_a cdet(z 1 - L^D~(Dz))
     right = _cdet_side(ratfunc_lax(inst.lax_glN("quantum"), "dz").entries, inst.div_lam, "dz")
     return left, right
+
+
+def _quantum_z_side(inst: DualityInstance) -> OrderedDiffOp:
+    """The left quantum side, prod (z - z_i)^tau_i cdet(Dz 1 - tL^D(z))."""
+    return _cdet_side(ratfunc_lax(inst.lax_glM("quantum"), "z").entries, inst.div_z, "z")
 
 
 def _cdet_side(entries: list[list[RatFunc]], divisor: Divisor, var: str) -> OrderedDiffOp:
@@ -552,8 +548,7 @@ def extract_gaudin_generators(inst: DualityInstance, flavor: str) -> list:
     if flavor == "classical":
         return spectral_coefficients(_classical_spectral_poly(inst))
     if flavor == "quantum":
-        left = _cdet_side(ratfunc_lax(inst.lax_glM("quantum"), "z").entries, inst.div_z, "z")
-        return _partial_fraction_generators(left, inst.div_z)
+        return _partial_fraction_generators(_quantum_z_side(inst), inst.div_z)
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
@@ -601,19 +596,6 @@ def check_commutativity(generators: list, flavor: str) -> dict:
 
 
 # -- homomorphism checks -------------------------------------------------------
-
-
-def _bracket_for(flavor: str, inst: DualityInstance):
-    """The bracket of a flavor's images and its support function: a
-    biderivation that pairs only conjugate generators, so it is zero on two
-    elements whose supports are disjoint."""
-    if flavor == "classical":
-        return poisson_bracket, poisson_support
-    if flavor == "quantum":
-        return weyl_commutator, weyl_support
-    if flavor == "fermionic":
-        return inst._galg.graded_bracket, inst._galg.support
-    raise ValueError(flavor)
 
 
 def check_generator_pairs(gens: list, image, bracket, support, row, zero):
@@ -720,18 +702,16 @@ def _image_sum(terms, image, negate: bool):
 def verify_homomorphism(inst: DualityInstance, flavor: str, mutation: str | None = None) -> dict:
     """Exhaustive generator-pair check that bracket-of-images equals
     image-of-bracket on both realization maps."""
-    bracket, support = _bracket_for(flavor, inst)
-    zero = _const(flavor, Q(0), inst._galg)
+    _, _, zero, bracket, support = inst.ring(flavor)
     checked = 0
     for side, divisor, size, realize in (("glM", inst.div_z, inst.M, inst.realize_glM),
                                          ("glN", inst.div_lam, inst.N, inst.realize_glN)):
         gens = takiff_generators(divisor, size)
         images = {g: realize(g, flavor, mutation) for g in gens}
-        if flavor == "fermionic":
-            for g, img in images.items():
-                if img.parity():
-                    raise OddImage(f"{side} image of {g.label()} is odd, so the graded "
-                                   "bracket is not antisymmetric on it")
+        for g, img in images.items():
+            if img.parity():
+                raise OddImage(f"{side} image of {g.label()} is odd, so the graded "
+                               "bracket is not antisymmetric on it")
         count, failure = check_generator_pairs(
             gens, images.__getitem__, bracket, support, takiff_rows(divisor, size), zero)
         checked += count

@@ -399,6 +399,10 @@ class MultiPoly:
             raise ValueError("polynomial is not constant")
         return self.terms.get(0, 0)
 
+    def parity(self) -> int:
+        """0: a polynomial is even, like every element of a bosonic ring."""
+        return 0
+
     def num_terms(self) -> int:
         return len(self.terms)
 

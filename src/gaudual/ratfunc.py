@@ -12,10 +12,10 @@ usable for ordered differential-operator coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import lcm
 
 from .errors import NotInvertible, ResidualPole, UnlistedPole, ZeroInverse
+from .multipoly import _monic_product
 
 Poly = dict  # degree -> coefficient
 
@@ -109,19 +109,10 @@ def _is_scalar(a: Poly) -> bool:
 
 def expand_factors(factors: dict[Fraction, int]) -> Poly:
     """prod (X - root)^mult over a {root: mult} map, as a dict of the
-    caller's own; the product is expanded once per set of factors."""
-    return dict(_expanded(tuple(sorted(factors.items()))))
-
-
-@cache
-def _expanded(factors: tuple[tuple[Fraction, int], ...]) -> tuple:
-    """The items of prod (X - root)^mult over sorted (root, mult) pairs."""
-    out: Poly = {0: Fraction(1)}
-    for root, mult in factors:
-        lin = {1: Fraction(1), 0: -root}
-        for _ in range(mult):
-            out = poly_mul(out, lin)
-    return tuple(out.items())
+    caller's own; the product is expanded once per set of factors
+    (multipoly._monic_product)."""
+    degree, lower = _monic_product(tuple(sorted(factors.items())))
+    return {**dict(lower), degree: 1}
 
 
 def rational_roots(a: Poly) -> tuple[dict[Fraction, int], Poly]:

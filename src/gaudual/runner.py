@@ -77,6 +77,9 @@ KIND_KEYS = {"homomorphism": {"realization"}, "commutativity": {"flavor"},
              "lax-algebra": {"which"}}
 # the top-level fields of the README schema
 SPEC_KEYS = set().union(*MODEL_KEYS.values(), *KIND_KEYS.values())
+# 2^14284 < 10^4300: a guard estimate of at most this many bits has at most
+# 4,300 digits, Python's default limit for str() of an int, so it is shown
+_SHOWN_BITS = 14_284
 
 
 def _integer(value, name: str) -> int:
@@ -105,6 +108,11 @@ def _points(raw, name: str) -> list[tuple[Fraction, int]]:
     return points
 
 
+def _one_of(value, choices) -> bool:
+    """value in choices, for any JSON value: a list or dict is no choice."""
+    return isinstance(value, str) and value in choices
+
+
 def _model(spec: dict) -> str:
     """The model dispatch builds an instance on: "neumann", "cyclotomic"
     (CycloInstance) or "gaudin" (DualityInstance)."""
@@ -124,7 +132,7 @@ def validate_instance(spec: dict) -> None:
     if not isinstance(spec, dict):
         raise SpecValidationError(f"an instance must be a JSON object, not {spec!r}")
     kind = spec.get("kind")
-    if kind not in KINDS:
+    if not _one_of(kind, KINDS):
         raise SpecValidationError(f"unknown kind {kind!r}")
     try:
         _check_choices(kind, spec)
@@ -191,12 +199,13 @@ def _check_choices(kind: str, spec: dict) -> None:
         raise SpecValidationError(
             f"unknown field {unknown[0]!r}; expected fields among {sorted(SPEC_KEYS)}"
         )
-    if kind == "lax-algebra" and spec.get("which") not in LAX_FAMILIES:
+    if kind == "lax-algebra" and not _one_of(spec.get("which"), LAX_FAMILIES):
         raise SpecValidationError(
-            f"unknown Lax algebra family {spec.get('which')!r}; "
+            f"unknown Lax algebra family {spec.get('which')!r} in field 'which'; "
             f"expected one of {sorted(LAX_FAMILIES)}"
         )
-    if kind == "commutativity" and spec.get("flavor", "classical") not in COMMUTATIVITY_FLAVORS:
+    if kind == "commutativity" and not _one_of(spec.get("flavor", "classical"),
+                                               COMMUTATIVITY_FLAVORS):
         raise SpecValidationError(
             f"unknown commutativity flavor {spec.get('flavor')!r}; "
             f"expected one of {sorted(COMMUTATIVITY_FLAVORS)}"
@@ -204,7 +213,7 @@ def _check_choices(kind: str, spec: dict) -> None:
     allowed = set()
     if kind == "homomorphism":
         realization = spec.get("realization", "classical-bosonic")
-        if realization not in MUTATIONS:
+        if not _one_of(realization, MUTATIONS):
             raise SpecValidationError(
                 f"unknown realization {realization!r}; expected one of {sorted(MUTATIONS)}"
             )
@@ -218,7 +227,7 @@ def _check_choices(kind: str, spec: dict) -> None:
             f"unknown option {unknown[0]!r}; expected keys among {sorted(OPTION_KEYS)}"
         )
     for key, choices in OPTION_CHOICES.items():
-        if key in options and options[key] not in choices:
+        if key in options and not _one_of(options[key], choices):
             raise SpecValidationError(
                 f"unknown {key} {options[key]!r}; expected one of {sorted(choices)}"
             )
@@ -230,7 +239,7 @@ def _check_choices(kind: str, spec: dict) -> None:
     if options.get("symbolic_mu") and options.get("quantum_candidate"):
         raise SpecValidationError("the quantum candidate needs a rational mu, not symbolic_mu")
     mutation = options.get("mutation")
-    if mutation is not None and mutation not in allowed:
+    if mutation is not None and not _one_of(mutation, allowed):
         raise SpecValidationError(
             f"unknown mutation {mutation!r} for {kind}; expected one of {sorted(allowed)}"
         )
@@ -240,14 +249,18 @@ def _size_guard(spec: dict, max_terms: int) -> None:
     M = int(spec.get("M", 1))
     N = int(spec.get("N", 1))
     # crude desk-scale ceiling: the bivariate determinant has at most
-    # (M + N)! * 4^(M + N) monomials before cancellation
-    import math
-
-    estimate = math.factorial(M + N) * 4 ** (M + N)
+    # (M + N)! * 4^(M + N) monomials before cancellation.  The estimate is
+    # built one factor at a time, and only while it is at most max_terms or
+    # printable, so a huge M + N costs a few thousand small products
+    estimate, k = 1, 0
+    while k < M + N and (estimate <= max_terms or estimate.bit_length() <= _SHOWN_BITS):
+        k += 1
+        estimate *= 4 * k
     if estimate > max_terms:
+        shown = (estimate if estimate.bit_length() <= _SHOWN_BITS
+                 else f"(M + N)! * 4^(M + N) at M = {M}, N = {N}")
         raise GuardExceeded(
-            f"{spec['kind']} instance estimate {estimate} exceeds --max-terms {max_terms}"
-        )
+            f"{spec['kind']} instance estimate {shown} exceeds --max-terms {max_terms}")
 
 
 def _build_duality(spec: dict) -> DualityInstance:

@@ -206,6 +206,10 @@ class WeylElement:
 
     __hash__ = None
 
+    def parity(self) -> int:
+        """0: a Weyl element is even, like every element of a bosonic ring."""
+        return 0
+
     def num_terms(self) -> int:
         return len(self.terms)
 

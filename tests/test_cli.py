@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -253,6 +255,26 @@ def test_guard_rejects_oversized_instance():
         "classical-bosonic instance estimate 6144 exceeds --max-terms 10")
 
 
+@pytest.mark.parametrize("M", [1307, 1308, 10**6])
+def test_guard_refuses_a_large_instance_quickly(M):
+    """The estimate is built one factor at a time: at M = 10**6 the guard
+    answers in well under a second, and past 4,300 digits, where str() of
+    the estimate raises ValueError, its message names M and N instead."""
+    spec = {"kind": "classical-bosonic", "M": M, "N": 1, "divisor": [["1", 1]],
+            "dual_divisor": [["5", M]]}
+    start = time.perf_counter()
+    report = run_instance(spec)
+    assert time.perf_counter() - start < 1
+    assert report["status"] == "error"
+    if M == 1307:
+        estimate = math.factorial(M + 1) * 4 ** (M + 1)
+        want = f"classical-bosonic instance estimate {estimate} exceeds --max-terms 10000000"
+    else:
+        want = (f"classical-bosonic instance estimate (M + N)! * 4^(M + N) at M = {M}, N = 1 "
+                "exceeds --max-terms 10000000")
+    assert report["witness"] == {"guard": want}
+
+
 _GAUDIN = {"M": 1, "N": 1, "divisor": [["1", 1]], "dual_divisor": [["5", 1]]}
 _CYCLO = {"M": 2, "N": 2, "tau0": 2, "divisor": [], "lambda_points": ["5", "7"], "mu": "-1"}
 _CYCLO_NO_MU = {key: value for key, value in _CYCLO.items() if key != "mu"}
@@ -394,6 +416,37 @@ def test_cli_exit_2_on_bad_option_value(tmp_path, options, message):
     proc = run_cli("verify", str(path))
     assert proc.returncode == 2
     assert message in proc.stderr
+
+
+# a list or dict where a choice field takes a name: each is refused by the
+# field it stands in, not with a TypeError or a bare "unhashable type"
+_UNHASHABLE_CHOICES = [
+    (dict(_GAUDIN, kind=[]), "unknown kind []"),
+    (dict(_GAUDIN, kind={}), "unknown kind {}"),
+    (dict(_GAUDIN, kind="homomorphism", realization=[]), "unknown realization []"),
+    (dict(_GAUDIN, kind="commutativity", flavor={}), "unknown commutativity flavor {}"),
+    (dict(_CYCLO, kind="lax-algebra", which=[]), "unknown Lax algebra family [] in field 'which'"),
+    (dict(_GAUDIN, kind="homomorphism", options={"mutation": []}), "unknown mutation []"),
+    (dict(_GAUDIN, kind="homomorphism", options={"expect": {}}), "unknown expect {}"),
+    (dict(_GAUDIN, kind="classical-bosonic", options={"mode": []}), "unknown mode []"),
+]
+
+
+@pytest.mark.parametrize("spec, message", _UNHASHABLE_CHOICES,
+                         ids=["kind-list", "kind-dict", "realization", "flavor", "which",
+                              "mutation", "expect", "mode"])
+def test_cli_exit_2_on_an_unhashable_choice_names_the_field(tmp_path, capsys, spec, message):
+    assert cli.main(["verify", _write(tmp_path, [spec])]) == 2
+    err = capsys.readouterr().err
+    assert f"instance 0 invalid: {message}" in err
+    assert "unhashable" not in err
+
+
+def test_cli_exit_2_on_a_list_kind_without_a_traceback(tmp_path):
+    proc = run_cli("verify", _write(tmp_path, [dict(_GAUDIN, kind=[])]))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "unknown kind []" in proc.stderr
 
 
 def test_cli_exit_2_on_quantum_candidate_with_symbolic_mu(tmp_path):

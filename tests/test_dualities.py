@@ -189,7 +189,7 @@ def _transposed_infinity(monkeypatch):
 
     def mutated(self, g, flavor, mutation=None):
         if g.point is gaudin.INF:
-            return gaudin._const(flavor, -self._jordan_lam[g.row - 1][g.col - 1], self._galg)
+            return self.ring(flavor)[2] - self._jordan_lam[g.row - 1][g.col - 1]
         return realize(self, g, flavor, mutation)
 
     monkeypatch.setattr(DualityInstance, "realize_glM", mutated)
@@ -203,7 +203,7 @@ def _transposed_infinity_glN(monkeypatch):
     def mutated(self, g, flavor, mutation=None):
         if g.point is gaudin.INF:
             r, c = (g.col, g.row) if flavor == "fermionic" else (g.row, g.col)
-            return gaudin._const(flavor, -self._jordan_z[r - 1][c - 1], self._galg)
+            return self.ring(flavor)[2] - self._jordan_z[r - 1][c - 1]
         return realize(self, g, flavor, mutation)
 
     monkeypatch.setattr(DualityInstance, "realize_glN", mutated)

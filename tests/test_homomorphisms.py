@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,11 @@ from gaudual import cyclotomic, gaudin
 from gaudual.cyclotomic import CycloDivisor, CycloInstance, verify_cyclotomic_homomorphisms
 from gaudual.gaudin import (Divisor, DualityInstance, TakiffGen, check_generator_pairs,
                            extract_gaudin_generators, takiff_generators, verify_homomorphism)
+from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
 from gaudual.presets import homomorphism_grid
-from gaudual.runner import MUTATIONS, run_instance
+from gaudual.runner import MUTATIONS, _build_duality, run_instance
 from gaudual.weyl import WeylElement, weyl_commutator, weyl_support
 
 
@@ -142,7 +144,7 @@ def test_reversed_pairs_are_checked(monkeypatch, flavor):
     n1, n2 = (index[label] for label in witness["pair"])
     assert n1 > n2
     g1, g2 = gens[n1], gens[n2]
-    bracket, _ = gaudin._bracket_for(flavor, inst)
+    _, _, _, bracket, _ = inst.ring(flavor)
     assert witness["got"] == repr(bracket(realize(g1, flavor), realize(g2, flavor)))
 
 
@@ -155,7 +157,7 @@ def test_brackets_of_images_are_antisymmetric(flavor):
     """The generator-pair check reuses -[a, b] for [b, a]; this holds on
     every pair of realized images (the fermionic ones are all even)."""
     inst = make(2, 2, [(1, 2)], [(5, 1), (7, 1)])
-    bracket, _ = gaudin._bracket_for(flavor, inst)
+    _, _, _, bracket, _ = inst.ring(flavor)
     for div, size, realize in ((inst.div_z, inst.M, inst.realize_glM),
                                (inst.div_lam, inst.N, inst.realize_glN)):
         images = [realize(g, flavor) for g in takiff_generators(div, size)]
@@ -419,3 +421,110 @@ def test_an_odd_fermionic_image_is_refused(monkeypatch):
     assert report["status"] == "error"
     assert report["witness"]["error"] == "OddImage"
     assert odd.label() in report["witness"]["detail"]
+
+
+# -- the fermionic orientation, pinned from the Grassmann generators ------------
+
+
+def _minus_jordan(divisor, r, c):
+    """The (r, c) entry, 1-based, of -(+)_k J_(tau_k)(-location_k): the
+    location on the diagonal of each block and 1 just below it."""
+    start = 1
+    for loc, tau in divisor.points:
+        if start <= min(r, c) and max(r, c) < start + tau:
+            return loc if r == c else 1 if r == c + 1 else 0
+        start += tau
+    return 0
+
+
+def _fermionic_oracle(inst, side, g):
+    """The fermionic image of g straight from psi and pi:
+    sum_u pi^a_(u+depth) psi^b_u for E_ab on gl_M, sum_u psi^u_i pi^(u+depth)_j
+    for E_ij on gl_N, and the (b, a), respectively (i, j), entry of the other
+    side's -(+)J at infinity."""
+    galg = GrassmannAlgebra(inst.M, inst.N)
+    own, other = (inst.div_z, inst.div_lam) if side == "glM" else (inst.div_lam, inst.div_z)
+    if g.point is None:
+        r, c = (g.col, g.row) if side == "glM" else (g.row, g.col)
+        return GrassmannElement.const(_minus_jordan(other, r, c))
+    nu = sum(tau for _, tau in own.points[:g.point])
+    total = GrassmannElement.zero()
+    for u in range(nu + 1, nu + own.points[g.point][1] - g.depth + 1):
+        if side == "glM":
+            total = total + galg.pi(g.row, u + g.depth) * galg.psi(g.col, u)
+        else:
+            total = total + galg.psi(u, g.row) * galg.pi(u + g.depth, g.col)
+    return total
+
+
+@pytest.mark.parametrize("spec", [s for s in homomorphism_grid()
+                                  if s["realization"] == "classical-fermionic"],
+                         ids=lambda s: f"M{s['M']}N{s['N']}-{s['divisor']}-{s['dual_divisor']}")
+def test_fermionic_images_match_the_grassmann_oracle(spec):
+    """Every fermionic image, infinity included, equals the sum built from
+    GrassmannAlgebra.psi and pi: this pins the i/j swap of the gl_N map."""
+    inst = _build_duality(spec)
+    for side, divisor, size, realize in (("glM", inst.div_z, inst.M, inst.realize_glM),
+                                         ("glN", inst.div_lam, inst.N, inst.realize_glN)):
+        for g in takiff_generators(divisor, size):
+            assert realize(g, "fermionic") == _fermionic_oracle(inst, side, g), (side, g)
+
+
+# -- the mirrored-pair shortcut, seen from the bracket --------------------------
+
+
+def _pairs_used(img, flavor, inst):
+    """The canonical pairs an image uses, read from its terms."""
+    if flavor == "classical":
+        return {v[1:] for mono in img.terms for v, e in zip(img.vars, img.unpack(mono))
+                if e and v[0] in "xp"}
+    if flavor == "quantum":
+        return {pair for key in img.terms for pair, _, _ in key}
+    mn = inst.M * inst.N
+    return {k % mn for mask in img.terms for k in range(2 * mn) if mask >> k & 1}
+
+
+@pytest.mark.parametrize("realization", ["classical-bosonic", "quantum-bosonic",
+                                         "classical-fermionic"])
+def test_each_meeting_forward_pair_is_bracketed_once(monkeypatch, realization):
+    """On a passing instance the bracket of the instance's ring is called
+    once for every pair i < j whose images share a canonical pair, and for
+    nothing else: no mirrored pair (j, i) is bracketed again."""
+    spec = next(s for s in homomorphism_grid() if s["realization"] == realization
+                and s["divisor"] == [["1", 2], ["2", 1]]
+                and s["dual_divisor"] == [["5", 2], ["7", 1]])
+    flavor = {"classical-bosonic": "classical", "quantum-bosonic": "quantum",
+              "classical-fermionic": "fermionic"}[realization]
+    inst = _build_duality(spec)
+    made, calls = {}, []
+    ring = DualityInstance.ring
+
+    def spied_ring(self, flavor):
+        x, p, zero, bracket, support = ring(self, flavor)
+
+        def counted(a, b):
+            calls.append((made[id(a)], made[id(b)]))
+            return bracket(a, b)
+
+        return x, p, zero, counted, support
+
+    monkeypatch.setattr(DualityInstance, "ring", spied_ring)
+    for side in ("glM", "glN"):
+        realize = getattr(DualityInstance, f"realize_{side}")
+
+        def recorded(self, g, flavor, mutation=None, side=side, realize=realize):
+            img = realize(self, g, flavor, mutation)
+            made[id(img)] = (side, g)
+            return img
+
+        monkeypatch.setattr(DualityInstance, f"realize_{side}", recorded)
+    assert verify_homomorphism(inst, flavor)["status"] == "pass"
+    want = []
+    for side, divisor, size in (("glM", inst.div_z, inst.M), ("glN", inst.div_lam, inst.N)):
+        gens = takiff_generators(divisor, size)
+        used = [_pairs_used(getattr(inst, f"realize_{side}")(g, flavor), flavor, inst)
+                for g in gens]
+        want += [((side, gens[i]), (side, gens[j])) for i in range(len(gens))
+                 for j in range(i + 1, len(gens)) if used[i] & used[j]]
+    assert want
+    assert Counter(calls) == Counter(want)
