@@ -31,7 +31,7 @@ from .errors import (
 )
 from .gaudin import (Divisor, _cleared, _spectral_det, check_generator_pairs, exact_int,
                      jordan_sum, polynomial_equality_report, refused_minor_report,
-                     spectral_coefficients, structure_rows, takiff_block_sum)
+                     spectral_coefficients, takiff_block_sum)
 from .linalg import in_span
 from .matrices import _perm_expansion  # noqa: F401 (unused; bench/test_bench.py traces it)
 from .matrices import RingMatrix, block2x2, block_diag, jordan_block
@@ -373,6 +373,30 @@ def _origin_terms(t: int, entries: dict) -> list:
             for (x, y), v in entries.items() if x <= y and v]
 
 
+def _bracket_group(g):
+    """Two generators with a nonzero bracket share a group: the gl_M^C ones
+    at one point z_i, the gl_M^C ones at the origin, or the sp_2N ones at
+    one lambda_a; those at infinity are central (None)."""
+    return None if g[0] == "inf" else (g[0], 0 if g[0] == "or" else g[1])
+
+
+def _structure_rows(gens: list, structure):
+    """Rows for check_generator_pairs from a pairwise structure map:
+    row(i) = {j: structure(gens[i], gens[j])} over the nonempty ones, each
+    pair asked once and only within one bracket group."""
+    members: dict = {}
+    for j, g in enumerate(gens):
+        members.setdefault(_bracket_group(g), []).append(j)
+
+    def row(i: int) -> dict:
+        g1 = gens[i]
+        key = _bracket_group(g1)
+        return {} if key is None else {j: terms for j in members[key]
+                                       if (terms := structure(g1, gens[j]))}
+
+    return row
+
+
 # -- verifiers -----------------------------------------------------------------
 
 
@@ -393,7 +417,7 @@ def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = 
         images = {g: realize(g, mutation) for g in gens}
         count, failure = check_generator_pairs(
             gens, images.__getitem__, poisson_bracket, poisson_support,
-            structure_rows(gens, structure), MultiPoly.zero(),
+            _structure_rows(gens, structure), MultiPoly.zero(),
         )
         checked += count
         if failure:

@@ -156,17 +156,6 @@ def takiff_rows(divisor: Divisor, size: int):
     return row
 
 
-def structure_rows(gens: list, structure):
-    """Rows for check_generator_pairs from a pairwise structure map:
-    row(i) = {j: structure(gens[i], gens[j])} over the nonempty ones, each
-    pair asked once."""
-    def row(i: int) -> dict:
-        g1 = gens[i]
-        return {j: terms for j, g2 in enumerate(gens) if (terms := structure(g1, g2))}
-
-    return row
-
-
 def takiff_block_sum(nu: int, tau: int, depth: int, term, zero, mutation: str | None = None):
     """zero + sum of term(u, u + depth) over u = nu+1 .. nu+tau-depth, the
     Takiff block of a point of degree tau at offset nu; mutation "range-up"

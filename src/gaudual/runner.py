@@ -3,11 +3,16 @@
 An instance is a plain JSON-compatible dict (see README for the schema);
 rationals travel as "p/q" strings so exactness survives serialization.
 Reports are deterministic dicts: no timestamps, sizes and witnesses only.
+
+Validation parses every field once and returns the job that dispatch runs:
+the check is looked up in CHECKS, and its model is built from arguments
+that validation has already converted.
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import (
@@ -35,48 +40,88 @@ from .matrices import manin_check
 from .multipoly import MultiPoly
 from .scalars import rat
 
-KINDS = {
-    "classical-bosonic",
-    "classical-fermionic",
-    "quantum-bosonic",
-    "cyclotomic",
-    "neumann",
-    "homomorphism",
-    "commutativity",
-    "lax-algebra",
-}
-
 SAMPLE_SEED = 8093  # fixed: sampled runs stay deterministic
 
-LAX_FAMILIES = {"cyclotomic-glM", "sp2N"}
-COMMUTATIVITY_FLAVORS = {"classical", "quantum", "cyclotomic"}
-GAUDIN_FLAVORS = {
-    "classical-bosonic": "classical",
-    "classical-fermionic": "fermionic",
-    "quantum-bosonic": "quantum",
+# A runnable check: the model its instance is built on ("gaudin": a
+# DualityInstance, "cyclotomic": a CycloInstance, "neumann": M and the
+# frequencies), run(instance, options, sample seed) -> report, the options
+# it reads besides expect and mutation, and the mutations it understands.
+# Every check reads mode at its default "symbolic"; one that reads mode
+# also runs at a sample point.  run looks the verifiers up among this
+# module's globals when it is called, so a patched binding is seen.
+Check = namedtuple("Check", "model run options mutations", defaults=(frozenset(), frozenset()))
+# A validated instance: its check is CHECKS[kind, variant], args are the
+# model's constructor arguments, size is (M, N) for the guard.
+Job = namedtuple("Job", "kind variant model args size options")
+
+
+def _commuting(gens: list, flavor: str) -> dict:
+    return dict(check_commutativity(gens, flavor), generators=len(gens))
+
+
+def _cyclotomic_duality(inst: CycloInstance, opts: dict, seed) -> dict:
+    if not opts.get("quantum_candidate"):
+        return verify_cyclotomic_duality(inst)
+    ok, witness = manin_check(quantum_cyclotomic_candidate(inst))
+    return {"status": "pass" if ok else "fail", "manin": ok,
+            "witness": None if ok else {"manin_quadruple": list(witness)}}
+
+
+_MU = frozenset({"symbolic_mu"})  # read by every check on the cyclotomic model
+# "range-up" reads a psi or pi past the last index, which the fermionic map
+# has no generator for
+_BOSONIC = frozenset({"flip-sign", "range-up"})
+CHECKS = {
+    ("classical-bosonic", None): Check(
+        "gaudin", lambda inst, opts, seed: verify_classical_bosonic_duality(
+            inst, sample_seed=seed), frozenset({"mode"})),
+    ("classical-fermionic", None): Check(
+        "gaudin", lambda inst, opts, seed: verify_classical_fermionic_duality(inst)),
+    ("quantum-bosonic", None): Check(
+        "gaudin", lambda inst, opts, seed: verify_quantum_duality(inst)),
+    ("cyclotomic", None): Check("cyclotomic", _cyclotomic_duality, _MU | {"quantum_candidate"}),
+    ("neumann", None): Check("neumann", lambda args, opts, seed: neumann_artifacts(*args)),
+    ("homomorphism", "classical-bosonic"): Check(
+        "gaudin", lambda inst, opts, seed: verify_homomorphism(
+            inst, "classical", opts.get("mutation")), mutations=_BOSONIC),
+    ("homomorphism", "classical-fermionic"): Check(
+        "gaudin", lambda inst, opts, seed: verify_homomorphism(
+            inst, "fermionic", opts.get("mutation")), mutations=frozenset({"flip-sign"})),
+    ("homomorphism", "quantum-bosonic"): Check(
+        "gaudin", lambda inst, opts, seed: verify_homomorphism(
+            inst, "quantum", opts.get("mutation")), mutations=_BOSONIC),
+    ("homomorphism", "cyclotomic"): Check(
+        "cyclotomic", lambda inst, opts, seed: verify_cyclotomic_homomorphisms(
+            inst, opts.get("mutation")), _MU, frozenset({"flip-sign", "y-sign"})),
+    ("commutativity", "classical"): Check(
+        "gaudin", lambda inst, opts, seed: _commuting(
+            extract_gaudin_generators(inst, "classical"), "classical")),
+    ("commutativity", "quantum"): Check(
+        "gaudin", lambda inst, opts, seed: _commuting(
+            extract_gaudin_generators(inst, "quantum"), "quantum")),
+    ("commutativity", "cyclotomic"): Check(
+        "cyclotomic", lambda inst, opts, seed: _commuting(
+            extract_cyclotomic_generators(inst), "classical"), _MU),
+    ("lax-algebra", "cyclotomic-glM"): Check(
+        "cyclotomic", lambda inst, opts, seed: lax_algebra_check(inst, "cyclotomic-glM"), _MU),
+    ("lax-algebra", "sp2N"): Check(
+        "cyclotomic", lambda inst, opts, seed: lax_algebra_check(inst, "sp2N"), _MU),
 }
-# the mutations each realization map understands; "range-up" reads a psi or
-# pi past the last index, which the fermionic map has no generator for
-MUTATIONS = {
-    "classical-bosonic": {"flip-sign", "range-up"},
-    "classical-fermionic": {"flip-sign"},
-    "quantum-bosonic": {"flip-sign", "range-up"},
-    "cyclotomic": {"flip-sign", "y-sign"},
-}
-# the keys `options` may carry besides `mutation`, with their values
-OPTION_CHOICES = {"expect": {"pass", "fail"}, "mode": {"symbolic", "sampled"}}
-BOOLEAN_OPTIONS = ("symbolic_mu", "quantum_candidate")
-OPTION_KEYS = {"mutation", *OPTION_CHOICES, *BOOLEAN_OPTIONS}
-# the top-level fields each model reads, and the ones only one kind reads
+# the field that names a kind's variant, its default, and how messages name it
+VARIANTS = {"homomorphism": ("realization", "classical-bosonic", "realization"),
+            "commutativity": ("flavor", "classical", "commutativity flavor"),
+            "lax-algebra": ("which", None, "Lax algebra family")}
+# the top-level fields each model reads; a kind with a variant reads its field too
 MODEL_KEYS = {
     "neumann": {"kind", "M", "omega", "options"},
     "cyclotomic": {"kind", "M", "N", "tau0", "divisor", "lambda_points", "mu", "options"},
     "gaudin": {"kind", "M", "N", "divisor", "dual_divisor", "options"},
 }
-KIND_KEYS = {"homomorphism": {"realization"}, "commutativity": {"flavor"},
-             "lax-algebra": {"which"}}
 # the top-level fields of the README schema
-SPEC_KEYS = set().union(*MODEL_KEYS.values(), *KIND_KEYS.values())
+SPEC_KEYS = set().union(*MODEL_KEYS.values(), (field for field, _, _ in VARIANTS.values()))
+OPTION_CHOICES = {"expect": {"pass", "fail"}, "mode": {"symbolic", "sampled"}}
+BOOLEAN_OPTIONS = ("symbolic_mu", "quantum_candidate")
+OPTION_KEYS = {"mutation", *OPTION_CHOICES, *BOOLEAN_OPTIONS}
 # 2^14284 < 10^4300: a guard estimate of at most this many bits has at most
 # 4,300 digits, Python's default limit for str() of an int, so it is shown
 _SHOWN_BITS = 14_284
@@ -90,13 +135,21 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _size(spec: dict, name: str) -> int:
+    """M or N: a JSON integer of at least 1."""
+    value = _integer(spec[name], name)
+    if value < 1:
+        raise SpecValidationError(f"need {name} >= 1, got {value}")
+    return value
+
+
 def _list(value, name: str) -> list:
     if not isinstance(value, list):
         raise SpecValidationError(f"{name} must be a JSON list, not {value!r}")
     return value
 
 
-def _points(raw, name: str) -> list[tuple[Fraction, int]]:
+def _points(raw, name: str) -> tuple[tuple[Fraction, int], ...]:
     """A divisor field: a list of [point, Takiff degree] lists."""
     points = []
     for k, entry in enumerate(_list(raw, name)):
@@ -105,7 +158,7 @@ def _points(raw, name: str) -> list[tuple[Fraction, int]]:
                 f"{name} entry {k} must be a JSON list [point, Takiff degree], not {entry!r}")
         p, t = entry
         points.append((rat(p), _integer(t, f"the Takiff degree of {name} entry {k}")))
-    return points
+    return tuple(points)
 
 
 def _one_of(value, choices) -> bool:
@@ -113,77 +166,66 @@ def _one_of(value, choices) -> bool:
     return isinstance(value, str) and value in choices
 
 
-def _model(spec: dict) -> str:
-    """The model dispatch builds an instance on: "neumann", "cyclotomic"
-    (CycloInstance) or "gaudin" (DualityInstance)."""
-    kind = spec["kind"]
-    if kind == "neumann":
-        return "neumann"
-    if (kind in ("cyclotomic", "lax-algebra")
-            or kind == "homomorphism" and spec.get("realization") == "cyclotomic"
-            or kind == "commutativity" and spec.get("flavor") == "cyclotomic"):
-        return "cyclotomic"
-    return "gaudin"
-
-
-def validate_instance(spec: dict) -> None:
-    """Cheap validation of every field the instance's builder reads, and
-    refusal of every field it does not; raises SpecValidationError."""
+def validate_instance(spec: dict) -> Job:
+    """Parse every field the instance's check reads, refuse every field and
+    option it does not, and return the job run_instance runs; raises
+    SpecValidationError."""
     if not isinstance(spec, dict):
         raise SpecValidationError(f"an instance must be a JSON object, not {spec!r}")
     kind = spec.get("kind")
-    if not _one_of(kind, KINDS):
+    if not _one_of(kind, {k for k, _ in CHECKS}):
         raise SpecValidationError(f"unknown kind {kind!r}")
     try:
-        _check_choices(kind, spec)
-        model = _model(spec)
-        allowed = MODEL_KEYS[model] | KIND_KEYS.get(kind, set())
+        unknown = sorted(set(spec) - SPEC_KEYS)
+        if unknown:
+            raise SpecValidationError(
+                f"unknown field {unknown[0]!r}; expected fields among {sorted(SPEC_KEYS)}")
+        field, default, noun = VARIANTS.get(kind, (None, None, None))
+        variant = spec.get(field, default) if field else None
+        if field and not (isinstance(variant, str) and (kind, variant) in CHECKS):
+            raise SpecValidationError(
+                f"unknown {noun} {variant!r} in field {field!r}; "
+                f"expected one of {sorted(v for k, v in CHECKS if k == kind)}")
+        check = CHECKS[kind, variant]
+        options = _options(kind, variant, check, spec.get("options", {}))
+        allowed = MODEL_KEYS[check.model] | ({field} if field else set())
         unread = sorted(set(spec) - allowed)
         if unread:
             raise SpecValidationError(
-                f"field {unread[0]!r} is not read by a {kind} instance ({model} model); "
-                f"expected fields among {sorted(allowed)}"
-            )
-        M = _integer(spec["M"], "M")
-        if M < 1:
-            raise SpecValidationError(f"need M >= 1, got {M}")
-        if model == "neumann":
+                f"field {unread[0]!r} is not read by a {kind} instance ({check.model} model); "
+                f"expected fields among {sorted(allowed)}")
+        M = _size(spec, "M")
+        if check.model == "neumann":
             omegas = [rat(w) for w in _list(spec["omega"], "omega")]
             if len(omegas) != M:
                 raise SpecValidationError("need M frequencies")
             if len({w * w for w in omegas}) != len(omegas):
                 raise SpecValidationError("frequencies must have distinct squares")
-            return
-        N = _integer(spec["N"], "N")
-        if N < 1:
-            raise SpecValidationError(f"need N >= 1, got {N}")
-        if model == "cyclotomic":
+            return Job(kind, variant, check.model, (M, omegas), (M, 1), options)
+        N = _size(spec, "N")
+        if check.model == "cyclotomic":
             tau0 = _integer(spec["tau0"], "tau0")
             pts = _points(spec.get("divisor", []), "divisor")
             total = tau0 + sum(t for _, t in pts)
             if total != N:
                 raise SpecValidationError(
-                    f"cyclotomic divisor violates τ_0 + Σ τ_i = N: {total} != {N}"
-                )
+                    f"cyclotomic divisor violates τ_0 + Σ τ_i = N: {total} != {N}")
             lams = [rat(p) for p in _list(spec["lambda_points"], "lambda_points")]
             if len(lams) != M or len(set(lams)) != M:
                 raise SpecValidationError("need M distinct lambda points")
-            if not spec.get("options", {}).get("symbolic_mu"):
-                rat(spec["mu"])
-            CycloDivisor.of(tau0, pts)  # distinctness of +-z_i
+            mu = MultiPoly.var("mu") if options.get("symbolic_mu") else rat(spec["mu"])
+            args = (M, CycloDivisor(tau0, pts), lams, mu)  # checks 0 != z_i != +-z_j
         else:
             dz = _points(spec["divisor"], "divisor")
             dl = _points(spec["dual_divisor"], "dual_divisor")
             if sum(t for _, t in dz) != N:
                 raise SpecValidationError(
-                    f"divisor violates Σ τ_i = N: {sum(t for _, t in dz)} != {N}"
-                )
+                    f"divisor violates Σ τ_i = N: {sum(t for _, t in dz)} != {N}")
             if sum(t for _, t in dl) != M:
                 raise SpecValidationError(
-                    f"dual divisor violates Σ τ̃_a = M: {sum(t for _, t in dl)} != {M}"
-                )
-            Divisor.of(dz)
-            Divisor.of(dl)
+                    f"dual divisor violates Σ τ̃_a = M: {sum(t for _, t in dl)} != {M}")
+            args = (M, N, Divisor(dz), Divisor(dl))
+        return Job(kind, variant, check.model, args, (M, N), options)
     except SpecValidationError:
         raise
     except KeyError as err:
@@ -192,62 +234,38 @@ def validate_instance(spec: dict) -> None:
         raise SpecValidationError(str(err)) from err
 
 
-def _check_choices(kind: str, spec: dict) -> None:
-    """Reject the names dispatch would fail on or silently ignore."""
-    unknown = sorted(set(spec) - SPEC_KEYS)
-    if unknown:
-        raise SpecValidationError(
-            f"unknown field {unknown[0]!r}; expected fields among {sorted(SPEC_KEYS)}"
-        )
-    if kind == "lax-algebra" and not _one_of(spec.get("which"), LAX_FAMILIES):
-        raise SpecValidationError(
-            f"unknown Lax algebra family {spec.get('which')!r} in field 'which'; "
-            f"expected one of {sorted(LAX_FAMILIES)}"
-        )
-    if kind == "commutativity" and not _one_of(spec.get("flavor", "classical"),
-                                               COMMUTATIVITY_FLAVORS):
-        raise SpecValidationError(
-            f"unknown commutativity flavor {spec.get('flavor')!r}; "
-            f"expected one of {sorted(COMMUTATIVITY_FLAVORS)}"
-        )
-    allowed = set()
-    if kind == "homomorphism":
-        realization = spec.get("realization", "classical-bosonic")
-        if not _one_of(realization, MUTATIONS):
-            raise SpecValidationError(
-                f"unknown realization {realization!r}; expected one of {sorted(MUTATIONS)}"
-            )
-        allowed = MUTATIONS[realization]
-    options = spec.get("options", {})
+def _options(kind: str, variant: str | None, check: Check, options) -> dict:
+    """The options of an instance whose check is check, each key known, each
+    value one the check accepts, and each key one it reads."""
     if not isinstance(options, dict):
         raise SpecValidationError(f"options must be an object, not {options!r}")
     unknown = sorted(set(options) - OPTION_KEYS)
     if unknown:
         raise SpecValidationError(
-            f"unknown option {unknown[0]!r}; expected keys among {sorted(OPTION_KEYS)}"
-        )
+            f"unknown option {unknown[0]!r}; expected keys among {sorted(OPTION_KEYS)}")
     for key, choices in OPTION_CHOICES.items():
         if key in options and not _one_of(options[key], choices):
             raise SpecValidationError(
-                f"unknown {key} {options[key]!r}; expected one of {sorted(choices)}"
-            )
-    if options.get("mode") == "sampled" and kind != "classical-bosonic":
-        raise SpecValidationError(f"mode 'sampled' applies to classical-bosonic only, not {kind}")
+                f"unknown {key} {options[key]!r}; expected one of {sorted(choices)}")
+    if options.get("mode") == "sampled" and "mode" not in check.options:
+        raise SpecValidationError(f"mode 'sampled' is not read by a {kind} instance")
     for key in BOOLEAN_OPTIONS:
         if key in options and not isinstance(options[key], bool):
             raise SpecValidationError(f"option {key} must be true or false, not {options[key]!r}")
+        if key in options and key not in check.options:
+            raise SpecValidationError(
+                f"option {key!r} is not read by a {kind} instance"
+                + (f" with {VARIANTS[kind][0]} {variant!r}" if variant else ""))
     if options.get("symbolic_mu") and options.get("quantum_candidate"):
         raise SpecValidationError("the quantum candidate needs a rational mu, not symbolic_mu")
     mutation = options.get("mutation")
-    if mutation is not None and not _one_of(mutation, allowed):
+    if mutation is not None and not _one_of(mutation, check.mutations):
         raise SpecValidationError(
-            f"unknown mutation {mutation!r} for {kind}; expected one of {sorted(allowed)}"
-        )
+            f"unknown mutation {mutation!r} for {kind}; expected one of {sorted(check.mutations)}")
+    return options
 
 
-def _size_guard(spec: dict, max_terms: int) -> None:
-    M = int(spec.get("M", 1))
-    N = int(spec.get("N", 1))
+def _size_guard(kind: str, M: int, N: int, max_terms: int) -> None:
     # crude desk-scale ceiling: the bivariate determinant has at most
     # (M + N)! * 4^(M + N) monomials before cancellation.  The estimate is
     # built one factor at a time, and only while it is at most max_terms or
@@ -259,48 +277,29 @@ def _size_guard(spec: dict, max_terms: int) -> None:
     if estimate > max_terms:
         shown = (estimate if estimate.bit_length() <= _SHOWN_BITS
                  else f"(M + N)! * 4^(M + N) at M = {M}, N = {N}")
-        raise GuardExceeded(
-            f"{spec['kind']} instance estimate {shown} exceeds --max-terms {max_terms}")
+        raise GuardExceeded(f"{kind} instance estimate {shown} exceeds --max-terms {max_terms}")
 
 
-def _build_duality(spec: dict) -> DualityInstance:
-    return DualityInstance(
-        _integer(spec["M"], "M"),
-        _integer(spec["N"], "N"),
-        Divisor.of(_points(spec["divisor"], "divisor")),
-        Divisor.of(_points(spec["dual_divisor"], "dual_divisor")),
-    )
-
-
-def _build_cyclo(spec: dict) -> CycloInstance:
-    opts = spec.get("options", {})
-    mu = MultiPoly.var("mu") if opts.get("symbolic_mu") else rat(spec["mu"])
-    return CycloInstance(
-        _integer(spec["M"], "M"),
-        CycloDivisor.of(_integer(spec["tau0"], "tau0"),
-                        _points(spec.get("divisor", []), "divisor")),
-        [rat(p) for p in _list(spec["lambda_points"], "lambda_points")],
-        mu,
-    )
+def _instance(job: Job):
+    """The instance job's check runs on, built from its parsed arguments."""
+    if job.model == "neumann":
+        return job.args
+    return (DualityInstance if job.model == "gaudin" else CycloInstance)(*job.args)
 
 
 def run_instance(spec: dict, mode: str | None = None, max_terms: int = 10**7) -> dict:
     """Dispatch one instance; returns the deterministic report body, whose
     ``mode`` says whether a sample seed was used ("sampled") or not
     ("symbolic")."""
-    validate_instance(spec)
-    opts = dict(spec.get("options", {}))
-    if mode:
-        opts["mode"] = mode
-    expect = opts.get("expect", "pass")
-    # only the classical-bosonic duality has a sampled check
-    sampled = opts.get("mode") == "sampled" and spec["kind"] == "classical-bosonic"
-    seed = SAMPLE_SEED if sampled else None
+    job = validate_instance(spec)
+    check = CHECKS[job.kind, job.variant]
+    opts = dict(job.options, mode=mode) if mode else job.options
+    # only a check that reads mode has a sampled form
+    sampled = opts.get("mode") == "sampled" and "mode" in check.options
     try:
-        _size_guard(spec, max_terms)
-        report = _dispatch(spec, opts, seed)
-    except SpecValidationError:
-        raise
+        # the guard comes first: it refuses an instance too large to build
+        _size_guard(job.kind, *job.size, max_terms)
+        report = check.run(_instance(job), opts, SAMPLE_SEED if sampled else None)
     except GuardExceeded as err:
         report = {"status": "error", "witness": {"guard": str(err)}}
     except GaudualError as err:
@@ -317,7 +316,7 @@ def run_instance(spec: dict, mode: str | None = None, max_terms: int = 10**7) ->
                         "where": f"{os.path.basename(frame.filename)}:{frame.lineno}"},
         }
     else:
-        if expect == "fail":
+        if opts.get("expect") == "fail":
             inner = report.get("status")
             report["status"] = "pass" if inner == "fail" else "fail"
             report["expected"] = "fail"
@@ -326,41 +325,3 @@ def run_instance(spec: dict, mode: str | None = None, max_terms: int = 10**7) ->
     report["instance"] = spec
     report["mode"] = "sampled" if sampled else "symbolic"
     return report
-
-
-def _dispatch(spec: dict, opts: dict, sample_seed: int | None) -> dict:
-    kind, model = spec["kind"], _model(spec)
-    mutation = opts.get("mutation")
-    if model == "neumann":
-        return neumann_artifacts(_integer(spec["M"], "M"),
-                                 [rat(w) for w in _list(spec["omega"], "omega")])
-    if model == "cyclotomic":
-        inst = _build_cyclo(spec)
-        if kind == "homomorphism":
-            return verify_cyclotomic_homomorphisms(inst, mutation)
-        if kind == "commutativity":
-            gens = extract_cyclotomic_generators(inst)
-            return dict(check_commutativity(gens, "classical"), generators=len(gens))
-        if kind == "lax-algebra":
-            return lax_algebra_check(inst, spec["which"])
-        if opts.get("quantum_candidate"):
-            ok, witness = manin_check(quantum_cyclotomic_candidate(inst))
-            return {
-                "status": "pass" if ok else "fail",
-                "manin": ok,
-                "witness": None if ok else {"manin_quadruple": list(witness)},
-            }
-        return verify_cyclotomic_duality(inst)
-    inst = _build_duality(spec)
-    if kind == "homomorphism":
-        realization = spec.get("realization", "classical-bosonic")
-        return verify_homomorphism(inst, GAUDIN_FLAVORS[realization], mutation)
-    if kind == "commutativity":
-        flavor = spec.get("flavor", "classical")
-        gens = extract_gaudin_generators(inst, flavor)
-        return dict(check_commutativity(gens, flavor), generators=len(gens))
-    if kind == "classical-bosonic":
-        return verify_classical_bosonic_duality(inst, sample_seed=sample_seed)
-    if kind == "classical-fermionic":
-        return verify_classical_fermionic_duality(inst)
-    return verify_quantum_duality(inst)

@@ -280,10 +280,6 @@ class OrderedDiffOp:
         self.side = side
         self.terms = {k: f for k, f in terms.items() if f}
 
-    @staticmethod
-    def zero(side: str) -> OrderedDiffOp:
-        return OrderedDiffOp(side, {})
-
     def _check(self, other: OrderedDiffOp):
         if self.side != other.side:
             raise ValueError("mixed ordering sides")

@@ -16,8 +16,15 @@ from gaudual.matrices import RingMatrix, _perm_expansion
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
 from gaudual.ratfunc import Poly, RatFunc, expand_factors
+from gaudual.runner import _instance, validate_instance
 from gaudual.weyl import Z_PAIR, OrderedDiffOp, WeylElement, weyl_commutator
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
+
+
+def build_instance(spec: dict):
+    """The DualityInstance or CycloInstance that run_instance builds for
+    spec, from the job validate_instance returns."""
+    return _instance(validate_instance(spec))
 
 
 def rng(seed: int) -> random.Random:

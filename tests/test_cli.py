@@ -332,6 +332,10 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
         dict(_CYCLO, kind="cyclotomic", lambda_points=["5", True]),
         dict(_CYCLO, kind="cyclotomic", mu=True),
         {"kind": "neumann", "M": 2, "omega": [True, "2"]},
+        dict(_GAUDIN, kind="classical-bosonic", options={"symbolic_mu": True}),
+        dict(_CYCLO, kind="lax-algebra", which="sp2N", options={"quantum_candidate": True}),
+        dict(_CYCLO, kind="homomorphism", realization="cyclotomic",
+             options={"quantum_candidate": True}),
     ],
     ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
          "gaudin-mutation", "cyclotomic-mutation", "fermionic-range-up", "mutation-on-duality", "options-not-object",
@@ -343,7 +347,8 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
          "neumann-m-float", "m-bool", "n-string", "cyclotomic-n-float", "tau0-float",
          "lambda-points-string", "dual-divisor-object", "omega-string", "point-over-zero",
          "lambda-point-over-zero", "mu-over-zero", "omega-over-zero", "point-bool",
-         "dual-point-bool", "lambda-point-bool", "mu-bool", "omega-bool"],
+         "dual-point-bool", "lambda-point-bool", "mu-bool", "omega-bool", "symbolic-mu-on-bosonic",
+         "quantum-candidate-on-lax", "quantum-candidate-on-homomorphism"],
 )
 def test_validation_rejects_names_dispatch_cannot_run(spec):
     with pytest.raises(SpecValidationError):

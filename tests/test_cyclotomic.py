@@ -23,9 +23,9 @@ from gaudual.matrices import manin_check
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
 from gaudual.weyl import WeylElement
-from gaudual.runner import _build_cyclo, run_instance
-from helpers import (check_commutativity_reference, check_per_step_division, order_one_clearing,
-                     perturb_divided_expansion, rng, random_fraction)
+from gaudual.runner import run_instance
+from helpers import (build_instance, check_commutativity_reference, check_per_step_division,
+                     order_one_clearing, perturb_divided_expansion, rng, random_fraction)
 
 Q = Fraction
 V = MultiPoly.var
@@ -662,11 +662,10 @@ def test_neumann_mxm_lax_entries():
 
 def _paper_core_cyclotomic():
     from gaudual.presets import paper_core
-    from gaudual.runner import _build_cyclo
 
     specs = [spec for spec in paper_core() if spec["kind"] == "cyclotomic"
              and not spec.get("options", {}).get("quantum_candidate")]
-    return [pytest.param(_build_cyclo(spec), spec, id=_spec_id(spec)) for spec in specs]
+    return [pytest.param(build_instance(spec), spec, id=_spec_id(spec)) for spec in specs]
 
 
 def _spec_id(spec):
@@ -710,8 +709,32 @@ def test_neumann_fails_with_flipped_mu_sign(monkeypatch):
 
 @pytest.mark.parametrize("spec", [pytest.param(spec, id=_spec_id(spec))
                                   for spec in presets.cyclotomic_grid()])
+def test_grouped_structure_rows_equal_the_all_pairs_rows(spec):
+    """The rows of both sides ask the structure only about pairs in one
+    bracket group, and equal, in order, the rows over every ordered pair."""
+    inst = build_instance(spec)
+    for gens, structure in ((inst.glMC_generators(), inst.glMC_bracket),
+                            (inst.sp_generators(), inst.sp_bracket)):
+        asked = []
+
+        def spy(g1, g2):
+            asked.append((g1, g2))
+            return structure(g1, g2)
+
+        row = cyclotomic._structure_rows(gens, spy)
+        for i, g1 in enumerate(gens):
+            got = row(i)
+            want = {j: terms for j, g2 in enumerate(gens) if (terms := structure(g1, g2))}
+            assert list(got.items()) == list(want.items()), g1
+        groups = [(cyclotomic._bracket_group(g1), cyclotomic._bracket_group(g2))
+                  for g1, g2 in asked]
+        assert all(a == b is not None for a, b in groups)
+
+
+@pytest.mark.parametrize("spec", [pytest.param(spec, id=_spec_id(spec))
+                                  for spec in presets.cyclotomic_grid()])
 def test_per_step_division_equals_dividing_the_full_determinant(spec):
-    inst = _build_cyclo(spec)
+    inst = build_instance(spec)
     check_per_step_division(gaudin, lambda: verify_cyclotomic_duality(inst),
                             [(inst.div_lam, "lam"), (inst.div_z, "z")])
 
@@ -727,7 +750,7 @@ def per_term_cleared(lax, clearing: MultiPoly, var: str) -> list[list[MultiPoly]
 @pytest.mark.parametrize("spec", [pytest.param(spec, id=f"grid-{k}")
                                   for k, spec in enumerate(presets.cyclotomic_grid())])
 def test_memoized_clearing_equals_per_term_division(monkeypatch, spec):
-    inst = _build_cyclo(spec)
+    inst = build_instance(spec)
     memoized = [inst.lax_glMC_cleared("z"), inst.lax_sp2N_cleared("lam")]
     monkeypatch.setattr(cyclotomic, "_cleared", per_term_cleared)
     per_term = [inst.lax_glMC_cleared("z"), inst.lax_sp2N_cleared("lam")]

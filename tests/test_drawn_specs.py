@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gaudual import cyclotomic, gaudin  # noqa: E402
 from gaudual.gaudin import _spectral_dets  # noqa: E402
-from gaudual.runner import _build_cyclo, _build_duality, run_instance  # noqa: E402
-from helpers import check_cleared_against_ratfunc, check_per_step_division  # noqa: E402
+from gaudual.runner import run_instance  # noqa: E402
+from helpers import (build_instance, check_cleared_against_ratfunc,  # noqa: E402
+                     check_per_step_division)
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -93,7 +94,7 @@ def test_drawn_cyclotomic_duality(spec):
 @SETTINGS
 @given(gaudin_specs("classical-bosonic", 3))
 def test_drawn_classical_per_step_division(spec):
-    inst = _build_duality(spec)
+    inst = build_instance(spec)
     check_per_step_division(gaudin, lambda: _spectral_dets(inst, "classical"),
                             [(inst.div_z, "z"), (inst.div_lam, "lam")])
 
@@ -101,12 +102,12 @@ def test_drawn_classical_per_step_division(spec):
 @SETTINGS
 @given(gaudin_specs("classical-bosonic", 3))
 def test_drawn_cleared_entries_equal_the_cleared_ratfunc_lax(spec):
-    check_cleared_against_ratfunc(_build_duality(spec))
+    check_cleared_against_ratfunc(build_instance(spec))
 
 
 @SETTINGS
 @given(cyclotomic_specs())
 def test_drawn_cyclotomic_per_step_division(spec):
-    inst = _build_cyclo(spec)
+    inst = build_instance(spec)
     check_per_step_division(gaudin, lambda: cyclotomic.verify_cyclotomic_duality(inst),
                             [(inst.div_lam, "lam"), (inst.div_z, "z")])

@@ -18,10 +18,10 @@ from gaudual.gaudin import (
 )
 from gaudual.matrices import RingMatrix, _perm_expansion, block2x2, manin_check
 from gaudual.multipoly import MultiPoly
-from gaudual.runner import SAMPLE_SEED, _build_duality, run_instance
+from gaudual.runner import SAMPLE_SEED, run_instance
 from gaudual.weyl import WeylElement
-from helpers import (check_cleared_against_ratfunc, check_per_step_division, classical_limit,
-                     order_one_clearing, perturb_divided_expansion)
+from helpers import (build_instance, check_cleared_against_ratfunc, check_per_step_division,
+                     classical_limit, order_one_clearing, perturb_divided_expansion)
 
 Q = Fraction
 V = MultiPoly.var
@@ -336,21 +336,21 @@ def _grid_cases(specs, sizes=None):
 @pytest.mark.parametrize("seed", [None, SAMPLE_SEED], ids=["symbolic", "sampled"])
 @pytest.mark.parametrize("spec", _grid_cases(presets.classical_bosonic_grid()))
 def test_per_step_division_equals_dividing_the_full_determinant(spec, seed):
-    inst = _build_duality(spec)
+    inst = build_instance(spec)
     check_per_step_division(gaudin, lambda: _spectral_dets(inst, "classical", seed),
                             [(inst.div_z, "z"), (inst.div_lam, "lam")])
 
 
 @pytest.mark.parametrize("spec", _grid_cases(presets.classical_bosonic_grid()))
 def test_cleared_entries_equal_the_cleared_ratfunc_lax(spec):
-    check_cleared_against_ratfunc(_build_duality(spec))
+    check_cleared_against_ratfunc(build_instance(spec))
 
 
 @pytest.mark.parametrize("spec", _grid_cases(presets.classical_bosonic_grid()))
 def test_classical_duality_fails_with_the_order_one_quotient_at_every_pole(monkeypatch, spec):
     # a pole of order >= 2 exists exactly where a Takiff degree is >= 2, on
     # 27 of the 36 instances; the fault leaves the other 9 as they were
-    inst = _build_duality(spec)
+    inst = build_instance(spec)
     assert verify_classical_bosonic_duality(inst)["status"] == "pass"
     order_one_clearing(monkeypatch, gaudin)
     degrees = [tau for _, tau in inst.div_z.points + inst.div_lam.points]

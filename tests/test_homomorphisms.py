@@ -11,8 +11,9 @@ from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
 from gaudual.presets import homomorphism_grid
-from gaudual.runner import MUTATIONS, _build_duality, run_instance
+from gaudual.runner import CHECKS, run_instance
 from gaudual.weyl import WeylElement, weyl_commutator, weyl_support
+from helpers import build_instance
 
 
 def make(M, N, dz, dl):
@@ -222,7 +223,8 @@ def _both_loops(gens, image, bracket, support, row, zero):
 # realization map admits
 SMALL_GRID = [(n, spec, mutation)
               for n, spec in enumerate(homomorphism_grid()) if spec["M"] <= 2 and spec["N"] <= 2
-              for mutation in (None, *sorted(MUTATIONS[spec["realization"]]))]
+              for mutation in (None, *sorted(CHECKS["homomorphism",
+                                                     spec["realization"]].mutations))]
 
 
 @pytest.mark.parametrize("spec, mutation", [case[1:] for case in SMALL_GRID],
@@ -463,7 +465,7 @@ def _fermionic_oracle(inst, side, g):
 def test_fermionic_images_match_the_grassmann_oracle(spec):
     """Every fermionic image, infinity included, equals the sum built from
     GrassmannAlgebra.psi and pi: this pins the i/j swap of the gl_N map."""
-    inst = _build_duality(spec)
+    inst = build_instance(spec)
     for side, divisor, size, realize in (("glM", inst.div_z, inst.M, inst.realize_glM),
                                          ("glN", inst.div_lam, inst.N, inst.realize_glN)):
         for g in takiff_generators(divisor, size):
@@ -495,7 +497,7 @@ def test_each_meeting_forward_pair_is_bracketed_once(monkeypatch, realization):
                 and s["dual_divisor"] == [["5", 2], ["7", 1]])
     flavor = {"classical-bosonic": "classical", "quantum-bosonic": "quantum",
               "classical-fermionic": "fermionic"}[realization]
-    inst = _build_duality(spec)
+    inst = build_instance(spec)
     made, calls = {}, []
     ring = DualityInstance.ring
 

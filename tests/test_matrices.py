@@ -23,10 +23,9 @@ from gaudual.matrices import (
 from gaudual.multipoly import MultiPoly
 from gaudual.presets import paper_core, quantum_grid
 from gaudual.ratfunc import RatFunc, rational_roots
-from gaudual.runner import _build_cyclo, _build_duality
 from gaudual.weyl import OrderedDiffOp, WeylElement
-from helpers import (jordan_block_inverse, linear, random_fraction, random_grassmann,
-                     random_poly, rng, weyl_to_ordered)
+from helpers import (build_instance, jordan_block_inverse, linear, random_fraction,
+                     random_grassmann, random_poly, rng, weyl_to_ordered)
 
 Q = Fraction
 X = WeylElement.x
@@ -85,7 +84,7 @@ def _refused_by_det():
         "odd-grassmann": RingMatrix([[psi, pi], [pi, psi]]),
         "mixed-grassmann": RingMatrix([[psi + 1]]),
         "ordered-diffop": RingMatrix([[weyl_to_ordered(X(1, 1), "z", "z")]]),
-        "weyl-ratfunc": ratfunc_lax(_build_duality(_LAX_SPEC).lax_glM("quantum"), "z"),
+        "weyl-ratfunc": ratfunc_lax(build_instance(_LAX_SPEC).lax_glM("quantum"), "z"),
     }
 
 
@@ -93,7 +92,7 @@ def _accepted_by_det():
     r = rng(48)
     alg = GrassmannAlgebra(2, 2)
     z = MultiPoly.var("z")
-    inst = _build_duality(_LAX_SPEC)
+    inst = build_instance(_LAX_SPEC)
     even = [[random_grassmann(r, alg, 0) + GrassmannElement({0: z - i - j}) for j in range(2)]
             for i in range(2)]
     return {
@@ -340,7 +339,7 @@ def manin_reference(m: RingMatrix):
 
 def test_manin_check_matches_reference_on_quantum_grid():
     for spec in quantum_grid():
-        m = quantum_block_matrix(_build_duality(spec))
+        m = quantum_block_matrix(build_instance(spec))
         assert manin_check(m) == manin_reference(m) == (True, None)
 
 
@@ -348,7 +347,7 @@ def test_manin_check_matches_reference_on_cyclotomic_candidates():
     specs = [s for s in paper_core() if s.get("options", {}).get("quantum_candidate")]
     assert specs
     for spec in specs:
-        m = quantum_cyclotomic_candidate(_build_cyclo(spec))
+        m = quantum_cyclotomic_candidate(build_instance(spec))
         ok, witness = manin_check(m)
         assert not ok and witness is not None
         assert (ok, witness) == manin_reference(m)
