@@ -8,7 +8,11 @@ I = (-N, ..., -1, 1, ..., N).
 
 Everything here is classical: elements are polynomials in x^a_i, p^a_i
 with the parameter mu either an exact rational or the spectator variable
-"mu".
+"mu".  This module owns the model: its divisors, generators, structure
+constants, realizations and pole-term Lax matrices (CycloInstance.lax_glM
+in z, lax_glN in lam), the Lax algebra check and the Neumann model.  The
+duality, the generator extraction and the homomorphism checks run on the
+engines of gaudin.
 
 Note: at mu = 0 the cyclotomic model does NOT reduce to the non-cyclotomic
 duality even where the finite divisors look alike -- the origin carries the
@@ -22,16 +26,10 @@ from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
-from .errors import (
-    BadPoints,
-    DivisorMismatch,
-    DuplicateFrequency,
-    IndexOutOfRange,
-    RefusedMinor,
-)
-from .gaudin import (Divisor, _cleared, _spectral_det, check_generator_pairs, exact_int,
-                     jordan_sum, polynomial_equality_report, refused_minor_report,
-                     spectral_coefficients, takiff_block_sum)
+from .errors import BadPoints, DivisorMismatch, DuplicateFrequency, IndexOutOfRange
+from .gaudin import (Divisor, _classical_spectral_poly, _cleared, _spectral_dets,
+                     check_generator_pairs, exact_int, jordan_sum, polynomial_equality_report,
+                     spectral_coefficients, spectral_duality_report, takiff_block_sum)
 from .linalg import in_span
 from .matrices import _perm_expansion  # noqa: F401 (unused; bench/test_bench.py traces it)
 from .matrices import RingMatrix, block2x2, block_diag, jordan_block
@@ -228,13 +226,13 @@ class CycloInstance:
                 terms.append((sgn * self.realize_glMC(("pt", i, r, b, a)), -loc, r + 1))
         return [term for term in terms if term[0]]
 
-    def lax_glMC_cleared(self, var: str) -> RingMatrix:
-        """D_C(var) L^C(var) with polynomial entries, D_C = var^(2 tau_0)
-        prod (var - z_i)^tau_i (var + z_i)^tau_i; entry (b, a) carries the
-        coefficient of E_ba."""
+    def lax_glM(self, flavor: str) -> list[list[list[tuple]]]:
+        """The realized gl_M^C Lax matrix in z as pole terms, the poles those
+        of div_z: entry (b, a) lists the terms of the coefficient of E_ba.
+        flavor, which gaudin's engines pass, is the model's one: classical."""
+        assert flavor == "classical"
         M = self.M
-        lax = [[self.glMC_lax_terms(a, b) for a in range(1, M + 1)] for b in range(1, M + 1)]
-        return RingMatrix(_cleared(lax, self.div_z.clearing_poly(self.var[var]), var))
+        return [[self.glMC_lax_terms(a, b) for a in range(1, M + 1)] for b in range(1, M + 1)]
 
     # -- sp_2N side --------------------------------------------------------
 
@@ -324,28 +322,22 @@ class CycloInstance:
                                   self.ebar_entries(g2[2], g2[3]))
         return [(coeff, ("lam", g1[1], I, J)) for (I, J), coeff in self.sp_expand(comm).items()]
 
-    def sp_lax_terms(self, I: int, J: int,
-                     inf: list[list]) -> list[tuple[MultiPoly, Fraction, int]]:
-        """The coefficient of Ebar^IJ in the realized sp_2N Lax matrix as nonzero
-        (numerator, pole, order) terms; order 0 is the constant at infinity,
-        read from inf = sp_inf_matrix(0, mu)."""
-        terms = [(self.sp_inf_image(inf, I, J), Q(0), 0)]
-        terms += [(self.realize_sp("lam", a, I, J), la, 1) for a, la in enumerate(self.lam, 1)]
-        return [term for term in terms if term[0]]
-
-    def lax_sp2N_cleared(self, var: str) -> RingMatrix:
-        """Dbar(var) L^Dbar(var) with polynomial entries, Dbar = prod (var - lambda_a)."""
-        pairs = self.I2()
-        inf = self.sp_inf_matrix(Q(0), self.mu)
-        [totals] = _cleared([[self.sp_lax_terms(I, J, inf) for I, J in pairs]],
-                            self.div_lam.clearing_poly(self.var[var]), var)
+    def lax_glN(self, flavor: str) -> list[list[list[tuple]]]:
+        """The realized 2N x 2N sp_2N Lax matrix in lam as pole terms, the
+        poles those of div_lam.  The coefficient of Ebar^IJ has its image at
+        infinity (order 0, read from the sp_2N matrix at infinity, built
+        once) and a simple pole at each lambda_a; each nonzero term, times
+        the value of each entry of Ebar^IJ, is listed at that entry."""
+        assert flavor == "classical"
         n = 2 * self.N
-        acc = [[MultiPoly.zero() for _ in range(n)] for _ in range(n)]
-        for (I, J), total in zip(pairs, totals):
-            if total:
-                for r, c, value in self.ebar_dual(I, J):
-                    acc[r][c] = acc[r][c] + total * value
-        return RingMatrix(acc)
+        inf = self.sp_inf_matrix(Q(0), self.mu)
+        out = [[[] for _ in range(n)] for _ in range(n)]
+        for I, J in self.I2():
+            terms = [(self.sp_inf_image(inf, I, J), Q(0), 0)]
+            terms += [(self.realize_sp("lam", a, I, J), la, 1) for a, la in enumerate(self.lam, 1)]
+            for r, c, value in self.ebar_dual(I, J):
+                out[r][c] += [(img * value, pole, order) for img, pole, order in terms if img]
+        return out
 
 
 def _sparse_commutator(e1, e2) -> dict[tuple[int, int], int]:
@@ -429,26 +421,14 @@ def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = 
     return {"status": "pass", "pairs_checked": checked}
 
 
-def verify_cyclotomic_duality(inst: CycloInstance, glMC_poly: MultiPoly | None = None) -> dict:
-    """Exact equality of the two spectral polynomials in P_b[z, lam];
-    `glMC_poly` is the gl_M^C side when the caller has already built it.  A
-    minor that its per-step division refuses is a fail naming the side."""
-    try:
-        det_r = _spectral_det(inst.lax_sp2N_cleared("lam"), inst.div_lam, inst.var, "lam", "z")
-        if glMC_poly is None:
-            glMC_poly = _glMC_spectral_poly(inst)
-    except RefusedMinor as err:
-        return refused_minor_report(err, {"z": "glM", "lam": "sp2N"})
-    return polynomial_equality_report(glMC_poly, det_r)
-
-
-def _glMC_spectral_poly(inst: CycloInstance) -> MultiPoly:
-    """det(lam D_C 1 - D_C L^C) with D_C^(M-1) divided out."""
-    return _spectral_det(inst.lax_glMC_cleared("z"), inst.div_z, inst.var, "z", "lam")
+def verify_cyclotomic_duality(inst: CycloInstance) -> dict:
+    """Exact equality of the two spectral polynomials in P_b[z, lam], the
+    gl_M^C side (glM) and the sp_2N side (sp2N)."""
+    return spectral_duality_report(inst, {"z": "glM", "lam": "sp2N"})
 
 
 def extract_cyclotomic_generators(inst: CycloInstance) -> list[MultiPoly]:
-    return spectral_coefficients(_glMC_spectral_poly(inst))
+    return spectral_coefficients(_classical_spectral_poly(inst))
 
 
 # -- Lax algebra (classical r-matrix) checks -----------------------------------
@@ -466,22 +446,24 @@ def lax_algebra_check(inst: CycloInstance, which: str) -> dict:
         (w - lam){A1(lam), A2(w)} = [R, Dbar(w) A1 + Dbar(lam) A2]
         with R = sum Ebar^IJ x Ebar_IJ = (w - lam) rbar12
     """
-    z, lam, w = inst.var["z"], inst.var["lam"], inst.var["w"]
     if which == "cyclotomic-glM":
-        lax_u, lax_w = inst.lax_glMC_cleared("z"), inst.lax_glMC_cleared("w")
-        d_u, d_w = inst.div_z.clearing_poly(z), inst.div_z.clearing_poly(w)
-        factor = w * w - z * z
-        rhs = (_commutator(_cyclo_r_matrix(inst.M, z, w), _first_leg(lax_u, d_w))
-               + _commutator(_swap_legs(_cyclo_r_matrix(inst.M, w, z)),
-                             _swap_legs(_first_leg(lax_w, d_u))))
+        lax, divisor, spec = inst.lax_glM("classical"), inst.div_z, "z"
     elif which == "sp2N":
-        lax_u, lax_w = inst.lax_sp2N_cleared("lam"), inst.lax_sp2N_cleared("w")
-        d_u, d_w = inst.div_lam.clearing_poly(lam), inst.div_lam.clearing_poly(w)
-        factor = w - lam
-        rhs = _commutator(_sp_r_matrix(inst),
-                          _first_leg(lax_u, d_w) + _swap_legs(_first_leg(lax_w, d_u)))
+        lax, divisor, spec = inst.lax_glN("classical"), inst.div_lam, "lam"
     else:
         raise ValueError(f"unknown Lax algebra family {which!r}")
+    lax_u, lax_w = _cleared(lax, divisor, inst.var, spec), _cleared(lax, divisor, inst.var, "w")
+    u, w = inst.var[spec], inst.var["w"]
+    d_u, d_w = divisor.clearing_poly(u), divisor.clearing_poly(w)
+    if which == "cyclotomic-glM":
+        factor = w * w - u * u
+        rhs = (_commutator(_cyclo_r_matrix(inst.M, u, w), _first_leg(lax_u, d_w))
+               + _commutator(_swap_legs(_cyclo_r_matrix(inst.M, w, u)),
+                             _swap_legs(_first_leg(lax_w, d_u))))
+    else:
+        factor = w - u
+        rhs = _commutator(_sp_r_matrix(inst),
+                          _first_leg(lax_u, d_w) + _swap_legs(_first_leg(lax_w, d_u)))
 
     size = lax_u.rows
     n2 = size * size
@@ -544,6 +526,12 @@ def _swap_legs(r: RingMatrix) -> RingMatrix:
 # -- Neumann model ---------------------------------------------------------------
 
 
+def angular_momentum(a: int, b: int) -> MultiPoly:
+    """x_a p_b - x_b p_a of the Neumann model (N = 1)."""
+    v = MultiPoly.var
+    return v(f"x{a}_1") * v(f"p{b}_1") - v(f"x{b}_1") * v(f"p{a}_1")
+
+
 def neumann_artifacts(M: int, omegas) -> dict:
     """The Neumann instance: N = 1, mu = -1, frequencies omega_a with
     lambda_a = omega_a^2.
@@ -558,20 +546,17 @@ def neumann_artifacts(M: int, omegas) -> dict:
     if len(set(lams)) != len(lams):
         raise DuplicateFrequency("need pairwise distinct omega_a^2")
     inst = CycloInstance(M, CycloDivisor.of(1, []), lams, Q(-1))
-    spectral = _glMC_spectral_poly(inst)
-    duality = verify_cyclotomic_duality(inst, spectral)
+    spectral, dual = _spectral_dets(inst, "classical")
+    duality = polynomial_equality_report(spectral, dual)
 
     coeffs = spectral_coefficients(spectral)
     # H = 1/4 sum_(a != b) (x_a p_b - x_b p_a)^2 + 1/2 sum omega_a^2 x_a^2
     H = MultiPoly.zero()
     for a in range(1, M + 1):
         for b in range(1, M + 1):
-            if a == b:
-                continue
-            k = MultiPoly.var(f"x{a}_1") * MultiPoly.var(f"p{b}_1") - (
-                MultiPoly.var(f"x{b}_1") * MultiPoly.var(f"p{a}_1")
-            )
-            H = H + k * k * Q(1, 4)
+            if a != b:
+                k = angular_momentum(a, b)
+                H = H + k * k * Q(1, 4)
     for a in range(1, M + 1):
         H = H + MultiPoly.var(f"x{a}_1") ** 2 * lams[a - 1] * Q(1, 2)
 
@@ -594,14 +579,8 @@ def sphere_constraint_is_angular_invariant(M: int) -> bool:
     r2 = MultiPoly.zero()
     for a in range(1, M + 1):
         r2 = r2 + MultiPoly.var(f"x{a}_1") ** 2
-    for a in range(1, M + 1):
-        for b in range(1, M + 1):
-            k = MultiPoly.var(f"x{a}_1") * MultiPoly.var(f"p{b}_1") - (
-                MultiPoly.var(f"x{b}_1") * MultiPoly.var(f"p{a}_1")
-            )
-            if poisson_bracket(r2, k):
-                return False
-    return True
+    return not any(poisson_bracket(r2, angular_momentum(a, b))
+                   for a in range(1, M + 1) for b in range(1, M + 1))
 
 
 # -- quantum cyclotomic candidate (negative result) -------------------------------

@@ -1,5 +1,9 @@
 """Divisors, Takiff generators, realizations, Lax matrices and the three
-non-cyclotomic duality verifiers.
+non-cyclotomic duality verifiers, with the two engines that the cyclotomic
+model shares: the spectral pipeline (_spectral_dets, which clears, expands
+and divides both sides of a classical duality given as pole-term Lax
+matrices) and the generator-pair checker (check_generator_pairs, which also
+runs every commutativity check).
 
 Conventions fixed here (and unit-tested, since they are easy to transcribe
 wrongly):
@@ -306,39 +310,44 @@ def _sample_map(inst: DualityInstance, seed: int) -> dict:
     return values
 
 
-def _spectral_dets(inst: DualityInstance, flavor: str, sample_seed=None):
+def _spectral_dets(inst, flavor: str, sample_seed=None):
     """Cleared determinants of both sides, the z side first:
     det(lam D(z) 1 - D(z) L^D(z)) and det(z D(lam) 1 - D(lam) L^D~(lam)),
     the classical ones divided by D^(n-1) inside the determinant
-    (_spectral_det), the fermionic ones undivided (_fermionic_det)."""
+    (_spectral_det), the fermionic ones undivided (_fermionic_det).  inst is
+    a DualityInstance or a cyclotomic.CycloInstance: each gives its two Lax
+    matrices as pole terms (lax_glM in z, lax_glN in lam), their divisors
+    div_z and div_lam, and the variable table var."""
     assert flavor in ("classical", "fermionic")
     subs = _sample_map(inst, sample_seed) if sample_seed is not None else None
     return (_side_det(inst, flavor, inst.lax_glM(flavor), inst.div_z, "z", "lam", subs),
             _side_det(inst, flavor, inst.lax_glN(flavor), inst.div_lam, "lam", "z", subs))
 
 
-def _side_det(inst: DualityInstance, flavor: str, lax, divisor: Divisor, spec_var: str,
-              eigen_var: str, subs=None):
+def _side_det(inst, flavor: str, lax, divisor: Divisor, spec_var: str, eigen_var: str,
+              subs=None):
     """The cleared determinant of one side, its Lax matrix given as pole
     terms; subs, when given, substitutes rationals for x and p in every
     cleared classical entry."""
     if flavor == "fermionic":
         return _fermionic_det(lax, divisor, inst.var, spec_var, eigen_var)
-    cleared = _cleared(lax, divisor.clearing_poly(inst.var[spec_var]), spec_var)
+    cleared = _cleared(lax, divisor, inst.var, spec_var)
     if subs:
-        cleared = [[p.substitute(subs) for p in row] for row in cleared]
-    return _spectral_det(RingMatrix(cleared), divisor, inst.var, spec_var, eigen_var)
+        cleared = RingMatrix([[p.substitute(subs) for p in row] for row in cleared.entries])
+    return _spectral_det(cleared, divisor, inst.var, spec_var, eigen_var)
 
 
-def _cleared(lax: list[list[list[tuple]]], clearing: MultiPoly, var: str) -> list[list[MultiPoly]]:
-    """clearing * sum image / (var - pole)^order for every entry of a
-    pole-term matrix, rows of (image, pole, order) lists, where clearing is a
-    product of factors (var - pole)^k with k >= order for every term: exact
+def _cleared(lax: list[list[list[tuple]]], divisor: Divisor, var: VariableTable,
+             spec_var: str) -> RingMatrix:
+    """D L for a pole-term matrix L, rows of (image, pole, order) lists whose
+    poles are those of divisor, D = prod (spec_var - location)^tau over the
+    table var: D * sum image / (spec_var - pole)^order for every entry, exact
     polynomials, no rational function is formed.  Each quotient
-    clearing / (var - pole)^order is divided once per call."""
-    quotient = cache(lambda pole, order: clearing.divide_linear(var, [(pole, order)]))
-    return [[sum((img * quotient(pole, order) for img, pole, order in terms), MultiPoly.zero())
-             for terms in row] for row in lax]
+    D / (spec_var - pole)^order is divided once per call."""
+    clearing = divisor.clearing_poly(var[spec_var])
+    quotient = cache(lambda pole, order: clearing.divide_linear(spec_var, [(pole, order)]))
+    return RingMatrix([[sum((img * quotient(pole, order) for img, pole, order in terms),
+                            MultiPoly.zero()) for terms in row] for row in lax])
 
 
 def _spectral_det(cleared: RingMatrix, divisor: Divisor, var: VariableTable, spec_var: str,
@@ -394,21 +403,21 @@ def _divide_out(poly: MultiPoly, divisor: Divisor, spec_var: str, copies: int) -
 
 def verify_classical_bosonic_duality(inst: DualityInstance, sample_seed=None) -> dict:
     """Both sides of the classical bosonic duality as exact polynomials in
-    P_b[z, lam], each cleared determinant divided inside its expansion; a
-    minor that its division refuses is a fail naming the side."""
+    P_b[z, lam], each cleared determinant divided inside its expansion."""
+    return spectral_duality_report(inst, {"z": "z", "lam": "lam"}, sample_seed)
+
+
+def spectral_duality_report(inst, sides: dict[str, str], sample_seed=None) -> dict:
+    """Report of a classical duality between the two spectral determinants
+    of inst (see _spectral_dets).  A minor that its per-step division
+    refuses is a fail naming the side (sides[spectral variable]), the size
+    of the refused minor and the point at which it was refused."""
     try:
         lhs, rhs = _spectral_dets(inst, "classical", sample_seed)
     except RefusedMinor as err:
-        return refused_minor_report(err, {"z": "z", "lam": "lam"})
+        return {"status": "fail",
+                "witness": {"side": sides[err.var], "minor": err.size, "point": str(err.root)}}
     return polynomial_equality_report(lhs, rhs)
-
-
-def refused_minor_report(err: RefusedMinor, sides: dict[str, str]) -> dict:
-    """The fail report of a cleared determinant whose per-step division was
-    refused: the side (named by sides[spectral variable]), the size of the
-    refused minor and the point at which it was refused."""
-    return {"status": "fail",
-            "witness": {"side": sides[err.var], "minor": err.size, "point": str(err.root)}}
 
 
 def polynomial_equality_report(lhs: MultiPoly, rhs: MultiPoly) -> dict:
@@ -519,8 +528,9 @@ def verify_quantum_duality(inst: DualityInstance) -> dict:
     return report
 
 
-def _classical_spectral_poly(inst: DualityInstance) -> MultiPoly:
-    """The common classical polynomial, built from the z side alone."""
+def _classical_spectral_poly(inst) -> MultiPoly:
+    """The common classical polynomial of a DualityInstance or a
+    cyclotomic.CycloInstance, built from the z side alone."""
     return _side_det(inst, "classical", inst.lax_glM("classical"), inst.div_z, "z", "lam")
 
 
@@ -560,28 +570,25 @@ def _partial_fraction_generators(op: OrderedDiffOp, divisor: Divisor) -> list[We
 
 
 def check_commutativity(generators: list, flavor: str) -> dict:
-    """All pairwise (Poisson) commutators, self-pairs counted, zero by
-    antisymmetry, not bracketed: every pair i < j is bracketed, in order, and
-    pairs_checked counts the pairs i <= j up to the first failing one."""
+    """All pairwise (Poisson) commutators, by check_generator_pairs over the
+    generator indices with every structure empty: a pair with disjoint
+    supports (any pair with a constant among them) or a self-pair is not
+    bracketed, every other pair i < j is bracketed once, in row-major order,
+    and pairs_checked counts the pairs i <= j up to the first failing one."""
     if flavor == "classical":
-        bracket = poisson_bracket
+        bracket, support, zero = poisson_bracket, poisson_support, MultiPoly.zero()
     elif flavor == "quantum":
-        bracket = weyl_commutator
+        bracket, support, zero = weyl_commutator, weyl_support, WeylElement.zero()
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    pairs = 0
-    for i, g in enumerate(generators):
-        pairs += 1
-        for j in range(i + 1, len(generators)):
-            pairs += 1
-            bad = bracket(g, generators[j])
-            if bad:
-                return {
-                    "status": "fail",
-                    "pairs_checked": pairs,
-                    "witness": {"pair": (i, j), "bracket": repr(bad)},
-                }
-    return {"status": "pass", "pairs_checked": pairs}
+    n = len(generators)
+    _, failure = check_generator_pairs(range(n), generators.__getitem__, bracket, support,
+                                       lambda i: {}, zero)
+    if not failure:
+        return {"status": "pass", "pairs_checked": n * (n + 1) // 2}
+    i, j, got, _ = failure
+    return {"status": "fail", "pairs_checked": i * n - i * (i - 1) // 2 + j - i + 1,
+            "witness": {"pair": (i, j), "bracket": repr(got)}}
 
 
 # -- homomorphism checks -------------------------------------------------------

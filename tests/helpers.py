@@ -247,15 +247,15 @@ def perturb_divided_expansion(monkeypatch, module, call: int, by=1) -> None:
 
 
 def check_cleared_against_ratfunc(inst) -> None:
-    """Both classical sides of a DualityInstance: each polynomial entry of
-    the cleared Lax matrix D L equals D times the rational-function entry
-    that ratfunc_lax sums from the same pole terms, read back as a
-    polynomial in the spectral variable."""
+    """Both classical sides of a DualityInstance or a CycloInstance: each
+    polynomial entry of the cleared Lax matrix D L equals D times the
+    rational-function entry that ratfunc_lax sums from the same pole terms,
+    read back as a polynomial in the spectral variable."""
     for lax, divisor, var in ((inst.lax_glM("classical"), inst.div_z, "z"),
                               (inst.lax_glN("classical"), inst.div_lam, "lam")):
-        cleared = _cleared(lax, divisor.clearing_poly(inst.var[var]), var)
+        cleared = _cleared(lax, divisor, inst.var, var)
         clearing = RatFunc(var, expand_factors(dict(divisor.points)))
-        for got_row, want_row in zip(cleared, ratfunc_lax(lax, var).entries, strict=True):
+        for got_row, want_row in zip(cleared.entries, ratfunc_lax(lax, var).entries, strict=True):
             for got, f in zip(got_row, want_row, strict=True):
                 want = MultiPoly.zero()
                 for k, coeff in (f * clearing).to_poly().items():
@@ -267,9 +267,9 @@ def order_one_clearing(monkeypatch, *modules) -> None:
     """Patch _cleared in each module so that every pole of order >= 2 gets
     the order-1 quotient: the fault of a quotient memo keyed by the pole
     alone."""
-    def faulty(lax, clearing, var):
+    def faulty(lax, divisor, table, var):
         return _cleared([[[(img, pole, min(order, 1)) for img, pole, order in terms]
-                          for terms in row] for row in lax], clearing, var)
+                          for terms in row] for row in lax], divisor, table, var)
 
     for module in modules:
         monkeypatch.setattr(module, "_cleared", faulty)

@@ -24,8 +24,9 @@ from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
 from gaudual.weyl import WeylElement
 from gaudual.runner import run_instance
-from helpers import (build_instance, check_commutativity_reference, check_per_step_division,
-                     order_one_clearing, perturb_divided_expansion, rng, random_fraction)
+from helpers import (build_instance, check_cleared_against_ratfunc, check_commutativity_reference,
+                     check_per_step_division, order_one_clearing, perturb_divided_expansion, rng,
+                     random_fraction)
 
 Q = Fraction
 V = MultiPoly.var
@@ -473,9 +474,9 @@ def test_cyclotomic_duality_fails_with_the_last_sp2N_division_skipped(monkeypatc
     assert report["witness"] == {"monomial": {"z": 2}, "difference": "1190"}
 
 
-@pytest.mark.parametrize("call, witness", [(0, {"side": "sp2N", "minor": 2, "point": "5"}),
-                                           (1, {"side": "glM", "minor": 2, "point": "0"})],
-                         ids=["sp2N", "glM"])
+@pytest.mark.parametrize("call, witness", [(0, {"side": "glM", "minor": 2, "point": "0"}),
+                                           (1, {"side": "sp2N", "minor": 2, "point": "5"})],
+                         ids=["glM", "sp2N"])
 def test_cyclotomic_duality_fails_on_a_refused_intermediate_minor(monkeypatch, call, witness):
     # the sp_2N side is 4 x 4 and the gl_M^C side 3 x 3, so the refused
     # 2 x 2 minors are intermediate; the refusal is a fail, not an error
@@ -575,17 +576,17 @@ def test_neumann_m2_combination_is_half_c00_plus_lambda_sum():
     assert report["hamiltonian_combination"][:2] == ["1/2", "5/2"]
 
 
-def test_neumann_builds_the_glMC_determinant_once(monkeypatch):
+def test_neumann_builds_each_side_determinant_once(monkeypatch):
     calls = []
-    spectral = cyclotomic._glMC_spectral_poly
+    side_det = gaudin._side_det
 
-    def counted(inst):
-        calls.append(inst)
-        return spectral(inst)
+    def counted(inst, flavor, lax, divisor, spec_var, *args):
+        calls.append(spec_var)
+        return side_det(inst, flavor, lax, divisor, spec_var, *args)
 
-    monkeypatch.setattr(cyclotomic, "_glMC_spectral_poly", counted)
+    monkeypatch.setattr(gaudin, "_side_det", counted)
     assert neumann_artifacts(3, [1, 2, 3])["status"] == "pass"
-    assert len(calls) == 1
+    assert calls == ["z", "lam"]
 
 
 def test_neumann_duplicate_frequency():
@@ -649,7 +650,7 @@ def test_neumann_mxm_lax_entries():
     # - x_a x_b / z^2 for the frequencies omega = (1, 2); the cleared matrix
     # holds the numerators over D_C = z^2
     inst = inst_of(2, 1, [], [1, 4], Q(-1))
-    lax = inst.lax_glMC_cleared("z")
+    lax = gaudin._cleared(inst.lax_glM("classical"), inst.div_z, inst.var, "z")
     z = V("z")
     k12 = V("x1_1") * V("p2_1") - V("x2_1") * V("p1_1")
     assert lax[0, 0] == z * z - V("x1_1") ** 2  # lam_1 = 1
@@ -657,7 +658,7 @@ def test_neumann_mxm_lax_entries():
     assert lax[0, 1] == -k12 * z - V("x1_1") * V("x2_1")
     assert lax[1, 1] == 4 * z * z - V("x2_1") ** 2  # lam_2 = 4
     # the dual Lax matrix is 2 x 2
-    assert inst.lax_sp2N_cleared("lam").rows == 2
+    assert len(inst.lax_glN("classical")) == 2
 
 
 def _paper_core_cyclotomic():
@@ -736,7 +737,7 @@ def test_grouped_structure_rows_equal_the_all_pairs_rows(spec):
 def test_per_step_division_equals_dividing_the_full_determinant(spec):
     inst = build_instance(spec)
     check_per_step_division(gaudin, lambda: verify_cyclotomic_duality(inst),
-                            [(inst.div_lam, "lam"), (inst.div_z, "z")])
+                            [(inst.div_z, "z"), (inst.div_lam, "lam")])
 
 
 def per_term_cleared(lax, clearing: MultiPoly, var: str) -> list[list[MultiPoly]]:
@@ -749,12 +750,13 @@ def per_term_cleared(lax, clearing: MultiPoly, var: str) -> list[list[MultiPoly]
 
 @pytest.mark.parametrize("spec", [pytest.param(spec, id=f"grid-{k}")
                                   for k, spec in enumerate(presets.cyclotomic_grid())])
-def test_memoized_clearing_equals_per_term_division(monkeypatch, spec):
+def test_memoized_clearing_equals_per_term_division(spec):
     inst = build_instance(spec)
-    memoized = [inst.lax_glMC_cleared("z"), inst.lax_sp2N_cleared("lam")]
-    monkeypatch.setattr(cyclotomic, "_cleared", per_term_cleared)
-    per_term = [inst.lax_glMC_cleared("z"), inst.lax_sp2N_cleared("lam")]
-    assert [m.entries for m in memoized] == [m.entries for m in per_term]
+    for lax, divisor, var in ((inst.lax_glM("classical"), inst.div_z, "z"),
+                              (inst.lax_glN("classical"), inst.div_lam, "lam")):
+        memoized = gaudin._cleared(lax, divisor, inst.var, var)
+        clearing = divisor.clearing_poly(inst.var[var])
+        assert memoized.entries == per_term_cleared(lax, clearing, var)
 
 
 @pytest.mark.parametrize("tau0, pts", [(1, []), (1, [(1, 1)]), (2, [])])
@@ -763,5 +765,33 @@ def test_cyclotomic_duality_fails_with_the_order_one_quotient_at_every_pole(monk
     # the origin carries poles of orders 1 .. 2 tau0 on the gl_M^C side
     inst = inst_of(2, tau0, pts, ["5", "7"], Q(-1))
     assert verify_cyclotomic_duality(inst)["status"] == "pass"
-    order_one_clearing(monkeypatch, cyclotomic)
+    order_one_clearing(monkeypatch, gaudin)
     assert verify_cyclotomic_duality(inst)["status"] == "fail"
+
+
+def _unsigned_mirror(monkeypatch):
+    """The mirrored entry (-I, -J) of every dual basis matrix Ebar^IJ with
+    J != -I loses its sign: its value -sigma becomes sigma.  The sp_2N Lax
+    matrix places its pole terms on these entries."""
+    ebar_dual = CycloInstance.ebar_dual
+
+    def unsigned(self, I, J):
+        first, *mirrored = ebar_dual(self, I, J)
+        return [first] + [(r, c, -value) for r, c, value in mirrored]
+
+    monkeypatch.setattr(CycloInstance, "ebar_dual", unsigned)
+
+
+@pytest.mark.parametrize("spec", [pytest.param(spec, id=f"grid-{k}")
+                                  for k, spec in enumerate(presets.cyclotomic_grid())])
+def test_cyclotomic_duality_fails_with_the_mirrored_sp2N_entry_unsigned(monkeypatch, spec):
+    inst = build_instance(spec)
+    assert verify_cyclotomic_duality(inst)["status"] == "pass"
+    _unsigned_mirror(monkeypatch)
+    assert verify_cyclotomic_duality(inst)["status"] == "fail"
+
+
+@pytest.mark.parametrize("spec", [pytest.param(spec, id=f"grid-{k}")
+                                  for k, spec in enumerate(presets.cyclotomic_grid())])
+def test_cyclotomic_cleared_entries_equal_the_cleared_ratfunc_lax(spec):
+    check_cleared_against_ratfunc(build_instance(spec))

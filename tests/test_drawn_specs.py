@@ -110,4 +110,4 @@ def test_drawn_cleared_entries_equal_the_cleared_ratfunc_lax(spec):
 def test_drawn_cyclotomic_per_step_division(spec):
     inst = build_instance(spec)
     check_per_step_division(gaudin, lambda: cyclotomic.verify_cyclotomic_duality(inst),
-                            [(inst.div_lam, "lam"), (inst.div_z, "z")])
+                            [(inst.div_z, "z"), (inst.div_lam, "lam")])

@@ -15,8 +15,9 @@ from gaudual.gaudin import (
 )
 from gaudual.linalg import solve_linear
 from gaudual.multipoly import MultiPoly
+from gaudual.poisson import poisson_support
 from gaudual.presets import commutativity_grid
-from gaudual.weyl import WeylElement, weyl_commutator
+from gaudual.weyl import WeylElement, weyl_commutator, weyl_support
 from helpers import check_commutativity_reference
 
 Q = Fraction
@@ -100,12 +101,16 @@ def test_unknown_flavor_is_refused():
 
 
 @pytest.mark.parametrize("flavor", ["classical", "quantum"])
-def test_self_pairs_are_counted_but_not_bracketed(monkeypatch, flavor):
-    """Each pair i < j is bracketed once, in order, and no generator with
-    itself; pairs_checked still counts the n self-pairs."""
+def test_only_pairs_whose_supports_meet_are_bracketed(monkeypatch, flavor):
+    """A pair i < j is bracketed once, in row-major order, exactly when the
+    supports of its generators meet: no self-pair, no pair with disjoint
+    supports and so no pair with a constant generator is bracketed, while
+    pairs_checked still counts every pair i <= j and the report is that of
+    the direct loop."""
     gens = extract_gaudin_generators(make(2, 2, [(1, 1), (2, 1)], [(5, 1), (7, 1)]), flavor)
     n = len(gens)
-    name = "weyl_commutator" if flavor == "quantum" else "poisson_bracket"
+    name, support = (("weyl_commutator", weyl_support) if flavor == "quantum"
+                     else ("poisson_bracket", poisson_support))
     bracket, calls = getattr(gaudin, name), []
 
     def spy(a, b):
@@ -115,11 +120,13 @@ def test_self_pairs_are_counted_but_not_bracketed(monkeypatch, flavor):
     monkeypatch.setattr(gaudin, name, spy)
     report = check_commutativity(gens, flavor)
     assert report == {"status": "pass", "pairs_checked": n * (n + 1) // 2}
-    assert len(calls) == n * (n - 1) // 2
-    assert all(a is not b for a, b in calls)
+    supports = [support(g) for g in gens]
+    meeting = [(i, j) for i in range(n) for j in range(i + 1, n) if supports[i] & supports[j]]
+    assert any(not s for s in supports) and len(meeting) < n * (n - 1) // 2
     index = {id(g): k for k, g in enumerate(gens)}
-    assert [(index[id(a)], index[id(b)]) for a, b in calls] == [
-        (i, j) for i in range(n) for j in range(i + 1, n)]
+    assert [(index[id(a)], index[id(b)]) for a, b in calls] == meeting
+    monkeypatch.undo()
+    assert report == check_commutativity_reference(gens, flavor)
 
 
 SMALL_COMMUTATIVITY = [spec for spec in commutativity_grid() if spec["M"] <= 2 and spec["N"] <= 2]
@@ -129,8 +136,9 @@ SMALL_COMMUTATIVITY = [spec for spec in commutativity_grid() if spec["M"] <= 2 a
                          ids=[f"{s['flavor']}-{s['M']}x{s['N']}-{k}"
                               for k, s in enumerate(SMALL_COMMUTATIVITY)])
 def test_commutativity_matches_the_reference(spec):
-    """The loop that skips self-pairs and the direct one give the same
-    report on every grid instance with M, N <= 2."""
+    """The pair checker, which brackets only the pairs i < j whose supports
+    meet, and the direct loop over every pair i <= j give the same report
+    on every grid instance with M, N <= 2."""
     inst = make(spec["M"], spec["N"], spec["divisor"], spec["dual_divisor"])
     gens = extract_gaudin_generators(inst, spec["flavor"])
     report = check_commutativity(gens, spec["flavor"])

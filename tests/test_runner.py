@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gaudual import runner
+from gaudual.multipoly import MultiPoly
 from gaudual.presets import cyclotomic_grid, paper_core
 from gaudual.runner import CHECKS, run_instance, validate_instance
 
@@ -40,6 +41,29 @@ def test_cyclotomic_commutativity_passes_on_the_cyclotomic_grid(spec):
     report = run_instance(spec)
     assert report["status"] == "pass"
     assert report["generators"] >= 1
+
+
+def test_cyclotomic_commutativity_fails_on_one_perturbed_generator(monkeypatch):
+    """p1_1 added to the first extracted generator g_0: {g_0 + p1_1, g_j} =
+    dg_j/dx1_1, so the check fails at the first later generator that uses
+    x1_1, after the pairs (0, 0) .. (0, j)."""
+    spec = next(spec for spec in CYCLOTOMIC_COMMUTATIVITY
+                if (spec["M"], spec["tau0"], spec["divisor"], spec["mu"]) == (2, 2, [], "-1"))
+    extract = runner.extract_cyclotomic_generators
+    gens = extract(runner._instance(validate_instance(spec)))
+    j = next(j for j, g in enumerate(gens) if j and g.derivative("x1_1"))
+    assert j == 2
+
+    def perturbed(inst):
+        first, *rest = extract(inst)
+        return [first + MultiPoly.var("p1_1"), *rest]
+
+    monkeypatch.setattr(runner, "extract_cyclotomic_generators", perturbed)
+    report = run_instance(spec)
+    assert report["status"] == "fail"
+    assert report["pairs_checked"] == j + 1
+    assert report["witness"] == {"pair": (0, j), "bracket": repr(gens[j].derivative("x1_1"))}
+    assert report["generators"] == len(gens)
 
 
 @pytest.mark.parametrize("key", [key for key, check in CHECKS.items() if check.model != "neumann"],
