@@ -29,13 +29,7 @@ from .ratfunc import RatFunc, partial_fractions
 from .weyl import OrderedDiffOp, WeylElement, weyl_commutator
 from .grassmann import GrassmannAlgebra, GrassmannElement
 from .poisson import poisson_bracket
-from .matrices import (
-    RingMatrix,
-    cdet,
-    det,
-    jordan_block,
-    manin_check,
-)
+from .matrices import cdet, det, jordan_block, manin_check
 from .gaudin import (
     Divisor,
     DualityInstance,

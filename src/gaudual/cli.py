@@ -2,8 +2,8 @@
 JSON-lines reports plus a human-readable summary.
 
 Exit codes: 0 all instances pass, 1 any verification failure or error,
-2 specification validation error, a count option below 1 or an unwritable
---out.
+2 specification validation error, a spec file given with --preset, a count
+option below 1 or an unwritable --out.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ def cmd_verify(args) -> int:
         if value < 1:
             print(f"{flag} must be at least 1, not {value}", file=sys.stderr)
             return 2
+    if args.spec and args.preset:
+        print("give a spec file or --preset, not both", file=sys.stderr)
+        return 2
     if args.M is not None:
         sizes = [spec["M"] for spec in neumann_instances()]
         if args.preset != "neumann" or args.M not in sizes:

@@ -32,7 +32,7 @@ from .gaudin import (Divisor, _classical_spectral_poly, _cleared, _spectral_dets
                      spectral_coefficients, spectral_duality_report, takiff_block_sum)
 from .linalg import in_span
 from .matrices import _perm_expansion  # noqa: F401 (unused; bench/test_bench.py traces it)
-from .matrices import RingMatrix, block2x2, block_diag, jordan_block
+from .matrices import block2x2, block_diag, jordan_block
 from .multipoly import MultiPoly, VariableTable
 from .poisson import poisson_bracket, poisson_support
 from .scalars import rat
@@ -93,7 +93,7 @@ class CycloDivisor(namedtuple("CycloDivisor", "tau0 points")):
         return Divisor(((Q(0), 2 * self.tau0),)
                        + tuple((sign * loc, tau) for loc, tau in self.points for sign in (1, -1)))
 
-    def jordan_data(self, x) -> RingMatrix:
+    def jordan_data(self, x) -> list[list]:
         """blkdiag(-J(-x-z_i) in reverse order, -J_tau0(-x), J_tau0(x), J(x-z_i)):
         the Jordan data of the sp_2N side at infinity, shifted by x."""
         half = ((Q(0), self.tau0),) + self.points
@@ -131,6 +131,7 @@ class CycloInstance:
         self.mu = mu.lift_to(self.var.names)
         # the entry that names each sp_2N basis matrix Ebar_IJ, (I, J) in I2
         self._basis_at = {(self.pos(I), self.pos(J)): (I, J) for I, J in self.I2()}
+        self._sp_inf = self.sp_inf_matrix(Q(0), self.mu)
 
     # -- gl_M^C side ------------------------------------------------------
 
@@ -279,23 +280,19 @@ class CycloInstance:
         """blkdiag(-J(-x-z_i), -J_tau0(-x), J_tau0(x), J(x-z_i)) + mu E~_(1,-1):
         at x = 0 and mu = self.mu the matrix whose -(J I) entries realize the
         sp generators at infinity."""
-        rows = self.C.jordan_data(x).entries
+        rows = self.C.jordan_data(x)
         mu_row, mu_col = self.pos(1), self.pos(-1)
         rows[mu_row][mu_col] = rows[mu_row][mu_col] + mu
         return rows
 
-    def sp_inf_image(self, inf: list[list], I: int, J: int) -> MultiPoly:
-        """pibar_b on Ebar^(inf)_IJ: minus the (J, I) entry of
-        inf = sp_inf_matrix(0, mu), which a caller that realizes many
-        infinity generators builds once."""
-        entry = inf[self.pos(J)][self.pos(I)]
-        return -(entry if isinstance(entry, MultiPoly) else MultiPoly.const(entry))
-
     def realize_sp(self, kind: str, a: int, I: int, J: int,
                    mutation: str | None = None) -> MultiPoly:
-        """pibar_b on Ebar^(lambda_a)_IJ (kind "lam") / Ebar^(inf)_IJ."""
+        """pibar_b on Ebar^(lambda_a)_IJ (kind "lam") / Ebar^(inf)_IJ, the
+        latter minus the (J, I) entry of sp_inf_matrix(0, mu), built once per
+        instance."""
         if kind == "inf":
-            return self.sp_inf_image(self.sp_inf_matrix(Q(0), self.mu), I, J)
+            entry = self._sp_inf[self.pos(J)][self.pos(I)]
+            return -(entry if isinstance(entry, MultiPoly) else MultiPoly.const(entry))
         if not (1 <= a <= self.M):
             raise IndexOutOfRange(f"point index {a} exceeds M={self.M}")
         sigma_j = 1 if J > 0 else -1
@@ -325,15 +322,14 @@ class CycloInstance:
     def lax_glN(self, flavor: str) -> list[list[list[tuple]]]:
         """The realized 2N x 2N sp_2N Lax matrix in lam as pole terms, the
         poles those of div_lam.  The coefficient of Ebar^IJ has its image at
-        infinity (order 0, read from the sp_2N matrix at infinity, built
-        once) and a simple pole at each lambda_a; each nonzero term, times
-        the value of each entry of Ebar^IJ, is listed at that entry."""
+        infinity (order 0) and a simple pole at each lambda_a; each nonzero
+        term, times the value of each entry of Ebar^IJ, is listed at that
+        entry."""
         assert flavor == "classical"
         n = 2 * self.N
-        inf = self.sp_inf_matrix(Q(0), self.mu)
         out = [[[] for _ in range(n)] for _ in range(n)]
         for I, J in self.I2():
-            terms = [(self.sp_inf_image(inf, I, J), Q(0), 0)]
+            terms = [(self.realize_sp("inf", 0, I, J), Q(0), 0)]
             terms += [(self.realize_sp("lam", a, I, J), la, 1) for a, la in enumerate(self.lam, 1)]
             for r, c, value in self.ebar_dual(I, J):
                 out[r][c] += [(img * value, pole, order) for img, pole, order in terms if img]
@@ -394,17 +390,11 @@ def _structure_rows(gens: list, structure):
 
 def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = None) -> dict:
     """Exhaustive generator-pair checks for both realization maps; every
-    bracket term is a canonical generator, so each generator is realized once,
-    and the sp_2N matrix at infinity is built once."""
-    inf = inst.sp_inf_matrix(Q(0), inst.mu)
-
-    def realize_sp(g, mutation):
-        return inst.sp_inf_image(inf, *g[2:]) if g[0] == "inf" else inst.realize_sp(*g, mutation)
-
+    bracket term is a canonical generator, so each generator is realized once."""
     checked = 0
     for side, gens, realize, structure in (
         ("glM-cyclotomic", inst.glMC_generators(), inst.realize_glMC, inst.glMC_bracket),
-        ("sp2N", inst.sp_generators(), realize_sp, inst.sp_bracket),
+        ("sp2N", inst.sp_generators(), lambda g, m: inst.realize_sp(*g, m), inst.sp_bracket),
     ):
         images = {g: realize(g, mutation) for g in gens}
         count, failure = check_generator_pairs(
@@ -457,44 +447,51 @@ def lax_algebra_check(inst: CycloInstance, which: str) -> dict:
     d_u, d_w = divisor.clearing_poly(u), divisor.clearing_poly(w)
     if which == "cyclotomic-glM":
         factor = w * w - u * u
-        rhs = (_commutator(_cyclo_r_matrix(inst.M, u, w), _first_leg(lax_u, d_w))
-               + _commutator(_swap_legs(_cyclo_r_matrix(inst.M, w, u)),
-                             _swap_legs(_first_leg(lax_w, d_u))))
+        rhs = _sum(_commutator(_cyclo_r_matrix(inst.M, u, w), _first_leg(lax_u, d_w)),
+                   _commutator(_swap_legs(_cyclo_r_matrix(inst.M, w, u)),
+                               _swap_legs(_first_leg(lax_w, d_u))))
     else:
         factor = w - u
         rhs = _commutator(_sp_r_matrix(inst),
-                          _first_leg(lax_u, d_w) + _swap_legs(_first_leg(lax_w, d_u)))
+                          _sum(_first_leg(lax_u, d_w), _swap_legs(_first_leg(lax_w, d_u))))
 
-    size = lax_u.rows
+    size = len(lax_u)
     n2 = size * size
     for row in range(n2):
         i, k = divmod(row, size)
         for col in range(n2):
             j, l = divmod(col, size)
-            lhs = factor * poisson_bracket(lax_u[i, j], lax_w[k, l])
-            if lhs != rhs[row, col]:
+            lhs = factor * poisson_bracket(lax_u[i][j], lax_w[k][l])
+            if lhs != rhs[row][col]:
                 return {"status": "fail", "witness": {"entry": (row, col)}}
     return {"status": "pass", "entries_checked": n2 * n2}
 
 
-def _commutator(x: RingMatrix, y: RingMatrix) -> RingMatrix:
-    return x * y - y * x
+def _commutator(x: list[list], y: list[list]) -> list[list]:
+    """xy - yx for two n x n matrices of MultiPoly entries."""
+    n = range(len(x))
+    return [[sum((x[r][k] * y[k][c] - y[r][k] * x[k][c] for k in n), MultiPoly.zero())
+             for c in n] for r in n]
 
 
-def _first_leg(lax: RingMatrix, scale: MultiPoly) -> RingMatrix:
+def _sum(x: list[list], y: list[list]) -> list[list]:
+    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def _first_leg(lax: list[list], scale: MultiPoly) -> list[list]:
     """scale (lax x 1); entry (i size + k, j size + l) of a two-leg matrix is
     its E_ij x E_kl part, and _swap_legs of this is scale (1 x lax)."""
-    size = lax.rows
+    size = len(lax)
     out = [[MultiPoly.zero() for _ in range(size * size)] for _ in range(size * size)]
     for i in range(size):
         for j in range(size):
-            entry = scale * lax[i, j]
+            entry = scale * lax[i][j]
             for k in range(size):
                 out[i * size + k][j * size + k] = entry
-    return RingMatrix(out)
+    return out
 
 
-def _cyclo_r_matrix(M: int, uu: MultiPoly, vv: MultiPoly) -> RingMatrix:
+def _cyclo_r_matrix(M: int, uu: MultiPoly, vv: MultiPoly) -> list[list]:
     """P(u,v) = (v - u)(v + u) r12(u,v) = sum_ab ((v + u) E_ba x E_ab
     - (v - u) E_ba x E_ba), for the generators uu and vv of u and v."""
     out = [[MultiPoly.zero() for _ in range(M * M)] for _ in range(M * M)]
@@ -502,10 +499,10 @@ def _cyclo_r_matrix(M: int, uu: MultiPoly, vv: MultiPoly) -> RingMatrix:
         for b in range(M):
             out[b * M + a][a * M + b] = out[b * M + a][a * M + b] + (vv + uu)
             out[b * M + b][a * M + a] = out[b * M + b][a * M + a] - (vv - uu)
-    return RingMatrix(out)
+    return out
 
 
-def _sp_r_matrix(inst: CycloInstance) -> RingMatrix:
+def _sp_r_matrix(inst: CycloInstance) -> list[list]:
     """R = sum_(I,J) Ebar^IJ x Ebar_IJ, the numerator of rbar12(u,v) = R / (v - u)."""
     n = 2 * inst.N
     out = [[MultiPoly.zero() for _ in range(n * n)] for _ in range(n * n)]
@@ -513,14 +510,14 @@ def _sp_r_matrix(inst: CycloInstance) -> RingMatrix:
         for i, j, dual in inst.ebar_dual(I, J):
             for k, l, value in inst.ebar_entries(I, J):
                 out[i * n + k][j * n + l] = out[i * n + k][j * n + l] + dual * value
-    return RingMatrix(out)
+    return out
 
 
-def _swap_legs(r: RingMatrix) -> RingMatrix:
+def _swap_legs(r: list[list]) -> list[list]:
     """The two-leg matrix with its tensor factors exchanged."""
-    size = isqrt(r.rows)
-    return RingMatrix([[r[(row % size) * size + row // size, (col % size) * size + col // size]
-                        for col in range(r.cols)] for row in range(r.rows)])
+    size = isqrt(len(r))
+    swap = [(k % size) * size + k // size for k in range(len(r))]
+    return [[r[row][col] for col in swap] for row in swap]
 
 
 # -- Neumann model ---------------------------------------------------------------
@@ -546,7 +543,7 @@ def neumann_artifacts(M: int, omegas) -> dict:
     if len(set(lams)) != len(lams):
         raise DuplicateFrequency("need pairwise distinct omega_a^2")
     inst = CycloInstance(M, CycloDivisor.of(1, []), lams, Q(-1))
-    spectral, dual = _spectral_dets(inst, "classical")
+    spectral, dual = _spectral_dets(inst)
     duality = polynomial_equality_report(spectral, dual)
 
     coeffs = spectral_coefficients(spectral)
@@ -586,7 +583,7 @@ def sphere_constraint_is_angular_invariant(M: int) -> bool:
 # -- quantum cyclotomic candidate (negative result) -------------------------------
 
 
-def quantum_cyclotomic_candidate(inst: CycloInstance) -> RingMatrix:
+def quantum_cyclotomic_candidate(inst: CycloInstance) -> list[list[WeylElement]]:
     """The (M + 2N) x (M + 2N) block matrix behind the classical cyclotomic
     duality with momenta replaced by derivatives; it fails the Manin check."""
     M, N = inst.M, inst.N
@@ -599,5 +596,4 @@ def quantum_cyclotomic_candidate(inst: CycloInstance) -> RingMatrix:
     d_block = [[-WeylElement.x(a, -I) if I < 0 else WeylElement.d(a, I) for a in range(1, M + 1)]
                for I in inst.index_set()]
     z_block = inst.sp_inf_matrix(z_c, WeylElement.const(inst.mu.constant_value()))
-    return block2x2(jordan_sum(inst.div_lam, lam_c), RingMatrix(x_block),
-                    RingMatrix(d_block), RingMatrix(z_block))
+    return block2x2(jordan_sum(inst.div_lam, lam_c), x_block, d_block, z_block)

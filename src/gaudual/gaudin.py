@@ -30,8 +30,8 @@ from functools import cache
 from .errors import DivisorMismatch, IndexOutOfRange, OddImage, RefusedMinor, ResidualPole
 from .grassmann import GrassmannAlgebra, GrassmannElement
 from .linalg import solve_linear  # noqa: F401 (unused; bench/test_bench.py traces this binding)
-from .matrices import (RingMatrix, _perm_expansion, block2x2, block_diag, cdet, jordan_block,
-                       manin_check)
+from .matrices import (_perm_expansion, block2x2, block_diag, cdet, jordan_block, manin_check,
+                       transpose)
 from .multipoly import MultiPoly, VariableTable
 from .poisson import poisson_bracket, poisson_support
 from .ratfunc import RatFunc, expand_factors, partial_fractions
@@ -170,15 +170,10 @@ def takiff_block_sum(nu: int, tau: int, depth: int, term, zero, mutation: str | 
     return -total if mutation == "flip-sign" else total
 
 
-def jordan_sum(divisor: Divisor, x) -> RingMatrix:
+def jordan_sum(divisor: Divisor, x) -> list[list]:
     """(+)_c J_(tau_c)(x - location_c): x - location_c along the diagonal and
     -1 just below it."""
     return block_diag([jordan_block(tau, x - loc) for loc, tau in divisor.points])
-
-
-def jordan_sum_matrix(divisor: Divisor) -> list[list[Fraction]]:
-    """(+)_c J_(tau_c)(-location_c) as plain rational rows."""
-    return jordan_sum(divisor, Q(0)).entries if divisor.points else []
 
 
 class DualityInstance:
@@ -202,8 +197,8 @@ class DualityInstance:
         self.N = N
         self.div_z = div_z
         self.div_lam = div_lam
-        self._jordan_lam = jordan_sum_matrix(div_lam)
-        self._jordan_z = jordan_sum_matrix(div_z)
+        self._jordan_lam = jordan_sum(div_lam, Q(0))
+        self._jordan_z = jordan_sum(div_z, Q(0))
         self._galg = GrassmannAlgebra(M, N)
         # the classical images are built over one table of all the variables
         self.var = VariableTable([f"{q}{a}_{i}" for q in "xp" for a in range(1, M + 1)
@@ -287,15 +282,15 @@ def _lax_terms(realize, divisor: Divisor, size: int, flavor: str,
     return entries
 
 
-def ratfunc_lax(lax: list[list[list[tuple]]], var: str) -> RingMatrix:
+def ratfunc_lax(lax: list[list[list[tuple]]], var: str) -> list[list[RatFunc]]:
     """A pole-term Lax matrix with every entry summed into one rational
     function of var, for the quantum cdet.  The fermionic side sums its
     terms here too only because it is the one RatFunc user on the
     benchmark's small-mixed workload, whose self-test (bench/test_bench.py)
     requires nonzero ratfunc metrics there; once it stops, the fermionic
     side can clear its terms by _cleared like the classical sides."""
-    return RingMatrix([[sum((RatFunc(var, {0: img}, {pole: order}) for img, pole, order in terms),
-                            RatFunc.const(var, 0)) for terms in row] for row in lax])
+    return [[sum((RatFunc(var, {0: img}, {pole: order}) for img, pole, order in terms),
+                 RatFunc.const(var, 0)) for terms in row] for row in lax]
 
 
 def _sample_map(inst: DualityInstance, seed: int) -> dict:
@@ -310,35 +305,30 @@ def _sample_map(inst: DualityInstance, seed: int) -> dict:
     return values
 
 
-def _spectral_dets(inst, flavor: str, sample_seed=None):
-    """Cleared determinants of both sides, the z side first:
+def _spectral_dets(inst, sample_seed=None):
+    """Cleared classical determinants of both sides, the z side first:
     det(lam D(z) 1 - D(z) L^D(z)) and det(z D(lam) 1 - D(lam) L^D~(lam)),
-    the classical ones divided by D^(n-1) inside the determinant
-    (_spectral_det), the fermionic ones undivided (_fermionic_det).  inst is
+    each divided by D^(n-1) inside the determinant (_spectral_det).  inst is
     a DualityInstance or a cyclotomic.CycloInstance: each gives its two Lax
     matrices as pole terms (lax_glM in z, lax_glN in lam), their divisors
     div_z and div_lam, and the variable table var."""
-    assert flavor in ("classical", "fermionic")
     subs = _sample_map(inst, sample_seed) if sample_seed is not None else None
-    return (_side_det(inst, flavor, inst.lax_glM(flavor), inst.div_z, "z", "lam", subs),
-            _side_det(inst, flavor, inst.lax_glN(flavor), inst.div_lam, "lam", "z", subs))
+    return (_side_det(inst, inst.lax_glM("classical"), inst.div_z, "z", "lam", subs),
+            _side_det(inst, inst.lax_glN("classical"), inst.div_lam, "lam", "z", subs))
 
 
-def _side_det(inst, flavor: str, lax, divisor: Divisor, spec_var: str, eigen_var: str,
-              subs=None):
-    """The cleared determinant of one side, its Lax matrix given as pole
-    terms; subs, when given, substitutes rationals for x and p in every
-    cleared classical entry."""
-    if flavor == "fermionic":
-        return _fermionic_det(lax, divisor, inst.var, spec_var, eigen_var)
+def _side_det(inst, lax, divisor: Divisor, spec_var: str, eigen_var: str, subs=None):
+    """The cleared classical determinant of one side, its Lax matrix given as
+    pole terms; subs, when given, substitutes rationals for x and p in every
+    cleared entry."""
     cleared = _cleared(lax, divisor, inst.var, spec_var)
     if subs:
-        cleared = RingMatrix([[p.substitute(subs) for p in row] for row in cleared.entries])
+        cleared = [[p.substitute(subs) for p in row] for row in cleared]
     return _spectral_det(cleared, divisor, inst.var, spec_var, eigen_var)
 
 
 def _cleared(lax: list[list[list[tuple]]], divisor: Divisor, var: VariableTable,
-             spec_var: str) -> RingMatrix:
+             spec_var: str) -> list[list[MultiPoly]]:
     """D L for a pole-term matrix L, rows of (image, pole, order) lists whose
     poles are those of divisor, D = prod (spec_var - location)^tau over the
     table var: D * sum image / (spec_var - pole)^order for every entry, exact
@@ -346,12 +336,12 @@ def _cleared(lax: list[list[list[tuple]]], divisor: Divisor, var: VariableTable,
     D / (spec_var - pole)^order is divided once per call."""
     clearing = divisor.clearing_poly(var[spec_var])
     quotient = cache(lambda pole, order: clearing.divide_linear(spec_var, [(pole, order)]))
-    return RingMatrix([[sum((img * quotient(pole, order) for img, pole, order in terms),
-                            MultiPoly.zero()) for terms in row] for row in lax])
+    return [[sum((img * quotient(pole, order) for img, pole, order in terms), MultiPoly.zero())
+             for terms in row] for row in lax]
 
 
-def _spectral_det(cleared: RingMatrix, divisor: Divisor, var: VariableTable, spec_var: str,
-                  eigen_var: str) -> MultiPoly:
+def _spectral_det(cleared: list[list[MultiPoly]], divisor: Divisor, var: VariableTable,
+                  spec_var: str, eigen_var: str) -> MultiPoly:
     """det(eigen_var D 1 - D L) / D^(n-1) for the n x n cleared Lax matrix
     D L in spec_var, D = prod (spec_var - location)^tau, both variables taken
     from the table var.  Each Lax matrix here is Lam + X (spec_var - J)^-1 P
@@ -363,9 +353,8 @@ def _spectral_det(cleared: RingMatrix, divisor: Divisor, var: VariableTable, spe
     product of the recursion re-aligns one; only the result drops the
     variables it does not use."""
     shift = var[eigen_var] * divisor.clearing_poly(var[spec_var])
-    n = cleared.rows
-    shifted = RingMatrix([[(shift if r == c else MultiPoly.zero()) - cleared[r, c]
-                           for c in range(n)] for r in range(n)])
+    shifted = [[(shift if r == c else MultiPoly.zero()) - p for c, p in enumerate(row)]
+               for r, row in enumerate(cleared)]
     return _perm_expansion(shifted, lambda p: _divide_out(p, divisor, spec_var, 1)).compact()
 
 
@@ -383,9 +372,9 @@ def _fermionic_det(lax, divisor: Divisor, var: VariableTable, spec_var: str, eig
     powers = [spec ** k for k in range(divisor.total_degree() + 1)]
     cleared = [[sum(((coeff * powers[k] if k else coeff)
                      for k, coeff in (f * clearing).to_poly().items()), zero) for f in row]
-               for row in ratfunc_lax(lax, spec_var).entries]
-    return _perm_expansion(RingMatrix([[(diag if r == c else zero) - p for c, p in enumerate(row)]
-                                       for r, row in enumerate(cleared)]))
+               for row in ratfunc_lax(lax, spec_var)]
+    return _perm_expansion([[(diag if r == c else zero) - p for c, p in enumerate(row)]
+                            for r, row in enumerate(cleared)])
 
 
 def _clearing_ratfunc(divisor: Divisor, var: str) -> RatFunc:
@@ -413,7 +402,7 @@ def spectral_duality_report(inst, sides: dict[str, str], sample_seed=None) -> di
     refuses is a fail naming the side (sides[spectral variable]), the size
     of the refused minor and the point at which it was refused."""
     try:
-        lhs, rhs = _spectral_dets(inst, "classical", sample_seed)
+        lhs, rhs = _spectral_dets(inst, sample_seed)
     except RefusedMinor as err:
         return {"status": "fail",
                 "witness": {"side": sides[err.var], "minor": err.size, "point": str(err.root)}}
@@ -444,7 +433,8 @@ def polynomial_equality_report(lhs: MultiPoly, rhs: MultiPoly) -> dict:
 def verify_classical_fermionic_duality(inst: DualityInstance) -> dict:
     """Product of the two fermionic determinants against the scalar
     polynomial prod (z-z_i)^tau prod (lam-lam_a)^tau~."""
-    det_l, det_r = _spectral_dets(inst, "fermionic")
+    det_l = _fermionic_det(inst.lax_glM("fermionic"), inst.div_z, inst.var, "z", "lam")
+    det_r = _fermionic_det(inst.lax_glN("fermionic"), inst.div_lam, inst.var, "lam", "z")
     product = det_l * det_r
     dz, dlam = inst.div_z.clearing_poly(inst.var["z"]), inst.div_lam.clearing_poly(inst.var["lam"])
     expected = GrassmannElement({0: dz ** (inst.M + 1) * dlam ** (inst.N + 1)})
@@ -469,13 +459,13 @@ def quantum_operator_sides(inst: DualityInstance):
     prefactors."""
     left = _quantum_z_side(inst)
     # right: prod (Dz - lam_a)^tau~_a cdet(z 1 - L^D~(Dz))
-    right = _cdet_side(ratfunc_lax(inst.lax_glN("quantum"), "dz").entries, inst.div_lam, "dz")
+    right = _cdet_side(ratfunc_lax(inst.lax_glN("quantum"), "dz"), inst.div_lam, "dz")
     return left, right
 
 
 def _quantum_z_side(inst: DualityInstance) -> OrderedDiffOp:
     """The left quantum side, prod (z - z_i)^tau_i cdet(Dz 1 - tL^D(z))."""
-    return _cdet_side(ratfunc_lax(inst.lax_glM("quantum"), "z").entries, inst.div_z, "z")
+    return _cdet_side(ratfunc_lax(inst.lax_glM("quantum"), "z"), inst.div_z, "z")
 
 
 def _cdet_side(entries: list[list[RatFunc]], divisor: Divisor, var: str) -> OrderedDiffOp:
@@ -486,20 +476,20 @@ def _cdet_side(entries: list[list[RatFunc]], divisor: Divisor, var: str) -> Orde
         [OrderedDiffOp(var, {0: -f, 1: one} if r == c else {0: -f}) for c, f in enumerate(row)]
         for r, row in enumerate(entries)
     ]
-    op = cdet(RingMatrix(rows))
+    op = cdet(rows)
     # a rational prefactor, so that each product cancels against it alone
     return op.scale_left(_clearing_ratfunc(divisor, var))
 
 
-def quantum_block_matrix(inst: DualityInstance) -> RingMatrix:
+def quantum_block_matrix(inst: DualityInstance) -> list[list[WeylElement]]:
     """The (M+N) x (M+N) block matrix [[Lam, X], [tD, Z]] behind the duality,
     over the Weyl algebra extended by the spectral pair."""
     M, N = inst.M, inst.N
-    lam_block = jordan_sum(inst.div_lam, WeylElement.dz()).transpose()
+    lam_block = transpose(jordan_sum(inst.div_lam, WeylElement.dz()))
     x_block = [[WeylElement.x(a, i) for i in range(1, N + 1)] for a in range(1, M + 1)]
     d_block = [[WeylElement.d(a, i) for a in range(1, M + 1)] for i in range(1, N + 1)]
     z_block = jordan_sum(inst.div_z, WeylElement.z())
-    return block2x2(lam_block, RingMatrix(x_block), RingMatrix(d_block), z_block)
+    return block2x2(lam_block, x_block, d_block, z_block)
 
 
 def verify_quantum_duality(inst: DualityInstance) -> dict:
@@ -531,7 +521,7 @@ def verify_quantum_duality(inst: DualityInstance) -> dict:
 def _classical_spectral_poly(inst) -> MultiPoly:
     """The common classical polynomial of a DualityInstance or a
     cyclotomic.CycloInstance, built from the z side alone."""
-    return _side_det(inst, "classical", inst.lax_glM("classical"), inst.div_z, "z", "lam")
+    return _side_det(inst, inst.lax_glM("classical"), inst.div_z, "z", "lam")
 
 
 # -- Gaudin algebra extraction and commutativity ------------------------------

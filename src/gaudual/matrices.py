@@ -1,5 +1,5 @@
-"""Matrices of ring elements: det, cdet, the Manin check, Jordan blocks and
-block assembly.
+"""Matrices of ring elements, each a list of row lists: det, cdet, the
+Manin check, Jordan blocks and block assembly.
 
 Entries are duck-typed ring elements (MultiPoly, WeylElement, even
 GrassmannElement, OrderedDiffOp, RatFunc, Fraction); det refuses a matrix
@@ -21,57 +21,24 @@ from .multipoly import MultiPoly
 from .ratfunc import RatFunc
 
 
-class RingMatrix:
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        if any(len(row) != self.cols for row in self.entries):
-            raise ValueError("ragged rows")
-
-    def __getitem__(self, rc):
-        return self.entries[rc[0]][rc[1]]
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def transpose(self) -> RingMatrix:
-        return RingMatrix([[self.entries[r][c] for r in range(self.rows)]
-                           for c in range(self.cols)])
-
-    def __add__(self, other: RingMatrix) -> RingMatrix:
-        return RingMatrix([[a + b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: RingMatrix) -> RingMatrix:
-        return RingMatrix([[a - b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.entries, other.entries)])
-
-    def __mul__(self, other: RingMatrix) -> RingMatrix:
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for r in range(self.rows):
-            row = []
-            for c in range(other.cols):
-                acc = None
-                for k in range(self.cols):
-                    term = self.entries[r][k] * other.entries[k][c]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(out)
+def _size(m: list[list], what: str) -> int:
+    """The size n of an n x n list of rows; a ragged or non-square list
+    raises NonSquare."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise NonSquare(f"{what} needs a square matrix")
+    return n
 
 
-def block2x2(A: RingMatrix, B: RingMatrix, C: RingMatrix, D: RingMatrix) -> RingMatrix:
+def transpose(m: list[list]) -> list[list]:
+    return [list(col) for col in zip(*m)]
+
+
+def block2x2(A: list[list], B: list[list], C: list[list], D: list[list]) -> list[list]:
     """Assemble [[A, B], [C, D]] from explicit corner blocks."""
-    if A.rows != B.rows or C.rows != D.rows or A.cols != C.cols or B.cols != D.cols:
+    if len(A) != len(B) or len(C) != len(D) or len(A[0]) != len(C[0]) or len(B[0]) != len(D[0]):
         raise ValueError("incompatible block dimensions")
-    entries = [ra + rb for ra, rb in zip(A.entries, B.entries)]
-    entries += [rc + rd for rc, rd in zip(C.entries, D.entries)]
-    return RingMatrix(entries)
+    return [ra + rb for ra, rb in zip(A, B)] + [rc + rd for rc, rd in zip(C, D)]
 
 
 def _commutes(x) -> bool:
@@ -84,24 +51,22 @@ def _commutes(x) -> bool:
     return isinstance(x, (int, Fraction, MultiPoly))
 
 
-def det(m: RingMatrix):
+def det(m: list[list]):
     """Determinant over a commutative ring, by the subset recursion of
     `_perm_expansion`; refuses an entry that need not commute."""
-    if not m.is_square():
-        raise NonSquare("determinant of a non-square matrix")
-    if not all(_commutes(x) for row in m.entries for x in row):
+    _size(m, "det")
+    if not all(_commutes(x) for row in m for x in row):
         raise NoncommutativeRing("use cdet for noncommutative entries")
     return _perm_expansion(m)
 
 
-def cdet(m: RingMatrix):
+def cdet(m: list[list]):
     """Column-ordered determinant: factors ordered by column index."""
-    if not m.is_square():
-        raise NonSquare("cdet of a non-square matrix")
+    _size(m, "cdet")
     return _perm_expansion(m)
 
 
-def _perm_expansion(m: RingMatrix, divide=None):
+def _perm_expansion(e: list[list], divide=None):
     """sum over permutations s of sign(s) e[s(0)][0] e[s(1)][1] ... e[s(n-1)][n-1]
     by Laplace expansion along the first column, memoized by row subset
     (the division-free subset recursion of Rote, "Division-free algorithms
@@ -121,8 +86,7 @@ def _perm_expansion(m: RingMatrix, divide=None):
     elimination", Math. Comp. 22, 1968): the minors grown from divided
     minors are then the k x k minors over d^(k-2).  A divider that refuses,
     raising InexactDivision, raises RefusedMinor with the minor's size."""
-    n = m.rows
-    e = m.entries
+    n = len(e)
     minors = {1 << r: e[r][n - 1] for r in range(n)}
     for c in range(n - 2, -1, -1):
         grown = {}
@@ -149,16 +113,13 @@ def _perm_expansion(m: RingMatrix, divide=None):
     return minors[full] if full in minors else e[0][0] - e[0][0]
 
 
-def manin_check(m: RingMatrix):
+def manin_check(e: list[list]):
     """Both Manin conditions for all index quadruples.
 
     Returns (True, None) or (False, (i, j, k, l)) with the first violating
     quadruple: column condition [M_ij, M_kj] = 0 reported as (i, j, k, j).
     """
-    n = m.rows
-    if not m.is_square():
-        raise NonSquare("Manin check needs a square matrix")
-    e = m.entries
+    n = _size(e, "the Manin check")
 
     def comm(a, b):
         return a * b - b * a
@@ -181,7 +142,7 @@ def manin_check(m: RingMatrix):
     return True, None
 
 
-def jordan_block(k: int, x, one=Fraction(1)) -> RingMatrix:
+def jordan_block(k: int, x, one=Fraction(1)) -> list[list]:
     """k x k matrix with x along the diagonal and -1 just below it."""
     if k < 1:
         raise ValueError("Jordan block size must be positive")
@@ -191,21 +152,17 @@ def jordan_block(k: int, x, one=Fraction(1)) -> RingMatrix:
         entries[i][i] = x
         if i + 1 < k:
             entries[i + 1][i] = zero - one
-    return RingMatrix(entries)
+    return entries
 
 
-def block_diag(blocks: list[RingMatrix]) -> RingMatrix:
-    sizes = [(b.rows, b.cols) for b in blocks]
-    rows = sum(r for r, _ in sizes)
-    cols = sum(c for _, c in sizes)
-    sample = blocks[0].entries[0][0]
-    zero = sample - sample
-    entries = [[zero for _ in range(cols)] for _ in range(rows)]
-    r0 = c0 = 0
+def block_diag(blocks: list[list[list]]) -> list[list]:
+    """The block-diagonal matrix of the square blocks; [] for no block."""
+    if not blocks:
+        return []
+    zero = blocks[0][0][0] - blocks[0][0][0]
+    size = sum(len(b) for b in blocks)
+    rows, c0 = [], 0
     for b in blocks:
-        for r in range(b.rows):
-            for c in range(b.cols):
-                entries[r0 + r][c0 + c] = b.entries[r][c]
-        r0 += b.rows
-        c0 += b.cols
-    return RingMatrix(entries)
+        rows += [[zero] * c0 + row + [zero] * (size - c0 - len(row)) for row in b]
+        c0 += len(b)
+    return rows

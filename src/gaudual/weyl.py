@@ -349,20 +349,15 @@ class OrderedDiffOp:
     def to_polynomial(self) -> WeylElement:
         """Fully normal-ordered polynomial form; raises ResidualPole if a
         denominator survives cancellation."""
+        # the term w X^j Y^k, with (X, Y) = (z, Dz) on side "z" and (Dz, z) on
+        # side "dz", is normal-ordered by the Weyl product X^j Y^k
+        left, right = ((WeylElement.z, WeylElement.dz) if self.side == "z"
+                       else (WeylElement.dz, WeylElement.z))
         out = WeylElement.zero()
         for k, f in self.terms.items():
-            num = f.to_poly()  # raises ResidualPole
-            for j, w in num.items():
+            for j, w in f.to_poly().items():  # raises ResidualPole
                 w = w if isinstance(w, WeylElement) else WeylElement.const(w)
-                if self.side == "z":
-                    out = out + w * WeylElement.z(j) * WeylElement.dz(k)
-                else:
-                    # w Dz^j z^k -> normal order (z before Dz)
-                    for t in range(min(j, k) + 1):
-                        c = perm(j, t) * comb(k, t)
-                        out = out + (
-                            w * WeylElement.z(k - t) * WeylElement.dz(j - t) * c
-                        )
+                out = out + w * (left(j) * right(k))
         return out
 
     def __repr__(self):

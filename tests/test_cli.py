@@ -557,6 +557,19 @@ def test_cli_exit_2_on_a_count_below_one(tmp_path, capsys, monkeypatch, flag, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", [[{"kind": "nope"}], [{"kind": "neumann", "M": 2,
+                                                        "omega": ["1", "2"]}]],
+                         ids=["invalid-spec", "valid-spec"])
+def test_cli_exit_2_on_a_spec_file_with_a_preset(tmp_path, capsys, monkeypatch, doc):
+    # the preset ran and the spec file was silently ignored, exiting 0
+    monkeypatch.setattr(cli, "validate_instance", _no_validation)
+    spec, out = tmp_path / "spec.json", tmp_path / "r.jsonl"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(spec), "--preset", "neumann", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "give a spec file or --preset, not both\n"
+    assert not out.exists()
+
+
 _LAX = {"kind": "lax-algebra", "which": "sp2N", "M": 1, "N": 1, "tau0": 1, "divisor": [],
         "lambda_points": ["5"], "mu": "-1"}
 

@@ -95,7 +95,7 @@ def test_drawn_cyclotomic_duality(spec):
 @given(gaudin_specs("classical-bosonic", 3))
 def test_drawn_classical_per_step_division(spec):
     inst = build_instance(spec)
-    check_per_step_division(gaudin, lambda: _spectral_dets(inst, "classical"),
+    check_per_step_division(gaudin, lambda: _spectral_dets(inst),
                             [(inst.div_z, "z"), (inst.div_lam, "lam")])
 
 

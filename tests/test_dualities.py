@@ -16,7 +16,7 @@ from gaudual.gaudin import (
     verify_classical_fermionic_duality,
     verify_quantum_duality,
 )
-from gaudual.matrices import RingMatrix, _perm_expansion, block2x2, manin_check
+from gaudual.matrices import _perm_expansion, block2x2, manin_check, transpose
 from gaudual.multipoly import MultiPoly
 from gaudual.runner import SAMPLE_SEED, run_instance
 from gaudual.weyl import WeylElement
@@ -35,7 +35,7 @@ def make(M, N, dz, dl):
 def test_classical_one_one_hand_oracle():
     # both sides = (z - z1)(lam - lam1) - x p
     inst = make(1, 1, [(2, 1)], [(5, 1)])
-    lhs, rhs = _spectral_dets(inst, "classical")
+    lhs, rhs = _spectral_dets(inst)
     expected = (V("z") - 2) * (V("lam") - 5) - V("x1_1") * V("p1_1")
     assert lhs == expected
     assert rhs == expected
@@ -133,8 +133,8 @@ def test_quantum_block_matrix_layout_at_tau_2():
         [W.d(1, 1), W.d(2, 1), z - 1, zero],
         [W.d(1, 2), W.d(2, 2), W.const(-1), z - 1],
     ]
-    assert all(isinstance(e, W) for row in m.entries for e in row)
-    assert m.entries == expected
+    assert all(isinstance(e, W) for row in m for e in row)
+    assert m == expected
 
 
 def quantum_classical_limits_agree(inst: DualityInstance) -> bool:
@@ -337,7 +337,7 @@ def _grid_cases(specs, sizes=None):
 @pytest.mark.parametrize("spec", _grid_cases(presets.classical_bosonic_grid()))
 def test_per_step_division_equals_dividing_the_full_determinant(spec, seed):
     inst = build_instance(spec)
-    check_per_step_division(gaudin, lambda: _spectral_dets(inst, "classical", seed),
+    check_per_step_division(gaudin, lambda: _spectral_dets(inst, seed),
                             [(inst.div_z, "z"), (inst.div_lam, "lam")])
 
 
@@ -365,9 +365,9 @@ def test_classical_4x4_common_polynomial_is_the_block_determinant():
     report = verify_classical_bosonic_duality(inst)
     assert report["status"] == "pass"
     v = inst.var
-    x = RingMatrix([[v[f"x{a}_{i}"] for i in range(1, 5)] for a in range(1, 5)])
-    p = RingMatrix([[v[f"p{a}_{i}"] for a in range(1, 5)] for i in range(1, 5)])
-    block = block2x2(jordan_sum(inst.div_lam, v["lam"]).transpose(), x, p,
+    x = [[v[f"x{a}_{i}"] for i in range(1, 5)] for a in range(1, 5)]
+    p = [[v[f"p{a}_{i}"] for a in range(1, 5)] for i in range(1, 5)]
+    block = block2x2(transpose(jordan_sum(inst.div_lam, v["lam"])), x, p,
                      jordan_sum(inst.div_z, v["z"]))
     assert report["common_polynomial"] == repr(_perm_expansion(block))
 

@@ -259,10 +259,10 @@ def glN_convention_generators(inst: DualityInstance):
     conventions, cdet(Dz 1 - L) and cdet(Dz 1 + tL), for the span-equality
     check."""
     lax = ratfunc_lax(inst.lax_glN("quantum"), "dz")
-    negated_transpose = [[-f for f in col] for col in zip(*lax.entries)]
+    negated_transpose = [[-f for f in col] for col in zip(*lax)]
     return tuple(
         _partial_fraction_generators(_cdet_side(entries, inst.div_lam, "dz"), inst.div_lam)
-        for entries in (lax.entries, negated_transpose)
+        for entries in (lax, negated_transpose)
     )
 
 

@@ -8,7 +8,7 @@ from gaudual.gaudin import (
     Divisor,
     DualityInstance,
     TakiffGen,
-    jordan_sum_matrix,
+    jordan_sum,
     ratfunc_lax,
     takiff_generators,
     takiff_rows,
@@ -200,11 +200,12 @@ def test_divisor_checks_hold_through_the_constructor_and_of(points):
         Divisor(tuple((Q(p), t) for p, t in points))
 
 
-def test_jordan_sum_matrix_layout():
-    m = jordan_sum_matrix(Divisor.of([(5, 2), (7, 1)]))
+def test_jordan_sum_layout():
+    m = jordan_sum(Divisor.of([(5, 2), (7, 1)]), Q(0))
     assert m[0][0] == -5 and m[1][1] == -5 and m[2][2] == -7
     assert m[1][0] == -1
     assert m[0][1] == 0 and m[2][0] == 0
+    assert jordan_sum(Divisor.of([]), Q(0)) == []
 
 
 # -- realization images (hand-expanded spec examples) -----------------------
@@ -279,12 +280,12 @@ def test_lax_pole_orders_match_takiff_degrees():
     inst = inst_2x2_irregular()
     for flavor in ("classical", "quantum", "fermionic"):
         lax = ratfunc_lax(inst.lax_glM(flavor), "z")
-        for row in lax.entries:
+        for row in lax:
             for entry in row:
                 assert set(entry.den) <= {Q(1)}
                 assert all(m <= 2 for m in entry.den.values())
         lax_n = ratfunc_lax(inst.lax_glN(flavor), "lam")
-        for row in lax_n.entries:
+        for row in lax_n:
             for entry in row:
                 assert set(entry.den) <= {Q(5), Q(7)}
                 assert all(m <= 1 for m in entry.den.values())
@@ -293,7 +294,7 @@ def test_lax_pole_orders_match_takiff_degrees():
 def test_quantum_lax_1x1_entry():
     # gl_N side at M = 1: entry = z_1 + (x d + 1)/(lam - lam_1)
     inst = DualityInstance(1, 1, Divisor.of([(2, 1)]), Divisor.of([(5, 1)]))
-    entry = ratfunc_lax(inst.lax_glN("quantum"), "dz").entries[0][0]
+    entry = ratfunc_lax(inst.lax_glN("quantum"), "dz")[0][0]
     num = entry * linear("dz", Q(5))
     assert not num.den
     poly = num.to_poly()
