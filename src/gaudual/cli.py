@@ -16,7 +16,7 @@ from contextlib import ExitStack
 
 from .errors import SpecValidationError
 from .presets import PRESETS, neumann_instances
-from .runner import run_instance, validate_instance
+from .runner import run_job, validate_instance
 
 
 def _render(report: dict, timing_ms: int) -> str:
@@ -27,9 +27,8 @@ def _render(report: dict, timing_ms: int) -> str:
 
 
 def _worker(args):
-    spec, mode, max_terms = args
     start = time.monotonic()
-    report = run_instance(spec, mode=mode, max_terms=max_terms)
+    report = run_job(*args)
     elapsed = int((time.monotonic() - start) * 1000)
     return report, elapsed
 
@@ -109,25 +108,29 @@ def cmd_verify(args) -> int:
             print(f"cannot write --out: {err}", file=sys.stderr)
             return 2
         # validate everything before any computation starts
+        jobs = []
         for k, spec in enumerate(instances):
             try:
-                validate_instance(spec)
+                jobs.append(validate_instance(spec))
             except SpecValidationError as err:
                 print(f"instance {k} invalid: {err}", file=sys.stderr)
                 return 2
 
         mode = "sampled" if args.sampled else ("symbolic" if args.symbolic else None)
-        work = [(spec, mode, args.max_terms) for spec in instances]
+        work = [(job, spec, mode, args.max_terms) for job, spec in zip(jobs, instances)]
         counts = {"pass": 0, "fail": 0, "error": 0}
         total_ms = 0
         # both maps are lazy and yield in input order: each report is written
-        # as soon as it and every report before it are finished
-        if args.jobs > 1:
+        # as soon as it and every report before it are finished.  The pool
+        # forks every worker it may have at the first submit, so it gets at
+        # most one per instance, and one instance or none runs serially
+        workers = min(args.jobs, len(instances))
+        if workers > 1:
             # imported here: the pool loads multiprocessing, which a serial
             # run never needs
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             finished = pool.map(_worker, work)
         else:
             finished = map(_worker, work)

@@ -8,11 +8,12 @@ I = (-N, ..., -1, 1, ..., N).
 
 Everything here is classical: elements are polynomials in x^a_i, p^a_i
 with the parameter mu either an exact rational or the spectator variable
-"mu".  This module owns the model: its divisors, generators, structure
-constants, realizations and pole-term Lax matrices (CycloInstance.lax_glM
-in z, lax_glN in lam), the Lax algebra check and the Neumann model.  The
-duality, the generator extraction and the homomorphism checks run on the
-engines of gaudin.
+"mu".  This module owns the model: its divisors, generators, their
+matrices (whose commutators gaudin.matrix_rows lists as structure rows),
+realizations and pole-term Lax matrices (CycloInstance.lax_glM in z,
+lax_glN in lam), the Lax algebra check and the Neumann model.  The duality,
+the generator extraction and the homomorphism checks run on the engines of
+gaudin.
 
 Note: at mu = 0 the cyclotomic model does NOT reduce to the non-cyclotomic
 duality even where the finite divisors look alike -- the origin carries the
@@ -28,8 +29,9 @@ from math import isqrt
 
 from .errors import BadPoints, DivisorMismatch, DuplicateFrequency, IndexOutOfRange
 from .gaudin import (Divisor, _classical_spectral_poly, _cleared, _spectral_dets,
-                     check_generator_pairs, exact_int, jordan_sum, polynomial_equality_report,
-                     spectral_coefficients, spectral_duality_report, takiff_block_sum)
+                     check_generator_pairs, exact_int, jordan_sum, matrix_rows,
+                     polynomial_equality_report, spectral_coefficients, spectral_duality_report,
+                     takiff_block_sum)
 from .linalg import in_span
 from .matrices import _perm_expansion  # noqa: F401 (unused; bench/test_bench.py traces it)
 from .matrices import block2x2, block_diag, jordan_block
@@ -129,8 +131,6 @@ class CycloInstance:
                                   for i in range(1, self.N + 1)] + ["z", "lam", "mu", "w"])
         mu = mu if isinstance(mu, MultiPoly) else MultiPoly.const(Q(mu))
         self.mu = mu.lift_to(self.var.names)
-        # the entry that names each sp_2N basis matrix Ebar_IJ, (I, J) in I2
-        self._basis_at = {(self.pos(I), self.pos(J)): (I, J) for I, J in self.I2()}
         self._sp_inf = self.sp_inf_matrix(Q(0), self.mu)
 
     # -- gl_M^C side ------------------------------------------------------
@@ -154,30 +154,17 @@ class CycloInstance:
                 gens.append(("inf", a, b))
         return gens
 
-    def glMC_bracket(self, g1, g2) -> list:
-        """Structure constants of gl_M^C on the canonical generators."""
-        if g1[0] == "inf" or g2[0] == "inf":
-            return []
-        if g1[0] == "pt" and g2[0] == "pt":
-            _, i, r, a, b = g1
-            _, j, s, c, d = g2
-            if i != j or r + s >= self.C.points[i][1]:
-                return []
-            out = []
-            if b == c:
-                out.append((Q(1), ("pt", i, r + s, a, d)))
-            if a == d:
-                out.append((Q(-1), ("pt", i, r + s, c, b)))
-            return out
-        if g1[0] == "or" and g2[0] == "or":
-            _, r, a, b = g1
-            _, s, c, d = g2
-            if r + s >= 2 * self.C.tau0:
-                return []
-            # the commutator lies in the image of Pi_(r+s)
-            comm = _sparse_commutator(_origin_entries(r, a, b), _origin_entries(s, c, d))
-            return _origin_terms(r + s, comm)
-        return []  # pt against origin: disjoint points
+    def glMC_matrix(self, g):
+        """The matrix_rows descriptor of a gl_M^C generator: E^(z_i)_(ab, r) is E_ab
+        at depth r < tau_i of point i, Pi_(s) E_ab is _origin_entries(s, a, b)
+        at depth s < 2 tau_0 of the origin; infinity is central."""
+        if g[0] == "inf":
+            return None
+        if g[0] == "pt":
+            _, i, r, a, b = g
+            return i, r, self.C.points[i][1], ((a, b, 1),)
+        _, s, a, b = g
+        return "or", s, 2 * self.C.tau0, _origin_entries(s, a, b)
 
     def realize_glMC(self, g, mutation: str | None = None) -> MultiPoly:
         M = self.M
@@ -265,17 +252,6 @@ class CycloInstance:
         sigma = 1 if (I > 0) == (J > 0) else -1
         return [(self.pos(J), self.pos(I), 1), (self.pos(-I), self.pos(-J), -sigma)]
 
-    def sp_expand(self, x: dict) -> dict[tuple[int, int], int | Fraction]:
-        """Coefficients on the basis {Ebar_IJ}, (I,J) in I2, of an sp_2N matrix
-        given by its nonzero {(row, column): value} entries: Ebar_IJ is the one
-        basis matrix with an entry at (pos(I), pos(J)), 1 there, or 2 when J = -I."""
-        out = {}
-        for rc, c in x.items():
-            basis = self._basis_at.get(rc)
-            if basis:
-                out[basis] = Q(c, 2) if basis[1] == -basis[0] else c
-        return out
-
     def sp_inf_matrix(self, x, mu) -> list[list]:
         """blkdiag(-J(-x-z_i), -J_tau0(-x), J_tau0(x), J(x-z_i)) + mu E~_(1,-1):
         at x = 0 and mu = self.mu the matrix whose -(J I) entries realize the
@@ -310,14 +286,11 @@ class CycloInstance:
         gens += [("inf", 0, I, J) for I, J in self.I2()]
         return gens
 
-    def sp_bracket(self, g1, g2) -> list:
-        """[Ebar^(la)_IJ, Ebar^(lb)_KL] as the sparse commutator of the two
-        basis matrices, expanded on the I2 basis; infinity is central."""
-        if g1[0] == "inf" or g2[0] == "inf" or g1[1] != g2[1]:
-            return []
-        comm = _sparse_commutator(self.ebar_entries(g1[2], g1[3]),
-                                  self.ebar_entries(g2[2], g2[3]))
-        return [(coeff, ("lam", g1[1], I, J)) for (I, J), coeff in self.sp_expand(comm).items()]
+    def sp_matrix(self, g):
+        """The matrix_rows descriptor of an sp_2N generator: Ebar^(lambda_a)_IJ
+        is ebar_entries(I, J) at depth 0 < 1 of point a; infinity is central."""
+        kind, a, I, J = g
+        return None if kind == "inf" else (a, 0, 1, self.ebar_entries(I, J))
 
     def lax_glN(self, flavor: str) -> list[list[list[tuple]]]:
         """The realized 2N x 2N sp_2N Lax matrix in lam as pole terms, the
@@ -336,18 +309,6 @@ class CycloInstance:
         return out
 
 
-def _sparse_commutator(e1, e2) -> dict[tuple[int, int], int]:
-    """Nonzero entries {(row, column): value} of the commutator [A, B] of two
-    matrices given as (row, column, value) entry lists."""
-    out: dict = {}
-    for sign, left, right in ((1, e1, e2), (-1, e2, e1)):
-        for r, k, x in left:
-            for k2, c, y in right:
-                if k == k2:
-                    out[(r, c)] = out.get((r, c), 0) + sign * x * y
-    return {rc: v for rc, v in out.items() if v}
-
-
 def _origin_entries(r: int, a: int, b: int) -> list[tuple[int, int, int]]:
     """(row, column, value) entries of Pi_(r) E_ab = E_ab - (-1)^r E_ba."""
     return [(a, b, 1), (b, a, -1 if r % 2 == 0 else 1)]
@@ -361,30 +322,6 @@ def _origin_terms(t: int, entries: dict) -> list:
             for (x, y), v in entries.items() if x <= y and v]
 
 
-def _bracket_group(g):
-    """Two generators with a nonzero bracket share a group: the gl_M^C ones
-    at one point z_i, the gl_M^C ones at the origin, or the sp_2N ones at
-    one lambda_a; those at infinity are central (None)."""
-    return None if g[0] == "inf" else (g[0], 0 if g[0] == "or" else g[1])
-
-
-def _structure_rows(gens: list, structure):
-    """Rows for check_generator_pairs from a pairwise structure map:
-    row(i) = {j: structure(gens[i], gens[j])} over the nonempty ones, each
-    pair asked once and only within one bracket group."""
-    members: dict = {}
-    for j, g in enumerate(gens):
-        members.setdefault(_bracket_group(g), []).append(j)
-
-    def row(i: int) -> dict:
-        g1 = gens[i]
-        key = _bracket_group(g1)
-        return {} if key is None else {j: terms for j in members[key]
-                                       if (terms := structure(g1, gens[j]))}
-
-    return row
-
-
 # -- verifiers -----------------------------------------------------------------
 
 
@@ -392,14 +329,14 @@ def verify_cyclotomic_homomorphisms(inst: CycloInstance, mutation: str | None = 
     """Exhaustive generator-pair checks for both realization maps; every
     bracket term is a canonical generator, so each generator is realized once."""
     checked = 0
-    for side, gens, realize, structure in (
-        ("glM-cyclotomic", inst.glMC_generators(), inst.realize_glMC, inst.glMC_bracket),
-        ("sp2N", inst.sp_generators(), lambda g, m: inst.realize_sp(*g, m), inst.sp_bracket),
+    for side, gens, realize, matrix in (
+        ("glM-cyclotomic", inst.glMC_generators(), inst.realize_glMC, inst.glMC_matrix),
+        ("sp2N", inst.sp_generators(), lambda g, m: inst.realize_sp(*g, m), inst.sp_matrix),
     ):
         images = {g: realize(g, mutation) for g in gens}
         count, failure = check_generator_pairs(
             gens, images.__getitem__, poisson_bracket, poisson_support,
-            _structure_rows(gens, structure), MultiPoly.zero(),
+            matrix_rows(gens, matrix), MultiPoly.zero(),
         )
         checked += count
         if failure:

@@ -125,39 +125,11 @@ def takiff_generators(divisor: Divisor, size: int) -> list[TakiffGen]:
     return gens
 
 
-def takiff_rows(divisor: Divisor, size: int):
-    """The structure constants of the Takiff algebra as rows over the
-    generators g = takiff_generators(divisor, size): row(i) is {j: terms},
-    the nonzero [g_i, g_j] as lists of (coefficient, generator) terms,
-
-        [E_(ab r), E_(cd s)] = delta_bc E_(ad r+s) - delta_ad E_(cb r+s)
-
-    at a shared finite point, truncated at the Takiff degree; infinity is
-    central, so its rows are empty.  A row is listed straight from the
-    formula in O(tau size) steps, with no pass over the other generators."""
-    gens = takiff_generators(divisor, size)
-    starts = [0]
-    for _, tau in divisor.points:
-        starts.append(starts[-1] + tau * size * size)
-
-    def row(i: int) -> dict[int, list[tuple[int, TakiffGen]]]:
-        point, r, a, b = gens[i]
-        out: dict = {}
-        if point is INF:
-            return out
-        for s in range(divisor.points[point][1] - r):
-            # E_(cd s) sits at position block + (c - 1) size + d, E_(cd r+s)
-            # at summed + (c - 1) size + d
-            block = starts[point] + s * size * size - 1
-            summed = block + r * size * size
-            for d in range(1, size + 1):
-                out[block + (b - 1) * size + d] = [(1, gens[summed + (a - 1) * size + d])]
-            for c in range(1, size + 1):
-                out.setdefault(block + (c - 1) * size + a, []).append(
-                    (-1, gens[summed + (c - 1) * size + b]))
-        return out
-
-    return row
+def takiff_matrix(divisor: Divisor):
+    """The matrix_rows descriptor of divisor's Takiff generators: E^(i)_(ab, r)
+    is E_ab at depth r of point i, below its degree; infinity is central."""
+    return lambda g: None if g.point is INF else (
+        g.point, g.depth, divisor.points[g.point][1], ((g.row, g.col, 1),))
 
 
 def takiff_block_sum(nu: int, tau: int, depth: int, term, zero, mutation: str | None = None):
@@ -174,6 +146,20 @@ def jordan_sum(divisor: Divisor, x) -> list[list]:
     """(+)_c J_(tau_c)(x - location_c): x - location_c along the diagonal and
     -1 just below it."""
     return block_diag([jordan_block(tau, x - loc) for loc, tau in divisor.points])
+
+
+# (zero, bracket, support) of the classical (P_b) and quantum (U_b) rings,
+# which DualityInstance.ring and check_commutativity read; the fermionic ring
+# is each instance's own Grassmann algebra.  Each entry looks its functions up
+# when it is called, so a patched or traced binding is seen.
+BOSONIC_RINGS = {"classical": lambda: (MultiPoly.zero(), poisson_bracket, poisson_support),
+                 "quantum": lambda: (WeylElement.zero(), weyl_commutator, weyl_support)}
+
+
+def _bosonic_ring(flavor: str) -> tuple:
+    if flavor not in BOSONIC_RINGS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return BOSONIC_RINGS[flavor]()
 
 
 class DualityInstance:
@@ -210,17 +196,12 @@ class DualityInstance:
         """(x, p, zero, bracket, support) of a flavor's ring: x(a, i) and
         p(a, i) give a canonical pair (x and d in U_b, pi and psi in P_f), and
         bracket pairs only conjugates, so it is zero on disjoint supports."""
-        if flavor == "classical":
-            var = self.var
-            return (lambda a, i: var[f"x{a}_{i}"], lambda a, i: var[f"p{a}_{i}"],
-                    MultiPoly.const(Q(0)), poisson_bracket, poisson_support)
-        if flavor == "quantum":
-            zero = WeylElement.const(Q(0))
-            return WeylElement.x, WeylElement.d, zero, weyl_commutator, weyl_support
         if flavor == "fermionic":
             galg, zero = self._galg, GrassmannElement.const(Q(0))
             return galg.pi, galg.psi, zero, galg.graded_bracket, galg.support
-        raise ValueError(f"unknown flavor {flavor!r}")
+        x, p = ((WeylElement.x, WeylElement.d) if flavor == "quantum"
+                else (lambda a, i: self.var[f"x{a}_{i}"], lambda a, i: self.var[f"p{a}_{i}"]))
+        return (x, p, *_bosonic_ring(flavor))
 
     def realize_glM(self, g: TakiffGen, flavor: str, mutation: str | None = None):
         """Image of a gl_M^D basis element: the Takiff sum of x^a_(u+depth) p^b_u."""
@@ -565,12 +546,7 @@ def check_commutativity(generators: list, flavor: str) -> dict:
     supports (any pair with a constant among them) or a self-pair is not
     bracketed, every other pair i < j is bracketed once, in row-major order,
     and pairs_checked counts the pairs i <= j up to the first failing one."""
-    if flavor == "classical":
-        bracket, support, zero = poisson_bracket, poisson_support, MultiPoly.zero()
-    elif flavor == "quantum":
-        bracket, support, zero = weyl_commutator, weyl_support, WeylElement.zero()
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
+    zero, bracket, support = _bosonic_ring(flavor)
     n = len(generators)
     _, failure = check_generator_pairs(range(n), generators.__getitem__, bracket, support,
                                        lambda i: {}, zero)
@@ -582,6 +558,50 @@ def check_commutativity(generators: list, flavor: str) -> dict:
 
 
 # -- homomorphism checks -------------------------------------------------------
+
+
+def matrix_rows(gens: list, matrix):
+    """Rows for check_generator_pairs of an algebra of sparse matrices:
+    matrix(g) is None for a central g, else (group, depth, limit, entries).
+    In one group, two generators bracket to the commutator of their (row,
+    column, value) entries at the summed depth, if below limit, read back by
+    pivots: a generator's first entry, shared by no other of its group and
+    depth, and its summed value there (2 for Ebar_(I,-I), odd-depth Pi E_aa).
+    A zero sum lists no term.  The products come from indexes of the entries
+    by (group, depth, row) and (group, depth, column), never a scan of pairs."""
+    mats = [matrix(g) for g in gens]
+    by_row, by_col, pivots = {}, {}, {}
+    for j, m in enumerate(mats):
+        if m is not None:
+            group, depth, _, entries = m
+            pivot = entries[0][:2]
+            pivots.setdefault((group, depth), {})[pivot] = gens[j], sum(
+                e[2] for e in entries if e[:2] == pivot)
+            for r, c, v in entries:
+                by_row.setdefault((group, depth, r), []).append((j, c, v))
+                by_col.setdefault((group, depth, c), []).append((j, r, v))
+
+    def row(i: int) -> dict:
+        out: dict = {}
+        if mats[i] is None:
+            return out
+        group, depth, limit, left = mats[i]
+        for s in range(limit - depth):
+            # (partner, row, column) -> entry of [left, partner]
+            comm: dict = {}
+            for r, k, x in left:
+                for j, c, y in by_row.get((group, s, k), ()):
+                    comm[j, r, c] = comm.get((j, r, c), 0) + x * y
+                for j, r2, y in by_col.get((group, s, r), ()):
+                    comm[j, r2, k] = comm.get((j, r2, k), 0) - y * x
+            level = pivots.get((group, depth + s), {})
+            for (j, r, c), v in comm.items():
+                if v and (target := level.get((r, c))):
+                    out.setdefault(j, []).append((v if target[1] == 1 else Q(v, target[1]),
+                                                  target[0]))
+        return out
+
+    return row
 
 
 def check_generator_pairs(gens: list, image, bracket, support, row, zero):
@@ -699,7 +719,8 @@ def verify_homomorphism(inst: DualityInstance, flavor: str, mutation: str | None
                 raise OddImage(f"{side} image of {g.label()} is odd, so the graded "
                                "bracket is not antisymmetric on it")
         count, failure = check_generator_pairs(
-            gens, images.__getitem__, bracket, support, takiff_rows(divisor, size), zero)
+            gens, images.__getitem__, bracket, support,
+            matrix_rows(gens, takiff_matrix(divisor)), zero)
         checked += count
         if failure:
             g1, g2, got, want = failure

@@ -168,7 +168,7 @@ def _one_of(value, choices) -> bool:
 
 def validate_instance(spec: dict) -> Job:
     """Parse every field the instance's check reads, refuse every field and
-    option it does not, and return the job run_instance runs; raises
+    option it does not, and return the job run_job runs; raises
     SpecValidationError."""
     if not isinstance(spec, dict):
         raise SpecValidationError(f"an instance must be a JSON object, not {spec!r}")
@@ -288,10 +288,13 @@ def _instance(job: Job):
 
 
 def run_instance(spec: dict, mode: str | None = None, max_terms: int = 10**7) -> dict:
-    """Dispatch one instance; returns the deterministic report body, whose
-    ``mode`` says whether a sample seed was used ("sampled") or not
-    ("symbolic")."""
-    job = validate_instance(spec)
+    """Validate and run one instance (run_job)."""
+    return run_job(validate_instance(spec), spec, mode, max_terms)
+
+
+def run_job(job: Job, spec: dict, mode: str | None = None, max_terms: int = 10**7) -> dict:
+    """The deterministic report body of the job validate_instance(spec) gave,
+    whose ``mode`` says if a sample seed was used ("sampled") or not ("symbolic")."""
     check = CHECKS[job.kind, job.variant]
     opts = dict(job.options, mode=mode) if mode else job.options
     # only a check that reads mode has a sampled form

@@ -1,5 +1,5 @@
 """Seeded random generators shared by the property tests, and the
-oracles and conversions that more than one test module uses."""
+oracles, references and conversions that more than one test module uses."""
 
 from __future__ import annotations
 
@@ -11,8 +11,10 @@ from operator import add
 
 import pytest
 
+from gaudual.cyclotomic import CycloInstance, _origin_entries, _origin_terms
 from gaudual.errors import NotInvertible
-from gaudual.gaudin import _cleared, _divide_out, ratfunc_lax
+from gaudual.gaudin import (INF, Divisor, TakiffGen, _cleared, _divide_out, matrix_rows,
+                           ratfunc_lax)
 from gaudual.matrices import _perm_expansion
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
@@ -26,6 +28,14 @@ def build_instance(spec: dict):
     """The DualityInstance or CycloInstance that run_instance builds for
     spec, from the job validate_instance returns."""
     return _instance(validate_instance(spec))
+
+
+def pair_structure(gens: list, matrix):
+    """(g1, g2) -> the terms gaudin.matrix_rows(gens, matrix) lists for the
+    pair, [] where it lists none; each row is built once."""
+    row, index = matrix_rows(gens, matrix), {g: k for k, g in enumerate(gens)}
+    rows = cache(row)
+    return lambda g1, g2: rows(index[g1]).get(index[g2], [])
 
 
 def rng(seed: int) -> random.Random:
@@ -278,3 +288,86 @@ def order_one_clearing(monkeypatch, *modules) -> None:
 
     for module in modules:
         monkeypatch.setattr(module, "_cleared", faulty)
+
+
+# -- structure constants, stated pair by pair ----------------------------------
+# the references gaudin.matrix_rows is compared against: the Takiff bracket
+# formula, and the gl_M^C and sp_2N brackets as the sparse commutator of the
+# two basis matrices read off on the canonical basis
+
+
+def takiff_formula(g1: TakiffGen, g2: TakiffGen, divisor: Divisor) -> list:
+    """[E_(ab r), E_(cd s)] = delta_bc E_(ad r+s) - delta_ad E_(cb r+s) at a
+    shared finite point, truncated at the Takiff degree; infinity is
+    central."""
+    if g1.point is INF or g2.point is INF or g1.point != g2.point:
+        return []
+    depth = g1.depth + g2.depth
+    if depth >= divisor.points[g1.point][1]:
+        return []
+    out = []
+    if g1.col == g2.row:
+        out.append((1, TakiffGen(g1.point, depth, g1.row, g2.col)))
+    if g1.row == g2.col:
+        out.append((-1, TakiffGen(g1.point, depth, g2.row, g1.col)))
+    return out
+
+
+def sparse_commutator(e1, e2) -> dict[tuple[int, int], int]:
+    """Nonzero entries {(row, column): value} of the commutator [A, B] of two
+    matrices given as (row, column, value) entry lists."""
+    out: dict = {}
+    for sign, left, right in ((1, e1, e2), (-1, e2, e1)):
+        for r, k, x in left:
+            for k2, c, y in right:
+                if k == k2:
+                    out[(r, c)] = out.get((r, c), 0) + sign * x * y
+    return {rc: v for rc, v in out.items() if v}
+
+
+def glMC_bracket(inst: CycloInstance, g1, g2) -> list:
+    """Structure constants of gl_M^C on the canonical generators."""
+    if g1[0] == "inf" or g2[0] == "inf":
+        return []
+    if g1[0] == "pt" and g2[0] == "pt":
+        _, i, r, a, b = g1
+        _, j, s, c, d = g2
+        if i != j or r + s >= inst.C.points[i][1]:
+            return []
+        out = []
+        if b == c:
+            out.append((Fraction(1), ("pt", i, r + s, a, d)))
+        if a == d:
+            out.append((Fraction(-1), ("pt", i, r + s, c, b)))
+        return out
+    if g1[0] == "or" and g2[0] == "or":
+        _, r, a, b = g1
+        _, s, c, d = g2
+        if r + s >= 2 * inst.C.tau0:
+            return []
+        # the commutator lies in the image of Pi_(r+s)
+        comm = sparse_commutator(_origin_entries(r, a, b), _origin_entries(s, c, d))
+        return _origin_terms(r + s, comm)
+    return []  # pt against origin: disjoint points
+
+
+def sp_expand(inst: CycloInstance, x: dict) -> dict[tuple[int, int], int | Fraction]:
+    """Coefficients on the basis {Ebar_IJ}, (I,J) in I2, of an sp_2N matrix
+    given by its nonzero {(row, column): value} entries: Ebar_IJ is the one
+    basis matrix with an entry at (pos(I), pos(J)), 1 there, or 2 when J = -I."""
+    basis_at = {(inst.pos(I), inst.pos(J)): (I, J) for I, J in inst.I2()}
+    out = {}
+    for rc, c in x.items():
+        basis = basis_at.get(rc)
+        if basis:
+            out[basis] = Fraction(c, 2) if basis[1] == -basis[0] else c
+    return out
+
+
+def sp_bracket(inst: CycloInstance, g1, g2) -> list:
+    """[Ebar^(la)_IJ, Ebar^(lb)_KL] as the sparse commutator of the two basis
+    matrices, expanded on the I2 basis; infinity is central."""
+    if g1[0] == "inf" or g2[0] == "inf" or g1[1] != g2[1]:
+        return []
+    comm = sparse_commutator(inst.ebar_entries(g1[2], g1[3]), inst.ebar_entries(g2[2], g2[3]))
+    return [(coeff, ("lam", g1[1], I, J)) for (I, J), coeff in sp_expand(inst, comm).items()]

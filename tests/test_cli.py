@@ -517,17 +517,76 @@ def test_reports_stream_as_each_instance_finishes(tmp_path, capsys, monkeypatch)
     out = tmp_path / "r.jsonl"
     seen = []
 
-    def fake_run_instance(spec, mode=None, max_terms=None):
+    def fake_run_job(job, spec, mode=None, max_terms=None):
         done = out.read_text().splitlines()
         seen.append(([json.loads(line)["instance"] for line in done],
                      capsys.readouterr().err.count("[ pass]")))
         return {"status": "pass", "instance": spec}
 
-    monkeypatch.setattr(cli, "run_instance", fake_run_instance)
+    monkeypatch.setattr(cli, "run_job", fake_run_job)
     spec = _write(tmp_path, {"instances": instances})
     assert cli.main(["verify", spec, "--out", str(out)]) == 0
     assert seen == [([], 0), (instances[:1], 1), (instances[:2], 1)]
     assert len(out.read_text().splitlines()) == 3
+
+
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that records max_workers and maps
+    in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, work):
+        return map(fn, work)
+
+
+@pytest.mark.parametrize("jobs, count, workers", [("5000", 1, []), ("5000", 3, [3]),
+                                                  ("2", 3, [2]), ("3", 0, [])],
+                         ids=["one-instance", "capped", "below-the-count", "no-instance"])
+def test_the_pool_gets_no_more_workers_than_instances(tmp_path, capsys, monkeypatch, jobs,
+                                                      count, workers):
+    # the pool forks every worker it is allowed at the first submit, so
+    # --jobs 5000 on one instance forked 5,000 processes; with at most one
+    # instance, or none (max_workers=0 raises), the run is serial
+    import concurrent.futures
+
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    instances = [dict(_NEUMANN, omega=[str(k), str(k + 1)]) for k in range(1, count + 1)]
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["verify", _write(tmp_path, instances), "--jobs", jobs,
+                     "--out", str(out)]) == 0
+    assert _SerialPool.sizes == workers
+    assert len(out.read_text().splitlines()) == count
+    assert f"{count} instances, {count} pass" in capsys.readouterr().err
+
+
+def test_the_cli_parses_each_spec_once(tmp_path, monkeypatch):
+    # validation keeps the job it parsed and the worker runs that job, so the
+    # divisors are parsed once (the run used to validate the spec again)
+    calls = []
+    points = runner._points
+
+    def spy(raw, name):
+        calls.append(name)
+        return points(raw, name)
+
+    monkeypatch.setattr(runner, "_points", spy)
+    spec = {"kind": "classical-bosonic", "M": 1, "N": 2, "divisor": [["1", 2]],
+            "dual_divisor": [["5", 1]]}
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["verify", _write(tmp_path, [spec]), "--jobs", "1", "--out", str(out)]) == 0
+    assert calls == ["divisor", "dual_divisor"]
+    assert json.loads(out.read_text())["status"] == "pass"
 
 
 def _no_validation(spec):

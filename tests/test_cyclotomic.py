@@ -25,8 +25,8 @@ from gaudual.poisson import poisson_bracket
 from gaudual.weyl import WeylElement
 from gaudual.runner import run_instance
 from helpers import (build_instance, check_cleared_against_ratfunc, check_commutativity_reference,
-                     check_per_step_division, order_one_clearing, perturb_divided_expansion, rng,
-                     random_fraction)
+                     check_per_step_division, order_one_clearing, pair_structure,
+                     perturb_divided_expansion, rng, random_fraction, sp_expand)
 
 Q = Fraction
 V = MultiPoly.var
@@ -99,17 +99,18 @@ def test_projector_formula():
 @pytest.mark.parametrize("tau0", [1, 2, 3])
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_origin_bracket_matches_gl_commutator(M, tau0):
-    # every ordered pair of origin generators: the terms of glMC_bracket are
+    # every ordered pair of origin generators: the terms matrix_rows lists are
     # distinct canonical generators of depth r + s, and their projectors sum
     # to the gl_M commutator of the two projectors; the canonical Pi_(t) E_xy
     # are independent, so this pins every coefficient
     inst = inst_of(M, tau0, [], [5, 7, 11][:M], Q(0))
     canonical = set(inst.glMC_generators())
+    structure = pair_structure(inst.glMC_generators(), inst.glMC_matrix)
     origin = [g for g in inst.glMC_generators() if g[0] == "or"]
     for g1 in origin:
         for g2 in origin:
             (_, r, a, b), (_, s, c, d) = g1, g2
-            got = inst.glMC_bracket(g1, g2)
+            got = structure(g1, g2)
             if r + s >= 2 * tau0:
                 assert got == [], (g1, g2)
                 continue
@@ -287,25 +288,26 @@ def test_sp_expand_round_trip():
             for i in range(n):
                 for j in range(n):
                     total[i][j] += c * e[i][j]
-        got = inst.sp_expand(sparse(total))
+        got = sp_expand(inst, sparse(total))
         assert got == {k: c for k, c in coeffs.items() if c}
 
 
 @pytest.mark.parametrize("tau0, pts", [(1, []), (2, []), (1, [(1, 1), (2, 1)])],
                          ids=["N=1", "N=2", "N=3"])
-def test_sp_bracket_matches_dense_commutator(tau0, pts):
+def test_sp_structure_matches_dense_commutator(tau0, pts):
     # every ordered generator pair, at two points lambda_a and at infinity:
-    # the terms of sp_bracket are distinct basis generators at the pair's
+    # the terms matrix_rows lists are distinct basis generators at the pair's
     # point, and their ebar matrices sum to the dense commutator of the two
     # ebar matrices; the Ebar_IJ, (I, J) in I2, are independent, so this pins
     # every coefficient
     inst = inst_of(2, tau0, pts, ["5", "7"], Q(-1))
     n = 2 * inst.N
     canonical = set(inst.I2())
+    structure = pair_structure(inst.sp_generators(), inst.sp_matrix)
     nonzero = 0
     for g1 in inst.sp_generators():
         for g2 in inst.sp_generators():
-            got = inst.sp_bracket(g1, g2)
+            got = structure(g1, g2)
             if g1[0] == "inf" or g2[0] == "inf" or g1[1] != g2[1]:
                 assert got == [], (g1, g2)
                 continue
@@ -399,27 +401,36 @@ def test_cyclotomic_homomorphisms_realize_each_generator_once(monkeypatch):
     assert calls == inst.glMC_generators()
 
 
-@pytest.mark.parametrize("side, method, kind", [("glM-cyclotomic", "glMC_bracket", "or"),
-                                                ("sp2N", "sp_bracket", "lam")],
+@pytest.mark.parametrize("side, kind", [("glM-cyclotomic", "or"), ("sp2N", "lam")],
                          ids=["origin", "sp2N"])
-def test_cyclotomic_homomorphisms_fail_on_one_wrong_structure_constant(monkeypatch, side,
-                                                                        method, kind):
-    """The terms of the first pair of two origin generators (two sp_2N
-    generators at one point lambda_a) with a nonzero structure are negated:
+def test_cyclotomic_homomorphisms_fail_on_one_wrong_structure_constant(monkeypatch, side, kind):
+    """The row entry of the first pair of two origin generators (two sp_2N
+    generators at one point lambda_a) with a nonzero structure is negated:
     the check fails at that pair, after every earlier pair in the check
     order, the gl_M^C side first."""
     inst = inst_of(2, 2, [(1, 1)], ["5", "7"], Q(-1))
     gl_gens, sp_gens = inst.glMC_generators(), inst.sp_generators()
-    gens, before = (gl_gens, 0) if side == "glM-cyclotomic" else (sp_gens, len(gl_gens) ** 2)
-    bracket = getattr(CycloInstance, method)
-    i, j = next((i, j) for i, g1 in enumerate(gens) for j, g2 in enumerate(gens)
-                if g1[0] == g2[0] == kind and bracket(inst, g1, g2))
+    gens, matrix, before = ((gl_gens, inst.glMC_matrix, 0) if side == "glM-cyclotomic"
+                            else (sp_gens, inst.sp_matrix, len(gl_gens) ** 2))
+    rows = cyclotomic.matrix_rows(gens, matrix)
+    i, j = next((i, j) for i, g1 in enumerate(gens) for j in sorted(rows(i))
+                if g1[0] == gens[j][0] == kind)
+    original = cyclotomic.matrix_rows
 
-    def wrong(self, g1, g2):
-        terms = bracket(self, g1, g2)
-        return [(-k, g) for k, g in terms] if (g1, g2) == (gens[i], gens[j]) else terms
+    def wrong(side_gens, side_matrix):
+        row = original(side_gens, side_matrix)
+        if side_gens != gens:
+            return row
 
-    monkeypatch.setattr(CycloInstance, method, wrong)
+        def faulty(k):
+            out = row(k)
+            if k == i:
+                out[j] = [(-c, g) for c, g in out[j]]
+            return out
+
+        return faulty
+
+    monkeypatch.setattr(cyclotomic, "matrix_rows", wrong)
     assert verify_cyclotomic_homomorphisms(inst) == {
         "status": "fail",
         "pairs_checked": before + i * len(gens) + j + 1,
@@ -708,30 +719,6 @@ def test_neumann_fails_with_flipped_mu_sign(monkeypatch):
     assert report["duality"]["witness"] == {"monomial": {"x2_1": 2}, "difference": "-2"}
     assert report["hamiltonian_commutes"]
     assert report["hamiltonian_combination"] is not None
-
-
-@pytest.mark.parametrize("spec", [pytest.param(spec, id=_spec_id(spec))
-                                  for spec in presets.cyclotomic_grid()])
-def test_grouped_structure_rows_equal_the_all_pairs_rows(spec):
-    """The rows of both sides ask the structure only about pairs in one
-    bracket group, and equal, in order, the rows over every ordered pair."""
-    inst = build_instance(spec)
-    for gens, structure in ((inst.glMC_generators(), inst.glMC_bracket),
-                            (inst.sp_generators(), inst.sp_bracket)):
-        asked = []
-
-        def spy(g1, g2):
-            asked.append((g1, g2))
-            return structure(g1, g2)
-
-        row = cyclotomic._structure_rows(gens, spy)
-        for i, g1 in enumerate(gens):
-            got = row(i)
-            want = {j: terms for j, g2 in enumerate(gens) if (terms := structure(g1, g2))}
-            assert list(got.items()) == list(want.items()), g1
-        groups = [(cyclotomic._bracket_group(g1), cyclotomic._bracket_group(g2))
-                  for g1, g2 in asked]
-        assert all(a == b is not None for a, b in groups)
 
 
 @pytest.mark.parametrize("spec", [pytest.param(spec, id=_spec_id(spec))

@@ -307,3 +307,28 @@ def test_extraction_builds_only_the_z_side(monkeypatch, flavor):
     monkeypatch.setattr(DualityInstance, "lax_glN", refuse)
     gens = extract_gaudin_generators(inst, flavor)
     assert gens and gens == expected
+
+
+def test_the_bosonic_rings_are_stated_once(monkeypatch):
+    """DualityInstance.ring and check_commutativity read the classical and
+    quantum (zero, bracket, support) from one table, when they are called;
+    a flavor outside it is refused with one message, the fermionic ring by
+    check_commutativity too."""
+    inst = make(1, 1, [(1, 1)], [(5, 1)])
+    calls = []
+    for flavor, entry in list(gaudin.BOSONIC_RINGS.items()):
+        zero, bracket, support = entry()
+        assert not zero and inst.ring(flavor)[2:] == (zero, bracket, support)
+
+        def spy(entry=entry, flavor=flavor):
+            calls.append(flavor)
+            return entry()
+
+        monkeypatch.setitem(gaudin.BOSONIC_RINGS, flavor, spy)
+        inst.ring(flavor)
+        check_commutativity([], flavor)
+    assert calls == ["classical", "classical", "quantum", "quantum"]
+    for call, flavor in ((inst.ring, "symplectic"), (lambda f: check_commutativity([], f),
+                                                     "fermionic")):
+        with pytest.raises(ValueError, match=f"^unknown flavor '{flavor}'$"):
+            call(flavor)

@@ -128,14 +128,14 @@ def test_reversed_pairs_are_checked(monkeypatch, flavor):
     assert verify_homomorphism(inst, flavor)["status"] == "pass"
     sides = {"glM": (inst.div_z, inst.M, inst.realize_glM),
              "glN": (inst.div_lam, inst.N, inst.realize_glN)}
-    original = gaudin.takiff_rows
+    original = gaudin.matrix_rows
 
-    def reversed_negated(divisor, size):
-        row = original(divisor, size)
+    def reversed_negated(gens, matrix):
+        row = original(gens, matrix)
         return lambda i: {j: [(-c, g) for c, g in terms] if j < i else terms
                           for j, terms in row(i).items()}
 
-    monkeypatch.setattr(gaudin, "takiff_rows", reversed_negated)
+    monkeypatch.setattr(gaudin, "matrix_rows", reversed_negated)
     report = verify_homomorphism(inst, flavor)
     assert report["status"] == "fail"
     witness = report["witness"]
@@ -252,7 +252,7 @@ def _quantum_glM():
     inst = make(2, 2, [(1, 2)], [(5, 1), (7, 1)])
     gens = takiff_generators(inst.div_z, inst.M)
     images = {g: inst.realize_glM(g, "quantum") for g in gens}
-    return gens, images, gaudin.takiff_rows(inst.div_z, inst.M)
+    return gens, images, gaudin.matrix_rows(gens, gaudin.takiff_matrix(inst.div_z))
 
 
 def _with_entry(rows, i, j, change):
@@ -331,22 +331,22 @@ def test_fault_on_a_diagonal_pair():
 
 
 def _faulty_takiff_rows(monkeypatch, choose, change):
-    """Patch gaudin.takiff_rows so that on the quantum gl_M side of
+    """Patch gaudin.matrix_rows so that on the quantum gl_M side of
     _quantum_glM the entry (i, j) = choose(gens, images, rows) is replaced
     by change(entry); both loops and verify_homomorphism must fail at
     (i, j), at its row-major index.  Returns the loop's failure."""
     gens, images, rows = _quantum_glM()
     i, j = choose(gens, images, rows)
-    glM = Divisor.of([(1, 2)])
-    original = gaudin.takiff_rows
+    original = gaudin.matrix_rows
 
-    def patched(divisor, size):
-        row = original(divisor, size)
-        return _with_entry(row, i, j, change) if divisor == glM else row
+    def patched(side_gens, matrix):
+        row = original(side_gens, matrix)
+        return _with_entry(row, i, j, change) if side_gens == gens else row
 
-    monkeypatch.setattr(gaudin, "takiff_rows", patched)
+    monkeypatch.setattr(gaudin, "matrix_rows", patched)
     checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, weyl_support,
-                                   gaudin.takiff_rows(glM, 2), WeylElement.zero())
+                                   gaudin.matrix_rows(gens, gaudin.takiff_matrix(
+                                       Divisor.of([(1, 2)]))), WeylElement.zero())
     assert checked == i * len(gens) + j + 1 and failure[:2] == (gens[i], gens[j])
     report = verify_homomorphism(make(2, 2, [(1, 2)], [(5, 1), (7, 1)]), "quantum")
     assert report["status"] == "fail" and report["pairs_checked"] == checked

@@ -15,6 +15,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gaudual"
 NOT_REACHED = {
     # public entry point, and bench/tracer.py wraps matrices.det by name
     "det",
+    # public entry point (validate_instance, then run_job), which
+    # bench/pass_worker.py runs and bench/tracer.py wraps by name; the CLI
+    # runs the jobs it has validated through run_job
+    "run_instance",
 }
 
 IMPORTS_NOT_USED = {

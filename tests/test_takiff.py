@@ -11,12 +11,11 @@ from gaudual.gaudin import (
     jordan_sum,
     ratfunc_lax,
     takiff_generators,
-    takiff_rows,
+    takiff_matrix,
 )
-from gaudual.presets import homomorphism_grid
 from gaudual.multipoly import MultiPoly
 from gaudual.weyl import WeylElement
-from helpers import linear
+from helpers import linear, pair_structure
 
 Q = Fraction
 V = MultiPoly.var
@@ -62,27 +61,9 @@ def test_degree_constraints_enforced():
         DualityInstance(2, 1, Divisor.of([(1, 1)]), Divisor.of([(5, 1)]))
 
 
-def takiff_formula(g1: TakiffGen, g2: TakiffGen, divisor: Divisor) -> list:
-    """[E_(ab r), E_(cd s)] = delta_bc E_(ad r+s) - delta_ad E_(cb r+s) at a
-    shared finite point, truncated at the Takiff degree; infinity is
-    central: the structure constants the rows must list."""
-    if g1.point is INF or g2.point is INF or g1.point != g2.point:
-        return []
-    depth = g1.depth + g2.depth
-    if depth >= divisor.points[g1.point][1]:
-        return []
-    out = []
-    if g1.col == g2.row:
-        out.append((1, TakiffGen(g1.point, depth, g1.row, g2.col)))
-    if g1.row == g2.col:
-        out.append((-1, TakiffGen(g1.point, depth, g2.row, g1.col)))
-    return out
-
-
 def takiff_bracket(g1: TakiffGen, g2: TakiffGen, divisor: Divisor, size: int) -> list:
-    """The structure of (g1, g2) as the rows list it: [] where absent."""
-    gens = takiff_generators(divisor, size)
-    return takiff_rows(divisor, size)(gens.index(g1)).get(gens.index(g2), [])
+    """The structure of (g1, g2) as matrix_rows lists it: [] where absent."""
+    return pair_structure(takiff_generators(divisor, size), takiff_matrix(divisor))(g1, g2)
 
 
 def test_takiff_bracket_matches_structure_constants():
@@ -110,48 +91,6 @@ def test_infinity_generators_central():
     d = Divisor.of([(1, 2)])
     assert takiff_bracket(TakiffGen(INF, 1, 1, 2), TakiffGen(0, 0, 2, 1), d, 2) == []
     assert takiff_bracket(TakiffGen(0, 0, 2, 1), TakiffGen(INF, 1, 1, 2), d, 2) == []
-
-
-def check_rows_against_the_formula(divisor: Divisor, size: int):
-    """Every row equals the formula over every ordered pair, terms in the
-    formula's order, with no entry for an empty bracket."""
-    gens = takiff_generators(divisor, size)
-    row = takiff_rows(divisor, size)
-    for i, g1 in enumerate(gens):
-        want = {j: terms for j, g2 in enumerate(gens)
-                if (terms := takiff_formula(g1, g2, divisor))}
-        assert row(i) == want, g1
-
-
-def _grid_divisors():
-    """(points, size) of both sides of every Gaudin homomorphism_grid() spec."""
-    seen = set()
-    for spec in homomorphism_grid():
-        if spec["realization"] == "cyclotomic":
-            continue
-        for key, size in (("divisor", "M"), ("dual_divisor", "N")):
-            case = (tuple(map(tuple, spec[key])), spec[size])
-            if case not in seen:
-                seen.add(case)
-                yield case
-
-
-@pytest.mark.parametrize("points, size", list(_grid_divisors()))
-def test_takiff_rows_match_the_formula_on_the_grid(points, size):
-    check_rows_against_the_formula(Divisor.of(points), size)
-
-
-def test_takiff_rows_match_the_formula_on_drawn_divisors():
-    """1-3 points of Takiff degree 1-3, size 1-3."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @hypothesis.settings(max_examples=30, deadline=None)
-    @hypothesis.given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(1, 3))
-    def check(taus, size):
-        check_rows_against_the_formula(Divisor.of(list(enumerate(taus, 1))), size)
-
-    check()
 
 
 def test_generator_enumeration_order():
