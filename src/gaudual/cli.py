@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import ExitStack
@@ -123,8 +124,9 @@ def cmd_verify(args) -> int:
         # both maps are lazy and yield in input order: each report is written
         # as soon as it and every report before it are finished.  The pool
         # forks every worker it may have at the first submit, so it gets at
-        # most one per instance, and one instance or none runs serially
-        workers = min(args.jobs, len(instances))
+        # most one per instance and per CPU, and one instance or none runs
+        # serially
+        workers = min(args.jobs, len(instances), os.cpu_count() or 1)
         if workers > 1:
             # imported here: the pool loads multiprocessing, which a serial
             # run never needs

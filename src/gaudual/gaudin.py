@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import accumulate
 
 from .errors import DivisorMismatch, IndexOutOfRange, OddImage, RefusedMinor, ResidualPole
 from .grassmann import GrassmannAlgebra, GrassmannElement
 from .linalg import solve_linear  # noqa: F401 (unused; bench/test_bench.py traces this binding)
-from .matrices import (_perm_expansion, block2x2, block_diag, cdet, jordan_block, manin_check,
-                       transpose)
+from .matrices import (_perm_expansion, block2x2, block_diag, cdet, jordan_block, lax_terms,
+                       manin_check, transpose)
 from .multipoly import MultiPoly, VariableTable
 from .poisson import poisson_bracket, poisson_support
 from .ratfunc import RatFunc, expand_factors, partial_fractions
@@ -80,12 +81,7 @@ class Divisor(namedtuple("Divisor", "points")):
 
     def block_offsets(self) -> tuple[int, ...]:
         """nu_i = sum of the preceding Takiff degrees (nu_1 = 0)."""
-        offsets = []
-        acc = 0
-        for _, t in self.points:
-            offsets.append(acc)
-            acc += t
-        return tuple(offsets)
+        return tuple(accumulate((t for _, t in self.points), initial=0))[:-1]
 
     def clearing_poly(self, x: MultiPoly) -> MultiPoly:
         """prod (x - location)^tau over the finite points, for a generator x
@@ -106,39 +102,39 @@ class TakiffGen(namedtuple("TakiffGen", "point depth row col")):
 
     __slots__ = ()
 
-    def label(self) -> str:
+    def __str__(self) -> str:
         where = "inf" if self.point is None else f"pt{self.point}"
         return f"E[{where}]_{self.row}{self.col},{self.depth}"
 
 
 def takiff_generators(divisor: Divisor, size: int) -> list[TakiffGen]:
     """All basis generators, ordered by point, then depth, then (row, col)."""
-    gens = []
-    for i, (_, tau) in enumerate(divisor.points):
-        for r in range(tau):
-            for a in range(1, size + 1):
-                for b in range(1, size + 1):
-                    gens.append(TakiffGen(i, r, a, b))
-    for a in range(1, size + 1):
-        for b in range(1, size + 1):
-            gens.append(TakiffGen(INF, 1, a, b))
-    return gens
+    indices = range(1, size + 1)
+    return ([TakiffGen(i, r, a, b) for i, (_, tau) in enumerate(divisor.points)
+             for r in range(tau) for a in indices for b in indices]
+            + [TakiffGen(INF, 1, a, b) for a in indices for b in indices])
 
 
 def takiff_matrix(divisor: Divisor):
     """The matrix_rows descriptor of divisor's Takiff generators: E^(i)_(ab, r)
-    is E_ab at depth r of point i, below its degree; infinity is central."""
-    return lambda g: None if g.point is INF else (
-        g.point, g.depth, divisor.points[g.point][1], ((g.row, g.col, 1),))
+    is E_ab (0-based) at depth r of point i, below its degree; infinity's is central."""
+    return lambda g: (g.point, g.depth, 0 if g.point is INF else divisor.points[g.point][1],
+                      ((g.row - 1, g.col - 1, 1),))
+
+
+# One side of a duality for its homomorphism check and matrices.lax_terms: gens,
+# matrix_rows descriptor, image(g), poles {group: location} (depth r: the pole of
+# order r + 1; other groups are constant), kappa(group), twist and the Lax size.
+Side = namedtuple("Side", "name gens matrix image poles kappa twist size")
 
 
 def takiff_block_sum(nu: int, tau: int, depth: int, term, zero, mutation: str | None = None):
-    """zero + sum of term(u, u + depth) over u = nu+1 .. nu+tau-depth, the
-    Takiff block of a point of degree tau at offset nu; mutation "range-up"
-    runs u one step further, "flip-sign" negates the sum."""
-    total = zero
-    for u in range(nu + 1, nu + tau - depth + 1 + (mutation == "range-up")):
-        total = total + term(u, u + depth)
+    """The sum of term(u, u + depth) over u = nu+1 .. nu+tau-depth, zero when
+    empty, the Takiff block of a point of degree tau at offset nu; mutation
+    "range-up" runs u one step further, "flip-sign" negates the sum."""
+    terms = [term(u, u + depth)
+             for u in range(nu + 1, nu + tau - depth + 1 + (mutation == "range-up"))]
+    total = sum(terms[1:], terms[0]) if terms else zero
     return -total if mutation == "flip-sign" else total
 
 
@@ -197,7 +193,7 @@ class DualityInstance:
         p(a, i) give a canonical pair (x and d in U_b, pi and psi in P_f), and
         bracket pairs only conjugates, so it is zero on disjoint supports."""
         if flavor == "fermionic":
-            galg, zero = self._galg, GrassmannElement.const(Q(0))
+            galg, zero = self._galg, GrassmannElement.zero()
             return galg.pi, galg.psi, zero, galg.graded_bracket, galg.support
         x, p = ((WeylElement.x, WeylElement.d) if flavor == "quantum"
                 else (lambda a, i: self.var[f"x{a}_{i}"], lambda a, i: self.var[f"p{a}_{i}"]))
@@ -231,36 +227,27 @@ class DualityInstance:
                                 self.div_lam.points[g.point][1], g.depth,
                                 lambda u, v: p(u, j) * x(v, i), zero, mutation)
 
-    # -- realized Lax matrices --------------------------------------------
+    # -- sides and their Lax matrices ---------------------------------------
+
+    def side(self, name: str, flavor: str, mutation: str | None = None) -> Side:
+        """The glM side (poles of div_z) or the glN side (poles of div_lam)
+        under a flavor's realization map; kappa is 1 on every group."""
+        divisor, size, realize = ((self.div_z, self.M, self.realize_glM) if name == "glM"
+                                  else (self.div_lam, self.N, self.realize_glN))
+        return Side(name, takiff_generators(divisor, size), takiff_matrix(divisor),
+                    partial(realize, flavor=flavor, mutation=mutation),
+                    dict(enumerate(p for p, _ in divisor.points)), lambda group: 1, False, size)
 
     def lax_glM(self, flavor: str) -> list[list[list[tuple]]]:
         """Realized transposed Lax matrix as pole terms: entry (a, b) lists the
         nonzero (image, pole, order) terms of the coefficient attached to
         E_ab, order 0 the constant at infinity."""
-        return _lax_terms(self.realize_glM, self.div_z, self.M, flavor, transpose=False)
+        return transpose(lax_terms(self.side("glM", flavor)))
 
     def lax_glN(self, flavor: str) -> list[list[list[tuple]]]:
         """Realized Lax matrix as pole terms: entry (i, j) lists those of the
         coefficient attached to E_ji."""
-        return _lax_terms(self.realize_glN, self.div_lam, self.N, flavor, transpose=True)
-
-
-def _lax_terms(realize, divisor: Divisor, size: int, flavor: str,
-               transpose: bool) -> list[list[list[tuple]]]:
-    """Entry (r, c) lists the nonzero images of E_rc (E_cr if transpose) at
-    infinity, as (image, 0, 0), and at every pole of the divisor, as (image,
-    location, depth + 1)."""
-    entries = []
-    for r in range(1, size + 1):
-        row = []
-        for c in range(1, size + 1):
-            a, b = (c, r) if transpose else (r, c)
-            terms = [(realize(TakiffGen(INF, 1, a, b), flavor), Q(0), 0)]
-            terms += [(realize(TakiffGen(i, depth, a, b), flavor), loc, depth + 1)
-                      for i, (loc, tau) in enumerate(divisor.points) for depth in range(tau)]
-            row.append([term for term in terms if term[0]])
-        entries.append(row)
-    return entries
+        return lax_terms(self.side("glN", flavor))
 
 
 def ratfunc_lax(lax: list[list[list[tuple]]], var: str) -> list[list[RatFunc]]:
@@ -562,29 +549,28 @@ def check_commutativity(generators: list, flavor: str) -> dict:
 
 def matrix_rows(gens: list, matrix):
     """Rows for check_generator_pairs of an algebra of sparse matrices:
-    matrix(g) is None for a central g, else (group, depth, limit, entries).
-    In one group, two generators bracket to the commutator of their (row,
-    column, value) entries at the summed depth, if below limit, read back by
-    pivots: a generator's first entry, shared by no other of its group and
-    depth, and its summed value there (2 for Ebar_(I,-I), odd-depth Pi E_aa).
-    A zero sum lists no term.  The products come from indexes of the entries
-    by (group, depth, row) and (group, depth, column), never a scan of pairs."""
+    matrix(g) is (group, depth, limit, entries).  In one group, two
+    generators bracket to the commutator of their (row, column, value)
+    entries at the summed depth, if below limit (so a limit at most the
+    depth, as at infinity, is central), read back by pivots: a generator's
+    first entry, shared by no other of its group and depth, and its summed
+    value there (2 for Ebar_(I,-I), odd-depth Pi E_aa).  A zero sum lists no
+    term.  The products come from indexes of the entries by (group, depth,
+    row) and (group, depth, column), never a scan of pairs."""
     mats = [matrix(g) for g in gens]
     by_row, by_col, pivots = {}, {}, {}
-    for j, m in enumerate(mats):
-        if m is not None:
-            group, depth, _, entries = m
-            pivot = entries[0][:2]
-            pivots.setdefault((group, depth), {})[pivot] = gens[j], sum(
-                e[2] for e in entries if e[:2] == pivot)
-            for r, c, v in entries:
-                by_row.setdefault((group, depth, r), []).append((j, c, v))
-                by_col.setdefault((group, depth, c), []).append((j, r, v))
+    for j, (group, depth, limit, entries) in enumerate(mats):
+        if limit <= depth:
+            continue  # central: no bracket reaches its depth, so it is no target
+        pivot = entries[0][:2]
+        pivots.setdefault((group, depth), {})[pivot] = gens[j], sum(
+            e[2] for e in entries if e[:2] == pivot)
+        for r, c, v in entries:
+            by_row.setdefault((group, depth, r), []).append((j, c, v))
+            by_col.setdefault((group, depth, c), []).append((j, r, v))
 
     def row(i: int) -> dict:
         out: dict = {}
-        if mats[i] is None:
-            return out
         group, depth, limit, left = mats[i]
         for s in range(limit - depth):
             # (partner, row, column) -> entry of [left, partner]
@@ -635,7 +621,7 @@ def check_generator_pairs(gens: list, image, bracket, support, row, zero):
 
     bracket must be antisymmetric on the images.  The Poisson bracket and the
     Weyl commutator always are; the graded bracket is on even elements, so
-    verify_homomorphism refuses an odd fermionic image.  Each image sum is
+    homomorphism_report refuses an odd image.  Each image sum is
     built once per check.  got and want are built only for a failing pair,
     as the full loop builds them: got is the bracket (zero at disjoint
     supports, the negated bracket of (g_j, g_i) when mirrored).  Rows are
@@ -705,33 +691,32 @@ def _image_sum(terms, image, negate: bool):
     return total
 
 
+def homomorphism_report(sides, zero, bracket, support, got_want: bool = True) -> dict:
+    """check_generator_pairs on each side over the rows of matrix_rows, each
+    generator realized once and an odd image refused (the loop needs an antisymmetric
+    bracket); a failing witness names the side, the pair and, with got_want, both sums."""
+    checked = 0
+    for side in sides:
+        images = {g: side.image(g) for g in side.gens}
+        for g, img in images.items():
+            if img.parity():
+                raise OddImage(f"{side.name} image of {g} is odd, so the graded "
+                               "bracket is not antisymmetric on it")
+        count, failure = check_generator_pairs(side.gens, images.__getitem__, bracket, support,
+                                               matrix_rows(side.gens, side.matrix), zero)
+        checked += count
+        if failure:
+            g1, g2, got, want = failure
+            witness = {"side": side.name, "pair": (str(g1), str(g2))}
+            if got_want:
+                witness.update(got=repr(got), want=repr(want))
+            return {"status": "fail", "pairs_checked": checked, "witness": witness}
+    return {"status": "pass", "pairs_checked": checked}
+
+
 def verify_homomorphism(inst: DualityInstance, flavor: str, mutation: str | None = None) -> dict:
     """Exhaustive generator-pair check that bracket-of-images equals
     image-of-bracket on both realization maps."""
     _, _, zero, bracket, support = inst.ring(flavor)
-    checked = 0
-    for side, divisor, size, realize in (("glM", inst.div_z, inst.M, inst.realize_glM),
-                                         ("glN", inst.div_lam, inst.N, inst.realize_glN)):
-        gens = takiff_generators(divisor, size)
-        images = {g: realize(g, flavor, mutation) for g in gens}
-        for g, img in images.items():
-            if img.parity():
-                raise OddImage(f"{side} image of {g.label()} is odd, so the graded "
-                               "bracket is not antisymmetric on it")
-        count, failure = check_generator_pairs(
-            gens, images.__getitem__, bracket, support,
-            matrix_rows(gens, takiff_matrix(divisor)), zero)
-        checked += count
-        if failure:
-            g1, g2, got, want = failure
-            return {
-                "status": "fail",
-                "pairs_checked": checked,
-                "witness": {
-                    "side": side,
-                    "pair": (g1.label(), g2.label()),
-                    "got": repr(got),
-                    "want": repr(want),
-                },
-            }
-    return {"status": "pass", "pairs_checked": checked}
+    return homomorphism_report([inst.side(name, flavor, mutation) for name in ("glM", "glN")],
+                               zero, bracket, support)

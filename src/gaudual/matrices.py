@@ -1,5 +1,6 @@
 """Matrices of ring elements, each a list of row lists: det, cdet, the
-Manin check, Jordan blocks and block assembly.
+Manin check, Jordan blocks, block assembly and the pole-term Lax matrix of
+a side, a split Casimir over the dual basis of its generators' matrices.
 
 Entries are duck-typed ring elements (MultiPoly, WeylElement, even
 GrassmannElement, OrderedDiffOp, RatFunc, Fraction); det refuses a matrix
@@ -14,6 +15,7 @@ of a matrix, so none is computed here.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import InexactDivision, NonSquare, NoncommutativeRing, RefusedMinor
 from .grassmann import GrassmannElement
@@ -166,3 +168,58 @@ def block_diag(blocks: list[list[list]]) -> list[list]:
         rows += [[zero] * c0 + row + [zero] * (size - c0 - len(row)) for row in b]
         c0 += len(b)
     return rows
+
+
+def lax_terms(side) -> list[list[list[tuple]]]:
+    """L = sum_g image(g) g* / (x - pole(g))^order(g) of a gaudin.Side as pole terms:
+    entry (r, c) lists the nonzero (image g*_rc, pole, order), the constant
+    group first, g* the dual basis of g's group (_duals).  With twist, a term
+    at a nonzero pole adds (-1)^order image (g*)^T at -pole: the cyclotomic L
+    sums each point's orbit (Vicedo and Young, CMP 343, 2016)."""
+    n = side.size
+    out = [[[] for _ in range(n)] for _ in range(n)]
+    groups: dict = {}
+    for g in side.gens:
+        group, depth, _, entries = side.matrix(g)
+        gens, mats = groups.setdefault((group, depth), ([], []))
+        gens.append(g)
+        mats.append(entries)
+    for (group, depth), (gens, mats) in sorted(groups.items(),
+                                               key=lambda item: item[0][0] in side.poles):
+        pole = side.poles.get(group)
+        pole, order = (Fraction(0), 0) if pole is None else (pole, depth + 1)
+        sign = (-1) ** order if side.twist and pole else 0  # of the mirrored term
+        for img, dual in zip(map(side.image, gens), _duals(tuple(mats), side.kappa(group))):
+            if not img:
+                continue
+            for (r, c), v in dual.items():
+                out[r][c].append((img if v == 1 else img * v, pole, order))
+                if sign:
+                    out[c][r].append((img if v * sign == 1 else img * (v * sign), -pole, order))
+    return out
+
+
+@cache
+def _duals(mats: tuple, kappa) -> list[dict]:
+    """The dual basis under kappa tr(XY) of one group of matrices, each a
+    tuple of (row, column, value) entries, as {(row, column): value} dicts,
+    which no caller changes.  The Gram matrix is monomial in every group: g
+    pairs with one partner h, found by an index of the entries, and g* = h /
+    (kappa tr(g h)); another Gram matrix raises ValueError."""
+    at: dict = {}
+    for k, entries in enumerate(mats):
+        for r, c, v in entries:
+            at.setdefault((c, r), []).append((k, v))
+    out = []
+    for entries in mats:
+        gram: dict = {}
+        for r, c, v in entries:
+            for k, w in at.get((r, c), ()):
+                gram[k] = gram.get(k, 0) + v * w
+        (k, value), = [(k, x) for k, x in gram.items() if x]
+        scale = kappa * value
+        dual: dict = {}
+        for r, c, w in mats[k]:
+            dual[r, c] = dual.get((r, c), 0) + (w if scale == 1 else Fraction(w) / scale)
+        out.append(dual)
+    return out

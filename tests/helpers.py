@@ -11,7 +11,7 @@ from operator import add
 
 import pytest
 
-from gaudual.cyclotomic import CycloInstance, _origin_entries, _origin_terms
+from gaudual.cyclotomic import CycloInstance, _origin_entries
 from gaudual.errors import NotInvertible
 from gaudual.gaudin import (INF, Divisor, TakiffGen, _cleared, _divide_out, matrix_rows,
                            ratfunc_lax)
@@ -325,6 +325,14 @@ def sparse_commutator(e1, e2) -> dict[tuple[int, int], int]:
     return {rc: v for rc, v in out.items() if v}
 
 
+def origin_terms(t: int, entries: dict) -> list:
+    """An element of the image of Pi_(t), given by its {(row, column): value}
+    entries, on the canonical generators: entry (x, y), x <= y, is the
+    coefficient of Pi_(t) E_xy, halved where x = y (Pi_(t) E_xx = 2 E_xx)."""
+    return [(Fraction(v, 2) if x == y else v, ("or", t, x, y))
+            for (x, y), v in entries.items() if x <= y and v]
+
+
 def glMC_bracket(inst: CycloInstance, g1, g2) -> list:
     """Structure constants of gl_M^C on the canonical generators."""
     if g1[0] == "inf" or g2[0] == "inf":
@@ -347,7 +355,7 @@ def glMC_bracket(inst: CycloInstance, g1, g2) -> list:
             return []
         # the commutator lies in the image of Pi_(r+s)
         comm = sparse_commutator(_origin_entries(r, a, b), _origin_entries(s, c, d))
-        return _origin_terms(r + s, comm)
+        return origin_terms(r + s, comm)
     return []  # pt against origin: disjoint points
 
 

@@ -549,18 +549,24 @@ class _SerialPool:
         return map(fn, work)
 
 
-@pytest.mark.parametrize("jobs, count, workers", [("5000", 1, []), ("5000", 3, [3]),
-                                                  ("2", 3, [2]), ("3", 0, [])],
-                         ids=["one-instance", "capped", "below-the-count", "no-instance"])
+@pytest.mark.parametrize("jobs, count, cpus, workers",
+                         [("5000", 1, 8, []), ("5000", 3, 8, [3]), ("2", 3, 8, [2]),
+                          ("3", 0, 8, []), ("5000", 3, 2, [2]), ("5000", 3, 1, []),
+                          ("5000", 3, None, [])],
+                         ids=["one-instance", "capped", "below-the-count", "no-instance",
+                              "capped-by-the-cpus", "one-cpu", "cpus-unknown"])
 def test_the_pool_gets_no_more_workers_than_instances(tmp_path, capsys, monkeypatch, jobs,
-                                                      count, workers):
+                                                      count, cpus, workers):
     # the pool forks every worker it is allowed at the first submit, so
-    # --jobs 5000 on one instance forked 5,000 processes; with at most one
-    # instance, or none (max_workers=0 raises), the run is serial
+    # --jobs 5000 on one instance forked 5,000 processes, and on the 257
+    # paper-core instances it would fork 257 on a 2-CPU machine; the pool
+    # gets at most one worker per instance and per CPU (one when the count
+    # is unknown), and with at most one, the run is serial
     import concurrent.futures
 
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     instances = [dict(_NEUMANN, omega=[str(k), str(k + 1)]) for k in range(1, count + 1)]
     out = tmp_path / "r.jsonl"
     assert cli.main(["verify", _write(tmp_path, instances), "--jobs", jobs,

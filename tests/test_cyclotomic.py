@@ -2,13 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from gaudual import cyclotomic, gaudin, presets
+from gaudual import gaudin, matrices, presets
 from gaudual.cyclotomic import (
     CycloDivisor,
     CycloInstance,
-    _origin_terms,
-    _sp_r_matrix,
-    _swap_legs,
     extract_cyclotomic_generators,
     lax_algebra_check,
     neumann_artifacts,
@@ -25,7 +22,7 @@ from gaudual.poisson import poisson_bracket
 from gaudual.weyl import WeylElement
 from gaudual.runner import run_instance
 from helpers import (build_instance, check_cleared_against_ratfunc, check_commutativity_reference,
-                     check_per_step_division, order_one_clearing, pair_structure,
+                     check_per_step_division, order_one_clearing, origin_terms, pair_structure,
                      perturb_divided_expansion, rng, random_fraction, sp_expand)
 
 Q = Fraction
@@ -127,10 +124,10 @@ def test_origin_bracket_matches_gl_commutator(M, tau0):
 def test_origin_terms_identification():
     # the summed entries of Pi_(s) E_ab = E_ab - (-1)^s E_ba on the canonical
     # basis: Pi_(s) E_ba = -(-1)^s Pi_(s) E_ab, and Pi_(s) E_aa = 0 for even s
-    assert _origin_terms(0, {(2, 1): 1, (1, 2): -1}) == [(Q(-1), ("or", 0, 1, 2))]
-    assert _origin_terms(1, {(2, 1): 1, (1, 2): 1}) == [(Q(1), ("or", 1, 1, 2))]
-    assert _origin_terms(0, {(1, 1): 0}) == []
-    assert _origin_terms(1, {(1, 1): 2}) == [(Q(1), ("or", 1, 1, 1))]
+    assert origin_terms(0, {(2, 1): 1, (1, 2): -1}) == [(Q(-1), ("or", 0, 1, 2))]
+    assert origin_terms(1, {(2, 1): 1, (1, 2): 1}) == [(Q(1), ("or", 1, 1, 2))]
+    assert origin_terms(0, {(1, 1): 0}) == []
+    assert origin_terms(1, {(1, 1): 2}) == [(Q(1), ("or", 1, 1, 1))]
 
 
 # -- divisor validation --------------------------------------------------------
@@ -240,15 +237,17 @@ def ebar(inst: CycloInstance, I: int, J: int) -> list[list[Fraction]]:
 
 
 def test_sp_pairing_duality():
-    # half the fundamental trace pairs Ebar_IJ with Ebar^IJ itself:
-    # (1/2) tr(Ebar_IJ Ebar^KL) = delta_IK delta_JL on I2 x I2
+    # the duals the Lax builder computes are the dual basis under half the
+    # fundamental trace: (1/2) tr(Ebar_IJ Ebar^KL) = delta_IK delta_JL on
+    # I2 x I2
     inst = inst_of(1, 2, [], ["5"], Q(0))
     pairs = inst.I2()
     assert len(pairs) == inst.N * (2 * inst.N + 1)
+    duals = matrices._duals(tuple(inst.ebar_entries(I, J) for I, J in pairs), Q(1, 2))
     for I, J in pairs:
-        for K, L in pairs:
+        for (K, L), dual in zip(pairs, duals):
             e = ebar(inst, I, J)
-            d = dense(inst, inst.ebar_dual(K, L))
+            d = dense(inst, [(r, c, v) for (r, c), v in dual.items()])
             n = 2 * inst.N
             tr = sum(
                 e[r][k] * d[k][r] for r in range(n) for k in range(n)
@@ -335,14 +334,10 @@ def test_sp_infinity_matrix_matches_paper_display():
     assert inst.N == 5
     n = 10
     a_mat = inst.sp_inf_matrix(Q(0), inst.mu)
-    # reconstruct Lconst from the realized infinity generators
-    lconst = [[MultiPoly.zero()] * n for _ in range(n)]
-    for I, J in inst.I2():
-        img = inst.realize_sp("inf", 0, I, J)
-        if not img:
-            continue
-        for r, c, value in inst.ebar_dual(I, J):
-            lconst[r][c] = lconst[r][c] + img * value
+    # Lconst: the constant (order 0) terms of the sp_2N Lax matrix, which
+    # places each realized infinity generator on the entries of its dual
+    lconst = [[sum((img for img, _, order in terms if order == 0), MultiPoly.zero())
+               for terms in row] for row in inst.lax_glN("classical")]
     z = MultiPoly.var("z")
     got = [
         [(z if r == c else MultiPoly.zero()) - lconst[r][c] for c in range(n)]
@@ -412,10 +407,10 @@ def test_cyclotomic_homomorphisms_fail_on_one_wrong_structure_constant(monkeypat
     gl_gens, sp_gens = inst.glMC_generators(), inst.sp_generators()
     gens, matrix, before = ((gl_gens, inst.glMC_matrix, 0) if side == "glM-cyclotomic"
                             else (sp_gens, inst.sp_matrix, len(gl_gens) ** 2))
-    rows = cyclotomic.matrix_rows(gens, matrix)
+    rows = gaudin.matrix_rows(gens, matrix)
     i, j = next((i, j) for i, g1 in enumerate(gens) for j in sorted(rows(i))
                 if g1[0] == gens[j][0] == kind)
-    original = cyclotomic.matrix_rows
+    original = gaudin.matrix_rows
 
     def wrong(side_gens, side_matrix):
         row = original(side_gens, side_matrix)
@@ -430,7 +425,7 @@ def test_cyclotomic_homomorphisms_fail_on_one_wrong_structure_constant(monkeypat
 
         return faulty
 
-    monkeypatch.setattr(cyclotomic, "matrix_rows", wrong)
+    monkeypatch.setattr(gaudin, "matrix_rows", wrong)
     assert verify_cyclotomic_homomorphisms(inst) == {
         "status": "fail",
         "pairs_checked": before + i * len(gens) + j + 1,
@@ -562,12 +557,21 @@ def test_lax_algebra_sp2n_fails_with_flip_sign_mutation(monkeypatch):
 
 def test_sp_r_matrix_skew():
     # rbar12(u,v) = R / (v - u) = -rbar21(v,u) holds exactly when the
-    # numerator R is symmetric under exchange of its two legs
+    # numerator R, the split Casimir sum Ebar^IJ x Ebar_IJ of the duals the
+    # Lax algebra check reads, is symmetric under exchange of its two legs
     inst = inst_of(1, 1, [], ["5"], Q(0))
-    R = _sp_r_matrix(inst)
-    swapped = _swap_legs(R)
-    assert R == swapped
-    assert any(any(row) for row in R)
+    n = 2 * inst.N
+    ebar = tuple(inst.ebar_entries(I, J) for I, J in inst.I2())
+    R: dict = {}
+    for dual, entries in zip(matrices._duals(ebar, Q(1, 2)), ebar):
+        for (i, j), d in dual.items():
+            for k, l, v in entries:
+                R[i * n + k, j * n + l] = R.get((i * n + k, j * n + l), 0) + d * v
+    R = {key: v for key, v in R.items() if v}
+    swap = {(a * n + b, c * n + d): v for (row, col), v in R.items()
+            for (b, a), (d, c) in [(divmod(row, n), divmod(col, n))]}
+    assert R == swap
+    assert R
 
 
 # -- Neumann model ----------------------------------------------------------------
@@ -758,17 +762,26 @@ def test_cyclotomic_duality_fails_with_the_order_one_quotient_at_every_pole(monk
     assert verify_cyclotomic_duality(inst)["status"] == "fail"
 
 
-def _unsigned_mirror(monkeypatch):
+def _unsigned_mirror(monkeypatch, inst):
     """The mirrored entry (-I, -J) of every dual basis matrix Ebar^IJ with
-    J != -I loses its sign: its value -sigma becomes sigma.  The sp_2N Lax
-    matrix places its pole terms on these entries."""
-    ebar_dual = CycloInstance.ebar_dual
+    J != -I, as the Lax builder computes it, loses its sign: its value
+    -sigma becomes sigma.  The sp_2N Lax matrix places its pole terms on
+    these entries; no other side's duals change."""
+    ebar = tuple(inst.ebar_entries(I, J) for I, J in inst.I2())
+    duals = matrices._duals
 
-    def unsigned(self, I, J):
-        first, *mirrored = ebar_dual(self, I, J)
-        return [first] + [(r, c, -value) for r, c, value in mirrored]
+    def unsigned(mats, kappa):
+        out = duals(mats, kappa)
+        if mats != ebar:
+            return out
+        out = [dict(dual) for dual in out]
+        for (I, J), dual in zip(inst.I2(), out):
+            if J != -I:
+                mirror = (inst.pos(-I), inst.pos(-J))
+                dual[mirror] = -dual[mirror]
+        return out
 
-    monkeypatch.setattr(CycloInstance, "ebar_dual", unsigned)
+    monkeypatch.setattr(matrices, "_duals", unsigned)
 
 
 @pytest.mark.parametrize("spec", [pytest.param(spec, id=f"grid-{k}")
@@ -776,7 +789,7 @@ def _unsigned_mirror(monkeypatch):
 def test_cyclotomic_duality_fails_with_the_mirrored_sp2N_entry_unsigned(monkeypatch, spec):
     inst = build_instance(spec)
     assert verify_cyclotomic_duality(inst)["status"] == "pass"
-    _unsigned_mirror(monkeypatch)
+    _unsigned_mirror(monkeypatch, inst)
     assert verify_cyclotomic_duality(inst)["status"] == "fail"
 
 
