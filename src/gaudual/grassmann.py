@@ -3,7 +3,9 @@
 Generators psi^a_i and pi^a_i (a = 1..M, i = 1..N) are numbered in a fixed
 global order: all psi's first (lexicographic in (a, i)), then all pi's.
 A monomial is a bitmask over the 2MN generators, stored strictly
-increasing; products track the permutation sign.
+increasing; products track the permutation sign (``wedge_masks``, the ring
+hook of ``GrassmannElement``, which takes its arithmetic from
+``scalars.TermDict``).
 
 Coefficients are commutative scalars: `int` when integral and `Fraction`
 otherwise (the `MultiPoly` convention; `repr` does not depend on which), or
@@ -31,120 +33,51 @@ from operator import or_
 
 from .errors import InhomogeneousInput
 from .multipoly import MultiPoly
-from .scalars import normalized
-
-# the commutative scalars an element may be multiplied by
-_SCALARS = (int, Fraction, MultiPoly)
+from .scalars import TermDict
 
 
-def wedge_masks(m1: int, m2: int):
-    """(sign, mask) of the product of two monomial masks, or None if zero."""
+def wedge_masks(m1: int, m2: int) -> tuple:
+    """The product of two monomial masks as ((mask, sign),), or () if it is
+    zero."""
     if m1 & m2:
-        return None
+        return ()
     inversions = 0
     m = m2
     while m:
         low = m & -m
         inversions += (m1 >> low.bit_length()).bit_count()
         m ^= low
-    sign = -1 if inversions & 1 else 1
-    return sign, m1 | m2
+    return ((m1 | m2, -1 if inversions & 1 else 1),)
 
 
-class GrassmannElement:
+class GrassmannElement(TermDict):
     """Element of the exterior algebra, a map from monomial masks to nonzero
-    coefficients.  The parity is kept once first asked for and never
-    invalidated, so ``terms`` must not change after construction."""
+    coefficients; its memo is the parity."""
 
-    __slots__ = ("terms", "_parity")
+    __slots__ = ()
 
-    def __init__(self, terms: dict):
-        self.terms = normalized(terms)
-        self._parity = None
-
-    @staticmethod
-    def const(c) -> GrassmannElement:
-        return GrassmannElement({0: c})
+    ONE = 0
+    SCALARS = (int, Fraction, MultiPoly)
+    _mono_mul = staticmethod(wedge_masks)
+    # bench/tracer.py wraps these by name in the class's own namespace
+    __add__ = __radd__ = TermDict.__add__
+    __sub__, __neg__ = TermDict.__sub__, TermDict.__neg__
+    __mul__, __rmul__, __eq__ = TermDict.__mul__, TermDict.__rmul__, TermDict.__eq__
 
     @staticmethod
     def generator(index: int, coeff=1) -> GrassmannElement:
         return GrassmannElement({1 << index: coeff})
 
-    @staticmethod
-    def zero() -> GrassmannElement:
-        return GrassmannElement({})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GrassmannElement.const(other)
-        elif not isinstance(other, GrassmannElement):
-            return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return GrassmannElement(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GrassmannElement({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GrassmannElement.const(other)
-        elif not isinstance(other, GrassmannElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, GrassmannElement):
-            terms: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    sm = wedge_masks(m1, m2)
-                    if sm is None:
-                        continue
-                    sign, m = sm
-                    terms[m] = terms.get(m, 0) + c1 * c2 * sign
-            return GrassmannElement(terms)
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        if not other:
-            return GrassmannElement({})
-        return GrassmannElement({m: c * other for m, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        # scalars commute with everything; reuse __mul__
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        return self.__mul__(other)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GrassmannElement.const(other)
-        elif not isinstance(other, GrassmannElement):
-            return NotImplemented
-        # both dicts are normalized: no zeros, integral Fractions as ints
-        return self.terms == other.terms
-
-    __hash__ = None
-
     def parity(self) -> int:
         """0 for even, 1 for odd, kept after the first call; raises
         InhomogeneousInput when mixed, on every call, since no parity is kept."""
-        parity = self._parity
+        parity = self._memo
         if parity is None:
             parities = {m.bit_count() & 1 for m in self.terms} or {0}
             if len(parities) > 1:
                 raise InhomogeneousInput("element mixes even and odd parts")
-            parity = self._parity = parities.pop()
+            parity = self._memo = parities.pop()
         return parity
-
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -183,7 +116,7 @@ class GrassmannAlgebra:
         return GrassmannElement.generator(self.M * self.N + self._index(a, i))
 
     def _bracket_mono(self, u: int, v: int) -> list[tuple[int, int]]:
-        """[u, v] of two monomial masks by the direct formula, as (sign, mask)
+        """[u, v] of two monomial masks by the direct formula, as (mask, sign)
         terms; two terms may share a mask."""
         mn = self.M * self.N
         k = u.bit_count()
@@ -195,11 +128,9 @@ class GrassmannAlgebra:
             i += 1
             h = g << mn if g.bit_length() <= mn else g >> mn
             if v & h:
-                sm = wedge_masks(u ^ g, v ^ h)
-                if sm is not None:
-                    sign, mask = sm
+                for mask, sign in wedge_masks(u ^ g, v ^ h):
                     j = (v & (h - 1)).bit_count() + 1
-                    out.append((-sign if (k - i + j - 1) & 1 else sign, mask))
+                    out.append((mask, -sign if (k - i + j - 1) & 1 else sign))
         return out
 
     def support(self, a: GrassmannElement) -> frozenset[int]:
@@ -215,6 +146,6 @@ class GrassmannAlgebra:
         terms: dict = {}
         for u, cu in a.terms.items():
             for v, cv in b.terms.items():
-                for sign, m in self._bracket_mono(u, v):
+                for m, sign in self._bracket_mono(u, v):
                     terms[m] = terms.get(m, 0) + cu * cv * sign
         return GrassmannElement(terms)

@@ -10,7 +10,8 @@ left of all derivatives (z to the left of Dz).  A monomial is a tuple of
 ``(pair, x_exp, d_exp)`` entries sorted by ``pair_sort_key``, with no
 ``(pair, 0, 0)`` entry; coefficients are ``int`` when integral and
 ``Fraction`` otherwise, the convention ``MultiPoly`` uses, and ``repr``
-does not depend on which one a coefficient is.
+does not depend on which one a coefficient is.  ``WeylElement`` takes its
+arithmetic from ``scalars.TermDict``; ``_mono_mul`` is its ring hook.
 
 Product of two monomials (``_mono_mul``).  A pair contracts when the left
 factor holds a derivative and the right factor a position of it.  With no
@@ -43,7 +44,7 @@ from itertools import product
 from math import comb, perm
 
 from .ratfunc import RatFunc
-from .scalars import normalized
+from .scalars import TermDict
 
 Z_PAIR = "z"
 
@@ -98,26 +99,19 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple[tuple[tuple, int], ...]:
     return tuple(out)
 
 
-class WeylElement:
-    """Normal-ordered noncommutative polynomial over the rationals.  The memo
-    of ``supports`` is filled on first use and never invalidated, so
-    ``terms`` must not change after construction."""
+class WeylElement(TermDict):
+    """Normal-ordered noncommutative polynomial over the rationals; its memo
+    is the per-term pair-name sets of ``supports``."""
 
-    __slots__ = ("terms", "_supports")
+    __slots__ = ()
 
-    def __init__(self, terms: dict):
-        self.terms = normalized(terms)
-        self._supports = None
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def const(c) -> WeylElement:
-        return WeylElement({(): c})
-
-    @staticmethod
-    def zero() -> WeylElement:
-        return WeylElement({})
+    ONE = ()
+    SCALARS = (int, Fraction)
+    _mono_mul = staticmethod(_mono_mul)
+    # bench/tracer.py wraps these by name in the class's own namespace
+    __add__ = __radd__ = TermDict.__add__
+    __sub__, __rsub__, __neg__ = TermDict.__sub__, TermDict.__rsub__, TermDict.__neg__
+    __mul__, __rmul__, __eq__ = TermDict.__mul__, TermDict.__rmul__, TermDict.__eq__
 
     @staticmethod
     def _generator(pair: str, x_power: int, d_power: int) -> WeylElement:
@@ -140,85 +134,16 @@ class WeylElement:
     def dz(power: int = 1) -> WeylElement:
         return WeylElement._generator(Z_PAIR, 0, power)
 
-    # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylElement.const(other)
-        elif not isinstance(other, WeylElement):
-            return NotImplemented
-        terms = dict(self.terms)
-        get = terms.get
-        for k, c in other.terms.items():
-            terms[k] = get(k, 0) + c
-        return WeylElement(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylElement({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylElement.const(other)
-        elif not isinstance(other, WeylElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return WeylElement({k: v * other for k, v in self.terms.items()})
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        terms: dict = {}
-        get = terms.get
-        right = other.terms.items()
-        for k1, c1 in self.terms.items():
-            for k2, c2 in right:
-                c = c1 * c2
-                for key, w in _mono_mul(k1, k2):
-                    terms[key] = get(key, 0) + c * w
-        return WeylElement(terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        out = WeylElement.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylElement.const(other)
-        elif not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
     def parity(self) -> int:
         """0: a Weyl element is even, like every element of a bosonic ring."""
         return 0
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def supports(self) -> list[tuple[tuple, object, set]]:
         """(monomial, coefficient, set of its pair names) per term; computed
         on the first call and kept."""
-        memo = self._supports
+        memo = self._memo
         if memo is None:
-            memo = self._supports = [(k, c, {p for p, _, _ in k}) for k, c in self.terms.items()]
+            memo = self._memo = [(k, c, {p for p, _, _ in k}) for k, c in self.terms.items()]
         return memo
 
     def __repr__(self):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaudual import gaudin, presets
+from gaudual import gaudin, presets, weyl
 from gaudual.errors import DivisorMismatch, ResidualPole
 from gaudual.gaudin import (
     Divisor,
@@ -16,6 +16,7 @@ from gaudual.gaudin import (
     verify_classical_fermionic_duality,
     verify_quantum_duality,
 )
+from gaudual.grassmann import GrassmannElement, wedge_masks
 from gaudual.matrices import _perm_expansion, block2x2, manin_check, transpose
 from gaudual.multipoly import MultiPoly
 from gaudual.runner import SAMPLE_SEED, run_instance
@@ -413,5 +414,36 @@ def test_quantum_duality_fails_with_dz_side_entries_transposed(monkeypatch, spec
     assert verify_quantum_duality(inst)["status"] == "pass"
     _dz_side_mutated(monkeypatch, _entries_transposed)
     report = verify_quantum_duality(inst)
+    assert report["status"] == "fail"
+    assert report["witness"]
+
+
+# the ring hooks of the two element classes, mutated: every product a duality
+# side forms goes through them, so each duality verifier must see the fault.
+# weyl_commutator calls the module-level weyl._mono_mul, so the homomorphism
+# checks do not see the Weyl mutant.
+@pytest.mark.parametrize("spec", _grid_cases(presets.quantum_grid()))
+def test_quantum_duality_fails_with_the_weyl_product_reversed(monkeypatch, spec):
+    inst = build_instance(spec)
+    assert verify_quantum_duality(inst)["status"] == "pass"
+    monkeypatch.setattr(WeylElement, "_mono_mul",
+                        staticmethod(lambda k1, k2: weyl._mono_mul(k2, k1)))
+    report = verify_quantum_duality(inst)
+    # at M = N = 1, (z - z1)(Dz - lam1) - x d = (Dz - lam1)(z - z1) - d x:
+    # reversing every product turns each side into the other
+    if (spec["M"], spec["N"]) == (1, 1):
+        assert report["status"] == "pass"
+    else:
+        assert report["status"] == "fail"
+        assert report["witness"]
+
+
+@pytest.mark.parametrize("spec", _grid_cases(presets.fermionic_grid()))
+def test_fermionic_duality_fails_with_the_wedge_sign_dropped(monkeypatch, spec):
+    inst = build_instance(spec)
+    assert verify_classical_fermionic_duality(inst)["status"] == "pass"
+    monkeypatch.setattr(GrassmannElement, "_mono_mul", staticmethod(
+        lambda m1, m2: tuple((mask, 1) for mask, _ in wedge_masks(m1, m2))))
+    report = verify_classical_fermionic_duality(inst)
     assert report["status"] == "fail"
     assert report["witness"]
