@@ -27,6 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate
+from math import lcm
 
 from .errors import DivisorMismatch, IndexOutOfRange, OddImage, RefusedMinor, ResidualPole
 from .grassmann import GrassmannAlgebra, GrassmannElement
@@ -287,12 +288,24 @@ def _spectral_dets(inst, sample_seed=None):
 
 def _side_det(inst, lax, divisor: Divisor, spec_var: str, eigen_var: str, subs=None):
     """The cleared classical determinant of one side, its Lax matrix given as
-    pole terms; subs, when given, substitutes rationals for x and p in every
-    cleared entry."""
-    cleared = _cleared(lax, divisor, inst.var, spec_var)
+    pole terms.  subs, when given, substitutes rationals for x and p in every
+    pole-term image and scales the images by the lcm c of their
+    denominators: at integer divisor points every entry, minor and per-step
+    quotient of the scaled n x n determinant is then an integer (the
+    fraction-free idea of Bareiss), and c^n is divided out of its result
+    once.  Each k x k minor is c^k times the unscaled one, so a minor is
+    refused exactly where the unscaled one would be."""
+    scale = 1
     if subs:
-        cleared = [[p.substitute(subs) for p in row] for row in cleared]
-    return _spectral_det(cleared, divisor, inst.var, spec_var, eigen_var)
+        lax = [[[(img.substitute(subs), pole, order) for img, pole, order in terms]
+                for terms in row] for row in lax]
+        scale = lcm(*(c.denominator for row in lax for terms in row
+                      for img, _, _ in terms for c in img.terms.values()))
+        lax = [[[(img * scale, pole, order) for img, pole, order in terms]
+                for terms in row] for row in lax]
+    scaled = _spectral_det(_cleared(lax, divisor, inst.var, spec_var), divisor, inst.var,
+                           spec_var, eigen_var, scale)
+    return scaled if scale == 1 else scaled * Fraction(1, scale ** len(lax))
 
 
 def _cleared(lax: list[list[list[tuple]]], divisor: Divisor, var: VariableTable,
@@ -309,18 +322,19 @@ def _cleared(lax: list[list[list[tuple]]], divisor: Divisor, var: VariableTable,
 
 
 def _spectral_det(cleared: list[list[MultiPoly]], divisor: Divisor, var: VariableTable,
-                  spec_var: str, eigen_var: str) -> MultiPoly:
-    """det(eigen_var D 1 - D L) / D^(n-1) for the n x n cleared Lax matrix
-    D L in spec_var, D = prod (spec_var - location)^tau, both variables taken
-    from the table var.  Each Lax matrix here is Lam + X (spec_var - J)^-1 P
-    with det(spec_var - J) = D, so by Cauchy-Binet and Jacobi's
-    complementary-minor identity every minor of eigen_var - L has a
-    denominator dividing D, and every k x k minor of the shifted matrix is
-    divisible by D^(k-1): _perm_expansion divides each new minor by D once
-    (_divide_out, one long division).  The minors stay on the table, so no
-    product of the recursion re-aligns one; only the result drops the
-    variables it does not use."""
-    shift = var[eigen_var] * divisor.clearing_poly(var[spec_var])
+                  spec_var: str, eigen_var: str, scale=1) -> MultiPoly:
+    """det(scale eigen_var D 1 - D L) / D^(n-1) for the n x n cleared Lax
+    matrix D L in spec_var, D = prod (spec_var - location)^tau, both
+    variables taken from the table var; scale is a nonzero constant that
+    the cleared matrix already carries (see _side_det).  Each Lax matrix
+    here is Lam + X (spec_var - J)^-1 P with det(spec_var - J) = D, so by
+    Cauchy-Binet and Jacobi's complementary-minor identity every minor of
+    eigen_var - L has a denominator dividing D, and every k x k minor of the
+    shifted matrix is divisible by D^(k-1): _perm_expansion divides each new
+    minor by D once (_divide_out, one long division).  The minors stay on
+    the table, so no product of the recursion re-aligns one; only the result
+    drops the variables it does not use."""
+    shift = var[eigen_var] * divisor.clearing_poly(var[spec_var]) * scale
     shifted = [[(shift if r == c else MultiPoly.zero()) - p for c, p in enumerate(row)]
                for r, row in enumerate(cleared)]
     return _perm_expansion(shifted, lambda p: _divide_out(p, divisor, spec_var, 1)).compact()

@@ -137,6 +137,14 @@ def _long_divide(terms: dict, s: int, divisor: tuple[int, tuple]) -> dict | None
     return _nonzero(quot, True)
 
 
+def _used_fields(vars: tuple[str, ...], terms: dict) -> list[tuple[int, str]]:
+    """(field shift, name) of each variable of the table vars that some
+    monomial of terms uses, in table order."""
+    n = len(vars)
+    used = reduce(or_, terms, 0)
+    return [(s, v) for k, v in enumerate(vars) if (used >> (s := BITS * (n - 1 - k))) & FIELD]
+
+
 def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     names = set(a)
     if names.issuperset(b):
@@ -272,10 +280,8 @@ class MultiPoly:
         """Drop variables that no term actually uses."""
         if not self.terms:
             return MultiPoly((), {})
-        used = reduce(or_, self.terms, 0)
-        n = len(self.vars)
-        keep = tuple(v for k, v in enumerate(self.vars) if (used >> (BITS * (n - 1 - k))) & FIELD)
-        if len(keep) == n:
+        keep = tuple(v for _, v in _used_fields(self.vars, self.terms))
+        if len(keep) == len(self.vars):
             return self
         return MultiPoly(keep, _repack(self.terms, _moves(self.vars, keep)))
 
@@ -444,9 +450,10 @@ class MultiPoly:
     def substitute(self, assignment: dict) -> MultiPoly:
         """Substitute rationals for some variables, in one pass over the
         terms: the result keeps this table, with the substituted fields
-        cleared.  Any other value raises TypeError."""
-        values = {name: _coerce(value) for name, value in assignment.items()}
-        subs = [(self._shift(v), values[v], {}) for v in self.vars if v in values]
+        cleared.  Only the variables some term uses are looked up, once per
+        call; any other value for one of them raises TypeError."""
+        subs = [(s, _coerce(assignment[v]), {})
+                for s, v in _used_fields(self.vars, self.terms) if v in assignment]
         if not subs:
             return self
         clear = ~sum(FIELD << s for s, _, _ in subs)
@@ -510,12 +517,10 @@ class MultiPoly:
     def __repr__(self):
         if not self.terms:
             return "0"
+        fields = _used_fields(self.vars, self.terms)
         bits = []
         for e, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.vars, self.unpack(e))
-                if k
-            )
+            mono = "*".join(f"{v}^{k}" if k > 1 else v
+                            for s, v in fields if (k := (e >> s) & FIELD))
             bits.append(f"{c}" if not mono else (f"{c}*{mono}" if c != 1 else mono))
         return " + ".join(bits)

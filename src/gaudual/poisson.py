@@ -75,5 +75,8 @@ def poisson_bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             t, sign = conjugates[s]
             if t in g_uses:
                 _add_product(terms, f.partial(s), g.partial(t), sign)
-    fractions = _has_fraction(f.terms) or _has_fraction(g.terms)
-    return MultiPoly(f.vars, _checked(_nonzero(terms, fractions), len(f.vars)))
+    # only the surviving coefficients can be Fractions to store as ints
+    terms = _nonzero(terms, False)
+    if _has_fraction(terms):
+        terms = _nonzero(terms, True)
+    return MultiPoly(f.vars, _checked(terms, len(f.vars)))

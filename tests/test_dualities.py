@@ -342,6 +342,43 @@ def test_per_step_division_equals_dividing_the_full_determinant(spec, seed):
                             [(inst.div_z, "z"), (inst.div_lam, "lam")])
 
 
+# rational divisor points: the sampled determinants keep Fraction coefficients
+_RATIONAL_POINTS = {"kind": "classical-bosonic", "M": 2, "N": 2,
+                    "divisor": [["1/2", 1], ["-3/4", 1]], "dual_divisor": [["5/3", 2]]}
+
+
+@pytest.mark.parametrize("spec", _grid_cases(presets.classical_bosonic_grid())
+                         + [pytest.param(_RATIONAL_POINTS, id="rational-points")])
+def test_sampled_determinants_are_the_symbolic_ones_at_the_sample_point(spec):
+    # the oracle that sees a wrong power of the scale divided out where
+    # M = N, when both sides would carry the same wrong factor and the
+    # duality comparison would still pass
+    inst = build_instance(spec)
+    point = gaudin._sample_map(inst, SAMPLE_SEED)
+    sampled = _spectral_dets(inst, SAMPLE_SEED)
+    assert sampled == tuple(side.substitute(point) for side in _spectral_dets(inst))
+
+
+def test_sampled_determinants_at_integer_points_run_over_the_integers(monkeypatch):
+    # the sampled values have denominators up to 5: only the one common
+    # denominator per side keeps Fractions out of the expansion
+    inst = build_instance({"kind": "classical-bosonic", "M": 3, "N": 3,
+                           "divisor": [["1", 3]], "dual_divisor": [["5", 3]]})
+    matrices = []
+    original = gaudin._perm_expansion
+
+    def spy(m, divide=None):
+        matrices.append(m)
+        return original(m, divide)
+
+    monkeypatch.setattr(gaudin, "_perm_expansion", spy)
+    assert verify_classical_bosonic_duality(inst, SAMPLE_SEED)["status"] == "pass"
+    assert len(matrices) == 2
+    coefficients = [c for m in matrices for row in m for p in row for c in p.terms.values()]
+    assert coefficients
+    assert all(type(c) is int for c in coefficients)
+
+
 @pytest.mark.parametrize("spec", _grid_cases(presets.classical_bosonic_grid()))
 def test_cleared_entries_equal_the_cleared_ratfunc_lax(spec):
     check_cleared_against_ratfunc(build_instance(spec))
