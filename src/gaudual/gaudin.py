@@ -183,6 +183,7 @@ class DualityInstance:
         self._jordan_lam = jordan_sum(div_lam, Q(0))
         self._jordan_z = jordan_sum(div_z, Q(0))
         self._galg = GrassmannAlgebra(M, N)
+        self._realizers: dict = {}
         # the classical images are built over one table of all the variables
         self.var = VariableTable([f"{q}{a}_{i}" for q in "xp" for a in range(1, M + 1)
                                   for i in range(1, N + 1)] + ["z", "lam"])
@@ -192,7 +193,8 @@ class DualityInstance:
     def ring(self, flavor: str):
         """(x, p, zero, bracket, support) of a flavor's ring: x(a, i) and
         p(a, i) give a canonical pair (x and d in U_b, pi and psi in P_f), and
-        bracket pairs only conjugates, so it is zero on disjoint supports."""
+        bracket contracts a letter of support only with its conjugate, so it
+        is zero on two elements whose supports do not meet conjugately."""
         if flavor == "fermionic":
             galg, zero = self._galg, GrassmannElement.zero()
             return galg.pi, galg.psi, zero, galg.graded_bracket, galg.support
@@ -200,12 +202,20 @@ class DualityInstance:
                 else (lambda a, i: self.var[f"x{a}_{i}"], lambda a, i: self.var[f"p{a}_{i}"]))
         return (x, p, *_bosonic_ring(flavor))
 
+    def _realizer(self, flavor: str) -> tuple:
+        """(x, p, zero) of ring(flavor), looked up on the first call for a
+        flavor and kept, so a side's generators do not each build the ring."""
+        realizer = self._realizers.get(flavor)
+        if realizer is None:
+            realizer = self._realizers[flavor] = self.ring(flavor)[:3]
+        return realizer
+
     def realize_glM(self, g: TakiffGen, flavor: str, mutation: str | None = None):
         """Image of a gl_M^D basis element: the Takiff sum of x^a_(u+depth) p^b_u."""
         if not (1 <= g.row <= self.M and 1 <= g.col <= self.M):
             raise IndexOutOfRange(f"generator indices {g.row},{g.col} exceed M={self.M}")
         a, b = g.row, g.col
-        x, p, zero, _, _ = self.ring(flavor)
+        x, p, zero = self._realizer(flavor)
         if g.point is INF:
             # (b, a) entry for every flavor: the determinant factorization pins
             # the relative orientation of the Jordan data against the
@@ -221,7 +231,7 @@ class DualityInstance:
         if not (1 <= g.row <= self.N and 1 <= g.col <= self.N):
             raise IndexOutOfRange(f"generator indices {g.row},{g.col} exceed N={self.N}")
         i, j = (g.col, g.row) if flavor == "fermionic" else (g.row, g.col)
-        x, p, zero, _, _ = self.ring(flavor)
+        x, p, zero = self._realizer(flavor)
         if g.point is INF:
             return zero - self._jordan_z[j - 1][i - 1]
         return takiff_block_sum(self.div_lam.block_offsets()[g.point],
@@ -543,10 +553,11 @@ def _partial_fraction_generators(op: OrderedDiffOp, divisor: Divisor) -> list[We
 
 def check_commutativity(generators: list, flavor: str) -> dict:
     """All pairwise (Poisson) commutators, by check_generator_pairs over the
-    generator indices with every structure empty: a pair with disjoint
-    supports (any pair with a constant among them) or a self-pair is not
-    bracketed, every other pair i < j is bracketed once, in row-major order,
-    and pairs_checked counts the pairs i <= j up to the first failing one."""
+    generator indices with every structure empty: a pair whose supports do
+    not meet conjugately (no letter of one has its conjugate in the other;
+    any pair with a constant among them) or a self-pair is not bracketed,
+    every other pair i < j is bracketed once, in row-major order, and
+    pairs_checked counts the pairs i <= j up to the first failing one."""
     zero, bracket, support = _bosonic_ring(flavor)
     n = len(generators)
     _, failure = check_generator_pairs(range(n), generators.__getitem__, bracket, support,
@@ -613,17 +624,21 @@ def check_generator_pairs(gens: list, image, bracket, support, row, zero):
     (i n + j + 1, (g1, g2, got, want)): pairs checked counts the pairs the
     loop passes without a visit too.
 
-    The support lemma: bracket is a biderivation that pairs only conjugate
-    generators, so it is zero on two images whose supports (support(img), a
-    set of canonical pairs) are disjoint.  A pair with disjoint supports and
-    an empty structure therefore passes with no work.  Row i visits only the
-    other pairs: those whose supports meet, found through an index from each
-    canonical pair to the generators whose images use it, and those in
-    row(i).  The supports are those of the images as given and every row is
-    read whole, so a fault in either is seen.  Of the visited pairs (i, j):
+    The support lemma: support(img) is the set of letters (pair, kind) an
+    image uses, and bracket contracts a letter only with its conjugate
+    (pair, 1 - kind), x with p, x with d, psi with pi.  So the bracket of two
+    images is zero unless some letter of one has its conjugate in the
+    support of the other: their supports meet conjugately, a relation that
+    is symmetric.  A pair that does not meet and has an empty structure
+    therefore passes with no work.  Row i visits only the other pairs:
+    those that meet, found through an index from each letter to the
+    generators whose images use it, looked up at the conjugate of each
+    letter of image i, and those in row(i).  The supports are those of the
+    images as given and every row is read whole, so a fault in either is
+    seen.  Of the visited pairs (i, j):
 
-    * disjoint supports: not bracketed; passes exactly when the image sum
-      of its structure is zero;
+    * supports that do not meet: not bracketed; passes exactly when the
+      image sum of its structure is zero;
     * j == i: not bracketed, as antisymmetry makes the bracket zero; passes
       exactly when the image sum is zero;
     * j > i: bracketed; passes when the bracket is the image sum, or zero
@@ -637,17 +652,17 @@ def check_generator_pairs(gens: list, image, bracket, support, row, zero):
     Weyl commutator always are; the graded bracket is on even elements, so
     homomorphism_report refuses an odd image.  Each image sum is
     built once per check.  got and want are built only for a failing pair,
-    as the full loop builds them: got is the bracket (zero at disjoint
-    supports, the negated bracket of (g_j, g_i) when mirrored).  Rows are
-    built one at a time; the index and the terms kept for mirrored pairs go
-    with the check."""
+    as the full loop builds them: got is the bracket (zero where the
+    supports do not meet, the negated bracket of (g_j, g_i) when mirrored).
+    Rows are built one at a time; the index and the terms kept for mirrored
+    pairs go with the check."""
     n = len(gens)
     images = [image(g) for g in gens]
     supports = [support(img) for img in images]
     users: dict = {}
     for k, sup in enumerate(supports):
-        for pair in sup:
-            users.setdefault(pair, []).append(k)
+        for letter in sup:
+            users.setdefault(letter, []).append(k)
     sums = {}
 
     def want(terms, negate: bool):
@@ -660,7 +675,7 @@ def check_generator_pairs(gens: list, image, bracket, support, row, zero):
     later = {}
     for i, img1 in enumerate(images):
         structure = row(i)
-        meets = set().union(*(users[pair] for pair in supports[i]))
+        meets = set().union(*(users.get((pair, 1 - kind), ()) for pair, kind in supports[i]))
         for j in sorted(meets.union(structure)):
             terms = structure.get(j, [])
             if j not in meets or j == i:

@@ -19,16 +19,17 @@ of v, and contract them with {g, h} = 1:
 
     [u, v] = sum (-1)^(k - i + j - 1) (u / g) ^ (v / h).
 
-Every term contracts a generator of u with its partner in v, so
-``[a, b] = 0`` when the supports of a and b (``GrassmannAlgebra.support``:
-the generator indices they use, psi^a_i and pi^a_i folded onto one index
-mod MN) are disjoint.
+Every term contracts a generator of u with its partner in v.  An
+element's support (``GrassmannAlgebra.support``) is the set of letters
+``(index mod MN, kind)`` it uses, kind 0 for psi and 1 for pi, so
+``[a, b] = 0`` unless some letter of a has its conjugate
+``(index, 1 - kind)``, its partner, in the support of b.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 
 from .errors import InhomogeneousInput
@@ -65,8 +66,11 @@ class GrassmannElement(TermDict):
     __mul__, __rmul__, __eq__ = TermDict.__mul__, TermDict.__rmul__, TermDict.__eq__
 
     @staticmethod
-    def generator(index: int, coeff=1) -> GrassmannElement:
-        return GrassmannElement({1 << index: coeff})
+    @cache
+    def generator(index: int) -> GrassmannElement:
+        """The generator numbered index, built once: elements are never
+        changed in place."""
+        return GrassmannElement({1 << index: 1})
 
     def parity(self) -> int:
         """0 for even, 1 for odd, kept after the first call; raises
@@ -133,12 +137,12 @@ class GrassmannAlgebra:
                     out.append((mask, -sign if (k - i + j - 1) & 1 else sign))
         return out
 
-    def support(self, a: GrassmannElement) -> frozenset[int]:
-        """The indices mod MN of the generators some term of a uses."""
+    def support(self, a: GrassmannElement) -> frozenset[tuple[int, int]]:
+        """The letters (index mod MN, kind) of the generators some term of a
+        uses: kind 0 for a psi, 1 for a pi."""
         mn = self.M * self.N
         used = reduce(or_, a.terms, 0)
-        used = (used | used >> mn) & ((1 << mn) - 1)
-        return frozenset(k for k in range(mn) if used >> k & 1)
+        return frozenset((k % mn, k // mn) for k in range(2 * mn) if used >> k & 1)
 
     def graded_bracket(self, a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
         a.parity()

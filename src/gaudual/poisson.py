@@ -13,9 +13,12 @@ with its conjugate's field through a map cached per variable table, and
 differentiates only where g uses that conjugate; every product of
 derivatives is summed into one dict over the shared table of f and g.
 
-The bracket is a biderivation that pairs only conjugate variables, so it is
-zero on two polynomials whose supports (``poisson_support``: the canonical
-pairs ``{a}_{i}`` of the x's and p's a polynomial uses) are disjoint.
+The bracket is a biderivation that pairs only conjugate variables.  A
+polynomial's support (``poisson_support``) is the set of letters
+``({a}_{i}, kind)`` it uses, kind 0 for x{a}_{i} and 1 for p{a}_{i}, and
+{f, g} = 0 unless some letter of f has its conjugate ``({a}_{i}, 1 - kind)``
+in the support of g: every term above differentiates f by one member of a
+pair and g by the other.
 """
 
 from __future__ import annotations
@@ -43,12 +46,12 @@ def _conjugates(table: tuple[str, ...]) -> dict[int, tuple[int, int]]:
     return out
 
 
-def poisson_support(f: MultiPoly) -> frozenset[str]:
-    """The canonical pairs of the x's and p's some term of f uses; the
-    spectators z, lam, mu and w are left out."""
+def poisson_support(f: MultiPoly) -> frozenset[tuple[str, int]]:
+    """The letters (pair, kind) of the x's (kind 0) and p's (kind 1) some
+    term of f uses; the spectators z, lam, mu and w are left out."""
     n = len(f.vars)
     used = (f.vars[n - 1 - s // BITS] for s in f.partials())
-    return frozenset(v[1:] for v in used if _PAIR_RE.match(v))
+    return frozenset((v[1:], 0 if v[0] == "x" else 1) for v in used if _PAIR_RE.match(v))
 
 
 def _add_product(terms: dict, left: dict, right: dict, sign: int):

@@ -280,8 +280,7 @@ class RatFunc:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other) if isinstance(other, int) else other
-            return RatFunc._from_parts(self.var, poly_scale(self.num, c), self.den, ())
+            return RatFunc._from_parts(self.var, poly_scale(self.num, other), self.den, ())
         if not isinstance(other, RatFunc):
             # scalar from the coefficient ring, applied on the right
             return RatFunc(self.var, poly_scale(self.num, other), self.den)

@@ -24,9 +24,12 @@ with ``int`` weights, which avoids quadratic rewriting chains.
 
 Commutator (``weyl_commutator``).  ``[a, b]`` is summed term pair by term
 pair; two monomials on disjoint sets of pairs commute exactly, so such a
-pair contributes nothing and is skipped.  Hence ``[a, b] = 0`` when the
-supports of a and b (``weyl_support``: every pair name they use) are
-disjoint.
+pair contributes nothing and is skipped.  Pair by pair, x^i d^j commutes
+with x^k d^l unless (j > 0 and k > 0) or (i > 0 and l > 0): a derivative
+meets a position.  An element's support (``weyl_support``) is the set of
+letters ``(pair, kind)`` it uses, kind 0 for x (or z) and 1 for d (or
+Dz), so ``[a, b] = 0`` unless some letter of a has its conjugate
+``(pair, 1 - kind)`` in the support of b.
 
 ``OrderedDiffOp`` represents elements of U(z)[Dz] (side "z": rational in z,
 ordered powers of Dz on the right) and of U(Dz)[z] (side "dz": rational in
@@ -114,8 +117,10 @@ class WeylElement(TermDict):
     __mul__, __rmul__, __eq__ = TermDict.__mul__, TermDict.__rmul__, TermDict.__eq__
 
     @staticmethod
+    @cache
     def _generator(pair: str, x_power: int, d_power: int) -> WeylElement:
-        """x_pair^x_power d_pair^d_power; power 0 gives the canonical 1."""
+        """x_pair^x_power d_pair^d_power; power 0 gives the canonical 1.
+        Built once per argument: elements are never changed in place."""
         return WeylElement({((pair, x_power, d_power),) if x_power or d_power else (): 1})
 
     @staticmethod
@@ -182,9 +187,17 @@ def weyl_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(terms)
 
 
-def weyl_support(a: WeylElement) -> frozenset[str]:
-    """Every pair name some term of a uses."""
-    return frozenset().union(*(pairs for _, _, pairs in a.supports()))
+def weyl_support(a: WeylElement) -> frozenset[tuple[str, int]]:
+    """The letters (pair, 0) of the positions and (pair, 1) of the
+    derivatives some term of a uses."""
+    letters = set()
+    for key in a.terms:
+        for p, x, d in key:
+            if x:
+                letters.add((p, 0))
+            if d:
+                letters.add((p, 1))
+    return frozenset(letters)
 
 
 class OrderedDiffOp:
@@ -245,7 +258,10 @@ class OrderedDiffOp:
                 deriv = g
                 for j in range(m + 1):
                     if deriv:
-                        piece = f * deriv * Fraction(comb(m, j) * sign**j)
+                        piece = f * deriv
+                        weight = comb(m, j) * sign**j
+                        if weight != 1:
+                            piece = piece * weight
                         key = m - j + k
                         cur = out.get(key)
                         out[key] = piece if cur is None else cur + piece

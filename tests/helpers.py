@@ -202,6 +202,13 @@ def classical_limit(w: WeylElement, z_name: str = "z", dz_name: str = "lam") -> 
     return out
 
 
+def meet_conjugately(support_a, support_b) -> bool:
+    """True when some letter (pair, kind) of support_a has its conjugate
+    (pair, 1 - kind) in support_b: the only way a bracket of the three rings
+    can contract the two elements."""
+    return any((pair, 1 - kind) in support_b for pair, kind in support_a)
+
+
 def check_commutativity_reference(generators: list, flavor: str) -> dict:
     """The direct form of gaudin.check_commutativity, kept as its oracle:
     every pair i <= j is bracketed, self-pairs included."""

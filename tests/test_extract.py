@@ -18,7 +18,7 @@ from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_support
 from gaudual.presets import commutativity_grid
 from gaudual.weyl import WeylElement, weyl_commutator, weyl_support
-from helpers import check_commutativity_reference
+from helpers import check_commutativity_reference, meet_conjugately
 
 Q = Fraction
 W = WeylElement
@@ -102,9 +102,10 @@ def test_unknown_flavor_is_refused():
 
 @pytest.mark.parametrize("flavor", ["classical", "quantum"])
 def test_only_pairs_whose_supports_meet_are_bracketed(monkeypatch, flavor):
-    """A pair i < j is bracketed once, in row-major order, exactly when the
-    supports of its generators meet: no self-pair, no pair with disjoint
-    supports and so no pair with a constant generator is bracketed, while
+    """A pair i < j is bracketed once, in row-major order, exactly when a
+    letter of one generator's support has its conjugate in the other's: no
+    self-pair, no other pair and so no pair with a constant generator is
+    bracketed, while
     pairs_checked still counts every pair i <= j and the report is that of
     the direct loop."""
     gens = extract_gaudin_generators(make(2, 2, [(1, 1), (2, 1)], [(5, 1), (7, 1)]), flavor)
@@ -121,7 +122,8 @@ def test_only_pairs_whose_supports_meet_are_bracketed(monkeypatch, flavor):
     report = check_commutativity(gens, flavor)
     assert report == {"status": "pass", "pairs_checked": n * (n + 1) // 2}
     supports = [support(g) for g in gens]
-    meeting = [(i, j) for i in range(n) for j in range(i + 1, n) if supports[i] & supports[j]]
+    meeting = [(i, j) for i in range(n) for j in range(i + 1, n)
+               if meet_conjugately(supports[i], supports[j])]
     assert any(not s for s in supports) and len(meeting) < n * (n - 1) // 2
     index = {id(g): k for k, g in enumerate(gens)}
     assert [(index[id(a)], index[id(b)]) for a, b in calls] == meeting
@@ -137,7 +139,7 @@ SMALL_COMMUTATIVITY = [spec for spec in commutativity_grid() if spec["M"] <= 2 a
                               for k, s in enumerate(SMALL_COMMUTATIVITY)])
 def test_commutativity_matches_the_reference(spec):
     """The pair checker, which brackets only the pairs i < j whose supports
-    meet, and the direct loop over every pair i <= j give the same report
+    meet conjugately, and the direct loop over every pair i <= j give the same report
     on every grid instance with M, N <= 2."""
     inst = make(spec["M"], spec["N"], spec["divisor"], spec["dual_divisor"])
     gens = extract_gaudin_generators(inst, spec["flavor"])

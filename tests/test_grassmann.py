@@ -49,10 +49,15 @@ def test_bracket_of_disjoint_pairs_vanishes():
 
 
 def test_support_folds_each_pair_onto_one_index():
+    """A letter is (index mod MN, kind), kind 0 for psi and 1 for pi; two
+    elements that share only letters of one kind bracket to zero."""
     a = alg22()
-    assert a.support(a.pi(1, 2) * a.psi(1, 2)) == {1}
-    assert a.support(a.pi(2, 1) * a.psi(1, 1) + GrassmannElement.const(3)) == {0, 2}
+    assert a.support(a.pi(1, 2) * a.psi(1, 2)) == {(1, 0), (1, 1)}
+    assert a.support(a.pi(2, 1) * a.psi(1, 1) + GrassmannElement.const(3)) == {(2, 1), (0, 0)}
     assert a.support(GrassmannElement.const(5)) == frozenset()
+    u, v = a.psi(1, 1) * a.psi(2, 1), a.psi(1, 1) * a.pi(2, 2)
+    assert a.support(u) & a.support(v) == {(0, 0)}
+    assert a.graded_bracket(u, v) == 0 and a.graded_bracket(v, u) == 0
 
 
 def test_bracket_rejects_mixed_parity():

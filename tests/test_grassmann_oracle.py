@@ -11,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement  # noqa: E402
-from helpers import leibniz_bracket  # noqa: E402
+from helpers import leibniz_bracket, meet_conjugately  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
 # M = 2, N = 2: eight generators, psi's on bits 0-3 and their partners on 4-7
@@ -66,15 +66,16 @@ def test_bracket_is_graded_skew_symmetric(x, y):
 @SETTINGS
 @given(homogeneous(), homogeneous())
 def test_disjoint_supports_give_a_zero_bracket(x, y):
-    """b keeps only the monomials that use neither member of any pair a
-    uses: the supports are then disjoint and the bracket is zero both ways."""
+    """b keeps only the monomials that use no partner of a generator a uses,
+    so it may share generators with a: no letter of either support has its
+    conjugate in the other, and the bracket is zero both ways."""
     (a, _), (b, _) = x, y
     mn = ALG.M * ALG.N
     support = ALG.support(a)
-    assert support == {k % mn for m in a.terms for k in range(NGEN) if m >> k & 1}
-    forbidden = sum(1 << k for k in range(NGEN) if k % mn in support)
+    assert support == {(k % mn, k // mn) for m in a.terms for k in range(NGEN) if m >> k & 1}
+    forbidden = sum(1 << (k + (1 - kind) * mn) for k, kind in support)
     b = GrassmannElement({m: c for m, c in b.terms.items() if not m & forbidden})
-    assert support.isdisjoint(ALG.support(b))
+    assert not meet_conjugately(support, ALG.support(b))
     assert not ALG.graded_bracket(a, b) and not ALG.graded_bracket(b, a)
 
 

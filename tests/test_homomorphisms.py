@@ -10,10 +10,10 @@ from gaudual.gaudin import (Divisor, DualityInstance, TakiffGen, check_generator
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
-from gaudual.presets import homomorphism_grid
+from gaudual.presets import homomorphism_grid, paper_core
 from gaudual.runner import CHECKS, run_instance
 from gaudual.weyl import WeylElement, weyl_commutator, weyl_support
-from helpers import build_instance
+from helpers import build_instance, meet_conjugately
 
 
 def make(M, N, dz, dl):
@@ -269,7 +269,7 @@ def _with_entry(rows, i, j, change):
 
 
 def _meet(images, g1, g2):
-    return not weyl_support(images[g1]).isdisjoint(weyl_support(images[g2]))
+    return meet_conjugately(weyl_support(images[g1]), weyl_support(images[g2]))
 
 
 def test_structure_wrong_only_at_one_mirrored_pair():
@@ -284,8 +284,8 @@ def test_structure_wrong_only_at_one_mirrored_pair():
 
 
 def test_bracket_nonzero_on_one_empty_structure_pair():
-    """The fault is injected at a pair whose supports meet, the only kind the
-    lean loop brackets."""
+    """The fault is injected at a pair whose supports meet conjugately, the
+    only kind the lean loop brackets."""
     gens, images, rows = _quantum_glM()
     i, j = next((i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
                 if j not in rows(i) and _meet(images, gens[i], gens[j]))
@@ -380,8 +380,9 @@ def test_a_row_with_an_extra_entry_at_a_disjoint_pair_fails_there(monkeypatch):
                               for n, s, m in SMALL_GRID])
 def test_disjoint_supports_give_a_zero_bracket(monkeypatch, spec, mutation):
     """The support lemma the lean loop rests on, on every pair of realized
-    images (mutated ones included) of the small grid: where the supports are
-    disjoint, the bracket is zero."""
+    images (mutated ones included) of the small grid: where no letter of one
+    support has its conjugate in the other, the bracket is zero, shared
+    letters or not."""
     disjoint = []
 
     def spy(gens, image, bracket, support, row, zero):
@@ -389,7 +390,7 @@ def test_disjoint_supports_give_a_zero_bracket(monkeypatch, spec, mutation):
         supports = [support(img) for img in images]
         for a, sa in zip(images, supports):
             for b, sb in zip(images, supports):
-                if sa.isdisjoint(sb):
+                if not meet_conjugately(sa, sb):
                     disjoint.append(bracket.__name__)
                     assert not bracket(a, b)
         return original(gens, image, bracket, support, row, zero)
@@ -473,23 +474,25 @@ def test_fermionic_images_match_the_grassmann_oracle(spec):
 # -- the mirrored-pair shortcut, seen from the bracket --------------------------
 
 
-def _pairs_used(img, flavor, inst):
-    """The canonical pairs an image uses, read from its terms."""
+def _letters_used(img, flavor, mn):
+    """The letters (pair, kind) an image uses, read from its terms: kind 0
+    for x and psi, 1 for p, d and pi; mn is the fermionic pair count."""
     if flavor == "classical":
-        return {v[1:] for mono in img.terms for v, e in zip(img.vars, img.unpack(mono))
-                if e and v[0] in "xp"}
+        return {(v[1:], "xp".index(v[0])) for mono in img.terms
+                for v, e in zip(img.vars, img.unpack(mono)) if e and v[0] in "xp"}
     if flavor == "quantum":
-        return {pair for key in img.terms for pair, _, _ in key}
-    mn = inst.M * inst.N
-    return {k % mn for mask in img.terms for k in range(2 * mn) if mask >> k & 1}
+        return {(pair, kind) for key in img.terms for pair, x, d in key
+                for kind, e in enumerate((x, d)) if e}
+    return {(k % mn, k // mn) for mask in img.terms for k in range(2 * mn) if mask >> k & 1}
 
 
 @pytest.mark.parametrize("realization", ["classical-bosonic", "quantum-bosonic",
                                          "classical-fermionic"])
 def test_each_meeting_forward_pair_is_bracketed_once(monkeypatch, realization):
     """On a passing instance the bracket of the instance's ring is called
-    once for every pair i < j whose images share a canonical pair, and for
-    nothing else: no mirrored pair (j, i) is bracketed again."""
+    once for every pair i < j where a letter of one image has its conjugate
+    in the other, and for nothing else: no mirrored pair (j, i) is bracketed
+    again."""
     spec = next(s for s in homomorphism_grid() if s["realization"] == realization
                 and s["divisor"] == [["1", 2], ["2", 1]]
                 and s["dual_divisor"] == [["5", 2], ["7", 1]])
@@ -522,9 +525,50 @@ def test_each_meeting_forward_pair_is_bracketed_once(monkeypatch, realization):
     want = []
     for side, divisor, size in (("glM", inst.div_z, inst.M), ("glN", inst.div_lam, inst.N)):
         gens = takiff_generators(divisor, size)
-        used = [_pairs_used(getattr(inst, f"realize_{side}")(g, flavor), flavor, inst)
-                for g in gens]
+        used = [_letters_used(getattr(inst, f"realize_{side}")(g, flavor), flavor,
+                              inst.M * inst.N) for g in gens]
         want += [((side, gens[i]), (side, gens[j])) for i in range(len(gens))
-                 for j in range(i + 1, len(gens)) if used[i] & used[j]]
+                 for j in range(i + 1, len(gens)) if meet_conjugately(used[i], used[j])]
     assert want
     assert Counter(calls) == Counter(want)
+
+
+# brackets taken over paper-core's homomorphism instances of each realization,
+# the mutated ones, which stop at their first failing pair, included; pairs
+# whose images merely share a pair name number 4443, 4443, 4439 and 843
+CONJUGATE_PAIRS = {"classical-bosonic": 2891, "quantum-bosonic": 2891,
+                   "classical-fermionic": 2887, "cyclotomic": 647}
+
+
+@pytest.mark.parametrize("realization", sorted(CONJUGATE_PAIRS))
+def test_only_conjugately_meeting_pairs_are_bracketed(monkeypatch, realization):
+    """On every paper-core homomorphism instance of a realization, a side
+    that passes has exactly its pairs i < j bracketed where a letter of one
+    image, read from its terms, has its conjugate in the other; a failing
+    side brackets no more of them."""
+    flavor = {"classical-bosonic": "classical", "quantum-bosonic": "quantum",
+              "classical-fermionic": "fermionic", "cyclotomic": "classical"}[realization]
+    taken, mn = [], [0]
+    original = gaudin.check_generator_pairs
+
+    def spy(gens, image, bracket, support, row, zero):
+        used = [_letters_used(image(g), flavor, mn[0]) for g in gens]
+        meeting = sum(meet_conjugately(used[i], used[j])
+                      for i in range(len(gens)) for j in range(i + 1, len(gens)))
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return bracket(a, b)
+
+        result = original(gens, image, counted, support, row, zero)
+        assert len(calls) == meeting if result[1] is None else len(calls) <= meeting
+        taken.append(len(calls))
+        return result
+
+    monkeypatch.setattr(gaudin, "check_generator_pairs", spy)
+    for spec in paper_core():
+        if spec["kind"] == "homomorphism" and spec["realization"] == realization:
+            mn[0] = spec["M"] * spec["N"]
+            assert run_instance(spec)["status"] == "pass"
+    assert sum(taken) == CONJUGATE_PAIRS[realization]

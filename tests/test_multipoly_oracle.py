@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from gaudual.errors import ExponentOverflow, InexactDivision  # noqa: E402
 from gaudual.multipoly import MAX_EXP, MultiPoly, var_key  # noqa: E402
 from gaudual.poisson import poisson_bracket, poisson_support  # noqa: E402
+from helpers import meet_conjugately  # noqa: E402
 
 NAMES = ["x1_1", "x2_1", "p1_1", "p2_1", "z", "lam"]
 SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
@@ -158,24 +159,27 @@ def test_poisson_self_bracket_is_zero(ta):
     assert same(poisson_bracket(f, f), sympy_bracket(to_sympy(f), to_sympy(f)))
 
 
-def _pair(name: str) -> str | None:
-    """The canonical pair of an x or p name; None for a spectator."""
-    return name[1:] if name[0] in "xp" else None
+def _letter(name: str) -> tuple[str, int] | None:
+    """The letter (pair, kind) of an x (kind 0) or p (kind 1) name; None for
+    a spectator."""
+    return (name[1:], "xp".index(name[0])) if name[0] in "xp" else None
 
 
 @SETTINGS
 @given(polys, polys)
 def test_disjoint_supports_give_a_zero_poisson_bracket(ta, tb):
-    """g keeps only the terms that use none of f's canonical pairs: the
-    supports are then disjoint and the bracket is zero both ways.  The
-    support is the set of pairs f's terms use, over any table."""
+    """g keeps only the terms that use no conjugate of a letter of f, so it
+    may share pairs with f: no letter of either support has its conjugate
+    in the other, and the bracket is zero both ways.  The support is the
+    set of letters f's terms use, over any table."""
     f = build(ta)
     support = poisson_support(f)
-    used = {_pair(v) for e in f.terms for v, k in zip(f.vars, f.unpack(e)) if k}
+    used = {_letter(v) for e in f.terms for v, k in zip(f.vars, f.unpack(e)) if k}
     assert support == used - {None}
     assert poisson_support(f.lift_to(WIDE)) == support
-    g = build([(c, mono) for c, mono in tb if not {_pair(v) for v in mono} & support])
-    assert support.isdisjoint(poisson_support(g))
+    conjugates = {(pair, 1 - kind) for pair, kind in support}
+    g = build([(c, mono) for c, mono in tb if not {_letter(v) for v in mono} & conjugates])
+    assert not meet_conjugately(support, poisson_support(g))
     assert not poisson_bracket(f, g) and not poisson_bracket(g, f)
 
 

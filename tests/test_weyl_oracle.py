@@ -11,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from gaudual.weyl import WeylElement, weyl_commutator, weyl_support  # noqa: E402
+from helpers import meet_conjugately  # noqa: E402
 
 # two ordinary pairs and the spectral pair; their names sort the same way
 # as strings and under the package's pair order
@@ -90,7 +91,14 @@ def element(word: list, coeff=1) -> WeylElement:
 
 def random_element(pairs: list[str]):
     """Sums of coefficient-times-word terms over the given pairs."""
-    letter = st.tuples(st.sampled_from(pairs), st.sampled_from("xd"), st.integers(1, 2))
+    return random_element_over([(pair, kind) for pair in pairs for kind in "xd"])
+
+
+def random_element_over(generators: list[tuple[str, str]]):
+    """Sums of coefficient-times-word terms over the given (pair, "x" or
+    "d") generators."""
+    letter = st.tuples(st.sampled_from(generators), st.integers(1, 2)).map(
+        lambda drawn: (*drawn[0], drawn[1]))
     term = st.tuples(coeffs, st.lists(letter, min_size=1, max_size=3))
     return st.lists(term, min_size=1, max_size=3).map(
         lambda terms: sum((element(w, c) for c, w in terms), WeylElement.zero())
@@ -192,14 +200,17 @@ def test_arithmetic_results_keep_their_own_supports(a, b):
 @SETTINGS
 @given(data=st.data())
 def test_disjoint_supports_give_a_zero_commutator(data):
-    """b is drawn over the pairs a does not use: the supports are disjoint
-    and the commutator is zero both ways."""
+    """b is drawn over the generators whose conjugates a does not use, so it
+    may share pairs with a: no letter of either support has its conjugate
+    in the other, and the commutator is zero both ways."""
     a = data.draw(random_element(PAIRS))
     support = weyl_support(a)
-    assert support == {p for key in a.terms for p, _, _ in key}
-    rest = [p for p in PAIRS if p not in support]
-    b = data.draw(random_element(rest)) if rest else WeylElement.const(data.draw(coeffs))
-    assert support.isdisjoint(weyl_support(b))
+    assert support == {(p, kind) for key in a.terms for p, x, d in key
+                       for kind, e in enumerate((x, d)) if e}
+    rest = [(p, kind) for p in PAIRS for k, kind in enumerate("xd")
+            if (p, 1 - k) not in support]
+    b = data.draw(random_element_over(rest)) if rest else WeylElement.const(data.draw(coeffs))
+    assert not meet_conjugately(support, weyl_support(b))
     assert not weyl_commutator(a, b) and not weyl_commutator(b, a)
 
 
