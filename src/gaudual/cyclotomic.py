@@ -442,8 +442,7 @@ def quantum_cyclotomic_candidate(inst: CycloInstance) -> list[list[WeylElement]]
     M, N = inst.M, inst.N
     if not inst.mu.is_constant():
         raise ValueError("quantum candidate needs a rational mu")
-    lam_c = WeylElement({(("sp_lam", 1, 0),): Q(1)})
-    z_c = WeylElement({(("sp_z", 1, 0),): Q(1)})
+    lam_c, z_c = WeylElement._generator("sp_lam", 1, 0), WeylElement._generator("sp_z", 1, 0)
     x_block = [[WeylElement.d(a, i) for i in range(N, 0, -1)]
                + [WeylElement.x(a, i) for i in range(1, N + 1)] for a in range(1, M + 1)]
     d_block = [[-WeylElement.x(a, -I) if I < 0 else WeylElement.d(a, I) for a in range(1, M + 1)]

@@ -34,7 +34,7 @@ from .grassmann import GrassmannAlgebra, GrassmannElement
 from .linalg import solve_linear  # noqa: F401 (unused; bench/test_bench.py traces this binding)
 from .matrices import (_perm_expansion, block2x2, block_diag, cdet, jordan_block, lax_terms,
                        manin_check, transpose)
-from .multipoly import MultiPoly, VariableTable
+from .multipoly import MultiPoly, VariableTable, _monic_product
 from .poisson import poisson_bracket, poisson_support
 from .ratfunc import RatFunc, expand_factors, partial_fractions
 from .scalars import rat
@@ -87,10 +87,9 @@ class Divisor(namedtuple("Divisor", "points")):
     def clearing_poly(self, x: MultiPoly) -> MultiPoly:
         """prod (x - location)^tau over the finite points, for a generator x
         of an instance's variable table."""
-        out = MultiPoly.const(1)
-        for loc, tau in self.points:
-            out = out * (x - loc) ** tau
-        return out
+        (e,) = x.terms
+        degree, lower = _monic_product(self.points)
+        return MultiPoly(x.vars, {**{j * e: a for j, a in lower}, degree * e: 1})
 
 
 class TakiffGen(namedtuple("TakiffGen", "point depth row col")):
@@ -643,17 +642,18 @@ def check_generator_pairs(gens: list, image, bracket, support, row, zero):
       exactly when the image sum is zero;
     * j > i: bracketed; passes when the bracket is the image sum, or zero
       for an empty structure;
-    * j < i: (g_j, g_i) has passed, so bracket(img_i, img_j) is minus its
-      image sum.  When the terms of (i, j), as a multiset, are its terms
-      negated, the pair passes with no bracket and no image sum; otherwise
-      (g_j, g_i) is bracketed again and compared with the negated image sum.
+    * j < i: not bracketed, as (g_j, g_i) has passed, so bracket(img_i,
+      img_j) is minus its image sum, or zero for an empty structure.  When
+      the terms of (i, j), as a multiset, are its terms negated, the pair
+      passes with no image sum; otherwise it passes when that negated sum
+      is the image sum of (i, j).
 
     bracket must be antisymmetric on the images.  The Poisson bracket and the
     Weyl commutator always are; the graded bracket is on even elements, so
     homomorphism_report refuses an odd image.  Each image sum is
-    built once per check.  got and want are built only for a failing pair,
-    as the full loop builds them: got is the bracket (zero where the
-    supports do not meet, the negated bracket of (g_j, g_i) when mirrored).
+    built once per check.  got is the bracket as the full loop builds it:
+    zero where the supports do not meet, the negated image sum of (g_j,
+    g_i) when mirrored.
     Rows are built one at a time; the index and the terms kept for mirrored
     pairs go with the check."""
     n = len(gens)
@@ -665,11 +665,11 @@ def check_generator_pairs(gens: list, image, bracket, support, row, zero):
             users.setdefault(letter, []).append(k)
     sums = {}
 
-    def want(terms, negate: bool):
-        key = (tuple(terms), negate)
+    def want(terms):
+        key = tuple(terms)
         total = sums.get(key)
         if total is None:
-            total = sums[key] = _image_sum(terms, image, negate)
+            total = sums[key] = _image_sum(terms, image)
         return total
 
     later = {}
@@ -680,21 +680,17 @@ def check_generator_pairs(gens: list, image, bracket, support, row, zero):
             terms = structure.get(j, [])
             if j not in meets or j == i:
                 got = zero
-                if not terms or not want(terms, False):
-                    continue
             elif j < i:
-                if _negates(terms, later.pop((j, i))):
+                mirror = later.pop((j, i))
+                if _negates(terms, mirror):
                     continue
-                kept = bracket(images[j], img1)
-                if (kept == want(terms, True)) if terms else not kept:
-                    continue
-                got = -kept
+                got = -want(mirror) if mirror else zero
             else:
+                later[i, j] = terms
                 got = bracket(img1, images[j])
-                if (got == want(terms, False)) if terms else not got:
-                    later[i, j] = terms
-                    continue
-            return i * n + j + 1, (gens[i], gens[j], got, want(terms, False) if terms else zero)
+            if (got == want(terms)) if terms else not got:
+                continue
+            return i * n + j + 1, (gens[i], gens[j], got, want(terms) if terms else zero)
     return n * n, None
 
 
@@ -707,13 +703,11 @@ def _negates(terms, mirror) -> bool:
     return terms == negated[::-1] or all(terms.count(t) == negated.count(t) for t in terms)
 
 
-def _image_sum(terms, image, negate: bool):
-    """The sum of image(g3) * coeff, or * -coeff when negate, over the
-    (coeff, g3) terms, of which there is at least one; a coefficient of
-    +-1 costs no product."""
+def _image_sum(terms, image):
+    """The sum of image(g3) * coeff over the (coeff, g3) terms, of which
+    there is at least one; a coefficient of +-1 costs no product."""
     total = None
     for coeff, g3 in terms:
-        coeff = -coeff if negate else coeff
         img = image(g3)
         img = img if coeff == 1 else -img if coeff == -1 else img * coeff
         total = img if total is None else total + img

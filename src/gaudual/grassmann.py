@@ -145,11 +145,8 @@ class GrassmannAlgebra:
         return frozenset((k % mn, k // mn) for k in range(2 * mn) if used >> k & 1)
 
     def graded_bracket(self, a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
+        """[a, b] of two homogeneous elements, term pair by term pair in the
+        product's loop with ``_bracket_mono`` as its hook."""
         a.parity()
         b.parity()
-        terms: dict = {}
-        for u, cu in a.terms.items():
-            for v, cv in b.terms.items():
-                for m, sign in self._bracket_mono(u, v):
-                    terms[m] = terms.get(m, 0) + cu * cv * sign
-        return GrassmannElement(terms)
+        return a._product(b, self._bracket_mono)

@@ -389,10 +389,6 @@ class MultiPoly:
         a, b = self._aligned(other)
         return a.terms == b.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
     # -- structure ------------------------------------------------------

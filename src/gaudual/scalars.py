@@ -95,9 +95,15 @@ class TermDict:
             if not isinstance(other, self.SCALARS):
                 return NotImplemented
             return cls({k: c * other for k, c in self.terms.items()})
+        return self._product(other, self._mono_mul)
+
+    def _product(self, other, mono_mul):
+        """The sum over term pairs of c1 c2 mono_mul(k1, k2), for a hook
+        shaped like ``_mono_mul``: with ``_mono_mul`` the product, with
+        ``GrassmannAlgebra._bracket_mono`` the graded bracket."""
+        cls = type(self)
         terms: dict = {}
         get = terms.get
-        mono_mul = self._mono_mul
         right = other.terms.items()
         for k1, c1 in self.terms.items():
             for k2, c2 in right:

@@ -22,14 +22,15 @@ Otherwise each contracting pair is re-normal ordered with the closed form
 
 with ``int`` weights, which avoids quadratic rewriting chains.
 
-Commutator (``weyl_commutator``).  ``[a, b]`` is summed term pair by term
-pair; two monomials on disjoint sets of pairs commute exactly, so such a
-pair contributes nothing and is skipped.  Pair by pair, x^i d^j commutes
-with x^k d^l unless (j > 0 and k > 0) or (i > 0 and l > 0): a derivative
-meets a position.  An element's support (``weyl_support``) is the set of
-letters ``(pair, kind)`` it uses, kind 0 for x (or z) and 1 for d (or
-Dz), so ``[a, b] = 0`` unless some letter of a has its conjugate
-``(pair, 1 - kind)`` in the support of b.
+Commutator (``weyl_commutator``).  A monomial's letters are the
+``(pair, kind)`` it uses, kind 0 for x (or z) and 1 for d (or Dz).  Pair
+by pair, x^i d^j commutes with x^k d^l unless (j > 0 and k > 0) or
+(i > 0 and l > 0): a derivative meets a position.  So two monomials
+commute exactly unless a letter of one has its conjugate
+``(pair, 1 - kind)`` among the letters of the other, and ``[a, b]``,
+summed term pair by term pair, skips every pair that does not meet so.
+An element's support (``weyl_support``) is the union of its terms'
+letters, so ``[a, b] = 0`` unless the supports meet conjugately.
 
 ``OrderedDiffOp`` represents elements of U(z)[Dz] (side "z": rational in z,
 ordered powers of Dz on the right) and of U(Dz)[z] (side "dz": rational in
@@ -104,7 +105,7 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple[tuple[tuple, int], ...]:
 
 class WeylElement(TermDict):
     """Normal-ordered noncommutative polynomial over the rationals; its memo
-    is the per-term pair-name sets of ``supports``."""
+    is the per-term letters of ``supports``."""
 
     __slots__ = ()
 
@@ -143,12 +144,15 @@ class WeylElement(TermDict):
         """0: a Weyl element is even, like every element of a bosonic ring."""
         return 0
 
-    def supports(self) -> list[tuple[tuple, object, set]]:
-        """(monomial, coefficient, set of its pair names) per term; computed
-        on the first call and kept."""
+    def supports(self) -> list[tuple[tuple, object, set, set]]:
+        """(monomial, coefficient, its letters, their conjugates) per term;
+        computed on the first call and kept."""
         memo = self._memo
         if memo is None:
-            memo = self._memo = [(k, c, {p for p, _, _ in k}) for k, c in self.terms.items()]
+            memo = self._memo = [
+                (k, c, {(p, 0) for p, x, _ in k if x} | {(p, 1) for p, _, d in k if d},
+                 {(p, 1) for p, x, _ in k if x} | {(p, 0) for p, _, d in k if d})
+                for k, c in self.terms.items()]
         return memo
 
     def __repr__(self):
@@ -169,15 +173,16 @@ class WeylElement(TermDict):
 
 
 def weyl_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    """[a, b] = a*b - b*a, summed term pair by term pair; monomials on
-    disjoint sets of pairs commute, so such a pair is skipped.  The pair-name
-    sets are the ones each element keeps (``supports``)."""
+    """[a, b] = a*b - b*a, summed term pair by term pair; a pair is skipped
+    when no conjugate of a letter of its left term is a letter of its right
+    one, as such monomials commute.  The letters are the ones each element
+    keeps (``supports``)."""
     terms: dict = {}
     get = terms.get
     right = b.supports()
-    for k1, c1, pairs1 in a.supports():
-        for k2, c2, pairs2 in right:
-            if pairs1.isdisjoint(pairs2):
+    for k1, c1, _, conjugates in a.supports():
+        for k2, c2, letters, _ in right:
+            if conjugates.isdisjoint(letters):
                 continue
             c = c1 * c2
             for key, w in _mono_mul(k1, k2):
@@ -189,15 +194,8 @@ def weyl_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
 
 def weyl_support(a: WeylElement) -> frozenset[tuple[str, int]]:
     """The letters (pair, 0) of the positions and (pair, 1) of the
-    derivatives some term of a uses."""
-    letters = set()
-    for key in a.terms:
-        for p, x, d in key:
-            if x:
-                letters.add((p, 0))
-            if d:
-                letters.add((p, 1))
-    return frozenset(letters)
+    derivatives some term of a uses: the union of its kept letters."""
+    return frozenset().union(*(letters for _, _, letters, _ in a.supports()))
 
 
 class OrderedDiffOp:

@@ -336,6 +336,12 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
         dict(_CYCLO, kind="lax-algebra", which="sp2N", options={"quantum_candidate": True}),
         dict(_CYCLO, kind="homomorphism", realization="cyclotomic",
              options={"quantum_candidate": True}),
+        {"kind": "neumann", "M": 2, "omega": ["1"]},
+        {"kind": "neumann", "M": 2, "omega": ["1", "-1"]},
+        dict(_CYCLO, kind="cyclotomic", tau0=1),
+        dict(_CYCLO, kind="cyclotomic", lambda_points=["5"]),
+        dict(_CYCLO, kind="cyclotomic", lambda_points=["5", "5"]),
+        dict(_GAUDIN, kind="classical-bosonic", dual_divisor=[["5", 2]]),
     ],
     ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
          "gaudin-mutation", "cyclotomic-mutation", "fermionic-range-up", "mutation-on-duality", "options-not-object",
@@ -348,7 +354,9 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
          "lambda-points-string", "dual-divisor-object", "omega-string", "point-over-zero",
          "lambda-point-over-zero", "mu-over-zero", "omega-over-zero", "point-bool",
          "dual-point-bool", "lambda-point-bool", "mu-bool", "omega-bool", "symbolic-mu-on-bosonic",
-         "quantum-candidate-on-lax", "quantum-candidate-on-homomorphism"],
+         "quantum-candidate-on-lax", "quantum-candidate-on-homomorphism", "omega-count",
+         "omega-equal-squares", "cyclotomic-degree-sum", "lambda-point-count",
+         "lambda-point-repeated", "dual-divisor-degree-sum"],
 )
 def test_validation_rejects_names_dispatch_cannot_run(spec):
     with pytest.raises(SpecValidationError):

@@ -475,6 +475,55 @@ def test_quantum_duality_fails_with_the_weyl_product_reversed(monkeypatch, spec)
         assert report["witness"]
 
 
+@pytest.mark.parametrize("spec", _grid_cases(presets.quantum_grid()))
+def test_quantum_duality_fails_on_a_block_matrix_that_is_not_manin(monkeypatch, spec):
+    """One entry of X doubled: the two sides, which never read the block
+    matrix, still agree, and the Manin half alone fails the verdict."""
+    inst = build_instance(spec)
+    block = gaudin.quantum_block_matrix
+
+    def doubled(inst):
+        rows = block(inst)
+        rows[0][inst.M] = rows[0][inst.M] * 2
+        return rows
+
+    monkeypatch.setattr(gaudin, "quantum_block_matrix", doubled)
+    report = verify_quantum_duality(inst)
+    assert report["status"] == "fail" and report["manin"] is False
+    assert list(report["witness"]) == ["manin_quadruple"]
+    left, right = quantum_operator_sides(inst)
+    assert left.to_polynomial() == right.to_polynomial()
+
+
+Z_SHIFT = Q(4, 3)
+
+
+def _z_shifted(w: WeylElement, c) -> WeylElement:
+    """w under z -> z - c, an automorphism that fixes Dz: in each
+    normal-ordered term, z^a Dz^b becomes (z - c)^a Dz^b."""
+    out = W.zero()
+    for key, coeff in w.terms.items():
+        term = W.const(coeff)
+        for pair, x, d in key:
+            term = term * ((W.z() - c) ** x * W.dz(d) if pair == weyl.Z_PAIR
+                           else W._generator(pair, x, d))
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("spec", _grid_cases(presets.quantum_grid()))
+def test_shifting_every_z_point_shifts_both_quantum_sides(spec):
+    """A relation that needs no oracle: with every z point moved by 4/3 the
+    Lax matrix and the prefactor are the old ones at z - 4/3, so each
+    normal-ordered side of the moved spec is the old side under
+    z -> z - 4/3."""
+    moved = dict(spec, divisor=[[str(Q(p) + Z_SHIFT), t] for p, t in spec["divisor"]])
+    old, new = ([side.to_polynomial() for side in quantum_operator_sides(build_instance(s))]
+                for s in (spec, moved))
+    assert new != old
+    assert new == [_z_shifted(side, Z_SHIFT) for side in old]
+
+
 @pytest.mark.parametrize("spec", _grid_cases(presets.fermionic_grid()))
 def test_fermionic_duality_fails_with_the_wedge_sign_dropped(monkeypatch, spec):
     inst = build_instance(spec)

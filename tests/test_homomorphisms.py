@@ -272,15 +272,52 @@ def _meet(images, g1, g2):
     return meet_conjugately(weyl_support(images[g1]), weyl_support(images[g2]))
 
 
+def _first_mirrored_entry(gens, rows):
+    return next((i, j) for i in range(len(gens)) for j in range(i) if j in rows(i))
+
+
 def test_structure_wrong_only_at_one_mirrored_pair():
     gens, images, rows = _quantum_glM()
-    i, j = next((i, j) for i in range(len(gens)) for j in range(i) if j in rows(i))
+    i, j = _first_mirrored_entry(gens, rows)
     wrong = _with_entry(rows, i, j, lambda terms: [(-c, g) for c, g in terms])
     checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, weyl_support,
                                    wrong, WeylElement.zero())
     assert checked == i * len(gens) + j + 1
     g1, g2, got, want = failure
     assert (g1, g2) == (gens[i], gens[j]) and got == -want
+
+
+def test_a_mirrored_entry_restated_with_its_image_sum_passes():
+    """Row i states its mirrored entry (i, j), j < i, with one term split in
+    two: the terms are no longer those of (j, i) negated, of another length
+    even, yet their image sum is the same, so every pair passes."""
+    gens, images, rows = _quantum_glM()
+    i, j = _first_mirrored_entry(gens, rows)
+    restated = _with_entry(rows, i, j, lambda terms: [(2 * terms[0][0], terms[0][1]),
+                                                      (-terms[0][0], terms[0][1])] + terms[1:])
+    assert len(restated(i)[j]) != len(rows(j)[i])
+    assert _meet(images, gens[i], gens[j])
+    assert _both_loops(gens, images.__getitem__, weyl_commutator, weyl_support, restated,
+                       WeylElement.zero()) == (len(gens) ** 2, None)
+
+
+def test_a_mirrored_entry_with_another_image_sum_fails_there():
+    """Row i adds a term to its mirrored entry (i, j), j < i: the check fails
+    at (i, j), with got the bracket of the two images, which is minus that of
+    (j, i), and want the image sum of the terms as row i states them."""
+    gens, images, rows = _quantum_glM()
+    i, j = _first_mirrored_entry(gens, rows)
+    wrong = _with_entry(rows, i, j, lambda terms: terms + [(1, gens[0])])
+    assert len(wrong(i)[j]) != len(rows(j)[i])
+    checked, failure = _both_loops(gens, images.__getitem__, weyl_commutator, weyl_support,
+                                   wrong, WeylElement.zero())
+    assert checked == i * len(gens) + j + 1
+    g1, g2, got, want = failure
+    img1, img2 = images[gens[i]], images[gens[j]]
+    assert (g1, g2) == (gens[i], gens[j])
+    assert repr(got) == repr(weyl_commutator(img1, img2)) == repr(-weyl_commutator(img2, img1))
+    assert repr(want) == repr(sum((images[g] * c for c, g in wrong(i)[j]), WeylElement.zero()))
+    assert got != want
 
 
 def test_bracket_nonzero_on_one_empty_structure_pair():

@@ -1,7 +1,7 @@
 """Every top-level function and every non-dunder method of the package is
 reached from the package itself: code that only tests call belongs in the
 tests.  Importing the CLI loads no standard module a verify run does not
-use."""
+use.  Only weyl.py lays out a Weyl monomial."""
 
 import ast
 import os
@@ -105,6 +105,15 @@ def unused_imports(exempt=IMPORTS_NOT_USED) -> list[str]:
     return unused
 
 
+def weyl_element_dict_literals() -> list[str]:
+    """module:line of each WeylElement({...}) call with a dict literal
+    outside weyl.py; the other modules build elements from its generators."""
+    return [f"{name}:{node.lineno}" for name, tree in _package_trees().items()
+            if name != "weyl.py" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "WeylElement" and node.args and isinstance(node.args[0], ast.Dict)]
+
+
 def test_every_top_level_function_is_referenced_in_the_package():
     assert unreferenced_functions() == []
 
@@ -115,6 +124,10 @@ def test_every_method_is_referenced_in_the_package():
 
 def test_every_top_level_import_is_used():
     assert unused_imports() == []
+
+
+def test_no_module_but_weyl_lays_out_a_weyl_monomial():
+    assert weyl_element_dict_literals() == []
 
 
 def test_every_exemption_is_still_needed():

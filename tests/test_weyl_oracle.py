@@ -171,14 +171,20 @@ def test_self_commutator_is_zero(terms):
 
 
 def _supports(w: WeylElement) -> list:
-    return [(k, c, {p for p, _, _ in k}) for k, c in w.terms.items()]
+    """Per term: monomial, coefficient, the letters (pair, kind) it uses and
+    their conjugates (pair, 1 - kind)."""
+    out = []
+    for k, c in w.terms.items():
+        letters = {(p, kind) for p, x, d in k for kind, e in enumerate((x, d)) if e}
+        out.append((k, c, letters, {(p, 1 - kind) for p, kind in letters}))
+    return out
 
 
 @SETTINGS
 @given(random_element(PAIRS), st.lists(random_element(PAIRS), min_size=1, max_size=4))
 def test_kept_supports_serve_every_bracket(a, others):
     """One element bracketed in both positions against several others and
-    against itself, its kept pair-name sets reused each time."""
+    against itself, its kept letters reused each time."""
     for b in others + [a]:
         assert weyl_commutator(a, b) == a * b - b * a
         assert weyl_commutator(b, a) == b * a - a * b
