@@ -29,7 +29,7 @@ from itertools import accumulate
 
 from .errors import BadPoints, DivisorMismatch, DuplicateFrequency, IndexOutOfRange
 from .gaudin import (Divisor, Side, _classical_spectral_poly, _cleared, _spectral_dets,
-                     exact_int, homomorphism_report, jordan_sum,
+                     classical_side, exact_int, homomorphism_report, jordan_sum,
                      polynomial_equality_report, spectral_coefficients, spectral_duality_report,
                      takiff_block_sum)
 from .linalg import in_span
@@ -166,12 +166,11 @@ class CycloInstance:
                                     MultiPoly.zero(), mutation)
         _, s, a, b = g
         tau0 = self.C.tau0
-        total = MultiPoly.zero()
         ysign = Q(-1) if (s % 2 == 0) == (mutation != "y-sign") else Q(1)
         # y part: sum_u x^a_(u+s) p^b_u - (-1)^s x^b_(u+s) p^a_u
-        for u in range(1, tau0 - s + 1):
-            total = total + self.var[f"x{a}_{u + s}"] * self.var[f"p{b}_{u}"]
-            total = total + ysign * (self.var[f"x{b}_{u + s}"] * self.var[f"p{a}_{u}"])
+        total = takiff_block_sum(0, tau0, s, lambda u, v: (
+            self.var[f"x{a}_{v}"] * self.var[f"p{b}_{u}"]
+            + ysign * (self.var[f"x{b}_{v}"] * self.var[f"p{a}_{u}"])), MultiPoly.zero())
         # mu part: -mu sum_(u+v=s+1) (-1)^v x^a_u x^b_v
         for u in range(1, tau0 + 1):
             v = s + 1 - u
@@ -314,12 +313,10 @@ def lax_algebra_check(inst: CycloInstance, which: str) -> dict:
         (w - lam){A1(lam), A2(w)} = [R, Dbar(w) A1 + Dbar(lam) A2]
         with R = sum Ebar^IJ x Ebar_IJ = (w - lam) rbar12
     """
-    if which == "cyclotomic-glM":
-        lax, divisor, spec = inst.lax_glM("classical"), inst.div_z, "z"
-    elif which == "sp2N":
-        lax, divisor, spec = inst.lax_glN("classical"), inst.div_lam, "lam"
-    else:
+    spec = {"cyclotomic-glM": "z", "sp2N": "lam"}.get(which)
+    if spec is None:
         raise ValueError(f"unknown Lax algebra family {which!r}")
+    lax, divisor, _ = classical_side(inst, spec)
     lax_u, lax_w = _cleared(lax, divisor, inst.var, spec), _cleared(lax, divisor, inst.var, "w")
     u, w = inst.var[spec], inst.var["w"]
     d_u, d_w = divisor.clearing_poly(u), divisor.clearing_poly(w)

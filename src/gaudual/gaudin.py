@@ -286,24 +286,30 @@ def _sample_map(inst: DualityInstance, seed: int) -> dict:
 def _spectral_dets(inst, sample_seed=None):
     """Cleared classical determinants of both sides, the z side first:
     det(lam D(z) 1 - D(z) L^D(z)) and det(z D(lam) 1 - D(lam) L^D~(lam)),
-    each divided by D^(n-1) inside the determinant (_spectral_det).  inst is
-    a DualityInstance or a cyclotomic.CycloInstance: each gives its two Lax
-    matrices as pole terms (lax_glM in z, lax_glN in lam), their divisors
-    div_z and div_lam, and the variable table var."""
+    each divided by D^(n-1) inside the determinant (_spectral_det), of a
+    DualityInstance or a cyclotomic.CycloInstance (see classical_side)."""
     subs = _sample_map(inst, sample_seed) if sample_seed is not None else None
-    return (_side_det(inst, inst.lax_glM("classical"), inst.div_z, "z", "lam", subs),
-            _side_det(inst, inst.lax_glN("classical"), inst.div_lam, "lam", "z", subs))
+    return _side_det(inst, "z", subs), _side_det(inst, "lam", subs)
 
 
-def _side_det(inst, lax, divisor: Divisor, spec_var: str, eigen_var: str, subs=None):
-    """The cleared classical determinant of one side, its Lax matrix given as
-    pole terms.  subs, when given, substitutes rationals for x and p in every
-    pole-term image and scales the images by the lcm c of their
-    denominators: at integer divisor points every entry, minor and per-step
-    quotient of the scaled n x n determinant is then an integer (the
-    fraction-free idea of Bareiss), and c^n is divided out of its result
-    once.  Each k x k minor is c^k times the unscaled one, so a minor is
-    refused exactly where the unscaled one would be."""
+def classical_side(inst, spec_var: str) -> tuple:
+    """(pole-term Lax matrix, divisor, eigen_var) of the classical side of
+    inst in spec_var: lax_glM over div_z in z, or lax_glN over div_lam."""
+    if spec_var == "z":
+        return inst.lax_glM("classical"), inst.div_z, "lam"
+    return inst.lax_glN("classical"), inst.div_lam, "z"
+
+
+def _side_det(inst, spec_var: str, subs=None):
+    """The cleared classical determinant of classical_side(inst, spec_var).
+    subs, when given, substitutes rationals for x and p in every pole-term
+    image and scales the images by the lcm c of their denominators: at
+    integer divisor points every entry, minor and per-step quotient of the
+    scaled n x n determinant is then an integer (the fraction-free idea of
+    Bareiss), and c^n is divided out of its result once.  Each k x k minor
+    is c^k times the unscaled one, so a minor is refused exactly where the
+    unscaled one would be."""
+    lax, divisor, eigen_var = classical_side(inst, spec_var)
     scale = 1
     if subs:
         lax = [[[(img.substitute(subs), pole, order) for img, pole, order in terms]
@@ -346,7 +352,7 @@ def _spectral_det(cleared: list[list[MultiPoly]], divisor: Divisor, var: Variabl
     shift = var[eigen_var] * divisor.clearing_poly(var[spec_var]) * scale
     shifted = [[(shift if r == c else MultiPoly.zero()) - p for c, p in enumerate(row)]
                for r, row in enumerate(cleared)]
-    return _perm_expansion(shifted, lambda p: _divide_out(p, divisor, spec_var, 1)).compact()
+    return _perm_expansion(shifted, lambda p: _divide_out(p, divisor, spec_var)).compact()
 
 
 def _fermionic_det(lax, divisor: Divisor, var: VariableTable, spec_var: str, eigen_var: str):
@@ -374,11 +380,11 @@ def _clearing_ratfunc(divisor: Divisor, var: str) -> RatFunc:
     return RatFunc(var, expand_factors(dict(divisor.points)))
 
 
-def _divide_out(poly: MultiPoly, divisor: Divisor, spec_var: str, copies: int) -> MultiPoly:
-    """poly / D^copies, D = prod (spec_var - location)^tau, by one exact long
-    division by the expanded D^copies; raises InexactDivision naming the
-    first point, in the divisor's order, whose factor leaves a remainder."""
-    return poly.divide_linear(spec_var, [(loc, tau * copies) for loc, tau in divisor.points])
+def _divide_out(poly: MultiPoly, divisor: Divisor, spec_var: str) -> MultiPoly:
+    """poly / D, D = prod (spec_var - location)^tau, by one exact long
+    division by the expanded D; raises InexactDivision naming the first
+    point, in the divisor's order, whose factor leaves a remainder."""
+    return poly.divide_linear(spec_var, divisor.points)
 
 
 def verify_classical_bosonic_duality(inst: DualityInstance, sample_seed=None) -> dict:
@@ -512,7 +518,7 @@ def verify_quantum_duality(inst: DualityInstance) -> dict:
 def _classical_spectral_poly(inst) -> MultiPoly:
     """The common classical polynomial of a DualityInstance or a
     cyclotomic.CycloInstance, built from the z side alone."""
-    return _side_det(inst, inst.lax_glM("classical"), inst.div_z, "z", "lam")
+    return _side_det(inst, "z")
 
 
 # -- Gaudin algebra extraction and commutativity ------------------------------

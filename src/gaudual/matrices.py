@@ -74,8 +74,8 @@ def _perm_expansion(e: list[list], divide=None):
     (the division-free subset recursion of Rote, "Division-free algorithms
     for the determinant and the Pfaffian", 2001).  minors[mask] is the
     column-ordered determinant of the rows in `mask` and the last
-    popcount(mask) columns; the minor on mask + {r} gains e[r][c] times
-    minors[mask], signed by the parity of the rows of `mask` above r.  Every
+    popcount(mask) columns; the minor on mask + {r} gains e[r][c], signed by
+    the parity of the rows of `mask` above r, times minors[mask].  Every
     entry multiplies on the left in column order, so this is cdet, and det
     over a commutative ring, in n 2^(n-1) ring products; zero entries and
     zero minors are skipped.
@@ -89,6 +89,9 @@ def _perm_expansion(e: list[list], divide=None):
     minors are then the k x k minors over d^(k-2).  A divider that refuses,
     raising InexactDivision, raises RefusedMinor with the minor's size."""
     n = len(e)
+    # signed[parity][r][c]: the entry with the sign of a row parity applied
+    # once, so every grown minor only adds; (-a) b = -(a b) in any ring
+    signed = (e, [[-x if x else x for x in row] for row in e])
     minors = {1 << r: e[r][n - 1] for r in range(n)}
     for c in range(n - 2, -1, -1):
         grown = {}
@@ -99,12 +102,9 @@ def _perm_expansion(e: list[list], divide=None):
                 bit = 1 << r
                 if mask & bit or not e[r][c]:
                     continue
-                term = e[r][c] * minor
+                term = signed[(mask & (bit - 1)).bit_count() & 1][r][c] * minor
                 acc = grown.get(mask | bit)
-                if (mask & (bit - 1)).bit_count() & 1:
-                    grown[mask | bit] = -term if acc is None else acc - term
-                else:
-                    grown[mask | bit] = term if acc is None else acc + term
+                grown[mask | bit] = term if acc is None else acc + term
         if divide is not None:
             try:
                 grown = {mask: divide(minor) for mask, minor in grown.items() if minor}

@@ -145,16 +145,6 @@ def _used_fields(vars: tuple[str, ...], terms: dict) -> list[tuple[int, str]]:
     return [(s, v) for k, v in enumerate(vars) if (used >> (s := BITS * (n - 1 - k))) & FIELD]
 
 
-def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    names = set(a)
-    if names.issuperset(b):
-        return a
-    names.update(b)
-    if len(names) == len(b):
-        return b
-    return tuple(sorted(names, key=var_key))
-
-
 def _moves(src: tuple[str, ...], dst: tuple[str, ...]) -> list[tuple[int, int]]:
     """How the fields of the names common to both tables move when a
     monomial over `src` is rewritten over `dst`: (mask over src, shift)
@@ -273,7 +263,7 @@ class MultiPoly:
             return self, MultiPoly(self.vars, other.terms)
         if not self.vars:
             return MultiPoly(other.vars, self.terms), other
-        merged = _merge(self.vars, other.vars)
+        merged = tuple(sorted(set(self.vars) | set(other.vars), key=var_key))
         return self.lift_to(merged), other.lift_to(merged)
 
     def compact(self) -> MultiPoly:

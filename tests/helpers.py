@@ -13,8 +13,7 @@ import pytest
 
 from gaudual.cyclotomic import CycloInstance, _origin_entries
 from gaudual.errors import NotInvertible
-from gaudual.gaudin import (INF, Divisor, TakiffGen, _cleared, _divide_out, matrix_rows,
-                           ratfunc_lax)
+from gaudual.gaudin import INF, Divisor, TakiffGen, _cleared, matrix_rows, ratfunc_lax
 from gaudual.matrices import _perm_expansion
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
@@ -230,7 +229,7 @@ def check_commutativity_reference(generators: list, flavor: str) -> dict:
 def check_per_step_division(module, run, sides: list) -> None:
     """run() with module._perm_expansion recording every call given a
     per-step divider: each result must equal the undivided expansion of the
-    same n x n matrix with D^(n-1) divided out by _divide_out, sides giving
+    same n x n matrix with D^(n-1) divided out by divide_linear, sides giving
     the (divisor, spectral variable) of D for each call in order."""
     calls = []
     original = module._perm_expansion
@@ -246,7 +245,8 @@ def check_per_step_division(module, run, sides: list) -> None:
         run()
     assert len(calls) == len(sides)
     for (m, result), (divisor, var) in zip(calls, sides):
-        assert result == _divide_out(_perm_expansion(m), divisor, var, len(m) - 1)
+        power = [(loc, tau * (len(m) - 1)) for loc, tau in divisor.points]
+        assert result == _perm_expansion(m).divide_linear(var, power)
 
 
 def perturb_divided_expansion(monkeypatch, module, call: int, by=1) -> None:

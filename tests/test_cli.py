@@ -282,66 +282,103 @@ _CYCLO_NO_MU = {key: value for key, value in _CYCLO.items() if key != "mu"}
 _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
 
 
+# each case with a fragment of the message of the rule that must refuse it,
+# so a reordering of validate_instance cannot move a case onto another rule
 @pytest.mark.parametrize(
-    "spec",
+    "spec, refusal",
     [
-        dict(_CYCLO, kind="lax-algebra", which="glN"),
-        dict(_CYCLO, kind="lax-algebra"),
-        dict(_GAUDIN, kind="commutativity", flavor="fermionic"),
-        dict(_GAUDIN, kind="homomorphism", realization="quantum-fermionic"),
-        dict(_GAUDIN, kind="homomorphism", options={"mutation": "y-sign"}),
-        dict(_CYCLO, kind="homomorphism", realization="cyclotomic",
-             options={"mutation": "range-up"}),
-        dict(_GAUDIN, kind="homomorphism", realization="classical-fermionic",
-             options={"mutation": "range-up"}),
-        dict(_GAUDIN, kind="classical-bosonic", options={"mutation": "flip-sign"}),
-        dict(_GAUDIN, kind="classical-bosonic", options=None),
-        dict(_GAUDIN, kind="classical-bosonic", options={"mutaton": "flip-sign"}),
-        dict(_GAUDIN, kind="homomorphism", options={"mutation": "flip-sign", "expect": "fial"}),
-        dict(_GAUDIN, kind="classical-bosonic", options={"mode": "sampeld"}),
-        dict(_CYCLO, kind="cyclotomic", options={"symbolic_mu": "yes"}),
-        dict(_CYCLO, kind="cyclotomic", options={"quantum_candidate": 1}),
-        dict(_CYCLO, kind="cyclotomic", options={"symbolic_mu": True, "quantum_candidate": True}),
-        dict(_GAUDIN, kind="commutativity", flavour="quantum"),
-        ["kind"],
-        "neumann",
-        3,
-        dict(_CYCLO_NO_MU, kind="cyclotomic"),
-        dict(_CYCLO_NO_MU, kind="lax-algebra", which="sp2N"),
-        dict(_CYCLO_NO_TAU0, kind="cyclotomic"),
-        dict(_CYCLO_NO_TAU0, kind="homomorphism", realization="cyclotomic"),
-        dict(_CYCLO_NO_TAU0, kind="commutativity", flavor="cyclotomic"),
-        dict(_CYCLO, kind="classical-bosonic"),
-        dict(_GAUDIN, kind="classical-bosonic", M=0, dual_divisor=[]),
-        dict(_GAUDIN, kind="quantum-bosonic", options={"mode": "sampled"}),
-        dict(_GAUDIN, kind="classical-bosonic", divisor=[["1", 1.5]]),
-        {"kind": "neumann", "M": 2.9, "omega": ["1", "2"]},
-        dict(_GAUDIN, kind="classical-bosonic", M=True),
-        dict(_GAUDIN, kind="classical-bosonic", N="1"),
-        dict(_CYCLO, kind="cyclotomic", N=2.5),
-        dict(_CYCLO, kind="cyclotomic", tau0=2.7),
-        dict(_CYCLO, kind="cyclotomic", lambda_points="57"),
-        dict(_GAUDIN, kind="classical-bosonic", dual_divisor={"51": 1}),
-        {"kind": "neumann", "M": 2, "omega": "12"},
-        dict(_GAUDIN, kind="classical-bosonic", divisor=[["1/0", 1]]),
-        dict(_CYCLO, kind="cyclotomic", lambda_points=["5", "1/0"]),
-        dict(_CYCLO, kind="cyclotomic", mu="1/0"),
-        {"kind": "neumann", "M": 2, "omega": ["1", "1/0"]},
-        dict(_GAUDIN, kind="classical-bosonic", divisor=[[True, 1]]),
-        dict(_GAUDIN, kind="classical-bosonic", dual_divisor=[[False, 1]]),
-        dict(_CYCLO, kind="cyclotomic", lambda_points=["5", True]),
-        dict(_CYCLO, kind="cyclotomic", mu=True),
-        {"kind": "neumann", "M": 2, "omega": [True, "2"]},
-        dict(_GAUDIN, kind="classical-bosonic", options={"symbolic_mu": True}),
-        dict(_CYCLO, kind="lax-algebra", which="sp2N", options={"quantum_candidate": True}),
-        dict(_CYCLO, kind="homomorphism", realization="cyclotomic",
-             options={"quantum_candidate": True}),
-        {"kind": "neumann", "M": 2, "omega": ["1"]},
-        {"kind": "neumann", "M": 2, "omega": ["1", "-1"]},
-        dict(_CYCLO, kind="cyclotomic", tau0=1),
-        dict(_CYCLO, kind="cyclotomic", lambda_points=["5"]),
-        dict(_CYCLO, kind="cyclotomic", lambda_points=["5", "5"]),
-        dict(_GAUDIN, kind="classical-bosonic", dual_divisor=[["5", 2]]),
+        (dict(_CYCLO, kind="lax-algebra", which="glN"), "unknown Lax algebra family 'glN'"),
+        (dict(_CYCLO, kind="lax-algebra"), "unknown Lax algebra family None"),
+        (dict(_GAUDIN, kind="commutativity", flavor="fermionic"),
+         "unknown commutativity flavor 'fermionic'"),
+        (dict(_GAUDIN, kind="homomorphism", realization="quantum-fermionic"),
+         "unknown realization 'quantum-fermionic'"),
+        (dict(_GAUDIN, kind="homomorphism", options={"mutation": "y-sign"}),
+         "unknown mutation 'y-sign' for homomorphism; expected one of ['flip-sign', 'range-up']"),
+        (dict(_CYCLO, kind="homomorphism", realization="cyclotomic",
+              options={"mutation": "range-up"}),
+         "unknown mutation 'range-up' for homomorphism; expected one of ['flip-sign', 'y-sign']"),
+        (dict(_GAUDIN, kind="homomorphism", realization="classical-fermionic",
+              options={"mutation": "range-up"}),
+         "unknown mutation 'range-up' for homomorphism; expected one of ['flip-sign']"),
+        (dict(_GAUDIN, kind="classical-bosonic", options={"mutation": "flip-sign"}),
+         "unknown mutation 'flip-sign' for classical-bosonic"),
+        (dict(_GAUDIN, kind="classical-bosonic", options=None), "options must be an object"),
+        (dict(_GAUDIN, kind="classical-bosonic", options={"mutaton": "flip-sign"}),
+         "unknown option 'mutaton'"),
+        (dict(_GAUDIN, kind="homomorphism", options={"mutation": "flip-sign", "expect": "fial"}),
+         "unknown expect 'fial'"),
+        (dict(_GAUDIN, kind="classical-bosonic", options={"mode": "sampeld"}),
+         "unknown mode 'sampeld'"),
+        (dict(_CYCLO, kind="cyclotomic", options={"symbolic_mu": "yes"}),
+         "option symbolic_mu must be true or false"),
+        (dict(_CYCLO, kind="cyclotomic", options={"quantum_candidate": 1}),
+         "option quantum_candidate must be true or false"),
+        (dict(_CYCLO, kind="cyclotomic", options={"symbolic_mu": True, "quantum_candidate": True}),
+         "the quantum candidate needs a rational mu"),
+        (dict(_GAUDIN, kind="commutativity", flavour="quantum"), "unknown field 'flavour'"),
+        (["kind"], "an instance must be a JSON object, not ['kind']"),
+        ("neumann", "an instance must be a JSON object, not 'neumann'"),
+        (3, "an instance must be a JSON object, not 3"),
+        (dict(_CYCLO_NO_MU, kind="cyclotomic"), "missing field 'mu' for a cyclotomic instance"),
+        (dict(_CYCLO_NO_MU, kind="lax-algebra", which="sp2N"),
+         "missing field 'mu' for a lax-algebra instance"),
+        # _CYCLO_NO_TAU0 carries dual_divisor, which no cyclotomic check
+        # reads: that refuses it first (tau0 alone: the test after this one)
+        (dict(_CYCLO_NO_TAU0, kind="cyclotomic"),
+         "field 'dual_divisor' is not read by a cyclotomic instance (cyclotomic model)"),
+        (dict(_CYCLO_NO_TAU0, kind="homomorphism", realization="cyclotomic"),
+         "field 'dual_divisor' is not read by a homomorphism instance (cyclotomic model)"),
+        (dict(_CYCLO_NO_TAU0, kind="commutativity", flavor="cyclotomic"),
+         "field 'dual_divisor' is not read by a commutativity instance (cyclotomic model)"),
+        (dict(_CYCLO, kind="classical-bosonic"),
+         "field 'lambda_points' is not read by a classical-bosonic instance (gaudin model)"),
+        (dict(_GAUDIN, kind="classical-bosonic", M=0, dual_divisor=[]), "need M >= 1, got 0"),
+        (dict(_GAUDIN, kind="quantum-bosonic", options={"mode": "sampled"}),
+         "mode 'sampled' is not read by a quantum-bosonic instance"),
+        (dict(_GAUDIN, kind="classical-bosonic", divisor=[["1", 1.5]]),
+         "the Takiff degree of divisor entry 0 must be a JSON integer, not 1.5"),
+        ({"kind": "neumann", "M": 2.9, "omega": ["1", "2"]}, "M must be a JSON integer, not 2.9"),
+        (dict(_GAUDIN, kind="classical-bosonic", M=True), "M must be a JSON integer, not True"),
+        (dict(_GAUDIN, kind="classical-bosonic", N="1"), "N must be a JSON integer, not '1'"),
+        (dict(_CYCLO, kind="cyclotomic", N=2.5), "N must be a JSON integer, not 2.5"),
+        (dict(_CYCLO, kind="cyclotomic", tau0=2.7), "tau0 must be a JSON integer, not 2.7"),
+        (dict(_CYCLO, kind="cyclotomic", lambda_points="57"),
+         "lambda_points must be a JSON list, not '57'"),
+        (dict(_GAUDIN, kind="classical-bosonic", dual_divisor={"51": 1}),
+         "dual_divisor must be a JSON list, not {'51': 1}"),
+        ({"kind": "neumann", "M": 2, "omega": "12"}, "omega must be a JSON list, not '12'"),
+        (dict(_GAUDIN, kind="classical-bosonic", divisor=[["1/0", 1]]),
+         "'1/0' has a zero denominator"),
+        (dict(_CYCLO, kind="cyclotomic", lambda_points=["5", "1/0"]),
+         "'1/0' has a zero denominator"),
+        (dict(_CYCLO, kind="cyclotomic", mu="1/0"), "'1/0' has a zero denominator"),
+        ({"kind": "neumann", "M": 2, "omega": ["1", "1/0"]}, "'1/0' has a zero denominator"),
+        (dict(_GAUDIN, kind="classical-bosonic", divisor=[[True, 1]]),
+         "cannot interpret True as an exact rational"),
+        (dict(_GAUDIN, kind="classical-bosonic", dual_divisor=[[False, 1]]),
+         "cannot interpret False as an exact rational"),
+        (dict(_CYCLO, kind="cyclotomic", lambda_points=["5", True]),
+         "cannot interpret True as an exact rational"),
+        (dict(_CYCLO, kind="cyclotomic", mu=True), "cannot interpret True as an exact rational"),
+        ({"kind": "neumann", "M": 2, "omega": [True, "2"]},
+         "cannot interpret True as an exact rational"),
+        (dict(_GAUDIN, kind="classical-bosonic", options={"symbolic_mu": True}),
+         "option 'symbolic_mu' is not read by a classical-bosonic instance"),
+        (dict(_CYCLO, kind="lax-algebra", which="sp2N", options={"quantum_candidate": True}),
+         "option 'quantum_candidate' is not read by a lax-algebra instance with which 'sp2N'"),
+        (dict(_CYCLO, kind="homomorphism", realization="cyclotomic",
+              options={"quantum_candidate": True}),
+         "option 'quantum_candidate' is not read by a homomorphism instance"),
+        ({"kind": "neumann", "M": 2, "omega": ["1"]}, "need M frequencies"),
+        ({"kind": "neumann", "M": 2, "omega": ["1", "-1"]},
+         "frequencies must have distinct squares"),
+        (dict(_CYCLO, kind="cyclotomic", tau0=1), "cyclotomic divisor violates τ_0 + Σ τ_i = N"),
+        (dict(_CYCLO, kind="cyclotomic", lambda_points=["5"]), "need M distinct lambda points"),
+        (dict(_CYCLO, kind="cyclotomic", lambda_points=["5", "5"]),
+         "need M distinct lambda points"),
+        (dict(_GAUDIN, kind="classical-bosonic", dual_divisor=[["5", 2]]),
+         "dual divisor violates Σ τ̃_a = M"),
     ],
     ids=["lax-which", "lax-no-which", "commutativity-flavor", "realization",
          "gaudin-mutation", "cyclotomic-mutation", "fermionic-range-up", "mutation-on-duality", "options-not-object",
@@ -358,10 +395,10 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
          "omega-equal-squares", "cyclotomic-degree-sum", "lambda-point-count",
          "lambda-point-repeated", "dual-divisor-degree-sum"],
 )
-def test_validation_rejects_names_dispatch_cannot_run(spec):
-    with pytest.raises(SpecValidationError):
+def test_validation_rejects_names_dispatch_cannot_run(spec, refusal):
+    with pytest.raises(SpecValidationError, match=re.escape(refusal)):
         validate_instance(spec)
-    with pytest.raises(SpecValidationError):
+    with pytest.raises(SpecValidationError, match=re.escape(refusal)):
         run_instance(spec)
 
 

@@ -469,10 +469,10 @@ def test_cyclotomic_duality_fails_with_the_last_sp2N_division_skipped(monkeypatc
     assert verify_cyclotomic_duality(inst)["status"] == "pass"
     divide_out = gaudin._divide_out
 
-    def skipping(poly, divisor, spec_var, copies):
+    def skipping(poly, divisor, spec_var):
         if spec_var == "lam" and max(k for k, in poly.split_by(("z",))) == 4:
             return poly
-        return divide_out(poly, divisor, spec_var, copies)
+        return divide_out(poly, divisor, spec_var)
 
     monkeypatch.setattr(gaudin, "_divide_out", skipping)
     report = verify_cyclotomic_duality(inst)
@@ -595,9 +595,9 @@ def test_neumann_builds_each_side_determinant_once(monkeypatch):
     calls = []
     side_det = gaudin._side_det
 
-    def counted(inst, lax, divisor, spec_var, *args):
+    def counted(inst, spec_var, *args):
         calls.append(spec_var)
-        return side_det(inst, lax, divisor, spec_var, *args)
+        return side_det(inst, spec_var, *args)
 
     monkeypatch.setattr(gaudin, "_side_det", counted)
     assert neumann_artifacts(3, [1, 2, 3])["status"] == "pass"

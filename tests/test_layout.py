@@ -1,7 +1,8 @@
 """Every top-level function and every non-dunder method of the package is
 reached from the package itself: code that only tests call belongs in the
 tests.  Importing the CLI loads no standard module a verify run does not
-use.  Only weyl.py lays out a Weyl monomial."""
+use.  Only weyl.py lays out a Weyl monomial, and only gaudin.classical_side
+names a classical side's Lax matrix."""
 
 import ast
 import os
@@ -114,6 +115,22 @@ def weyl_element_dict_literals() -> list[str]:
             and node.func.id == "WeylElement" and node.args and isinstance(node.args[0], ast.Dict)]
 
 
+def classical_lax_calls() -> list[str]:
+    """module:line of each lax_glM("classical") or lax_glN("classical") call
+    outside gaudin.classical_side; every classical engine reads its side there."""
+    calls = []
+    for name, tree in _package_trees().items():
+        inside = {id(node) for fn in tree.body if name == "gaudin.py"
+                  and isinstance(fn, ast.FunctionDef) and fn.name == "classical_side"
+                  for node in ast.walk(fn)}
+        calls += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("lax_glM", "lax_glN") and node.args
+                  and isinstance(node.args[0], ast.Constant) and node.args[0].value == "classical"
+                  and id(node) not in inside]
+    return calls
+
+
 def test_every_top_level_function_is_referenced_in_the_package():
     assert unreferenced_functions() == []
 
@@ -128,6 +145,10 @@ def test_every_top_level_import_is_used():
 
 def test_no_module_but_weyl_lays_out_a_weyl_monomial():
     assert weyl_element_dict_literals() == []
+
+
+def test_only_classical_side_names_a_classical_lax_matrix():
+    assert classical_lax_calls() == []
 
 
 def test_every_exemption_is_still_needed():

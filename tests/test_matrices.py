@@ -6,8 +6,8 @@ from operator import mul
 import pytest
 
 from gaudual.cyclotomic import quantum_cyclotomic_candidate
-from gaudual.errors import (GaudualError, NonSquare, NoncommutativeRing, NotInvertible,
-                            RefusedMinor)
+from gaudual.errors import (ExponentOverflow, GaudualError, NonSquare, NoncommutativeRing,
+                            NotInvertible, RefusedMinor)
 from gaudual.gaudin import quantum_block_matrix, ratfunc_lax
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 from gaudual.matrices import (
@@ -60,6 +60,15 @@ def test_det_2x2_commutative():
     a, b, c, d = (MultiPoly.var(v) for v in ["a", "b", "c", "d"])
     m = [[a, b], [c, d]]
     assert det(m) == a * d - b * c
+
+
+def test_det_raises_on_an_exponent_overflow_instead_of_wrapping():
+    # x^20000 x^20000 passes the largest exponent a monomial field holds
+    # (2^15 - 1): the product inside the expansion raises, and no wrapped
+    # x^40000 - 1 comes out
+    x = MultiPoly.var("x", 20000)
+    with pytest.raises(ExponentOverflow):
+        det([[x, 1], [1, x]])
 
 
 def test_det_jordan_block_lower_triangular():
