@@ -329,10 +329,11 @@ def _cleared(lax: list[list[list[tuple]]], divisor: Divisor, var: VariableTable,
     poles are those of divisor, D = prod (spec_var - location)^tau over the
     table var: D * sum image / (spec_var - pole)^order for every entry, exact
     polynomials, no rational function is formed.  Each quotient
-    D / (spec_var - pole)^order is divided once per call."""
+    D / (spec_var - pole)^order is divided once per call, and each entry is
+    one sum of products (MultiPoly.sum_of_products)."""
     clearing = divisor.clearing_poly(var[spec_var])
     quotient = cache(lambda pole, order: clearing.divide_linear(spec_var, [(pole, order)]))
-    return [[sum((img * quotient(pole, order) for img, pole, order in terms), MultiPoly.zero())
+    return [[MultiPoly.sum_of_products([(img, quotient(pole, order)) for img, pole, order in terms])
              for terms in row] for row in lax]
 
 

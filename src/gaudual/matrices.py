@@ -15,7 +15,9 @@ of a matrix, so none is computed here.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from itertools import starmap
+from operator import add, mul
 
 from .errors import InexactDivision, NonSquare, NoncommutativeRing, RefusedMinor
 from .grassmann import GrassmannElement
@@ -78,7 +80,9 @@ def _perm_expansion(e: list[list], divide=None):
     the parity of the rows of `mask` above r, times minors[mask].  Every
     entry multiplies on the left in column order, so this is cdet, and det
     over a commutative ring, in n 2^(n-1) ring products; zero entries and
-    zero minors are skipped.
+    zero minors are skipped.  The signed products of one column are grouped
+    by the minor they grow: over MultiPolys and rationals each group is one
+    `MultiPoly.sum_of_products`, over any other ring a fold (`_fold`).
 
     divide, when given, is an exact divider by some d, applied once to every
     minor the recursion grows, so the result is det / d^(n-1) and the
@@ -92,9 +96,12 @@ def _perm_expansion(e: list[list], divide=None):
     # signed[parity][r][c]: the entry with the sign of a row parity applied
     # once, so every grown minor only adds; (-a) b = -(a b) in any ring
     signed = (e, [[-x if x else x for x in row] for row in e])
+    rings = {type(x) for row in e for x in row}
+    fused = MultiPoly in rings and rings <= {int, Fraction, MultiPoly}
+    total = MultiPoly.sum_of_products if fused else _fold
     minors = {1 << r: e[r][n - 1] for r in range(n)}
     for c in range(n - 2, -1, -1):
-        grown = {}
+        pairs: dict[int, list] = {}
         for mask, minor in minors.items():
             if not minor:
                 continue
@@ -102,9 +109,9 @@ def _perm_expansion(e: list[list], divide=None):
                 bit = 1 << r
                 if mask & bit or not e[r][c]:
                     continue
-                term = signed[(mask & (bit - 1)).bit_count() & 1][r][c] * minor
-                acc = grown.get(mask | bit)
-                grown[mask | bit] = term if acc is None else acc + term
+                pairs.setdefault(mask | bit, []).append(
+                    (signed[(mask & (bit - 1)).bit_count() & 1][r][c], minor))
+        grown = {mask: total(group) for mask, group in pairs.items()}
         if divide is not None:
             try:
                 grown = {mask: divide(minor) for mask, minor in grown.items() if minor}
@@ -113,6 +120,12 @@ def _perm_expansion(e: list[list], divide=None):
         minors = grown
     full = (1 << n) - 1
     return minors[full] if full in minors else e[0][0] - e[0][0]
+
+
+def _fold(pairs: list[tuple]):
+    """sum a * b over the (a, b) pairs of any ring, one product and one
+    addition at a time, a on the left."""
+    return reduce(add, starmap(mul, pairs))
 
 
 def manin_check(e: list[list]):

@@ -96,6 +96,28 @@ def _checked(terms: dict, nvars: int) -> dict:
     return terms
 
 
+def _add_product(terms: dict, left: dict, right: dict, sign: int):
+    """Add sign * left * right, two term dicts, into terms, zero
+    coefficients kept: the one term-pair loop of the package."""
+    get = terms.get
+    right = list(right.items())
+    for e1, c1 in left.items():
+        c1 = c1 * sign
+        for e2, c2 in right:
+            e = e1 + e2
+            terms[e] = get(e, 0) + c1 * c2
+
+
+def _finished(terms: dict, nvars: int) -> dict:
+    """A sum of products accumulated by `_add_product`, with its zero
+    coefficients dropped; only the survivors are scanned for Fractions to
+    store as ints, and for overflow (`_checked`)."""
+    terms = _nonzero(terms, False)
+    if _has_fraction(terms):
+        terms = _nonzero(terms, True)
+    return _checked(terms, nvars)
+
+
 @cache
 def _monic_product(factors: tuple) -> tuple[int, tuple]:
     """Degree and lower coefficients of the monic prod (X - root)^power over
@@ -345,16 +367,33 @@ class MultiPoly:
                 terms = _nonzero(terms, True)
         else:
             terms = {}
-            get = terms.get
-            right = list(b.terms.items())
-            for e1, c1 in a.terms.items():
-                for e2, c2 in right:
-                    e = e1 + e2
-                    terms[e] = get(e, 0) + c1 * c2
+            _add_product(terms, a.terms, b.terms, 1)
             terms = _nonzero(terms, fractions)
         return MultiPoly(a.vars, _checked(terms, len(a.vars)))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs) -> MultiPoly:
+        """sum a * b over the (a, b) pairs, each a MultiPoly or a rational,
+        every product added into one term dict and finished once
+        (`_finished`).  Operands on different tables are aligned once, to
+        the sorted union of the tables; a rational is a constant
+        polynomial."""
+        tables = {x.vars for pair in pairs for x in pair if isinstance(x, MultiPoly) and x.vars}
+        vars = tables.pop() if len(tables) == 1 else \
+            tuple(sorted(set().union(*tables), key=var_key))
+
+        def terms_of(x) -> dict:
+            if isinstance(x, MultiPoly):
+                return x.lift_to(vars).terms
+            c = _coerce(x)
+            return {0: c} if c else {}
+
+        terms: dict = {}
+        for a, b in pairs:
+            _add_product(terms, terms_of(a), terms_of(b), 1)
+        return MultiPoly(vars, _finished(terms, len(vars)))
 
     def __pow__(self, n: int):
         if n < 0:

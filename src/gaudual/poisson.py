@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .multipoly import _PAIR_RE, BITS, MultiPoly, _checked, _has_fraction, _nonzero
+from .multipoly import _PAIR_RE, BITS, MultiPoly, _add_product, _finished
 
 
 @cache
@@ -54,18 +54,6 @@ def poisson_support(f: MultiPoly) -> frozenset[tuple[str, int]]:
     return frozenset((v[1:], 0 if v[0] == "x" else 1) for v in used if _PAIR_RE.match(v))
 
 
-def _add_product(terms: dict, left: dict, right: dict, sign: int):
-    """Add sign * left * right, two term dicts, into terms, zero
-    coefficients kept."""
-    get = terms.get
-    right = list(right.items())
-    for e1, c1 in left.items():
-        c1 = c1 * sign
-        for e2, c2 in right:
-            e = e1 + e2
-            terms[e] = get(e, 0) + c1 * c2
-
-
 def poisson_bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     # one shared table: the derivatives below share it too
     f, g = f._aligned(g)
@@ -78,8 +66,4 @@ def poisson_bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             t, sign = conjugates[s]
             if t in g_uses:
                 _add_product(terms, f.partial(s), g.partial(t), sign)
-    # only the surviving coefficients can be Fractions to store as ints
-    terms = _nonzero(terms, False)
-    if _has_fraction(terms):
-        terms = _nonzero(terms, True)
-    return MultiPoly(f.vars, _checked(terms, len(f.vars)))
+    return MultiPoly(f.vars, _finished(terms, len(f.vars)))

@@ -278,8 +278,8 @@ def test_guard_refuses_a_large_instance_quickly(M):
 _GAUDIN = {"M": 1, "N": 1, "divisor": [["1", 1]], "dual_divisor": [["5", 1]]}
 _CYCLO = {"M": 2, "N": 2, "tau0": 2, "divisor": [], "lambda_points": ["5", "7"], "mu": "-1"}
 _CYCLO_NO_MU = {key: value for key, value in _CYCLO.items() if key != "mu"}
-# gaudin fields with the cyclotomic ones but no tau0
-_CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
+# a cyclotomic model's fields but no tau0
+_CYCLO_NO_TAU0 = {"M": 1, "N": 1, "divisor": [["1", 1]], "lambda_points": ["5"], "mu": "-1"}
 
 
 # each case with a fragment of the message of the rule that must refuse it,
@@ -323,14 +323,11 @@ _CYCLO_NO_TAU0 = dict(_GAUDIN, lambda_points=["5"], mu="-1")
         (dict(_CYCLO_NO_MU, kind="cyclotomic"), "missing field 'mu' for a cyclotomic instance"),
         (dict(_CYCLO_NO_MU, kind="lax-algebra", which="sp2N"),
          "missing field 'mu' for a lax-algebra instance"),
-        # _CYCLO_NO_TAU0 carries dual_divisor, which no cyclotomic check
-        # reads: that refuses it first (tau0 alone: the test after this one)
-        (dict(_CYCLO_NO_TAU0, kind="cyclotomic"),
-         "field 'dual_divisor' is not read by a cyclotomic instance (cyclotomic model)"),
+        (dict(_CYCLO_NO_TAU0, kind="cyclotomic"), "missing field 'tau0' for a cyclotomic instance"),
         (dict(_CYCLO_NO_TAU0, kind="homomorphism", realization="cyclotomic"),
-         "field 'dual_divisor' is not read by a homomorphism instance (cyclotomic model)"),
+         "missing field 'tau0' for a homomorphism instance"),
         (dict(_CYCLO_NO_TAU0, kind="commutativity", flavor="cyclotomic"),
-         "field 'dual_divisor' is not read by a commutativity instance (cyclotomic model)"),
+         "missing field 'tau0' for a commutativity instance"),
         (dict(_CYCLO, kind="classical-bosonic"),
          "field 'lambda_points' is not read by a classical-bosonic instance (gaudin model)"),
         (dict(_GAUDIN, kind="classical-bosonic", M=0, dual_divisor=[]), "need M >= 1, got 0"),

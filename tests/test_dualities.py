@@ -18,7 +18,7 @@ from gaudual.gaudin import (
 )
 from gaudual.grassmann import GrassmannElement, wedge_masks
 from gaudual.matrices import _perm_expansion, block2x2, manin_check, transpose
-from gaudual.multipoly import MultiPoly
+from gaudual.multipoly import _PAIR_RE, MultiPoly
 from gaudual.runner import SAMPLE_SEED, run_instance
 from gaudual.weyl import WeylElement
 from helpers import (build_instance, check_cleared_against_ratfunc, check_per_step_division,
@@ -522,6 +522,26 @@ def test_shifting_every_z_point_shifts_both_quantum_sides(spec):
                 for s in (spec, moved))
     assert new != old
     assert new == [_z_shifted(side, Z_SHIFT) for side in old]
+
+
+def _transposed(name: str) -> str:
+    """z <-> lam, and x{a}_{i} -> x{i}_{a}, p{a}_{i} -> p{i}_{a}."""
+    if name in ("z", "lam"):
+        return "lam" if name == "z" else "z"
+    letter, a, i = _PAIR_RE.match(name).groups()
+    return f"{letter}{i}_{a}"
+
+
+@pytest.mark.parametrize("spec", _grid_cases(presets.classical_bosonic_grid()))
+def test_swapping_M_with_N_transposes_the_classical_common_polynomial(spec):
+    """A relation that needs no oracle: with M and N swapped and the
+    divisors exchanged, the gl_M side of the new spec is the gl_N side of
+    the old one with z and lam exchanged and each x, p index pair
+    transposed, so the common polynomial is the old one renamed."""
+    swapped = dict(spec, M=spec["N"], N=spec["M"], divisor=spec["dual_divisor"],
+                   dual_divisor=spec["divisor"])
+    old, new = (gaudin._side_det(build_instance(s), "z") for s in (spec, swapped))
+    assert MultiPoly(tuple(map(_transposed, old.vars)), old.terms) == new
 
 
 @pytest.mark.parametrize("spec", _grid_cases(presets.fermionic_grid()))

@@ -8,7 +8,7 @@ import pytest
 from gaudual.cyclotomic import quantum_cyclotomic_candidate
 from gaudual.errors import (ExponentOverflow, GaudualError, NonSquare, NoncommutativeRing,
                             NotInvertible, RefusedMinor)
-from gaudual.gaudin import quantum_block_matrix, ratfunc_lax
+from gaudual.gaudin import _cleared, classical_side, quantum_block_matrix, ratfunc_lax
 from gaudual.grassmann import GrassmannAlgebra, GrassmannElement
 from gaudual.matrices import (
     _perm_expansion,
@@ -21,7 +21,7 @@ from gaudual.matrices import (
     transpose,
 )
 from gaudual.multipoly import MultiPoly
-from gaudual.presets import paper_core, quantum_grid
+from gaudual.presets import classical_bosonic_grid, paper_core, quantum_grid
 from gaudual.ratfunc import RatFunc, rational_roots
 from gaudual.weyl import OrderedDiffOp, WeylElement
 from helpers import (build_instance, jordan_block_inverse, linear, matmul, random_fraction,
@@ -253,6 +253,45 @@ def test_per_step_division_by_a_common_factor():
         a = [[random_poly(r, ["x", "z"], 2) for _ in range(n)] for _ in range(n)]
         scaled = [[d * x for x in row] for row in a]
         assert _perm_expansion(scaled, lambda p: p.divide_linear("z", [(2, 1)])) == d * det(a)
+
+
+def _ring_operation_calls(monkeypatch) -> list:
+    """Count every MultiPoly addition and product from now on."""
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def spy(self, other, operation=getattr(MultiPoly, name), name=name):
+            calls.append(name)
+            return operation(self, other)
+        monkeypatch.setattr(MultiPoly, name, spy)
+    return calls
+
+
+def test_laplace_minors_are_sums_of_products_not_folds(monkeypatch):
+    # each grown minor is one MultiPoly.sum_of_products: no product or
+    # addition of polynomials is formed on its own, with or without the
+    # per-step division
+    r = rng(37)
+    d = MultiPoly.var("z") - 2
+    a = [[random_poly(r, ["x", "z"], 2) for _ in range(4)] for _ in range(4)]
+    scaled = [[d * x for x in row] for row in a]
+    want, want_scaled = perm_definition(a), d * perm_definition(a)
+    calls = _ring_operation_calls(monkeypatch)
+    got = _perm_expansion(a)
+    got_scaled = _perm_expansion(scaled, lambda p: p.divide_linear("z", [(2, 1)]))
+    assert calls == []
+    monkeypatch.undo()
+    assert got == want and got_scaled == want_scaled
+
+
+def test_cleared_entries_are_sums_of_products_not_folds(monkeypatch):
+    inst = build_instance(classical_bosonic_grid()[-1])
+    lax, divisor, _ = classical_side(inst, "z")
+    want = _cleared(lax, divisor, inst.var, "z")
+    calls = _ring_operation_calls(monkeypatch)
+    got = _cleared(lax, divisor, inst.var, "z")
+    assert calls == []
+    monkeypatch.undo()
+    assert got == want and any(entry.terms for row in got for entry in row)
 
 
 def test_per_step_division_refusal_names_the_minor_size():

@@ -233,6 +233,59 @@ def test_repr_lists_terms_in_exponent_tuple_order(ta):
     assert repr(p) == (" + ".join(bits) or "0")
 
 
+def folded(pairs) -> MultiPoly:
+    out = MultiPoly.zero()
+    for a, b in pairs:
+        out = out + a * b
+    return out
+
+
+# a polynomial on the table it was built on or on WIDE, or a rational
+operands = st.one_of(
+    st.builds(lambda terms, wide: build(terms).lift_to(WIDE) if wide else build(terms),
+              polys, st.booleans()),
+    coeffs)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(operands, operands), max_size=4), st.booleans())
+def test_sum_of_products_equals_the_fold(pairs, cancel):
+    # with cancel, each pair comes back negated: the sum is the zero
+    # polynomial
+    if cancel:
+        pairs = pairs + [(-a, b) for a, b in pairs]
+    got = MultiPoly.sum_of_products(pairs)
+    want = folded(pairs)
+    assert got == want and repr(got) == repr(want)
+    assert all(got.terms.values())
+    assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+    if cancel:
+        assert not got.terms
+
+
+def test_sum_of_products_edge_cases():
+    x, y = MultiPoly.var("x1_1"), MultiPoly.var("z")
+    half = x * Fraction(1, 2)
+    assert not MultiPoly.sum_of_products([]).terms
+    assert not MultiPoly.sum_of_products([(MultiPoly.zero(), x), (0, y), (x, y), (-y, x)]).terms
+    whole = MultiPoly.sum_of_products([(half, y), (y, half)])
+    assert whole == x * y and [type(c) for c in whole.terms.values()] == [int]
+    mixed = MultiPoly.sum_of_products([(x, y.lift_to(WIDE)), (2, Fraction(3, 2)),
+                                       (Fraction(1, 2), 4)])
+    assert mixed == x * y + 5 and mixed.vars == WIDE
+
+
+def test_sum_of_products_raises_on_a_surviving_overflow_only():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    top = MultiPoly.var("x", MAX_EXP) * y
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.sum_of_products([(top, x)])
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.sum_of_products([(y, y), (top, x), (-1, x)])
+    # an overflowed monomial that cancels is exact and leaves no trace
+    assert MultiPoly.sum_of_products([(top, x), (-top, x), (y, 1)]) == y
+
+
 def test_exponent_overflow_raises_instead_of_wrapping():
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
     top = MultiPoly.var("x", MAX_EXP) * y
