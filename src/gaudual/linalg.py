@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .multipoly import MultiPoly, var_key
+from .multipoly import MultiPoly, common_table
 
 
 def solve_linear(columns: list[list[Fraction]], target: list[Fraction]):
@@ -44,7 +45,7 @@ def solve_linear(columns: list[list[Fraction]], target: list[Fraction]):
 
 def poly_vectors(polys: list[MultiPoly]):
     """Coefficient vectors of the polynomials over a shared monomial basis."""
-    vars = tuple(sorted({v for p in polys for v in p.vars}, key=var_key))
+    vars = common_table(polys)
     lifted = [p.lift_to(vars) for p in polys]
     monomials = sorted({e for p in lifted for e in p.terms})
     return [[p.terms.get(m, Fraction(0)) for m in monomials] for p in lifted]
@@ -60,3 +61,47 @@ def in_span(candidate: MultiPoly, generators: list[MultiPoly]):
     vectors = poly_vectors(list(generators) + [candidate])
     return solve_linear(vectors[:-1], vectors[-1])
 
+
+def sparse_basis(elements: list) -> list:
+    """A basis of the rational span of `elements` (MultiPolys, lifted once to
+    their `common_table`, or elements of one TermDict ring) with int
+    coefficients, by fraction-free row reduction (Bareiss).  Each element
+    becomes a primitive integer row; the rows are taken shortest first, in
+    the given order among equal lengths, and each is reduced at the pivot e
+    (largest monomial) of every row p kept before it, largest first:
+    r <- (a r - b p) / content, g = gcd(p[e], r[e]), a = p[e] / g, b = r[e] / g.
+    A row that reduces to zero is dropped.  Each step is invertible over Q,
+    so the span is unchanged, and a bilinear, antisymmetric bracket is zero
+    on every pair of elements exactly when it is zero on every basis pair."""
+    if not elements:
+        return []
+    if isinstance(elements[0], MultiPoly):
+        vars = common_table(elements)
+        rows, build = [x.lift_to(vars).terms for x in elements], lambda t: MultiPoly(vars, t)
+    else:
+        rows, build = [x.terms for x in elements], type(elements[0])
+    kept: dict = {}  # pivot -> row
+    for r in sorted((_primitive(t) for t in rows if t), key=len):
+        for e in sorted(kept, reverse=True):
+            if e in r:
+                p = kept[e]
+                g = gcd(p[e], r[e])
+                a, b = p[e] // g, r[e] // g
+                r = {m: a * c for m, c in r.items()}
+                for m, c in p.items():
+                    r[m] = r.get(m, 0) - b * c
+                r = _primitive({m: c for m, c in r.items() if c})
+                if not r:
+                    break
+        if r:
+            kept[max(r)] = r
+    return [build(r) for r in kept.values()]
+
+
+def _primitive(terms: dict) -> dict:
+    """terms times the lcm of their denominators, over the gcd of the
+    resulting ints; empty terms stay empty."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    row = {m: int(c * scale) for m, c in terms.items()}
+    content = gcd(*row.values())
+    return {m: c // content for m, c in row.items()} if content > 1 else row

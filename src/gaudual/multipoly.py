@@ -201,6 +201,12 @@ def _repack(terms: dict, moves: list[tuple[int, int]]) -> dict:
     return out
 
 
+def common_table(polys) -> tuple[str, ...]:
+    """The sorted union of the tables of polys, built only when two differ."""
+    tables = {p.vars for p in polys if p.vars}
+    return tables.pop() if len(tables) == 1 else tuple(sorted(set().union(*tables), key=var_key))
+
+
 class VariableTable(dict):
     """The generator MultiPoly of each of `names`, all over one table sorted
     by var_key (kept as ``names``): polynomials built from them share it, so
@@ -358,18 +364,16 @@ class MultiPoly:
         a, b = self._aligned(other)
         if len(a.terms) < len(b.terms):
             a, b = b, a
-        fractions = _has_fraction(a.terms) or _has_fraction(b.terms)
         if len(b.terms) == 1:
             # one monomial: the products are distinct and nonzero
             (e2, c2), = b.terms.items()
             terms = {e1 + e2: c1 * c2 for e1, c1 in a.terms.items()}
-            if fractions:
+            if _has_fraction(terms):
                 terms = _nonzero(terms, True)
-        else:
-            terms = {}
-            _add_product(terms, a.terms, b.terms, 1)
-            terms = _nonzero(terms, fractions)
-        return MultiPoly(a.vars, _checked(terms, len(a.vars)))
+            return MultiPoly(a.vars, _checked(terms, len(a.vars)))
+        terms = {}
+        _add_product(terms, a.terms, b.terms, 1)
+        return MultiPoly(a.vars, _finished(terms, len(a.vars)))
 
     __rmul__ = __mul__
 
@@ -380,9 +384,7 @@ class MultiPoly:
         (`_finished`).  Operands on different tables are aligned once, to
         the sorted union of the tables; a rational is a constant
         polynomial."""
-        tables = {x.vars for pair in pairs for x in pair if isinstance(x, MultiPoly) and x.vars}
-        vars = tables.pop() if len(tables) == 1 else \
-            tuple(sorted(set().union(*tables), key=var_key))
+        vars = common_table(x for pair in pairs for x in pair if isinstance(x, MultiPoly))
 
         def terms_of(x) -> dict:
             if isinstance(x, MultiPoly):

@@ -14,6 +14,7 @@ import pytest
 from gaudual.cyclotomic import CycloInstance, _origin_entries
 from gaudual.errors import NotInvertible
 from gaudual.gaudin import INF, Divisor, TakiffGen, _cleared, matrix_rows, ratfunc_lax
+from gaudual.linalg import solve_linear
 from gaudual.matrices import _perm_expansion
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_bracket
@@ -70,6 +71,27 @@ def random_weyl(r: random.Random, pairs: list[tuple[int, int]], max_deg: int = 3
             mono = mono * gen
         out = out + mono
     return out
+
+
+def taylor_shift(poly: MultiPoly, name: str, c) -> MultiPoly:
+    """poly with name replaced by name - c: the coefficient of each power
+    name^k (split_by) times (name - c)^k."""
+    shifted = MultiPoly.var(name) - c
+    out = MultiPoly.zero()
+    for (k,), coeff in poly.split_by((name,)).items():
+        out = out + coeff * shifted**k
+    return out
+
+
+def weyl_in_span(candidate: WeylElement, generators: list[WeylElement]):
+    """linalg.in_span for Weyl elements: the coefficients of candidate in
+    the rational span of generators, by a solve over their term vectors, or
+    None."""
+    if not generators:
+        return [] if not candidate else None
+    monomials = sorted({k for w in [*generators, candidate] for k in w.terms})
+    columns = [[w.terms.get(m, 0) for m in monomials] for w in generators]
+    return solve_linear(columns, [candidate.terms.get(m, 0) for m in monomials])
 
 
 def random_grassmann(r: random.Random, alg: GrassmannAlgebra, parity: int,

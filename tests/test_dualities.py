@@ -22,7 +22,7 @@ from gaudual.multipoly import _PAIR_RE, MultiPoly
 from gaudual.runner import SAMPLE_SEED, run_instance
 from gaudual.weyl import WeylElement
 from helpers import (build_instance, check_cleared_against_ratfunc, check_per_step_division,
-                     classical_limit, order_one_clearing, perturb_divided_expansion)
+                     classical_limit, order_one_clearing, perturb_divided_expansion, taylor_shift)
 
 Q = Fraction
 V = MultiPoly.var
@@ -542,6 +542,19 @@ def test_swapping_M_with_N_transposes_the_classical_common_polynomial(spec):
                    dual_divisor=spec["divisor"])
     old, new = (gaudin._side_det(build_instance(s), "z") for s in (spec, swapped))
     assert MultiPoly(tuple(map(_transposed, old.vars)), old.terms) == new
+
+
+@pytest.mark.parametrize("field,var,shift", [("divisor", "z", Z_SHIFT),
+                                             ("dual_divisor", "lam", -2)], ids=["z", "lam"])
+@pytest.mark.parametrize("spec", _grid_cases(presets.classical_bosonic_grid()))
+def test_shifting_every_point_shifts_the_classical_common_polynomial(spec, field, var, shift):
+    """A relation that needs no oracle: with every z point moved by 4/3 the
+    common polynomial P(z, lam) becomes P(z - 4/3, lam), and with every lam
+    point moved by -2 it becomes P(z, lam + 2)."""
+    moved = dict(spec, **{field: [[str(Q(p) + shift), t] for p, t in spec[field]]})
+    old, new = (gaudin._side_det(build_instance(s), "z") for s in (spec, moved))
+    assert new != old
+    assert new == taylor_shift(old, var, shift)
 
 
 @pytest.mark.parametrize("spec", _grid_cases(presets.fermionic_grid()))

@@ -13,7 +13,7 @@ from gaudual.gaudin import (
     extract_gaudin_generators,
     ratfunc_lax,
 )
-from gaudual.linalg import solve_linear
+from gaudual.linalg import solve_linear, sparse_basis
 from gaudual.multipoly import MultiPoly
 from gaudual.poisson import poisson_support
 from gaudual.presets import commutativity_grid
@@ -102,12 +102,11 @@ def test_unknown_flavor_is_refused():
 
 @pytest.mark.parametrize("flavor", ["classical", "quantum"])
 def test_only_pairs_whose_supports_meet_are_bracketed(monkeypatch, flavor):
-    """A pair i < j is bracketed once, in row-major order, exactly when a
-    letter of one generator's support has its conjugate in the other's: no
-    self-pair, no other pair and so no pair with a constant generator is
-    bracketed, while
-    pairs_checked still counts every pair i <= j and the report is that of
-    the direct loop."""
+    """On a pass, the bracket is called once on each pair i < j of
+    sparse_basis(gens) whose supports meet conjugately, in row-major order,
+    and on no generator as given: no self-pair, no other pair and so no
+    pair with a constant is bracketed, while pairs_checked still counts
+    every generator pair i <= j and the report is that of the direct loop."""
     gens = extract_gaudin_generators(make(2, 2, [(1, 1), (2, 1)], [(5, 1), (7, 1)]), flavor)
     n = len(gens)
     name, support = (("weyl_commutator", weyl_support) if flavor == "quantum"
@@ -121,12 +120,14 @@ def test_only_pairs_whose_supports_meet_are_bracketed(monkeypatch, flavor):
     monkeypatch.setattr(gaudin, name, spy)
     report = check_commutativity(gens, flavor)
     assert report == {"status": "pass", "pairs_checked": n * (n + 1) // 2}
-    supports = [support(g) for g in gens]
-    meeting = [(i, j) for i in range(n) for j in range(i + 1, n)
+    basis = sparse_basis(gens)
+    supports = [support(b) for b in basis]
+    meeting = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
                if meet_conjugately(supports[i], supports[j])]
-    assert any(not s for s in supports) and len(meeting) < n * (n - 1) // 2
-    index = {id(g): k for k, g in enumerate(gens)}
-    assert [(index[id(a)], index[id(b)]) for a, b in calls] == meeting
+    assert any(not s for s in supports) and 0 < len(meeting) < len(basis) * (len(basis) - 1) // 2
+    assert calls == [(basis[i], basis[j]) for i, j in meeting]
+    given = {id(g) for g in gens}
+    assert not any(id(a) in given or id(b) in given for a, b in calls)
     monkeypatch.undo()
     assert report == check_commutativity_reference(gens, flavor)
 
