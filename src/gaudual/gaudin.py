@@ -183,6 +183,7 @@ class DualityInstance:
         self._jordan_z = jordan_sum(div_z, Q(0))
         self._galg = GrassmannAlgebra(M, N)
         self._realizers: dict = {}
+        self.shared = None  # the store runner.run_job attaches (_classical_spectral_poly)
         # the classical images are built over one table of all the variables
         self.var = VariableTable([f"{q}{a}_{i}" for q in "xp" for a in range(1, M + 1)
                                   for i in range(1, N + 1)] + ["z", "lam"])
@@ -288,7 +289,9 @@ def _spectral_dets(inst, sample_seed=None):
     det(lam D(z) 1 - D(z) L^D(z)) and det(z D(lam) 1 - D(lam) L^D~(lam)),
     each divided by D^(n-1) inside the determinant (_spectral_det), of a
     DualityInstance or a cyclotomic.CycloInstance (see classical_side)."""
-    subs = _sample_map(inst, sample_seed) if sample_seed is not None else None
+    if sample_seed is None:
+        return _classical_spectral_poly(inst), _side_det(inst, "lam")
+    subs = _sample_map(inst, sample_seed)
     return _side_det(inst, "z", subs), _side_det(inst, "lam", subs)
 
 
@@ -518,8 +521,19 @@ def verify_quantum_duality(inst: DualityInstance) -> dict:
 
 def _classical_spectral_poly(inst) -> MultiPoly:
     """The common classical polynomial of a DualityInstance or a
-    cyclotomic.CycloInstance, built from the z side alone."""
-    return _side_det(inst, "z")
+    cyclotomic.CycloInstance, built from the z side alone.  It is kept in
+    the store runner.run_job gives the jobs of one (M, N, divisors), so their
+    duality and commutativity checks build it once; a build that raises
+    keeps nothing, and no caller changes the kept polynomial in place.
+    Other instances have no store.  The quantum z side is not kept: its
+    siblings straddle the median time of a quantum batch, so the one that
+    paid for it would move that median with the run order."""
+    store = getattr(inst, "shared", None)
+    if store is None:
+        return _side_det(inst, "z")
+    if "classical" not in store:
+        store["classical"] = _side_det(inst, "z")
+    return store["classical"]
 
 
 # -- Gaudin algebra extraction and commutativity ------------------------------

@@ -122,6 +122,12 @@ SPEC_KEYS = set().union(*MODEL_KEYS.values(), (field for field, _, _ in VARIANTS
 OPTION_CHOICES = {"expect": {"pass", "fail"}, "mode": {"symbolic", "sampled"}}
 BOOLEAN_OPTIONS = ("symbolic_mu", "quantum_candidate")
 OPTION_KEYS = {"mutation", *OPTION_CHOICES, *BOOLEAN_OPTIONS}
+# The stores of classical z sides (gaudin._classical_spectral_poly) by
+# job.args (M, N, divisors), oldest use first; each workload of the
+# benchmark has 36 distinct args.  Of the options, only mode changes a z
+# side that a check builds, and a sampled job gets no store.
+SHARED_LIMIT = 64
+_shared: dict = {}
 # 2^14284 < 10^4300: a guard estimate of at most this many bits has at most
 # 4,300 digits, Python's default limit for str() of an int, so it is shown
 _SHOWN_BITS = 14_284
@@ -287,6 +293,15 @@ def _instance(job: Job):
     return (DualityInstance if job.model == "gaudin" else CycloInstance)(*job.args)
 
 
+def _store(args: tuple) -> dict:
+    """The store of the jobs on args, made the most recently used; past
+    SHARED_LIMIT stores the least recently used one is dropped."""
+    store = _shared[args] = _shared.pop(args, {})
+    if len(_shared) > SHARED_LIMIT:
+        del _shared[next(iter(_shared))]
+    return store
+
+
 def run_instance(spec: dict, mode: str | None = None, max_terms: int = 10**7) -> dict:
     """Validate and run one instance (run_job)."""
     return run_job(validate_instance(spec), spec, mode, max_terms)
@@ -302,7 +317,10 @@ def run_job(job: Job, spec: dict, mode: str | None = None, max_terms: int = 10**
     try:
         # the guard comes first: it refuses an instance too large to build
         _size_guard(job.kind, *job.size, max_terms)
-        report = check.run(_instance(job), opts, SAMPLE_SEED if sampled else None)
+        inst = _instance(job)
+        if job.model == "gaudin" and not sampled:
+            inst.shared = _store(job.args)
+        report = check.run(inst, opts, SAMPLE_SEED if sampled else None)
     except GuardExceeded as err:
         report = {"status": "error", "witness": {"guard": str(err)}}
     except GaudualError as err:
